@@ -33,7 +33,7 @@ struct RunContext {
   return "op";
 }
 
-// Works over any client exposing the IndexBackend op signatures
+// Works over any client exposing TreeClient's op signatures
 // (TreeClient, route::HybridClient, ...).
 template <typename Client>
 sim::Task<void> ClientLoop(Client* client, sim::Simulator* sim,

@@ -1,6 +1,8 @@
 #include "combine/rdwc.h"
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "fault/crash_point.h"
@@ -118,54 +120,60 @@ bool RdwcLayer::IsHot(Key key) const {
   return it != b.entries.end() && it->second.hot;
 }
 
-sim::Task<Status> RdwcLayer::Direct(route::HybridClient* client, Key key,
-                                    bool is_put, uint64_t put_value,
-                                    uint64_t* get_value, OpStats* stats) {
-  if (is_put) return client->InsertDirect(key, put_value, stats);
-  return client->LookupDirect(key, get_value, stats);
-}
-
-sim::Task<Status> RdwcLayer::DirectVar(route::HybridClient* client,
-                                       const std::string& key, bool is_put,
-                                       const std::string& put_value,
-                                       std::string* get_value, OpStats* stats) {
+template <typename K, typename V>
+sim::Task<Status> RdwcLayer::Direct(route::HybridClient* client, K key,
+                                    bool is_put, V put_value, V* get_value,
+                                    OpStats* stats) {
   if (is_put) {
-    return client->InsertVarDirect(Slice(key), Slice(put_value), stats);
+    return client->InsertDirect(std::move(key), std::move(put_value), stats);
   }
-  return client->LookupVarDirect(Slice(key), get_value, stats);
+  return client->LookupDirect(std::move(key), get_value, stats);
 }
 
+template <typename K, typename V>
 sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
-                                       RdwcEntry* e, Key key, bool is_put,
-                                       uint64_t put_value, uint64_t* get_value,
+                                       RdwcEntry* e, Key rk, K key,
+                                       bool is_put, V put_value, V* get_value,
                                        OpStats* stats) {
-  if (e->win != nullptr && e->win->varlen) {
-    // Kind mismatch (defensive: a deployment runs one kind of op).
-    co_return co_await Direct(client, key, is_put, put_value, get_value,
-                              stats);
+  using Window = RdwcWindowOf<K, V>;
+  constexpr bool kVarlen = std::is_same_v<K, std::string>;
+  if (e->win != nullptr) {
+    // The open window serves a different full byte key that happens to
+    // share the hot routing key (or is of the other record kind — a
+    // deployment runs one kind of op): results must not be shared across
+    // distinct keys, so this op goes direct.
+    Window* open =
+        e->win->varlen == kVarlen ? static_cast<Window*>(e->win) : nullptr;
+    if (open == nullptr || open->full_key != key) {
+      if (open != nullptr) stats_.var_key_mismatch++;
+      co_return co_await Direct(client, std::move(key), is_put,
+                                std::move(put_value), get_value, stats);
+    }
   }
   if (e->win == nullptr) {
     // First op on the hot key: become the delegate. The window lives in
     // this frame — if this client crashes mid-window, the buried frame
     // keeps it reachable for the re-elected follower (see rdwc.h).
-    RdwcWindow w;
-    w.key = key;
+    Window w;
+    w.key = rk;
     w.gen = next_gen_++;
     w.delegate_cs = client->cs_id();
     w.entry = e;
+    w.varlen = kVarlen;
+    w.full_key = std::move(key);
     e->win = &w;
     live_[w.gen] = &w;
     stats_.windows_opened++;
     ArmTimer(w.gen);
-    co_return co_await DelegateRun(client, &w, is_put, put_value, get_value,
-                                   stats);
+    co_return co_await DelegateRun(client, &w, is_put, std::move(put_value),
+                                   get_value, stats);
   }
 
-  RdwcWindow* w = e->win;
+  Window* w = static_cast<Window*>(e->win);
   if (w->parked.size() >= options_.window_max_ops) {
     stats_.bypass_overflow++;
-    co_return co_await Direct(client, key, is_put, put_value, get_value,
-                              stats);
+    co_return co_await Direct(client, std::move(key), is_put,
+                              std::move(put_value), get_value, stats);
   }
 
   // QUEUE: park on the window. `me` lives in this frame; if this CS dies
@@ -188,8 +196,8 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     stats_.reelections++;
     w->delegate_cs = cs;
     ArmTimer(w->gen);
-    co_return co_await DelegateRun(client, w, is_put, put_value, get_value,
-                                   stats);
+    co_return co_await DelegateRun(client, w, is_put, std::move(put_value),
+                                   get_value, stats);
   }
 
   if (options_.enable_combining && w->done) {
@@ -201,7 +209,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     const Status write_result = w->write_result;
     const Status own_result = w->result;
     const bool final_valid = w->final_valid;
-    const uint64_t final_value = w->final_value;
+    V final_value = w->final_value;
     const int delegate_cs = w->delegate_cs;
     // Charge the CS-to-CS delegation hop for cross-CS followers, then
     // adopt the shared result. The op still counts toward the shard's
@@ -209,14 +217,14 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     if (cs != delegate_cs && options_.cross_cs_hop_ns > 0) {
       co_await sim_->Delay(options_.cross_cs_hop_ns);
     }
-    client->RecordAbsorbed(key, is_put, start, stats);
+    client->RecordAbsorbed(rk, is_put, start, stats);
     if (is_put) {
       stats_.puts_combined++;
       co_return write_result;
     }
     stats_.gets_shared++;
     if (final_valid) {
-      if (get_value != nullptr) *get_value = final_value;
+      if (get_value != nullptr) *get_value = std::move(final_value);
       co_return Status::OK();
     }
     co_return own_result;
@@ -224,27 +232,29 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
 
   // Delegation-only queueing (or a timed-out, combining-off window): the
   // parked op re-runs directly, serialized behind the delegate.
-  co_return co_await Direct(client, key, is_put, put_value, get_value, stats);
+  co_return co_await Direct(client, std::move(key), is_put,
+                            std::move(put_value), get_value, stats);
 }
 
+template <typename K, typename V>
 sim::Task<Status> RdwcLayer::DelegateRun(route::HybridClient* client,
-                                         RdwcWindow* w, bool is_put,
-                                         uint64_t put_value,
-                                         uint64_t* get_value, OpStats* stats) {
+                                         RdwcWindowOf<K, V>* w, bool is_put,
+                                         V put_value, V* get_value,
+                                         OpStats* stats) {
   const int cs = client->cs_id();
   co_await fault::Injector().AtSite(kSiteOpen, cs);
 
   Status own;
   if (is_put) {
-    own = co_await client->InsertDirect(w->key, put_value, stats);
+    own = co_await client->InsertDirect(w->full_key, put_value, stats);
   } else {
-    uint64_t v = 0;
-    own = co_await client->LookupDirect(w->key, &v, stats);
+    V v{};
+    own = co_await client->LookupDirect(w->full_key, &v, stats);
     if (own.ok()) {
       w->read_valid = true;
       w->read_value = v;
     }
-    if (get_value != nullptr) *get_value = v;
+    if (get_value != nullptr) *get_value = std::move(v);
   }
   w->result = own;
   co_await fault::Injector().AtSite(kSiteExec, cs);
@@ -254,8 +264,8 @@ sim::Task<Status> RdwcLayer::DelegateRun(route::HybridClient* client,
     // the last-writer-wins value of every PUT parked in the window — an
     // ordinary locked tree insert, so command combination (§4.5) rides
     // it onto one doorbell and the intent protocol covers a crash.
-    w->write_result = co_await client->InsertDirect(w->key, w->write_value,
-                                                    nullptr);
+    w->write_result =
+        co_await client->InsertDirect(w->full_key, w->write_value, nullptr);
     stats_.combined_writes++;
   }
   co_await fault::Injector().AtSite(kSiteCombine, cs);
@@ -279,136 +289,12 @@ sim::Task<Status> RdwcLayer::DelegateRun(route::HybridClient* client,
   co_return own;
 }
 
-sim::Task<Status> RdwcLayer::RunWindowVar(route::HybridClient* client,
-                                          RdwcEntry* e, Key rk,
-                                          const std::string& key, bool is_put,
-                                          const std::string& put_value,
-                                          std::string* get_value,
-                                          OpStats* stats) {
-  if (e->win != nullptr && (!e->win->varlen || e->win->var_key != key)) {
-    // The open window serves a different full byte key that happens to
-    // share the hot routing key (or is a fixed-size window): results must
-    // not be shared across distinct keys, so this op goes direct.
-    if (e->win->varlen) stats_.var_key_mismatch++;
-    co_return co_await DirectVar(client, key, is_put, put_value, get_value,
-                                 stats);
-  }
-  if (e->win == nullptr) {
-    RdwcWindow w;
-    w.key = rk;
-    w.gen = next_gen_++;
-    w.delegate_cs = client->cs_id();
-    w.entry = e;
-    w.varlen = true;
-    w.var_key = key;
-    e->win = &w;
-    live_[w.gen] = &w;
-    stats_.windows_opened++;
-    ArmTimer(w.gen);
-    co_return co_await DelegateRunVar(client, &w, is_put, put_value,
-                                      get_value, stats);
-  }
-
-  RdwcWindow* w = e->win;
-  if (w->parked.size() >= options_.window_max_ops) {
-    stats_.bypass_overflow++;
-    co_return co_await DirectVar(client, key, is_put, put_value, get_value,
-                                 stats);
-  }
-
-  const sim::SimTime start = sim_->now();
-  const int cs = client->cs_id();
-  if (is_put && options_.enable_combining) {
-    w->write_pending = true;
-    w->var_write_value = put_value;  // last arrival wins
-  }
-  stats_.followers_queued++;
-  RdwcWindow::Parked me;
-  me.cs = cs;
-  co_await ParkAwaiter{w, &me};
-
-  if (me.elected) {
-    stats_.reelections++;
-    w->delegate_cs = cs;
-    ArmTimer(w->gen);
-    co_return co_await DelegateRunVar(client, w, is_put, put_value, get_value,
-                                      stats);
-  }
-
-  if (options_.enable_combining && w->done) {
-    // Copy everything out of the window before any suspension — the
-    // window dies with the delegate's frame (see RunWindow).
-    const Status write_result = w->write_result;
-    const Status own_result = w->result;
-    const bool final_valid = w->final_valid;
-    const std::string final_value = w->var_final_value;
-    const int delegate_cs = w->delegate_cs;
-    if (cs != delegate_cs && options_.cross_cs_hop_ns > 0) {
-      co_await sim_->Delay(options_.cross_cs_hop_ns);
-    }
-    client->RecordAbsorbed(rk, is_put, start, stats);
-    if (is_put) {
-      stats_.puts_combined++;
-      co_return write_result;
-    }
-    stats_.gets_shared++;
-    if (final_valid) {
-      if (get_value != nullptr) *get_value = final_value;
-      co_return Status::OK();
-    }
-    co_return own_result;
-  }
-
-  co_return co_await DirectVar(client, key, is_put, put_value, get_value,
-                               stats);
-}
-
-sim::Task<Status> RdwcLayer::DelegateRunVar(route::HybridClient* client,
-                                            RdwcWindow* w, bool is_put,
-                                            const std::string& put_value,
-                                            std::string* get_value,
-                                            OpStats* stats) {
-  const int cs = client->cs_id();
-  co_await fault::Injector().AtSite(kSiteOpen, cs);
-
-  Status own;
-  if (is_put) {
-    own = co_await client->InsertVarDirect(Slice(w->var_key),
-                                           Slice(put_value), stats);
-  } else {
-    std::string v;
-    own = co_await client->LookupVarDirect(Slice(w->var_key), &v, stats);
-    if (own.ok()) {
-      w->read_valid = true;
-      w->var_read_value = v;
-    }
-    if (get_value != nullptr) *get_value = std::move(v);
-  }
-  w->result = own;
-  co_await fault::Injector().AtSite(kSiteExec, cs);
-
-  if (options_.enable_combining && w->write_pending) {
-    w->write_result = co_await client->InsertVarDirect(
-        Slice(w->var_key), Slice(w->var_write_value), nullptr);
-    stats_.combined_writes++;
-  }
-  co_await fault::Injector().AtSite(kSiteCombine, cs);
-
-  if (options_.enable_combining) {
-    if (w->write_pending && w->write_result.ok()) {
-      w->final_valid = true;
-      w->var_final_value = w->var_write_value;
-    } else if (is_put && own.ok()) {
-      w->final_valid = true;
-      w->var_final_value = put_value;
-    } else if (w->read_valid) {
-      w->final_valid = true;
-      w->var_final_value = w->var_read_value;
-    }
-  }
-  Complete(w);
-  co_return own;
-}
+template sim::Task<Status> RdwcLayer::RunWindow<Key, uint64_t>(
+    route::HybridClient*, RdwcEntry*, Key, Key, bool, uint64_t, uint64_t*,
+    OpStats*);
+template sim::Task<Status> RdwcLayer::RunWindow<std::string, std::string>(
+    route::HybridClient*, RdwcEntry*, Key, std::string, bool, std::string,
+    std::string*, OpStats*);
 
 void RdwcLayer::CloseWindow(RdwcWindow* w) {
   live_.erase(w->gen);

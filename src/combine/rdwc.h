@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/node_layout.h"
@@ -120,34 +119,23 @@ struct RdwcEntry;
 // frame: if the delegate crashes, the frame is buried (kept reachable
 // forever) by the crash injector, so parked followers' pointers into the
 // window stay valid for the re-election path.
+//
+// Delegation is keyed on the ROUTING key (the contention unit: varlen
+// keys sharing it share a leaf), but results may only be shared between
+// ops on the SAME full key, so the window pins it (RdwcWindowOf).
 struct RdwcWindow {
-  Key key = 0;
+  Key key = 0;            // routing key
   uint64_t gen = 0;       // timer handle: live_ maps gen -> window
   int delegate_cs = -1;
   RdwcEntry* entry = nullptr;
   bool done = false;
+  bool varlen = false;    // record kind: byte-string or u64 key/value
 
   Status result = Status::OK();  // delegate's own op status
   bool read_valid = false;       // delegate GET produced read_value
-  uint64_t read_value = 0;
-
   bool write_pending = false;    // >= 1 parked PUT folded in
-  uint64_t write_value = 0;      // last-arrived parked PUT wins
   Status write_result = Status::OK();
-
-  bool final_valid = false;      // value parked GETs serve
-  uint64_t final_value = 0;
-
-  // Varlen windows (RunWindowVar): delegation is keyed on the ROUTING key
-  // (that is the contention unit — keys sharing it share a leaf), but
-  // results may only be shared between ops on the SAME full byte key, so
-  // the window pins it. The u64 value fields above are unused; these
-  // string twins carry the payloads.
-  bool varlen = false;
-  std::string var_key;          // full byte key the window serves
-  std::string var_read_value;   // read_valid guards this
-  std::string var_write_value;  // write_pending guards this
-  std::string var_final_value;  // final_valid guards this
+  bool final_valid = false;      // final_value is what parked GETs serve
 
   struct Parked {
     std::coroutine_handle<> h;
@@ -155,6 +143,16 @@ struct RdwcWindow {
     bool elected = false;  // woken as the window's new delegate
   };
   std::vector<Parked*> parked;
+};
+
+// A window's record-kind payload: the full key it serves and its values
+// (u64, or byte strings for varlen records).
+template <typename K, typename V>
+struct RdwcWindowOf : RdwcWindow {
+  K full_key{};
+  V read_value{};
+  V write_value{};  // last-arrived parked PUT wins
+  V final_value{};
 };
 
 // One delegation-table entry (hot key or tracked candidate).
@@ -182,21 +180,17 @@ class RdwcLayer {
   // pay no map lookup on unsampled ops.
   RdwcEntry* Admit(Key key);
 
-  // Runs one op through `key`'s window: opens it as the delegate if none
-  // is in flight, otherwise parks as a follower (QUEUE) or overflows to
-  // the direct path. `get_value` is null for PUTs.
+  // Runs one op on the hot routing key `rk` through its window, for
+  // either record kind (u64 or byte-string key/value; `key` is the full
+  // key, equal to `rk` for u64 records): opens a window as the delegate
+  // if none is in flight, otherwise parks as a follower (QUEUE) on a
+  // window serving the same full key, or overflows to the direct path. A
+  // full-key mismatch (or a record-kind mismatch) bypasses to the direct
+  // path. `get_value` is null for PUTs. Operands are owned by the call.
+  template <typename K, typename V>
   sim::Task<Status> RunWindow(route::HybridClient* client, RdwcEntry* e,
-                              Key key, bool is_put, uint64_t put_value,
-                              uint64_t* get_value, OpStats* stats);
-
-  // Varlen twin: one op on the hot routing key `rk` whose full byte key is
-  // `key`. Opens a varlen window or parks on one serving the same full
-  // key; a full-key mismatch (or a fixed/varlen kind mismatch) bypasses to
-  // the direct path. `get_value` is null for PUTs.
-  sim::Task<Status> RunWindowVar(route::HybridClient* client, RdwcEntry* e,
-                                 Key rk, const std::string& key, bool is_put,
-                                 const std::string& put_value,
-                                 std::string* get_value, OpStats* stats);
+                              Key rk, K key, bool is_put, V put_value,
+                              V* get_value, OpStats* stats);
 
   // Test hook: is `key` currently promoted?
   bool IsHot(Key key) const;
@@ -215,19 +209,15 @@ class RdwcLayer {
   void Promote(Bucket* b, uint64_t bit, RdwcEntry* e);
 
   // Delegate body: own op, then the combined write, then wake followers.
-  sim::Task<Status> DelegateRun(route::HybridClient* client, RdwcWindow* w,
-                                bool is_put, uint64_t put_value,
-                                uint64_t* get_value, OpStats* stats);
-  sim::Task<Status> Direct(route::HybridClient* client, Key key, bool is_put,
-                           uint64_t put_value, uint64_t* get_value,
-                           OpStats* stats);
-  sim::Task<Status> DelegateRunVar(route::HybridClient* client, RdwcWindow* w,
-                                   bool is_put, const std::string& put_value,
-                                   std::string* get_value, OpStats* stats);
-  sim::Task<Status> DirectVar(route::HybridClient* client,
-                              const std::string& key, bool is_put,
-                              const std::string& put_value,
-                              std::string* get_value, OpStats* stats);
+  template <typename K, typename V>
+  sim::Task<Status> DelegateRun(route::HybridClient* client,
+                                RdwcWindowOf<K, V>* w, bool is_put,
+                                V put_value, V* get_value, OpStats* stats);
+  // The un-delegated op, for bypasses and queue-only re-runs.
+  template <typename K, typename V>
+  static sim::Task<Status> Direct(route::HybridClient* client, K key,
+                                  bool is_put, V put_value, V* get_value,
+                                  OpStats* stats);
   void Complete(RdwcWindow* w);
   void CloseWindow(RdwcWindow* w);
   void ArmTimer(uint64_t gen);

@@ -1566,11 +1566,15 @@ sim::Task<Status> TreeClient::RangeQuery(
     }
 
     bufs.assign(leaves.size(), std::vector<uint8_t>(node_size()));
-    sim::CountdownLatch latch(leaves.size());
-    for (size_t i = 0; i < leaves.size(); i++) {
-      sim::Spawn(ReadInto(leaves[i], bufs[i].data(), node_size(), &latch));
+    {
+      SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr,
+                     "rdma.read_batch", leaves.size());
+      sim::CountdownLatch latch(leaves.size());
+      for (size_t i = 0; i < leaves.size(); i++) {
+        sim::Spawn(ReadInto(leaves[i], bufs[i].data(), node_size(), &latch));
+      }
+      co_await latch.Wait();
     }
-    co_await latch.Wait();
     if (stats != nullptr) {
       stats->round_trips += static_cast<uint32_t>(leaves.size());
     }

@@ -7,10 +7,11 @@
 #ifndef SHERMAN_ROUTE_HYBRID_CLIENT_H_
 #define SHERMAN_ROUTE_HYBRID_CLIENT_H_
 
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "route/backend.h"
+#include "core/btree.h"
 #include "route/hotness.h"
 #include "route/router.h"
 #include "route/tree_rpc.h"
@@ -21,7 +22,7 @@ class RdwcLayer;
 
 namespace sherman::route {
 
-class HybridClient final : public IndexBackend {
+class HybridClient final {
  public:
   HybridClient(ShermanSystem* sherman, TreeRpcService* service,
                AdaptiveRouter* router, HotnessTracker* tracker, int cs_id)
@@ -35,14 +36,12 @@ class HybridClient final : public IndexBackend {
   // Singleton Insert/Lookup consult the RDWC delegation table when one
   // is installed (hot keys run through a combining window); cold keys and
   // everything else fall through to the direct paths below.
-  sim::Task<Status> Insert(Key key, uint64_t value,
-                           OpStats* stats = nullptr) override;
-  sim::Task<Status> Lookup(Key key, uint64_t* value,
-                           OpStats* stats = nullptr) override;
-  sim::Task<Status> Delete(Key key, OpStats* stats = nullptr) override;
+  sim::Task<Status> Insert(Key key, uint64_t value, OpStats* stats = nullptr);
+  sim::Task<Status> Lookup(Key key, uint64_t* value, OpStats* stats = nullptr);
+  sim::Task<Status> Delete(Key key, OpStats* stats = nullptr);
   sim::Task<Status> RangeQuery(Key from, uint32_t count,
                                std::vector<std::pair<Key, uint64_t>>* out,
-                               OpStats* stats = nullptr) override;
+                               OpStats* stats = nullptr);
 
   // Batched ops: keys are split by logical shard, the RPC-path sub-batches
   // coalesce into ONE TreeRpcService request per shard, the one-sided
@@ -60,12 +59,12 @@ class HybridClient final : public IndexBackend {
   // gets the real status) and reports NotFound for the rest.
   sim::Task<Status> MultiGet(std::vector<Key> keys,
                              std::vector<MultiGetResult>* out,
-                             OpStats* stats = nullptr) override;
+                             OpStats* stats = nullptr);
   sim::Task<Status> MultiInsert(std::vector<std::pair<Key, uint64_t>> kvs,
-                                OpStats* stats = nullptr) override;
+                                OpStats* stats = nullptr);
   sim::Task<Status> MultiDelete(std::vector<Key> keys,
                                 std::vector<Status>* out,
-                                OpStats* stats = nullptr) override;
+                                OpStats* stats = nullptr);
 
   // Varlen ops (shape.varlen trees): dispatched on the ROUTING key's
   // shard, with the same decline->one-sided fallback as the fixed ops.
@@ -75,41 +74,42 @@ class HybridClient final : public IndexBackend {
   // FULL byte key, so results are never shared across distinct keys that
   // collide on one routing key. DeleteVar/ScanVar always bypass.
   sim::Task<Status> InsertVar(const Slice& key, const Slice& value,
-                              OpStats* stats = nullptr) override;
+                              OpStats* stats = nullptr);
   sim::Task<Status> LookupVar(const Slice& key, std::string* value,
-                              OpStats* stats = nullptr) override;
-  sim::Task<Status> DeleteVar(const Slice& key,
-                              OpStats* stats = nullptr) override;
+                              OpStats* stats = nullptr);
+  sim::Task<Status> DeleteVar(const Slice& key, OpStats* stats = nullptr);
   sim::Task<Status> ScanVar(
       const Slice& from, uint32_t count,
       std::vector<std::pair<std::string, std::string>>* out,
-      OpStats* stats = nullptr) override;
+      OpStats* stats = nullptr);
   sim::Task<Status> MultiGetVar(std::vector<std::string> keys,
                                 std::vector<VarGetResult>* out,
-                                OpStats* stats = nullptr) override;
+                                OpStats* stats = nullptr);
   sim::Task<Status> MultiInsertVar(
       std::vector<std::pair<std::string, std::string>> kvs,
-      OpStats* stats = nullptr) override;
+      OpStats* stats = nullptr);
 
-  const char* name() const override { return "hybrid"; }
+  const char* name() const { return "hybrid"; }
 
   int cs_id() const { return cs_id_; }
-  TreeClient& tree_client() { return *tree_.client(); }
+  TreeClient& tree_client() { return *tree_; }
 
   // RDWC (src/combine/): installed by HybridSystem when delegation is
   // enabled; the table is shared by every client of the deployment.
   // Delete/RangeQuery always BYPASS it.
   void SetRdwc(combine::RdwcLayer* rdwc) { rdwc_ = rdwc; }
 
-  // The un-delegated dispatch paths. The RDWC delegate (and its combined
-  // write) runs through these; with no layer installed Insert/Lookup are
-  // exactly these.
+  // The un-delegated dispatch paths, one overload per record kind. The
+  // RDWC delegate (and its combined write) runs through these; with no
+  // layer installed Insert/Lookup and InsertVar/LookupVar are exactly
+  // these. The operands are owned, so a lazily started call can never
+  // outlive them.
   sim::Task<Status> InsertDirect(Key key, uint64_t value, OpStats* stats);
   sim::Task<Status> LookupDirect(Key key, uint64_t* value, OpStats* stats);
-  sim::Task<Status> InsertVarDirect(const Slice& key, const Slice& value,
-                                    OpStats* stats);
-  sim::Task<Status> LookupVarDirect(const Slice& key, std::string* value,
-                                    OpStats* stats);
+  sim::Task<Status> InsertDirect(std::string key, std::string value,
+                                 OpStats* stats);
+  sim::Task<Status> LookupDirect(std::string key, std::string* value,
+                                 OpStats* stats);
 
   // Folds one window-served follower op into its shard's hotness window
   // (an absorbed op is real demand the router must still see) and the
@@ -122,19 +122,48 @@ class HybridClient final : public IndexBackend {
   void Finish(int shard, Path path, bool is_write, const OpStats& local,
               bool fallback, sim::SimTime start, OpStats* stats);
 
+  // Insert/Lookup for either record kind: hot routing keys run through
+  // an RDWC window, everything else dispatches directly.
+  template <typename K, typename V>
+  sim::Task<Status> Put(Key routing_key, K key, V value, OpStats* stats);
+  template <typename K, typename V>
+  sim::Task<Status> Get(Key routing_key, K key, V* value, OpStats* stats);
+
+  // The batch skeleton all five batch ops share. `Item` is one key's
+  // operand (a key or a key/value pair), `Res` its per-key outcome (a get
+  // result or a Status). Keys are split by logical shard; each RPC-path
+  // shard gets ONE coalesced request, rpc(&rpc_, home_ms, items, &res,
+  // &stats), the one-sided rest ONE doorbell-batched tree(tree_, items,
+  // &res, &stats), both concurrently; keys the MS declined (Retry) go
+  // through one more one-sided batch; then RecordBatch.
+  template <typename Item, typename Res, typename RpcFn, typename TreeFn>
+  sim::Task<Status> RunBatch(std::vector<Item> items, std::vector<Res>* out,
+                             bool is_write, RpcFn rpc, TreeFn tree,
+                             OpStats* stats);
+  // MultiGet for either record kind (its dedupe rule: serve each distinct
+  // key once, fan the result out) and MultiInsert (last writer wins).
+  template <typename Rec>
+  sim::Task<Status> GetBatch(std::vector<typename Rec::K> keys,
+                             std::vector<typename Rec::GetResult>* out,
+                             OpStats* stats);
+  template <typename Rec>
+  sim::Task<Status> PutBatch(
+      std::vector<std::pair<typename Rec::K, typename Rec::V>> kvs,
+      OpStats* stats);
+
   // One RPC sub-batch's accounting view (its key indices + stats; the
   // per-key shard comes from shard_of).
   struct SlotView {
     const std::vector<size_t>* idxs;
     const OpStats* local;
   };
-  // The batch paths' single-pass accounting, shared by MultiGet and
-  // MultiInsert: every key is recorded exactly once — fallback keys with
-  // served = one-sided and the fallback flag, so a fully-declined slot
-  // still charges its wasted RPC attempt. A slot's OpStats ride its first
-  // key, the fallback batch's OpStats the first fallback key, the
-  // one-sided pool's its first key; per-key latency is the batch's
-  // amortized cost (what the router should compare against singletons).
+  // The batch skeleton's single-pass accounting: every key is recorded
+  // exactly once — fallback keys with served = one-sided and the
+  // fallback flag, so a fully-declined slot still charges its wasted RPC
+  // attempt. A slot's OpStats ride its first key, the fallback batch's
+  // OpStats the first fallback key, the one-sided pool's its first key;
+  // per-key latency is the batch's amortized cost (what the router should
+  // compare against singletons).
   void RecordBatch(const std::vector<SlotView>& slots,
                    const std::vector<int>& shard_of,
                    const std::vector<uint8_t>& is_fb,
@@ -142,12 +171,14 @@ class HybridClient final : public IndexBackend {
                    const OpStats& fb_local, bool is_write, uint64_t per_key_ns,
                    OpStats* stats);
 
-  // The one dispatch skeleton all four ops share: map the key to its
+  // The dispatch skeleton every singleton op shares: map the key to its
   // shard, take the assigned path, fall back one-sided when the MS
   // declines, and fold the op into the tracker. `rpc` is invoked as
   // rpc(home_ms, &local_stats), `tree` as tree(&local_stats); both must
-  // capture their operands by value (the caller's frame is gone by the
-  // time this coroutine runs).
+  // capture their operands by value, or by reference into the coroutine
+  // frame that awaits this one (a plain caller's frame is gone by the
+  // time this coroutine runs). The op's trace context rides `local`, so
+  // the spans of whichever path serves it nest under the caller's.
   template <typename RpcFn, typename TreeFn>
   sim::Task<Status> Dispatch(Key routing_key, bool is_write, RpcFn rpc,
                              TreeFn tree, OpStats* stats) {
@@ -155,6 +186,7 @@ class HybridClient final : public IndexBackend {
     const Path path = router_->PathOfShard(shard);
     const sim::SimTime start = sim_->now();
     OpStats local;
+    local.trace = stats != nullptr ? stats->trace : nullptr;
     bool fallback = false;
     Status st;
     if (path == Path::kRpc) {
@@ -172,7 +204,7 @@ class HybridClient final : public IndexBackend {
     co_return st;
   }
 
-  TreeBackend tree_;
+  TreeClient* tree_;
   TreeRpcClient rpc_;
   AdaptiveRouter* router_;
   HotnessTracker* tracker_;

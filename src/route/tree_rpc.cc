@@ -4,13 +4,14 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "alloc/layout.h"
-#include "vlog/vlog.h"
 #include "lock/lock_table.h"
 #include "obs/trace.h"
 #include "sanitizer/dmsan.h"
 #include "util/logging.h"
+#include "vlog/vlog.h"
 
 namespace sherman::route {
 
@@ -40,6 +41,12 @@ void DmsanRpcMutate(ShermanSystem* system, rdma::GlobalAddress node) {
     c->OnRpcMutate(node.node, node);
   }
 }
+
+// `out` for client stubs whose only result is the response word.
+constexpr std::monostate* kNoResult = nullptr;
+
+// An already-finished op, for stubs that answer without a round trip.
+sim::Task<Status> Ready(Status st) { co_return st; }
 }  // namespace
 
 TreeRpcService::TreeRpcService(ShermanSystem* system) : system_(system) {
@@ -62,37 +69,177 @@ uint64_t TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t a,
   [[maybe_unused]] obs::TraceCtx trace = obs::TraceCtx::For(
       &system_->tracer(), obs::RingId::RpcExecutor(static_cast<uint16_t>(ms)));
   SHERMAN_TSPAN(&trace, "rpc.execute", opcode, a);
+  using Kv = std::pair<Key, uint64_t>;
+  using VarKv = std::pair<std::string, std::string>;
   switch (opcode) {
     case kOpInsert:
-      return DoInsert(a, b);
-    case kOpLookup:
-      return DoLookup(a, b);
+      return Ack(HostInsert(a, b));
+    case kOpLookup: {
+      uint64_t value = 0;
+      const Status st = HostLookup(a, &value);
+      if (st.ok()) Stage(b, value);
+      return Ack(st);
+    }
     case kOpDelete:
-      return DoDelete(a);
-    case kOpScan:
-      return DoScan(ms, a, static_cast<uint32_t>(b & 0xffff), b >> 16);
+      return Ack(HostDelete(a));
+    case kOpScan: {
+      const uint32_t count = static_cast<uint32_t>(b & 0xffff);
+      const bool two_level = system_->options().two_level_versions;
+      const uint32_t cap = system_->options().shape.leaf_capacity();
+      return ServeScan<Kv>(
+          ms, a, count, b >> 16,
+          [from = a, count, two_level, cap](const NodeView& view,
+                                            std::vector<Kv>* out) {
+            std::vector<Kv> got;
+            const uint32_t n = two_level ? cap : view.count();
+            for (uint32_t i = 0; i < n; i++) {
+              const Key k = view.LeafKey(i);
+              if (k != kNullKey && k >= from) {
+                got.emplace_back(k, view.LeafValue(i));
+              }
+            }
+            std::sort(got.begin(), got.end());
+            for (const Kv& kv : got) {
+              if (out->size() >= count) break;
+              out->push_back(kv);
+            }
+            return true;
+          });
+    }
     case kOpMultiGet:
-      return DoMultiGet(ms, a);
+      return ServeBatch<MultiGetResult, Key>(ms, a, [this](Key key) {
+        MultiGetResult r;
+        r.status = HostLookup(key, &r.value);
+        return r;
+      });
     case kOpMultiInsert:
-      return DoMultiInsert(ms, a);
+      return ServeBatch<Status, Kv>(ms, a, [this](const Kv& kv) {
+        return HostInsert(kv.first, kv.second);
+      });
     case kOpMultiDelete:
-      return DoMultiDelete(ms, a);
-    case kOpVarInsert:
-      return DoVarInsert(ms, a);
-    case kOpVarLookup:
-      return DoVarLookup(ms, a);
+      return ServeBatch<Status, Key>(
+          ms, a, [this](Key key) { return HostDelete(key); });
+    case kOpVarInsert: {
+      const VarKv kv = Take<VarKv>(a);
+      return Ack(HostVarInsert(ms, kv.first, kv.second));
+    }
+    case kOpVarLookup: {
+      std::string value;
+      const Status st = HostVarLookup(ms, Take<std::string>(a), &value);
+      if (st.ok()) Stage(a, std::move(value));
+      return Ack(st);
+    }
     case kOpVarDelete:
-      return DoVarDelete(ms, a);
-    case kOpVarScan:
-      return DoVarScan(ms, a);
+      return Ack(HostVarDelete(ms, Take<std::string>(a)));
+    case kOpVarScan: {
+      const auto in = Take<std::pair<std::string, uint32_t>>(a);
+      const std::string& from = in.first;
+      const uint32_t count = in.second;
+      return ServeScan<VarKv>(
+          ms, RoutingKeyFor(Slice(from)), count, a,
+          [this, ms, &from, count](const NodeView& view,
+                                   std::vector<VarKv>* out) {
+            const uint32_t n = view.count();
+            for (uint32_t i = 0; i < n && out->size() < count; i++) {
+              std::string k = view.VarFullKey(i);
+              if (k < from) continue;
+              std::string v;
+              if (!HostVarValue(ms, view, i, k, &v)) return false;
+              out->emplace_back(std::move(k), std::move(v));
+            }
+            return true;
+          });
+    }
     case kOpMultiVarGet:
-      return DoMultiVarGet(ms, a);
+      return ServeBatch<VarGetResult, std::string>(
+          ms, a, [this, ms](const std::string& key) {
+            VarGetResult r;
+            r.status = HostVarLookup(ms, key, &r.value);
+            return r;
+          });
     case kOpMultiVarInsert:
-      return DoMultiVarInsert(ms, a);
+      return ServeBatch<Status, VarKv>(ms, a, [this, ms](const VarKv& kv) {
+        return HostVarInsert(ms, kv.first, kv.second);
+      });
     default:
       SHERMAN_CHECK(false);
       return 0;
   }
+}
+
+uint64_t TreeRpcService::Ack(const Status& st) {
+  if (st.IsRetry()) {
+    declined_++;
+    return kAckDeclined;
+  }
+  served_++;
+  return st.IsNotFound() ? kAckNotFound : kAckOk;
+}
+
+void TreeRpcService::ChargeExtraWalks(int ms, uint64_t walks) {
+  if (walks > 1) {
+    rdma::Fabric& fabric = system_->fabric();
+    fabric.ms(ms).ChargeMemoryThread(static_cast<sim::SimTime>(walks - 1) *
+                                     fabric.config().rpc_service_ns / 2);
+  }
+}
+
+template <typename Res, typename Item, typename Fn>
+uint64_t TreeRpcService::ServeBatch(int ms, uint64_t token, Fn one) {
+  const std::vector<Item> in = Take<std::vector<Item>>(token);
+  std::vector<Res> out;
+  out.reserve(in.size());
+  for (const Item& item : in) {
+    Res r = one(item);
+    if (StatusOf(r).IsRetry()) {
+      declined_++;
+    } else {
+      served_++;
+    }
+    out.push_back(std::move(r));
+  }
+  ChargeExtraWalks(ms, in.size());
+  Stage(token, std::move(out));
+  return kAckOk;
+}
+
+template <typename Entry, typename Collect>
+uint64_t TreeRpcService::ServeScan(int ms, Key from, uint32_t count,
+                                   uint64_t token, Collect collect) {
+  rdma::GlobalAddress addr = FindLeaf(from);
+  if (addr.is_null() || count == 0) return Ack(Status::Retry());
+  const TreeShape& shape = system_->options().shape;
+  std::vector<Entry> out;
+  uint32_t leaves = 0;
+  bool end_of_tree = false;
+  bool anomaly = false;
+  while (!addr.is_null() && out.size() < count && leaves < kMaxScanLeaves) {
+    NodeView view(system_->fabric().HostRaw(addr), &shape);
+    if (view.is_free() || !view.is_leaf()) {
+      anomaly = true;
+      break;
+    }
+    leaves++;
+    if (!collect(view, &out)) {
+      anomaly = true;
+      break;
+    }
+    if (view.hi_fence() == kMaxKey) {
+      end_of_tree = true;
+      break;
+    }
+    addr = view.sibling();
+    if (addr.is_null()) {
+      end_of_tree = true;
+      break;
+    }
+  }
+  ChargeExtraWalks(ms, leaves);
+  if (out.size() < count && (anomaly || !end_of_tree)) {
+    return Ack(Status::Retry());
+  }
+  Stage(token, std::move(out));
+  return Ack(Status::OK());
 }
 
 rdma::GlobalAddress TreeRpcService::FindNode(Key key, uint8_t level) const {
@@ -132,83 +279,65 @@ bool TreeRpcService::NodeLocked(rdma::GlobalAddress addr) const {
   return lane != 0;
 }
 
-uint64_t TreeRpcService::DoInsert(Key key, uint64_t value) {
+Status TreeRpcService::HostInsert(Key key, uint64_t value) {
   const rdma::GlobalAddress leaf = FindLeaf(key);
   if (leaf.is_null() || NodeLocked(leaf)) {
-    declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side insert declined");
   }
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
   DmsanRpcMutate(system_, leaf);
 
+  // A full leaf declines: its split must go one-sided.
   if (o.two_level_versions) {
     const NodeView::SlotResult slot = view.FindLeafSlot(key);
     const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-    if (i == UINT32_MAX) {  // leaf full: split must go one-sided
-      declined_++;
-      return kAckDeclined;
-    }
+    if (i == UINT32_MAX) return Status::Retry("ms-side insert: leaf full");
     view.SetLeafEntry(i, key, value);
   } else {
     if (!view.SortedLeafInsert(key, value)) {
-      declined_++;
-      return kAckDeclined;
+      return Status::Retry("ms-side insert: leaf full");
     }
     SealHostNode(&view, o);
   }
-  served_++;
-  return kAckOk;
+  return Status::OK();
 }
 
-uint64_t TreeRpcService::DoLookup(Key key, uint64_t token) {
+Status TreeRpcService::HostLookup(Key key, uint64_t* value) {
   const rdma::GlobalAddress leaf = FindLeaf(key);
-  if (leaf.is_null()) {
-    declined_++;
-    return kAckDeclined;
-  }
+  if (leaf.is_null()) return Status::Retry("ms-side lookup declined");
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  served_++;
-
-  uint32_t i = UINT32_MAX;
-  if (o.two_level_versions) {
-    i = view.FindLeafSlot(key).match;
-  } else {
-    i = view.SortedLeafFind(key);
-  }
-  if (i == UINT32_MAX) return kAckNotFound;
-  lookup_out_[token] = view.LeafValue(i);
-  return kAckOk;
+  const uint32_t i = o.two_level_versions ? view.FindLeafSlot(key).match
+                                          : view.SortedLeafFind(key);
+  if (i == UINT32_MAX) return Status::NotFound();
+  *value = view.LeafValue(i);
+  return Status::OK();
 }
 
-uint64_t TreeRpcService::DoDelete(Key key) {
+Status TreeRpcService::HostDelete(Key key) {
   const rdma::GlobalAddress leaf = FindLeaf(key);
   if (leaf.is_null() || NodeLocked(leaf)) {
-    declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side delete declined");
   }
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
   DmsanRpcMutate(system_, leaf);
 
+  bool removed = false;
   if (o.two_level_versions) {
     const NodeView::SlotResult slot = view.FindLeafSlot(key);
-    if (slot.match == UINT32_MAX) {
-      served_++;
-      return kAckNotFound;
+    if (slot.match != UINT32_MAX) {
+      view.SetLeafEntry(slot.match, kNullKey, 0);
+      removed = true;
     }
-    view.SetLeafEntry(slot.match, kNullKey, 0);
   } else {
-    if (!view.SortedLeafRemove(key)) {
-      served_++;
-      return kAckNotFound;
-    }
-    SealHostNode(&view, o);
+    removed = view.SortedLeafRemove(key);
+    if (removed) SealHostNode(&view, o);
   }
-  served_++;
+  if (!removed) return Status::NotFound();
   TryMergeHost(leaf);
-  return kAckOk;
+  return Status::OK();
 }
 
 void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
@@ -274,208 +403,6 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   system_->chunk_manager(leaf.node)
       .FreeNode(leaf.offset, o.shape.node_size);
   leaf_merges_++;
-}
-
-uint64_t TreeRpcService::DoScan(int ms, Key from, uint32_t count,
-                                uint64_t token) {
-  rdma::GlobalAddress addr = FindLeaf(from);
-  if (addr.is_null() || count == 0) {
-    declined_++;
-    return kAckDeclined;
-  }
-  const TreeOptions& o = system_->options();
-  rdma::Fabric& fabric = system_->fabric();
-  std::vector<std::pair<Key, uint64_t>>& out = scan_out_[token];
-  out.clear();
-
-  uint32_t leaves = 0;
-  bool end_of_tree = false;
-  bool anomaly = false;
-  while (!addr.is_null() && out.size() < count && leaves < kMaxScanLeaves) {
-    NodeView view(fabric.HostRaw(addr), &o.shape);
-    if (view.is_free() || !view.is_leaf()) {
-      anomaly = true;
-      break;
-    }
-    leaves++;
-    std::vector<std::pair<Key, uint64_t>> got;
-    if (o.two_level_versions) {
-      const uint32_t cap = o.shape.leaf_capacity();
-      for (uint32_t i = 0; i < cap; i++) {
-        const Key k = view.LeafKey(i);
-        if (k != kNullKey && k >= from) got.emplace_back(k, view.LeafValue(i));
-      }
-    } else {
-      const uint32_t n = view.count();
-      for (uint32_t i = 0; i < n; i++) {
-        const Key k = view.LeafKey(i);
-        if (k >= from) got.emplace_back(k, view.LeafValue(i));
-      }
-    }
-    std::sort(got.begin(), got.end());
-    for (const auto& kv : got) {
-      if (out.size() >= count) break;
-      out.push_back(kv);
-    }
-    if (view.hi_fence() == kMaxKey) {
-      end_of_tree = true;
-      break;
-    }
-    addr = view.sibling();
-    if (addr.is_null()) {
-      end_of_tree = true;
-      break;
-    }
-  }
-  if (out.size() > count) out.resize(count);
-
-  // Walking extra leaves costs the wimpy core more than one service slot;
-  // charge half a slot per additional leaf so hot scans show up in the
-  // FIFO backlog the router watches.
-  if (leaves > 1) {
-    fabric.ms(ms).ChargeMemoryThread(
-        (leaves - 1) * fabric.config().rpc_service_ns / 2);
-  }
-
-  // A partial result that is not genuine end-of-data (leaf-budget cap hit,
-  // structural anomaly) must decline so the caller retries one-sided —
-  // otherwise the same query would return different result sets depending
-  // on the router's current assignment.
-  if (out.size() < count && (anomaly || !end_of_tree)) {
-    scan_out_.erase(token);
-    declined_++;
-    return kAckDeclined;
-  }
-  served_++;
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoMultiGet(int ms, uint64_t token) {
-  const auto in = mget_in_.find(token);
-  SHERMAN_CHECK(in != mget_in_.end());
-  const TreeOptions& o = system_->options();
-  std::vector<MultiGetResult>& out = mget_out_[token];
-  out.reserve(in->second.size());
-  for (Key key : in->second) {
-    MultiGetResult r;
-    const rdma::GlobalAddress leaf = FindLeaf(key);
-    if (leaf.is_null()) {
-      declined_++;
-      r.status = Status::Retry("ms-side multi-get declined");
-    } else {
-      served_++;
-      NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-      uint32_t i = o.two_level_versions ? view.FindLeafSlot(key).match
-                                        : view.SortedLeafFind(key);
-      if (i == UINT32_MAX) {
-        r.status = Status::NotFound();
-      } else {
-        r.status = Status::OK();
-        r.value = view.LeafValue(i);
-      }
-    }
-    out.push_back(r);
-  }
-  // Each key beyond the first walks root-to-leaf on the wimpy core: half
-  // a service slot apiece (same rate DoScan charges per extra leaf).
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mget_in_.erase(in);
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoMultiInsert(int ms, uint64_t token) {
-  const auto in = mins_in_.find(token);
-  SHERMAN_CHECK(in != mins_in_.end());
-  const TreeOptions& o = system_->options();
-  std::vector<Status>& out = mins_out_[token];
-  out.reserve(in->second.size());
-  for (const auto& [key, value] : in->second) {
-    const rdma::GlobalAddress leaf = FindLeaf(key);
-    if (leaf.is_null() || NodeLocked(leaf)) {
-      declined_++;
-      out.push_back(Status::Retry("ms-side multi-insert declined"));
-      continue;
-    }
-    NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-    DmsanRpcMutate(system_, leaf);
-    if (o.two_level_versions) {
-      const NodeView::SlotResult slot = view.FindLeafSlot(key);
-      const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-      if (i == UINT32_MAX) {  // leaf full: split must go one-sided
-        declined_++;
-        out.push_back(Status::Retry("ms-side multi-insert: leaf full"));
-        continue;
-      }
-      view.SetLeafEntry(i, key, value);
-    } else {
-      if (!view.SortedLeafInsert(key, value)) {
-        declined_++;
-        out.push_back(Status::Retry("ms-side multi-insert: leaf full"));
-        continue;
-      }
-      SealHostNode(&view, o);
-    }
-    served_++;
-    out.push_back(Status::OK());
-  }
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mins_in_.erase(in);
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoMultiDelete(int ms, uint64_t token) {
-  const auto in = mdel_in_.find(token);
-  SHERMAN_CHECK(in != mdel_in_.end());
-  const TreeOptions& o = system_->options();
-  std::vector<Status>& out = mdel_out_[token];
-  out.reserve(in->second.size());
-  for (Key key : in->second) {
-    const rdma::GlobalAddress leaf = FindLeaf(key);
-    if (leaf.is_null() || NodeLocked(leaf)) {
-      declined_++;
-      out.push_back(Status::Retry("ms-side multi-delete declined"));
-      continue;
-    }
-    NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-    DmsanRpcMutate(system_, leaf);
-    bool removed = false;
-    if (o.two_level_versions) {
-      const NodeView::SlotResult slot = view.FindLeafSlot(key);
-      if (slot.match != UINT32_MAX) {
-        view.SetLeafEntry(slot.match, kNullKey, 0);
-        removed = true;
-      }
-    } else {
-      removed = view.SortedLeafRemove(key);
-      if (removed) {
-        SealHostNode(&view, o);
-      }
-    }
-    served_++;
-    if (removed) {
-      TryMergeHost(leaf);
-      out.push_back(Status::OK());
-    } else {
-      out.push_back(Status::NotFound());
-    }
-  }
-  // Each key beyond the first walks root-to-leaf on the wimpy core: half
-  // a service slot apiece (same rate as the other coalesced batches).
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mdel_in_.erase(in);
-  return kAckOk;
 }
 
 // --- varlen executors -------------------------------------------------------
@@ -552,61 +479,22 @@ Status TreeRpcService::HostVarInsert(int /*ms*/, const std::string& key,
   return Status::OK();
 }
 
-uint64_t TreeRpcService::DoVarInsert(int ms, uint64_t token) {
-  const auto in = vins_in_.find(token);
-  SHERMAN_CHECK(in != vins_in_.end());
-  const Status st = HostVarInsert(ms, in->second.first, in->second.second);
-  vins_in_.erase(in);
-  if (st.IsRetry()) {
-    declined_++;
-    return kAckDeclined;
-  }
-  served_++;
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoVarLookup(int ms, uint64_t token) {
-  const auto in = vkey_in_.find(token);
-  SHERMAN_CHECK(in != vkey_in_.end());
-  std::string value;
-  const Status st = HostVarLookup(ms, in->second, &value);
-  vkey_in_.erase(in);
-  if (st.IsRetry()) {
-    declined_++;
-    return kAckDeclined;
-  }
-  served_++;
-  if (st.IsNotFound()) return kAckNotFound;
-  vget_out_[token] = std::move(value);
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoVarDelete(int ms, uint64_t token) {
-  const auto in = vkey_in_.find(token);
-  SHERMAN_CHECK(in != vkey_in_.end());
-  const std::string key = std::move(in->second);
-  vkey_in_.erase(in);
-
+Status TreeRpcService::HostVarDelete(int ms, const std::string& key) {
   const rdma::GlobalAddress leaf = FindLeaf(RoutingKeyFor(key));
   if (leaf.is_null() || NodeLocked(leaf)) {
-    declined_++;
-    return kAckDeclined;
+    return Status::Retry("ms-side var delete declined");
   }
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
   const uint32_t at = view.VarFind(key);
-  if (at == UINT32_MAX) {
-    served_++;
-    return kAckNotFound;
-  }
+  if (at == UINT32_MAX) return Status::NotFound();
   uint64_t ptr = 0;
   if (view.VarOutline(at)) {
     ptr = view.VarVlogPtr(at);
+    // The extent's dead-bit lives on another MS; retiring it here would
+    // be a remote call. One-sided delete owns that.
     if (vlog::VlogPtr::Ms(ptr) != ms) {
-      // The extent's dead-bit lives on another MS; retiring it here would
-      // be a remote call. One-sided delete owns that.
-      declined_++;
-      return kAckDeclined;
+      return Status::Retry("ms-side var delete: foreign extent");
     }
   }
   DmsanRpcMutate(system_, leaf);
@@ -617,243 +505,67 @@ uint64_t TreeRpcService::DoVarDelete(int ms, uint64_t token) {
   }
   // No MS-side merge for slotted leaves: byte-budget merges run through
   // the one-sided delete path's locked three-node protocol.
-  served_++;
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoVarScan(int ms, uint64_t token) {
-  const auto in = vscan_in_.find(token);
-  SHERMAN_CHECK(in != vscan_in_.end());
-  const std::string from = std::move(in->second.first);
-  const uint32_t count = in->second.second;
-  vscan_in_.erase(in);
-
-  rdma::GlobalAddress addr = FindLeaf(RoutingKeyFor(from));
-  if (addr.is_null() || count == 0) {
-    declined_++;
-    return kAckDeclined;
-  }
-  const TreeOptions& o = system_->options();
-  rdma::Fabric& fabric = system_->fabric();
-  std::vector<std::pair<std::string, std::string>>& out = vscan_out_[token];
-  out.clear();
-
-  uint32_t leaves = 0;
-  bool end_of_tree = false;
-  bool anomaly = false;
-  while (!addr.is_null() && out.size() < count && leaves < kMaxScanLeaves) {
-    NodeView view(fabric.HostRaw(addr), &o.shape);
-    if (view.is_free() || !view.is_leaf()) {
-      anomaly = true;
-      break;
-    }
-    leaves++;
-    const uint32_t n = view.count();
-    for (uint32_t i = 0; i < n && out.size() < count; i++) {
-      std::string k = view.VarFullKey(i);
-      if (k < from) continue;
-      std::string v;
-      if (!HostVarValue(ms, view, i, k, &v)) {
-        // Foreign extent: the remainder must resolve one-sided; partial
-        // results decline below.
-        anomaly = true;
-        break;
-      }
-      out.emplace_back(std::move(k), std::move(v));
-    }
-    if (anomaly) break;
-    if (view.hi_fence() == kMaxKey) {
-      end_of_tree = true;
-      break;
-    }
-    addr = view.sibling();
-    if (addr.is_null()) {
-      end_of_tree = true;
-      break;
-    }
-  }
-
-  if (leaves > 1) {
-    fabric.ms(ms).ChargeMemoryThread(
-        (leaves - 1) * fabric.config().rpc_service_ns / 2);
-  }
-  if (out.size() < count && (anomaly || !end_of_tree)) {
-    vscan_out_.erase(token);
-    declined_++;
-    return kAckDeclined;
-  }
-  served_++;
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoMultiVarGet(int ms, uint64_t token) {
-  const auto in = mvget_in_.find(token);
-  SHERMAN_CHECK(in != mvget_in_.end());
-  std::vector<VarGetResult>& out = mvget_out_[token];
-  out.reserve(in->second.size());
-  for (const std::string& key : in->second) {
-    VarGetResult r;
-    r.status = HostVarLookup(ms, key, &r.value);
-    if (r.status.IsRetry()) {
-      declined_++;
-    } else {
-      served_++;
-    }
-    out.push_back(std::move(r));
-  }
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mvget_in_.erase(in);
-  return kAckOk;
-}
-
-uint64_t TreeRpcService::DoMultiVarInsert(int ms, uint64_t token) {
-  const auto in = mvins_in_.find(token);
-  SHERMAN_CHECK(in != mvins_in_.end());
-  std::vector<Status>& out = mvins_out_[token];
-  out.reserve(in->second.size());
-  for (const auto& [key, value] : in->second) {
-    Status st = HostVarInsert(ms, key, value);
-    if (st.IsRetry()) {
-      declined_++;
-    } else {
-      served_++;
-    }
-    out.push_back(std::move(st));
-  }
-  if (in->second.size() > 1) {
-    system_->fabric().ms(ms).ChargeMemoryThread(
-        static_cast<sim::SimTime>(in->second.size() - 1) *
-        system_->fabric().config().rpc_service_ns / 2);
-  }
-  mvins_in_.erase(in);
-  return kAckOk;
-}
-
-std::string TreeRpcService::TakeVarLookupResult(uint64_t token) {
-  auto it = vget_out_.find(token);
-  SHERMAN_CHECK(it != vget_out_.end());
-  std::string v = std::move(it->second);
-  vget_out_.erase(it);
-  return v;
-}
-
-std::vector<std::pair<std::string, std::string>>
-TreeRpcService::TakeVarScanResult(uint64_t token) {
-  std::vector<std::pair<std::string, std::string>> out;
-  auto it = vscan_out_.find(token);
-  if (it != vscan_out_.end()) {
-    out = std::move(it->second);
-    vscan_out_.erase(it);
-  }
-  return out;
-}
-
-std::vector<VarGetResult> TreeRpcService::TakeMultiVarGetResult(
-    uint64_t token) {
-  auto it = mvget_out_.find(token);
-  SHERMAN_CHECK(it != mvget_out_.end());
-  std::vector<VarGetResult> out = std::move(it->second);
-  mvget_out_.erase(it);
-  return out;
-}
-
-std::vector<Status> TreeRpcService::TakeMultiVarInsertResult(uint64_t token) {
-  auto it = mvins_out_.find(token);
-  SHERMAN_CHECK(it != mvins_out_.end());
-  std::vector<Status> out = std::move(it->second);
-  mvins_out_.erase(it);
-  return out;
-}
-
-std::vector<MultiGetResult> TreeRpcService::TakeMultiGetResult(
-    uint64_t token) {
-  std::vector<MultiGetResult> out;
-  auto it = mget_out_.find(token);
-  SHERMAN_CHECK(it != mget_out_.end());
-  out = std::move(it->second);
-  mget_out_.erase(it);
-  return out;
-}
-
-std::vector<Status> TreeRpcService::TakeMultiInsertResult(uint64_t token) {
-  std::vector<Status> out;
-  auto it = mins_out_.find(token);
-  SHERMAN_CHECK(it != mins_out_.end());
-  out = std::move(it->second);
-  mins_out_.erase(it);
-  return out;
-}
-
-std::vector<Status> TreeRpcService::TakeMultiDeleteResult(uint64_t token) {
-  std::vector<Status> out;
-  auto it = mdel_out_.find(token);
-  SHERMAN_CHECK(it != mdel_out_.end());
-  out = std::move(it->second);
-  mdel_out_.erase(it);
-  return out;
-}
-
-uint64_t TreeRpcService::TakeLookupResult(uint64_t token) {
-  auto it = lookup_out_.find(token);
-  SHERMAN_CHECK(it != lookup_out_.end());
-  const uint64_t v = it->second;
-  lookup_out_.erase(it);
-  return v;
-}
-
-std::vector<std::pair<Key, uint64_t>> TreeRpcService::TakeScanResult(
-    uint64_t token) {
-  std::vector<std::pair<Key, uint64_t>> out;
-  auto it = scan_out_.find(token);
-  if (it != scan_out_.end()) {
-    out = std::move(it->second);
-    scan_out_.erase(it);
-  }
-  return out;
+  return Status::OK();
 }
 
 // --- client stub -----------------------------------------------------------
 
+template <typename Out>
+sim::Task<Status> TreeRpcClient::Call(uint16_t ms, uint64_t opcode,
+                                      uint64_t a, uint64_t b, uint64_t token,
+                                      Out* out, const char* declined,
+                                      OpStats* stats) {
+  const uint64_t r =
+      co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(opcode, a, b);
+  if (stats != nullptr) stats->round_trips++;
+  if (r == TreeRpcService::kAckDeclined) co_return Status::Retry(declined);
+  if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
+  if (out != nullptr) *out = service_->Take<Out>(token);
+  co_return Status::OK();
+}
+
+template <typename In, typename Out>
+sim::Task<Status> TreeRpcClient::Staged(uint16_t ms, uint64_t opcode, In in,
+                                        Out* out, const char* declined,
+                                        OpStats* stats) {
+  const uint64_t token = service_->NewToken();
+  service_->Stage(token, std::move(in));
+  return Call(ms, opcode, token, 0, token, out, declined, stats);
+}
+
+template <typename Item, typename Res>
+sim::Task<Status> TreeRpcClient::Batch(uint16_t ms, uint64_t opcode,
+                                       std::vector<Item> items,
+                                       std::vector<Res>* out, OpStats* stats) {
+  const size_t n = items.size();
+  out->clear();
+  if (n == 0) co_return Status::OK();
+  const Status st = co_await Staged(ms, opcode, std::move(items), out,
+                                    "ms-side batch declined", stats);
+  // A coalesced batch never declines as a whole; its keys do.
+  SHERMAN_CHECK(st.ok() && out->size() == n);
+  co_return st;
+}
+
 sim::Task<Status> TreeRpcClient::Insert(uint16_t ms, Key key, uint64_t value,
                                         OpStats* stats) {
   SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpInsert, key, value);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side insert declined");
-  }
-  co_return Status::OK();
+  return Call(ms, TreeRpcService::kOpInsert, key, value, 0, kNoResult,
+              "ms-side insert declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::Lookup(uint16_t ms, Key key, uint64_t* value,
                                         OpStats* stats) {
   SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
   const uint64_t token = service_->NewToken();
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpLookup, key, token);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side lookup declined");
-  }
-  if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
-  *value = service_->TakeLookupResult(token);
-  co_return Status::OK();
+  return Call(ms, TreeRpcService::kOpLookup, key, token, token, value,
+              "ms-side lookup declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::Delete(uint16_t ms, Key key, OpStats* stats) {
   SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpDelete, key, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side delete declined");
-  }
-  co_return r == TreeRpcService::kAckOk ? Status::OK() : Status::NotFound();
+  return Call(ms, TreeRpcService::kOpDelete, key, 0, 0, kNoResult,
+              "ms-side delete declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::RangeQuery(
@@ -861,172 +573,85 @@ sim::Task<Status> TreeRpcClient::RangeQuery(
     std::vector<std::pair<Key, uint64_t>>* out, OpStats* stats) {
   SHERMAN_CHECK(from != kNullKey && from != kMaxKey);
   out->clear();
-  if (count == 0) co_return Status::OK();
+  if (count == 0) return Ready(Status::OK());
   if (count >= (1u << 16)) {
     // The scan RPC packs the count into 16 bits; a scan this large would
     // blow the MS-side leaf budget anyway. Serve it one-sided.
-    co_return Status::Retry("scan too large for ms-side execution");
+    return Ready(Status::Retry("scan too large for ms-side execution"));
   }
   const uint64_t token = service_->NewToken();
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpScan, from, (token << 16) | count);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side scan declined");
-  }
-  *out = service_->TakeScanResult(token);
-  co_return Status::OK();
+  return Call(ms, TreeRpcService::kOpScan, from, (token << 16) | count, token,
+              out, "ms-side scan declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::MultiGet(uint16_t ms, std::vector<Key> keys,
                                           std::vector<MultiGetResult>* out,
                                           OpStats* stats) {
-  out->assign(keys.size(), MultiGetResult{});
-  if (keys.empty()) co_return Status::OK();
   for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  const size_t n = keys.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiGet(token, std::move(keys));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiGet, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *out = service_->TakeMultiGetResult(token);
-  SHERMAN_CHECK(out->size() == n);
-  co_return Status::OK();
+  return Batch(ms, TreeRpcService::kOpMultiGet, std::move(keys), out, stats);
 }
 
 sim::Task<Status> TreeRpcClient::MultiInsert(
     uint16_t ms, std::vector<std::pair<Key, uint64_t>> kvs,
     std::vector<Status>* per_key, OpStats* stats) {
-  per_key->assign(kvs.size(), Status::OK());
-  if (kvs.empty()) co_return Status::OK();
   for (const auto& [k, v] : kvs) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  const size_t n = kvs.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiInsert(token, std::move(kvs));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiInsert, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *per_key = service_->TakeMultiInsertResult(token);
-  SHERMAN_CHECK(per_key->size() == n);
-  co_return Status::OK();
+  return Batch(ms, TreeRpcService::kOpMultiInsert, std::move(kvs), per_key,
+               stats);
 }
 
 sim::Task<Status> TreeRpcClient::MultiDelete(uint16_t ms,
                                              std::vector<Key> keys,
                                              std::vector<Status>* per_key,
                                              OpStats* stats) {
-  per_key->assign(keys.size(), Status::NotFound());
-  if (keys.empty()) co_return Status::OK();
   for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  const size_t n = keys.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiDelete(token, std::move(keys));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiDelete, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *per_key = service_->TakeMultiDeleteResult(token);
-  SHERMAN_CHECK(per_key->size() == n);
-  co_return Status::OK();
+  return Batch(ms, TreeRpcService::kOpMultiDelete, std::move(keys), per_key,
+               stats);
 }
 
 sim::Task<Status> TreeRpcClient::InsertVar(uint16_t ms, const Slice& key,
                                            const Slice& value,
                                            OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->StageVarInsert(token, std::string(key.data(), key.size()),
-                           std::string(value.data(), value.size()));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarInsert, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var insert declined");
-  }
-  co_return Status::OK();
+  return Staged(ms, TreeRpcService::kOpVarInsert,
+                std::pair(key.ToString(), value.ToString()), kNoResult,
+                "ms-side var insert declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::LookupVar(uint16_t ms, const Slice& key,
                                            std::string* value,
                                            OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->StageVarKey(token, std::string(key.data(), key.size()));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarLookup, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var lookup declined");
-  }
-  if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
-  *value = service_->TakeVarLookupResult(token);
-  co_return Status::OK();
+  return Staged(ms, TreeRpcService::kOpVarLookup, key.ToString(), value,
+                "ms-side var lookup declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::DeleteVar(uint16_t ms, const Slice& key,
                                            OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->StageVarKey(token, std::string(key.data(), key.size()));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarDelete, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var delete declined");
-  }
-  co_return r == TreeRpcService::kAckOk ? Status::OK() : Status::NotFound();
+  return Staged(ms, TreeRpcService::kOpVarDelete, key.ToString(), kNoResult,
+                "ms-side var delete declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::ScanVar(
     uint16_t ms, const Slice& from, uint32_t count,
     std::vector<std::pair<std::string, std::string>>* out, OpStats* stats) {
   out->clear();
-  if (count == 0) co_return Status::OK();
-  const uint64_t token = service_->NewToken();
-  service_->StageVarScan(token, std::string(from.data(), from.size()), count);
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpVarScan, token, 0);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) {
-    co_return Status::Retry("ms-side var scan declined");
-  }
-  *out = service_->TakeVarScanResult(token);
-  co_return Status::OK();
+  if (count == 0) return Ready(Status::OK());
+  return Staged(ms, TreeRpcService::kOpVarScan,
+                std::pair(from.ToString(), count), out,
+                "ms-side var scan declined", stats);
 }
 
 sim::Task<Status> TreeRpcClient::MultiGetVar(uint16_t ms,
                                              std::vector<std::string> keys,
                                              std::vector<VarGetResult>* out,
                                              OpStats* stats) {
-  out->assign(keys.size(), VarGetResult{});
-  if (keys.empty()) co_return Status::OK();
-  const size_t n = keys.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiVarGet(token, std::move(keys));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiVarGet, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *out = service_->TakeMultiVarGetResult(token);
-  SHERMAN_CHECK(out->size() == n);
-  co_return Status::OK();
+  return Batch(ms, TreeRpcService::kOpMultiVarGet, std::move(keys), out,
+               stats);
 }
 
 sim::Task<Status> TreeRpcClient::MultiInsertVar(
     uint16_t ms, std::vector<std::pair<std::string, std::string>> kvs,
     std::vector<Status>* per_key, OpStats* stats) {
-  per_key->assign(kvs.size(), Status::OK());
-  if (kvs.empty()) co_return Status::OK();
-  const size_t n = kvs.size();
-  const uint64_t token = service_->NewToken();
-  service_->StageMultiVarInsert(token, std::move(kvs));
-  const uint64_t r = co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(
-      TreeRpcService::kOpMultiVarInsert, token);
-  if (stats != nullptr) stats->round_trips++;
-  SHERMAN_CHECK(r == TreeRpcService::kAckOk);
-  *per_key = service_->TakeMultiVarInsertResult(token);
-  SHERMAN_CHECK(per_key->size() == n);
-  co_return Status::OK();
+  return Batch(ms, TreeRpcService::kOpMultiVarInsert, std::move(kvs),
+               per_key, stats);
 }
 
 }  // namespace sherman::route

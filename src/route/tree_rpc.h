@@ -25,6 +25,7 @@
 #ifndef SHERMAN_ROUTE_TREE_RPC_H_
 #define SHERMAN_ROUTE_TREE_RPC_H_
 
+#include <any>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -34,6 +35,7 @@
 #include "core/btree.h"
 #include "core/stats.h"
 #include "sim/task.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace sherman::route {
@@ -87,51 +89,26 @@ class TreeRpcService {
   // foreign opcodes to it).
   void InstallOn(int ms);
 
+  // The token mailbox every out-of-band operand and result rides: the
+  // client stages an op's operands under a fresh token, the executor
+  // takes them and stages its result back under the same token, and the
+  // client takes that. Take() of an absent token or a mistyped payload is
+  // a protocol bug.
   uint64_t NewToken() { return next_token_++; }
-  // Fetches and erases the staged result for `token`. Lookup results are
-  // (found, value); scan results are key-ordered pairs.
-  uint64_t TakeLookupResult(uint64_t token);
-  std::vector<std::pair<Key, uint64_t>> TakeScanResult(uint64_t token);
-
-  // Multi-op staging (client side of the coalesced RPCs).
-  void StageMultiGet(uint64_t token, std::vector<Key> keys) {
-    mget_in_[token] = std::move(keys);
+  template <typename T>
+  void Stage(uint64_t token, T value) {
+    mailbox_[token] = std::move(value);
   }
-  void StageMultiInsert(uint64_t token,
-                        std::vector<std::pair<Key, uint64_t>> kvs) {
-    mins_in_[token] = std::move(kvs);
+  template <typename T>
+  T Take(uint64_t token) {
+    auto it = mailbox_.find(token);
+    SHERMAN_CHECK(it != mailbox_.end());
+    T* v = std::any_cast<T>(&it->second);
+    SHERMAN_CHECK(v != nullptr);
+    T out = std::move(*v);
+    mailbox_.erase(it);
+    return out;
   }
-  void StageMultiDelete(uint64_t token, std::vector<Key> keys) {
-    mdel_in_[token] = std::move(keys);
-  }
-  // Per-key outcomes; for gets the value rides along. Status is OK,
-  // NotFound, or Retry (declined: locked leaf / full leaf / anomaly).
-  std::vector<MultiGetResult> TakeMultiGetResult(uint64_t token);
-  std::vector<Status> TakeMultiInsertResult(uint64_t token);
-  std::vector<Status> TakeMultiDeleteResult(uint64_t token);
-
-  // Varlen staging (client side of the var RPCs).
-  void StageVarInsert(uint64_t token, std::string key, std::string value) {
-    vins_in_[token] = {std::move(key), std::move(value)};
-  }
-  void StageVarKey(uint64_t token, std::string key) {
-    vkey_in_[token] = std::move(key);
-  }
-  void StageVarScan(uint64_t token, std::string from, uint32_t count) {
-    vscan_in_[token] = {std::move(from), count};
-  }
-  void StageMultiVarGet(uint64_t token, std::vector<std::string> keys) {
-    mvget_in_[token] = std::move(keys);
-  }
-  void StageMultiVarInsert(
-      uint64_t token, std::vector<std::pair<std::string, std::string>> kvs) {
-    mvins_in_[token] = std::move(kvs);
-  }
-  std::string TakeVarLookupResult(uint64_t token);
-  std::vector<std::pair<std::string, std::string>> TakeVarScanResult(
-      uint64_t token);
-  std::vector<VarGetResult> TakeMultiVarGetResult(uint64_t token);
-  std::vector<Status> TakeMultiVarInsertResult(uint64_t token);
 
   uint64_t served() const { return served_; }
   uint64_t declined() const { return declined_; }
@@ -141,6 +118,9 @@ class TreeRpcService {
 
  private:
   uint64_t Handle(int ms, uint64_t opcode, uint64_t a, uint64_t b);
+  // Counts one singleton op as served or declined and maps its outcome
+  // (OK / NotFound / Retry = declined) to the response word.
+  uint64_t Ack(const Status& st);
 
   // Descends from the root to the level-`level` node covering `key`
   // through raw host memory. Returns null on any structural anomaly
@@ -150,32 +130,39 @@ class TreeRpcService {
   // Is the HOCL global lock lane guarding `addr` currently held?
   bool NodeLocked(rdma::GlobalAddress addr) const;
 
-  uint64_t DoInsert(Key key, uint64_t value);
-  uint64_t DoLookup(Key key, uint64_t token);
-  uint64_t DoDelete(Key key);
-  uint64_t DoScan(int ms, Key from, uint32_t count, uint64_t token);
-  uint64_t DoMultiGet(int ms, uint64_t token);
-  uint64_t DoMultiInsert(int ms, uint64_t token);
-  uint64_t DoMultiDelete(int ms, uint64_t token);
-  uint64_t DoVarInsert(int ms, uint64_t token);
-  uint64_t DoVarLookup(int ms, uint64_t token);
-  uint64_t DoVarDelete(int ms, uint64_t token);
-  uint64_t DoVarScan(int ms, uint64_t token);
-  uint64_t DoMultiVarGet(int ms, uint64_t token);
-  uint64_t DoMultiVarInsert(int ms, uint64_t token);
-
-  // One inline-record var insert against the leaf covering `key` on the
-  // host path; shared by the singleton and coalesced executors. Returns
-  // OK, or Retry naming the decline reason.
+  // Per-key executors shared by the singleton and coalesced ops. Each
+  // returns OK, NotFound, or Retry naming the decline reason (locked or
+  // full leaf, structural anomaly; for varlen records also an outline
+  // value or an extent on a foreign MS).
+  Status HostInsert(Key key, uint64_t value);
+  Status HostLookup(Key key, uint64_t* value);
+  Status HostDelete(Key key);
   Status HostVarInsert(int ms, const std::string& key,
                        const std::string& value);
-  // One var point read; OK/NotFound, or Retry when the record's extent
-  // lives on a foreign MS.
   Status HostVarLookup(int ms, const std::string& key, std::string* value);
+  Status HostVarDelete(int ms, const std::string& key);
   // Materializes slot `i` of `view` into *value. False when the record is
   // out-of-line on a foreign MS (caller declines).
   bool HostVarValue(int ms, const NodeView& view, uint32_t i,
                     const std::string& key, std::string* value) const;
+
+  // The loop every coalesced op shares: takes the item list staged under
+  // `token`, runs `one` per item, counts each outcome, charges the extra
+  // root-to-leaf walks, and stages the per-item results back.
+  template <typename Res, typename Item, typename Fn>
+  uint64_t ServeBatch(int ms, uint64_t token, Fn one);
+  // The leaf walk both scans share, from the leaf covering `from`:
+  // collect(view, &out) appends one leaf's entries (false = the rest must
+  // resolve one-sided). A result cut short by anything but the end of the
+  // tree declines, so a query never returns a different set depending on
+  // the router's assignment.
+  template <typename Entry, typename Collect>
+  uint64_t ServeScan(int ms, Key from, uint32_t count, uint64_t token,
+                     Collect collect);
+  // Each root-to-leaf walk (or scanned leaf) beyond the first costs the
+  // wimpy core half a service slot, so batches and long scans show up in
+  // the FIFO backlog the router watches.
+  void ChargeExtraWalks(int ms, uint64_t walks);
 
   // Opportunistic MS-side mirror of TreeClient::TryMergeLeafLocked: the
   // handler runs atomically at one simulated instant, so instead of taking
@@ -185,30 +172,20 @@ class TreeRpcService {
   void TryMergeHost(rdma::GlobalAddress leaf);
 
   ShermanSystem* system_;
-  std::map<uint64_t, uint64_t> lookup_out_;
-  std::map<uint64_t, std::vector<std::pair<Key, uint64_t>>> scan_out_;
-  std::map<uint64_t, std::vector<Key>> mget_in_;
-  std::map<uint64_t, std::vector<MultiGetResult>> mget_out_;
-  std::map<uint64_t, std::vector<std::pair<Key, uint64_t>>> mins_in_;
-  std::map<uint64_t, std::vector<Status>> mins_out_;
-  std::map<uint64_t, std::vector<Key>> mdel_in_;
-  std::map<uint64_t, std::vector<Status>> mdel_out_;
-  std::map<uint64_t, std::pair<std::string, std::string>> vins_in_;
-  std::map<uint64_t, std::string> vkey_in_;
-  std::map<uint64_t, std::string> vget_out_;
-  std::map<uint64_t, std::pair<std::string, uint32_t>> vscan_in_;
-  std::map<uint64_t, std::vector<std::pair<std::string, std::string>>>
-      vscan_out_;
-  std::map<uint64_t, std::vector<std::string>> mvget_in_;
-  std::map<uint64_t, std::vector<VarGetResult>> mvget_out_;
-  std::map<uint64_t, std::vector<std::pair<std::string, std::string>>>
-      mvins_in_;
-  std::map<uint64_t, std::vector<Status>> mvins_out_;
+  std::map<uint64_t, std::any> mailbox_;
   uint64_t next_token_ = 1;
   uint64_t served_ = 0;
   uint64_t declined_ = 0;
   uint64_t leaf_merges_ = 0;
 };
+
+// A batch result's per-key status (the executors' and the hybrid batch
+// skeleton's view of "was this key declined").
+inline const Status& StatusOf(const Status& st) { return st; }
+template <typename Result>
+const Status& StatusOf(const Result& r) {
+  return r.status;
+}
 
 // Per-compute-server client stub for TreeRpcService. The caller names the
 // target MS (the shard's home, per the router's DEX-style pinning); a Retry
@@ -256,6 +233,25 @@ class TreeRpcClient {
       std::vector<Status>* per_key, OpStats* stats);
 
  private:
+  // The round trip every stub shares: sends `opcode` with words (a, b),
+  // counts it, and maps the response — kAckDeclined to Retry(`declined`),
+  // kAckNotFound to NotFound — taking the result staged under `token`
+  // into *out on OK (when `out` is non-null).
+  template <typename Out>
+  sim::Task<Status> Call(uint16_t ms, uint64_t opcode, uint64_t a, uint64_t b,
+                         uint64_t token, Out* out, const char* declined,
+                         OpStats* stats);
+  // Call for ops whose operands ride the mailbox: stages `in` under a
+  // fresh token, which becomes the request's word.
+  template <typename In, typename Out>
+  sim::Task<Status> Staged(uint16_t ms, uint64_t opcode, In in, Out* out,
+                           const char* declined, OpStats* stats);
+  // The coalesced batches: one Staged call per non-empty sub-batch.
+  template <typename Item, typename Res>
+  sim::Task<Status> Batch(uint16_t ms, uint64_t opcode,
+                          std::vector<Item> items, std::vector<Res>* out,
+                          OpStats* stats);
+
   TreeRpcService* service_;
   int cs_id_;
 };

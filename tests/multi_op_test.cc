@@ -13,7 +13,6 @@
 #include "core/hybrid_system.h"
 #include "core/presets.h"
 #include "ext/rpc_index.h"
-#include "route/backend.h"
 #include "util/random.h"
 
 namespace sherman {

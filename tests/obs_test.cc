@@ -206,6 +206,60 @@ TEST(TraceTest, ExportsAreByteIdenticalAcrossIdenticalRuns) {
   EXPECT_NE(chrome[0].find("\"op\""), std::string::npos);
 }
 
+// --- index op spans ----------------------------------------------------
+
+// True when span `id` on `ring` has `root` among its ancestors.
+bool Descends(const obs::TraceRing* ring, uint64_t id, uint64_t root) {
+  const obs::SpanRecord* r = ring->Find(id);
+  while (r != nullptr && r->parent != 0) {
+    if (r->parent == root) return true;
+    r = ring->Find(r->parent);
+  }
+  return false;
+}
+
+TEST(TraceTest, RangeQueryLeafFetchIsSpannedUnderTheOp) {
+  rdma::FabricConfig f;
+  f.num_memory_servers = 2;
+  f.num_compute_servers = 1;
+  f.ms_memory_bytes = 32ull << 20;
+  ShermanSystem system(f, ShermanOptions());
+  system.BulkLoad(bench::MakeLoadKvs(5'000), 0.8);
+
+  uint64_t root = 0;
+  bool done = false;
+  sim::Spawn([](ShermanSystem* s, uint64_t* root_id,
+                bool* flag) -> sim::Task<void> {
+    obs::TraceCtx ctx =
+        obs::TraceCtx::For(&s->tracer(), obs::RingId::Client(0));
+    OpStats stats;
+    stats.trace = &ctx;
+    SHERMAN_TSPAN(&ctx, "op.range");
+    *root_id = ctx.current;
+    std::vector<std::pair<Key, uint64_t>> out;
+    const Status st = co_await s->client(0).RangeQuery(100, 200, &out, &stats);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(out.size(), 200u);
+    *flag = true;
+  }(&system, &root, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  // 200 keys span several leaves: the parallel leaf READs are one
+  // rdma.read_batch span per fetch round, all under the op's root span.
+  const obs::TraceRing* ring =
+      system.tracer().FindRing(obs::RingId::Client(0));
+  ASSERT_NE(ring, nullptr);
+  uint64_t batches = 0;
+  ring->ForEach([&](const obs::SpanRecord& r) {
+    if (std::string(r.name) != "rdma.read_batch") return;
+    EXPECT_TRUE(Descends(ring, r.id, root));
+    EXPECT_GT(r.a0, 0u);  // leaves fetched
+    batches++;
+  });
+  EXPECT_GT(batches, 0u);
+}
+
 #endif  // SHERMAN_TRACE_ENABLED
 
 // --- metrics registry --------------------------------------------------

@@ -233,8 +233,8 @@ TEST(RdwcWindowTest, QueueOnlyModeSerializesWithoutSharing) {
 
 // --- varlen combining windows ----------------------------------------------
 
-HybridOptions RdwcVarHybrid() {
-  HybridOptions o = RdwcHybrid();
+HybridOptions RdwcVarHybrid(bool combining = true) {
+  HybridOptions o = RdwcHybrid(combining);
   o.tree.two_level_versions = false;  // varlen requires sorted leaves
   o.tree.shape.varlen = true;
   o.tree.shape.node_size = 512;
@@ -351,6 +351,103 @@ TEST(RdwcVarWindowTest, FullKeyMismatchOnHotRoutingKeyBypasses) {
   }(&system, &checked));
   system.simulator().Run();
   ASSERT_TRUE(checked);
+  system.sherman().DebugCheckInvariants();
+}
+
+struct VarOut {
+  Status st;
+  std::string v;
+  bool done = false;
+};
+
+sim::Task<void> VarPut(HybridSystem* s, int cs, std::string key,
+                       std::string value, VarOut* o) {
+  o->st = co_await s->client(cs).InsertVar(Slice(key), Slice(value));
+  o->done = true;
+}
+
+sim::Task<void> VarGet(HybridSystem* s, int cs, std::string key, VarOut* o) {
+  o->st = co_await s->client(cs).LookupVar(Slice(key), &o->v);
+  o->done = true;
+}
+
+// Reads `key` back through a fresh op once the window has drained.
+std::string VarReadBack(HybridSystem* system, const std::string& key) {
+  VarOut o;
+  sim::Spawn(VarGet(system, 0, key, &o));
+  system->simulator().Run();
+  EXPECT_TRUE(o.done && o.st.ok()) << o.st.ToString();
+  return o.v;
+}
+
+TEST(RdwcVarWindowTest, OverflowBypassesToTheDirectPath) {
+  HybridOptions opt = RdwcVarHybrid();
+  opt.rdwc.window_max_ops = 1;
+  HybridSystem system(SmallFabric(), opt);
+  system.BulkLoadVar(VarLoadKvs(200), 0.8);
+
+  // Three PUTs on one hot string key in one tick: the delegate, one
+  // parked follower, and one overflow that runs the direct path.
+  VarOut put[3];
+  for (int i = 0; i < 3; i++) {
+    sim::Spawn(VarPut(&system, i == 0 ? 0 : 1, "hotkey00",
+                      "o" + std::to_string(i), &put[i]));
+  }
+  system.simulator().Run();
+  for (const VarOut& o : put) {
+    ASSERT_TRUE(o.done);
+    EXPECT_TRUE(o.st.ok()) << o.st.ToString();
+  }
+  const combine::RdwcStats& st = system.rdwc()->stats();
+  EXPECT_EQ(st.windows_opened, 1u);
+  EXPECT_EQ(st.followers_queued, 1u);
+  EXPECT_EQ(st.bypass_overflow, 1u);
+  EXPECT_EQ(st.combined_writes, 1u);
+  // The combined write (o1) lands after the delegate's own (o0); the
+  // overflowed o2 raced both.
+  const std::string last = VarReadBack(&system, "hotkey00");
+  EXPECT_TRUE(last == "o1" || last == "o2") << last;
+
+  // Three GETs the same way: delegate, shared follower, overflow. Every
+  // one reads the value just read back.
+  VarOut get[3];
+  for (int i = 0; i < 3; i++) {
+    sim::Spawn(VarGet(&system, i == 0 ? 0 : 1, "hotkey00", &get[i]));
+  }
+  system.simulator().Run();
+  for (const VarOut& o : get) {
+    ASSERT_TRUE(o.done);
+    EXPECT_TRUE(o.st.ok()) << o.st.ToString();
+    EXPECT_EQ(o.v, last);
+  }
+  EXPECT_EQ(st.windows_opened, 3u);  // + the read-back's and the GETs'
+  EXPECT_EQ(st.bypass_overflow, 2u);
+  EXPECT_EQ(st.gets_shared, 1u);
+  system.sherman().DebugCheckInvariants();
+}
+
+TEST(RdwcVarWindowTest, QueueOnlyModeRerunsParkedOpsDirectly) {
+  HybridSystem system(SmallFabric(), RdwcVarHybrid(/*combining=*/false));
+  system.BulkLoadVar(VarLoadKvs(200), 0.8);
+
+  VarOut del, put, get;
+  sim::Spawn(VarPut(&system, 0, "hotkey00", "q100", &del));
+  sim::Spawn(VarPut(&system, 1, "hotkey00", "q200", &put));
+  sim::Spawn(VarGet(&system, 1, "hotkey00", &get));
+  system.simulator().Run();
+
+  ASSERT_TRUE(del.done && put.done && get.done);
+  EXPECT_TRUE(del.st.ok() && put.st.ok() && get.st.ok());
+  const combine::RdwcStats& st = system.rdwc()->stats();
+  EXPECT_EQ(st.windows_opened, 1u);
+  EXPECT_EQ(st.followers_queued, 2u);
+  EXPECT_EQ(st.combined_writes, 0u);
+  EXPECT_EQ(st.puts_combined, 0u);
+  EXPECT_EQ(st.gets_shared, 0u);
+  // The parked ops re-ran their own remote ops after the delegate's
+  // write: the GET saw either PUT, and the re-run PUT landed last.
+  EXPECT_TRUE(get.v == "q100" || get.v == "q200") << get.v;
+  EXPECT_EQ(VarReadBack(&system, "hotkey00"), "q200");
   system.sherman().DebugCheckInvariants();
 }
 

@@ -16,7 +16,6 @@
 #include "fault/crash_point.h"
 #include "migrate/migrator.h"
 #include "recover/recoverer.h"
-#include "route/backend.h"
 #include "util/random.h"
 
 namespace sherman {

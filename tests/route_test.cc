@@ -9,13 +9,14 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/runner.h"
 #include "core/hybrid_system.h"
 #include "core/presets.h"
 #include "lock/lock_table.h"
-#include "route/backend.h"
+#include "obs/trace.h"
 #include "route/hotness.h"
 #include "route/router.h"
 #include "route/tree_rpc.h"
@@ -462,48 +463,79 @@ TEST(TreeRpcTest, FullLeafInsertFallsBackAndSplitsOneSided) {
   system.sherman().DebugCheckInvariants();
 }
 
-// --- backend interface -----------------------------------------------------
+#if SHERMAN_TRACE_ENABLED
+// Names of the spans on `ring` that descend from span `root`.
+std::vector<std::string> SpansUnder(const obs::TraceRing* ring,
+                                    uint64_t root) {
+  std::vector<std::string> names;
+  ring->ForEach([&](const obs::SpanRecord& span) {
+    const obs::SpanRecord* r = &span;
+    while (r != nullptr && r->parent != 0) {
+      if (r->parent == root) {
+        names.emplace_back(span.name);
+        break;
+      }
+      r = ring->Find(r->parent);
+    }
+  });
+  return names;
+}
 
-sim::Task<void> DriveBackend(route::IndexBackend* b, bool* flag) {
-  EXPECT_TRUE((co_await b->Insert(10, 100)).ok());
-  EXPECT_TRUE((co_await b->Insert(12, 120)).ok());
-  uint64_t v = 0;
-  EXPECT_TRUE((co_await b->Lookup(10, &v)).ok());
-  EXPECT_EQ(v, 100u);
-  EXPECT_TRUE((co_await b->Lookup(11, &v)).IsNotFound());
-  std::vector<std::pair<Key, uint64_t>> out;
-  EXPECT_TRUE((co_await b->RangeQuery(10, 2, &out)).ok());
-  EXPECT_EQ(out.size(), 2u);
-  if (out.size() == 2) {
-    EXPECT_EQ(out[0].first, 10u);
-    EXPECT_EQ(out[1].first, 12u);
-  }
-  EXPECT_TRUE((co_await b->Delete(10)).ok());
-  EXPECT_TRUE((co_await b->Lookup(10, &v)).IsNotFound());
+bool AnyWithPrefix(const std::vector<std::string>& names,
+                   const std::string& prefix) {
+  return std::any_of(names.begin(), names.end(), [&](const std::string& n) {
+    return n.compare(0, prefix.size(), prefix) == 0;
+  });
+}
+
+// One traced HybridClient::Insert under a root span (its id in *root).
+sim::Task<void> TracedInsert(HybridSystem* sys, Key key, uint64_t* root,
+                             bool* flag) {
+  obs::TraceCtx ctx =
+      obs::TraceCtx::For(&sys->sherman().tracer(), obs::RingId::Client(0));
+  OpStats stats;
+  stats.trace = &ctx;
+  SHERMAN_TSPAN(&ctx, "op.insert");
+  *root = ctx.current;
+  EXPECT_TRUE((co_await sys->client(0).Insert(key, key * 3, &stats)).ok());
   *flag = true;
 }
 
-TEST(BackendTest, TreeAndRpcIndexBehindOneInterface) {
-  // The same driver coroutine runs against both implementations.
-  {
-    ShermanSystem system(SmallFabric(), ShermanOptions());
-    system.BulkLoad({{2, 20}}, 0.5);
-    route::TreeBackend backend(&system.client(0));
-    bool done = false;
-    sim::Spawn(DriveBackend(&backend, &done));
-    system.simulator().Run();
-    EXPECT_TRUE(done);
-  }
-  {
-    rdma::Fabric fabric(SmallFabric());
-    ext::RpcIndex index(&fabric);
-    route::RpcIndexBackend backend(&index, 0);
-    bool done = false;
-    sim::Spawn(DriveBackend(&backend, &done));
-    fabric.simulator().Run();
-    EXPECT_TRUE(done);
-  }
+TEST(HybridTraceTest, InsertSpansReachTheCallersRoot) {
+  HybridSystem system(SmallFabric(), SmallHybrid());
+  std::vector<std::pair<Key, uint64_t>> kvs;
+  for (Key k = 2; k <= 400; k += 2) kvs.emplace_back(k, k);
+  system.BulkLoad(kvs, 1.0);  // full leaves: fresh RPC inserts decline
+  const obs::TraceRing* ring = nullptr;
+
+  // One-sided path.
+  system.router().ForceAssignment(
+      std::vector<Path>(system.router().num_shards(), Path::kOneSided));
+  uint64_t root = 0;
+  bool done = false;
+  sim::Spawn(TracedInsert(&system, 100, &root, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  ring = system.sherman().tracer().FindRing(obs::RingId::Client(0));
+  ASSERT_NE(ring, nullptr);
+  std::vector<std::string> spans = SpansUnder(ring, root);
+  EXPECT_TRUE(AnyWithPrefix(spans, "lock."));
+  EXPECT_TRUE(AnyWithPrefix(spans, "rdma.read"));
+
+  // RPC path declined (full leaf), served by the one-sided fallback.
+  system.router().ForceAssignment(
+      std::vector<Path>(system.router().num_shards(), Path::kRpc));
+  const uint64_t fallbacks = system.tracker().totals().rpc_fallbacks;
+  done = false;
+  sim::Spawn(TracedInsert(&system, 201, &root, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(system.tracker().totals().rpc_fallbacks, fallbacks + 1);
+  spans = SpansUnder(ring, root);
+  EXPECT_TRUE(AnyWithPrefix(spans, "lock."));
+  EXPECT_TRUE(AnyWithPrefix(spans, "rdma.read"));
 }
+#endif  // SHERMAN_TRACE_ENABLED
 
 // --- integration: hybrid >= max(pure) --------------------------------------
 

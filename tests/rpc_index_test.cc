@@ -5,6 +5,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "ext/rpc_index.h"
 #include "util/random.h"
@@ -34,6 +36,32 @@ TEST(RpcIndexTest, PutGetDelete) {
     EXPECT_TRUE((co_await c->Delete(10)).ok());
     EXPECT_TRUE((co_await c->Get(10, &v)).IsNotFound());
     EXPECT_TRUE((co_await c->Delete(10)).IsNotFound());
+    *flag = true;
+  }(&client, &done));
+  fabric.simulator().Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(RpcIndexTest, ScanMergesEveryShardInKeyOrder) {
+  // Keys hash-shard across both MSs; a scan must ask every shard and
+  // return one key-ordered prefix, skipping deleted keys.
+  rdma::Fabric fabric(SmallFabric());
+  RpcIndex index(&fabric);
+  RpcIndexClient client(&index, 0);
+  bool done = false;
+  sim::Spawn([](RpcIndexClient* c, bool* flag) -> sim::Task<void> {
+    for (uint64_t k = 10; k < 30; k += 2) {
+      EXPECT_TRUE((co_await c->Put(k, k * 10)).ok());
+    }
+    EXPECT_TRUE((co_await c->Delete(14)).ok());
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    EXPECT_TRUE((co_await c->Scan(11, 4, &out)).ok());
+    const std::vector<std::pair<uint64_t, uint64_t>> want = {
+        {12, 120}, {16, 160}, {18, 180}, {20, 200}};
+    EXPECT_EQ(out, want);
+    // A scan past the last key returns what is left.
+    EXPECT_TRUE((co_await c->Scan(26, 10, &out)).ok());
+    EXPECT_EQ(out.size(), 2u);
     *flag = true;
   }(&client, &done));
   fabric.simulator().Run();
