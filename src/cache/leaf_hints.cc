@@ -190,6 +190,10 @@ sim::Task<void> TreeClient::HintInvalidate(rdma::GlobalAddress leaf,
 }
 
 sim::Task<void> TreeClient::HintRefresh(OpStats* stats) {
+  // Single flight: the CS's other ops traverse while this runs (see
+  // HintLeafAddr). The loop below has no early exit, so the flag always
+  // clears.
+  hint_refreshing_ = true;
   const int num_ms = system_->fabric_.num_memory_servers();
   if (static_cast<int>(hint_gen_.size()) < num_ms) hint_gen_.resize(num_ms, 0);
   for (int ms = 0; ms < num_ms; ms++) {
@@ -229,12 +233,16 @@ sim::Task<void> TreeClient::HintRefresh(OpStats* stats) {
   }
   hint_fetched_ = true;
   hint_staleness_ = 0;
+  hint_refreshing_ = false;
   hint_stats_.refreshes++;
 }
 
 sim::Task<bool> TreeClient::HintLeafAddr(Key key, rdma::GlobalAddress* out,
                                          OpStats* stats) {
   if (!opt().enable_leaf_hints) co_return false;
+  // Another op is refreshing the mirror, whose slices are missing while
+  // their READs are in flight: traverse without waiting or consulting.
+  if (hint_refreshing_) co_return false;
   if (!hint_fetched_ ||
       hint_staleness_ >= opt().hint_refresh_miss_threshold) {
     co_await HintRefresh(stats);

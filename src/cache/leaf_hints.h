@@ -5,7 +5,9 @@
 //
 // A client with no cached path RDMA-READs each MS's table (header +
 // sorted entry array) into a LOCAL MIRROR, then serves cold point lookups
-// with ONE leaf READ at the hinted address. Hints are ADVISORY ONLY:
+// with ONE leaf READ at the hinted address. The mirror is one per compute
+// server: one op at a time fetches it, and the CS's other ops traverse
+// until that fetch lands. Hints are ADVISORY ONLY:
 // every hinted leaf still passes the ordinary validation (version /
 // checksum, tombstone, role, fence) and a miss or stale entry falls back
 // to full B-link traversal — correctness never depends on a hint.

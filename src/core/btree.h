@@ -495,10 +495,11 @@ class TreeClient {
 
   // --- leaf-hint sidecar (cache/leaf_hints.cc) ---
 
-  // Consults the local hint mirror (refetching the MS tables when never
+  // Consults the CS's hint mirror (refetching the MS tables when never
   // fetched or gone stale); true + *out when a hinted leaf address is
-  // available for `key`. The caller MUST validate the leaf it reads there
-  // and fall back to traversal on failure — hints are advisory.
+  // available for `key`, false while another op's refetch is in flight.
+  // The caller MUST validate the leaf it reads there and fall back to
+  // traversal on failure — hints are advisory.
   sim::Task<bool> HintLeafAddr(Key key, rdma::GlobalAddress* out,
                                OpStats* stats);
   // Refetches every MS's hint table whose generation moved.
@@ -537,12 +538,15 @@ class TreeClient {
   };
   std::map<std::string, VptrHint> vptr_cache_;
 
-  // Leaf-hint mirror (enable_leaf_hints mode): merged lo fence -> leaf
-  // address across every MS table, plus the per-MS generation observed at
-  // the last fetch. hint_staleness_ counts stale/chased hints since then.
+  // Leaf-hint mirror (enable_leaf_hints mode), one per CS and shared by
+  // its client coroutines: merged lo fence -> leaf address across every
+  // MS table, plus the per-MS generation observed at the last fetch.
+  // hint_staleness_ counts stale/chased hints since then;
+  // hint_refreshing_ is set while one op runs HintRefresh for the CS.
   std::map<Key, rdma::GlobalAddress> hint_mirror_;
   std::vector<uint64_t> hint_gen_;
   bool hint_fetched_ = false;
+  bool hint_refreshing_ = false;
   uint32_t hint_staleness_ = 0;
   HintStats hint_stats_;
 

@@ -151,7 +151,7 @@ sim::Task<Status> TreeClient::InsertVar(const Slice& key, const Slice& value,
       SealNode(view, /*structural_change=*/false);
       if (stats != nullptr) stats->bytes_written += node_size();
       std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
+      wrs.push_back(  // protocol-ok: leaf write-back under the held HOCL lane
           rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
       co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
                             stats);
@@ -306,11 +306,11 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
   // their own awaited WRITE (see the fixed split's rationale).
   std::vector<rdma::WorkRequest> wrs;
   if (sib_addr.node == locked.addr.node) {
-    wrs.push_back(
+    wrs.push_back(  // protocol-ok: intent-tagged split write, lane held
         rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size()));
     wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
   } else {
-    rdma::WorkRequest sw =
+    rdma::WorkRequest sw =  // protocol-ok: intent-tagged split write, lane held
         rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size());
     sw.intent_slot = static_cast<uint8_t>(intent_slot);
     rdma::RdmaResult r = co_await QpFor(sib_addr).Post(sw);
@@ -318,7 +318,7 @@ sim::Task<Status> TreeClient::SplitVarLeafAndUnlock(
     SHERMAN_CHECK(r.status.ok());
     co_await fault::Injector().AtSite(kCrashSplitSibling, cs_id_);
   }
-  wrs.push_back(
+  wrs.push_back(  // protocol-ok: intent-tagged split write, lane held
       rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
   wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
   co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
@@ -560,7 +560,7 @@ sim::Task<Status> TreeClient::DeleteVar(const Slice& key, OpStats* stats) {
     if (!merged) {
       if (stats != nullptr) stats->bytes_written += node_size();
       std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
+      wrs.push_back(  // protocol-ok: leaf write-back under the held HOCL lane
           rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
       co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
                             stats);
@@ -912,7 +912,7 @@ sim::Task<void> TreeClient::ApplyVarInsertGroup(
   if (dirty) {
     SealNode(view, /*structural_change=*/false);
     if (stats != nullptr) stats->bytes_written += node_size();
-    wrs.push_back(
+    wrs.push_back(  // protocol-ok: leaf write-back under the held HOCL lane
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
   }
   co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
@@ -1135,7 +1135,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
       SealNode(view, /*structural_change=*/false);
       if (stats != nullptr) stats->bytes_written += node_size();
       std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
+      wrs.push_back(  // protocol-ok: leaf write-back under the held HOCL lane
           rdma::WorkRequest::Write(locked.addr, leaf_buf.data(), node_size()));
       co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
                             stats);

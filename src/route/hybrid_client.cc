@@ -357,8 +357,13 @@ sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
     slots.push_back(RpcSlot{shard, std::move(idxs), {}, {}, {}});
   }
 
+  // The one-sided sub-batch and the fallback batch trace into the caller's
+  // ctx. The RPC stubs record no client spans, so while the caller waits
+  // on the latch the one-sided sub-batch is the ctx's only user.
+  obs::TraceCtx* const caller_trace = stats != nullptr ? stats->trace : nullptr;
   std::vector<Res> os_res;
   OpStats os_local;
+  os_local.trace = caller_trace;
   Status os_st = Status::OK();
   {
     sim::CountdownLatch latch(slots.size() + (os_idx.empty() ? 0 : 1));
@@ -393,6 +398,7 @@ sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
   }
 
   OpStats fb_local;
+  fb_local.trace = caller_trace;
   Status fb_st = Status::OK();
   if (!fb_idx.empty()) {
     std::vector<Res> fb_res;

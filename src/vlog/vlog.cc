@@ -100,9 +100,9 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Append(const Slice& key,
   dmsan::Checker* checker =
       dmsan::Active() ? dmsan::Find(&fabric_->simulator()) : nullptr;
   if (checker != nullptr) checker->OnVlogAppend(cs_id_, addr, extent);
-  rdma::RdmaResult w = co_await fabric_->qp(cs_id_, addr.node)
-                           .Post(rdma::WorkRequest::Write(addr, buf.data(),
-                                                          rec));
+  // protocol-ok: append into this client's private vlog extent
+  const rdma::WorkRequest wr = rdma::WorkRequest::Write(addr, buf.data(), rec);
+  rdma::RdmaResult w = co_await fabric_->qp(cs_id_, addr.node).Post(wr);
   SHERMAN_CHECK(w.status.ok());
   if (stats != nullptr) {
     stats->round_trips++;

@@ -250,5 +250,195 @@ TEST(HintStalenessTest, HintedLeafAddressRecycled) {
   system.DebugCheckInvariants();
 }
 
+// --- one mirror per compute server ------------------------------------------
+// The mirror is per CS and shared by its coroutines. Lookups that start
+// together on a cold CS must fetch the MS tables once, not once each: the
+// op that starts the fetch consults the mirror when it lands, the others
+// traverse meanwhile without counting a consult.
+TEST(HintMirrorTest, ColdStartFetchesTablesOncePerComputeServer) {
+  constexpr int kMs = 4;
+  ShermanSystem system(SmallFabric(kMs), HintOptions());
+  const uint64_t n = 2'000;
+  system.BulkLoad(bench::MakeLoadKvs(n), 0.8);
+  // A cold traversal READs the root pointer and the root node, then one
+  // node per level; the op that fetches pays one header and one table READ
+  // per MS on top of its leaf READ. The two classes must not overlap.
+  const uint32_t max_traversal_rts = system.DebugHeight() + 2;
+  const uint32_t fetch_rts = 2 * kMs + 1;
+  ASSERT_LT(max_traversal_rts, fetch_rts);
+
+  // Every lookup's round trips; two waves of kCoroutines, each wave
+  // starting at one sim instant.
+  constexpr int kCoroutines = 12;
+  std::vector<uint32_t> rts;
+  const auto wave = [&](uint64_t first_rank) {
+    for (int c = 0; c < kCoroutines; c++) {
+      sim::Spawn([](TreeClient* tc, Key k,
+                    std::vector<uint32_t>* out) -> sim::Task<void> {
+        OpStats stats;
+        uint64_t v = 0;
+        const Status st = co_await tc->Lookup(k, &v, &stats);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(v, k * 31 + 7);
+        out->push_back(stats.round_trips);
+      }(&system.client(0),
+        WorkloadGenerator::LoadedKeyFor((first_rank + c * 151) % n), &rts));
+    }
+    system.simulator().Run();
+  };
+
+  wave(0);
+  ASSERT_EQ(rts.size(), static_cast<size_t>(kCoroutines));
+  const TreeClient::HintStats& h = system.client(0).hint_stats();
+  EXPECT_EQ(h.refreshes, 1u) << "every cold coroutine fetched the tables";
+  EXPECT_EQ(h.consults, 1u) << "ops consulted while the first fetch ran";
+
+  // Warm wave: the mirror serves every lookup with one READ, no refetch.
+  wave(7);
+  ASSERT_EQ(rts.size(), static_cast<size_t>(2 * kCoroutines));
+  EXPECT_EQ(h.refreshes, 1u);
+
+  uint64_t hinted = 0;
+  uint64_t fetched = 0;
+  uint64_t traversed = 0;
+  for (const uint32_t rt : rts) {
+    if (rt == 1) {
+      hinted++;
+    } else if (rt == fetch_rts) {
+      fetched++;
+    } else {
+      EXPECT_GE(rt, 2u);
+      EXPECT_LE(rt, max_traversal_rts);
+      traversed++;
+    }
+  }
+  EXPECT_EQ(fetched, 1u);
+  EXPECT_EQ(hinted, static_cast<uint64_t>(kCoroutines));
+  EXPECT_EQ(h.consults, hinted + fetched);
+  EXPECT_EQ(h.served, h.consults);
+  EXPECT_EQ(h.consults + traversed, rts.size());
+  EXPECT_EQ(h.stale + h.chases, 0u);
+}
+
+// --- refresh in flight ------------------------------------------------------
+// A staleness refresh drops each MS's slice of the mirror before that MS's
+// table READ and rebuilds it when the READ returns. Meanwhile the CS's
+// other ops must neither consult the mirror (a key on that MS would be
+// served a neighbouring MS's leaf) nor start a refresh of their own: they
+// traverse.
+TEST(HintMirrorTest, OpsTraverseWhileARefreshIsInFlight) {
+  TreeOptions topt = HintOptions();
+  topt.hint_refresh_miss_threshold = 1;  // one stale hint forces a refresh
+  ShermanSystem system(SmallFabric(), topt);
+  const uint64_t n = 2'000;
+  system.BulkLoad(bench::MakeLoadKvs(n), 1.0);
+  TreeClient& victim = system.client(1);
+  const int num_ms = system.fabric().num_memory_servers();
+
+  bool warmed = false;
+  sim::Spawn(WarmMirror(&victim, &warmed));
+  RunToDone(&system, &warmed);
+  std::vector<uint64_t> warm_gen(num_ms);
+  for (int ms = 0; ms < num_ms; ms++) {
+    warm_gen[ms] = system.hint_directory(ms)->generation();
+  }
+
+  // Client 0 empties a run of leaves: merges free them, and their home
+  // MSs drop their hint entries. The victim's mirror still maps them.
+  constexpr uint64_t kGoneLo = 1'000;
+  constexpr uint64_t kGoneHi = 1'100;
+  bool churned = false;
+  sim::Spawn([](TreeClient* c, bool* done) -> sim::Task<void> {
+    for (uint64_t r = kGoneLo; r < kGoneHi; r++) {
+      EXPECT_TRUE(
+          (co_await c->Delete(WorkloadGenerator::LoadedKeyFor(r))).ok());
+    }
+    *done = true;
+  }(&system.client(0), &churned));
+  RunToDone(&system, &churned);
+
+  // The victim looks up deleted keys until one hint goes stale.
+  bool stale = false;
+  sim::Spawn([](TreeClient* c, bool* done) -> sim::Task<void> {
+    for (uint64_t r = kGoneLo; r < kGoneHi && c->hint_stats().stale == 0;
+         r++) {
+      uint64_t v = 0;
+      const Status st =
+          co_await c->Lookup(WorkloadGenerator::LoadedKeyFor(r), &v);
+      EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+    }
+    *done = true;
+  }(&victim, &stale));
+  RunToDone(&system, &stale);
+  const TreeClient::HintStats& h = victim.hint_stats();
+  ASSERT_EQ(h.stale, 1u) << "no hinted leaf was merged away";
+  ASSERT_EQ(h.refreshes, 1u);
+
+  // m: an MS whose table moved, so the refresh READs it again.
+  int m = -1;
+  for (int ms = 0; ms < num_ms && m < 0; ms++) {
+    if (system.hint_directory(ms)->generation() != warm_gen[ms]) m = ms;
+  }
+  ASSERT_GE(m, 0);
+  // k: a loaded key that is the lo fence of a leaf homed on m, well left
+  // of the emptied run.
+  Key k = 0;
+  {
+    rdma::MemoryRegion& mem = system.fabric().ms(m).host();
+    const uint64_t count = mem.Read64(kHintAreaOffset + 8);
+    for (uint64_t i = 0; i < count && k == 0; i++) {
+      const Key lo =
+          mem.Read64(kHintAreaOffset + kHintHeaderBytes + i * kHintSlotBytes);
+      if (lo != 0 && lo < WorkloadGenerator::LoadedKeyFor(kGoneLo / 2)) k = lo;
+    }
+  }
+  ASSERT_NE(k, 0u);
+
+  // The next consult runs the refresh. Meanwhile a second op on the same
+  // CS waits for the refresh's table READ to m to be posted (the header
+  // READ before it is 16 bytes) and looks k up while that READ is in
+  // flight.
+  struct Probe {
+    bool done = false;
+    TreeClient::HintStats before;
+    OpStats stats;
+  } probe;
+  bool triggered = false;
+  sim::Spawn([](TreeClient* c, bool* done) -> sim::Task<void> {
+    uint64_t v = 0;
+    const Key key = WorkloadGenerator::LoadedKeyFor(n - 1);
+    EXPECT_TRUE((co_await c->Lookup(key, &v)).ok());
+    EXPECT_EQ(v, key * 31 + 7);
+    *done = true;
+  }(&victim, &triggered));
+  sim::Spawn([](ShermanSystem* sys, TreeClient* c, int ms, Key key,
+                Probe* p) -> sim::Task<void> {
+    const rdma::Qp& qp = sys->fabric().qp(c->cs_id(), ms);
+    const uint64_t bytes0 = qp.counters().read_bytes;
+    while (qp.counters().read_bytes - bytes0 <= 16) {
+      co_await sys->simulator().Delay(10);
+    }
+    p->before = c->hint_stats();
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await c->Lookup(key, &v, &p->stats)).ok());
+    EXPECT_EQ(v, key * 31 + 7);
+    p->done = true;
+  }(&system, &victim, m, k, &probe));
+  system.simulator().Run();
+  ASSERT_TRUE(triggered);
+  ASSERT_TRUE(probe.done);
+
+  EXPECT_EQ(probe.before.refreshes, 1u) << "refresh not in flight";
+  EXPECT_EQ(h.refreshes, 2u);
+  // Traversed: more than the one hinted leaf READ, at most a cold
+  // traversal's READs, and no consult, stale entry or chase counted.
+  EXPECT_GE(probe.stats.round_trips, 2u);
+  EXPECT_LE(probe.stats.round_trips, system.DebugHeight() + 2);
+  EXPECT_EQ(h.consults, probe.before.consults + 1) << "the refresher's only";
+  EXPECT_EQ(h.stale, probe.before.stale);
+  EXPECT_EQ(h.chases, probe.before.chases);
+  system.DebugCheckInvariants();
+}
+
 }  // namespace
 }  // namespace sherman

@@ -535,6 +535,96 @@ TEST(HybridTraceTest, InsertSpansReachTheCallersRoot) {
   EXPECT_TRUE(AnyWithPrefix(spans, "lock."));
   EXPECT_TRUE(AnyWithPrefix(spans, "rdma.read"));
 }
+
+// A traced MultiGet of `keys`, then a traced MultiInsert of their odd
+// neighbours, each under its own root span (ids in *get_root, *put_root).
+sim::Task<void> TracedBatches(HybridSystem* sys, std::vector<Key> keys,
+                              uint64_t* get_root, uint64_t* put_root,
+                              bool* flag) {
+  obs::TraceCtx ctx =
+      obs::TraceCtx::For(&sys->sherman().tracer(), obs::RingId::Client(0));
+  OpStats stats;
+  stats.trace = &ctx;
+  {
+    SHERMAN_TSPAN(&ctx, "op.multiget");
+    *get_root = ctx.current;
+    std::vector<MultiGetResult> res;
+    EXPECT_TRUE((co_await sys->client(0).MultiGet(keys, &res, &stats)).ok());
+    for (size_t i = 0; i < keys.size(); i++) {
+      EXPECT_TRUE(res[i].status.ok()) << "key " << keys[i];
+      EXPECT_EQ(res[i].value, keys[i]);
+    }
+  }
+  {
+    SHERMAN_TSPAN(&ctx, "op.multiinsert");
+    *put_root = ctx.current;
+    std::vector<std::pair<Key, uint64_t>> kvs;
+    for (const Key k : keys) kvs.emplace_back(k + 1, k * 5);
+    EXPECT_TRUE((co_await sys->client(0).MultiInsert(kvs, &stats)).ok());
+  }
+  *flag = true;
+}
+
+TEST(HybridTraceTest, BatchSpansReachTheCallersRoot) {
+  HybridSystem system(SmallFabric(), SmallHybrid());
+  std::vector<std::pair<Key, uint64_t>> kvs;
+  for (Key k = 2; k <= 400; k += 2) kvs.emplace_back(k, k);
+  system.BulkLoad(kvs, 1.0);  // full leaves: fresh RPC inserts decline
+  // Alternate paths so one batch fans out to RPC shards and a one-sided
+  // sub-batch at once; the declined RPC inserts add the fallback batch.
+  std::vector<Path> paths(system.router().num_shards());
+  for (size_t i = 0; i < paths.size(); i++) {
+    paths[i] = i % 2 == 0 ? Path::kRpc : Path::kOneSided;
+  }
+  system.router().ForceAssignment(paths);
+  std::vector<Key> keys;
+  for (Key k = 10; k <= 390; k += 20) keys.push_back(k);
+
+  const uint64_t fallbacks = system.tracker().totals().rpc_fallbacks;
+  uint64_t get_root = 0;
+  uint64_t put_root = 0;
+  bool done = false;
+  sim::Spawn(TracedBatches(&system, keys, &get_root, &put_root, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_GT(system.tracker().totals().rpc_fallbacks, fallbacks);
+
+  const obs::TraceRing* ring =
+      system.sherman().tracer().FindRing(obs::RingId::Client(0));
+  ASSERT_NE(ring, nullptr);
+  EXPECT_TRUE(AnyWithPrefix(SpansUnder(ring, get_root), "rdma.read"));
+  const std::vector<std::string> put_spans = SpansUnder(ring, put_root);
+  EXPECT_TRUE(AnyWithPrefix(put_spans, "lock."));
+  EXPECT_TRUE(AnyWithPrefix(put_spans, "rdma.read"));
+}
+
+// Every shard on the RPC path and full leaves: the MultiInsert's declined
+// keys re-run as the one-sided fallback batch, the only part of the batch
+// that takes a lock from this client.
+TEST(HybridTraceTest, DeclinedBatchFallbackSpansReachTheCallersRoot) {
+  HybridSystem system(SmallFabric(), SmallHybrid());
+  std::vector<std::pair<Key, uint64_t>> kvs;
+  for (Key k = 2; k <= 400; k += 2) kvs.emplace_back(k, k);
+  system.BulkLoad(kvs, 1.0);
+  system.router().ForceAssignment(
+      std::vector<Path>(system.router().num_shards(), Path::kRpc));
+  std::vector<Key> keys;
+  for (Key k = 10; k <= 390; k += 20) keys.push_back(k);
+
+  const uint64_t fallbacks = system.tracker().totals().rpc_fallbacks;
+  uint64_t get_root = 0;
+  uint64_t put_root = 0;
+  bool done = false;
+  sim::Spawn(TracedBatches(&system, keys, &get_root, &put_root, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_GT(system.tracker().totals().rpc_fallbacks, fallbacks);
+
+  const obs::TraceRing* ring =
+      system.sherman().tracer().FindRing(obs::RingId::Client(0));
+  ASSERT_NE(ring, nullptr);
+  EXPECT_TRUE(AnyWithPrefix(SpansUnder(ring, put_root), "lock."));
+}
 #endif  // SHERMAN_TRACE_ENABLED
 
 // --- integration: hybrid >= max(pure) --------------------------------------
