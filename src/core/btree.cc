@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
+#include "core/record_policy.h"
 #include "fault/crash_point.h"
 #include "lock/lock_table.h"
 #include "obs/bridge.h"
@@ -16,6 +18,12 @@ namespace sherman {
 
 namespace {
 constexpr int kMaxSiblingChase = 64;
+// Restart cap of every traversal loop (simulation hygiene; generously
+// above anything the paper's workloads produce).
+constexpr uint32_t kMaxRestarts = 256;
+// The paper's idle-fabric floor for the 4-bit version wraparound guard
+// (§4.4); WrapGuardNs derives the congestion-aware threshold.
+constexpr sim::SimTime kVersionWrapRetryNs = 8000;
 
 // Named crash sites: one per remote-write milestone of every multi-write
 // structural op in this file (tests/recover_test.cc enumerates the full
@@ -60,13 +68,11 @@ void TreeOptions::Validate() const {
     SHERMAN_CHECK_MSG(shape.node_size <= 65535,
                       "varlen slots store u16 offsets");
     SHERMAN_CHECK(shape.max_key_len >= 1 && shape.max_key_len <= 255);
-    SHERMAN_CHECK_MSG(inline_threshold >= 8 && inline_threshold <= 4096,
-                      "inline_threshold out of range");
     // A leaf must hold at least two maximal entries, or a single oversize
     // routing group could wedge the split path.
     SHERMAN_CHECK_MSG(
         shape.var_usable_bytes() >=
-            2 * (kVarSlotSize + shape.max_key_len + inline_threshold),
+            2 * (kVarSlotSize + shape.max_key_len + kInlineThreshold),
         "node too small for two maximal varlen entries");
     SHERMAN_CHECK_MSG(vlog_segment_bytes >= (64u << 7) &&
                           vlog_segment_bytes / 64 <= 65535,
@@ -128,7 +134,7 @@ bool TreeClient::NodeConsistent(const uint8_t* buf) const {
   return ok;
 }
 
-void TreeClient::SealNode(NodeView& view, bool /*structural_change*/) const {
+void TreeClient::SealNode(NodeView& view) const {
   if (opt().consistency == TreeOptions::Consistency::kChecksum) {
     view.UpdateChecksum();
   } else {
@@ -151,7 +157,7 @@ sim::SimTime TreeClient::WrapGuardNs() const {
   const sim::SimTime node_wire = static_cast<sim::SimTime>(
       node_size() / fcfg.link_bytes_per_ns);
   const sim::SimTime min_write_cycle = 2 * rtt + 2 * node_wire;
-  return std::max<sim::SimTime>(opt().version_wrap_retry_ns,
+  return std::max<sim::SimTime>(kVersionWrapRetryNs,
                                 16 * 4 * min_write_cycle);
 }
 
@@ -262,7 +268,7 @@ sim::Task<Status> TreeClient::ReadInternalContaining(rdma::GlobalAddress addr,
 sim::Task<StatusOr<rdma::GlobalAddress>> TreeClient::FindNodeAddr(
     Key key, uint8_t target_level, OpStats* stats) {
   const TreeOptions& o = opt();
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
+  for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
     rdma::GlobalAddress addr;
     bool have_start = false;
     if (o.enable_cache) {
@@ -444,21 +450,6 @@ sim::Task<void> TreeClient::UnlockSecond(
   }
 }
 
-bool TreeClient::MergeCandidate(const NodeView& view, uint32_t live) const {
-  const TreeOptions& o = opt();
-  if (o.merge_threshold <= 0) return false;
-  // The leftmost leaf (lo fence 0) has no left sibling; a root leaf has
-  // lo 0 too. Both are excluded, so merging never shrinks the tree height.
-  if (!view.is_leaf() || view.is_free() || view.lo_fence() == 0) return false;
-  if (o.shape.varlen) {
-    // Byte-budget underflow: slotted leaves have no fixed entry capacity.
-    return static_cast<double>(view.VarLiveBytes()) <
-           o.merge_threshold * static_cast<double>(o.shape.var_usable_bytes());
-  }
-  return static_cast<double>(live) <
-         o.merge_threshold * static_cast<double>(o.shape.leaf_capacity());
-}
-
 namespace {
 // Deletes an aborted leaf waits before the next merge attempt, and the
 // backoff map size cap (stale entries for recycled addresses only delay a
@@ -558,23 +549,12 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   SecondLocked sib = *sl;
   NodeView sview(sbuf.data(), &o.shape);
 
-  const uint32_t l_live = view.LiveLeafEntries(o.two_level_versions);
-  bool ok = sview.is_leaf() && !sview.is_free() && sview.hi_fence() == lo &&
-            sview.sibling() == locked.addr;
-  if (ok) {
-    // Anti-thrash headroom: a merge whose result is nearly full would be
-    // split right back apart by the next inserts, paying both structural
-    // ops for nothing. Require the merged leaf to keep a quarter of its
-    // capacity free; drained chains (the reclamation target) pass easily.
-    if (o.shape.varlen) {
-      ok = VarLeafFits(sview, view) &&
-           (sview.VarLiveBytes() + view.VarLiveBytes()) * 4 <=
-               3 * o.shape.var_usable_bytes();
-    } else {
-      const uint32_t s_live = sview.LiveLeafEntries(o.two_level_versions);
-      ok = s_live + l_live <= 3 * o.shape.leaf_capacity() / 4;
-    }
-  }
+  // Anti-thrash headroom (LeafMergeFits): drained chains, the reclamation
+  // target, pass easily.
+  const bool ok = sview.is_leaf() && !sview.is_free() &&
+                  sview.hi_fence() == lo && sview.sibling() == locked.addr &&
+                  LeafMergeFits(sview, view, o.two_level_versions,
+                                /*headroom=*/true);
   if (!ok) {
     co_await UnlockSecond(sib, {}, stats);
     RecordMergeAbort(locked.addr);
@@ -584,14 +564,10 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   // 3. Stage the widened sibling.
   const rdma::FabricConfig& f = system_->fabric_.config();
   co_await system_->fabric_.simulator().Delay(f.cpu_node_sort_ns);
-  if (o.shape.varlen) {
-    MoveVarLeafEntries(&sview, view);
-  } else {
-    MoveLeafEntries(&sview, view, o.two_level_versions);
-  }
+  MoveLeafEntries(&sview, view, o.two_level_versions);
   sview.set_hi_fence(hi);
   sview.set_sibling(view.sibling());
-  SealNode(sview, /*structural_change=*/true);
+  SealNode(sview);
 
   // 4. Lock the parent and re-verify under the lock (it may have split or
   // been rewritten since the lock-free read).
@@ -613,7 +589,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
     RecordMergeAbort(locked.addr);
     co_return false;
   }
-  SealNode(pview, /*structural_change=*/true);
+  SealNode(pview);
 
   // 5. Every verification passed; nothing remote has changed yet, and from
   // here the merge cannot fail. First anchor the op: publish the intent
@@ -702,81 +678,243 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   co_return true;
 }
 
-// --- Insert ---------------------------------------------------------------
+// ---------------------------------------------------------------------------
+// The op core. Each op is written once over a record policy R
+// (core/record_policy.h): FixedPolicy serves Insert/Lookup/Delete and the
+// fixed batch ops, VarPolicy their *Var twins. The skeletons never ask
+// which one they run; the policy supplies only what the leaf layout
+// changes, and btree.cc alone turns the ranges it dirtied into WRITEs.
+// ---------------------------------------------------------------------------
 
-sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
+sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockLeaf(Key rk,
+                                                             uint8_t* buf,
+                                                             OpStats* stats) {
+  for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
+    StatusOr<LeafRef> leaf_r =
+        co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
+    if (!leaf_r.ok()) co_return leaf_r.status();
+    StatusOr<Locked> locked_r =
+        co_await LockAndRead(leaf_r->addr, rk, buf, stats);
+    if (locked_r.ok() || !locked_r.status().IsRetry()) co_return locked_r;
+    // A hinted address that went dead-end must leave the mirror, or every
+    // subsequent restart re-serves it.
+    if (leaf_r->via_hint) NoteHintStale(rk);
+    // Repeated dead ends mean even a fresh resolution keeps steering here
+    // — the classic case is a cached root that was still a leaf (or
+    // since-merged node) when this client loaded it, which FindNodeAddr's
+    // root shortcut returns forever. Refresh it.
+    if (attempt >= 2) root_known_ = false;
+  }
+  co_return Status::Internal("leaf lock restarts exhausted");
+}
+
+template <class Fn>
+sim::Task<Status> TreeClient::ReadLeafChasing(Key* rk, uint8_t* buf,
+                                              Fn& visit, OpStats* stats) {
   const TreeOptions& o = opt();
+  rdma::GlobalAddress probe_addr;  // last tombstone this read bounced off
+  for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
+    StatusOr<LeafRef> leaf_r =
+        co_await FindLeafAddr(*rk, stats, /*allow_hint=*/attempt == 0);
+    if (!leaf_r.ok()) co_return leaf_r.status();
+    rdma::GlobalAddress addr = leaf_r->addr;
+
+    bool restart = false;
+    uint32_t rereads = 0;
+    for (int chase = 0; chase < kMaxSiblingChase && !restart; chase++) {
+      Status st = co_await ReadNodeChecked(addr, buf, stats);
+      if (!st.ok()) co_return st;
+      NodeView view(buf, &o.shape);
+      if (view.is_free() || !view.is_leaf() || *rk < view.lo_fence()) {
+        cache_.InvalidateLevel1Covering(*rk);
+        // A hinted leaf that was merged, migrated, or recycled into a
+        // different role: drop the mirror entry and fall back to a full
+        // traversal — the hint is never trusted past validation.
+        if (leaf_r->via_hint && chase == 0) NoteHintStale(*rk);
+        if (view.is_free()) probe_addr = addr;
+        if (attempt >= 2) root_known_ = false;  // stale root (see LockLeaf)
+        restart = true;
+        break;
+      }
+      Visit next = Visit::kNext;
+      Status done;
+      if (*rk >= view.hi_fence()) {
+        cache_.InvalidateLevel1Covering(*rk);
+        // Valid hinted leaf, but the key split off to its right since the
+        // mirror was fetched; the B-link chase below still serves it.
+        if (leaf_r->via_hint && chase == 0) NoteHintChase();
+      } else {
+        next = co_await visit(view, &done);
+      }
+      if (next == Visit::kDone) co_return done;
+      if (next == Visit::kReread) {
+        if (stats != nullptr) stats->read_retries++;
+        if (++rereads > o.max_read_retries) {
+          co_return Status::TimedOut("leaf re-read retries exhausted");
+        }
+        chase--;  // re-read the same leaf
+        continue;
+      }
+      if (view.sibling().is_null()) {
+        restart = true;
+        break;
+      }
+      addr = view.sibling();
+    }
+    // Chase bound exhausted: a stale translation steered us far left of
+    // the key (heavy split/merge churn since it was cached). The chase
+    // already invalidated it, so a restart resolves freshly — failing the
+    // op here would surface a spurious error for a live key.
+    if (!restart) {
+      // A hinted start that needed > kMaxSiblingChase hops was not the
+      // key's leaf at all (mirror predecessor across a hint-table hole):
+      // drop the entry so later ops stop re-serving it.
+      if (leaf_r->via_hint) NoteHintStale(*rk);
+      if (attempt >= 2) root_known_ = false;
+    }
+    // Repeated bounces off the same tombstone mean the structural op that
+    // planted it may have died with its client; probe its lock so a dead
+    // holder's lease expiry is noticed and recovered.
+    co_await ProbeLockForRecovery(&probe_addr, attempt, stats);
+  }
+  co_return Status::Internal("leaf read restarts exhausted");
+}
+
+sim::Task<void> TreeClient::WriteBackAndUnlock(const Locked& locked,
+                                               uint8_t* buf,
+                                               const LeafWrite& w,
+                                               OpStats* stats) {
+  if (stats != nullptr) stats->bytes_written += w.bytes();
+  std::vector<rdma::WorkRequest> wrs;
+  wrs.reserve(w.ranges.size());
+  for (const auto& [off, len] : w.ranges) {
+    wrs.push_back(
+        rdma::WorkRequest::Write(locked.addr.Plus(off), buf + off, len));
+  }
+  co_await hocl_.Unlock(locked.guard, std::move(wrs), opt().combine_commands,
+                        stats);
+}
+
+sim::Task<void> TreeClient::MergeOrWriteBack(const Locked& locked,
+                                             uint8_t* buf, const LeafWrite& w,
+                                             OpStats* stats) {
+  const TreeOptions& o = opt();
+  delete_ops_++;
+  NodeView view(buf, &o.shape);
+  if (!w.ranges.empty() &&
+      LeafMergeCandidate(view, o.two_level_versions, o.merge_threshold) &&
+      MergeBackoffExpired(locked.addr)) {
+    if (co_await TryMergeLeafLocked(locked, buf, stats)) co_return;
+  }
+  co_await WriteBackAndUnlock(locked, buf, w, stats);
+}
+
+template <class R>
+sim::Task<Status> TreeClient::Put(R rec, OpStats* stats) {
+  Status st = rec.CheckPut();
+  if (!st.ok()) co_return st;
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
+  st = co_await rec.Stage(*this, stats);
+  if (!st.ok()) co_return st;
+
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked_r = co_await LockLeaf(rec.route(), buf.data(), stats);
+  if (!locked_r.ok()) {
+    co_await rec.Abandon(*this, stats);
+    co_return locked_r.status();
+  }
+  co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
+  NodeView view(buf.data(), &opt().shape);
+  LeafWrite w;
+  if (rec.Put(&view, &w)) {
+    if (w.seal) SealNode(view);
+    co_await WriteBackAndUnlock(*locked_r, buf.data(), w, stats);
+    co_await rec.Published(*this, stats);
+    co_return Status::OK();
+  }
+  st = co_await SplitLeafAndUnlock(rec, *locked_r, std::move(buf), stats);
+  if (st.ok()) {
+    co_await rec.Published(*this, stats);
+  } else {
+    co_await rec.Abandon(*this, stats);  // never referenced
+  }
+  co_return st;
+}
+
+template <class R>
+sim::Task<Status> TreeClient::Get(R rec, OpStats* stats) {
+  Status st = rec.Check();
+  if (!st.ok()) co_return st;
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  sim::Simulator& sim = system_->fabric_.simulator();
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await sim.Delay(f.cpu_op_overhead_ns);
+
+  std::vector<uint8_t> buf(node_size());
+  const std::optional<Status> fast =
+      co_await rec.Speculate(*this, buf.data(), stats);
+  if (fast.has_value()) co_return *fast;
+  auto visit = [&](NodeView& view, Status* done) -> sim::Task<Visit> {
+    co_await sim.Delay(rec.SearchNs(f));
+    const LeafRead got = rec.Read(view);
+    if (got == LeafRead::kTorn) co_return Visit::kReread;
+    if (got == LeafRead::kRemote) {
+      // Corruption: the extent moved between the leaf read and the value
+      // read (an update or GC); the re-read leaf has the fresh pointer.
+      *done = co_await rec.Fetch(*this, stats);
+      co_return done->IsCorruption() ? Visit::kReread : Visit::kDone;
+    }
+    *done = got == LeafRead::kHit ? Status::OK() : Status::NotFound();
+    co_return Visit::kDone;
+  };
+  Key rk = rec.route();
+  co_return co_await ReadLeafChasing(&rk, buf.data(), visit, stats);
+}
+
+template <class R>
+sim::Task<Status> TreeClient::Remove(R rec, OpStats* stats) {
+  Status st = rec.Check();
+  if (!st.ok()) co_return st;
   const rdma::FabricConfig& f = system_->fabric_.config();
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, key, buf.data(), stats);
-    if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        // A hinted address that went dead-end must leave the mirror, or
-        // every subsequent restart re-serves it.
-        if (leaf_r->via_hint) NoteHintStale(key);
-        // Repeated dead ends mean even a fresh resolution keeps steering
-        // here — the classic case is a cached root that was still a leaf
-        // (or since-merged node) when this client loaded it, which
-        // FindNodeAddr's root shortcut returns forever. Refresh it.
-        if (attempt >= 2) root_known_ = false;
-        continue;
-      }
-      co_return locked_r.status();
-    }
-    Locked locked = *locked_r;
-    NodeView view(buf.data(), &o.shape);
-
-    if (o.two_level_versions) {
-      // Unsorted leaf: update in place or fill an empty slot; only the
-      // touched entry is written back (Figure 7, lines 11-17).
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-      if (i != UINT32_MAX) {
-        view.SetLeafEntry(i, key, value);
-        const uint32_t off = view.LeafEntryOffset(i);
-        const uint32_t entry_size = o.shape.leaf_entry_size();
-        if (stats != nullptr) stats->bytes_written += entry_size;
-        std::vector<rdma::WorkRequest> wrs;
-        wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                               buf.data() + off, entry_size));
-        co_await hocl_.Unlock(locked.guard, std::move(wrs),
-                              o.combine_commands, stats);
-        co_return Status::OK();
-      }
-    } else {
-      // Sorted leaf (FG): shift-insert locally, write back the whole node.
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      if (view.SortedLeafInsert(key, value)) {
-        SealNode(view, /*structural_change=*/false);
-        if (stats != nullptr) stats->bytes_written += node_size();
-        std::vector<rdma::WorkRequest> wrs;
-        wrs.push_back(
-            rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-        co_await hocl_.Unlock(locked.guard, std::move(wrs),
-                              o.combine_commands, stats);
-        co_return Status::OK();
-      }
-    }
-    co_return co_await SplitLeafAndUnlock(locked, std::move(buf), key, value,
-                                          stats);
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked_r = co_await LockLeaf(rec.route(), buf.data(), stats);
+  if (!locked_r.ok()) co_return locked_r.status();
+  co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
+  NodeView view(buf.data(), &opt().shape);
+  LeafWrite w;
+  if (!rec.Remove(&view, &w)) {
+    co_await hocl_.Unlock(locked_r->guard, {}, opt().combine_commands, stats);
+    co_return Status::NotFound();
   }
-  co_return Status::Internal("insert restarts exhausted");
+  if (w.seal) SealNode(view);
+  co_await MergeOrWriteBack(*locked_r, buf.data(), w, stats);
+  co_await rec.Removed(*this, stats);
+  co_return Status::OK();
 }
 
-sim::Task<Status> TreeClient::SplitLeafAndUnlock(Locked locked,
+// --- leaf splits ------------------------------------------------------------
+
+namespace {
+struct SplitSites {
+  int intent;     // intent published, nothing else written
+  int sibling;    // cross-MS sibling written ahead of the commit batch
+  int committed;  // both nodes written, lock released
+  int linked;     // separator inserted one level up
+};
+const SplitSites kLeafSplitSites = {kCrashSplitIntent, kCrashSplitSibling,
+                                    kCrashSplitLeaf, kCrashSplitLinked};
+const SplitSites kInternalSplitSites = {kCrashIsplitIntent, kCrashIsplitRight,
+                                        kCrashIsplitCommit, kCrashIsplitLinked};
+}  // namespace
+
+template <class R>
+sim::Task<Status> TreeClient::SplitLeafAndUnlock(R& rec, Locked locked,
                                                  std::vector<uint8_t> buf,
-                                                 Key key, uint64_t value,
                                                  OpStats* stats) {
   SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "tree.split_leaf");
   const TreeOptions& o = opt();
@@ -784,87 +922,71 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(Locked locked,
   NodeView view(buf.data(), &o.shape);
   co_await system_->fabric_.simulator().Delay(f.cpu_node_sort_ns);
 
-  // Collect live entries (+ the new pair), sorted (Figure 7, line 21).
-  std::vector<std::pair<Key, uint64_t>> entries;
-  if (o.two_level_versions) {
-    const uint32_t cap = o.shape.leaf_capacity();
-    for (uint32_t i = 0; i < cap; i++) {
-      const Key k = view.LeafKey(i);
-      if (k != kNullKey) entries.emplace_back(k, view.LeafValue(i));
-    }
-  } else {
-    const uint32_t n = view.count();
-    for (uint32_t i = 0; i < n; i++) {
-      entries.emplace_back(view.LeafKey(i), view.LeafValue(i));
-    }
+  StatusOr<Key> cut = rec.Cut(view);
+  if (!cut.ok()) {
+    co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+    co_return cut.status();
   }
-  bool replaced = false;
-  for (auto& e : entries) {
-    if (e.first == key) {
-      e.second = value;
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) entries.emplace_back(key, value);
-  std::sort(entries.begin(), entries.end());
-
   // Allocate the sibling (may RPC a memory thread; Figure 7, line 20).
-  const rdma::GlobalAddress sib_addr =
-      co_await allocator_.Alloc(node_size());
+  const rdma::GlobalAddress sib_addr = co_await allocator_.Alloc(node_size());
   if (sib_addr.is_null()) {
     co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
     co_return Status::OutOfMemory("disaggregated memory exhausted");
   }
-
-  const size_t mid = entries.size() / 2;
-  const Key split_key = entries[mid].first;
+  const Key split_key = *cut;
   const Key old_lo = view.lo_fence();
   const Key old_hi = view.hi_fence();
-  const rdma::GlobalAddress old_sibling = view.sibling();
   const uint8_t new_version = (view.front_version() + 1) & 0xf;
 
-  // Anchor the split before its first remote write: a crash between the
-  // writes below is replayed (commit batch landed: finish the ascent) or
-  // rolled back (retire the unpublished sibling) from this record.
-  recover::IntentRecord intent;
-  intent.op = recover::IntentOp::kSplit;
-  intent.level = 0;
-  intent.lo = old_lo;
-  intent.hi = old_hi;
-  intent.primary = locked.addr;
-  intent.second = sib_addr;
-  intent.aux = split_key;
-  const int intent_slot = co_await intents_.Publish(intent, stats);
-  co_await fault::Injector().AtSite(kCrashSplitIntent, cs_id_);
-
-  // Build the sibling: upper half, fences [split_key, old_hi).
+  // The sibling takes the upper half, fences [split_key, old_hi); this
+  // node keeps the lower half, fences [old_lo, split_key), and points at
+  // the sibling (Figure 7, lines 26-28).
   std::vector<uint8_t> sib_buf(node_size());
   NodeView sib(sib_buf.data(), &o.shape);
-  sib.InitLeaf(split_key, old_hi, old_sibling);
-  for (size_t j = mid; j < entries.size(); j++) {
-    sib.SetLeafEntryRaw(static_cast<uint32_t>(j - mid), entries[j].first,
-                        entries[j].second);
-  }
-  if (!o.two_level_versions) {
-    sib.set_count(static_cast<uint16_t>(entries.size() - mid));
-  }
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    sib.UpdateChecksum();
-  }
-
-  // Rebuild this node: lower half, fences [old_lo, split_key), sibling ->
-  // the new node; node-level versions bump (Figure 7, lines 26-28).
+  sib.InitLeaf(split_key, old_hi, view.sibling());
   view.InitLeaf(old_lo, split_key, sib_addr);
-  for (size_t j = 0; j < mid; j++) {
-    view.SetLeafEntryRaw(static_cast<uint32_t>(j), entries[j].first,
-                         entries[j].second);
-  }
-  if (!o.two_level_versions) view.set_count(static_cast<uint16_t>(mid));
+  rec.Fill(&view, &sib);
+
+  Status st = co_await CommitSplit(locked, /*level=*/0, old_lo, old_hi,
+                                   split_key, sib_addr, new_version,
+                                   buf.data(), sib_buf.data(), stats);
+  // Advertise the new sibling to the hint sidecar. Purely advisory and
+  // after the intent clears: a crash mid-publish leaves a fully committed
+  // split whose sibling is simply not hinted yet. The left leaf's entry
+  // stays valid (same address, same lo fence).
+  co_await HintPublish(sib_addr, split_key, stats);
+  co_return st;
+}
+
+sim::Task<Status> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
+                                          Key lo, Key hi, Key sep,
+                                          rdma::GlobalAddress sib_addr,
+                                          uint8_t new_version, uint8_t* buf,
+                                          uint8_t* sib_buf, OpStats* stats) {
+  const TreeOptions& o = opt();
+  const SplitSites& sites = level == 0 ? kLeafSplitSites : kInternalSplitSites;
+  // Anchor the split before its first remote write: a crash between the
+  // writes below is replayed (commit batch landed: finish the ascent) or
+  // rolled back (retire the unpublished sibling) from this record. Leaf
+  // and internal splits share the record shape; the level tells them
+  // apart. RecoverSplit needs only the u64 separator.
+  recover::IntentRecord intent;
+  intent.op = recover::IntentOp::kSplit;
+  intent.level = level;
+  intent.lo = lo;
+  intent.hi = hi;
+  intent.primary = locked.addr;
+  intent.second = sib_addr;
+  intent.aux = sep;
+  const int intent_slot = co_await intents_.Publish(intent, stats);
+  co_await fault::Injector().AtSite(sites.intent, cs_id_);
+
+  // Node-level versions bump across the rewrite.
   buf[kOffFnv] = new_version;
-  buf[o.shape.node_size - 1] = new_version;
+  buf[node_size() - 1] = new_version;
   if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    view.UpdateChecksum();
+    NodeView(sib_buf, &o.shape).UpdateChecksum();
+    NodeView(buf, &o.shape).UpdateChecksum();
   }
   if (stats != nullptr) stats->bytes_written += 2ull * node_size();
 
@@ -875,20 +997,18 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(Locked locked,
   // exactly {nothing, committed}. A cross-MS sibling needs its own
   // awaited WRITE, adding the sibling-only crash state.
   std::vector<rdma::WorkRequest> wrs;
+  rdma::WorkRequest sw =
+      rdma::WorkRequest::Write(sib_addr, sib_buf, node_size());
+  sw.intent_slot = static_cast<uint8_t>(intent_slot);
   if (sib_addr.node == locked.addr.node) {
-    wrs.push_back(
-        rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size()));
-    wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
+    wrs.push_back(sw);
   } else {
-    rdma::WorkRequest sw =
-        rdma::WorkRequest::Write(sib_addr, sib_buf.data(), node_size());
-    sw.intent_slot = static_cast<uint8_t>(intent_slot);
     rdma::RdmaResult r = co_await QpFor(sib_addr).Post(sw);
     if (stats != nullptr) stats->round_trips++;
     SHERMAN_CHECK(r.status.ok());
-    co_await fault::Injector().AtSite(kCrashSplitSibling, cs_id_);
+    co_await fault::Injector().AtSite(sites.sibling, cs_id_);
   }
-  wrs.push_back(rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
+  wrs.push_back(rdma::WorkRequest::Write(locked.addr, buf, node_size()));
   wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
   co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
                         stats);
@@ -896,22 +1016,16 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(Locked locked,
   // reachable through the B-link chain, so its shadow flips private->live.
   if (dmsan::Active()) {
     if (dmsan::Checker* dc = dmsan::Find(&system_->fabric_.simulator())) {
-      dc->PublishNode(sib_addr, /*level=*/0);
+      dc->PublishNode(sib_addr, level);
     }
   }
-  co_await fault::Injector().AtSite(kCrashSplitLeaf, cs_id_);
+  co_await fault::Injector().AtSite(sites.committed, cs_id_);
 
   // Ascend: insert the separator into the parent level (Figure 7, line 39).
-  Status st = co_await InsertInternal(split_key, sib_addr,
-                                      static_cast<uint8_t>(view.level() + 1),
-                                      stats);
-  co_await fault::Injector().AtSite(kCrashSplitLinked, cs_id_);
+  Status st = co_await InsertInternal(sep, sib_addr,
+                                      static_cast<uint8_t>(level + 1), stats);
+  co_await fault::Injector().AtSite(sites.linked, cs_id_);
   intents_.ClearAsync(intent_slot);
-  // Advertise the new sibling to the hint sidecar. Purely advisory and
-  // after the intent clears: a crash mid-publish leaves a fully committed
-  // split whose sibling is simply not hinted yet. The left leaf's entry
-  // stays valid (same address, same lo fence).
-  co_await HintPublish(sib_addr, split_key, stats);
   co_return st;
 }
 
@@ -921,7 +1035,7 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
   const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
 
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
+  for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
     if (!root_known_) {
       Status st = co_await LoadRoot(stats);
       if (!st.ok()) co_return st;
@@ -956,13 +1070,10 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
 
     co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
     if (view.InternalInsert(sep, child)) {
-      SealNode(view, /*structural_change=*/true);
-      if (stats != nullptr) stats->bytes_written += node_size();
-      std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
-          rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-      co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                            stats);
+      SealNode(view);
+      LeafWrite w;
+      w.WholeNode(node_size());
+      co_await WriteBackAndUnlock(locked, buf.data(), w, stats);
       co_return Status::OK();
     }
 
@@ -994,21 +1105,6 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     const rdma::GlobalAddress old_leftmost = view.leftmost_child();
     const uint8_t new_version = (view.front_version() + 1) & 0xf;
 
-    // Internal splits get their own intent (same record shape as a leaf
-    // split; the level disambiguates): a crashed half-split internal is
-    // B-link-legal but its unpublished right node would leak and its
-    // promoted separator would never reach level+1.
-    recover::IntentRecord intent;
-    intent.op = recover::IntentOp::kSplit;
-    intent.level = level;
-    intent.lo = old_lo;
-    intent.hi = old_hi;
-    intent.primary = locked.addr;
-    intent.second = right_addr;
-    intent.aux = promote;
-    const int intent_slot = co_await intents_.Publish(intent, stats);
-    co_await fault::Injector().AtSite(kCrashIsplitIntent, cs_id_);
-
     std::vector<uint8_t> right_buf(node_size());
     NodeView right(right_buf.data(), &o.shape);
     right.InitInternal(level, promote, old_hi, old_sibling,
@@ -1018,57 +1114,16 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
                              ents[j].first, ents[j].second);
     }
     right.set_count(static_cast<uint16_t>(ents.size() - mid - 1));
-    if (o.consistency == TreeOptions::Consistency::kChecksum) {
-      right.UpdateChecksum();
-    }
-
     view.InitInternal(level, old_lo, promote, right_addr, old_leftmost);
     for (size_t j = 0; j < mid; j++) {
       view.SetInternalEntry(static_cast<uint32_t>(j), ents[j].first,
                             ents[j].second);
     }
     view.set_count(static_cast<uint16_t>(mid));
-    buf[kOffFnv] = new_version;
-    buf[o.shape.node_size - 1] = new_version;
-    if (o.consistency == TreeOptions::Consistency::kChecksum) {
-      view.UpdateChecksum();
-    }
-    if (stats != nullptr) stats->bytes_written += 2ull * node_size();
 
-    // Same-MS right nodes ride the commit batch; cross-MS ones publish
-    // with their own awaited WRITE — see the leaf split's rationale.
-    std::vector<rdma::WorkRequest> wrs;
-    if (right_addr.node == locked.addr.node) {
-      wrs.push_back(
-          rdma::WorkRequest::Write(right_addr, right_buf.data(), node_size()));
-      wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-    } else {
-      rdma::WorkRequest rw =
-          rdma::WorkRequest::Write(right_addr, right_buf.data(), node_size());
-      rw.intent_slot = static_cast<uint8_t>(intent_slot);
-      rdma::RdmaResult r = co_await QpFor(right_addr).Post(rw);
-      if (stats != nullptr) stats->round_trips++;
-      SHERMAN_CHECK(r.status.ok());
-      co_await fault::Injector().AtSite(kCrashIsplitRight, cs_id_);
-    }
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-    wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-    co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                          stats);
-    if (dmsan::Active()) {
-      if (dmsan::Checker* dc = dmsan::Find(&system_->fabric_.simulator())) {
-        dc->PublishNode(right_addr, level);
-      }
-    }
-    co_await fault::Injector().AtSite(kCrashIsplitCommit, cs_id_);
-
-    Status st = co_await InsertInternal(promote, right_addr,
-                                        static_cast<uint8_t>(level + 1),
-                                        stats);
-    co_await fault::Injector().AtSite(kCrashIsplitLinked, cs_id_);
-    intents_.ClearAsync(intent_slot);
-    co_return st;
+    co_return co_await CommitSplit(locked, level, old_lo, old_hi, promote,
+                                   right_addr, new_version, buf.data(),
+                                   right_buf.data(), stats);
   }
   co_return Status::Internal("internal insert restarts exhausted");
 }
@@ -1151,355 +1206,6 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
   co_return Status::OK();
 }
 
-// --- Lookup ----------------------------------------------------------------
-
-sim::Task<Status> TreeClient::Lookup(Key key, uint64_t* value,
-                                     OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-
-  std::vector<uint8_t> buf(node_size());
-  rdma::GlobalAddress probe_addr;  // last tombstone this lookup bounced off
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-    rdma::GlobalAddress addr = leaf_r->addr;
-
-    bool restart = false;
-    uint32_t entry_retries = 0;
-    for (int chase = 0; chase < kMaxSiblingChase && !restart; chase++) {
-      Status st = co_await ReadNodeChecked(addr, buf.data(), stats);
-      if (!st.ok()) co_return st;
-      NodeView view(buf.data(), &o.shape);
-      if (view.is_free() || !view.is_leaf() || key < view.lo_fence()) {
-        cache_.InvalidateLevel1Covering(key);
-        // A hinted leaf that was merged, migrated, or recycled into a
-        // different role: drop the mirror entry and fall back to a full
-        // traversal — the hint is never trusted past validation.
-        if (leaf_r->via_hint && chase == 0) NoteHintStale(key);
-        if (view.is_free()) probe_addr = addr;
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        restart = true;
-        break;
-      }
-      if (key >= view.hi_fence()) {
-        cache_.InvalidateLevel1Covering(key);
-        // Valid hinted leaf, but the key split off to its right since the
-        // mirror was fetched; the B-link chase below still serves it.
-        if (leaf_r->via_hint && chase == 0) NoteHintChase();
-        if (view.sibling().is_null()) {
-          restart = true;
-          break;
-        }
-        addr = view.sibling();
-        continue;
-      }
-      if (o.two_level_versions) {
-        // Unsorted leaf: full scan, then the entry-level check (Figure 9).
-        co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-        NodeView::SlotResult slot = view.FindLeafSlot(key);
-        if (slot.match == UINT32_MAX) co_return Status::NotFound();
-        if (!view.LeafEntryVersionsMatch(slot.match)) {
-          if (stats != nullptr) stats->read_retries++;
-          if (++entry_retries > o.max_read_retries) {
-            co_return Status::TimedOut("entry version retries exhausted");
-          }
-          chase--;  // re-read the same leaf
-          continue;
-        }
-        *value = view.LeafValue(slot.match);
-        co_return Status::OK();
-      }
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t i = view.SortedLeafFind(key);
-      if (i == UINT32_MAX) co_return Status::NotFound();
-      *value = view.LeafValue(i);
-      co_return Status::OK();
-    }
-    // Chase bound exhausted: a stale translation steered us far left of
-    // the key (heavy split/merge churn since it was cached). The chase
-    // already invalidated it, so a restart resolves freshly — failing the
-    // op here would surface a spurious error for a live key.
-    if (!restart) {
-      // A hinted start that needed > kMaxSiblingChase hops was not the
-      // key's leaf at all (mirror predecessor across a hint-table hole):
-      // drop the entry so later ops stop re-serving it.
-      if (leaf_r->via_hint) NoteHintStale(key);
-      if (attempt >= 2) root_known_ = false;
-    }
-    // Repeated bounces off the same tombstone mean the structural op that
-    // planted it may have died with its client; probe its lock so a dead
-    // holder's lease expiry is noticed and recovered (see
-    // ProbeLockForRecovery).
-    if (!probe_addr.is_null() && (attempt & 7) == 7) {
-      co_await ProbeLockForRecovery(probe_addr, stats);
-      probe_addr = rdma::GlobalAddress();
-    }
-  }
-  co_return Status::Internal("lookup restarts exhausted");
-}
-
-// --- Delete ----------------------------------------------------------------
-
-sim::Task<Status> TreeClient::Delete(Key key, OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(key, stats, /*allow_hint=*/attempt == 0);
-    if (!leaf_r.ok()) co_return leaf_r.status();
-
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, key, buf.data(), stats);
-    if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        if (leaf_r->via_hint) NoteHintStale(key);  // see Insert
-        if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
-        continue;
-      }
-      co_return locked_r.status();
-    }
-    Locked locked = *locked_r;
-    NodeView view(buf.data(), &o.shape);
-
-    std::vector<rdma::WorkRequest> wrs;
-    uint64_t write_bytes = 0;
-    uint32_t live = 0;
-    if (o.two_level_versions) {
-      // Clear the entry (key = null) and bump its versions (§4.4,
-      // "Delete operation"); only the entry is written back.
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      if (slot.match == UINT32_MAX) {
-        co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-        co_return Status::NotFound();
-      }
-      view.SetLeafEntry(slot.match, kNullKey, 0);
-      const uint32_t off = view.LeafEntryOffset(slot.match);
-      const uint32_t entry_size = o.shape.leaf_entry_size();
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                             buf.data() + off, entry_size));
-      write_bytes = entry_size;
-      if (o.merge_threshold > 0) live = view.LiveLeafEntries(true);
-    } else {
-      // Sorted leaf (FG): shift-remove locally, then write back only what
-      // changed — the header (count, seal) and the left-shifted suffix —
-      // instead of the whole node; remote bytes past the suffix still
-      // equal the local staging copy, so checksum validation stays exact.
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t n_before = view.count();
-      const uint32_t found = view.SortedLeafFind(key);
-      if (found == UINT32_MAX) {
-        co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-        co_return Status::NotFound();
-      }
-      view.SortedLeafRemoveAt(found);
-      SealNode(view, /*structural_change=*/false);
-      wrs.push_back(
-          rdma::WorkRequest::Write(locked.addr, buf.data(), kHeaderSize));
-      write_bytes = kHeaderSize;
-      const uint32_t suffix_off = view.LeafEntryOffset(found);
-      const uint32_t suffix_len = view.LeafEntryOffset(n_before) - suffix_off;
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(suffix_off),
-                                             buf.data() + suffix_off,
-                                             suffix_len));
-      write_bytes += suffix_len;
-      if (o.consistency == TreeOptions::Consistency::kVersions) {
-        // The rear node version lives in the last byte, outside both
-        // regions above.
-        wrs.push_back(rdma::WorkRequest::Write(
-            locked.addr.Plus(node_size() - 1), buf.data() + node_size() - 1,
-            1));
-        write_bytes += 1;
-      }
-      live = n_before - 1;
-    }
-
-    delete_ops_++;
-    if (MergeCandidate(view, live) && MergeBackoffExpired(locked.addr)) {
-      const bool merged = co_await TryMergeLeafLocked(locked, buf.data(),
-                                                      stats);
-      if (merged) co_return Status::OK();
-    }
-    if (stats != nullptr) stats->bytes_written += write_bytes;
-    co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                          stats);
-    co_return Status::OK();
-  }
-  co_return Status::Internal("delete restarts exhausted");
-}
-
-// --- MultiDelete ------------------------------------------------------------
-
-sim::Task<void> TreeClient::ApplyDeleteGroup(
-    rdma::GlobalAddress addr, std::vector<size_t> idxs,
-    const std::vector<Key>* keys, std::vector<Status>* out,
-    std::vector<uint8_t>* defer, OpStats* stats, sim::CountdownLatch* latch) {
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  std::vector<uint8_t> buf(node_size());
-  const Key first_key = (*keys)[idxs[0]];
-  StatusOr<Locked> locked_r =
-      co_await LockAndRead(addr, first_key, buf.data(), stats);
-  if (!locked_r.ok()) {
-    for (size_t idx : idxs) (*defer)[idx] = 1;
-    latch->Arrive();
-    co_return;
-  }
-  Locked locked = *locked_r;
-  NodeView view(buf.data(), &o.shape);
-
-  std::vector<rdma::WorkRequest> wrs;
-  uint64_t write_bytes = 0;
-  const uint32_t n_before = o.two_level_versions ? 0 : view.count();
-  uint32_t min_shift = UINT32_MAX;  // sorted mode: leftmost removed slot
-  uint32_t removed = 0;
-  for (size_t idx : idxs) {
-    const Key key = (*keys)[idx];
-    if (!view.InFence(key)) {  // sibling chase moved us off this key
-      (*defer)[idx] = 1;
-      continue;
-    }
-    if (o.two_level_versions) {
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      if (slot.match == UINT32_MAX) {
-        (*out)[idx] = Status::NotFound();
-        continue;
-      }
-      view.SetLeafEntry(slot.match, kNullKey, 0);
-      const uint32_t off = view.LeafEntryOffset(slot.match);
-      const uint32_t entry_size = o.shape.leaf_entry_size();
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                             buf.data() + off, entry_size));
-      write_bytes += entry_size;
-      (*out)[idx] = Status::OK();
-    } else {
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      const uint32_t found = view.SortedLeafFind(key);
-      if (found == UINT32_MAX) {
-        (*out)[idx] = Status::NotFound();
-        continue;
-      }
-      view.SortedLeafRemoveAt(found);
-      min_shift = std::min(min_shift, found);
-      removed++;
-      (*out)[idx] = Status::OK();
-    }
-  }
-  if (!o.two_level_versions && removed > 0) {
-    // One header + one suffix write covering every shifted entry.
-    SealNode(view, /*structural_change=*/false);
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), kHeaderSize));
-    const uint32_t suffix_off = view.LeafEntryOffset(min_shift);
-    const uint32_t suffix_len = view.LeafEntryOffset(n_before) - suffix_off;
-    wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(suffix_off),
-                                           buf.data() + suffix_off,
-                                           suffix_len));
-    write_bytes += kHeaderSize + suffix_len;
-    if (o.consistency == TreeOptions::Consistency::kVersions) {
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(node_size() - 1),
-                                             buf.data() + node_size() - 1, 1));
-      write_bytes += 1;
-    }
-  }
-
-  const uint32_t live =
-      o.merge_threshold > 0 ? view.LiveLeafEntries(o.two_level_versions) : 0;
-  delete_ops_++;
-  if ((write_bytes > 0 || removed > 0) && MergeCandidate(view, live) &&
-      MergeBackoffExpired(locked.addr)) {
-    const bool merged = co_await TryMergeLeafLocked(locked, buf.data(), stats);
-    if (merged) {
-      latch->Arrive();
-      co_return;
-    }
-  }
-  if (stats != nullptr) stats->bytes_written += write_bytes;
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
-  latch->Arrive();
-}
-
-sim::Task<Status> TreeClient::MultiDelete(std::vector<Key> keys,
-                                          std::vector<Status>* out,
-                                          OpStats* stats) {
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  out->assign(keys.size(), Status::NotFound());
-  if (keys.empty()) co_return Status::OK();
-  for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-
-  // Phase 1 — plan leaves concurrently, one descent per DISTINCT key
-  // (same as MultiGet/MultiInsert).
-  const size_t n = keys.size();
-  std::map<Key, size_t> plan_of;  // key -> plan slot
-  std::vector<Key> uniq;
-  for (Key k : keys) {
-    auto [it, inserted] = plan_of.try_emplace(k, uniq.size());
-    if (inserted) uniq.push_back(k);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 2 — group by target leaf; each group clears its entries under
-  // one lock with the writes + release in a single doorbell, groups in
-  // parallel. Duplicate keys within a batch stay in one group (same
-  // planned leaf), so the second clear simply reports NotFound.
-  std::vector<uint8_t> defer(n, 0);
-  std::map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[keys[i]];
-    if (plan_st[j].ok()) {
-      groups[refs[j].addr.ToU64()].push_back(i);
-    } else {
-      defer[i] = 1;
-    }
-  }
-  if (!groups.empty()) {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
-                  groups.size());
-    sim::CountdownLatch latch(groups.size());
-    for (auto& [addr_u64, idxs] : groups) {
-      sim::Spawn(ApplyDeleteGroup(rdma::GlobalAddress::FromU64(addr_u64),
-                                  std::move(idxs), &keys, out, &defer, stats,
-                                  &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 3 — deferred keys (fence moves, plan failures) go through the
-  // full op-at-a-time delete.
-  Status overall = Status::OK();
-  for (size_t i = 0; i < n; i++) {
-    if (!defer[i]) continue;
-    Status st = co_await Delete(keys[i], stats);
-    (*out)[i] = st;
-    if (!st.ok() && !st.IsNotFound() && overall.ok()) overall = st;
-  }
-  co_return overall;
-}
-
 // --- Range query -----------------------------------------------------------
 
 sim::Task<void> TreeClient::ReadInto(rdma::GlobalAddress addr, uint8_t* buf,
@@ -1509,11 +1215,13 @@ sim::Task<void> TreeClient::ReadInto(rdma::GlobalAddress addr, uint8_t* buf,
   latch->Arrive();
 }
 
-sim::Task<void> TreeClient::ProbeLockForRecovery(rdma::GlobalAddress addr,
+sim::Task<void> TreeClient::ProbeLockForRecovery(rdma::GlobalAddress* addr,
+                                                 uint32_t attempt,
                                                  OpStats* stats) {
-  if (addr.is_null()) co_return;
-  LockGuard g = co_await hocl_.Lock(addr, stats);
+  if (addr->is_null() || (attempt & 7) != 7) co_return;
+  LockGuard g = co_await hocl_.Lock(*addr, stats);
   co_await hocl_.Unlock(g, {}, opt().combine_commands, stats);
+  *addr = rdma::GlobalAddress();
 }
 
 sim::Task<Status> TreeClient::RangeQuery(
@@ -1528,17 +1236,12 @@ sim::Task<Status> TreeClient::RangeQuery(
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
 
   Key cursor = from;
+  const FixedPolicy leaf_ops(o, from);
   const uint32_t per_leaf_estimate = std::max(1u, o.shape.leaf_capacity() / 2);
   std::vector<std::vector<uint8_t>> bufs;
   rdma::GlobalAddress probe_addr;  // last tombstone this scan bounced off
 
-  for (uint32_t attempt = 0; attempt < o.max_restarts; attempt++) {
-    // See Lookup: repeated bounces off one tombstone may mean its writer
-    // died mid-structural-op; probe its lock so recovery triggers.
-    if (!probe_addr.is_null() && attempt > 0 && (attempt & 7) == 0) {
-      co_await ProbeLockForRecovery(probe_addr, stats);
-      probe_addr = rdma::GlobalAddress();
-    }
+  for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
     // Plan a batch of target leaves from the cached level-1 node, falling
     // back to a single traversal; fetch them with parallel RDMA_READs
     // (§4.4, "Range query").
@@ -1618,34 +1321,9 @@ sim::Task<Status> TreeClient::RangeQuery(
           // widened it over an already-scanned range — and re-collecting
           // [lo, cursor) would duplicate keys out of order); a torn entry
           // forces a leaf re-read.
-          co_await system_->fabric_.simulator().Delay(
-              o.two_level_versions ? f.cpu_leaf_scan_ns
-                                   : f.cpu_node_search_ns);
-          std::vector<std::pair<Key, uint64_t>> got;
-          if (o.two_level_versions) {
-            const uint32_t cap = o.shape.leaf_capacity();
-            for (uint32_t s = 0; s < cap; s++) {
-              const Key k = view.LeafKey(s);
-              if (k == kNullKey) continue;
-              if (!view.LeafEntryVersionsMatch(s)) {
-                reread_needed = true;
-                break;
-              }
-              if (k >= cursor) got.emplace_back(k, view.LeafValue(s));
-            }
-          } else {
-            const uint32_t n = view.count();
-            for (uint32_t s = 0; s < n; s++) {
-              const Key k = view.LeafKey(s);
-              if (k >= cursor) got.emplace_back(k, view.LeafValue(s));
-            }
-          }
+          co_await system_->fabric_.simulator().Delay(leaf_ops.SearchNs(f));
+          reread_needed = !leaf_ops.Collect(view, cursor, count, out);
           if (!reread_needed) {
-            std::sort(got.begin(), got.end());
-            for (const auto& kv : got) {
-              if (out->size() >= count) break;
-              out->push_back(kv);
-            }
             cursor = view.hi_fence();
             if (out->size() >= count || cursor == kMaxKey) done = true;
             break;
@@ -1660,11 +1338,14 @@ sim::Task<Status> TreeClient::RangeQuery(
       }
     }
     if (done) co_return Status::OK();
+    // Repeated bounces off one tombstone may mean its writer died
+    // mid-structural-op (see ReadLeafChasing).
+    co_await ProbeLockForRecovery(&probe_addr, attempt, stats);
   }
   co_return Status::Internal("range restarts exhausted");
 }
 
-// --- Batched operations (MultiGet / MultiInsert) ---------------------------
+// --- batched ops ------------------------------------------------------------
 
 namespace {
 // Cap on READs per doorbell ring (real NIC postlists are bounded); larger
@@ -1684,6 +1365,38 @@ sim::Task<void> TreeClient::PlanLeafInto(Key key, LeafRef* ref, Status* st,
   latch->Arrive();
 }
 
+sim::Task<std::vector<rdma::GlobalAddress>> TreeClient::PlanLeaves(
+    const std::vector<Key>& routes, OpStats* stats) {
+  // Hot keys repeat in Zipfian batches, and varlen keys share routing
+  // keys: one descent serves every copy. Cache hits are local; misses
+  // traverse concurrently.
+  std::map<Key, size_t> plan_of;  // routing key -> plan slot
+  std::vector<Key> uniq;
+  for (Key rk : routes) {
+    if (rk != kNullKey && plan_of.try_emplace(rk, uniq.size()).second) {
+      uniq.push_back(rk);
+    }
+  }
+  std::vector<LeafRef> refs(uniq.size());
+  std::vector<Status> plan_st(uniq.size(), Status::OK());
+  {
+    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
+                  uniq.size());
+    sim::CountdownLatch latch(uniq.size());
+    for (size_t j = 0; j < uniq.size(); j++) {
+      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
+    }
+    co_await latch.Wait();
+  }
+  std::vector<rdma::GlobalAddress> leaves(routes.size());
+  for (size_t i = 0; i < routes.size(); i++) {
+    if (routes[i] == kNullKey) continue;
+    const size_t j = plan_of[routes[i]];
+    if (plan_st[j].ok()) leaves[i] = refs[j].addr;
+  }
+  co_return leaves;
+}
+
 sim::Task<void> TreeClient::PostReadsInto(uint16_t ms_node,
                                           std::vector<rdma::WorkRequest> wrs,
                                           OpStats* stats,
@@ -1697,61 +1410,15 @@ sim::Task<void> TreeClient::PostReadsInto(uint16_t ms_node,
   latch->Arrive();
 }
 
-sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
-                                       std::vector<MultiGetResult>* out,
-                                       OpStats* stats) {
-  const TreeOptions& o = opt();
-  const rdma::FabricConfig& f = system_->fabric_.config();
+sim::Task<bool> TreeClient::FetchLeaves(
+    const std::vector<rdma::GlobalAddress>& leaves,
+    std::vector<std::vector<uint8_t>>* bufs, OpStats* stats) {
   sim::Simulator& sim = system_->fabric_.simulator();
-  out->assign(keys.size(), MultiGetResult{});
-  if (keys.empty()) co_return Status::OK();
-  for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await sim.Delay(f.cpu_op_overhead_ns);
-
-  // Phase 1 — plan: resolve every DISTINCT key to a leaf address (hot
-  // keys repeat in Zipfian batches; one descent serves all copies). Cache
-  // hits are local; misses traverse, and the traversals run concurrently
-  // so their upper-level READs overlap instead of paying a full descent
-  // each.
-  const size_t n = keys.size();
-  std::map<Key, size_t> plan_of;  // key -> plan slot
-  std::vector<Key> uniq;
-  for (Key k : keys) {
-    auto [it, inserted] = plan_of.try_emplace(k, uniq.size());
-    if (inserted) uniq.push_back(k);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
-
-  // Phase 2 — fetch: one buffer per distinct leaf, one doorbell-batched
-  // READ list per memory server (chunked at the NIC postlist cap).
-  std::map<uint64_t, size_t> buf_of;  // leaf addr -> buffer index
-  std::vector<rdma::GlobalAddress> leaves;
-  std::vector<size_t> key_buf(n, SIZE_MAX);
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[keys[i]];
-    if (!plan_st[j].ok()) continue;
-    const rdma::GlobalAddress addr = refs[j].addr;
-    auto [it, inserted] = buf_of.try_emplace(addr.ToU64(), leaves.size());
-    if (inserted) leaves.push_back(addr);
-    key_buf[i] = it->second;
-  }
-  std::vector<std::vector<uint8_t>> bufs(leaves.size(),
-                                         std::vector<uint8_t>(node_size()));
+  bufs->assign(leaves.size(), std::vector<uint8_t>(node_size()));
   std::map<uint16_t, std::vector<rdma::WorkRequest>> per_ms;
   for (size_t j = 0; j < leaves.size(); j++) {
     per_ms[leaves[j].node].push_back(
-        rdma::WorkRequest::Read(leaves[j], bufs[j].data(), node_size()));
+        rdma::WorkRequest::Read(leaves[j], (*bufs)[j].data(), node_size()));
   }
   std::vector<std::pair<uint16_t, std::vector<rdma::WorkRequest>>> rings;
   for (auto& [ms, wrs] : per_ms) {
@@ -1771,17 +1438,67 @@ sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
     }
     co_await latch.Wait();
   }
-
-  // 4-bit wraparound guard (§4.4), batch edition: if the whole fetch took
-  // longer than a full version cycle could, don't trust version-matching
-  // leaves — re-serve through the checked singleton path.
-  const bool slow_fetch =
-      o.consistency == TreeOptions::Consistency::kVersions &&
+  // 4-bit wraparound guard (§4.4), batch edition: a fetch longer than a
+  // full version cycle could take proves nothing by matching versions.
+  co_return opt().consistency == TreeOptions::Consistency::kVersions &&
       sim.now() - fetch_start > WrapGuardNs();
+}
 
-  // Phase 3 — validate locally; anything stale or torn falls back.
+template <class R>
+sim::Task<void> TreeClient::FetchInto(R* rec, Status* st, OpStats* stats,
+                                      sim::CountdownLatch* latch) {
+  *st = co_await rec->Fetch(*this, stats);
+  latch->Arrive();
+}
+
+template <class R, class K>
+sim::Task<Status> TreeClient::MultiGetRecords(
+    std::vector<K> keys, std::vector<typename R::Result>* out,
+    OpStats* stats) {
+  const TreeOptions& o = opt();
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  sim::Simulator& sim = system_->fabric_.simulator();
+  out->assign(keys.size(), typename R::Result{});
+  if (keys.empty()) co_return Status::OK();
+  const size_t n = keys.size();
+  std::vector<R> recs;
+  recs.reserve(n);
+  std::vector<Key> routes(n, kNullKey);  // kNullKey: rejected, not planned
+  for (size_t i = 0; i < n; i++) {
+    recs.push_back(R(o, keys[i], {}, &(*out)[i].value));
+    const Status st = recs[i].Check();
+    if (st.ok()) {
+      routes[i] = recs[i].route();
+    } else {
+      (*out)[i].status = st;
+    }
+  }
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await sim.Delay(f.cpu_op_overhead_ns);
+
+  // Phase 1 — plan every key to its leaf.
+  const std::vector<rdma::GlobalAddress> planned =
+      co_await PlanLeaves(routes, stats);
+
+  // Phase 2 — fetch each distinct leaf once, doorbell-batched per MS.
+  std::map<uint64_t, size_t> buf_of;  // leaf addr -> buffer index
+  std::vector<rdma::GlobalAddress> leaves;
+  std::vector<size_t> key_buf(n, SIZE_MAX);
+  for (size_t i = 0; i < n; i++) {
+    if (planned[i].is_null()) continue;
+    auto [it, inserted] = buf_of.try_emplace(planned[i].ToU64(), leaves.size());
+    if (inserted) leaves.push_back(planned[i]);
+    key_buf[i] = it->second;
+  }
+  std::vector<std::vector<uint8_t>> bufs;
+  const bool slow_fetch = co_await FetchLeaves(leaves, &bufs, stats);
+
+  // Phase 3 — validate locally. Stale plans and torn reads fall back to
+  // the singleton path; out-of-line values resolve concurrently.
+  std::vector<size_t> remote;
   std::vector<size_t> retry;
   for (size_t i = 0; i < n; i++) {
+    if (routes[i] == kNullKey) continue;
     if (key_buf[i] == SIZE_MAX) {
       // Planning failed (e.g. restarts exhausted under churn); the
       // singleton path retries from scratch with its own bounds.
@@ -1795,34 +1512,34 @@ sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
       retry.push_back(i);
       continue;
     }
-    if (view.is_free() || !view.is_leaf() || !view.InFence(keys[i])) {
-      cache_.InvalidateLevel1Covering(keys[i]);
+    if (view.is_free() || !view.is_leaf() || !view.InFence(routes[i])) {
+      cache_.InvalidateLevel1Covering(routes[i]);
       retry.push_back(i);
       continue;
     }
-    if (o.two_level_versions) {
-      co_await sim.Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(keys[i]);
-      if (slot.match == UINT32_MAX) {
-        (*out)[i].status = Status::NotFound();
-        continue;
-      }
-      if (!view.LeafEntryVersionsMatch(slot.match)) {
-        if (stats != nullptr) stats->read_retries++;
-        retry.push_back(i);
-        continue;
-      }
-      (*out)[i].status = Status::OK();
-      (*out)[i].value = view.LeafValue(slot.match);
+    co_await sim.Delay(recs[i].SearchNs(f));
+    const LeafRead got = recs[i].Read(view);
+    if (got == LeafRead::kTorn) {
+      if (stats != nullptr) stats->read_retries++;
+      retry.push_back(i);
+    } else if (got == LeafRead::kRemote) {
+      remote.push_back(i);
     } else {
-      co_await sim.Delay(f.cpu_node_search_ns);
-      const uint32_t at = view.SortedLeafFind(keys[i]);
-      if (at == UINT32_MAX) {
-        (*out)[i].status = Status::NotFound();
-      } else {
-        (*out)[i].status = Status::OK();
-        (*out)[i].value = view.LeafValue(at);
-      }
+      (*out)[i].status =
+          got == LeafRead::kHit ? Status::OK() : Status::NotFound();
+    }
+  }
+  if (!remote.empty()) {
+    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr,
+                  "multiget.vlog_fetch", remote.size());
+    sim::CountdownLatch latch(remote.size());
+    for (size_t i : remote) {
+      sim::Spawn(FetchInto(&recs[i], &(*out)[i].status, stats, &latch));
+    }
+    co_await latch.Wait();
+    // Relocated mid-flight: the singleton path re-reads leaf + value.
+    for (size_t i : remote) {
+      if ((*out)[i].status.IsCorruption()) retry.push_back(i);
     }
   }
 
@@ -1832,143 +1549,318 @@ sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
                 "multiget.fallback", retry.size());
   Status overall = Status::OK();
   for (size_t i : retry) {
-    uint64_t value = 0;
-    Status st = co_await Lookup(keys[i], &value, stats);
-    if (st.ok()) {
-      (*out)[i].status = Status::OK();
-      (*out)[i].value = value;
-    } else {
-      (*out)[i].status = st;
-      if (!st.IsNotFound() && overall.ok()) overall = st;
-    }
+    const Status st = co_await Get(recs[i], stats);
+    (*out)[i].status = st;
+    if (!st.ok() && !st.IsNotFound() && overall.ok()) overall = st;
   }
   co_return overall;
 }
 
-sim::Task<void> TreeClient::ApplyInsertGroup(
-    rdma::GlobalAddress addr, std::vector<size_t> idxs,
-    const std::vector<std::pair<Key, uint64_t>>* kvs,
-    std::vector<uint8_t>* defer, OpStats* stats, sim::CountdownLatch* latch) {
-  const TreeOptions& o = opt();
+template <class Apply>
+sim::Task<void> TreeClient::ApplyGroups(
+    const std::vector<rdma::GlobalAddress>& planned,
+    std::vector<uint8_t>* defer, OpStats* stats, Apply apply) {
+  std::map<uint64_t, std::vector<size_t>> groups;  // leaf addr -> items
+  for (size_t i = 0; i < planned.size(); i++) {
+    if (planned[i].is_null()) {
+      (*defer)[i] = 1;
+    } else {
+      groups[planned[i].ToU64()].push_back(i);
+    }
+  }
+  if (groups.empty()) co_return;
+  SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
+                groups.size());
+  sim::CountdownLatch latch(groups.size());
+  for (auto& [addr_u64, idxs] : groups) {
+    sim::Spawn(
+        apply(rdma::GlobalAddress::FromU64(addr_u64), std::move(idxs), &latch));
+  }
+  co_await latch.Wait();
+}
+
+template <class R>
+sim::Task<void> TreeClient::ApplyPutGroup(
+    rdma::GlobalAddress addr, std::vector<size_t> idxs, std::vector<R>* recs,
+    std::vector<uint8_t>* defer, std::vector<uint64_t>* retired,
+    OpStats* stats, sim::CountdownLatch* latch) {
   const rdma::FabricConfig& f = system_->fabric_.config();
   std::vector<uint8_t> buf(node_size());
-  const Key first_key = (*kvs)[idxs[0]].first;
-  StatusOr<Locked> locked_r =
-      co_await LockAndRead(addr, first_key, buf.data(), stats);
+  StatusOr<Locked> locked_r = co_await LockAndRead(
+      addr, (*recs)[idxs[0]].route(), buf.data(), stats);
   if (!locked_r.ok()) {
     for (size_t idx : idxs) (*defer)[idx] = 1;
     latch->Arrive();
     co_return;
   }
-  Locked locked = *locked_r;
-  NodeView view(buf.data(), &o.shape);
-
-  std::vector<rdma::WorkRequest> wrs;
-  bool whole_node = false;
+  NodeView view(buf.data(), &opt().shape);
+  LeafWrite w;
   for (size_t idx : idxs) {
-    const Key key = (*kvs)[idx].first;
-    const uint64_t value = (*kvs)[idx].second;
-    if (!view.InFence(key)) {  // sibling chase moved us off this key
+    R& rec = (*recs)[idx];
+    if (!view.InFence(rec.route())) {  // sibling chase moved us off this key
       (*defer)[idx] = 1;
       continue;
     }
-    if (o.two_level_versions) {
-      co_await system_->fabric_.simulator().Delay(f.cpu_leaf_scan_ns);
-      NodeView::SlotResult slot = view.FindLeafSlot(key);
-      const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-      if (i == UINT32_MAX) {  // full: the split goes through Insert()
-        (*defer)[idx] = 1;
-        continue;
-      }
-      view.SetLeafEntry(i, key, value);
-      const uint32_t off = view.LeafEntryOffset(i);
-      const uint32_t entry_size = o.shape.leaf_entry_size();
-      if (stats != nullptr) stats->bytes_written += entry_size;
-      wrs.push_back(rdma::WorkRequest::Write(locked.addr.Plus(off),
-                                             buf.data() + off, entry_size));
+    co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
+    if (!rec.Put(&view, &w)) {  // full: the split goes through Put()
+      (*defer)[idx] = 1;
+      continue;
+    }
+    rec.Applied(*this, retired);
+  }
+  if (w.seal) SealNode(view);
+  co_await WriteBackAndUnlock(*locked_r, buf.data(), w, stats);
+  latch->Arrive();
+}
+
+template <class R, class K, class V>
+sim::Task<Status> TreeClient::MultiPut(std::vector<std::pair<K, V>> kvs,
+                                       OpStats* stats) {
+  if (kvs.empty()) co_return Status::OK();
+  const size_t n = kvs.size();
+  std::vector<R> recs;
+  recs.reserve(n);
+  std::vector<Key> routes(n);
+  for (size_t i = 0; i < n; i++) {
+    recs.push_back(R(opt(), kvs[i].first, kvs[i].second));
+    const Status st = recs[i].CheckPut();
+    if (!st.ok()) co_return st;
+    routes[i] = recs[i].route();
+  }
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await system_->fabric_.simulator().Delay(
+      system_->fabric_.config().cpu_op_overhead_ns);
+
+  // Phase 0 — stage every record before any lock. SEQUENTIAL on purpose:
+  // a value-log Append mutates the per-class open segment between awaits,
+  // and two concurrent rotations of one class would leak a segment.
+  for (R& rec : recs) {
+    const Status st = co_await rec.Stage(*this, stats);
+    if (!st.ok()) co_return st;
+  }
+
+  // Phase 1 — plan; phase 2 — group by target leaf and apply each group
+  // under one lock, groups in parallel, each group's write-back riding its
+  // lock release. Duplicate keys stay in one group (same plan), applied in
+  // batch order: the later write wins in the staged leaf.
+  const std::vector<rdma::GlobalAddress> planned =
+      co_await PlanLeaves(routes, stats);
+  std::vector<uint8_t> defer(n, 0);
+  std::vector<uint64_t> retired;  // value-log extents the groups superseded
+  co_await ApplyGroups(
+      planned, &defer, stats,
+      [&](rdma::GlobalAddress addr, std::vector<size_t> idxs,
+          sim::CountdownLatch* latch) {
+        return ApplyPutGroup(addr, std::move(idxs), &recs, &defer, &retired,
+                             stats, latch);
+      });
+  // Retire superseded extents only once every group's write-back landed.
+  for (uint64_t p : retired) co_await vlog_->Retire(p, stats);
+
+  // Phase 3 — deferred records (splits, fence moves, plan failures) take
+  // the singleton path, which stages its own copy: drop the batch's.
+  for (size_t i = 0; i < n; i++) {
+    if (!defer[i]) continue;
+    co_await recs[i].Abandon(*this, stats);
+    const Status st = co_await Put(recs[i], stats);
+    if (!st.ok()) co_return st;
+  }
+  co_return Status::OK();
+}
+
+template <class R>
+sim::Task<void> TreeClient::ApplyRemoveGroup(
+    rdma::GlobalAddress addr, std::vector<size_t> idxs, std::vector<R>* recs,
+    std::vector<Status>* out, std::vector<uint8_t>* defer, OpStats* stats,
+    sim::CountdownLatch* latch) {
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  std::vector<uint8_t> buf(node_size());
+  StatusOr<Locked> locked_r = co_await LockAndRead(
+      addr, (*recs)[idxs[0]].route(), buf.data(), stats);
+  if (!locked_r.ok()) {
+    for (size_t idx : idxs) (*defer)[idx] = 1;
+    latch->Arrive();
+    co_return;
+  }
+  NodeView view(buf.data(), &opt().shape);
+  LeafWrite w;
+  std::vector<size_t> removed;
+  for (size_t idx : idxs) {
+    R& rec = (*recs)[idx];
+    if (!view.InFence(rec.route())) {  // sibling chase moved us off this key
+      (*defer)[idx] = 1;
+      continue;
+    }
+    co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
+    if (rec.Remove(&view, &w)) {
+      (*out)[idx] = Status::OK();
+      removed.push_back(idx);
     } else {
-      co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
-      if (!view.SortedLeafInsert(key, value)) {
-        (*defer)[idx] = 1;
-        continue;
-      }
-      whole_node = true;
+      (*out)[idx] = Status::NotFound();
     }
   }
-  if (whole_node) {
-    SealNode(view, /*structural_change=*/false);
-    if (stats != nullptr) stats->bytes_written += node_size();
-    wrs.clear();
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-  }
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
+  if (w.seal) SealNode(view);
+  co_await MergeOrWriteBack(*locked_r, buf.data(), w, stats);
+  for (size_t idx : removed) co_await (*recs)[idx].Removed(*this, stats);
   latch->Arrive();
+}
+
+template <class R, class K>
+sim::Task<Status> TreeClient::MultiRemove(std::vector<K> keys,
+                                          std::vector<Status>* out,
+                                          OpStats* stats) {
+  out->assign(keys.size(), Status::NotFound());
+  if (keys.empty()) co_return Status::OK();
+  const size_t n = keys.size();
+  std::vector<R> recs;
+  recs.reserve(n);
+  std::vector<Key> routes(n);
+  for (size_t i = 0; i < n; i++) {
+    recs.push_back(R(opt(), keys[i]));
+    const Status st = recs[i].Check();
+    if (!st.ok()) co_return st;
+    routes[i] = recs[i].route();
+  }
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await system_->fabric_.simulator().Delay(
+      system_->fabric_.config().cpu_op_overhead_ns);
+
+  // Plan, then clear each leaf group's entries under one lock with the
+  // writes + release in a single doorbell, groups in parallel. Duplicate
+  // keys stay in one group, so the second removal reports NotFound.
+  const std::vector<rdma::GlobalAddress> planned =
+      co_await PlanLeaves(routes, stats);
+  std::vector<uint8_t> defer(n, 0);
+  co_await ApplyGroups(
+      planned, &defer, stats,
+      [&](rdma::GlobalAddress addr, std::vector<size_t> idxs,
+          sim::CountdownLatch* latch) {
+        return ApplyRemoveGroup(addr, std::move(idxs), &recs, out, &defer,
+                                stats, latch);
+      });
+
+  // Deferred keys (fence moves, plan failures) take the singleton path.
+  Status overall = Status::OK();
+  for (size_t i = 0; i < n; i++) {
+    if (!defer[i]) continue;
+    const Status st = co_await Remove(recs[i], stats);
+    (*out)[i] = st;
+    if (!st.ok() && !st.IsNotFound() && overall.ok()) overall = st;
+  }
+  co_return overall;
+}
+
+// --- varlen scans ------------------------------------------------------------
+
+sim::Task<Status> TreeClient::ScanVar(
+    const Slice& from, uint32_t count,
+    std::vector<std::pair<std::string, std::string>>* out, OpStats* stats) {
+  const TreeOptions& o = opt();
+  SHERMAN_CHECK_MSG(o.shape.varlen, "var op on a fixed-size tree");
+  const rdma::FabricConfig& f = system_->fabric_.config();
+  sim::Simulator& sim = system_->fabric_.simulator();
+  out->clear();
+  if (count == 0) co_return Status::OK();
+  if (from.size() > o.shape.max_key_len) {
+    co_return Status::InvalidArgument("scan start key too long");
+  }
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  co_await sim.Delay(f.cpu_op_overhead_ns);
+
+  // Byte cursor: the smallest key not yet emitted. Emitted keys never
+  // repeat across re-reads and restarts (strictly-greater filter once
+  // anything was emitted), mirroring RangeQuery's cursor discipline.
+  std::string cursor(from.data(), from.size());
+  bool cursor_inclusive = true;
+  Key rk = RoutingKeyFor(cursor);
+  if (rk == kMaxKey) co_return Status::OK();  // nothing sorts >= cursor
+  std::vector<uint8_t> buf(node_size());
+  auto visit = [&](NodeView& view, Status* done) -> sim::Task<Visit> {
+    co_await sim.Delay(f.cpu_node_search_ns);
+    // Emit this leaf's entries past the cursor, resolving out-of-line
+    // values as we go; a relocated extent re-reads the leaf, and the
+    // advancing cursor skips what was already emitted.
+    for (uint32_t s = 0; s < view.count() && out->size() < count; s++) {
+      std::string k = view.VarFullKey(s);
+      if (cursor_inclusive ? k < cursor : k <= cursor) continue;
+      std::string v;
+      VarPolicy rec(o, k, {}, &v);
+      if (rec.Read(view) == LeafRead::kRemote) {
+        *done = co_await rec.Fetch(*this, stats);
+        if (done->IsCorruption()) co_return Visit::kReread;
+        if (!done->ok()) co_return Visit::kDone;
+      }
+      out->emplace_back(std::move(k), std::move(v));
+      cursor = out->back().first;
+      cursor_inclusive = false;
+    }
+    if (out->size() >= count || view.hi_fence() == kMaxKey) {
+      *done = Status::OK();
+      co_return Visit::kDone;
+    }
+    // Next leaf: keys there are > everything emitted; advance the routing
+    // key to the fence so the chase checks stay coherent.
+    rk = view.hi_fence();
+    co_return Visit::kNext;
+  };
+  co_return co_await ReadLeafChasing(&rk, buf.data(), visit, stats);
+}
+
+// --- the public ops: one-line adapters onto the op core ----------------------
+
+sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats) {
+  return Put(FixedPolicy(opt(), key, value), stats);
+}
+
+sim::Task<Status> TreeClient::Lookup(Key key, uint64_t* value,
+                                     OpStats* stats) {
+  return Get(FixedPolicy(opt(), key, 0, value), stats);
+}
+
+sim::Task<Status> TreeClient::Delete(Key key, OpStats* stats) {
+  return Remove(FixedPolicy(opt(), key), stats);
+}
+
+sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
+                                       std::vector<MultiGetResult>* out,
+                                       OpStats* stats) {
+  return MultiGetRecords<FixedPolicy>(std::move(keys), out, stats);
 }
 
 sim::Task<Status> TreeClient::MultiInsert(
     std::vector<std::pair<Key, uint64_t>> kvs, OpStats* stats) {
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  if (kvs.empty()) co_return Status::OK();
-  for (const auto& [k, v] : kvs) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
+  return MultiPut<FixedPolicy>(std::move(kvs), stats);
+}
 
-  // Phase 1 — plan leaves concurrently, one descent per DISTINCT key
-  // (same as MultiGet).
-  const size_t n = kvs.size();
-  std::map<Key, size_t> plan_of;  // key -> plan slot
-  std::vector<Key> uniq;
-  for (const auto& [k, v] : kvs) {
-    auto [it, inserted] = plan_of.try_emplace(k, uniq.size());
-    if (inserted) uniq.push_back(k);
-  }
-  std::vector<LeafRef> refs(uniq.size());
-  std::vector<Status> plan_st(uniq.size(), Status::OK());
-  {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.plan",
-                  uniq.size());
-    sim::CountdownLatch latch(uniq.size());
-    for (size_t j = 0; j < uniq.size(); j++) {
-      sim::Spawn(PlanLeafInto(uniq[j], &refs[j], &plan_st[j], stats, &latch));
-    }
-    co_await latch.Wait();
-  }
+sim::Task<Status> TreeClient::MultiDelete(std::vector<Key> keys,
+                                          std::vector<Status>* out,
+                                          OpStats* stats) {
+  return MultiRemove<FixedPolicy>(std::move(keys), out, stats);
+}
 
-  // Phase 2 — group by target leaf and apply each group under one lock,
-  // groups in parallel. Within a group the entry write-backs and the lock
-  // release combine into a single doorbell batch.
-  std::vector<uint8_t> defer(n, 0);
-  std::map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; i++) {
-    const size_t j = plan_of[kvs[i].first];
-    if (plan_st[j].ok()) {
-      groups[refs[j].addr.ToU64()].push_back(i);
-    } else {
-      defer[i] = 1;
-    }
-  }
-  if (!groups.empty()) {
-    SHERMAN_TSPAN(stats != nullptr ? stats->trace : nullptr, "batch.apply",
-                  groups.size());
-    sim::CountdownLatch latch(groups.size());
-    for (auto& [addr_u64, idxs] : groups) {
-      sim::Spawn(ApplyInsertGroup(rdma::GlobalAddress::FromU64(addr_u64),
-                                  std::move(idxs), &kvs, &defer, stats,
-                                  &latch));
-    }
-    co_await latch.Wait();
-  }
+sim::Task<Status> TreeClient::InsertVar(const Slice& key, const Slice& value,
+                                        OpStats* stats) {
+  return Put(VarPolicy(opt(), key, value), stats);
+}
 
-  // Phase 3 — deferred keys (splits, fence moves, plan failures) go
-  // through the full op-at-a-time insert.
-  for (size_t i = 0; i < n; i++) {
-    if (!defer[i]) continue;
-    Status st = co_await Insert(kvs[i].first, kvs[i].second, stats);
-    if (!st.ok()) co_return st;
-  }
-  co_return Status::OK();
+sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
+                                        OpStats* stats) {
+  return Get(VarPolicy(opt(), key, {}, value), stats);
+}
+
+sim::Task<Status> TreeClient::DeleteVar(const Slice& key, OpStats* stats) {
+  return Remove(VarPolicy(opt(), key), stats);
+}
+
+sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,
+                                          std::vector<VarGetResult>* out,
+                                          OpStats* stats) {
+  return MultiGetRecords<VarPolicy>(std::move(keys), out, stats);
+}
+
+sim::Task<Status> TreeClient::MultiInsertVar(
+    std::vector<std::pair<std::string, std::string>> kvs, OpStats* stats) {
+  return MultiPut<VarPolicy>(std::move(kvs), stats);
 }
 
 // ---------------------------------------------------------------------------

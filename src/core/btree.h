@@ -100,32 +100,23 @@ struct TreeOptions {
   double merge_threshold = 0.25;
 
   // --- variable-length records (shape.varlen mode) ---
-  // Values longer than this go OUT-OF-LINE into the per-MS value log
-  // (src/vlog/): the leaf slot keeps an 8-byte packed pointer and the
-  // bytes live in a log extent. Values at or below it stay inline in the
-  // leaf heap.
-  uint32_t inline_threshold = 64;
+  // Values above kInlineThreshold (core/node_layout.h) go to the value log.
   // Segment size the value log carves from the chunk allocator (one open
   // segment per size class per client). Must hold at least one extent of
   // the largest class (8 KB) and at most 65535 of the smallest (64 B).
   uint32_t vlog_segment_bytes = 64 << 10;
-  // GC victim threshold: a sealed segment with at least this many dead
-  // extents per thousand written is eligible for VlogGcOnce relocation.
-  uint32_t vlog_gc_dead_permille = 250;
 
-  // 4-bit version wraparound guard (§4.4): re-read when a READ took longer
-  // than this.
-  sim::SimTime version_wrap_retry_ns = 8000;
-
-  // Safety caps (simulation hygiene; generously above anything the paper's
-  // workloads produce).
+  // Safety cap on validated re-reads (simulation hygiene; generously above
+  // anything the paper's workloads produce).
   uint32_t max_read_retries = 4096;
-  uint32_t max_restarts = 256;
 
   void Validate() const;
 };
 
 class ShermanSystem;
+class FixedPolicy;
+class VarPolicy;
+struct LeafWrite;
 
 namespace vlog {
 class VlogClient;
@@ -201,7 +192,9 @@ class TreeClient {
   // --- variable-length operations (shape.varlen mode only) ---
   // Keys are byte strings (1..shape.max_key_len bytes) routed through the
   // fixed u64 tree on RoutingKeyFor(key); values are byte strings up to
-  // 64 KB. Values above inline_threshold live in the value log (src/vlog/).
+  // 64 KB. Values above kInlineThreshold live in the value log (src/vlog/).
+  // Each fixed op and its *Var twin run the same op core (see the private
+  // section) over a different record policy (core/record_policy.h).
 
   // Inserts or updates `key`. An update that crosses the inline threshold
   // in either direction relocates the value and retires the old extent.
@@ -233,7 +226,7 @@ class TreeClient {
       std::vector<std::pair<std::string, std::string>> kvs,
       OpStats* stats = nullptr);
   // One segment-GC pass: seals this client's open segments, claims at most
-  // one victim per MS above vlog_gc_dead_permille, and relocates each live
+  // one victim per MS above vlog::kGcDeadPermille, and relocates each live
   // record copy-then-flip (append fresh -> repoint the leaf under its lock
   // -> retire the old extent). `relocated` (optional) counts moved records.
   sim::Task<Status> VlogGcOnce(uint64_t* relocated = nullptr,
@@ -274,6 +267,10 @@ class TreeClient {
   // The recoverer replays/rolls back crashed clients' structural ops with
   // the same primitives (and the same simulated round-trip costs).
   friend class recover::Recoverer;
+  // The record policies' value-log hooks use the client's vlog handle,
+  // swizzle cache and raw reads (core/record_policy.h).
+  friend class FixedPolicy;
+  friend class VarPolicy;
 
   struct LeafRef {
     rdma::GlobalAddress addr;
@@ -293,6 +290,13 @@ class TreeClient {
     rdma::GlobalAddress addr;
     LockGuard guard;
     bool owned = false;
+  };
+  // What a lock-free leaf reader's visit decided about one validated leaf
+  // covering its routing key (ReadLeafChasing).
+  enum class Visit {
+    kDone,    // finished; the op's status is in *done
+    kReread,  // torn entry or relocated value: re-read this leaf
+    kNext,    // consumed this leaf; the visit advanced the key to its hi fence
   };
 
   const TreeOptions& opt() const;
@@ -314,7 +318,7 @@ class TreeClient {
   bool NodeConsistent(const uint8_t* buf) const;
   // Marks a locally staged node consistent for write-back: bumps node
   // versions (kVersions) or recomputes the checksum (kChecksum).
-  void SealNode(NodeView& view, bool structural_change) const;
+  void SealNode(NodeView& view) const;
 
   // Root discovery: reads the root pointer from MS 0's meta region and the
   // root node itself.
@@ -354,6 +358,116 @@ class TreeClient {
                                           uint8_t* buf, OpStats* stats,
                                           uint8_t level = 0);
 
+  // --- the op core (core/btree.cc) ---
+  // Every point and batch op is written once, over a record policy R
+  // (FixedPolicy or VarPolicy, core/record_policy.h) that supplies only
+  // what the leaf layout changes. The public ops are one-line adapters.
+
+  // The locked-leaf restart loop of every writer (and of value-log GC
+  // relocation): resolves the leaf covering `rk` (the hint mirror only on
+  // the first attempt), locks and reads it into `buf`, and restarts from
+  // a fresh resolution on dead ends — dropping a misleading hint, and
+  // refreshing the root after repeated dead ends.
+  sim::Task<StatusOr<Locked>> LockLeaf(Key rk, uint8_t* buf, OpStats* stats);
+  // The validated-leaf chase loop of every lock-free reader: resolves the
+  // leaf covering *rk, reads it validated into `buf`, chases B-link
+  // siblings, bounces off dead ends (restarting, refreshing a stale root,
+  // probing a repeatedly met tombstone's lock for recovery), and hands
+  // each leaf covering *rk to `visit(view, &done)`.
+  template <class Fn>
+  sim::Task<Status> ReadLeafChasing(Key* rk, uint8_t* buf, Fn& visit,
+                                    OpStats* stats);
+  // Writes back a locked leaf's dirtied ranges (LeafWrite) with the lock
+  // release in one doorbell batch (§4.5).
+  sim::Task<void> WriteBackAndUnlock(const Locked& locked, uint8_t* buf,
+                                     const LeafWrite& w, OpStats* stats);
+  // Ends a locked leaf's removals: merges the leaf into its left sibling
+  // when it underflowed (TryMergeLeafLocked), else writes back `w`.
+  sim::Task<void> MergeOrWriteBack(const Locked& locked, uint8_t* buf,
+                                   const LeafWrite& w, OpStats* stats);
+
+  template <class R>
+  sim::Task<Status> Put(R rec, OpStats* stats);
+  template <class R>
+  sim::Task<Status> Get(R rec, OpStats* stats);
+  template <class R>
+  sim::Task<Status> Remove(R rec, OpStats* stats);
+  // The batched ops, over the caller's items (keys or key/value pairs).
+  template <class R, class K>
+  sim::Task<Status> MultiGetRecords(std::vector<K> keys,
+                                    std::vector<typename R::Result>* out,
+                                    OpStats* stats);
+  template <class R, class K, class V>
+  sim::Task<Status> MultiPut(std::vector<std::pair<K, V>> kvs,
+                             OpStats* stats);
+  template <class R, class K>
+  sim::Task<Status> MultiRemove(std::vector<K> keys, std::vector<Status>* out,
+                                OpStats* stats);
+
+  // Leaf split under lock (Figure 7, lines 18-35): the policy cuts the
+  // live entries plus the pending record into two halves, then the shared
+  // split commit publishes them and ascends.
+  template <class R>
+  sim::Task<Status> SplitLeafAndUnlock(R& rec, Locked locked,
+                                       std::vector<uint8_t> buf,
+                                       OpStats* stats);
+  // The split commit of leaf and internal splits: the caller staged the
+  // lower half in `buf` (sibling pointer -> sib_addr) and the upper half
+  // in `sib_buf`. Publishes the intent, writes both nodes (the sibling
+  // rides the release batch when it shares the MS), and inserts
+  // sep -> sib_addr one level up. Crash sites: split.* at level 0,
+  // isplit.* above.
+  sim::Task<Status> CommitSplit(const Locked& locked, uint8_t level, Key lo,
+                                Key hi, Key sep, rdma::GlobalAddress sib_addr,
+                                uint8_t new_version, uint8_t* buf,
+                                uint8_t* sib_buf, OpStats* stats);
+
+  // Batch plumbing. PlanLeaves resolves every distinct routing key to its
+  // leaf, the descents running concurrently so their upper-level READs
+  // overlap; it returns each item's leaf (null where planning failed or
+  // the item's route is kNullKey, i.e. skipped).
+  sim::Task<std::vector<rdma::GlobalAddress>> PlanLeaves(
+      const std::vector<Key>& routes, OpStats* stats);
+  sim::Task<void> PlanLeafInto(Key key, LeafRef* ref, Status* st,
+                               OpStats* stats, sim::CountdownLatch* latch);
+  // Fetches `leaves` into `bufs` with one doorbell-batched READ list per
+  // memory server (chunked at the NIC postlist cap), all concurrently.
+  // Returns true when the fetch outlasted the version wraparound guard, so
+  // no version-matching leaf of it may be trusted.
+  sim::Task<bool> FetchLeaves(const std::vector<rdma::GlobalAddress>& leaves,
+                              std::vector<std::vector<uint8_t>>* bufs,
+                              OpStats* stats);
+  sim::Task<void> PostReadsInto(uint16_t ms_node,
+                                std::vector<rdma::WorkRequest> wrs,
+                                OpStats* stats, sim::CountdownLatch* latch);
+  // Resolves one batched read's out-of-line value concurrently.
+  template <class R>
+  sim::Task<void> FetchInto(R* rec, Status* st, OpStats* stats,
+                            sim::CountdownLatch* latch);
+  // Groups planned items by leaf (unplanned ones get `defer` set) and runs
+  // apply(addr, idxs, latch), which spawns one group apply, concurrently.
+  template <class Apply>
+  sim::Task<void> ApplyGroups(const std::vector<rdma::GlobalAddress>& planned,
+                              std::vector<uint8_t>* defer, OpStats* stats,
+                              Apply apply);
+  // Applies one batch group (the items planned to one leaf) under a single
+  // lock, the write-back riding the release; items the leaf cannot serve
+  // (fence moved, leaf full) get `defer` set for the singleton fallback.
+  // Puts queue the value-log extents they supersede on `retired`.
+  template <class R>
+  sim::Task<void> ApplyPutGroup(rdma::GlobalAddress addr,
+                                std::vector<size_t> idxs, std::vector<R>* recs,
+                                std::vector<uint8_t>* defer,
+                                std::vector<uint64_t>* retired, OpStats* stats,
+                                sim::CountdownLatch* latch);
+  template <class R>
+  sim::Task<void> ApplyRemoveGroup(rdma::GlobalAddress addr,
+                                   std::vector<size_t> idxs,
+                                   std::vector<R>* recs,
+                                   std::vector<Status>* out,
+                                   std::vector<uint8_t>* defer, OpStats* stats,
+                                   sim::CountdownLatch* latch);
+
   // --- delete-path leaf merging (space reclamation) ---
 
   // Do `a` and `b` hash onto the same HOCL lock lane?
@@ -370,9 +484,6 @@ class TreeClient {
                                std::vector<rdma::WorkRequest> write_backs,
                                OpStats* stats);
 
-  // Should the locked leaf in `view` (with `live` remaining entries) be
-  // merged into its left sibling?
-  bool MergeCandidate(const NodeView& view, uint32_t live) const;
   // Abort throttling: an aborted merge (leftmost child, unfit sibling, a
   // race) would otherwise re-attempt — and re-abort, at several round
   // trips a try — on every subsequent delete of the still-underflowed
@@ -392,13 +503,6 @@ class TreeClient {
   sim::Task<bool> TryMergeLeafLocked(const Locked& locked, uint8_t* buf,
                                      OpStats* stats);
 
-  // Leaf split under lock (Figure 7, lines 18-35): allocates the sibling,
-  // distributes entries, writes both nodes (+combined release), then
-  // ascends.
-  sim::Task<Status> SplitLeafAndUnlock(Locked locked, std::vector<uint8_t> buf,
-                                       Key key, uint64_t value,
-                                       OpStats* stats);
-
   // Inserts (sep -> child) into the internal level `level`, splitting and
   // recursing upward as needed.
   sim::Task<Status> InsertInternal(Key sep, rdma::GlobalAddress child,
@@ -417,75 +521,16 @@ class TreeClient {
   // lock lanes, so a reader bouncing off a node torn by a crashed writer
   // (a tombstoned leaf whose merge/flip never completed) would burn its
   // whole restart budget without ever triggering the lease machinery.
-  // After repeated dead-end restarts the reader locks-and-releases the
-  // offending node: the acquisition path observes the dead holder's
-  // expired lease and runs recovery, and the next restart resolves
-  // freshly. Against a LIVE structural op the probe merely waits out the
-  // holder's release — a few extra round trips on an already-pathological
-  // path.
-  sim::Task<void> ProbeLockForRecovery(rdma::GlobalAddress addr,
-                                       OpStats* stats);
+  // So at the end of every 8th restart `attempt` a reader that bounced
+  // off the tombstone at *addr locks-and-releases it (and clears *addr):
+  // the acquisition path observes the dead holder's expired lease and runs
+  // recovery, and the next restart resolves freshly. Against a LIVE
+  // structural op the probe merely waits out the holder's release — a few
+  // extra round trips on an already-pathological path.
+  sim::Task<void> ProbeLockForRecovery(rdma::GlobalAddress* addr,
+                                       uint32_t attempt, OpStats* stats);
 
-  // --- batch-op plumbing (MultiGet / MultiInsert) ---
-
-  // Concurrent planning step: resolves `key` to its leaf and stores the
-  // result; always arrives at the latch.
-  sim::Task<void> PlanLeafInto(Key key, LeafRef* ref, Status* st,
-                               OpStats* stats, sim::CountdownLatch* latch);
-  // Posts one doorbell-batched READ list to `ms_node` and arrives.
-  sim::Task<void> PostReadsInto(uint16_t ms_node,
-                                std::vector<rdma::WorkRequest> wrs,
-                                OpStats* stats, sim::CountdownLatch* latch);
-  // Applies one MultiInsert leaf group under a single lock; keys the leaf
-  // cannot serve get their `defer` flag set for the singleton fallback.
-  sim::Task<void> ApplyInsertGroup(rdma::GlobalAddress addr,
-                                   std::vector<size_t> idxs,
-                                   const std::vector<std::pair<Key, uint64_t>>* kvs,
-                                   std::vector<uint8_t>* defer, OpStats* stats,
-                                   sim::CountdownLatch* latch);
-  // Clears one MultiDelete leaf group's entries under a single lock (and
-  // runs the merge logic on underflow); unservable keys get `defer` set
-  // for the singleton fallback.
-  sim::Task<void> ApplyDeleteGroup(rdma::GlobalAddress addr,
-                                   std::vector<size_t> idxs,
-                                   const std::vector<Key>* keys,
-                                   std::vector<Status>* out,
-                                   std::vector<uint8_t>* defer, OpStats* stats,
-                                   sim::CountdownLatch* latch);
-
-  // --- varlen plumbing (btree_varlen.cc) ---
-
-  // Rejects malformed varlen keys and computes the routing key.
-  Status CheckVarKey(const Slice& key, Key* rk) const;
-  // Leaf split for slotted pages: re-distributes by BYTE budget, cutting
-  // only at a routing-key boundary (keys sharing a routing key must share
-  // a leaf); reuses the kSplit intent + InsertInternal ascent. `payload`
-  // is the staged heap payload of the pending insert (inline bytes or
-  // packed pointer).
-  sim::Task<Status> SplitVarLeafAndUnlock(Locked locked,
-                                          std::vector<uint8_t> buf,
-                                          const Slice& key,
-                                          const uint8_t* payload,
-                                          uint32_t payload_len, uint16_t vlen,
-                                          bool outline, OpStats* stats);
-  // Resolves slot `i` of a validated leaf view to value bytes (inline copy
-  // or one vlog READ). Corruption = the extent was concurrently relocated;
-  // the caller re-reads the leaf.
-  sim::Task<Status> ResolveVarValue(const NodeView& view, uint32_t i,
-                                    const Slice& key, std::string* value,
-                                    OpStats* stats);
-  // Concurrent out-of-line resolution step for MultiGetVar/ScanVar.
-  sim::Task<void> ResolveVarInto(uint64_t ptr, const std::string* key,
-                                 uint16_t vlen, VarGetResult* out,
-                                 OpStats* stats, sim::CountdownLatch* latch);
-  // MultiInsertVar group apply (one lock, whole-node write-back).
-  sim::Task<void> ApplyVarInsertGroup(
-      rdma::GlobalAddress addr, std::vector<size_t> idxs,
-      const std::vector<std::pair<std::string, std::string>>* kvs,
-      const std::vector<uint64_t>* vptrs, std::vector<uint8_t>* defer,
-      std::vector<uint64_t>* retired, OpStats* stats,
-      sim::CountdownLatch* latch);
-  // GC of one claimed victim segment on `ms`.
+  // GC of one claimed victim segment on `ms` (core/record_policy.cc).
   sim::Task<Status> GcVictimSegment(uint16_t ms, uint64_t base, uint32_t cls,
                                     uint32_t used, uint64_t* relocated,
                                     OpStats* stats);
@@ -617,7 +662,7 @@ class ShermanSystem {
   void BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs, double fill);
 
   // Varlen bulk load from sorted, unique string pairs. Values must fit
-  // inline (<= inline_threshold): the value log is client-owned state and
+  // inline (<= kInlineThreshold): the value log is client-owned state and
   // cannot be staged offline; longer values load through InsertVar.
   // Leaves are filled to ~`fill` of their byte budget, never splitting a
   // routing-key group across leaves.
@@ -650,6 +695,8 @@ class ShermanSystem {
   friend class TreeClient;
 
   rdma::GlobalAddress AllocBulk(uint32_t size);
+  // The leftmost leaf, found by descending leftmost pointers.
+  rdma::GlobalAddress DebugLeftmostLeaf() const;
   // Builds the internal levels bottom-up over `children` ((addr, lo) pairs
   // in key order) and returns the root address. Shared by BulkLoad and
   // BulkLoadVar.

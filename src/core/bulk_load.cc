@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/btree.h"
+#include "core/record_policy.h"
 #include "util/logging.h"
 #include "vlog/vlog.h"
 
@@ -168,7 +169,7 @@ void ShermanSystem::BulkLoadVar(
                                  "bulk load keys must be sorted and unique");
     // The offline loader has no value-log appender; longer values go
     // through InsertVar on a running client.
-    SHERMAN_CHECK_MSG(v.size() <= options_.inline_threshold,
+    SHERMAN_CHECK_MSG(v.size() <= kInlineThreshold,
                       "BulkLoadVar values must be inline-sized");
     VarEntry e;
     e.key = k;
@@ -240,31 +241,13 @@ std::vector<std::pair<Key, uint64_t>> ShermanSystem::DebugScanLeaves() const {
   const TreeShape& shape = options_.shape;
   SHERMAN_CHECK_MSG(!shape.varlen, "varlen trees scan via DebugScanLeavesVar");
 
-  // Descend leftmost pointers to the leftmost leaf.
-  rdma::GlobalAddress addr = DebugRootAddr();
-  while (true) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
-    if (view.is_leaf()) break;
-    addr = view.leftmost_child();
-  }
-
   std::vector<std::pair<Key, uint64_t>> out;
-  while (!addr.is_null()) {
+  const FixedPolicy leaf_ops(options_, kNullKey);
+  for (rdma::GlobalAddress addr = DebugLeftmostLeaf(); !addr.is_null();) {
     NodeView view(self->fabric_.HostRaw(addr), &shape);
     SHERMAN_CHECK(view.is_leaf());
-    std::vector<std::pair<Key, uint64_t>> leaf_entries;
-    if (options_.two_level_versions) {
-      for (uint32_t i = 0; i < shape.leaf_capacity(); i++) {
-        const Key k = view.LeafKey(i);
-        if (k != kNullKey) leaf_entries.emplace_back(k, view.LeafValue(i));
-      }
-      std::sort(leaf_entries.begin(), leaf_entries.end());
-    } else {
-      for (uint32_t i = 0; i < view.count(); i++) {
-        leaf_entries.emplace_back(view.LeafKey(i), view.LeafValue(i));
-      }
-    }
-    for (const auto& kv : leaf_entries) out.push_back(kv);
+    // At rest no entry is torn: every entry write lands whole.
+    SHERMAN_CHECK(leaf_ops.Collect(view, kNullKey, UINT32_MAX, &out));
     addr = view.sibling();
   }
   return out;
@@ -276,39 +259,18 @@ ShermanSystem::DebugScanLeavesVar() const {
   const TreeShape& shape = options_.shape;
   SHERMAN_CHECK_MSG(shape.varlen, "DebugScanLeavesVar on a fixed-size tree");
 
-  rdma::GlobalAddress addr = DebugRootAddr();
-  while (true) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
-    if (view.is_leaf()) break;
-    addr = view.leftmost_child();
-  }
-
   std::vector<std::pair<std::string, std::string>> out;
-  while (!addr.is_null()) {
+  for (rdma::GlobalAddress addr = DebugLeftmostLeaf(); !addr.is_null();) {
     NodeView view(self->fabric_.HostRaw(addr), &shape);
     SHERMAN_CHECK(view.is_leaf());
     for (uint32_t i = 0; i < view.count(); i++) {
       std::string k = view.VarFullKey(i);
       std::string v;
-      if (view.VarOutline(i)) {
-        // Materialize out-of-line values by reading the extent directly.
-        const uint64_t ptr = view.VarVlogPtr(i);
-        const uint8_t* rec = self->fabric_.HostRaw(vlog::VlogPtr::Addr(ptr));
-        uint16_t klen = 0;
-        uint16_t vlen = 0;
-        std::memcpy(&klen, rec, 2);
-        std::memcpy(&vlen, rec + 2, 2);
-        SHERMAN_CHECK_MSG(klen == k.size() &&
-                              std::memcmp(rec + vlog::kRecordHeader, k.data(),
-                                          klen) == 0,
-                          "leaf slot points at a foreign vlog record");
-        SHERMAN_CHECK(vlen == view.VarVlen(i));
-        v.assign(reinterpret_cast<const char*>(rec) + vlog::kRecordHeader +
-                     klen,
-                 vlen);
-      } else {
-        const Slice iv = view.VarInlineValue(i);
-        v.assign(iv.data(), iv.size());
+      VarPolicy rec(options_, k, {}, &v);
+      // Out-of-line values materialize from their extent's own MS.
+      if (rec.Read(view) == LeafRead::kRemote) {
+        SHERMAN_CHECK(
+            rec.HostFetch(self, vlog::VlogPtr::Ms(view.VarVlogPtr(i))));
       }
       out.emplace_back(std::move(k), std::move(v));
     }
@@ -317,17 +279,21 @@ ShermanSystem::DebugScanLeavesVar() const {
   return out;
 }
 
+rdma::GlobalAddress ShermanSystem::DebugLeftmostLeaf() const {
+  auto* self = const_cast<ShermanSystem*>(this);
+  rdma::GlobalAddress addr = DebugRootAddr();
+  while (true) {
+    NodeView view(self->fabric_.HostRaw(addr), &options_.shape);
+    if (view.is_leaf()) return addr;
+    addr = view.leftmost_child();
+  }
+}
+
 size_t ShermanSystem::DebugCountLeaves() const {
   auto* self = const_cast<ShermanSystem*>(this);
   const TreeShape& shape = options_.shape;
-  rdma::GlobalAddress addr = DebugRootAddr();
-  while (true) {
-    NodeView view(self->fabric_.HostRaw(addr), &shape);
-    if (view.is_leaf()) break;
-    addr = view.leftmost_child();
-  }
   size_t n = 0;
-  while (!addr.is_null()) {
+  for (rdma::GlobalAddress addr = DebugLeftmostLeaf(); !addr.is_null();) {
     NodeView view(self->fabric_.HostRaw(addr), &shape);
     n++;
     addr = view.sibling();

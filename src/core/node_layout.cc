@@ -155,13 +155,6 @@ bool NodeView::SortedLeafInsert(Key key, uint64_t value) {
   return true;
 }
 
-bool NodeView::SortedLeafRemove(Key key) {
-  const uint32_t found = SortedLeafFind(key);
-  if (found == UINT32_MAX) return false;
-  SortedLeafRemoveAt(found);
-  return true;
-}
-
 void NodeView::SortedLeafRemoveAt(uint32_t i) {
   const uint32_t n = count();
   const uint32_t esz = shape_->leaf_entry_size();
@@ -327,7 +320,10 @@ bool NodeView::VarRebuildWithPrefix(uint32_t new_p) {
     const uint32_t eb = slen + static_cast<uint32_t>(e.payload.size());
     w -= eb;
     std::memcpy(data_ + w, e.key.data() + new_p, slen);
-    std::memcpy(data_ + w + slen, e.payload.data(), e.payload.size());
+    // An empty value's payload vector may hold a null data().
+    if (!e.payload.empty()) {
+      std::memcpy(data_ + w + slen, e.payload.data(), e.payload.size());
+    }
     uint8_t* slot = data_ + VarSlotOffset(i);
     const uint16_t off16 = static_cast<uint16_t>(w);
     std::memcpy(slot, &off16, 2);
@@ -508,7 +504,9 @@ bool BuildVarLeaf(NodeView* v, const std::vector<VarEntry>& entries) {
     const uint32_t eb = slen + static_cast<uint32_t>(e.payload.size());
     w -= eb;
     std::memcpy(v->data() + w, e.key.data() + p, slen);
-    std::memcpy(v->data() + w + slen, e.payload.data(), e.payload.size());
+    if (!e.payload.empty()) {
+      std::memcpy(v->data() + w + slen, e.payload.data(), e.payload.size());
+    }
     uint8_t* slot = v->data() + v->VarSlotOffset(i);
     const uint16_t off16 = static_cast<uint16_t>(w);
     std::memcpy(slot, &off16, 2);
@@ -637,9 +635,36 @@ void NodeView::InitInternal(uint8_t level, Key lo, Key hi,
   set_leftmost_child(leftmost);
 }
 
+bool LeafMergeCandidate(const NodeView& v, bool two_level, double threshold) {
+  if (threshold <= 0) return false;
+  if (!v.is_leaf() || v.is_free() || v.lo_fence() == 0) return false;
+  const TreeShape& shape = v.shape();
+  if (shape.varlen) {
+    return static_cast<double>(v.VarLiveBytes()) <
+           threshold * static_cast<double>(shape.var_usable_bytes());
+  }
+  return static_cast<double>(v.LiveLeafEntries(two_level)) <
+         threshold * static_cast<double>(shape.leaf_capacity());
+}
+
+bool LeafMergeFits(const NodeView& dst, const NodeView& src, bool two_level,
+                   bool headroom) {
+  const TreeShape& shape = dst.shape();
+  if (shape.varlen) {
+    return VarLeafFits(dst, src) &&
+           (!headroom || (dst.VarLiveBytes() + src.VarLiveBytes()) * 4 <=
+                             3 * shape.var_usable_bytes());
+  }
+  const uint32_t cap = shape.leaf_capacity();
+  return dst.LiveLeafEntries(two_level) + src.LiveLeafEntries(two_level) <=
+         (headroom ? 3 * cap / 4 : cap);
+}
+
 void MoveLeafEntries(NodeView* dst, const NodeView& src, bool two_level) {
   const TreeShape& shape = src.shape();
-  if (two_level) {
+  if (shape.varlen) {
+    MoveVarLeafEntries(dst, src);
+  } else if (two_level) {
     const uint32_t cap = shape.leaf_capacity();
     uint32_t di = 0;
     for (uint32_t i = 0; i < cap; i++) {

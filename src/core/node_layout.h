@@ -109,6 +109,10 @@ inline constexpr uint8_t kFlagFree = 0x2;
 
 // Varlen slot layout.
 inline constexpr uint32_t kVarSlotSize = 8;
+// Values longer than this go out-of-line into the value log (src/vlog/):
+// the slot keeps an 8-byte packed pointer. Shorter values stay inline in
+// the leaf heap.
+inline constexpr uint32_t kInlineThreshold = 64;
 inline constexpr uint8_t kVarFlagOutline = 0x1;  // value lives in the vlog
 
 // Routing key for a variable-length key: its first 8 bytes, big-endian,
@@ -200,10 +204,8 @@ class NodeView {
   uint32_t SortedLeafFind(Key key) const;
   // Inserts/updates keeping order; returns false if full (split needed).
   bool SortedLeafInsert(Key key, uint64_t value);
-  // Removes `key` (shifting); returns false if absent.
-  bool SortedLeafRemove(Key key);
-  // Removes the entry at sorted index `i` (shifting) — for callers that
-  // already ran SortedLeafFind and must not pay the search twice.
+  // Removes the entry at sorted index `i` (from SortedLeafFind), shifting
+  // the tail left.
   void SortedLeafRemoveAt(uint32_t i);
 
   // Live entries in this leaf: non-null slots over the capacity in the
@@ -362,12 +364,31 @@ bool VarLeafFits(const NodeView& dst, const NodeView& src);
 // exceed dst keys). Caller guarantees VarLeafFits.
 void MoveVarLeafEntries(NodeView* dst, const NodeView& src);
 
+// --- leaf merges, for every leaf layout ---
+// The client-side merge, the MS-side executor's merge and crash recovery
+// all decide and move through these, so their semantics cannot diverge.
+// `two_level` selects the unsorted fixed layout (TreeOptions::
+// two_level_versions); slotted leaves are told by their shape.
+
+// Should the leaf in `v` merge into its left sibling? True when its live
+// size (entries, or bytes for a slotted leaf) is below `threshold` of the
+// leaf's capacity. The leftmost leaf (lo fence 0, a root leaf too) never
+// merges, so merging never shrinks the tree height; threshold 0 disables
+// merging.
+bool LeafMergeCandidate(const NodeView& v, bool two_level, double threshold);
+
+// Do src's live entries (all above dst's) fit into dst? With `headroom`
+// the merged leaf must also keep a quarter of its capacity free: a merge
+// whose result is nearly full would be split right back apart by the next
+// inserts, paying both structural ops for nothing.
+bool LeafMergeFits(const NodeView& dst, const NodeView& src, bool two_level,
+                   bool headroom);
+
 // Moves every live entry of `src` into `dst` (two-level: fills empty
 // slots, bumping entry versions; sorted: appends with fresh entry
 // versions — valid only when every src key exceeds every dst key, i.e.
-// the leaves are adjacent). The caller guarantees capacity. Shared by
-// the client-side and MS-side leaf-merge implementations so their
-// relocation semantics cannot diverge.
+// the leaves are adjacent; slotted: MoveVarLeafEntries). The caller
+// guarantees capacity (LeafMergeFits).
 void MoveLeafEntries(NodeView* dst, const NodeView& src, bool two_level);
 
 // A parsed internal node: the form cached by the index cache and used

@@ -166,7 +166,7 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
       co_await UnlockSecond(locked, {}, stats);
       continue;
     }
-    t.SealNode(view, /*structural_change=*/true);
+    t.SealNode(view);
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
@@ -227,7 +227,7 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
       continue;
     }
     view.set_sibling(new_addr);
-    t.SealNode(view, /*structural_change=*/true);
+    t.SealNode(view);
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));

@@ -394,13 +394,8 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       // the free.
       co_await t_->UnlockSecond(sib, {}, &stats);
     } else {
-      const bool fits =
-          o.shape.varlen
-              ? VarLeafFits(sview, view)
-              : sview.LiveLeafEntries(o.two_level_versions) +
-                        view.LiveLeafEntries(o.two_level_versions) <=
-                    o.shape.leaf_capacity();
-      if (!fits) {
+      if (!LeafMergeFits(sview, view, o.two_level_versions,
+                         /*headroom=*/false)) {
         // Undo: survivors refilled the neighbor; the survivors no longer
         // fit. Revive L — the chain (neighbor.sibling == L) serves
         // [lo, hi) again the moment the free flag clears — then restore
@@ -443,7 +438,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       TreeClient::SecondLocked par = *pl;
       NodeView pview(pbuf.data(), &o.shape);
       if (pview.InternalRemove(lo, rec.primary)) {
-        t_->SealNode(pview, /*structural_change=*/true);
+        t_->SealNode(pview);
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(
             rdma::WorkRequest::Write(par.addr, pbuf.data(), node_size()));
@@ -463,14 +458,10 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
     }
 
     if (chain_intact) {
-      if (o.shape.varlen) {
-        MoveVarLeafEntries(&sview, view);
-      } else {
-        MoveLeafEntries(&sview, view, o.two_level_versions);
-      }
+      MoveLeafEntries(&sview, view, o.two_level_versions);
       sview.set_hi_fence(hi);
       sview.set_sibling(view.sibling());
-      t_->SealNode(sview, /*structural_change=*/true);
+      t_->SealNode(sview);
       std::vector<rdma::WorkRequest> wrs;
       wrs.push_back(
           rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
@@ -578,7 +569,7 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
       NodeView sview(sbuf.data(), &o.shape);
       if (sview.hi_fence() == lo && sview.sibling() == rec.primary) {
         sview.set_sibling(rec.second);
-        t_->SealNode(sview, /*structural_change=*/true);
+        t_->SealNode(sview);
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(
             rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));

@@ -7,11 +7,11 @@
 #include <variant>
 
 #include "alloc/layout.h"
+#include "core/record_policy.h"
 #include "lock/lock_table.h"
 #include "obs/trace.h"
 #include "sanitizer/dmsan.h"
 #include "util/logging.h"
-#include "vlog/vlog.h"
 
 namespace sherman::route {
 
@@ -71,95 +71,62 @@ uint64_t TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t a,
   SHERMAN_TSPAN(&trace, "rpc.execute", opcode, a);
   using Kv = std::pair<Key, uint64_t>;
   using VarKv = std::pair<std::string, std::string>;
+  const TreeOptions& o = system_->options();
   switch (opcode) {
     case kOpInsert:
-      return Ack(HostInsert(a, b));
+      return Ack(HostPut(FixedPolicy(o, a, b)));
     case kOpLookup: {
       uint64_t value = 0;
-      const Status st = HostLookup(a, &value);
+      const Status st = HostGet(ms, FixedPolicy(o, a, 0, &value));
       if (st.ok()) Stage(b, value);
       return Ack(st);
     }
     case kOpDelete:
-      return Ack(HostDelete(a));
-    case kOpScan: {
-      const uint32_t count = static_cast<uint32_t>(b & 0xffff);
-      const bool two_level = system_->options().two_level_versions;
-      const uint32_t cap = system_->options().shape.leaf_capacity();
-      return ServeScan<Kv>(
-          ms, a, count, b >> 16,
-          [from = a, count, two_level, cap](const NodeView& view,
-                                            std::vector<Kv>* out) {
-            std::vector<Kv> got;
-            const uint32_t n = two_level ? cap : view.count();
-            for (uint32_t i = 0; i < n; i++) {
-              const Key k = view.LeafKey(i);
-              if (k != kNullKey && k >= from) {
-                got.emplace_back(k, view.LeafValue(i));
-              }
-            }
-            std::sort(got.begin(), got.end());
-            for (const Kv& kv : got) {
-              if (out->size() >= count) break;
-              out->push_back(kv);
-            }
-            return true;
-          });
-    }
+      return Ack(HostRemove(ms, FixedPolicy(o, a)));
+    case kOpScan:
+      return ServeScan(ms, FixedPolicy(o, a), static_cast<uint32_t>(b & 0xffff),
+                       b >> 16);
     case kOpMultiGet:
-      return ServeBatch<MultiGetResult, Key>(ms, a, [this](Key key) {
+      return ServeBatch<MultiGetResult, Key>(ms, a, [this, ms, &o](Key key) {
         MultiGetResult r;
-        r.status = HostLookup(key, &r.value);
+        r.status = HostGet(ms, FixedPolicy(o, key, 0, &r.value));
         return r;
       });
     case kOpMultiInsert:
-      return ServeBatch<Status, Kv>(ms, a, [this](const Kv& kv) {
-        return HostInsert(kv.first, kv.second);
+      return ServeBatch<Status, Kv>(ms, a, [this, &o](const Kv& kv) {
+        return HostPut(FixedPolicy(o, kv.first, kv.second));
       });
     case kOpMultiDelete:
-      return ServeBatch<Status, Key>(
-          ms, a, [this](Key key) { return HostDelete(key); });
+      return ServeBatch<Status, Key>(ms, a, [this, ms, &o](Key key) {
+        return HostRemove(ms, FixedPolicy(o, key));
+      });
     case kOpVarInsert: {
       const VarKv kv = Take<VarKv>(a);
-      return Ack(HostVarInsert(ms, kv.first, kv.second));
+      return Ack(HostPut(VarPolicy(o, kv.first, kv.second)));
     }
     case kOpVarLookup: {
       std::string value;
-      const Status st = HostVarLookup(ms, Take<std::string>(a), &value);
+      const Status st =
+          HostGet(ms, VarPolicy(o, Take<std::string>(a), {}, &value));
       if (st.ok()) Stage(a, std::move(value));
       return Ack(st);
     }
     case kOpVarDelete:
-      return Ack(HostVarDelete(ms, Take<std::string>(a)));
+      return Ack(HostRemove(ms, VarPolicy(o, Take<std::string>(a))));
     case kOpVarScan: {
       const auto in = Take<std::pair<std::string, uint32_t>>(a);
-      const std::string& from = in.first;
-      const uint32_t count = in.second;
-      return ServeScan<VarKv>(
-          ms, RoutingKeyFor(Slice(from)), count, a,
-          [this, ms, &from, count](const NodeView& view,
-                                   std::vector<VarKv>* out) {
-            const uint32_t n = view.count();
-            for (uint32_t i = 0; i < n && out->size() < count; i++) {
-              std::string k = view.VarFullKey(i);
-              if (k < from) continue;
-              std::string v;
-              if (!HostVarValue(ms, view, i, k, &v)) return false;
-              out->emplace_back(std::move(k), std::move(v));
-            }
-            return true;
-          });
+      return ServeScan(ms, VarPolicy(o, in.first), in.second, a);
     }
     case kOpMultiVarGet:
       return ServeBatch<VarGetResult, std::string>(
-          ms, a, [this, ms](const std::string& key) {
+          ms, a, [this, ms, &o](const std::string& key) {
             VarGetResult r;
-            r.status = HostVarLookup(ms, key, &r.value);
+            r.status = HostGet(ms, VarPolicy(o, key, {}, &r.value));
             return r;
           });
     case kOpMultiVarInsert:
-      return ServeBatch<Status, VarKv>(ms, a, [this, ms](const VarKv& kv) {
-        return HostVarInsert(ms, kv.first, kv.second);
+      return ServeBatch<Status, VarKv>(ms, a, [this, &o](const VarKv& kv) {
+        return HostPut(VarPolicy(o, kv.first, kv.second));
       });
     default:
       SHERMAN_CHECK(false);
@@ -203,13 +170,13 @@ uint64_t TreeRpcService::ServeBatch(int ms, uint64_t token, Fn one) {
   return kAckOk;
 }
 
-template <typename Entry, typename Collect>
-uint64_t TreeRpcService::ServeScan(int ms, Key from, uint32_t count,
-                                   uint64_t token, Collect collect) {
-  rdma::GlobalAddress addr = FindLeaf(from);
+template <class R>
+uint64_t TreeRpcService::ServeScan(int ms, R from, uint32_t count,
+                                   uint64_t token) {
+  rdma::GlobalAddress addr = FindLeaf(from.route());
   if (addr.is_null() || count == 0) return Ack(Status::Retry());
   const TreeShape& shape = system_->options().shape;
-  std::vector<Entry> out;
+  std::vector<typename R::ScanEntry> out;
   uint32_t leaves = 0;
   bool end_of_tree = false;
   bool anomaly = false;
@@ -220,7 +187,7 @@ uint64_t TreeRpcService::ServeScan(int ms, Key from, uint32_t count,
       break;
     }
     leaves++;
-    if (!collect(view, &out)) {
+    if (!from.HostCollect(system_, ms, view, count, &out)) {
       anomaly = true;
       break;
     }
@@ -279,83 +246,68 @@ bool TreeRpcService::NodeLocked(rdma::GlobalAddress addr) const {
   return lane != 0;
 }
 
-Status TreeRpcService::HostInsert(Key key, uint64_t value) {
-  const rdma::GlobalAddress leaf = FindLeaf(key);
+template <class R>
+Status TreeRpcService::HostPut(R rec) {
+  if (!rec.HostCanPut()) return Status::Retry("ms-side insert: outline value");
+  const rdma::GlobalAddress leaf = FindLeaf(rec.route());
   if (leaf.is_null() || NodeLocked(leaf)) {
     return Status::Retry("ms-side insert declined");
   }
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
+  if (!rec.HostCanReplace(view)) {
+    return Status::Retry("ms-side insert: outline slot");
+  }
   DmsanRpcMutate(system_, leaf);
-
   // A full leaf declines: its split must go one-sided.
-  if (o.two_level_versions) {
-    const NodeView::SlotResult slot = view.FindLeafSlot(key);
-    const uint32_t i = slot.match != UINT32_MAX ? slot.match : slot.empty;
-    if (i == UINT32_MAX) return Status::Retry("ms-side insert: leaf full");
-    view.SetLeafEntry(i, key, value);
-  } else {
-    if (!view.SortedLeafInsert(key, value)) {
-      return Status::Retry("ms-side insert: leaf full");
-    }
-    SealHostNode(&view, o);
+  LeafWrite w;
+  if (!rec.Put(&view, &w)) return Status::Retry("ms-side insert: leaf full");
+  if (w.seal) SealHostNode(&view, o);
+  return Status::OK();
+}
+
+template <class R>
+Status TreeRpcService::HostGet(int ms, R rec) {
+  const rdma::GlobalAddress leaf = FindLeaf(rec.route());
+  if (leaf.is_null()) return Status::Retry("ms-side lookup declined");
+  NodeView view(system_->fabric().HostRaw(leaf), &system_->options().shape);
+  const LeafRead got = rec.Read(view);
+  if (got == LeafRead::kMiss) return Status::NotFound();
+  if (got == LeafRead::kTorn) return Status::Retry("ms-side lookup: torn");
+  if (got == LeafRead::kRemote && !rec.HostFetch(system_, ms)) {
+    return Status::Retry("ms-side lookup: foreign extent");
   }
   return Status::OK();
 }
 
-Status TreeRpcService::HostLookup(Key key, uint64_t* value) {
-  const rdma::GlobalAddress leaf = FindLeaf(key);
-  if (leaf.is_null()) return Status::Retry("ms-side lookup declined");
-  const TreeOptions& o = system_->options();
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  const uint32_t i = o.two_level_versions ? view.FindLeafSlot(key).match
-                                          : view.SortedLeafFind(key);
-  if (i == UINT32_MAX) return Status::NotFound();
-  *value = view.LeafValue(i);
-  return Status::OK();
-}
-
-Status TreeRpcService::HostDelete(Key key) {
-  const rdma::GlobalAddress leaf = FindLeaf(key);
+template <class R>
+Status TreeRpcService::HostRemove(int ms, R rec) {
+  const rdma::GlobalAddress leaf = FindLeaf(rec.route());
   if (leaf.is_null() || NodeLocked(leaf)) {
     return Status::Retry("ms-side delete declined");
   }
   const TreeOptions& o = system_->options();
   NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
+  const Status removable = rec.HostCanRemove(view, ms);
+  if (!removable.ok()) return removable;
   DmsanRpcMutate(system_, leaf);
-
-  bool removed = false;
-  if (o.two_level_versions) {
-    const NodeView::SlotResult slot = view.FindLeafSlot(key);
-    if (slot.match != UINT32_MAX) {
-      view.SetLeafEntry(slot.match, kNullKey, 0);
-      removed = true;
-    }
-  } else {
-    removed = view.SortedLeafRemove(key);
-    if (removed) SealHostNode(&view, o);
-  }
-  if (!removed) return Status::NotFound();
+  LeafWrite w;
+  if (!rec.Remove(&view, &w)) return Status::NotFound();
+  if (w.seal) SealHostNode(&view, o);
+  rec.HostRetire(system_, ms);
   TryMergeHost(leaf);
   return Status::OK();
 }
 
 void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   const TreeOptions& o = system_->options();
-  if (o.merge_threshold <= 0) return;
   rdma::Fabric& fabric = system_->fabric();
   NodeView view(fabric.HostRaw(leaf), &o.shape);
-  if (!view.is_leaf() || view.is_free()) return;
-  const Key lo = view.lo_fence();
-  const Key hi = view.hi_fence();
-  if (lo == 0) return;  // no left sibling (root leaf / leftmost leaf)
-
-  const uint32_t cap = o.shape.leaf_capacity();
-  const uint32_t live = view.LiveLeafEntries(o.two_level_versions);
-  if (static_cast<double>(live) >=
-      o.merge_threshold * static_cast<double>(cap)) {
+  if (!LeafMergeCandidate(view, o.two_level_versions, o.merge_threshold)) {
     return;
   }
+  const Key lo = view.lo_fence();
+  const Key hi = view.hi_fence();
 
   // Resolve parent + left sibling through host memory; skip unless the
   // leaf appears as an explicit (lo -> leaf) entry (a leftmost child's
@@ -385,8 +337,9 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   // merge is opportunistic; the next underflowing delete retries).
   if (NodeLocked(leaf) || NodeLocked(saddr) || NodeLocked(paddr)) return;
 
-  const uint32_t s_live = sview.LiveLeafEntries(o.two_level_versions);
-  if (s_live + live > 3 * cap / 4) return;  // anti-thrash headroom
+  if (!LeafMergeFits(sview, view, o.two_level_versions, /*headroom=*/true)) {
+    return;
+  }
 
   DmsanRpcMutate(system_, leaf);
   DmsanRpcMutate(system_, saddr);
@@ -403,109 +356,6 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   system_->chunk_manager(leaf.node)
       .FreeNode(leaf.offset, o.shape.node_size);
   leaf_merges_++;
-}
-
-// --- varlen executors -------------------------------------------------------
-
-bool TreeRpcService::HostVarValue(int ms, const NodeView& view, uint32_t i,
-                                  const std::string& key,
-                                  std::string* value) const {
-  if (!view.VarOutline(i)) {
-    const Slice v = view.VarInlineValue(i);
-    value->assign(v.data(), v.size());
-    return true;
-  }
-  const uint64_t ptr = view.VarVlogPtr(i);
-  // Near-memory means THIS server's memory: a record whose extent lives on
-  // a foreign MS would need a remote read the wimpy core doesn't have.
-  if (vlog::VlogPtr::Ms(ptr) != ms) return false;
-  const uint8_t* rec = system_->fabric().HostRaw(vlog::VlogPtr::Addr(ptr));
-  uint16_t klen = 0;
-  uint16_t vlen = 0;
-  std::memcpy(&klen, rec, 2);
-  std::memcpy(&vlen, rec + 2, 2);
-  // The handler runs atomically at one simulated instant and the slot
-  // references this extent, so the record must parse back to the key.
-  SHERMAN_CHECK(klen == key.size() &&
-                std::memcmp(rec + vlog::kRecordHeader, key.data(), klen) == 0);
-  value->assign(reinterpret_cast<const char*>(rec) + vlog::kRecordHeader +
-                    klen,
-                vlen);
-  return true;
-}
-
-Status TreeRpcService::HostVarLookup(int ms, const std::string& key,
-                                     std::string* value) {
-  const rdma::GlobalAddress leaf = FindLeaf(RoutingKeyFor(key));
-  if (leaf.is_null()) return Status::Retry("ms-side var lookup declined");
-  NodeView view(system_->fabric().HostRaw(leaf), &system_->options().shape);
-  const uint32_t i = view.VarFind(key);
-  if (i == UINT32_MAX) return Status::NotFound();
-  if (!HostVarValue(ms, view, i, key, value)) {
-    return Status::Retry("ms-side var lookup: foreign extent");
-  }
-  return Status::OK();
-}
-
-Status TreeRpcService::HostVarInsert(int /*ms*/, const std::string& key,
-                                     const std::string& value) {
-  const TreeOptions& o = system_->options();
-  // Values above the threshold need the client's value-log appender.
-  if (value.size() > o.inline_threshold) {
-    return Status::Retry("ms-side var insert: outline value");
-  }
-  const rdma::GlobalAddress leaf = FindLeaf(RoutingKeyFor(key));
-  if (leaf.is_null() || NodeLocked(leaf)) {
-    return Status::Retry("ms-side var insert declined");
-  }
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  {
-    // Replacing an out-of-line record retires its extent — possibly on a
-    // foreign MS, and always a liveness transition the client's vlog path
-    // owns. Decline; the one-sided insert handles it.
-    const uint32_t at = view.VarFind(key);
-    if (at != UINT32_MAX && view.VarOutline(at)) {
-      return Status::Retry("ms-side var insert: outline slot");
-    }
-  }
-  DmsanRpcMutate(system_, leaf);
-  if (!view.VarInsert(key, reinterpret_cast<const uint8_t*>(value.data()),
-                      static_cast<uint32_t>(value.size()),
-                      static_cast<uint16_t>(value.size()),
-                      /*outline=*/false)) {
-    return Status::Retry("ms-side var insert: leaf full");
-  }
-  SealHostNode(&view, o);
-  return Status::OK();
-}
-
-Status TreeRpcService::HostVarDelete(int ms, const std::string& key) {
-  const rdma::GlobalAddress leaf = FindLeaf(RoutingKeyFor(key));
-  if (leaf.is_null() || NodeLocked(leaf)) {
-    return Status::Retry("ms-side var delete declined");
-  }
-  const TreeOptions& o = system_->options();
-  NodeView view(system_->fabric().HostRaw(leaf), &o.shape);
-  const uint32_t at = view.VarFind(key);
-  if (at == UINT32_MAX) return Status::NotFound();
-  uint64_t ptr = 0;
-  if (view.VarOutline(at)) {
-    ptr = view.VarVlogPtr(at);
-    // The extent's dead-bit lives on another MS; retiring it here would
-    // be a remote call. One-sided delete owns that.
-    if (vlog::VlogPtr::Ms(ptr) != ms) {
-      return Status::Retry("ms-side var delete: foreign extent");
-    }
-  }
-  DmsanRpcMutate(system_, leaf);
-  view.VarRemoveAt(at);
-  SealHostNode(&view, o);
-  if (ptr != 0) {
-    system_->chunk_manager(ms).VlogRetire(vlog::VlogPtr::Off(ptr));
-  }
-  // No MS-side merge for slotted leaves: byte-budget merges run through
-  // the one-sided delete path's locked three-node protocol.
-  return Status::OK();
 }
 
 // --- client stub -----------------------------------------------------------

@@ -57,7 +57,7 @@ class TreeRpcService {
   // Varlen (slotted-leaf) ops. Byte keys/values cannot ride the fixed-size
   // RPC words, so EVERY var op stages its operands under a token like the
   // coalesced batches. The executor serves inline records only: values
-  // above inline_threshold need the client's value-log appender, and
+  // above kInlineThreshold need the client's value-log appender, and
   // out-of-line values whose extent lives on a FOREIGN MS are not
   // near-memory — both decline to the one-sided path.
   static constexpr uint64_t kOpVarInsert = 207;
@@ -130,35 +130,31 @@ class TreeRpcService {
   // Is the HOCL global lock lane guarding `addr` currently held?
   bool NodeLocked(rdma::GlobalAddress addr) const;
 
-  // Per-key executors shared by the singleton and coalesced ops. Each
-  // returns OK, NotFound, or Retry naming the decline reason (locked or
-  // full leaf, structural anomaly; for varlen records also an outline
-  // value or an extent on a foreign MS).
-  Status HostInsert(Key key, uint64_t value);
-  Status HostLookup(Key key, uint64_t* value);
-  Status HostDelete(Key key);
-  Status HostVarInsert(int ms, const std::string& key,
-                       const std::string& value);
-  Status HostVarLookup(int ms, const std::string& key, std::string* value);
-  Status HostVarDelete(int ms, const std::string& key);
-  // Materializes slot `i` of `view` into *value. False when the record is
-  // out-of-line on a foreign MS (caller declines).
-  bool HostVarValue(int ms, const NodeView& view, uint32_t i,
-                    const std::string& key, std::string* value) const;
+  // Per-key executors shared by the singleton and coalesced ops, each
+  // written once over a record policy (core/record_policy.h: the same
+  // leaf-local ops the one-sided path runs). Each returns OK, NotFound, or
+  // Retry naming the decline reason (locked or full leaf, structural
+  // anomaly; for varlen records also an outline value or an extent on a
+  // foreign MS).
+  template <class R>
+  Status HostPut(R rec);
+  template <class R>
+  Status HostGet(int ms, R rec);
+  template <class R>
+  Status HostRemove(int ms, R rec);
 
   // The loop every coalesced op shares: takes the item list staged under
   // `token`, runs `one` per item, counts each outcome, charges the extra
   // root-to-leaf walks, and stages the per-item results back.
   template <typename Res, typename Item, typename Fn>
   uint64_t ServeBatch(int ms, uint64_t token, Fn one);
-  // The leaf walk both scans share, from the leaf covering `from`:
-  // collect(view, &out) appends one leaf's entries (false = the rest must
-  // resolve one-sided). A result cut short by anything but the end of the
-  // tree declines, so a query never returns a different set depending on
-  // the router's assignment.
-  template <typename Entry, typename Collect>
-  uint64_t ServeScan(int ms, Key from, uint32_t count, uint64_t token,
-                     Collect collect);
+  // The leaf walk both scans share, from the leaf covering `from`'s key:
+  // the policy's HostCollect appends one leaf's entries (false = the rest
+  // must resolve one-sided). A result cut short by anything but the end of
+  // the tree declines, so a query never returns a different set depending
+  // on the router's assignment.
+  template <class R>
+  uint64_t ServeScan(int ms, R from, uint32_t count, uint64_t token);
   // Each root-to-leaf walk (or scanned leaf) beyond the first costs the
   // wimpy core half a service slot, so batches and long scans show up in
   // the FIFO backlog the router watches.

@@ -1,8 +1,9 @@
 // Per-MS log-structured value store (the FlexKV-style index/value split).
 //
-// Values above TreeOptions::inline_threshold are written OUT-OF-LINE: the
-// leaf slot keeps an 8-byte packed pointer (fingerprint + size class +
-// location) and the bytes live in a value-log extent on a memory server.
+// Values above kInlineThreshold (core/node_layout.h) are written
+// OUT-OF-LINE: the leaf slot keeps an 8-byte packed pointer (fingerprint +
+// size class + location) and the bytes live in a value-log extent on a
+// memory server.
 //
 // Space management is log-structured. A compute server carves SEGMENTS
 // (vlog_segment_bytes, one open segment per size class) out of the
@@ -40,6 +41,9 @@ namespace vlog {
 inline constexpr uint32_t kNumClasses = 8;     // 64 B << c, c in [0,8)
 inline constexpr uint32_t kMinExtentBytes = 64;
 inline constexpr uint32_t kRecordHeader = 4;   // [klen u16][vlen u16]
+// GC victim threshold: a sealed segment with at least this many dead
+// extents per thousand written is eligible for TreeClient::VlogGcOnce.
+inline constexpr uint32_t kGcDeadPermille = 250;
 
 // Packed value-log pointer, as stored in a leaf slot:
 //   [63:56] key fingerprint   [55:48] size class

@@ -3,6 +3,7 @@
 // range queries, and key-size sweeps — parameterized over every preset.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -856,6 +857,310 @@ TEST(VarTreeTest, MultiInsertVarAndMultiGetVarRoundTrip) {
   system.simulator().Run();
   ASSERT_TRUE(done);
   system.DebugCheckInvariants();
+}
+
+
+// --- per-op cost pins --------------------------------------------------------
+
+// One public op's cost on a quiescent single-client tree: its OpStats and
+// its simulated latency.
+struct OpCost {
+  std::string op;
+  uint32_t round_trips = 0;
+  uint32_t read_retries = 0;
+  uint32_t lock_retries = 0;
+  uint64_t bytes_written = 0;
+  uint32_t cache_hits = 0;
+  uint32_t cache_misses = 0;
+  sim::SimTime latency_ns = 0;
+};
+
+// Renders costs as the initializer rows of the expected tables below, so a
+// mismatch prints both tables line by line.
+std::string CostTable(const std::vector<OpCost>& costs) {
+  std::string out;
+  for (const OpCost& c : costs) {
+    out += "{\"" + c.op + "\", " + std::to_string(c.round_trips) + ", " +
+           std::to_string(c.read_retries) + ", " +
+           std::to_string(c.lock_retries) + ", " +
+           std::to_string(c.bytes_written) + ", " +
+           std::to_string(c.cache_hits) + ", " +
+           std::to_string(c.cache_misses) + ", " +
+           std::to_string(c.latency_ns) + "},\n";
+  }
+  return out;
+}
+
+// Records the cost of each op run through Run(). Next() names the op,
+// resets stats() and starts its clock. (Names stay out of
+// the co_await expression: GCC rejects string literals there.)
+class CostLog {
+ public:
+  explicit CostLog(sim::Simulator* sim) : sim_(sim) {}
+  void Next(std::string name) {
+    name_ = std::move(name);
+    stats_.Reset();
+    start_ = sim_->now();
+  }
+  OpStats* stats() { return &stats_; }
+  sim::Task<Status> Run(sim::Task<Status> op) {
+    const Status st = co_await std::move(op);
+    EXPECT_TRUE(st.ok() || st.IsNotFound()) << name_ << ": " << st.ToString();
+    costs.push_back(OpCost{name_, stats_.round_trips, stats_.read_retries,
+                           stats_.lock_retries, stats_.bytes_written,
+                           stats_.cache_hits, stats_.cache_misses,
+                           sim_->now() - start_});
+    co_return st;
+  }
+  std::vector<OpCost> costs;
+
+ private:
+  sim::Simulator* sim_;
+  std::string name_;
+  OpStats stats_;
+  sim::SimTime start_ = 0;
+};
+
+// Fixed records on 256-byte nodes (11 entries per leaf), loaded half full:
+// keys 10, 20, ..., 2000, five per leaf.
+std::vector<OpCost> FixedOpCosts(TreeOptions topt) {
+  topt.shape.node_size = 256;
+  ShermanSystem system(SmallFabric(), topt);
+  std::vector<std::pair<Key, uint64_t>> kvs;
+  for (Key k = 10; k <= 2000; k += 10) kvs.emplace_back(k, k + 1);
+  system.BulkLoad(kvs, 0.5);
+  const size_t leaves = system.DebugCountLeaves();
+  CostLog log(&system.simulator());
+  bool done = false;
+  sim::Spawn([](TreeClient* c, CostLog* log, bool* flag) -> sim::Task<void> {
+    uint64_t v = 0;
+    log->Next("lookup.cold");
+    co_await log->Run(c->Lookup(500, &v, log->stats()));
+    EXPECT_EQ(v, 501u);
+    log->Next("lookup.cached");
+    co_await log->Run(c->Lookup(500, &v, log->stats()));
+    log->Next("insert.update");
+    co_await log->Run(c->Insert(500, 7, log->stats()));
+    // Six new keys fill 500's leaf; the seventh splits it.
+    for (Key k = 501; k <= 507; k++) {
+      log->Next(k == 507 ? "insert.split" : "insert.new");
+      co_await log->Run(c->Insert(k, k, log->stats()));
+    }
+    log->Next("delete.plain");
+    co_await log->Run(c->Delete(1000, log->stats()));
+    // Leaf [1510, 1560): its third delete leaves 2 of 11 live and merges
+    // it into the five-entry leaf on its left.
+    log->Next("delete.plain");
+    co_await log->Run(c->Delete(1510, log->stats()));
+    log->Next("delete.plain");
+    co_await log->Run(c->Delete(1520, log->stats()));
+    log->Next("delete.merge");
+    co_await log->Run(c->Delete(1530, log->stats()));
+    std::vector<std::pair<Key, uint64_t>> range;
+    log->Next("range");
+    co_await log->Run(c->RangeQuery(300, 20, &range, log->stats()));
+    EXPECT_EQ(range.size(), 20u);
+    std::vector<MultiGetResult> got;
+    std::vector<Key> get_keys = {100, 200, 205, 300, 1000};
+    log->Next("multiget");
+    co_await log->Run(c->MultiGet(get_keys, &got, log->stats()));
+    std::vector<std::pair<Key, uint64_t>> put_kvs = {
+        {110, 1}, {111, 2}, {1200, 3}};
+    log->Next("multiinsert");
+    co_await log->Run(c->MultiInsert(put_kvs, log->stats()));
+    std::vector<Status> del;
+    std::vector<Key> del_keys = {111, 1200, 1205};
+    log->Next("multidelete");
+    co_await log->Run(c->MultiDelete(del_keys, &del, log->stats()));
+    *flag = true;
+  }(&system.client(0), &log, &done));
+  system.simulator().Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(system.client(0).reclaim_stats().leaf_merges, 1u);
+  EXPECT_EQ(system.DebugCountLeaves(), leaves);  // one split, one merge
+  system.DebugCheckInvariants();
+  return log.costs;
+}
+
+std::string PinKey(uint64_t n) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08llu", static_cast<unsigned long long>(n));
+  return buf;
+}
+
+// Varlen records on 512-byte nodes, bulk loaded half full with 40-byte
+// inline values under keys "00000010" ... "00002000".
+std::vector<OpCost> VarOpCosts() {
+  ShermanSystem system(SmallFabric(), VarOptions());
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (uint64_t n = 10; n <= 2000; n += 10) {
+    kvs.emplace_back(PinKey(n), std::string(40, 'a' + n % 26));
+  }
+  system.BulkLoadVar(kvs, 0.5);
+  const size_t leaves = system.DebugCountLeaves();
+  CostLog log(&system.simulator());
+  uint64_t relocated = 0;
+  bool done = false;
+  sim::Spawn([](TreeClient* c, CostLog* log, uint64_t* relocated,
+                bool* flag) -> sim::Task<void> {
+    const std::string inline8(8, 'i');
+    const std::string inline60(60, 'j');
+    const std::string outline(100, 'o');
+    std::string v;
+    log->Next("lookupvar.cold");
+    co_await log->Run(c->LookupVar(Slice(PinKey(500)), &v, log->stats()));
+    log->Next("lookupvar.cached");
+    co_await log->Run(c->LookupVar(Slice(PinKey(500)), &v, log->stats()));
+    log->Next("insertvar.update");
+    co_await log->Run(
+        c->InsertVar(Slice(PinKey(500)), Slice(inline8), log->stats()));
+    log->Next("insertvar.outline");
+    co_await log->Run(
+        c->InsertVar(Slice(PinKey(505)), Slice(outline), log->stats()));
+    log->Next("lookupvar.swizzled");
+    co_await log->Run(c->LookupVar(Slice(PinKey(505)), &v, log->stats()));
+    EXPECT_EQ(v, outline);
+    // 60-byte inline values fill 500's leaf; the fourth splits it.
+    for (uint64_t n = 501; n <= 504; n++) {
+      log->Next(n == 504 ? "insertvar.split" : "insertvar.new");
+      co_await log->Run(
+          c->InsertVar(Slice(PinKey(n)), Slice(inline60), log->stats()));
+    }
+    log->Next("deletevar.plain");
+    co_await log->Run(c->DeleteVar(Slice(PinKey(1000)), log->stats()));
+    // The second delete leaves 1500's leaf under a quarter of its byte
+    // budget and merges it into its left neighbour.
+    log->Next("deletevar.plain");
+    co_await log->Run(c->DeleteVar(Slice(PinKey(1500)), log->stats()));
+    log->Next("deletevar.merge");
+    co_await log->Run(c->DeleteVar(Slice(PinKey(1510)), log->stats()));
+    std::vector<std::pair<std::string, std::string>> scan;
+    log->Next("scanvar");
+    co_await log->Run(c->ScanVar(Slice(PinKey(300)), 10, &scan, log->stats()));
+    EXPECT_EQ(scan.size(), 10u);
+    std::vector<VarGetResult> got;
+    std::vector<std::string> get_keys = {PinKey(100), PinKey(505),
+                                         PinKey(12345), PinKey(200)};
+    log->Next("multigetvar");
+    co_await log->Run(c->MultiGetVar(get_keys, &got, log->stats()));
+    std::vector<std::pair<std::string, std::string>> put_kvs = {
+        {PinKey(111), inline8}, {PinKey(112), outline}, {PinKey(113), inline8}};
+    log->Next("multiinsertvar");
+    co_await log->Run(c->MultiInsertVar(put_kvs, log->stats()));
+    // Two of the segment's out-of-line records die, so it passes the GC
+    // threshold. The first pass only seals it (a segment sealed under a
+    // live pin is not yet a victim); the second relocates its live records.
+    for (uint64_t n = 2001; n <= 2004; n++) {
+      log->Next("insertvar.outline");
+      co_await log->Run(
+          c->InsertVar(Slice(PinKey(n)), Slice(outline), log->stats()));
+    }
+    log->Next("insertvar.inline");
+    co_await log->Run(
+        c->InsertVar(Slice(PinKey(2001)), Slice(inline8), log->stats()));
+    log->Next("deletevar.outline");
+    co_await log->Run(c->DeleteVar(Slice(PinKey(2002)), log->stats()));
+    log->Next("vlog.gc.seal");
+    co_await log->Run(c->VlogGcOnce(relocated, log->stats()));
+    log->Next("vlog.gc");
+    co_await log->Run(c->VlogGcOnce(relocated, log->stats()));
+    log->Next("lookupvar.relocated");
+    co_await log->Run(c->LookupVar(Slice(PinKey(2003)), &v, log->stats()));
+    EXPECT_EQ(v, outline);
+    *flag = true;
+  }(&system.client(0), &log, &relocated, &done));
+  system.simulator().Run();
+  EXPECT_TRUE(done);
+  EXPECT_GT(relocated, 0u);
+  EXPECT_EQ(system.client(0).reclaim_stats().leaf_merges, 1u);
+  EXPECT_EQ(system.DebugCountLeaves(), leaves);  // one split, one merge
+  system.DebugCheckInvariants();
+  return log.costs;
+}
+
+// Expected costs, in OpCost field order. Any change to an op's round
+// trips, retries, written bytes or simulated latency shows up here.
+const std::vector<OpCost> kShermanFixedCosts = {
+    {"lookup.cold", 5, 0, 0, 0, 0, 1, 9678},
+    {"lookup.cached", 1, 0, 0, 0, 1, 0, 2383},
+    {"insert.update", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
+    {"insert.split", 8, 0, 0, 768, 1, 0, 23535},
+    {"delete.plain", 4, 0, 0, 18, 0, 1, 7381},
+    {"delete.plain", 4, 0, 0, 18, 0, 1, 7227},
+    {"delete.plain", 3, 0, 0, 18, 1, 0, 5394},
+    {"delete.merge", 13, 0, 0, 768, 1, 0, 25723},
+    {"range", 6, 0, 0, 0, 0, 1, 9126},
+    {"multiget", 1, 0, 0, 0, 5, 0, 3649},
+    {"multiinsert", 7, 0, 0, 54, 2, 1, 7928},
+    {"multidelete", 6, 0, 0, 36, 3, 0, 5716},
+};
+
+const std::vector<OpCost> kFgFixedCosts = {
+    {"lookup.cold", 5, 0, 0, 0, 0, 1, 9578},
+    {"lookup.cached", 1, 0, 0, 0, 1, 0, 2283},
+    {"insert.update", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
+    {"insert.split", 10, 0, 0, 768, 1, 0, 28591},
+    {"delete.plain", 6, 0, 0, 66, 0, 1, 11558},
+    {"delete.plain", 6, 0, 0, 138, 0, 1, 11408},
+    {"delete.plain", 5, 0, 0, 120, 1, 0, 9574},
+    {"delete.merge", 15, 0, 0, 768, 1, 0, 31670},
+    {"range", 6, 0, 0, 0, 0, 1, 8626},
+    {"multiget", 1, 0, 0, 0, 5, 0, 3149},
+    {"multiinsert", 9, 0, 0, 512, 2, 1, 9941},
+    {"multidelete", 10, 0, 0, 204, 3, 0, 9793},
+};
+
+const std::vector<OpCost> kVarCosts = {
+    {"lookupvar.cold", 5, 0, 0, 0, 0, 1, 9802},
+    {"lookupvar.cached", 1, 0, 0, 0, 1, 0, 2339},
+    {"insertvar.update", 3, 0, 0, 512, 1, 0, 5442},
+    {"insertvar.outline", 5, 0, 0, 624, 1, 0, 20033},
+    {"lookupvar.swizzled", 1, 0, 0, 0, 1, 0, 2349},
+    {"insertvar.new", 3, 0, 0, 512, 1, 0, 5442},
+    {"insertvar.new", 3, 0, 0, 512, 1, 0, 5442},
+    {"insertvar.new", 3, 0, 0, 512, 1, 0, 5442},
+    {"insertvar.split", 7, 0, 0, 1536, 1, 0, 13766},
+    {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
+    {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
+    {"deletevar.merge", 13, 0, 0, 1536, 1, 0, 26012},
+    {"scanvar", 3, 0, 0, 0, 1, 0, 6517},
+    {"multigetvar", 6, 0, 0, 0, 3, 2, 10935},
+    {"multiinsertvar", 4, 0, 0, 624, 3, 0, 7545},
+    {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
+    {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
+    {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
+    {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
+    {"insertvar.inline", 4, 0, 0, 512, 1, 0, 9738},
+    {"deletevar.outline", 4, 0, 0, 512, 1, 0, 9738},
+    {"vlog.gc.seal", 3, 0, 0, 0, 0, 0, 12888},
+    {"vlog.gc", 28, 0, 0, 2496, 4, 0, 68972},
+    {"lookupvar.relocated", 1, 0, 0, 0, 1, 0, 2349},
+};
+
+TEST(OpCostTest, ShermanFixedRecords) {
+  EXPECT_EQ(CostTable(FixedOpCosts(ShermanOptions())),
+            CostTable(kShermanFixedCosts));
+}
+
+TEST(OpCostTest, FgFixedRecords) {
+  EXPECT_EQ(CostTable(FixedOpCosts(FgPlusOptions())),
+            CostTable(kFgFixedCosts));
+}
+
+TEST(OpCostTest, VarRecords) {
+  EXPECT_EQ(CostTable(VarOpCosts()), CostTable(kVarCosts));
 }
 
 }  // namespace

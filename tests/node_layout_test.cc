@@ -185,8 +185,8 @@ TEST(NodeViewTest, SortedLeafFindAndRemove) {
   for (Key k : {10, 20, 30, 40}) v.SortedLeafInsert(k, k * 10);
   EXPECT_EQ(v.SortedLeafFind(30), 2u);
   EXPECT_EQ(v.SortedLeafFind(31), UINT32_MAX);
-  EXPECT_TRUE(v.SortedLeafRemove(20));
-  EXPECT_FALSE(v.SortedLeafRemove(20));
+  v.SortedLeafRemoveAt(v.SortedLeafFind(20));
+  EXPECT_EQ(v.SortedLeafFind(20), UINT32_MAX);
   EXPECT_EQ(v.count(), 3u);
   EXPECT_EQ(v.LeafKey(1), 30u);
   EXPECT_EQ(v.LeafValue(1), 300u);
@@ -459,6 +459,46 @@ TEST(VarLeafTest, ZeroLengthValueRoundTrips) {
   EXPECT_EQ(v.VarInlineValue(v.VarFind("empty-value-key")).size(), 0u);
   EXPECT_EQ(v.VarInlineValue(v.VarFind("empty-value-kez")).ToString(),
             "neighbor");
+}
+
+// An empty value's staged payload has no storage (its data() is null):
+// building, re-prefixing and splitting a leaf that holds one must never
+// hand that pointer to memcpy, which UBSan rejects.
+TEST(VarLeafTest, EmptyValueSurvivesBuildReprefixAndSplit) {
+  const TreeShape s = VarShape();
+  auto buf = Buf(s);
+  NodeView v(buf.data(), &s);
+  v.InitLeaf(0, kMaxKey, rdma::kNullAddress);
+  std::vector<VarEntry> entries(3);
+  entries[0].key = "app/metrics/cpu";  // empty payload: a zero-length value
+  entries[1].key = "app/metrics/mem";
+  entries[1].payload = {'m'};
+  entries[1].vlen = 1;
+  entries[2].key = "app/metrics/net";  // empty payload
+  ASSERT_TRUE(BuildVarLeaf(&v, entries));
+  EXPECT_EQ(v.prefix_len(), 12u);  // "app/metrics/"
+  // A diverging key shrinks the prefix, rewriting every entry.
+  ASSERT_TRUE(VarInsertInline(&v, "app/logs/x", ""));
+  EXPECT_EQ(v.prefix_len(), 4u);
+  EXPECT_EQ(v.VarInlineValue(v.VarFind("app/metrics/cpu")).size(), 0u);
+  EXPECT_EQ(v.VarInlineValue(v.VarFind("app/metrics/mem")).ToString(), "m");
+
+  // Split: both halves rebuild from the extracted entries.
+  const std::vector<VarEntry> all = ExtractVarEntries(v);
+  ASSERT_EQ(all.size(), 4u);
+  auto lbuf = Buf(s), ubuf = Buf(s);
+  NodeView lower(lbuf.data(), &s), upper(ubuf.data(), &s);
+  lower.InitLeaf(0, 1000, rdma::kNullAddress);
+  upper.InitLeaf(1000, kMaxKey, rdma::kNullAddress);
+  ASSERT_TRUE(BuildVarLeaf(
+      &lower, std::vector<VarEntry>(all.begin(), all.begin() + 2)));
+  ASSERT_TRUE(
+      BuildVarLeaf(&upper, std::vector<VarEntry>(all.begin() + 2, all.end())));
+  EXPECT_EQ(lower.VarInlineValue(lower.VarFind("app/logs/x")).size(), 0u);
+  EXPECT_EQ(lower.VarInlineValue(lower.VarFind("app/metrics/cpu")).size(), 0u);
+  EXPECT_EQ(upper.VarInlineValue(upper.VarFind("app/metrics/mem")).ToString(),
+            "m");
+  EXPECT_EQ(upper.VarInlineValue(upper.VarFind("app/metrics/net")).size(), 0u);
 }
 
 TEST(VarLeafTest, MaxKeyLengthRoundTrips) {

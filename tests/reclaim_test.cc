@@ -4,8 +4,10 @@
 // merge path.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "alloc/reclaim.h"
@@ -357,6 +359,55 @@ TEST(ReclaimTest, RpcDeletePathMergesToo) {
   EXPECT_EQ(system.sherman().DebugScanLeaves().size(), (n + 15) / 16);
   EXPECT_GT(system.rpc_service().leaf_merges(), 0u)
       << "MS-side executor never merged an underflowed leaf";
+}
+
+// ... and merges underflowed slotted (varlen) leaves by their byte budget.
+TEST(ReclaimTest, RpcDeleteVarPathMergesSlottedLeaves) {
+  HybridOptions opt;
+  opt.tree = ShermanOptions();
+  opt.tree.two_level_versions = false;  // varlen requires sorted leaves
+  opt.tree.shape.varlen = true;
+  opt.tree.shape.node_size = 512;
+  opt.router.num_shards = 4;
+  HybridSystem system(SmallFabric(), opt);
+  const uint64_t n = 600;
+  auto key = [](uint64_t r) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08llu",
+                  static_cast<unsigned long long>(r + 1));
+    return std::string(buf);
+  };
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (uint64_t r = 0; r < n; r++) {
+    kvs.emplace_back(key(r), std::string(24, 'v'));
+  }
+  system.BulkLoadVar(kvs, 1.0);
+  system.router().ForceAssignment(
+      std::vector<route::Path>(system.router().num_shards(),
+                               route::Path::kRpc));
+
+  bool done = false;
+  sim::Spawn([](HybridSystem* sys, const std::vector<std::pair<std::string,
+                                                          std::string>>* kvs,
+                bool* flag) -> sim::Task<void> {
+    for (size_t r = 0; r < kvs->size(); r++) {
+      if (r % 16 == 0) continue;
+      Status st = co_await sys->client(0).DeleteVar(Slice((*kvs)[r].first));
+      EXPECT_TRUE(st.ok()) << (*kvs)[r].first << ": " << st.ToString();
+    }
+    *flag = true;
+  }(&system, &kvs, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  system.sherman().DebugCheckInvariants();
+  const auto left = system.sherman().DebugScanLeavesVar();
+  ASSERT_EQ(left.size(), (n + 15) / 16);
+  for (size_t i = 0; i < left.size(); i++) {
+    EXPECT_EQ(left[i].first, key(16 * i));
+  }
+  EXPECT_GT(system.rpc_service().leaf_merges(), 0u)
+      << "MS-side executor never merged an underflowed slotted leaf";
 }
 
 // MultiDelete under churn racing migration: deletes + merges while a live
