@@ -91,7 +91,7 @@ struct ChurnResult {
   double mops = 0;
   RunResult run;                    // full runner result (telemetry)
   std::vector<uint64_t> footprint;  // sampled allocated bytes
-  ReclaimStats client_reclaim;
+  uint64_t leaf_merges = 0;  // client-side merges (reclaim.leaf_merges)
   uint64_t ms_nodes_freed = 0;
   uint64_t ms_nodes_recycled = 0;
   uint64_t grace_pending = 0;
@@ -120,14 +120,12 @@ ChurnResult RunChurn(ShermanSystem* system, const BenchEnv& env,
   const RunResult res = RunWorkload(system, r);
   out.run = res;
   out.mops = res.mops;
-  for (int cs = 0; cs < system->num_clients(); cs++) {
-    out.client_reclaim.Merge(system->client(cs).reclaim_stats());
-  }
-  for (int ms = 0; ms < system->num_chunk_managers(); ms++) {
-    out.ms_nodes_freed += system->chunk_manager(ms).nodes_freed();
-    out.ms_nodes_recycled += system->chunk_manager(ms).nodes_recycled();
-    out.grace_pending += system->chunk_manager(ms).grace_pending();
-  }
+  const obs::MetricsSnapshot end = system->registry().Snapshot();
+  out.leaf_merges = end.counter("reclaim.leaf_merges");
+  out.ms_nodes_freed = end.counter("alloc.nodes_freed");
+  out.ms_nodes_recycled = end.counter("alloc.nodes_recycled");
+  out.grace_pending =
+      static_cast<uint64_t>(end.gauge("reclaim.grace_pending"));
   out.leaf_chain = system->DebugCountLeaves();
   return out;
 }
@@ -200,7 +198,7 @@ int main(int argc, char** argv) {
     table.AddRow({name, Fmt(r.mops),
                   mb(r.footprint.front()) + "->" + mb(r.footprint.back()),
                   std::to_string(r.leaf_chain),
-                  std::to_string(r.client_reclaim.leaf_merges),
+                  std::to_string(r.leaf_merges),
                   std::to_string(r.ms_nodes_freed),
                   std::to_string(r.ms_nodes_recycled),
                   std::to_string(r.grace_pending)});
@@ -248,9 +246,8 @@ int main(int argc, char** argv) {
   telemetry.Gate("no_lookup_failures", lookup_failures == 0,
                  static_cast<double>(lookup_failures));
   telemetry.Gate("reclamation_engaged",
-                 churn.client_reclaim.leaf_merges > 0 &&
-                     churn.ms_nodes_freed > 0,
-                 static_cast<double>(churn.client_reclaim.leaf_merges));
+                 churn.leaf_merges > 0 && churn.ms_nodes_freed > 0,
+                 static_cast<double>(churn.leaf_merges));
   if (!env.quick) {
     telemetry.Gate("footprint_plateau",
                    static_cast<double>(churn.footprint.back()) <=
@@ -268,10 +265,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(lookup_failures));
     fail = true;
   }
-  if (churn.client_reclaim.leaf_merges == 0 || churn.ms_nodes_freed == 0) {
+  if (churn.leaf_merges == 0 || churn.ms_nodes_freed == 0) {
     std::printf("FAIL: reclamation never engaged (merges=%llu freed=%llu)\n",
-                static_cast<unsigned long long>(
-                    churn.client_reclaim.leaf_merges),
+                static_cast<unsigned long long>(churn.leaf_merges),
                 static_cast<unsigned long long>(churn.ms_nodes_freed));
     fail = true;
   }

@@ -200,7 +200,10 @@ int main(int argc, char** argv) {
   const double during_mops = WindowMops(marks.ops_at_done - marks.ops_at_start,
                                         marks.done - marks.start);
   const double post_mops = WindowMops(ctx.ops - marks.ops_at_done, post_ns);
-  const MigrationStats& ms = migrator.stats();
+  const obs::MetricsSnapshot elastic = system.sherman().registry().Snapshot();
+  const auto mig = [&elastic](const char* name) {
+    return std::to_string(elastic.counter(std::string("migrate.") + name));
+  };
 
   // --- native baseline: 3 MSs from the start ------------------------------
   BenchEnv native_env = env;
@@ -229,12 +232,11 @@ int main(int argc, char** argv) {
   Table m("migration volume");
   m.SetColumns({"shards", "leaves", "internals", "passes", "copied(KB)",
                 "sibling-fixes", "residual", "failed-ops"});
-  m.AddRow({std::to_string(ms.shards_migrated),
-            std::to_string(ms.leaves_moved),
-            std::to_string(ms.internals_moved), std::to_string(ms.passes),
-            std::to_string(ms.bytes_copied >> 10),
-            std::to_string(ms.sibling_fixes),
-            std::to_string(ms.residual_leaves), std::to_string(ctx.failed)});
+  m.AddRow({mig("shards_migrated"), mig("leaves_moved"),
+            mig("internals_moved"), mig("passes"),
+            std::to_string(elastic.counter("migrate.bytes_copied") >> 10),
+            mig("sibling_fixes"), mig("residual_leaves"),
+            std::to_string(ctx.failed)});
   m.Print();
 
   if (print_series) {
@@ -255,7 +257,7 @@ int main(int argc, char** argv) {
   }
 
   telemetry.AddRun("native-3ms", native_run);
-  telemetry.MergeMetrics(system.sherman().registry().Snapshot());
+  telemetry.MergeMetrics(elastic);
   telemetry.Metric("elastic.pre_mops", pre_mops);
   telemetry.Metric("elastic.during_mops", during_mops);
   telemetry.Metric("elastic.post_mops", post_mops);

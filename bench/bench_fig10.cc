@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
         ref = Fmt(wl.paper_sherman_mops) + " Mops";
       }
       table.AddRow({stage.name, Fmt(r.mops), Fmt(r.P50Us()), Fmt(r.P99Us()),
-                    std::to_string(r.handovers), ref});
+                    std::to_string(r.metrics.counter("lock.handovers")),
+                    ref});
       std::fprintf(stderr, "[fig10] %s / %s done (%.2f Mops)\n", wl.name,
                    stage.name.c_str(), r.mops);
     }

@@ -153,13 +153,17 @@ int main(int argc, char** argv) {
       PolicyResult r =
           RunPolicy(env, sc, policy, num_shards, epoch_ns, epoch_log);
       telemetry.AddRun(sc.name + "/" + r.policy, r.run);
-      table.AddRow({sc.name, r.policy, Fmt(r.run.mops), Fmt(r.run.P50Us(), 1),
-                    Fmt(r.run.P99Us(), 1), Fmt(r.run.route.RpcShare(), 2),
-                    Fmt(r.run.route.AvgOneSidedUs(), 1),
-                    Fmt(r.run.route.AvgRpcUs(), 1),
-                    std::to_string(r.run.route.rpc_fallbacks),
-                    std::to_string(r.run.route.epochs),
-                    std::to_string(r.run.route.shard_flips)});
+      const obs::MetricsSnapshot& m = r.run.metrics;
+      const uint64_t os = m.counter("route.ops_one_sided");
+      const uint64_t rpc = m.counter("route.ops_rpc");
+      table.AddRow(
+          {sc.name, r.policy, Fmt(r.run.mops), Fmt(r.run.P50Us(), 1),
+           Fmt(r.run.P99Us(), 1), Fmt(Ratio(rpc, os + rpc), 2),
+           Fmt(Ratio(m.counter("route.lat_one_sided_ns"), os) / 1000.0, 1),
+           Fmt(Ratio(m.counter("route.lat_rpc_ns"), rpc) / 1000.0, 1),
+           std::to_string(m.counter("route.rpc_fallbacks")),
+           std::to_string(m.counter("route.epochs")),
+           std::to_string(m.counter("route.shard_flips"))});
     }
   }
   table.Print();

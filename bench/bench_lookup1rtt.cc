@@ -94,10 +94,8 @@ int main(int argc, char** argv) {
     const uint64_t served = m.counter("hint.served");
     // Mirror fetches over the whole run: the window's hint.refreshes
     // counter misses the cold-start fetches made during warm-up.
-    uint64_t refreshes = 0;
-    for (int cs = 0; cs < system.num_clients(); cs++) {
-      refreshes += system.client(cs).hint_stats().refreshes;
-    }
+    const uint64_t refreshes =
+        system.registry().Snapshot().counter("hint.refreshes");
     table.AddRow({arm.name, Fmt(run.mops), Fmt(run.P50Us(), 1),
                   Fmt(run.P99Us(), 1), Fmt(rpo, 2), std::to_string(consults),
                   std::to_string(served), std::to_string(m.counter("hint.stale")),

@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   // --- varlen hot-key segment: string API, delegation + combining on ---
   uint64_t var_failed = 0;
   double var_mops = 0;
-  combine::RdwcStats var_stats;
+  obs::MetricsSnapshot var_metrics;  // the segment's registry once drained
   {
     HybridOptions opts;
     opts.tree = ShermanOptions();
@@ -210,24 +210,29 @@ int main(int argc, char** argv) {
     var_failed = ctx.failed;
     var_mops = static_cast<double>(ctx.ops) * 1000.0 /
                static_cast<double>(env.measure_ns);
-    var_stats = system.rdwc()->stats();
+    var_metrics = system.sherman().registry().Snapshot();
     system.sherman().DebugCheckInvariants();
   }
+  const uint64_t var_windows = var_metrics.counter("rdwc.windows_opened");
+  const uint64_t var_combined = var_metrics.counter("rdwc.combined_writes");
+  const uint64_t var_mismatch = var_metrics.counter("rdwc.var_key_mismatch");
   std::printf(
       "\nvarlen hot-key segment: %.2f Mops, %llu failed, windows %llu, "
       "followers %llu, puts-combined %llu, combined-wr %llu, "
       "key-mismatch %llu\n",
       var_mops, static_cast<unsigned long long>(var_failed),
-      static_cast<unsigned long long>(var_stats.windows_opened),
-      static_cast<unsigned long long>(var_stats.followers_queued),
-      static_cast<unsigned long long>(var_stats.puts_combined),
-      static_cast<unsigned long long>(var_stats.combined_writes),
-      static_cast<unsigned long long>(var_stats.var_key_mismatch));
+      static_cast<unsigned long long>(var_windows),
+      static_cast<unsigned long long>(
+          var_metrics.counter("rdwc.followers_queued")),
+      static_cast<unsigned long long>(
+          var_metrics.counter("rdwc.puts_combined")),
+      static_cast<unsigned long long>(var_combined),
+      static_cast<unsigned long long>(var_mismatch));
   telemetry.Metric("varlen_mops", var_mops);
   telemetry.CounterMetric("varlen_failed_ops", var_failed);
-  telemetry.CounterMetric("varlen_windows_opened", var_stats.windows_opened);
-  telemetry.CounterMetric("varlen_combined_writes", var_stats.combined_writes);
-  telemetry.CounterMetric("varlen_key_mismatch", var_stats.var_key_mismatch);
+  telemetry.CounterMetric("varlen_windows_opened", var_windows);
+  telemetry.CounterMetric("varlen_combined_writes", var_combined);
+  telemetry.CounterMetric("varlen_key_mismatch", var_mismatch);
 
   const double speedup =
       adaptive_mops > 0 ? combining_mops / adaptive_mops : 0;
@@ -235,9 +240,9 @@ int main(int argc, char** argv) {
   std::printf("\ncombining speedup over adaptive-only: %.2fx (gate >= %.2fx)\n",
               speedup, bar);
   telemetry.Gate("combining_speedup", speedup >= bar, speedup);
-  const bool var_ok = var_stats.combined_writes > 0 && var_failed == 0;
+  const bool var_ok = var_combined > 0 && var_failed == 0;
   telemetry.Gate("varlen_combining_engaged", var_ok,
-                 static_cast<double>(var_stats.combined_writes));
+                 static_cast<double>(var_combined));
   if (speedup < bar) {
     std::printf("FAIL: combining speedup %.2fx below the %.2fx gate\n",
                 speedup, bar);
@@ -246,7 +251,7 @@ int main(int argc, char** argv) {
   if (!var_ok) {
     std::printf("FAIL: varlen combining gate (combined writes %llu, "
                 "failed ops %llu)\n",
-                static_cast<unsigned long long>(var_stats.combined_writes),
+                static_cast<unsigned long long>(var_combined),
                 static_cast<unsigned long long>(var_failed));
     return 1;
   }

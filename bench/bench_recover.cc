@@ -170,16 +170,18 @@ int main(int argc, char** argv) {
   sim.At(env.warmup_ns + env.measure_ns, [&ctx] { ctx.stop = true; });
   sim.Run();
 
-  // Aggregate recovery actions over every survivor: an organic lease
-  // steal runs recovery on whichever client observed the expiry first,
-  // not necessarily the designated failure detector.
-  recover::RecoverStats rs;
-  uint64_t survivor_failed = 0, lease_steals = 0;
+  // Recovery actions of every survivor, from the registry: an organic
+  // lease steal runs recovery on whichever client observed the expiry
+  // first, not necessarily the designated failure detector. Only
+  // survivors steal leases or recover: the victim is dead.
+  const obs::MetricsSnapshot end = system->registry().Snapshot();
+  const uint64_t lease_steals = end.counter("lock.lease_steals");
+  const uint64_t recoveries = end.counter("recover.recoveries");
+  const uint64_t partial_recoveries = end.counter("recover.partial_recoveries");
+  const double repair_ns = end.gauge("recover.last_duration_ns");
+  uint64_t survivor_failed = 0;
   for (int cs = 0; cs < env.num_cs; cs++) {
-    if (cs == victim_cs) continue;
-    survivor_failed += ctx.failed_by_cs[cs];
-    lease_steals += system->client(cs).hocl().lease_steals();
-    rs.Merge(system->client(cs).recoverer().stats());
+    if (cs != victim_cs) survivor_failed += ctx.failed_by_cs[cs];
   }
   const int survivor_workers = (env.num_cs - 1) * env.threads_per_cs;
 
@@ -209,11 +211,9 @@ int main(int argc, char** argv) {
   pre = pre_n > 0 ? pre / pre_n : 0;
   post = post_n > 0 ? post / post_n : 0;
   const double recovery_latency_ms =
-      (static_cast<double>(detect_ns) +
-       static_cast<double>(rs.last_duration_ns)) /
-      1e6;
+      (static_cast<double>(detect_ns) + repair_ns) / 1e6;
 
-  telemetry.MergeMetrics(system->registry().Snapshot());
+  telemetry.MergeMetrics(end);
   {
     std::vector<std::pair<uint64_t, uint64_t>> pts;
     for (int i = 0; i <= kIntervals; i++) {
@@ -234,24 +234,27 @@ int main(int argc, char** argv) {
   std::printf("dip interval %.3f Mops\n", dip < 1e17 ? dip : 0);
   std::printf("recovery: latency %.3f ms (detect %.1f ms + repair %.3f ms), "
               "recoveries %llu (partial %llu)\n",
-              recovery_latency_ms, detect_ns / 1e6,
-              rs.last_duration_ns / 1e6,
-              static_cast<unsigned long long>(rs.recoveries),
-              static_cast<unsigned long long>(rs.partial_recoveries));
+              recovery_latency_ms, detect_ns / 1e6, repair_ns / 1e6,
+              static_cast<unsigned long long>(recoveries),
+              static_cast<unsigned long long>(partial_recoveries));
   std::printf("actions: lanes swept %llu, intents replayed %llu / rolled "
               "back %llu, orphans freed %llu, survivor lease steals %llu\n",
-              static_cast<unsigned long long>(rs.lanes_swept),
-              static_cast<unsigned long long>(rs.intents_replayed),
-              static_cast<unsigned long long>(rs.intents_rolled_back),
-              static_cast<unsigned long long>(rs.orphans_freed),
+              static_cast<unsigned long long>(
+                  end.counter("recover.lanes_swept")),
+              static_cast<unsigned long long>(
+                  end.counter("recover.intents_replayed")),
+              static_cast<unsigned long long>(
+                  end.counter("recover.intents_rolled_back")),
+              static_cast<unsigned long long>(
+                  end.counter("recover.orphans_freed")),
               static_cast<unsigned long long>(lease_steals));
 
   // Gates.
   telemetry.Gate("no_survivor_failures", survivor_failed == 0,
                  static_cast<double>(survivor_failed));
   telemetry.Gate("recovery_completed",
-                 recovered && rs.recoveries + rs.partial_recoveries > 0,
-                 static_cast<double>(rs.recoveries + rs.partial_recoveries));
+                 recovered && recoveries + partial_recoveries > 0,
+                 static_cast<double>(recoveries + partial_recoveries));
   telemetry.Gate("post_pre_ratio",
                  env.quick || pre <= 0 || post / pre >= 0.5,
                  pre > 0 ? post / pre : 0);
@@ -261,7 +264,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(survivor_failed));
     ok = false;
   }
-  if (!recovered || rs.recoveries + rs.partial_recoveries == 0) {
+  if (!recovered || recoveries + partial_recoveries == 0) {
     std::printf("FAIL: recovery never completed\n");
     ok = false;
   }

@@ -133,7 +133,7 @@ struct PhaseResult {
   uint64_t failed = 0;
   std::vector<uint64_t> footprint;
   uint64_t gc_relocated = 0;
-  vlog::VlogStats vstats;  // aggregated over clients (varlen phases)
+  obs::MetricsSnapshot metrics;  // the registry once the phase drained
 };
 
 template <typename LoopFactory>
@@ -169,6 +169,7 @@ PhaseResult RunPhase(ShermanSystem* system, const BenchEnv& env,
   out.failed = ctx.failed;
   out.mops = static_cast<double>(ctx.ops) * 1000.0 /
              static_cast<double>(env.measure_ns);
+  out.metrics = system->registry().Snapshot();
   return out;
 }
 
@@ -252,9 +253,6 @@ int main(int argc, char** argv) {
           return VarLoop(c, wl8, seed, ctx);
         },
         /*samples=*/2, /*run_gc=*/false);
-    for (int cs = 0; cs < system.num_clients(); cs++) {
-      var8.vstats.Merge(system.client(cs).vlog().stats());
-    }
   }
 
   // --- phase C: value-log churn (16B..4KB values, continuous GC) ---
@@ -273,9 +271,6 @@ int main(int argc, char** argv) {
           return VarLoop(c, wlc, seed, ctx);
         },
         samples, /*run_gc=*/true);
-    for (int cs = 0; cs < system.num_clients(); cs++) {
-      churn.vstats.Merge(system.client(cs).vlog().stats());
-    }
     system.DebugCheckInvariants();
     live_records = system.DebugScanLeavesVar().size();
   }
@@ -288,9 +283,9 @@ int main(int argc, char** argv) {
                     "retires", "gc moved", "footprint MB(first->last)"});
   const auto add_row = [&](const char* name, const PhaseResult& r) {
     table.AddRow({name, Fmt(r.mops), std::to_string(r.failed),
-                  std::to_string(r.vstats.appends),
-                  std::to_string(r.vstats.reads),
-                  std::to_string(r.vstats.retires),
+                  std::to_string(r.metrics.counter("vlog.appends")),
+                  std::to_string(r.metrics.counter("vlog.reads")),
+                  std::to_string(r.metrics.counter("vlog.retires")),
                   std::to_string(r.gc_relocated),
                   mb(r.footprint.front()) + "->" + mb(r.footprint.back())});
   };
@@ -311,8 +306,11 @@ int main(int argc, char** argv) {
   telemetry.Metric("varlen8.mops", var8.mops);
   telemetry.Metric("churn.mops", churn.mops);
   telemetry.Metric("varlen8_over_fixed", ratio);
-  telemetry.CounterMetric("churn.vlog_appends", churn.vstats.appends);
-  telemetry.CounterMetric("churn.vlog_retires", churn.vstats.retires);
+  const uint64_t churn_appends = churn.metrics.counter("vlog.appends");
+  const uint64_t churn_retires = churn.metrics.counter("vlog.retires");
+  const uint64_t churn_gc_passes = churn.metrics.counter("vlog.gc_passes");
+  telemetry.CounterMetric("churn.vlog_appends", churn_appends);
+  telemetry.CounterMetric("churn.vlog_retires", churn_retires);
   telemetry.CounterMetric("churn.gc_relocated", churn.gc_relocated);
   telemetry.CounterMetric("churn.live_records", live_records);
   {
@@ -330,10 +328,10 @@ int main(int argc, char** argv) {
   telemetry.Gate("no_failed_ops", all_failed == 0,
                  static_cast<double>(all_failed));
   telemetry.Gate("vlog_engaged",
-                 churn.vstats.appends > 0 && churn.vstats.retires > 0,
-                 static_cast<double>(churn.vstats.appends));
-  telemetry.Gate("gc_ran", churn.vstats.gc_passes > 0,
-                 static_cast<double>(churn.vstats.gc_passes));
+                 churn_appends > 0 && churn_retires > 0,
+                 static_cast<double>(churn_appends));
+  telemetry.Gate("gc_ran", churn_gc_passes > 0,
+                 static_cast<double>(churn_gc_passes));
   if (!env.quick) {
     telemetry.Gate("varlen8_ge_090x_fixed", ratio >= 0.90, ratio);
     telemetry.Gate("footprint_plateau",
@@ -349,14 +347,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(all_failed));
     fail = true;
   }
-  if (churn.vstats.appends == 0 || churn.vstats.retires == 0) {
+  if (churn_appends == 0 || churn_retires == 0) {
     std::printf("FAIL: value log never engaged under churn "
                 "(appends=%llu retires=%llu)\n",
-                static_cast<unsigned long long>(churn.vstats.appends),
-                static_cast<unsigned long long>(churn.vstats.retires));
+                static_cast<unsigned long long>(churn_appends),
+                static_cast<unsigned long long>(churn_retires));
     fail = true;
   }
-  if (churn.vstats.gc_passes == 0) {
+  if (churn_gc_passes == 0) {
     std::printf("FAIL: GC never ran\n");
     fail = true;
   }

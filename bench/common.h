@@ -85,6 +85,11 @@ struct BenchEnv {
   }
 };
 
+// a / b as a double, 0 when b is 0: ratios of window counters.
+inline double Ratio(uint64_t a, uint64_t b) {
+  return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+}
+
 // Records the shared environment knobs into the telemetry config block.
 inline void AddEnvConfig(BenchTelemetry* t, const BenchEnv& env) {
   t->Config("keys", env.keys);

@@ -32,7 +32,7 @@ struct LockBenchOptions {
 struct LockBenchResult {
   double mops = 0;
   Histogram latency_ns;  // per acquire+release pair
-  uint64_t handovers = 0;
+  uint64_t handovers = 0;     // inside the measurement window, like mops
   uint64_t cas_failures = 0;
 };
 
@@ -44,6 +44,7 @@ struct Ctx {
   sim::SimTime t_start = 0, t_end = 0;
   uint64_t ops = 0;
   Histogram latency;
+  obs::MetricsSnapshot metrics_before, metrics_after;
 };
 
 inline rdma::GlobalAddress LockTarget(int lock_id) {
@@ -102,10 +103,12 @@ inline LockBenchResult RunLockBench(const LockBenchOptions& opt) {
   sim.At(opt.warmup_ns, [&] {
     ctx->measuring = true;
     ctx->t_start = sim.now();
+    ctx->metrics_before = fabric.registry().Snapshot();
   });
   sim.At(opt.warmup_ns + opt.measure_ns, [&] {
     ctx->measuring = false;
     ctx->t_end = sim.now();
+    ctx->metrics_after = fabric.registry().Snapshot();
     ctx->stop = true;
   });
   sim.Run();
@@ -116,10 +119,10 @@ inline LockBenchResult RunLockBench(const LockBenchOptions& opt) {
                             : static_cast<double>(ctx->ops) * 1000.0 /
                                   static_cast<double>(window);
   result.latency_ns = ctx->latency;
-  for (const auto& h : hocls) {
-    result.handovers += h->handovers();
-    result.cas_failures += h->global_cas_failures();
-  }
+  const obs::MetricsSnapshot counts =
+      ctx->metrics_after.Since(ctx->metrics_before);
+  result.handovers = counts.counter("lock.handovers");
+  result.cas_failures = counts.counter("lock.cas_failures");
   return result;
 }
 

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const RunResult r = RunWorkload(&system, ropt);
     if (stage.name == "FG+") fg_mops = r.mops;
     table.AddRow({stage.name, Fmt(r.mops), Fmt(r.P50Us()), Fmt(r.P99Us()),
-                  std::to_string(r.handovers),
+                  std::to_string(r.metrics.counter("lock.handovers")),
                   Fmt(r.mops / std::max(fg_mops, 1e-9), 1) + "x"});
     std::fprintf(stderr, "  %s done (%.2f Mops)\n", stage.name.c_str(),
                  r.mops);

@@ -131,7 +131,12 @@ int main() {
                 static_cast<unsigned long long>(t.ops));
   }
 
-  const RouteStats rs = system.router().stats();
+  const obs::MetricsSnapshot m = system.sherman().registry().Snapshot();
+  const auto count = [&m](const char* name) {
+    return static_cast<double>(m.counter(name));
+  };
+  const double os = count("route.ops_one_sided");
+  const double rpc = count("route.ops_rpc");
   int shards_rpc = 0;
   for (route::Path p : system.router().assignment()) {
     if (p == route::Path::kRpc) shards_rpc++;
@@ -140,10 +145,12 @@ int main() {
       "\nrouting: %.1f%% of ops offloaded to MS-side RPC "
       "(avg %.1f us vs %.1f us one-sided), %d/%d shards on RPC at end, "
       "%llu epochs, %llu shard flips, %llu fallbacks\n",
-      100.0 * rs.RpcShare(), rs.AvgRpcUs(), rs.AvgOneSidedUs(), shards_rpc,
-      system.router().num_shards(),
-      static_cast<unsigned long long>(rs.epochs),
-      static_cast<unsigned long long>(rs.shard_flips),
-      static_cast<unsigned long long>(rs.rpc_fallbacks));
+      os + rpc > 0 ? 100.0 * (rpc / (os + rpc)) : 0.0,
+      rpc > 0 ? count("route.lat_rpc_ns") / rpc / 1000.0 : 0.0,
+      os > 0 ? count("route.lat_one_sided_ns") / os / 1000.0 : 0.0,
+      shards_rpc, system.router().num_shards(),
+      static_cast<unsigned long long>(m.counter("route.epochs")),
+      static_cast<unsigned long long>(m.counter("route.shard_flips")),
+      static_cast<unsigned long long>(m.counter("route.rpc_fallbacks")));
   return 0;
 }

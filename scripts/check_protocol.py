@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Protocol-discipline linter for the Sherman tree.
 
-Two rule families, both cheap textual checks that run pre-build in CI:
+Three rule families, all cheap textual checks that run pre-build in CI:
 
 1. raw-verb containment: constructing a mutating rdma::WorkRequest
    (Write / Cas / MaskedCas / Faa) is only legal inside the blessed
@@ -17,6 +17,13 @@ Two rule families, both cheap textual checks that run pre-build in CI:
    statement calling a task-returning fabric entry point (.Post/.PostBatch/
    .PostReadBatch/.Rpc) must co_await it, sim::Spawn it, bind it, or
    return it.
+
+3. one representation per count: a count lives in a registry-owned
+   obs::Counter that its component bumps where the work happens;
+   collectors publish levels (gauges) only. Writing a count into a
+   snapshot (`AddCounter(`) is legal only in src/obs/ (the registry
+   itself) and src/bench/ (the telemetry exporter's op-attributed run.*
+   counts).
 
 Exit status 0 = clean, 1 = findings (printed as file:line: message).
 """
@@ -46,6 +53,10 @@ SUPPRESS_RE = re.compile(r"//\s*protocol-ok:\s*\S")
 TASK_CALL_RE = re.compile(r"\.\s*(Post|PostBatch|PostReadBatch|Rpc)\s*\(")
 CONSUMED_RE = re.compile(
     r"co_await|co_return|\breturn\b|Spawn\s*\(|=|\bco_yield\b")
+
+# Where a snapshot may be handed a count.
+SNAPSHOT_COUNT_OWNERS = ("src/obs/", "src/bench/")
+ADD_COUNTER_RE = re.compile(r"\bAddCounter\s*\(")
 
 SCAN_DIRS = ("src", "tests", "bench", "examples")
 SCAN_EXTS = (".cc", ".h", ".cpp", ".hpp")
@@ -123,6 +134,16 @@ def lint_file(relpath, findings):
                     f"{relpath}:{ln}: mutating WorkRequest built outside the "
                     f"blessed protocol layers (wrap it, or annotate "
                     f"`// protocol-ok: <reason>`)")
+
+    if relpath.startswith("src/") and not relpath.startswith(
+            SNAPSHOT_COUNT_OWNERS):
+        for ln, line in enumerate(lines, 1):
+            if ADD_COUNTER_RE.search(line):
+                findings.append(
+                    f"{relpath}:{ln}: count written into a metrics snapshot "
+                    f"outside src/obs/ and src/bench/ (bump a registry "
+                    f"Counter where the work happens; collectors publish "
+                    f"gauges only)")
 
     for ln, stmt in iter_statements(lines):
         if not TASK_CALL_RE.search(stmt):

@@ -5,8 +5,18 @@
 
 namespace sherman {
 
-ChunkManager::ChunkManager(rdma::MemoryServer* ms, const ReclaimEpoch* reclaim)
-    : ms_(ms), reclaim_(reclaim) {
+ChunkManager::ChunkManager(rdma::MemoryServer* ms, obs::Registry* registry,
+                           const ReclaimEpoch* reclaim, bool vlog)
+    : ms_(ms),
+      reclaim_(reclaim),
+      nodes_freed_(registry->GetCounter("alloc.nodes_freed")),
+      nodes_recycled_(registry->GetCounter("alloc.nodes_recycled")),
+      duplicate_frees_(registry->GetCounter("alloc.duplicate_frees")) {
+  if (vlog) {
+    vlog_retires_ = registry->GetCounter("vlog.retired_extents");
+    vlog_segments_freed_ = registry->GetCounter("vlog.segments_freed");
+    vlog_victims_ = registry->GetCounter("vlog.victims_claimed");
+  }
   const uint64_t size = ms->host().size();
   SHERMAN_CHECK_MSG(size > kChunkAreaOffset + kChunkSize,
                     "MS memory too small for chunk area");
@@ -80,12 +90,12 @@ void ChunkManager::FreeNode(uint64_t offset, uint32_t size) {
   // or may not have landed before the client died (the intent record is
   // cleared only after the free). A node already parked stays parked once.
   if (!parked_.insert(offset).second) {
-    duplicate_frees_++;
+    duplicate_frees_->Inc();
     return;
   }
   const uint64_t epoch = reclaim_ != nullptr ? reclaim_->current() : 0;
   grace_.push_back(GraceNode{offset, size, epoch});
-  nodes_freed_++;
+  nodes_freed_->Inc();
   if (dmsan::Active()) {
     if (dmsan::Checker* c = dmsan::Find(ms_->simulator())) {
       c->OnNodeFreed(ms_->id(), offset, size, epoch);
@@ -110,13 +120,14 @@ uint64_t ChunkManager::AllocNode(uint32_t size) {
   const uint64_t offset = it->second.back();
   it->second.pop_back();
   pool_bytes_ -= size;
-  nodes_recycled_++;
+  nodes_recycled_->Inc();
   parked_.erase(offset);
   return offset;
 }
 
 void ChunkManager::VlogRegister(uint64_t base, uint32_t cls,
                                 uint32_t seg_bytes) {
+  SHERMAN_CHECK_MSG(vlog_retires_ != nullptr, "no value log on this MS");
   SHERMAN_CHECK(base >= kChunkAreaOffset && base + seg_bytes <= end_);
   SHERMAN_CHECK(cls < 8 && seg_bytes > 0);
   const uint32_t extent = 64u << cls;
@@ -143,7 +154,7 @@ uint64_t ChunkManager::VlogRetire(uint64_t addr) {
   if (word & bit) return 0;  // idempotent (GC + delete can race benignly)
   word |= bit;
   seg.dead_count++;
-  vlog_retires_++;
+  vlog_retires_->Inc();
   if (dmsan::Active()) {
     if (dmsan::Checker* c = dmsan::Find(ms_->simulator())) {
       const uint64_t ext_base =
@@ -179,7 +190,7 @@ void ChunkManager::VlogMaybeFree(uint64_t base) {
   // node grace list (epoch-protected, recyclable for any same-size alloc).
   const uint32_t seg_bytes = seg.seg_bytes;
   vlog_.erase(it);
-  vlog_segments_freed_++;
+  vlog_segments_freed_->Inc();
   FreeNode(base, seg_bytes);
 }
 
@@ -202,7 +213,7 @@ uint64_t ChunkManager::VlogVictim(uint64_t min_dead_permille) {
       continue;
     }
     seg.claimed = true;
-    vlog_victims_++;
+    vlog_victims_->Inc();
     return base | (static_cast<uint64_t>(seg.used) << 40) |
            (static_cast<uint64_t>(seg.cls) << 56);
   }

@@ -20,6 +20,7 @@
 
 #include "alloc/layout.h"
 #include "alloc/reclaim.h"
+#include "obs/metrics.h"
 #include "rdma/memory_server.h"
 
 namespace sherman {
@@ -29,9 +30,11 @@ class ChunkManager {
   // Manages the chunk area of `ms` and installs itself as the RPC handler
   // for kRpcAllocChunk / kRpcFreeChunk / kRpcFreeNode / kRpcAllocNode.
   // `reclaim` keys the grace list; null means no grace period (frees are
-  // recyclable immediately — unit-test configurations only).
-  explicit ChunkManager(rdma::MemoryServer* ms,
-                        const ReclaimEpoch* reclaim = nullptr);
+  // recyclable immediately — unit-test configurations only). Counts go to
+  // `registry` as alloc.*, and with `vlog` (the deployment runs a value
+  // log) the segment bookkeeping's as vlog.*.
+  ChunkManager(rdma::MemoryServer* ms, obs::Registry* registry,
+               const ReclaimEpoch* reclaim = nullptr, bool vlog = false);
 
   // Returns the host-memory offset of a fresh chunk, or 0 if exhausted.
   uint64_t AllocChunk();
@@ -72,17 +75,11 @@ class ChunkManager {
   uint64_t VlogMaskWord(uint64_t base, uint32_t word) const;
 
   uint64_t vlog_live_segments() const { return vlog_.size(); }
-  uint64_t vlog_retired_extents() const { return vlog_retires_; }
-  uint64_t vlog_segments_freed() const { return vlog_segments_freed_; }
-  uint64_t vlog_victims_claimed() const { return vlog_victims_; }
 
   uint64_t total_chunks() const { return total_chunks_; }
   uint64_t allocated_chunks() const { return allocated_; }
   uint64_t allocated_bytes() const { return allocated_ * kChunkSize; }
 
-  uint64_t nodes_freed() const { return nodes_freed_; }
-  uint64_t nodes_recycled() const { return nodes_recycled_; }
-  uint64_t duplicate_frees() const { return duplicate_frees_; }
   // Freed nodes still inside their grace window (not yet poolable).
   uint64_t grace_pending() const { return grace_.size(); }
   uint64_t recycle_pool_bytes() const { return pool_bytes_; }
@@ -126,14 +123,15 @@ class ChunkManager {
   std::map<uint32_t, std::vector<uint64_t>> pool_;  // size -> offsets
   std::set<uint64_t> parked_;  // offsets in grace_ or pool_ (dup-free guard)
   uint64_t pool_bytes_ = 0;
-  uint64_t nodes_freed_ = 0;
-  uint64_t nodes_recycled_ = 0;
-  uint64_t duplicate_frees_ = 0;
+  obs::Counter* nodes_freed_;
+  obs::Counter* nodes_recycled_;
+  obs::Counter* duplicate_frees_;
 
   std::map<uint64_t, VlogSegment> vlog_;  // base offset -> segment
-  uint64_t vlog_retires_ = 0;
-  uint64_t vlog_segments_freed_ = 0;
-  uint64_t vlog_victims_ = 0;
+  // Null unless the deployment runs a value log.
+  obs::Counter* vlog_retires_ = nullptr;
+  obs::Counter* vlog_segments_freed_ = nullptr;
+  obs::Counter* vlog_victims_ = nullptr;
 };
 
 }  // namespace sherman

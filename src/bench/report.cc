@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "bench/runner.h"
-#include "obs/bridge.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -193,7 +192,17 @@ void BenchTelemetry::Config(const std::string& key, bool value) {
 void BenchTelemetry::AddRun(const std::string& label, const RunResult& r) {
   recorded_ = true;
   metrics_.Merge(r.metrics);
-  obs::AddToSnapshot(&metrics_, r.stats);
+  // run.*: the window's op-attributed aggregate (core/stats.h).
+  const RunStats& run = r.stats;
+  metrics_.AddCounter("run.ops", run.ops);
+  metrics_.AddCounter("run.lock_retries", run.lock_retries);
+  metrics_.AddCounter("run.handovers", run.handovers);
+  metrics_.AddCounter("run.cache_hits", run.cache_hits);
+  metrics_.AddCounter("run.cache_misses", run.cache_misses);
+  metrics_.histograms["run.latency_ns"].Merge(run.latency_ns);
+  metrics_.histograms["run.round_trips"].Merge(run.round_trips);
+  metrics_.histograms["run.read_retries"].Merge(run.read_retries);
+  metrics_.histograms["run.write_bytes"].Merge(run.write_bytes);
   RunSummary s;
   s.mops = r.mops;
   s.ops = r.stats.ops;

@@ -109,10 +109,10 @@ class BenchTelemetry {
   void Config(const std::string& key, double value);
   void Config(const std::string& key, bool value);
 
-  // Folds one measured run in: merges its registry delta (and run.*
-  // latency histograms) into the aggregate metrics, records its
-  // throughput + latency percentiles under `label`, and keeps its
-  // intra-window ops series.
+  // Folds one measured run in: merges its registry delta and its run.*
+  // aggregate (op-attributed counters and histograms) into the metrics,
+  // records its throughput + latency percentiles under `label`, and keeps
+  // its intra-window ops series.
   void AddRun(const std::string& label, const RunResult& r);
 
   // A bench-specific time series ((t_ns, value) points) outside any

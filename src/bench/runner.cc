@@ -188,26 +188,14 @@ sim::Task<void> ClientLoop(Client* client, sim::Simulator* sim,
   ctx->live_clients--;
 }
 
-// GetClient: int cs_id -> Client*. `sherman` supplies the per-client
-// HOCL/cache counters both system flavors share.
+// GetClient: int cs_id -> Client*. `sherman` supplies the simulator,
+// tracer and registry both system flavors share.
 template <typename GetClient>
 RunResult RunWorkloadImpl(ShermanSystem* sherman, GetClient get_client,
                           const RunnerOptions& options,
-                          std::function<void()> at_measure_start,
                           std::function<void()> at_measure_end) {
   sim::Simulator& sim = sherman->simulator();
   auto ctx = std::make_unique<RunContext>();
-
-  // Snapshot per-client counters so repeated runs report deltas.
-  uint64_t handovers_before = 0;
-  uint64_t cas_fail_before = 0;
-  uint64_t cache_hits_before = 0, cache_misses_before = 0;
-  for (int cs = 0; cs < sherman->num_clients(); cs++) {
-    handovers_before += sherman->client(cs).hocl().handovers();
-    cas_fail_before += sherman->client(cs).hocl().global_cas_failures();
-    cache_hits_before += sherman->client(cs).cache().stats().hits;
-    cache_misses_before += sherman->client(cs).cache().stats().misses;
-  }
 
   for (int cs = 0; cs < sherman->num_clients(); cs++) {
     for (int t = 0; t < options.threads_per_cs; t++) {
@@ -220,11 +208,10 @@ RunResult RunWorkloadImpl(ShermanSystem* sherman, GetClient get_client,
   }
 
   const sim::SimTime t0 = sim.now();
-  sim.At(t0 + options.warmup_ns, [&ctx, &sim, &at_measure_start, sherman] {
+  sim.At(t0 + options.warmup_ns, [&ctx, &sim, sherman] {
     ctx->measuring = true;
     ctx->measure_start = sim.now();
     ctx->metrics_before = sherman->registry().Snapshot();
-    if (at_measure_start) at_measure_start();
   });
   // Intra-window throughput series: cumulative measured ops at evenly
   // spaced sample times.
@@ -258,23 +245,6 @@ RunResult RunWorkloadImpl(ShermanSystem* sherman, GetClient get_client,
                     ? 0
                     : static_cast<double>(result.stats.ops) * 1000.0 /
                           static_cast<double>(result.measured_ns);
-
-  uint64_t hits = 0, misses = 0;
-  for (int cs = 0; cs < sherman->num_clients(); cs++) {
-    result.handovers += sherman->client(cs).hocl().handovers();
-    result.lock_cas_failures +=
-        sherman->client(cs).hocl().global_cas_failures();
-    hits += sherman->client(cs).cache().stats().hits;
-    misses += sherman->client(cs).cache().stats().misses;
-  }
-  result.handovers -= handovers_before;
-  result.lock_cas_failures -= cas_fail_before;
-  hits -= cache_hits_before;
-  misses -= cache_misses_before;
-  result.cache_hit_ratio =
-      (hits + misses) == 0 ? 0.0
-                           : static_cast<double>(hits) /
-                                 static_cast<double>(hits + misses);
   return result;
 }
 
@@ -300,24 +270,14 @@ std::vector<std::pair<Key, uint64_t>> MakeLoadKvs(uint64_t n) {
 RunResult RunWorkload(ShermanSystem* system, const RunnerOptions& options) {
   return RunWorkloadImpl(
       system, [system](int cs) { return &system->client(cs); }, options,
-      nullptr, nullptr);
+      nullptr);
 }
 
 RunResult RunWorkload(HybridSystem* system, const RunnerOptions& options) {
-  // Route counters are snapshotted at the measurement-window edges so the
-  // reported rpc-share / per-path latencies describe the same ops as the
-  // throughput and latency columns (warmup and drain excluded).
-  RouteStats before, after;
   system->router().Start();
-  RunResult result = RunWorkloadImpl(
+  return RunWorkloadImpl(
       &system->sherman(), [system](int cs) { return &system->client(cs); },
-      options, [system, &before] { before = system->router().stats(); },
-      [system, &after] {
-        after = system->router().stats();
-        system->router().Stop();
-      });
-  result.route = after.Since(before);
-  return result;
+      options, [system] { system->router().Stop(); });
 }
 
 }  // namespace sherman::bench

@@ -46,13 +46,10 @@ struct SeriesPoint {
 struct RunResult {
   double mops = 0;                // measured throughput, Mops
   sim::SimTime measured_ns = 0;   // actual window length
-  RunStats stats;                 // latency + internal metrics
-  double cache_hit_ratio = 0;     // aggregated over all clients
-  uint64_t handovers = 0;         // HOCL lock handovers
-  uint64_t lock_cas_failures = 0; // failed global CAS attempts
-  RouteStats route;               // hybrid runs only: path split + epochs
+  RunStats stats;                 // latency + op-attributed internals
   // Registry delta over the measurement window: every component counter
-  // (rdma.*, nic.*, lock.*, cache.*, ...) scoped to the measured ops.
+  // (rdma.*, nic.*, lock.*, cache.*, route.* in hybrid runs, ...) scoped
+  // to the same window as the throughput.
   obs::MetricsSnapshot metrics;
   // Intra-window cumulative-ops samples (RunnerOptions::series_points).
   std::vector<SeriesPoint> series;
@@ -68,8 +65,8 @@ struct RunResult {
 RunResult RunWorkload(ShermanSystem* system, const RunnerOptions& options);
 
 // Same measurement harness over a hybrid system: ops go through each CS's
-// HybridClient, the adaptive router's epoch timer runs for the duration of
-// the workload, and the result carries the routing counters.
+// HybridClient, and the adaptive router's epoch timer runs for the
+// duration of the workload.
 RunResult RunWorkload(HybridSystem* system, const RunnerOptions& options);
 
 // Convenience: the bulkload key/value vector for `n` loaded keys (the even

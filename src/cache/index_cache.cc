@@ -7,7 +7,7 @@
 namespace sherman {
 
 IndexCache::IndexCache(uint64_t capacity_bytes, uint32_t node_bytes,
-                       uint64_t seed)
+                       uint64_t seed, obs::Registry* registry)
     : capacity_bytes_(capacity_bytes),
       // A healthy tree has few level>=2 nodes, but stale entries pile up
       // across splits/root moves; give them a bounded side budget instead
@@ -18,7 +18,13 @@ IndexCache::IndexCache(uint64_t capacity_bytes, uint32_t node_bytes,
               : std::max<uint64_t>(capacity_bytes / 4,
                                    16ull * node_bytes)),
       node_bytes_(node_bytes),
-      rng_(seed) {}
+      rng_(seed),
+      hits_(registry->GetCounter("cache.l1_hits")),
+      misses_(registry->GetCounter("cache.l1_misses")),
+      upper_hits_(registry->GetCounter("cache.upper_hits")),
+      upper_misses_(registry->GetCounter("cache.upper_misses")),
+      evictions_(registry->GetCounter("cache.evictions")),
+      invalidations_(registry->GetCounter("cache.invalidations")) {}
 
 IndexCache::~IndexCache() = default;
 
@@ -29,11 +35,11 @@ const ParsedInternal* IndexCache::LookupLevel1(Key key) {
     Entry* e = slot->get();
     if (key >= e->node.lo && key < e->node.hi) {
       e->last_used = ++tick_;
-      stats_.hits++;
+      hits_->Inc();
       return &e->node;
     }
   }
-  stats_.misses++;
+  misses_->Inc();
   return nullptr;
 }
 
@@ -77,11 +83,11 @@ const ParsedInternal* IndexCache::LookupUpper(Key key) {
     UpperEntry& e = it->second;
     if (key >= e.node.lo && key < e.node.hi) {
       e.last_used = ++tick_;
-      stats_.upper_hits++;
+      upper_hits_->Inc();
       return &e.node;
     }
   }
-  stats_.upper_misses++;
+  upper_misses_->Inc();
   return nullptr;
 }
 
@@ -91,7 +97,7 @@ void IndexCache::Invalidate(Key key, rdma::GlobalAddress addr) {
   if (slot != nullptr) {
     Entry* e = slot->get();
     if (e->node.self == addr && key >= e->node.lo && key < e->node.hi) {
-      stats_.invalidations++;
+      invalidations_->Inc();
       RemoveEntry(e);
       return;
     }
@@ -102,7 +108,7 @@ void IndexCache::Invalidate(Key key, rdma::GlobalAddress addr) {
     --it;
     const ParsedInternal& node = it->second.node;
     if (node.self == addr && key >= node.lo && key < node.hi) {
-      stats_.invalidations++;
+      invalidations_->Inc();
       nodes.erase(it);
       upper_count_--;
       upper_bytes_ -= node_bytes_;
@@ -117,7 +123,7 @@ void IndexCache::InvalidateLevel1Covering(Key key) {
   if (slot != nullptr) {
     Entry* e = slot->get();
     if (key >= e->node.lo && key < e->node.hi) {
-      stats_.invalidations++;
+      invalidations_->Inc();
       RemoveEntry(e);
     }
   }
@@ -130,7 +136,7 @@ void IndexCache::InvalidateUpperCovering(Key key, rdma::GlobalAddress child) {
     --it;
     const ParsedInternal& node = it->second.node;
     if (key >= node.lo && key < node.hi && node.ChildFor(key) == child) {
-      stats_.invalidations++;
+      invalidations_->Inc();
       nodes.erase(it);
       upper_count_--;
       upper_bytes_ -= node_bytes_;
@@ -144,7 +150,7 @@ void IndexCache::InvalidateKeyRange(Key lo, Key hi) {
     if (e->node.lo < hi && e->node.hi > lo) victims.push_back(e);
   }
   for (Entry* e : victims) {
-    stats_.invalidations++;
+    invalidations_->Inc();
     RemoveEntry(e);
   }
 }
@@ -187,7 +193,7 @@ void IndexCache::EvictUpperIfNeeded() {
     upper_[victim_level].erase(victim_lo);
     upper_count_--;
     upper_bytes_ -= node_bytes_;
-    stats_.evictions++;
+    evictions_->Inc();
   }
 }
 
@@ -198,7 +204,7 @@ void IndexCache::EvictIfNeeded() {
     Entry* a = pool_[rng_.Uniform(pool_.size())];
     Entry* b = pool_[rng_.Uniform(pool_.size())];
     Entry* victim = (a->last_used <= b->last_used) ? a : b;
-    stats_.evictions++;
+    evictions_->Inc();
     RemoveEntry(victim);
   }
 }

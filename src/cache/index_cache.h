@@ -27,29 +27,17 @@
 
 #include "cache/skiplist.h"
 #include "core/node_layout.h"
+#include "obs/metrics.h"
 #include "rdma/global_address.h"
 #include "util/random.h"
 
 namespace sherman {
 
-struct IndexCacheStats {
-  uint64_t hits = 0;    // type-① (level-1) lookups
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t invalidations = 0;
-  uint64_t upper_hits = 0;   // type-② (level >= 2) lookups, counted
-  uint64_t upper_misses = 0; // separately: they shorten a descent rather
-                             // than replace it
-
-  double HitRatio() const {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-  }
-};
-
 class IndexCache {
  public:
-  IndexCache(uint64_t capacity_bytes, uint32_t node_bytes, uint64_t seed);
+  // Counts into `registry` as cache.*, shared by every CS's cache.
+  IndexCache(uint64_t capacity_bytes, uint32_t node_bytes, uint64_t seed,
+             obs::Registry* registry);
   ~IndexCache();
 
   IndexCache(const IndexCache&) = delete;
@@ -91,7 +79,6 @@ class IndexCache {
   // Drops everything (used when the root moves).
   void Clear();
 
-  const IndexCacheStats& stats() const { return stats_; }
   uint64_t bytes_used() const { return bytes_used_ + upper_bytes_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   size_t level1_nodes() const { return pool_.size(); }
@@ -129,7 +116,13 @@ class IndexCache {
   // Type-② top cache: level -> (lo fence -> entry).
   std::map<uint8_t, std::map<Key, UpperEntry>> upper_;
 
-  IndexCacheStats stats_;
+  obs::Counter* hits_;    // type-① (level-1) lookups
+  obs::Counter* misses_;
+  obs::Counter* upper_hits_;    // type-② (level >= 2) lookups, counted
+  obs::Counter* upper_misses_;  // separately: they shorten a descent
+                                // rather than replace it
+  obs::Counter* evictions_;
+  obs::Counter* invalidations_;
 };
 
 }  // namespace sherman

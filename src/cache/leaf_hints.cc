@@ -32,8 +32,13 @@ uint64_t LoadU64(const uint8_t* p) {
 // --- MS-side directory ------------------------------------------------------
 
 LeafHintDirectory::LeafHintDirectory(rdma::MemoryServer* ms,
-                                     dmsan::Checker* checker)
-    : ms_(ms), checker_(checker) {
+                                     dmsan::Checker* checker,
+                                     obs::Registry* registry)
+    : ms_(ms),
+      checker_(checker),
+      published_(registry->GetCounter("hint.published")),
+      invalidated_(registry->GetCounter("hint.invalidated")),
+      dropped_full_(registry->GetCounter("hint.dropped_full")) {
   ms->ChainRpcHandler(
       kRpcHintPublish, kRpcHintInvalidate,
       [this](uint64_t opcode, uint64_t arg, uint64_t arg2, uint16_t) {
@@ -90,13 +95,13 @@ uint64_t LeafHintDirectory::Insert(uint64_t lo, uint64_t packed_addr) {
       if (checker_ != nullptr) {
         checker_->OnHintInvalidated(rdma::GlobalAddress::FromU64(old_packed));
       }
-      invalidated_++;
+      invalidated_->Inc();
     }
     ms_->host().Write(now, pos_off, rec, kHintSlotBytes);
     return 1;
   }
   if (count >= kHintSlots) {
-    dropped_full_++;
+    dropped_full_->Inc();
     return 0;  // advisory table: dropping is always safe
   }
   // Shift [a, count) one slot right, then place the new entry.
@@ -114,7 +119,7 @@ uint64_t LeafHintDirectory::Insert(uint64_t lo, uint64_t packed_addr) {
 uint64_t LeafHintDirectory::Publish(uint64_t lo, uint64_t packed_addr) {
   const uint64_t stored = Insert(lo, packed_addr);
   if (stored != 0) {
-    published_++;
+    published_->Inc();
     if (checker_ != nullptr) {
       checker_->OnHintPublished(rdma::GlobalAddress::FromU64(packed_addr));
     }
@@ -147,7 +152,7 @@ uint64_t LeafHintDirectory::Invalidate(uint64_t packed_addr) {
   }
   if (removed != 0) {
     ms_->host().Write64(now, kHintAreaOffset + 8, count);
-    invalidated_ += removed;
+    invalidated_->Inc(removed);
     if (checker_ != nullptr) {
       checker_->OnHintInvalidated(rdma::GlobalAddress::FromU64(packed_addr));
     }
@@ -158,7 +163,7 @@ uint64_t LeafHintDirectory::Invalidate(uint64_t packed_addr) {
 
 void LeafHintDirectory::SeedDirect(uint64_t lo, rdma::GlobalAddress addr) {
   if (Insert(lo, addr.ToU64()) != 0) {
-    published_++;
+    published_->Inc();
     if (checker_ != nullptr) checker_->OnHintPublished(addr);
     BumpGeneration();
   }
@@ -172,7 +177,7 @@ sim::Task<void> TreeClient::HintPublish(rdma::GlobalAddress leaf, Key lo,
   co_await fault::Injector().AtSite(kSiteHintPublish, cs_id_);
   co_await QpFor(leaf).Rpc(kRpcHintPublish, lo, leaf.ToU64());
   if (stats != nullptr) stats->round_trips++;
-  hint_stats_.publishes++;
+  hint_publishes_->Inc();
   // This client's own mirror learns the new leaf for free.
   if (hint_fetched_) hint_mirror_[lo] = leaf;
 }
@@ -183,7 +188,7 @@ sim::Task<void> TreeClient::HintInvalidate(rdma::GlobalAddress leaf,
   co_await fault::Injector().AtSite(kSiteHintInvalidate, cs_id_);
   co_await QpFor(leaf).Rpc(kRpcHintInvalidate, leaf.ToU64());
   if (stats != nullptr) stats->round_trips++;
-  hint_stats_.invalidates++;
+  hint_invalidates_->Inc();
   for (auto it = hint_mirror_.begin(); it != hint_mirror_.end();) {
     it = it->second == leaf ? hint_mirror_.erase(it) : std::next(it);
   }
@@ -234,7 +239,7 @@ sim::Task<void> TreeClient::HintRefresh(OpStats* stats) {
   hint_fetched_ = true;
   hint_staleness_ = 0;
   hint_refreshing_ = false;
-  hint_stats_.refreshes++;
+  hint_refreshes_->Inc();
 }
 
 sim::Task<bool> TreeClient::HintLeafAddr(Key key, rdma::GlobalAddress* out,
@@ -247,18 +252,18 @@ sim::Task<bool> TreeClient::HintLeafAddr(Key key, rdma::GlobalAddress* out,
       hint_staleness_ >= opt().hint_refresh_miss_threshold) {
     co_await HintRefresh(stats);
   }
-  hint_stats_.consults++;
+  hint_consults_->Inc();
   auto it = hint_mirror_.upper_bound(key);
   if (it == hint_mirror_.begin()) co_return false;
   --it;
   *out = it->second;
-  hint_stats_.served++;
+  hint_served_->Inc();
   co_return true;
 }
 
 void TreeClient::NoteHintStale(Key key) {
   if (!opt().enable_leaf_hints) return;
-  hint_stats_.stale++;
+  hint_stale_->Inc();
   hint_staleness_++;
   auto it = hint_mirror_.upper_bound(key);
   if (it != hint_mirror_.begin()) hint_mirror_.erase(std::prev(it));
@@ -269,7 +274,7 @@ void TreeClient::NoteHintChase() {
   // The hinted leaf was valid but the key had split off to the right: the
   // entry stays (it still covers its own range) but the mirror is behind —
   // nudge it toward a refresh.
-  hint_stats_.chases++;
+  hint_chases_->Inc();
   hint_staleness_++;
 }
 

@@ -38,6 +38,7 @@
 #include <cstdint>
 
 #include "alloc/layout.h"
+#include "obs/metrics.h"
 #include "rdma/global_address.h"
 #include "rdma/memory_server.h"
 
@@ -69,8 +70,10 @@ inline uint64_t HintFingerprint(uint64_t lo, uint64_t packed_addr) {
 class LeafHintDirectory {
  public:
   // `checker` (nullable) receives OnHintPublished / OnHintInvalidated so
-  // the free-while-hinted rule can be enforced.
-  LeafHintDirectory(rdma::MemoryServer* ms, dmsan::Checker* checker);
+  // the free-while-hinted rule can be enforced. Table churn counts into
+  // `registry` as hint.{published,invalidated,dropped_full}.
+  LeafHintDirectory(rdma::MemoryServer* ms, dmsan::Checker* checker,
+                    obs::Registry* registry);
 
   LeafHintDirectory(const LeafHintDirectory&) = delete;
   LeafHintDirectory& operator=(const LeafHintDirectory&) = delete;
@@ -85,9 +88,6 @@ class LeafHintDirectory {
 
   uint64_t live_entries() const;
   uint64_t generation() const;
-  uint64_t published() const { return published_; }
-  uint64_t invalidated() const { return invalidated_; }
-  uint64_t dropped_full() const { return dropped_full_; }
 
  private:
   // Sorted-array maintenance over host memory. Returns 1 if stored.
@@ -96,9 +96,9 @@ class LeafHintDirectory {
 
   rdma::MemoryServer* ms_;
   dmsan::Checker* checker_;
-  uint64_t published_ = 0;
-  uint64_t invalidated_ = 0;
-  uint64_t dropped_full_ = 0;
+  obs::Counter* published_;
+  obs::Counter* invalidated_;
+  obs::Counter* dropped_full_;
 };
 
 }  // namespace sherman

@@ -25,8 +25,23 @@ const int kSiteCombine = fault::RegisterCrashSite("rdwc.combine");
 }  // namespace
 
 RdwcLayer::RdwcLayer(sim::Simulator* sim, route::HotnessTracker* tracker,
-                     route::AdaptiveRouter* router, RdwcOptions options)
-    : sim_(sim), tracker_(tracker), router_(router), options_(options) {
+                     route::AdaptiveRouter* router, RdwcOptions options,
+                     obs::Registry* registry)
+    : sim_(sim),
+      tracker_(tracker),
+      router_(router),
+      options_(options),
+      promotions_(registry->GetCounter("rdwc.promotions")),
+      demotions_(registry->GetCounter("rdwc.demotions")),
+      windows_opened_(registry->GetCounter("rdwc.windows_opened")),
+      followers_queued_(registry->GetCounter("rdwc.followers_queued")),
+      gets_shared_(registry->GetCounter("rdwc.gets_shared")),
+      puts_combined_(registry->GetCounter("rdwc.puts_combined")),
+      combined_writes_(registry->GetCounter("rdwc.combined_writes")),
+      bypass_overflow_(registry->GetCounter("rdwc.bypass_overflow")),
+      reelections_(registry->GetCounter("rdwc.reelections")),
+      windows_abandoned_(registry->GetCounter("rdwc.windows_abandoned")),
+      var_key_mismatch_(registry->GetCounter("rdwc.var_key_mismatch")) {
   SHERMAN_CHECK(options_.table_shards > 0);
   SHERMAN_CHECK(options_.window_max_ops > 0);
   SHERMAN_CHECK(options_.follower_timeout_ns > 0);
@@ -55,7 +70,7 @@ void RdwcLayer::RollIfDue(Bucket* b) {
       if (e.hits < bar && e.win == nullptr) {
         if (++e.cold_windows >= options_.demote_windows) {
           e.hot = false;
-          stats_.demotions++;
+          demotions_->Inc();
         }
       } else {
         e.cold_windows = 0;
@@ -88,7 +103,7 @@ void RdwcLayer::Promote(Bucket* b, uint64_t bit, RdwcEntry* e) {
   e->hot = true;
   e->cold_windows = 0;
   b->hot_bits |= bit;
-  stats_.promotions++;
+  promotions_->Inc();
 }
 
 RdwcEntry* RdwcLayer::Admit(Key key) {
@@ -145,7 +160,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     Window* open =
         e->win->varlen == kVarlen ? static_cast<Window*>(e->win) : nullptr;
     if (open == nullptr || open->full_key != key) {
-      if (open != nullptr) stats_.var_key_mismatch++;
+      if (open != nullptr) var_key_mismatch_->Inc();
       co_return co_await Direct(client, std::move(key), is_put,
                                 std::move(put_value), get_value, stats);
     }
@@ -163,7 +178,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     w.full_key = std::move(key);
     e->win = &w;
     live_[w.gen] = &w;
-    stats_.windows_opened++;
+    windows_opened_->Inc();
     ArmTimer(w.gen);
     co_return co_await DelegateRun(client, &w, is_put, std::move(put_value),
                                    get_value, stats);
@@ -171,7 +186,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
 
   Window* w = static_cast<Window*>(e->win);
   if (w->parked.size() >= options_.window_max_ops) {
-    stats_.bypass_overflow++;
+    bypass_overflow_->Inc();
     co_return co_await Direct(client, std::move(key), is_put,
                               std::move(put_value), get_value, stats);
   }
@@ -184,7 +199,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     w->write_pending = true;
     w->write_value = put_value;  // last arrival wins
   }
-  stats_.followers_queued++;
+  followers_queued_->Inc();
   RdwcWindow::Parked me;
   me.cs = cs;
   co_await ParkAwaiter{w, &me};
@@ -193,7 +208,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     // The delegate's CS died mid-window; this follower takes the window
     // over, re-runs its own op plus the combined write, and serves the
     // remaining parked followers.
-    stats_.reelections++;
+    reelections_->Inc();
     w->delegate_cs = cs;
     ArmTimer(w->gen);
     co_return co_await DelegateRun(client, w, is_put, std::move(put_value),
@@ -219,10 +234,10 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     }
     client->RecordAbsorbed(rk, is_put, start, stats);
     if (is_put) {
-      stats_.puts_combined++;
+      puts_combined_->Inc();
       co_return write_result;
     }
-    stats_.gets_shared++;
+    gets_shared_->Inc();
     if (final_valid) {
       if (get_value != nullptr) *get_value = std::move(final_value);
       co_return Status::OK();
@@ -266,7 +281,7 @@ sim::Task<Status> RdwcLayer::DelegateRun(route::HybridClient* client,
     // it onto one doorbell and the intent protocol covers a crash.
     w->write_result =
         co_await client->InsertDirect(w->full_key, w->write_value, nullptr);
-    stats_.combined_writes++;
+    combined_writes_->Inc();
   }
   co_await fault::Injector().AtSite(kSiteCombine, cs);
 
@@ -344,7 +359,7 @@ void RdwcLayer::OnTimeout(uint64_t gen) {
   }
   w->parked = std::move(alive);
   if (w->parked.empty()) {
-    stats_.windows_abandoned++;
+    windows_abandoned_->Inc();
     CloseWindow(w);
     return;
   }
@@ -356,7 +371,7 @@ void RdwcLayer::OnTimeout(uint64_t gen) {
     return;
   }
   // Combining off: nothing to share; wake everyone to retry directly.
-  stats_.windows_abandoned++;
+  windows_abandoned_->Inc();
   CloseWindow(w);
   std::vector<RdwcWindow::Parked*> parked = std::move(w->parked);
   for (RdwcWindow::Parked* p : parked) p->h.resume();

@@ -54,6 +54,7 @@
 
 #include "core/node_layout.h"
 #include "core/stats.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/status.h"
@@ -95,22 +96,6 @@ struct RdwcOptions {
   // --- table sizing ---
   uint32_t table_shards = 64;
   uint32_t max_tracked_per_shard = 64;  // candidate entries per shard
-};
-
-struct RdwcStats {
-  uint64_t promotions = 0;
-  uint64_t demotions = 0;
-  uint64_t windows_opened = 0;
-  uint64_t followers_queued = 0;
-  uint64_t gets_shared = 0;      // parked GETs served from the window
-  uint64_t puts_combined = 0;    // parked PUTs folded into one write
-  uint64_t combined_writes = 0;  // the single writes actually issued
-  uint64_t bypass_overflow = 0;  // window full, op went direct
-  uint64_t reelections = 0;      // followers that took over a dead window
-  uint64_t windows_abandoned = 0;
-  // Varlen: ops admitted on a hot ROUTING key whose full byte key differs
-  // from the open window's — sharing would be wrong, so they go direct.
-  uint64_t var_key_mismatch = 0;
 };
 
 struct RdwcEntry;
@@ -165,14 +150,15 @@ struct RdwcEntry {
 
 class RdwcLayer {
  public:
+  // Counts into `registry` as rdwc.*.
   RdwcLayer(sim::Simulator* sim, route::HotnessTracker* tracker,
-            route::AdaptiveRouter* router, RdwcOptions options);
+            route::AdaptiveRouter* router, RdwcOptions options,
+            obs::Registry* registry);
 
   RdwcLayer(const RdwcLayer&) = delete;
   RdwcLayer& operator=(const RdwcLayer&) = delete;
 
   const RdwcOptions& options() const { return options_; }
-  const RdwcStats& stats() const { return stats_; }
 
   // Fast-path admission: returns the hot entry for `key`, bumping its
   // sampled counter (and possibly promoting it), or nullptr — BYPASS, the
@@ -241,7 +227,19 @@ class RdwcLayer {
   std::vector<Bucket> buckets_;
   std::map<uint64_t, RdwcWindow*> live_;  // open windows by generation
   uint64_t next_gen_ = 1;
-  RdwcStats stats_;
+  obs::Counter* promotions_;
+  obs::Counter* demotions_;
+  obs::Counter* windows_opened_;
+  obs::Counter* followers_queued_;
+  obs::Counter* gets_shared_;      // parked GETs served from the window
+  obs::Counter* puts_combined_;    // parked PUTs folded into one write
+  obs::Counter* combined_writes_;  // the single writes actually issued
+  obs::Counter* bypass_overflow_;  // window full, op went direct
+  obs::Counter* reelections_;      // followers that took over a dead window
+  obs::Counter* windows_abandoned_;
+  // Varlen: ops admitted on a hot ROUTING key whose full byte key differs
+  // from the open window's — sharing would be wrong, so they go direct.
+  obs::Counter* var_key_mismatch_;
 };
 
 }  // namespace sherman::combine

@@ -9,7 +9,6 @@
 #include "core/record_policy.h"
 #include "fault/crash_point.h"
 #include "lock/lock_table.h"
-#include "obs/bridge.h"
 #include "recover/recoverer.h"
 #include "util/logging.h"
 #include "vlog/vlog.h"
@@ -24,6 +23,8 @@ constexpr uint32_t kMaxRestarts = 256;
 // The paper's idle-fabric floor for the 4-bit version wraparound guard
 // (§4.4); WrapGuardNs derives the congestion-aware threshold.
 constexpr sim::SimTime kVersionWrapRetryNs = 8000;
+// Re-reads one read of a node may spend on the wraparound guard.
+constexpr uint32_t kMaxWrapRetries = 16;
 
 // Named crash sites: one per remote-write milestone of every multi-write
 // structural op in this file (tests/recover_test.cc enumerates the full
@@ -91,9 +92,13 @@ TreeClient::TreeClient(ShermanSystem* system, int cs_id)
       allocator_(&system->fabric(), cs_id),
       cache_(system->options().enable_cache ? system->options().cache_bytes : 0,
              system->options().shape.node_size,
-             /*seed=*/0x5eed0000 + static_cast<uint64_t>(cs_id)),
+             /*seed=*/0x5eed0000 + static_cast<uint64_t>(cs_id),
+             &system->registry()),
       intents_(&system->fabric(), cs_id),
-      recoverer_(std::make_unique<recover::Recoverer>(system, this)) {
+      recoverer_(std::make_unique<recover::Recoverer>(system, this)),
+      leaf_merges_(system->registry().GetCounter("reclaim.leaf_merges")),
+      merge_aborts_(system->registry().GetCounter("reclaim.merge_aborts")),
+      nodes_freed_(system->registry().GetCounter("reclaim.nodes_freed")) {
   // A lock waiter that observes an expired lease recovers the dead holder
   // through this client's Recoverer before re-contending the lane.
   hocl_.set_recovery_hook(
@@ -102,6 +107,16 @@ TreeClient::TreeClient(ShermanSystem* system, int cs_id)
     vlog_ = std::make_unique<vlog::VlogClient>(
         &system->fabric(), &allocator_, cs_id,
         system->options().vlog_segment_bytes);
+  }
+  if (system->options().enable_leaf_hints) {
+    obs::Registry& r = system->registry();
+    hint_consults_ = r.GetCounter("hint.consults");
+    hint_served_ = r.GetCounter("hint.served");
+    hint_stale_ = r.GetCounter("hint.stale");
+    hint_chases_ = r.GetCounter("hint.chases");
+    hint_refreshes_ = r.GetCounter("hint.refreshes");
+    hint_publishes_ = r.GetCounter("hint.publish_rpcs");
+    hint_invalidates_ = r.GetCounter("hint.invalidate_rpcs");
   }
 }
 
@@ -166,7 +181,6 @@ sim::Task<Status> TreeClient::ReadNodeChecked(rdma::GlobalAddress addr,
   const TreeOptions& o = opt();
   sim::Simulator& sim = system_->fabric_.simulator();
   const sim::SimTime wrap_guard = WrapGuardNs();
-  constexpr uint32_t kMaxWrapRetries = 16;
   uint32_t wrap_retries = 0;
   for (uint32_t i = 0; i < o.max_read_retries; i++) {
     const sim::SimTime start = sim.now();
@@ -467,7 +481,7 @@ bool TreeClient::MergeBackoffExpired(rdma::GlobalAddress addr) {
 }
 
 void TreeClient::RecordMergeAbort(rdma::GlobalAddress addr) {
-  reclaim_stats_.merge_aborts++;
+  merge_aborts_->Inc();
   if (merge_backoff_.size() >= kMergeBackoffCap) merge_backoff_.clear();
   merge_backoff_[addr.ToU64()] = delete_ops_ + kMergeBackoffDeletes;
 }
@@ -664,8 +678,8 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   co_await fault::Injector().AtSite(kCrashMergeFreed, cs_id_);
   intents_.ClearAsync(intent_slot);
   co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
-  reclaim_stats_.nodes_freed++;
-  reclaim_stats_.leaf_merges++;
+  nodes_freed_->Inc();
+  leaf_merges_->Inc();
 
   // Our cached parse of the parent still routes [lo, hi) to the tombstone.
   cache_.InvalidateLevel1Covering(lo);
@@ -1209,9 +1223,12 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
 // --- Range query -----------------------------------------------------------
 
 sim::Task<void> TreeClient::ReadInto(rdma::GlobalAddress addr, uint8_t* buf,
-                                     uint32_t len,
+                                     uint32_t len, sim::SimTime* duration,
                                      sim::CountdownLatch* latch) {
+  sim::Simulator& sim = system_->fabric_.simulator();
+  const sim::SimTime start = sim.now();
   co_await QpFor(addr).Post(rdma::WorkRequest::Read(addr, buf, len));
+  if (duration != nullptr) *duration = sim.now() - start;
   latch->Arrive();
 }
 
@@ -1230,15 +1247,18 @@ sim::Task<Status> TreeClient::RangeQuery(
   SHERMAN_CHECK(from != kNullKey && from != kMaxKey);
   const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
+  sim::Simulator& sim = system_->fabric_.simulator();
   out->clear();
   if (count == 0) co_return Status::OK();
   EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
+  co_await sim.Delay(f.cpu_op_overhead_ns);
 
   Key cursor = from;
   const FixedPolicy leaf_ops(o, from);
   const uint32_t per_leaf_estimate = std::max(1u, o.shape.leaf_capacity() / 2);
+  const sim::SimTime wrap_guard = WrapGuardNs();
   std::vector<std::vector<uint8_t>> bufs;
+  std::vector<sim::SimTime> read_ns;  // each leaf buffer's last READ
   rdma::GlobalAddress probe_addr;  // last tombstone this scan bounced off
 
   for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
@@ -1269,12 +1289,14 @@ sim::Task<Status> TreeClient::RangeQuery(
     }
 
     bufs.assign(leaves.size(), std::vector<uint8_t>(node_size()));
+    read_ns.assign(leaves.size(), 0);
     {
       SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr,
                      "rdma.read_batch", leaves.size());
       sim::CountdownLatch latch(leaves.size());
       for (size_t i = 0; i < leaves.size(); i++) {
-        sim::Spawn(ReadInto(leaves[i], bufs[i].data(), node_size(), &latch));
+        sim::Spawn(ReadInto(leaves[i], bufs[i].data(), node_size(),
+                            &read_ns[i], &latch));
       }
       co_await latch.Wait();
     }
@@ -1286,6 +1308,7 @@ sim::Task<Status> TreeClient::RangeQuery(
     bool done = false;
     for (size_t i = 0; i < leaves.size() && !restart && !done; i++) {
       uint32_t rereads = 0;
+      uint32_t wrap_retries = 0;
       int chases = 0;
       while (true) {
         if (rereads > o.max_read_retries) {
@@ -1293,6 +1316,15 @@ sim::Task<Status> TreeClient::RangeQuery(
         }
         NodeView view(bufs[i].data(), &o.shape);
         bool reread_needed = !NodeConsistent(bufs[i].data());
+        // 4-bit wraparound guard (§4.4), bounded as in ReadNodeChecked: a
+        // READ slower than a full version cycle proves nothing by
+        // matching versions.
+        if (!reread_needed &&
+            o.consistency == TreeOptions::Consistency::kVersions &&
+            read_ns[i] > wrap_guard && wrap_retries < kMaxWrapRetries) {
+          wrap_retries++;
+          reread_needed = true;
+        }
         if (!reread_needed) {
           const bool usable = !view.is_free() && view.is_leaf() &&
                               cursor >= view.lo_fence();
@@ -1332,9 +1364,11 @@ sim::Task<Status> TreeClient::RangeQuery(
         // Re-read this leaf.
         if (stats != nullptr) stats->read_retries++;
         rereads++;
+        const sim::SimTime start = sim.now();
         Status st = co_await ReadRaw(leaves[i], bufs[i].data(), node_size(),
                                      stats);
         if (!st.ok()) co_return st;
+        read_ns[i] = sim.now() - start;
       }
     }
     if (done) co_return Status::OK();
@@ -1893,12 +1927,13 @@ ShermanSystem::ShermanSystem(rdma::FabricConfig fabric_config,
     dmsan::Attach(&fabric_.simulator(), dmsan_.get());
   }
   for (int i = 0; i < fabric_.num_memory_servers(); i++) {
-    chunks_.push_back(std::make_unique<ChunkManager>(&fabric_.ms(i), &reclaim_));
+    chunks_.push_back(std::make_unique<ChunkManager>(
+        &fabric_.ms(i), &registry(), &reclaim_, options_.shape.varlen));
     if (options_.enable_leaf_hints) {
       // After the ChunkManager: the directory chains its RPC handler in
       // front of the manager's (which aborts on unknown opcodes).
-      hints_.push_back(std::make_unique<LeafHintDirectory>(&fabric_.ms(i),
-                                                           dmsan_.get()));
+      hints_.push_back(std::make_unique<LeafHintDirectory>(
+          &fabric_.ms(i), dmsan_.get(), &registry()));
     }
   }
   for (int i = 0; i < fabric_.num_compute_servers(); i++) {
@@ -1912,181 +1947,40 @@ ShermanSystem::~ShermanSystem() {
   if (dmsan_ != nullptr) dmsan::Detach(&fabric_.simulator());
 }
 
-// One collector per component family. Collectors iterate the LIVE fabric
-// at snapshot time, so servers added later (AddMemoryServer) are included
-// automatically.
+// Counts live in registry counters bumped where the work happens; these
+// collectors publish only the levels components keep anyway. They read the
+// LIVE deployment at snapshot time, so servers added later
+// (AddMemoryServer) are included automatically.
 void ShermanSystem::RegisterCollectors() {
-  // rdma.*: every CS->MS QP, summed.
-  registry_.AddCollector([this](obs::MetricsSnapshot* s) {
-    rdma::QpCounters total;
-    for (int c = 0; c < fabric_.num_compute_servers(); c++) {
-      for (int m = 0; m < fabric_.num_memory_servers(); m++) {
-        const rdma::QpCounters& qc = fabric_.qp(c, m).counters();
-        total.batches += qc.batches;
-        total.wrs += qc.wrs;
-        total.reads += qc.reads;
-        total.writes += qc.writes;
-        total.atomics += qc.atomics;
-        total.read_bytes += qc.read_bytes;
-        total.write_bytes += qc.write_bytes;
-        total.rpcs += qc.rpcs;
-      }
-    }
-    s->AddCounter("rdma.batches", total.batches);
-    s->AddCounter("rdma.wrs", total.wrs);
-    s->AddCounter("rdma.reads", total.reads);
-    s->AddCounter("rdma.writes", total.writes);
-    s->AddCounter("rdma.atomics", total.atomics);
-    s->AddCounter("rdma.read_bytes", total.read_bytes);
-    s->AddCounter("rdma.write_bytes", total.write_bytes);
-    s->AddCounter("rdma.rpcs", total.rpcs);
-  });
-
-  // nic.{ms,cs}.*: engine throughput and queueing (token-bucket waits).
-  registry_.AddCollector([this](obs::MetricsSnapshot* s) {
-    auto add = [s](const char* side, const rdma::NicCounters& c) {
-      const std::string p = std::string("nic.") + side + ".";
-      s->AddCounter(p + "tx_msgs", c.tx_msgs);
-      s->AddCounter(p + "rx_msgs", c.rx_msgs);
-      s->AddCounter(p + "tx_bytes", c.tx_bytes);
-      s->AddCounter(p + "rx_bytes", c.rx_bytes);
-      s->AddCounter(p + "atomics", c.atomics);
-      s->AddCounter(p + "atomic_stall_ns", c.atomic_stall_ns);
-      s->AddCounter(p + "tx_stall_ns", c.tx_stall_ns);
-      s->AddCounter(p + "rx_stall_ns", c.rx_stall_ns);
-    };
-    rdma::NicCounters ms_total;
-    for (int m = 0; m < fabric_.num_memory_servers(); m++) {
-      const rdma::NicCounters& c = fabric_.ms(m).nic().counters();
-      ms_total.tx_msgs += c.tx_msgs;
-      ms_total.rx_msgs += c.rx_msgs;
-      ms_total.tx_bytes += c.tx_bytes;
-      ms_total.rx_bytes += c.rx_bytes;
-      ms_total.atomics += c.atomics;
-      ms_total.atomic_stall_ns += c.atomic_stall_ns;
-      ms_total.tx_stall_ns += c.tx_stall_ns;
-      ms_total.rx_stall_ns += c.rx_stall_ns;
-    }
-    add("ms", ms_total);
-    rdma::NicCounters cs_total;
-    for (int c = 0; c < fabric_.num_compute_servers(); c++) {
-      const rdma::NicCounters& n = fabric_.cs(c).nic().counters();
-      cs_total.tx_msgs += n.tx_msgs;
-      cs_total.rx_msgs += n.rx_msgs;
-      cs_total.tx_bytes += n.tx_bytes;
-      cs_total.rx_bytes += n.rx_bytes;
-      cs_total.atomics += n.atomics;
-      cs_total.atomic_stall_ns += n.atomic_stall_ns;
-      cs_total.tx_stall_ns += n.tx_stall_ns;
-      cs_total.rx_stall_ns += n.rx_stall_ns;
-    }
-    add("cs", cs_total);
-  });
-
-  // lock.* / cache.* / reclaim (client side) / recover.*: summed over CSs.
-  registry_.AddCollector([this](obs::MetricsSnapshot* s) {
-    ReclaimStats reclaim_total;
-    recover::RecoverStats recover_total;
+  registry().AddCollector([this](obs::MetricsSnapshot* s) {
+    double cache_bytes = 0;
+    sim::SimTime recovery_ns = 0;  // the slowest survivor's last recovery
     for (const auto& client : clients_) {
-      const HoclClient& h = client->hocl();
-      s->AddCounter("lock.handovers", h.handovers());
-      s->AddCounter("lock.cas_attempts", h.global_cas_attempts());
-      s->AddCounter("lock.cas_failures", h.global_cas_failures());
-      s->AddCounter("lock.lease_steals", h.lease_steals());
-      const IndexCacheStats& cs = client->cache().stats();
-      s->AddCounter("cache.l1_hits", cs.hits);
-      s->AddCounter("cache.l1_misses", cs.misses);
-      s->AddCounter("cache.upper_hits", cs.upper_hits);
-      s->AddCounter("cache.upper_misses", cs.upper_misses);
-      s->AddCounter("cache.evictions", cs.evictions);
-      s->AddCounter("cache.invalidations", cs.invalidations);
-      s->gauges["cache.bytes_used"] += static_cast<double>(client->cache().bytes_used());
-      reclaim_total.Merge(client->reclaim_stats());
-      recover_total.Merge(client->recoverer().stats());
+      cache_bytes += static_cast<double>(client->cache().bytes_used());
+      recovery_ns =
+          std::max(recovery_ns, client->recoverer().last_duration_ns());
     }
-    obs::AddToSnapshot(s, reclaim_total);
-    obs::AddToSnapshot(s, recover_total);
-  });
-
-  // alloc.* + grace-list state: summed over chunk managers; epoch gauges.
-  registry_.AddCollector([this](obs::MetricsSnapshot* s) {
     uint64_t grace = 0;
-    for (const auto& cm : chunks_) {
-      s->AddCounter("alloc.nodes_freed", cm->nodes_freed());
-      s->AddCounter("alloc.nodes_recycled", cm->nodes_recycled());
-      s->AddCounter("alloc.duplicate_frees", cm->duplicate_frees());
-      grace += cm->grace_pending();
-    }
+    for (const auto& cm : chunks_) grace += cm->grace_pending();
+    s->SetGauge("cache.bytes_used", cache_bytes);
+    s->SetGauge("recover.last_duration_ns", static_cast<double>(recovery_ns));
     s->SetGauge("alloc.allocated_bytes", static_cast<double>(TotalAllocatedBytes()));
     s->SetGauge("reclaim.grace_pending", static_cast<double>(grace));
     s->SetGauge("reclaim.epoch", static_cast<double>(reclaim_.current()));
     s->SetGauge("reclaim.pinned_ops", static_cast<double>(reclaim_.pinned_ops()));
   });
-
-  // vlog.*: client-side append/read/GC traffic + MS-side segment liveness.
   if (options_.shape.varlen) {
-    registry_.AddCollector([this](obs::MetricsSnapshot* s) {
-      vlog::VlogStats total;
-      for (const auto& client : clients_) {
-        const vlog::VlogStats& v = client->vlog().stats();
-        total.appends += v.appends;
-        total.append_bytes += v.append_bytes;
-        total.reads += v.reads;
-        total.retires += v.retires;
-        total.segments_opened += v.segments_opened;
-        total.gc_passes += v.gc_passes;
-        total.gc_relocated += v.gc_relocated;
-        total.gc_stale += v.gc_stale;
-      }
-      s->AddCounter("vlog.appends", total.appends);
-      s->AddCounter("vlog.append_bytes", total.append_bytes);
-      s->AddCounter("vlog.reads", total.reads);
-      s->AddCounter("vlog.retires", total.retires);
-      s->AddCounter("vlog.segments_opened", total.segments_opened);
-      s->AddCounter("vlog.gc_passes", total.gc_passes);
-      s->AddCounter("vlog.gc_relocated", total.gc_relocated);
-      s->AddCounter("vlog.gc_stale", total.gc_stale);
+    registry().AddCollector([this](obs::MetricsSnapshot* s) {
       uint64_t live = 0;
-      for (const auto& cm : chunks_) {
-        live += cm->vlog_live_segments();
-        s->AddCounter("vlog.retired_extents", cm->vlog_retired_extents());
-        s->AddCounter("vlog.segments_freed", cm->vlog_segments_freed());
-        s->AddCounter("vlog.victims_claimed", cm->vlog_victims_claimed());
-      }
+      for (const auto& cm : chunks_) live += cm->vlog_live_segments();
       s->SetGauge("vlog.live_segments", static_cast<double>(live));
     });
   }
-
-  // hint.*: leaf-hint sidecar — MS-side directory churn + client-side
-  // mirror outcomes (consult/serve/stale/chase/refresh).
   if (options_.enable_leaf_hints) {
-    registry_.AddCollector([this](obs::MetricsSnapshot* s) {
+    registry().AddCollector([this](obs::MetricsSnapshot* s) {
       uint64_t live = 0;
-      for (const auto& dir : hints_) {
-        live += dir->live_entries();
-        s->AddCounter("hint.published", dir->published());
-        s->AddCounter("hint.invalidated", dir->invalidated());
-        s->AddCounter("hint.dropped_full", dir->dropped_full());
-      }
+      for (const auto& dir : hints_) live += dir->live_entries();
       s->SetGauge("hint.live_entries", static_cast<double>(live));
-      TreeClient::HintStats total;
-      for (const auto& client : clients_) {
-        const TreeClient::HintStats& h = client->hint_stats();
-        total.consults += h.consults;
-        total.served += h.served;
-        total.stale += h.stale;
-        total.chases += h.chases;
-        total.refreshes += h.refreshes;
-        total.publishes += h.publishes;
-        total.invalidates += h.invalidates;
-      }
-      s->AddCounter("hint.consults", total.consults);
-      s->AddCounter("hint.served", total.served);
-      s->AddCounter("hint.stale", total.stale);
-      s->AddCounter("hint.chases", total.chases);
-      s->AddCounter("hint.refreshes", total.refreshes);
-      s->AddCounter("hint.publish_rpcs", total.publishes);
-      s->AddCounter("hint.invalidate_rpcs", total.invalidates);
     });
   }
 }
@@ -2101,10 +1995,11 @@ rdma::GlobalAddress ShermanSystem::DebugRootAddr() const {
 
 int ShermanSystem::AddMemoryServer() {
   rdma::MemoryServer& ms = fabric_.AddMemoryServer();
-  chunks_.push_back(std::make_unique<ChunkManager>(&ms, &reclaim_));
+  chunks_.push_back(std::make_unique<ChunkManager>(
+      &ms, &registry(), &reclaim_, options_.shape.varlen));
   if (options_.enable_leaf_hints) {
     hints_.push_back(
-        std::make_unique<LeafHintDirectory>(&ms, dmsan_.get()));
+        std::make_unique<LeafHintDirectory>(&ms, dmsan_.get(), &registry()));
   }
   return ms.id();
 }

@@ -234,22 +234,6 @@ class TreeClient {
   // This client's value-log handle (valid only in varlen mode).
   vlog::VlogClient& vlog() { return *vlog_; }
 
-  // Per-client reclamation counters (leaf merges, aborted attempts,
-  // freed nodes).
-  const ReclaimStats& reclaim_stats() const { return reclaim_stats_; }
-
-  // Leaf-hint sidecar counters (enable_leaf_hints mode).
-  struct HintStats {
-    uint64_t consults = 0;     // the mirror was asked for a leaf address
-    uint64_t served = 0;       // it supplied one
-    uint64_t stale = 0;        // a hinted leaf failed validation
-    uint64_t chases = 0;       // hinted leaf valid, key split off right
-    uint64_t refreshes = 0;    // mirror fetches from the MS tables
-    uint64_t publishes = 0;    // structural publishes issued
-    uint64_t invalidates = 0;  // structural invalidates issued
-  };
-  const HintStats& hint_stats() const { return hint_stats_; }
-
   int cs_id() const { return cs_id_; }
   IndexCache& cache() { return cache_; }
   HoclClient& hocl() { return hocl_; }
@@ -513,9 +497,11 @@ class TreeClient {
   sim::Task<Status> MakeNewRoot(Key sep, rdma::GlobalAddress child,
                                 uint8_t level, OpStats* stats);
 
-  // Parallel leaf fetch used by range queries.
+  // Parallel leaf fetch used by range queries; `*duration` (if non-null)
+  // receives the READ's latency for the wraparound guard.
   sim::Task<void> ReadInto(rdma::GlobalAddress addr, uint8_t* buf,
-                           uint32_t len, sim::CountdownLatch* latch);
+                           uint32_t len, sim::SimTime* duration,
+                           sim::CountdownLatch* latch);
 
   // Reader escape hatch for crash recovery: lock-free readers never touch
   // lock lanes, so a reader bouncing off a node torn by a crashed writer
@@ -569,7 +555,10 @@ class TreeClient {
   IndexCache cache_;
   recover::IntentTable intents_;
   std::unique_ptr<recover::Recoverer> recoverer_;
-  ReclaimStats reclaim_stats_;
+  // reclaim.* of the delete path.
+  obs::Counter* leaf_merges_;   // leaves merged into their left sibling
+  obs::Counter* merge_aborts_;  // merge attempts abandoned to a race
+  obs::Counter* nodes_freed_;   // node frees handed to the grace list
   uint64_t delete_ops_ = 0;  // clock for the merge-abort backoff
   std::map<uint64_t, uint64_t> merge_backoff_;  // leaf addr -> retry deadline
 
@@ -593,7 +582,14 @@ class TreeClient {
   bool hint_fetched_ = false;
   bool hint_refreshing_ = false;
   uint32_t hint_staleness_ = 0;
-  HintStats hint_stats_;
+  // hint.* mirror outcomes; null unless enable_leaf_hints.
+  obs::Counter* hint_consults_ = nullptr;     // asked for a leaf address
+  obs::Counter* hint_served_ = nullptr;       // supplied one
+  obs::Counter* hint_stale_ = nullptr;        // hinted leaf failed validation
+  obs::Counter* hint_chases_ = nullptr;       // valid, key split off right
+  obs::Counter* hint_refreshes_ = nullptr;    // mirror fetches from MS tables
+  obs::Counter* hint_publishes_ = nullptr;    // structural publishes issued
+  obs::Counter* hint_invalidates_ = nullptr;  // structural invalidates issued
 
   bool root_known_ = false;
   rdma::GlobalAddress root_addr_;
@@ -613,11 +609,12 @@ class ShermanSystem {
   sim::Simulator& simulator() { return fabric_.simulator(); }
   const TreeOptions& options() const { return options_; }
 
-  // Unified metrics registry (obs/metrics.h). The constructor registers
-  // read-side collectors for every component (QPs, NICs, HOCL, index
-  // caches, chunk managers, reclamation epoch, recoverers), so
+  // The deployment's metrics registry (obs/metrics.h), owned by the
+  // fabric: every component counts into it where the work happens, and
+  // the constructor adds collectors for the levels (cache bytes, grace
+  // list, epoch, live segments and hint entries, allocated bytes), so
   // registry().Snapshot() is one consistent view of the whole deployment.
-  obs::Registry& registry() { return registry_; }
+  obs::Registry& registry() { return fabric_.registry(); }
 
   // Per-op tracer (obs/trace.h). Always constructed; whether spans are
   // recorded follows TraceOptions/SHERMAN_TRACE, and whether call sites
@@ -706,7 +703,6 @@ class ShermanSystem {
 
   TreeOptions options_;
   rdma::Fabric fabric_;
-  obs::Registry registry_;
   std::unique_ptr<obs::Tracer> tracer_;
   ReclaimEpoch reclaim_;  // before chunks_: managers hold a pointer to it
   // Before chunks_ and clients_: both feed shadow events into the checker

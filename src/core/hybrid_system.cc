@@ -1,6 +1,5 @@
 #include "core/hybrid_system.h"
 
-#include "obs/bridge.h"
 #include "util/logging.h"
 
 namespace sherman {
@@ -8,7 +7,7 @@ namespace sherman {
 HybridSystem::HybridSystem(rdma::FabricConfig fabric_config,
                            HybridOptions options)
     : sherman_(fabric_config, options.tree),
-      tracker_(options.router.num_shards),
+      tracker_(options.router.num_shards, &sherman_.registry()),
       rpc_service_(&sherman_),
       shard_map_(options.router.num_shards,
                  sherman_.fabric().num_memory_servers()) {
@@ -20,37 +19,14 @@ HybridSystem::HybridSystem(rdma::FabricConfig fabric_config,
   router_->InstallShardMap(&shard_map_);
   if (options.rdwc.enable_delegation) {
     rdwc_ = std::make_unique<combine::RdwcLayer>(
-        &sherman_.simulator(), &tracker_, router_.get(), options.rdwc);
+        &sherman_.simulator(), &tracker_, router_.get(), options.rdwc,
+        &sherman_.registry());
   }
   for (int cs = 0; cs < sherman_.fabric().num_compute_servers(); cs++) {
     clients_.push_back(std::make_unique<route::HybridClient>(
         &sherman_, &rpc_service_, router_.get(), &tracker_, cs));
     if (rdwc_ != nullptr) clients_.back()->SetRdwc(rdwc_.get());
   }
-
-  // route.* / rpc.* / rdwc.*: the hybrid subsystem's counters join the
-  // underlying ShermanSystem registry so one Snapshot() covers both
-  // layers.
-  sherman_.registry().AddCollector([this](obs::MetricsSnapshot* s) {
-    obs::AddToSnapshot(s, router_->stats());
-    s->AddCounter("rpc.served", rpc_service_.served());
-    s->AddCounter("rpc.declined", rpc_service_.declined());
-    s->AddCounter("rpc.leaf_merges", rpc_service_.leaf_merges());
-    if (rdwc_ != nullptr) {
-      const combine::RdwcStats& r = rdwc_->stats();
-      s->AddCounter("rdwc.promotions", r.promotions);
-      s->AddCounter("rdwc.demotions", r.demotions);
-      s->AddCounter("rdwc.windows_opened", r.windows_opened);
-      s->AddCounter("rdwc.followers_queued", r.followers_queued);
-      s->AddCounter("rdwc.gets_shared", r.gets_shared);
-      s->AddCounter("rdwc.puts_combined", r.puts_combined);
-      s->AddCounter("rdwc.combined_writes", r.combined_writes);
-      s->AddCounter("rdwc.bypass_overflow", r.bypass_overflow);
-      s->AddCounter("rdwc.reelections", r.reelections);
-      s->AddCounter("rdwc.windows_abandoned", r.windows_abandoned);
-      s->AddCounter("rdwc.var_key_mismatch", r.var_key_mismatch);
-    }
-  });
 }
 
 void HybridSystem::BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs,

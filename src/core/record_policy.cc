@@ -377,8 +377,8 @@ sim::Task<std::optional<Status>> VarPolicy::Speculate(TreeClient& t,
     SHERMAN_CHECK(r.status.ok());
   } else {
     sim::CountdownLatch latch(2);
-    sim::Spawn(t.ReadInto(leaf_addr, buf, node_size, &latch));
-    sim::Spawn(t.ReadInto(vaddr, vbuf.data(), rec_len, &latch));
+    sim::Spawn(t.ReadInto(leaf_addr, buf, node_size, nullptr, &latch));
+    sim::Spawn(t.ReadInto(vaddr, vbuf.data(), rec_len, nullptr, &latch));
     co_await latch.Wait();
   }
   if (stats != nullptr) stats->round_trips++;
@@ -508,7 +508,7 @@ sim::Task<Status> TreeClient::VlogGcOnce(uint64_t* relocated, OpStats* stats) {
                                          used, &moved, stats);
     if (!st.ok() && overall.ok()) overall = st;
   }
-  vlog_->mutable_stats().gc_passes++;
+  vlog_->CountGcPass();
   if (relocated != nullptr) *relocated = moved;
   co_return overall;
 }
@@ -549,7 +549,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
       // Unparseable (the owner died mid-append): no leaf can reference it;
       // retire so the segment can drain.
       co_await vlog_->Retire(old_ptr, stats);
-      vlog_->mutable_stats().gc_stale++;
+      vlog_->CountGcStale();
       continue;
     }
     const std::string key(
@@ -573,7 +573,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
       // The leaf no longer references this extent (deleted, updated, or
       // retired after the bitmap snapshot).
       co_await hocl_.Unlock(locked_r->guard, {}, o.combine_commands, stats);
-      vlog_->mutable_stats().gc_stale++;
+      vlog_->CountGcStale();
     } else {
       // Copy: append the fresh record (lands in a new open segment, never
       // this sealed victim). Flip: repoint the slot and publish the node.
@@ -589,7 +589,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
       SealNode(view);
       co_await WriteBackAndUnlock(*locked_r, leaf_buf.data(), w, stats);
       RememberVptr(key, *fresh, vlen);
-      vlog_->mutable_stats().gc_relocated++;
+      vlog_->CountGcRelocated();
       (*relocated)++;
     }
     // Retire AFTER the repoint (or the staleness proof) published; pinned

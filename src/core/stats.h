@@ -47,7 +47,12 @@ struct OpStats {
   }
 };
 
-// Aggregated over a measurement window by the bench runner.
+// Aggregated over a measurement window by the bench runner. Op-attributed,
+// not a copy of the registry: a field sums what the ops completed inside
+// the window reported through their OpStats (an op straddling the window
+// start brings its earlier retries along), while a registry counter such
+// as lock.cas_failures counts every event inside the window, whoever
+// caused it.
 struct RunStats {
   uint64_t ops = 0;
   Histogram latency_ns;       // per-op simulated latency
@@ -58,18 +63,6 @@ struct RunStats {
   uint64_t handovers = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-
-  void Merge(const RunStats& other) {
-    ops += other.ops;
-    latency_ns.Merge(other.latency_ns);
-    round_trips.Merge(other.round_trips);
-    read_retries.Merge(other.read_retries);
-    write_bytes.Merge(other.write_bytes);
-    lock_retries += other.lock_retries;
-    handovers += other.handovers;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-  }
 };
 
 // Folds one finished operation into a run aggregate. Round trips and write
@@ -77,109 +70,6 @@ struct RunStats {
 // ops (Figure 14a).
 void AccumulateOp(RunStats* run, const OpStats& op, uint64_t latency_ns,
                   bool is_write, bool is_read);
-
-// Counters produced by the delete-path space reclamation (leaf merging +
-// epoch-protected remote free). Client-side counts live on TreeClient;
-// MS-side executor merges are counted by TreeRpcService; allocator-side
-// recycle counters live on ChunkManager. bench_churn aggregates all three.
-struct ReclaimStats {
-  uint64_t leaf_merges = 0;    // leaves merged into their left sibling
-  uint64_t merge_aborts = 0;   // merge attempts abandoned to a race
-  uint64_t nodes_freed = 0;    // node frees handed to the grace list
-
-  void Merge(const ReclaimStats& other) {
-    leaf_merges += other.leaf_merges;
-    merge_aborts += other.merge_aborts;
-    nodes_freed += other.nodes_freed;
-  }
-};
-
-// Counters produced by live shard migration (migrate/migrator.h): data
-// volume moved, protocol work per phase, and how much the bounded-pass
-// drain actually converged. Reported by bench_elastic alongside RunStats.
-struct MigrationStats {
-  uint64_t shards_migrated = 0;  // MigrateShard calls that completed
-  uint64_t ranges_migrated = 0;  // MigrateRange calls that completed
-  uint64_t leaves_moved = 0;
-  uint64_t internals_moved = 0;  // level-1 nodes rebuilt on the target
-  uint64_t passes = 0;           // copy passes across all ranges
-  uint64_t bytes_copied = 0;     // node payload written to target MSs
-  uint64_t chunk_rpcs = 0;       // shard-private chunks fetched
-  uint64_t sibling_fixes = 0;    // left-neighbor sibling pointers repaired
-  uint64_t residual_leaves = 0;  // still off-target when passes ran out
-  uint64_t source_nodes_freed = 0;  // tombstoned sources retired for reuse
-  uint64_t flips = 0;            // shard-map version bumps issued
-  uint64_t busy_ns = 0;          // simulated time spent inside migration
-
-  // Cross-migrator aggregation (bench_elastic runs one Migrator today, but
-  // per-plan stats still need summing — previously hand-rolled per field,
-  // which silently dropped newly added counters).
-  void Merge(const MigrationStats& other) {
-    shards_migrated += other.shards_migrated;
-    ranges_migrated += other.ranges_migrated;
-    leaves_moved += other.leaves_moved;
-    internals_moved += other.internals_moved;
-    passes += other.passes;
-    bytes_copied += other.bytes_copied;
-    chunk_rpcs += other.chunk_rpcs;
-    sibling_fixes += other.sibling_fixes;
-    residual_leaves += other.residual_leaves;
-    source_nodes_freed += other.source_nodes_freed;
-    flips += other.flips;
-    busy_ns += other.busy_ns;
-  }
-};
-
-// Counters produced by the adaptive hybrid router (route/router.h): how
-// traffic split across the one-sided and MS-side RPC paths, and how often
-// the routing changed. Reported alongside RunStats by the bench runner.
-struct RouteStats {
-  uint64_t ops_one_sided = 0;
-  uint64_t ops_rpc = 0;
-  uint64_t rpc_fallbacks = 0;  // MS declined (locked leaf / split needed)
-  uint64_t epochs = 0;
-  uint64_t shard_flips = 0;    // shard reassignments across all epochs
-  uint64_t lat_one_sided_ns = 0;  // summed per-op latency by serving path
-  uint64_t lat_rpc_ns = 0;
-
-  double RpcShare() const {
-    const uint64_t total = ops_one_sided + ops_rpc;
-    return total == 0 ? 0.0 : static_cast<double>(ops_rpc) / total;
-  }
-  double AvgOneSidedUs() const {
-    return ops_one_sided == 0 ? 0.0
-                              : static_cast<double>(lat_one_sided_ns) /
-                                    static_cast<double>(ops_one_sided) / 1000.0;
-  }
-  double AvgRpcUs() const {
-    return ops_rpc == 0 ? 0.0
-                        : static_cast<double>(lat_rpc_ns) /
-                              static_cast<double>(ops_rpc) / 1000.0;
-  }
-
-  // Cross-client aggregation of per-window routing deltas.
-  void Merge(const RouteStats& other) {
-    ops_one_sided += other.ops_one_sided;
-    ops_rpc += other.ops_rpc;
-    rpc_fallbacks += other.rpc_fallbacks;
-    epochs += other.epochs;
-    shard_flips += other.shard_flips;
-    lat_one_sided_ns += other.lat_one_sided_ns;
-    lat_rpc_ns += other.lat_rpc_ns;
-  }
-
-  RouteStats Since(const RouteStats& baseline) const {
-    RouteStats d;
-    d.ops_one_sided = ops_one_sided - baseline.ops_one_sided;
-    d.ops_rpc = ops_rpc - baseline.ops_rpc;
-    d.rpc_fallbacks = rpc_fallbacks - baseline.rpc_fallbacks;
-    d.epochs = epochs - baseline.epochs;
-    d.shard_flips = shard_flips - baseline.shard_flips;
-    d.lat_one_sided_ns = lat_one_sided_ns - baseline.lat_one_sided_ns;
-    d.lat_rpc_ns = lat_rpc_ns - baseline.lat_rpc_ns;
-    return d;
-  }
-};
 
 }  // namespace sherman
 

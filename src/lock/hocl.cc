@@ -30,7 +30,13 @@ void DmsanLockReleased(rdma::Fabric* fabric, int cs_id,
 }  // namespace
 
 HoclClient::HoclClient(rdma::Fabric* fabric, int cs_id, HoclOptions options)
-    : fabric_(fabric), cs_id_(cs_id), options_(options) {
+    : fabric_(fabric),
+      cs_id_(cs_id),
+      options_(options),
+      handovers_(fabric->registry().GetCounter("lock.handovers")),
+      cas_attempts_(fabric->registry().GetCounter("lock.cas_attempts")),
+      cas_failures_(fabric->registry().GetCounter("lock.cas_failures")),
+      lease_steals_(fabric->registry().GetCounter("lock.lease_steals")) {
   // The lease encoding keeps the owner tag in the lane's low byte.
   SHERMAN_CHECK_MSG(cs_id_ >= 0 && cs_id_ < 0xff,
                     "owner tag must fit the lane's owner byte");
@@ -68,7 +74,7 @@ sim::Task<void> HoclClient::AcquireGlobal(const GlobalLockRef& ref,
   if (dead_tag_out != nullptr) *dead_tag_out = 0;
   while (true) {
     uint64_t fetched = 0;
-    global_cas_attempts_++;
+    cas_attempts_->Inc();
     const uint16_t lane_value = AcquireLane();
     auto wr = rdma::WorkRequest::MaskedCas(
         ref.word_address(), 0,
@@ -85,7 +91,7 @@ sim::Task<void> HoclClient::AcquireGlobal(const GlobalLockRef& ref,
       DmsanLockAcquired(fabric_, cs_id_, ref, lane_value);
       co_return;
     }
-    global_cas_failures_++;
+    cas_failures_->Inc();
     if (stats != nullptr) stats->lock_retries++;
     // Crash detection: a fetched lane whose lease stamp has expired marks
     // a dead holder. Report it to the caller instead of recovering inline:
@@ -139,7 +145,7 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
       uint16_t dead_tag = 0;
       co_await AcquireGlobal(guard.ref, stats, &dead_tag);
       if (dead_tag == 0) co_return guard;
-      lease_steals_++;
+      lease_steals_->Inc();
       SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
                        "lock.lease_steal", dead_tag);
       co_await recovery_hook_(dead_tag);
@@ -157,7 +163,7 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
         co_await waiter.signal;  // woken by Unlock, holding the local lock
         if (waiter.handover) {
           guard.via_handover = true;
-          handovers_++;
+          handovers_->Inc();
           if (stats != nullptr) stats->used_handover = true;
           SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
                            "lock.handover");
@@ -182,7 +188,7 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
     // against itself. After recovery the full local+global acquisition
     // re-runs (another local thread may legitimately have won meanwhile).
     ReleaseLocal(local);
-    lease_steals_++;
+    lease_steals_->Inc();
     SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
                      "lock.lease_steal", dead_tag);
     co_await recovery_hook_(dead_tag);
@@ -212,7 +218,7 @@ sim::Task<Status> HoclClient::TryLock(rdma::GlobalAddress node_addr,
   uint16_t expired_lane = 0;  // last fetched lane with a dead holder
   for (uint32_t i = 0; i < max_attempts; i++) {
     uint64_t fetched = 0;
-    global_cas_attempts_++;
+    cas_attempts_->Inc();
     const uint16_t lane_value = AcquireLane();
     auto wr = rdma::WorkRequest::MaskedCas(
         g.ref.word_address(), 0,
@@ -228,7 +234,7 @@ sim::Task<Status> HoclClient::TryLock(rdma::GlobalAddress node_addr,
       acquired = true;
       break;
     }
-    global_cas_failures_++;
+    cas_failures_->Inc();
     if (stats != nullptr) stats->lock_retries++;
     const uint16_t lane =
         static_cast<uint16_t>((fetched & g.ref.lane_mask()) >> shift);

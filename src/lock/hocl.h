@@ -70,6 +70,7 @@ class HoclClient {
   // same survivor can observe the same dead tag concurrently.
   using RecoveryHook = std::function<sim::Task<void>(uint16_t dead_tag)>;
 
+  // Counts into the fabric's registry as lock.*.
   HoclClient(rdma::Fabric* fabric, int cs_id, HoclOptions options);
 
   HoclClient(const HoclClient&) = delete;
@@ -126,10 +127,6 @@ class HoclClient {
   bool LaneExpired(uint16_t lane) const;
 
   const HoclOptions& options() const { return options_; }
-  uint64_t handovers() const { return handovers_; }
-  uint64_t global_cas_attempts() const { return global_cas_attempts_; }
-  uint64_t global_cas_failures() const { return global_cas_failures_; }
-  uint64_t lease_steals() const { return lease_steals_; }
 
   // The 16-bit owner tag this CS writes into a lock it owns (low byte of
   // the lane).
@@ -162,10 +159,11 @@ class HoclClient {
   HoclOptions options_;
   LocalLockTable llt_;
   RecoveryHook recovery_hook_;
-  uint64_t handovers_ = 0;
-  uint64_t global_cas_attempts_ = 0;
-  uint64_t global_cas_failures_ = 0;
-  uint64_t lease_steals_ = 0;
+  // lock.* in the fabric's registry, shared by every CS's client.
+  obs::Counter* handovers_;
+  obs::Counter* cas_attempts_;  // global lock-table CAS attempts
+  obs::Counter* cas_failures_;
+  obs::Counter* lease_steals_;
 };
 
 }  // namespace sherman

@@ -32,6 +32,19 @@ const int kCrashFlipFreed = fault::RegisterCrashSite("flip.freed");
 Migrator::Migrator(ShermanSystem* system, MigratorOptions options,
                    ShardMap* map, route::AdaptiveRouter* router)
     : system_(system), options_(options), map_(map), router_(router) {
+  obs::Registry& r = system_->registry();
+  shards_migrated_ = r.GetCounter("migrate.shards_migrated");
+  ranges_migrated_ = r.GetCounter("migrate.ranges_migrated");
+  leaves_moved_ = r.GetCounter("migrate.leaves_moved");
+  internals_moved_ = r.GetCounter("migrate.internals_moved");
+  passes_ = r.GetCounter("migrate.passes");
+  bytes_copied_ = r.GetCounter("migrate.bytes_copied");
+  chunk_rpcs_ = r.GetCounter("migrate.chunk_rpcs");
+  sibling_fixes_ = r.GetCounter("migrate.sibling_fixes");
+  residual_leaves_ = r.GetCounter("migrate.residual_leaves");
+  source_nodes_freed_ = r.GetCounter("migrate.source_nodes_freed");
+  flips_ = r.GetCounter("migrate.flips");
+  busy_ns_ = r.GetCounter("migrate.busy_ns");
   SHERMAN_CHECK(options_.cs_id >= 0 &&
                 options_.cs_id < system_->num_clients());
   SHERMAN_CHECK(options_.max_passes > 0 && options_.max_retries > 0);
@@ -57,7 +70,7 @@ sim::Task<rdma::GlobalAddress> Migrator::AllocOnTarget(uint16_t ms,
     chunk_ms_ = ms;
     chunk_base_ = rdma::GlobalAddress(ms, off);
     chunk_used_ = 0;
-    stats_.chunk_rpcs++;
+    chunk_rpcs_->Inc();
   }
   const rdma::GlobalAddress addr = chunk_base_.Plus(chunk_used_);
   chunk_used_ += size;
@@ -232,7 +245,7 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
     co_await UnlockSecond(locked, std::move(wrs), stats);
-    stats_.sibling_fixes++;
+    sibling_fixes_->Inc();
     co_return Status::OK();
   }
   co_return Status::TimedOut("sibling-fix retries exhausted");
@@ -282,7 +295,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   rdma::RdmaResult w =
       co_await system_->fabric().qp(cs, target).Post(copy_wr);
   SHERMAN_CHECK(w.status.ok());
-  stats_.bytes_copied += node_size();
+  bytes_copied_->Inc(node_size());
   co_await fault::Injector().AtSite(kCrashFlipCopy, cs);
 
   // Tombstone ordering is level-dependent and safety-critical:
@@ -384,7 +397,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   co_await fault::Injector().AtSite(kCrashFlipFreed, cs);
   t.intents_.ClearAsync(intent_slot);
   co_await t.hocl_.Unlock(locked.guard, {}, combine, stats);
-  stats_.source_nodes_freed++;
+  source_nodes_freed_->Inc();
   *naddr_out = naddr;
   co_return Status::OK();
 }
@@ -465,7 +478,7 @@ sim::Task<Status> Migrator::LeafPass(Key lo, Key hi, uint16_t target,
     if (!st.ok()) co_return st;
 
     (*moved)++;
-    stats_.leaves_moved++;
+    leaves_moved_->Inc();
     prev_new = naddr;
     prev_new_hi = leaf_hi;
     cursor = leaf_hi;
@@ -539,7 +552,7 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
                                         target, hint, &naddr, &stats);
     if (!st.ok()) co_return st;
 
-    stats_.internals_moved++;
+    internals_moved_->Inc();
     prev_new = naddr;
     prev_new_hi = node_hi;
     cursor = node_hi;
@@ -586,13 +599,13 @@ sim::Task<Status> Migrator::MigrateRange(Key lo, Key hi, uint16_t target_ms) {
   for (uint32_t pass = 0; pass < options_.max_passes && !clean; pass++) {
     uint64_t moved = 0;
     Status st = co_await LeafPass(lo, hi, target_ms, &moved);
-    stats_.passes++;
+    passes_->Inc();
     if (!st.ok()) co_return st;
     clean = moved == 0;
   }
   Status st = co_await InternalPass(lo, hi, target_ms);
   if (!st.ok()) co_return st;
-  if (!clean) stats_.residual_leaves += CountOffTarget(lo, hi, target_ms);
+  if (!clean) residual_leaves_->Inc(CountOffTarget(lo, hi, target_ms));
 
   // Flip-time invalidation broadcast: drop every compute server's cached
   // leaf translations for the moved range (they point at tombstones).
@@ -600,9 +613,8 @@ sim::Task<Status> Migrator::MigrateRange(Key lo, Key hi, uint16_t target_ms) {
     system_->client(cs).cache().InvalidateKeyRange(lo, hi);
   }
 
-  stats_.ranges_migrated++;
-  stats_.busy_ns +=
-      static_cast<uint64_t>(system_->simulator().now() - t0);
+  ranges_migrated_->Inc();
+  busy_ns_->Inc(static_cast<uint64_t>(system_->simulator().now() - t0));
   co_return Status::OK();
 }
 
@@ -614,8 +626,8 @@ sim::Task<Status> Migrator::MigrateShard(int shard, uint16_t target_ms) {
   if (!st.ok()) co_return st;
   map_->Flip(shard, target_ms);
   SHERMAN_TINSTANT(&trace_, "migrate.flip", shard);
-  stats_.flips++;
-  stats_.shards_migrated++;
+  flips_->Inc();
+  shards_migrated_->Inc();
   co_return Status::OK();
 }
 

@@ -55,7 +55,6 @@
 #include <cstdint>
 
 #include "core/btree.h"
-#include "core/stats.h"
 #include "migrate/shard_map.h"
 #include "route/router.h"
 
@@ -71,7 +70,8 @@ class Migrator {
  public:
   // `map` and `router` are optional: a bare ShermanSystem can migrate raw
   // key ranges; a HybridSystem passes both so MigrateShard can resolve
-  // shard bounds and flip the routing entry.
+  // shard bounds and flip the routing entry. Counts into the system's
+  // registry as migrate.*.
   Migrator(ShermanSystem* system, MigratorOptions options,
            ShardMap* map = nullptr, route::AdaptiveRouter* router = nullptr);
 
@@ -87,8 +87,6 @@ class Migrator {
   // migrates the range, then flips the shard's home in the shard map and
   // bumps its version/epoch. Requires map + router.
   sim::Task<Status> MigrateShard(int shard, uint16_t target_ms);
-
-  const MigrationStats& stats() const { return stats_; }
 
  private:
   // A second node locked while the migrated node's lock is already held.
@@ -169,7 +167,20 @@ class Migrator {
   rdma::GlobalAddress chunk_base_ = rdma::kNullAddress;
   uint64_t chunk_used_ = 0;
 
-  MigrationStats stats_;
+  // migrate.*: data volume moved, protocol work per phase, and how far
+  // the bounded-pass drain converged.
+  obs::Counter* shards_migrated_;  // MigrateShard calls that completed
+  obs::Counter* ranges_migrated_;  // MigrateRange calls that completed
+  obs::Counter* leaves_moved_;
+  obs::Counter* internals_moved_;  // level-1 nodes rebuilt on the target
+  obs::Counter* passes_;           // copy passes across all ranges
+  obs::Counter* bytes_copied_;     // node payload written to target MSs
+  obs::Counter* chunk_rpcs_;       // shard-private chunks fetched
+  obs::Counter* sibling_fixes_;    // left-neighbor sibling pointers repaired
+  obs::Counter* residual_leaves_;  // still off-target when passes ran out
+  obs::Counter* source_nodes_freed_;  // tombstoned sources retired for reuse
+  obs::Counter* flips_;            // shard-map version bumps issued
+  obs::Counter* busy_ns_;          // simulated time spent inside migration
   // Trace context on the shared migrator ring. A Migrator runs one
   // migration coroutine chain at a time, so mutating scopes are safe.
   obs::TraceCtx trace_;

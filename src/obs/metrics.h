@@ -1,22 +1,31 @@
 // Unified metrics registry: named counters / gauges / histograms behind
 // one registration / snapshot / merge API.
 //
-// Two ways in:
-//  - owned metrics: a component calls GetCounter("lock.handovers") once,
-//    keeps the returned pointer (stable for the registry's lifetime), and
-//    bumps it on the hot path — one pointered add, no lookup;
-//  - collectors: a component that already maintains cheap local counters
-//    (rdma::Qp, Nic, IndexCache, ChunkManager, ...) registers a callback
-//    that copies them into a snapshot at Snapshot() time. The hot path is
-//    untouched; unification happens at the read side.
+// Every reported count has exactly one home, a registry-owned Counter. A
+// component fetches its handles once at construction
+// (GetCounter("lock.handovers")), keeps the pointers (stable for the
+// registry's lifetime), and bumps them where the work happens: one
+// pointered add, no lookup. Every instance of a component fetches the
+// same names, so the registry holds the deployment-wide sum and nothing
+// re-sums per-instance fields. A deployment has one registry, owned by
+// rdma::Fabric; a unit test that builds a bare component hands it a local
+// Registry. A counter family exists exactly when its component does
+// (hint.* only with leaf hints, vlog.* only with a value log, route.* and
+// rpc.* only in a HybridSystem, rdwc.* only with delegation, migrate.*
+// once a Migrator exists), so a snapshot's keys say what the deployment
+// runs.
 //
-// Snapshots are plain value types that merge (cross-client aggregation)
-// and diff (per-window deltas), and serialize deterministically to JSON —
+// Collectors publish levels only: a component that keeps a level anyway
+// (cache bytes, grace-list length, live segments) registers a callback
+// that sets a gauge at Snapshot() time. Counts never go through one.
+//
+// Snapshots are plain value types that merge (cross-run aggregation) and
+// diff (per-window deltas), and serialize deterministically to JSON —
 // they are what the bench telemetry (BENCH_*.json) embeds.
 //
 // Naming scheme: dot-separated "<component>.<metric>" (see the README's
-// Observability section): rdma.*, nic.*, lock.*, cache.*, route.*,
-// migrate.*, recover.*, reclaim.*, alloc.*, run.*.
+// Observability section): rdma.*, nic.*, lock.*, cache.*, hint.*, vlog.*,
+// route.*, rpc.*, rdwc.*, migrate.*, recover.*, reclaim.*, alloc.*, run.*.
 #ifndef SHERMAN_OBS_METRICS_H_
 #define SHERMAN_OBS_METRICS_H_
 
@@ -57,8 +66,7 @@ class Gauge {
 };
 
 // One consistent view of every registered metric. Also the unit of
-// cross-client aggregation: benches merge per-client snapshots instead of
-// hand-summing struct fields.
+// cross-run aggregation: benches merge per-run window snapshots.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
@@ -104,8 +112,9 @@ class Registry {
   Gauge* GetGauge(const std::string& name) { return &gauges_[name]; }
   Histogram* GetHistogram(const std::string& name) { return &histograms_[name]; }
 
-  // Registers a read-side collector, invoked on every Snapshot(). The
-  // callback must only write into the snapshot it is handed.
+  // Registers a read-side collector of levels (gauges), invoked on every
+  // Snapshot(). The callback must only write into the snapshot it is
+  // handed.
   using Collector = std::function<void(MetricsSnapshot*)>;
   void AddCollector(Collector fn) { collectors_.push_back(std::move(fn)); }
 

@@ -7,8 +7,12 @@
 namespace sherman::rdma {
 
 ComputeServer::ComputeServer(uint16_t id, sim::Simulator* sim,
-                             const FabricConfig* cfg)
-    : id_(id), sim_(sim), cfg_(cfg), nic_(cfg) {}
+                             const FabricConfig* cfg, obs::Registry* registry)
+    : id_(id),
+      sim_(sim),
+      cfg_(cfg),
+      registry_(registry),
+      nic_(cfg, registry, "cs") {}
 
 ComputeServer::~ComputeServer() = default;
 
@@ -17,13 +21,13 @@ void ComputeServer::ConnectQps(
   SHERMAN_CHECK(qps_.empty());
   qps_.reserve(servers.size());
   for (const auto& ms : servers) {
-    qps_.push_back(std::make_unique<Qp>(this, ms.get(), sim_, cfg_));
+    qps_.push_back(std::make_unique<Qp>(this, ms.get(), sim_, cfg_, registry_));
   }
 }
 
 void ComputeServer::ConnectQp(MemoryServer& ms) {
   SHERMAN_CHECK(ms.id() == qps_.size());
-  qps_.push_back(std::make_unique<Qp>(this, &ms, sim_, cfg_));
+  qps_.push_back(std::make_unique<Qp>(this, &ms, sim_, cfg_, registry_));
 }
 
 Qp& ComputeServer::qp(uint16_t ms_id) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rdma/config.h"
 #include "rdma/nic.h"
 #include "sim/simulator.h"
@@ -18,7 +19,9 @@ class MemoryServer;
 
 class ComputeServer {
  public:
-  ComputeServer(uint16_t id, sim::Simulator* sim, const FabricConfig* cfg);
+  // The NIC and QPs count into `registry`.
+  ComputeServer(uint16_t id, sim::Simulator* sim, const FabricConfig* cfg,
+                obs::Registry* registry);
   ~ComputeServer();
 
   ComputeServer(const ComputeServer&) = delete;
@@ -43,6 +46,7 @@ class ComputeServer {
   uint16_t id_;
   sim::Simulator* sim_;
   const FabricConfig* cfg_;
+  obs::Registry* registry_;
   Nic nic_;
   std::vector<std::unique_ptr<Qp>> qps_;
 };

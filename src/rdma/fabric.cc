@@ -10,12 +10,12 @@ Fabric::Fabric(FabricConfig cfg) : cfg_(cfg) {
   memory_.reserve(cfg_.num_memory_servers);
   for (int i = 0; i < cfg_.num_memory_servers; i++) {
     memory_.push_back(std::make_unique<MemoryServer>(
-        static_cast<uint16_t>(i), &sim_, &cfg_));
+        static_cast<uint16_t>(i), &sim_, &cfg_, &registry_));
   }
   compute_.reserve(cfg_.num_compute_servers);
   for (int i = 0; i < cfg_.num_compute_servers; i++) {
     auto cs = std::make_unique<ComputeServer>(static_cast<uint16_t>(i), &sim_,
-                                              &cfg_);
+                                              &cfg_, &registry_);
     cs->ConnectQps(memory_);
     compute_.push_back(std::move(cs));
   }
@@ -23,29 +23,11 @@ Fabric::Fabric(FabricConfig cfg) : cfg_(cfg) {
 
 MemoryServer& Fabric::AddMemoryServer() {
   const uint16_t id = static_cast<uint16_t>(memory_.size());
-  memory_.push_back(std::make_unique<MemoryServer>(id, &sim_, &cfg_));
+  memory_.push_back(
+      std::make_unique<MemoryServer>(id, &sim_, &cfg_, &registry_));
   cfg_.num_memory_servers = static_cast<int>(memory_.size());
   for (auto& cs : compute_) cs->ConnectQp(*memory_.back());
   return *memory_.back();
-}
-
-NicCounters Fabric::TotalMsNicCounters() const {
-  NicCounters total;
-  for (const auto& ms : memory_) {
-    const NicCounters& c = ms->nic().counters();
-    total.tx_msgs += c.tx_msgs;
-    total.rx_msgs += c.rx_msgs;
-    total.tx_bytes += c.tx_bytes;
-    total.rx_bytes += c.rx_bytes;
-    total.atomics += c.atomics;
-    total.atomic_stall_ns += c.atomic_stall_ns;
-  }
-  return total;
-}
-
-void Fabric::ResetNicCounters() {
-  for (const auto& ms : memory_) ms->nic().ResetCounters();
-  for (const auto& cs : compute_) cs->nic().ResetCounters();
 }
 
 }  // namespace sherman::rdma

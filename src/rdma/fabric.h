@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rdma/compute_server.h"
 #include "rdma/config.h"
 #include "rdma/memory_server.h"
@@ -24,6 +25,10 @@ class Fabric {
 
   sim::Simulator& simulator() { return sim_; }
   const FabricConfig& config() const { return cfg_; }
+
+  // The deployment's one metrics registry (obs/metrics.h): the fabric's
+  // QPs and NICs and every component built on top of them count into it.
+  obs::Registry& registry() { return registry_; }
 
   int num_memory_servers() const { return static_cast<int>(memory_.size()); }
   int num_compute_servers() const { return static_cast<int>(compute_.size()); }
@@ -49,12 +54,9 @@ class Fabric {
     return ms(addr.node).host().raw(addr.offset);
   }
 
-  // Aggregate NIC counters over all servers (for reports).
-  NicCounters TotalMsNicCounters() const;
-  void ResetNicCounters();
-
  private:
   FabricConfig cfg_;
+  obs::Registry registry_;
   sim::Simulator sim_;
   std::vector<std::unique_ptr<MemoryServer>> memory_;
   std::vector<std::unique_ptr<ComputeServer>> compute_;

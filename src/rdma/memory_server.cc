@@ -19,13 +19,13 @@ void MemoryServer::ChainRpcHandler(uint64_t lo, uint64_t hi, RpcHandler fn) {
 }
 
 MemoryServer::MemoryServer(uint16_t id, sim::Simulator* sim,
-                           const FabricConfig* cfg)
+                           const FabricConfig* cfg, obs::Registry* registry)
     : id_(id),
       sim_(sim),
       cfg_(cfg),
       host_(cfg->ms_memory_bytes),
       device_(cfg->onchip_bytes),
-      nic_(cfg) {}
+      nic_(cfg, registry, "ms") {}
 
 sim::SimTime MemoryServer::ReserveMemoryThread(sim::SimTime earliest) {
   const sim::SimTime start = std::max(earliest, mem_thread_free_);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "obs/metrics.h"
 #include "rdma/config.h"
 #include "rdma/memory_region.h"
 #include "rdma/nic.h"
@@ -21,7 +22,9 @@ class MemoryServer {
   using RpcHandler =
       std::function<uint64_t(uint64_t, uint64_t, uint64_t, uint16_t)>;
 
-  MemoryServer(uint16_t id, sim::Simulator* sim, const FabricConfig* cfg);
+  // The NIC counts into `registry`.
+  MemoryServer(uint16_t id, sim::Simulator* sim, const FabricConfig* cfg,
+               obs::Registry* registry);
 
   MemoryServer(const MemoryServer&) = delete;
   MemoryServer& operator=(const MemoryServer&) = delete;

@@ -18,25 +18,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rdma/config.h"
 #include "sim/event_queue.h"
 
 namespace sherman::rdma {
 
-struct NicCounters {
-  uint64_t tx_msgs = 0;
-  uint64_t rx_msgs = 0;
-  uint64_t tx_bytes = 0;
-  uint64_t rx_bytes = 0;
-  uint64_t atomics = 0;
-  uint64_t atomic_stall_ns = 0;  // total time atomics waited on busy buckets
-  uint64_t tx_stall_ns = 0;      // time messages queued behind a busy TX engine
-  uint64_t rx_stall_ns = 0;      // same for the RX engine
-};
-
 class Nic {
  public:
-  explicit Nic(const FabricConfig* cfg);
+  // Counts into `registry` as nic.<side>.* ("ms" or "cs"): every NIC of a
+  // side shares those names.
+  Nic(const FabricConfig* cfg, obs::Registry* registry, const char* side);
 
   // Reserves the TX engine for a message with `payload_bytes` of payload,
   // requested at time `earliest`. Returns the time the message has fully
@@ -52,9 +44,6 @@ class Nic {
   sim::SimTime ReserveAtomicBucket(uint64_t offset, sim::SimTime earliest,
                                    sim::SimTime hold_ns);
 
-  const NicCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = NicCounters(); }
-
   // Wire occupancy of a message (headers + payload), for tests.
   sim::SimTime MessageCost(uint32_t payload_bytes, sim::SimTime per_msg) const;
 
@@ -63,7 +52,14 @@ class Nic {
   sim::SimTime tx_free_ = 0;
   sim::SimTime rx_free_ = 0;
   std::vector<sim::SimTime> bucket_free_;
-  NicCounters counters_;
+  obs::Counter* tx_msgs_;
+  obs::Counter* rx_msgs_;
+  obs::Counter* tx_bytes_;
+  obs::Counter* rx_bytes_;
+  obs::Counter* atomics_;
+  obs::Counter* atomic_stall_ns_;  // time atomics waited on busy buckets
+  obs::Counter* tx_stall_ns_;  // time messages queued behind a busy TX engine
+  obs::Counter* rx_stall_ns_;  // same for the RX engine
 };
 
 }  // namespace sherman::rdma

@@ -12,8 +12,19 @@
 namespace sherman::rdma {
 
 Qp::Qp(ComputeServer* cs, MemoryServer* ms, sim::Simulator* sim,
-       const FabricConfig* cfg)
-    : cs_(cs), ms_(ms), sim_(sim), cfg_(cfg) {}
+       const FabricConfig* cfg, obs::Registry* registry)
+    : cs_(cs),
+      ms_(ms),
+      sim_(sim),
+      cfg_(cfg),
+      batches_(registry->GetCounter("rdma.batches")),
+      wrs_(registry->GetCounter("rdma.wrs")),
+      reads_(registry->GetCounter("rdma.reads")),
+      writes_(registry->GetCounter("rdma.writes")),
+      atomics_(registry->GetCounter("rdma.atomics")),
+      read_bytes_(registry->GetCounter("rdma.read_bytes")),
+      write_bytes_(registry->GetCounter("rdma.write_bytes")),
+      rpcs_(registry->GetCounter("rdma.rpcs")) {}
 
 uint16_t Qp::remote_id() const { return ms_->id(); }
 
@@ -57,8 +68,8 @@ sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
   // any coroutine of a killed client freezes at its next doorbell.
   co_await fault::Injector().FreezeIfDead(cs_->id());
   SHERMAN_CHECK(!wrs.empty());
-  counters_.batches++;
-  counters_.wrs += wrs.size();
+  batches_->Inc();
+  wrs_->Inc(wrs.size());
 
   sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
@@ -97,15 +108,15 @@ sim::Task<RdmaResult> Qp::PostBatch(std::vector<WorkRequest> wrs) {
 
     switch (wr.verb) {
       case Verb::kRead:
-        counters_.reads++;
-        counters_.read_bytes += wr.length;
+        reads_->Inc();
+        read_bytes_->Inc(wr.length);
         break;
       case Verb::kWrite:
-        counters_.writes++;
-        counters_.write_bytes += wr.length;
+        writes_->Inc();
+        write_bytes_->Inc(wr.length);
         break;
       default:
-        counters_.atomics++;
+        atomics_->Inc();
         break;
     }
 
@@ -257,8 +268,8 @@ sim::SimTime Qp::ScheduleReadDma(const WorkRequest& wr,
 sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
   co_await fault::Injector().FreezeIfDead(cs_->id());
   SHERMAN_CHECK(!wrs.empty());
-  counters_.batches++;
-  counters_.wrs += wrs.size();
+  batches_->Inc();
+  wrs_->Inc(wrs.size());
 
   sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
@@ -278,8 +289,8 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
     SHERMAN_CHECK_MSG(wr.remote.node == ms_->id(),
                       "WR for MS %u posted on QP to MS %u", wr.remote.node,
                       ms_->id());
-    counters_.reads++;
-    counters_.read_bytes += wr.length;
+    reads_->Inc();
+    read_bytes_->Inc(wr.length);
     MemoryRegion& region =
         wr.space == MemorySpace::kHost ? ms_->host() : ms_->device();
     SHERMAN_CHECK(wr.remote.offset + wr.length <= region.size());
@@ -317,7 +328,7 @@ sim::Task<RdmaResult> Qp::PostReadBatch(std::vector<WorkRequest> wrs) {
 
 sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2) {
   co_await fault::Injector().FreezeIfDead(cs_->id());
-  counters_.rpcs++;
+  rpcs_->Inc();
   sim::Simulator* sim = sim_;
   const FabricConfig* cfg = cfg_;
   constexpr uint32_t kRpcBytes = 32;

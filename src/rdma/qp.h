@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rdma/config.h"
 #include "rdma/verbs.h"
 #include "sim/simulator.h"
@@ -30,21 +31,11 @@ namespace sherman::rdma {
 class ComputeServer;
 class MemoryServer;
 
-struct QpCounters {
-  uint64_t batches = 0;     // doorbell rings == round trips on this QP
-  uint64_t wrs = 0;         // individual work requests
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t atomics = 0;
-  uint64_t read_bytes = 0;
-  uint64_t write_bytes = 0;
-  uint64_t rpcs = 0;
-};
-
 class Qp {
  public:
+  // Counts into `registry` as rdma.*, summed over every QP of the fabric.
   Qp(ComputeServer* cs, MemoryServer* ms, sim::Simulator* sim,
-     const FabricConfig* cfg);
+     const FabricConfig* cfg, obs::Registry* registry);
 
   Qp(const Qp&) = delete;
   Qp& operator=(const Qp&) = delete;
@@ -74,9 +65,6 @@ class Qp {
   // handler's response word.
   sim::Task<uint64_t> Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2 = 0);
 
-  const QpCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = QpCounters(); }
-
  private:
   // Payload bytes carried by the request / response message of a WR.
   static uint32_t RequestPayload(const WorkRequest& wr);
@@ -90,7 +78,14 @@ class Qp {
   MemoryServer* ms_;
   sim::Simulator* sim_;
   const FabricConfig* cfg_;
-  QpCounters counters_;
+  obs::Counter* batches_;  // doorbell rings == round trips
+  obs::Counter* wrs_;      // individual work requests
+  obs::Counter* reads_;
+  obs::Counter* writes_;
+  obs::Counter* atomics_;
+  obs::Counter* read_bytes_;
+  obs::Counter* write_bytes_;
+  obs::Counter* rpcs_;
 };
 
 }  // namespace sherman::rdma

@@ -20,6 +20,13 @@ constexpr uint32_t kClaimAttempts = 1 << 16;
 
 Recoverer::Recoverer(ShermanSystem* system, TreeClient* client)
     : system_(system), t_(client) {
+  obs::Registry& r = system_->registry();
+  recoveries_ = r.GetCounter("recover.recoveries");
+  partial_recoveries_ = r.GetCounter("recover.partial_recoveries");
+  intents_replayed_ = r.GetCounter("recover.intents_replayed");
+  intents_rolled_back_ = r.GetCounter("recover.intents_rolled_back");
+  lanes_swept_ = r.GetCounter("recover.lanes_swept");
+  orphans_freed_ = r.GetCounter("recover.orphans_freed");
   trace_ = obs::TraceCtx::For(&system_->tracer(),
                               obs::RingId::Recoverer(t_->cs_id()));
 }
@@ -84,7 +91,7 @@ sim::Task<void> Recoverer::SweepLocks(uint16_t dead_tag) {
     const uint64_t swept = co_await system_->fabric()
                                .qp(t_->cs_id(), ms)
                                .Rpc(kRpcSweepLocks, dead_tag);
-    stats_.lanes_swept += swept;
+    lanes_swept_->Inc(swept);
   }
 }
 
@@ -106,7 +113,7 @@ sim::Task<void> Recoverer::FreeNodeRemote(rdma::GlobalAddress addr) {
   co_await system_->fabric()
       .qp(t_->cs_id(), addr.node)
       .Rpc(kRpcFreeNode, addr.offset, node_size());
-  stats_.orphans_freed++;
+  orphans_freed_->Inc();
 }
 
 sim::Task<void> Recoverer::RecoverDeadOwner(uint16_t dead_tag) {
@@ -179,7 +186,7 @@ sim::Task<void> Recoverer::RecoverDeadOwner(uint16_t dead_tag) {
     }
 
     if (usurped || !all_resolved) {
-      stats_.partial_recoveries++;
+      partial_recoveries_->Inc();
       if (!usurped) co_await CasClaim(dead_cs, &claim, 0);
     } else {
       // With every intent resolved, the dead client's reclamation pins
@@ -187,12 +194,12 @@ sim::Task<void> Recoverer::RecoverDeadOwner(uint16_t dead_tag) {
       // An unresolved intent keeps the pins — they are what protects the
       // tombstoned nodes the retry will still read.
       system_->reclaim_epoch().MarkDead(dead_cs);
-      stats_.recoveries++;
+      recoveries_->Inc();
       co_await CasClaim(dead_cs, &claim, 0);
     }
   }
 
-  stats_.last_duration_ns = system_->simulator().now() - t0;
+  last_duration_ns_ = system_->simulator().now() - t0;
   in_progress_.erase(dead_tag);
 }
 
@@ -230,7 +237,7 @@ sim::Task<Status> Recoverer::RecoverRoot(const IntentRecord& rec) {
   std::vector<uint8_t> buf(node_size());
   for (int depth = 0; depth < 64 && !addr.is_null(); depth++) {
     if (addr == rec.primary) {
-      stats_.intents_replayed++;  // committed; nothing left to do
+      intents_replayed_->Inc();  // committed; nothing left to do
       co_return Status::OK();
     }
     st = co_await t_->ReadNodeChecked(addr, buf.data(), nullptr);
@@ -242,7 +249,7 @@ sim::Task<Status> Recoverer::RecoverRoot(const IntentRecord& rec) {
   // Not reachable: the CAS never happened (or lost). The staged node is an
   // orphan allocation — retire it.
   co_await FreeNodeRemote(rec.primary);
-  stats_.intents_rolled_back++;
+  intents_rolled_back_->Inc();
   co_return Status::OK();
 }
 
@@ -278,7 +285,7 @@ sim::Task<Status> Recoverer::RecoverSplit(const IntentRecord& rec) {
     // remote changed (the primary still covers the whole interval, or has
     // since been restructured by survivors — either way consistently).
     co_await FreeNodeRemote(rec.second);
-    stats_.intents_rolled_back++;
+    intents_rolled_back_->Inc();
     co_return Status::OK();
   }
 
@@ -292,7 +299,7 @@ sim::Task<Status> Recoverer::RecoverSplit(const IntentRecord& rec) {
         sep, rec.second, static_cast<uint8_t>(rec.level + 1), nullptr);
     if (!st.ok()) co_return st;
   }
-  stats_.intents_replayed++;
+  intents_replayed_->Inc();
   co_return Status::OK();
 }
 
@@ -350,7 +357,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
   if (!view.is_free()) {
     // Tombstone never landed: the merge published nothing. Drop it.
     co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
-    stats_.intents_rolled_back++;
+    intents_rolled_back_->Inc();
     co_return Status::OK();
   }
 
@@ -417,7 +424,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
           (void)ist;
         }
         t_->cache_.InvalidateLevel1Covering(lo);
-        stats_.intents_rolled_back++;
+        intents_rolled_back_->Inc();
         co_return Status::OK();
       }
     }
@@ -471,7 +478,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
     co_await FreeNodeRemote(rec.primary);
     co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
     t_->cache_.InvalidateLevel1Covering(lo);
-    stats_.intents_replayed++;
+    intents_replayed_->Inc();
     co_return Status::OK();
   }
   co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
@@ -536,7 +543,7 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
     }
     co_await FreeNodeRemote(rec.second);
     t_->cache_.InvalidateKeyRange(rec.lo, rec.hi);
-    stats_.intents_rolled_back++;
+    intents_rolled_back_->Inc();
     co_return Status::OK();
   }
 
@@ -601,7 +608,7 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
   }
   co_await FreeNodeRemote(rec.primary);
   t_->cache_.InvalidateKeyRange(rec.lo, rec.hi);
-  stats_.intents_replayed++;
+  intents_replayed_->Inc();
   co_return Status::OK();
 }
 

@@ -32,7 +32,6 @@
 #ifndef SHERMAN_RECOVER_RECOVERER_H_
 #define SHERMAN_RECOVER_RECOVERER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -43,31 +42,10 @@
 
 namespace sherman::recover {
 
-struct RecoverStats {
-  uint64_t recoveries = 0;         // completed claim->release cycles
-  uint64_t partial_recoveries = 0; // gave up on a contended intent; retried
-                                   // on the next trigger (see recoverer.cc)
-  uint64_t intents_replayed = 0;   // completed forward past their commit point
-  uint64_t intents_rolled_back = 0;
-  uint64_t lanes_swept = 0;        // lock lanes released across all MSs
-  uint64_t orphans_freed = 0;      // nodes retired via the epoch-free path
-  sim::SimTime last_duration_ns = 0;  // wall time of the last recovery
-
-  // Cross-survivor aggregation (bench_recover previously hand-summed the
-  // fields and silently dropped any newly added counter).
-  void Merge(const RecoverStats& other) {
-    recoveries += other.recoveries;
-    partial_recoveries += other.partial_recoveries;
-    intents_replayed += other.intents_replayed;
-    intents_rolled_back += other.intents_rolled_back;
-    lanes_swept += other.lanes_swept;
-    orphans_freed += other.orphans_freed;
-    last_duration_ns = std::max(last_duration_ns, other.last_duration_ns);
-  }
-};
-
 class Recoverer {
  public:
+  // Counts into the deployment's registry as recover.*, shared by every
+  // survivor's recoverer.
   Recoverer(ShermanSystem* system, TreeClient* client);
 
   Recoverer(const Recoverer&) = delete;
@@ -84,7 +62,8 @@ class Recoverer {
   // for it to finish instead of duplicating the work.
   sim::Task<void> RecoverDeadOwner(uint16_t dead_tag);
 
-  const RecoverStats& stats() const { return stats_; }
+  // Simulated duration of this survivor's last recovery (0 if none).
+  sim::SimTime last_duration_ns() const { return last_duration_ns_; }
 
  private:
   // CAS-claims dead_cs's recovery word. Returns the claimed (stamped)
@@ -125,7 +104,14 @@ class Recoverer {
   ShermanSystem* system_;
   TreeClient* t_;
   std::set<uint16_t> in_progress_;
-  RecoverStats stats_;
+  obs::Counter* recoveries_;          // completed claim->release cycles
+  obs::Counter* partial_recoveries_;  // gave up on a contended intent;
+                                      // retried on the next trigger
+  obs::Counter* intents_replayed_;    // completed forward past their commit
+  obs::Counter* intents_rolled_back_;
+  obs::Counter* lanes_swept_;         // lock lanes released across all MSs
+  obs::Counter* orphans_freed_;       // nodes retired via the epoch-free path
+  sim::SimTime last_duration_ns_ = 0;
   // Trace context on this survivor's recoverer ring; RecoverDeadOwner and
   // its resolvers run as one sequential coroutine chain per activation.
   obs::TraceCtx trace_;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/stats.h"
+#include "obs/metrics.h"
 
 namespace sherman::route {
 
@@ -36,7 +37,14 @@ struct ShardWindow {
 
 class HotnessTracker {
  public:
-  explicit HotnessTracker(int num_shards) : window_(num_shards) {}
+  // Counts the cumulative path split into `registry` as route.*.
+  HotnessTracker(int num_shards, obs::Registry* registry)
+      : window_(num_shards),
+        ops_one_sided_(registry->GetCounter("route.ops_one_sided")),
+        ops_rpc_(registry->GetCounter("route.ops_rpc")),
+        rpc_fallbacks_(registry->GetCounter("route.rpc_fallbacks")),
+        lat_one_sided_ns_(registry->GetCounter("route.lat_one_sided_ns")),
+        lat_rpc_ns_(registry->GetCounter("route.lat_rpc_ns")) {}
 
   HotnessTracker(const HotnessTracker&) = delete;
   HotnessTracker& operator=(const HotnessTracker&) = delete;
@@ -58,17 +66,17 @@ class HotnessTracker {
     if (op.used_handover) w.handovers++;
     if (rpc_fallback) {
       w.rpc_fallbacks++;
-      totals_.rpc_fallbacks++;
+      rpc_fallbacks_->Inc();
     }
     if (served == Path::kRpc) {
       w.ops_rpc++;
       w.lat_rpc_ns += latency_ns;
-      totals_.ops_rpc++;
-      totals_.lat_rpc_ns += latency_ns;
+      ops_rpc_->Inc();
+      lat_rpc_ns_->Inc(latency_ns);
     } else {
       w.lat_one_sided_ns += latency_ns;
-      totals_.ops_one_sided++;
-      totals_.lat_one_sided_ns += latency_ns;
+      ops_one_sided_->Inc();
+      lat_one_sided_ns_->Inc(latency_ns);
     }
   }
 
@@ -85,13 +93,13 @@ class HotnessTracker {
     return out;
   }
 
-  // Cumulative path split since construction (epoch/flip counters are the
-  // router's; it merges them in when reporting).
-  const RouteStats& totals() const { return totals_; }
-
  private:
   std::vector<ShardWindow> window_;
-  RouteStats totals_;
+  obs::Counter* ops_one_sided_;
+  obs::Counter* ops_rpc_;
+  obs::Counter* rpc_fallbacks_;  // MS declined, op re-ran one-sided
+  obs::Counter* lat_one_sided_ns_;  // summed per-op latency by serving path
+  obs::Counter* lat_rpc_ns_;
 };
 
 }  // namespace sherman::route

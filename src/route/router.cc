@@ -171,7 +171,9 @@ AdaptiveRouter::AdaptiveRouter(RouterOptions options, RouterModel model,
                       ? Path::kRpc
                       : Path::kOneSided),
       smoothed_(options.num_shards),
-      last_os_epoch_(options.num_shards, 0) {
+      last_os_epoch_(options.num_shards, 0),
+      epochs_(fabric->registry().GetCounter("route.epochs")),
+      flips_(fabric->registry().GetCounter("route.shard_flips")) {
   SHERMAN_CHECK(options_.num_shards > 0);
   SHERMAN_CHECK(tracker_->num_shards() == options_.num_shards);
   for (ShardEstimate& e : smoothed_) {
@@ -319,18 +321,20 @@ void AdaptiveRouter::EndEpochNow() {
   // while it runs one-sided. Periodically send a long-offloaded shard back
   // for one epoch so a stale (e.g. warmup-cold) measurement cannot pin it
   // to RPC forever.
+  const uint64_t epoch = epochs_->value() + 1;  // the epoch ending here
   for (int s = 0; s < options_.num_shards; s++) {
     const ShardWindow& w = window[s];
-    if (w.ops > w.ops_rpc) last_os_epoch_[s] = epochs_ + 1;
+    if (w.ops > w.ops_rpc) last_os_epoch_[s] = epoch;
     if (options_.policy == RouterOptions::Policy::kAdaptive &&
         options_.probe_epochs > 0 && next[s] == Path::kRpc &&
-        epochs_ + 1 - last_os_epoch_[s] >= options_.probe_epochs) {
+        epoch - last_os_epoch_[s] >= options_.probe_epochs) {
       next[s] = Path::kOneSided;
     }
   }
 
+  epochs_->Inc();
   EpochRecord rec;
-  rec.epoch = ++epochs_;
+  rec.epoch = epoch;
   rec.at_ns = now;
   for (int s = 0; s < options_.num_shards; s++) {
     if (next[s] != assignment_[s]) rec.flips++;
@@ -340,7 +344,7 @@ void AdaptiveRouter::EndEpochNow() {
       rec.shards_one_sided++;
     }
   }
-  flips_ += rec.flips;
+  flips_->Inc(static_cast<uint64_t>(rec.flips));
   rec.window_rpc_share =
       window_ops == 0 ? 0.0
                       : static_cast<double>(window_rpc) / window_ops;
@@ -353,13 +357,6 @@ void AdaptiveRouter::EndEpochNow() {
 void AdaptiveRouter::ForceAssignment(std::vector<Path> a) {
   SHERMAN_CHECK(static_cast<int>(a.size()) == options_.num_shards);
   assignment_ = std::move(a);
-}
-
-RouteStats AdaptiveRouter::stats() const {
-  RouteStats s = tracker_->totals();
-  s.epochs = epochs_;
-  s.shard_flips = flips_;
-  return s;
 }
 
 }  // namespace sherman::route

@@ -127,6 +127,9 @@ struct EpochRecord {
 
 class AdaptiveRouter {
  public:
+  // Counts epochs and shard flips into the fabric's registry as
+  // route.{epochs,shard_flips}; the epoch index IS that counter, so a
+  // fabric runs one router.
   AdaptiveRouter(RouterOptions options, RouterModel model,
                  HotnessTracker* tracker, rdma::Fabric* fabric);
 
@@ -181,9 +184,6 @@ class AdaptiveRouter {
   void ForceAssignment(std::vector<Path> a);  // tests / forced policies
   const std::vector<EpochRecord>& epoch_log() const { return epoch_log_; }
 
-  // Path split from the tracker plus this router's epoch/flip counters.
-  RouteStats stats() const;
-
  private:
   void Tick(uint64_t gen);
 
@@ -198,8 +198,8 @@ class AdaptiveRouter {
   std::vector<ShardEstimate> smoothed_;
   std::vector<uint64_t> last_os_epoch_;
   std::vector<EpochRecord> epoch_log_;
-  uint64_t epochs_ = 0;
-  uint64_t flips_ = 0;
+  obs::Counter* epochs_;  // epoch boundaries run so far
+  obs::Counter* flips_;   // shard reassignments across all epochs
   uint64_t timer_gen_ = 0;
   bool running_ = false;
 };

@@ -49,7 +49,11 @@ constexpr std::monostate* kNoResult = nullptr;
 sim::Task<Status> Ready(Status st) { co_return st; }
 }  // namespace
 
-TreeRpcService::TreeRpcService(ShermanSystem* system) : system_(system) {
+TreeRpcService::TreeRpcService(ShermanSystem* system)
+    : system_(system),
+      served_(system->registry().GetCounter("rpc.served")),
+      declined_(system->registry().GetCounter("rpc.declined")),
+      leaf_merges_(system->registry().GetCounter("rpc.leaf_merges")) {
   const int num_ms = system->fabric().num_memory_servers();
   for (int ms = 0; ms < num_ms; ms++) InstallOn(ms);
 }
@@ -136,10 +140,10 @@ uint64_t TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t a,
 
 uint64_t TreeRpcService::Ack(const Status& st) {
   if (st.IsRetry()) {
-    declined_++;
+    declined_->Inc();
     return kAckDeclined;
   }
-  served_++;
+  served_->Inc();
   return st.IsNotFound() ? kAckNotFound : kAckOk;
 }
 
@@ -159,9 +163,9 @@ uint64_t TreeRpcService::ServeBatch(int ms, uint64_t token, Fn one) {
   for (const Item& item : in) {
     Res r = one(item);
     if (StatusOf(r).IsRetry()) {
-      declined_++;
+      declined_->Inc();
     } else {
-      served_++;
+      served_->Inc();
     }
     out.push_back(std::move(r));
   }
@@ -355,7 +359,7 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   SealHostNode(&view, o);
   system_->chunk_manager(leaf.node)
       .FreeNode(leaf.offset, o.shape.node_size);
-  leaf_merges_++;
+  leaf_merges_->Inc();
 }
 
 // --- client stub -----------------------------------------------------------

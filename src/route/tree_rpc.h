@@ -75,7 +75,8 @@ class TreeRpcService {
   static constexpr uint64_t kAckDeclined = ~0ull;
 
   // Installs handlers on every MS of the system's fabric, chaining to the
-  // previously installed handler for foreign opcodes.
+  // previously installed handler for foreign opcodes. Counts into the
+  // system's registry as rpc.*.
   explicit TreeRpcService(ShermanSystem* system);
 
   TreeRpcService(const TreeRpcService&) = delete;
@@ -110,11 +111,6 @@ class TreeRpcService {
     return out;
   }
 
-  uint64_t served() const { return served_; }
-  uint64_t declined() const { return declined_; }
-  // Leaves merged + reclaimed by the MS-side delete executor (same merge
-  // logic as the one-sided path; skipped when any involved lock is held).
-  uint64_t leaf_merges() const { return leaf_merges_; }
 
  private:
   uint64_t Handle(int ms, uint64_t opcode, uint64_t a, uint64_t b);
@@ -170,9 +166,12 @@ class TreeRpcService {
   ShermanSystem* system_;
   std::map<uint64_t, std::any> mailbox_;
   uint64_t next_token_ = 1;
-  uint64_t served_ = 0;
-  uint64_t declined_ = 0;
-  uint64_t leaf_merges_ = 0;
+  // rpc.*: ops served / declined, and leaves merged + reclaimed by the
+  // MS-side delete executor (same merge logic as the one-sided path;
+  // skipped when any involved lock is held).
+  obs::Counter* served_;
+  obs::Counter* declined_;
+  obs::Counter* leaf_merges_;
 };
 
 // A batch result's per-key status (the executors' and the hybrid batch

@@ -23,7 +23,15 @@ VlogClient::VlogClient(rdma::Fabric* fabric, CsAllocator* allocator, int cs_id,
     : fabric_(fabric),
       allocator_(allocator),
       cs_id_(cs_id),
-      segment_bytes_(segment_bytes) {
+      segment_bytes_(segment_bytes),
+      appends_(fabric->registry().GetCounter("vlog.appends")),
+      append_bytes_(fabric->registry().GetCounter("vlog.append_bytes")),
+      reads_(fabric->registry().GetCounter("vlog.reads")),
+      retires_(fabric->registry().GetCounter("vlog.retires")),
+      segments_opened_(fabric->registry().GetCounter("vlog.segments_opened")),
+      gc_passes_(fabric->registry().GetCounter("vlog.gc_passes")),
+      gc_relocated_(fabric->registry().GetCounter("vlog.gc_relocated")),
+      gc_stale_(fabric->registry().GetCounter("vlog.gc_stale")) {
   SHERMAN_CHECK(segment_bytes_ >= (kMinExtentBytes << (kNumClasses - 1)));
 }
 
@@ -51,7 +59,7 @@ sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
   seg.base = base;
   seg.used = 0;
   seg.capacity = segment_bytes_ / (kMinExtentBytes << cls);
-  stats_.segments_opened++;
+  segments_opened_->Inc();
   if (dmsan::Active()) {
     if (dmsan::Checker* c = dmsan::Find(&fabric_->simulator())) {
       c->OnVlogSegment(cs_id_, base, segment_bytes_, cls);
@@ -109,8 +117,8 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Append(const Slice& key,
     stats->bytes_written += rec;
   }
   if (checker != nullptr) checker->OnVlogPublish(addr);
-  stats_.appends++;
-  stats_.append_bytes += rec;
+  appends_->Inc();
+  append_bytes_->Inc(rec);
   co_return VlogPtr::Pack(fp, static_cast<uint8_t>(cls),
                           addr.node, addr.offset);
 }
@@ -143,7 +151,7 @@ sim::Task<Status> VlogClient::Read(uint64_t ptr, const Slice& expect_key,
   value->assign(reinterpret_cast<const char*>(buf.data()) + kRecordHeader +
                     klen,
                 vlen);
-  stats_.reads++;
+  reads_->Inc();
   co_return Status::OK();
 }
 
@@ -151,7 +159,7 @@ sim::Task<void> VlogClient::Retire(uint64_t ptr, OpStats* stats) {
   co_await fabric_->qp(cs_id_, VlogPtr::Ms(ptr))
       .Rpc(kRpcVlogRetire, VlogPtr::Off(ptr), 0);
   if (stats != nullptr) stats->round_trips++;
-  stats_.retires++;
+  retires_->Inc();
 }
 
 sim::Task<void> VlogClient::SealOpen(OpStats* stats) {

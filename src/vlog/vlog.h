@@ -71,32 +71,11 @@ struct VlogPtr {
 // record is too large even for the biggest class.
 uint32_t SizeClassFor(uint32_t record_bytes);
 
-struct VlogStats {
-  uint64_t appends = 0;
-  uint64_t append_bytes = 0;
-  uint64_t reads = 0;
-  uint64_t retires = 0;
-  uint64_t segments_opened = 0;
-  uint64_t gc_passes = 0;
-  uint64_t gc_relocated = 0;
-  uint64_t gc_stale = 0;  // victim extents already unreferenced
-
-  void Merge(const VlogStats& o) {
-    appends += o.appends;
-    append_bytes += o.append_bytes;
-    reads += o.reads;
-    retires += o.retires;
-    segments_opened += o.segments_opened;
-    gc_passes += o.gc_passes;
-    gc_relocated += o.gc_relocated;
-    gc_stale += o.gc_stale;
-  }
-};
-
 // The compute-server side of the value log. One instance per TreeClient;
 // owns an open segment per size class.
 class VlogClient {
  public:
+  // Counts into the fabric's registry as vlog.*, shared by every CS.
   VlogClient(rdma::Fabric* fabric, CsAllocator* allocator, int cs_id,
              uint32_t segment_bytes);
 
@@ -126,8 +105,11 @@ class VlogClient {
            static_cast<uint32_t>(value.size());
   }
 
-  const VlogStats& stats() const { return stats_; }
-  VlogStats& mutable_stats() { return stats_; }
+  // GC outcomes, counted by the GC pass that drives this handle
+  // (TreeClient::VlogGcOnce).
+  void CountGcPass() { gc_passes_->Inc(); }
+  void CountGcRelocated() { gc_relocated_->Inc(); }
+  void CountGcStale() { gc_stale_->Inc(); }  // victim extent unreferenced
 
  private:
   struct OpenSegment {
@@ -149,7 +131,14 @@ class VlogClient {
   int cs_id_;
   uint32_t segment_bytes_;
   OpenSegment open_[kNumClasses];
-  VlogStats stats_;
+  obs::Counter* appends_;
+  obs::Counter* append_bytes_;
+  obs::Counter* reads_;
+  obs::Counter* retires_;
+  obs::Counter* segments_opened_;
+  obs::Counter* gc_passes_;
+  obs::Counter* gc_relocated_;
+  obs::Counter* gc_stale_;
 };
 
 }  // namespace vlog

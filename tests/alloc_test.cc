@@ -22,7 +22,7 @@ rdma::FabricConfig SmallConfig(int ms = 2, uint64_t bytes = 32ull << 20) {
 
 TEST(ChunkManagerTest, AllocatesDistinctAlignedChunks) {
   rdma::Fabric fabric(SmallConfig());
-  ChunkManager mgr(&fabric.ms(0));
+  ChunkManager mgr(&fabric.ms(0), &fabric.registry());
   std::set<uint64_t> seen;
   for (uint64_t i = 0; i < mgr.total_chunks(); i++) {
     const uint64_t off = mgr.AllocChunk();
@@ -36,7 +36,7 @@ TEST(ChunkManagerTest, AllocatesDistinctAlignedChunks) {
 
 TEST(ChunkManagerTest, FreeEnablesReuse) {
   rdma::Fabric fabric(SmallConfig());
-  ChunkManager mgr(&fabric.ms(0));
+  ChunkManager mgr(&fabric.ms(0), &fabric.registry());
   const uint64_t a = mgr.AllocChunk();
   const uint64_t before = mgr.allocated_chunks();
   mgr.FreeChunk(a);
@@ -50,7 +50,7 @@ TEST(ChunkManagerTest, FreeEnablesReuse) {
 
 TEST(ChunkManagerTest, ServesAllocRpc) {
   rdma::Fabric fabric(SmallConfig());
-  ChunkManager mgr(&fabric.ms(1));
+  ChunkManager mgr(&fabric.ms(1), &fabric.registry());
   uint64_t got = 0;
   sim::Spawn([](rdma::Fabric* f, uint64_t* out) -> sim::Task<void> {
     *out = co_await f->qp(0, 1).Rpc(kRpcAllocChunk, 0);
@@ -64,7 +64,8 @@ class CsAllocatorTest : public ::testing::Test {
  protected:
   CsAllocatorTest() : fabric_(SmallConfig()) {
     for (int i = 0; i < fabric_.num_memory_servers(); i++) {
-      mgrs_.push_back(std::make_unique<ChunkManager>(&fabric_.ms(i)));
+      mgrs_.push_back(std::make_unique<ChunkManager>(&fabric_.ms(i),
+                                                     &fabric_.registry()));
     }
   }
 
@@ -124,7 +125,7 @@ TEST_F(CsAllocatorTest, MovesToNextMsWhenChunkExhausted) {
 TEST_F(CsAllocatorTest, ReturnsNullWhenEverythingExhausted) {
   // Tiny memory: kChunkAreaOffset + 1.5 chunks -> 1 chunk per MS.
   rdma::Fabric fabric(SmallConfig(1, kChunkAreaOffset + kChunkSize * 3 / 2));
-  ChunkManager mgr(&fabric.ms(0));
+  ChunkManager mgr(&fabric.ms(0), &fabric.registry());
   CsAllocator alloc(&fabric, 0);
   bool exhausted = false;
   sim::Spawn([](CsAllocator* a, bool* out) -> sim::Task<void> {

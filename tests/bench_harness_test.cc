@@ -83,9 +83,16 @@ TEST(RunnerTest, RepeatedRunsReportDeltas) {
   ropt.measure_ns = 1'000'000;
   const RunResult r1 = RunWorkload(&system, ropt);
   const RunResult r2 = RunWorkload(&system, ropt);
-  // Cache hit ratio is a per-run delta, so the second run must not report
-  // an accumulated value > 1.
-  EXPECT_LE(r2.cache_hit_ratio, 1.0);
+  // Window counts are per-run deltas: the second run's cache lookups
+  // exclude the first run's, so its hit ratio cannot exceed 1.
+  const auto lookups = [](const obs::MetricsSnapshot& m) {
+    return m.counter("cache.l1_hits") + m.counter("cache.l1_misses");
+  };
+  EXPECT_LE(lookups(r1.metrics) + lookups(r2.metrics),
+            lookups(system.registry().Snapshot()));
+  EXPECT_LE(static_cast<double>(r2.metrics.counter("cache.l1_hits")) /
+                static_cast<double>(lookups(r2.metrics)),
+            1.0);
   EXPECT_GT(r1.stats.ops, 0u);
   EXPECT_GT(r2.stats.ops, 0u);
 }

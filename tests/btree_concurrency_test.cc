@@ -285,7 +285,8 @@ TEST(ConcurrencyStressTest, SkewedMixedWorkloadIntegrity) {
   ropt.measure_ns = 5'000'000;
   const bench::RunResult r = bench::RunWorkload(&system, ropt);
   EXPECT_GT(r.stats.ops, 1'000u);
-  EXPECT_GT(r.handovers, 0u) << "skew should trigger HOCL handovers";
+  EXPECT_GT(r.metrics.counter("lock.handovers"), 0u)
+      << "skew should trigger HOCL handovers";
   system.DebugCheckInvariants();
 }
 

@@ -528,7 +528,7 @@ TEST(BTreeTest, TinyCacheEvictsButStaysCorrect) {
   }(&system.client(0), &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.client(0).cache().stats().evictions, 0u);
+  EXPECT_GT(system.registry().Snapshot().counter("cache.evictions"), 0u);
   // Both tiers stay within their budgets: level-1 nodes inside
   // cache_bytes, upper (level >= 2) nodes inside their dedicated bound.
   const IndexCache& cache = system.client(0).cache();
@@ -645,6 +645,116 @@ TEST(RangeBoundaryTest, ScanCrossesMsBoundaries) {
   ASSERT_TRUE(done);
 }
 
+// --- 4-bit version wraparound guard (§4.4) ----------------------------------
+// A leaf READ slower than the wrap guard (~241 us with 1 KB nodes) could
+// span a full 4-bit version cycle, so its matching versions prove nothing:
+// every leaf-read path must re-read it. The slow READ is real: CS 1 queues
+// a flood of large READs at the leaf's MS NIC just before the op's READ,
+// whose response then waits behind theirs.
+
+class WrapGuardTest : public ::testing::Test {
+ protected:
+  static constexpr int kFloodReads = 96;
+  static constexpr uint32_t kFloodBytes = 64 << 10;  // 96 x 64 KB: > 500 us
+
+  WrapGuardTest() : system_(SmallFabric(2, 2), ShermanOptions()) {
+    system_.BulkLoad(bench::MakeLoadKvs(4'000), 0.8);
+  }
+
+  // Caches CS 0's path to `key`, so an op's first READ is the leaf's, and
+  // returns the MS the leaf lives on.
+  uint16_t WarmLeafMs(Key key) {
+    bool done = false;
+    sim::Spawn([](TreeClient* c, Key k, bool* flag) -> sim::Task<void> {
+      uint64_t v = 0;
+      EXPECT_TRUE((co_await c->Lookup(k, &v)).ok());
+      *flag = true;
+    }(&system_.client(0), key, &done));
+    system_.simulator().Run();
+    EXPECT_TRUE(done);
+    const ParsedInternal* p = system_.client(0).cache().LookupLevel1(key);
+    EXPECT_NE(p, nullptr);
+    return p == nullptr ? 0 : p->ChildFor(key).node;
+  }
+
+  // Runs `op` (on CS 0) right behind the flood at `ms`'s NIC.
+  void RunBehindFlood(uint16_t ms, sim::Task<void> op) {
+    std::vector<rdma::WorkRequest> wrs;
+    for (int i = 0; i < kFloodReads; i++) {
+      wrs.push_back(rdma::WorkRequest::Read(rdma::GlobalAddress(ms, 0),
+                                            flood_buf_.data(), kFloodBytes));
+    }
+    sim::Spawn([](rdma::Qp* qp,
+                  std::vector<rdma::WorkRequest> reads) -> sim::Task<void> {
+      co_await qp->PostReadBatch(std::move(reads));
+    }(&system_.fabric().qp(1, ms), std::move(wrs)));
+    sim::Spawn(std::move(op));
+    system_.simulator().Run();
+  }
+
+  ShermanSystem system_;
+  std::vector<uint8_t> flood_buf_ = std::vector<uint8_t>(kFloodBytes);
+};
+
+TEST_F(WrapGuardTest, LookupRereadsASlowLeaf) {
+  const Key key = WorkloadGenerator::LoadedKeyFor(1'000);
+  const uint16_t ms = WarmLeafMs(key);
+  OpStats stats;
+  uint64_t v = 0;
+  Status st = Status::Internal("not run");
+  RunBehindFlood(ms, [](TreeClient* c, Key k, uint64_t* out, Status* s,
+                        OpStats* os) -> sim::Task<void> {
+    *s = co_await c->Lookup(k, out, os);
+  }(&system_.client(0), key, &v, &st, &stats));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(v, key * 31 + 7);
+  EXPECT_EQ(stats.read_retries, 1u);
+}
+
+TEST_F(WrapGuardTest, MultiGetRereadsASlowLeaf) {
+  std::vector<Key> keys;
+  for (uint64_t r = 1'000; r < 1'006; r++) {
+    keys.push_back(WorkloadGenerator::LoadedKeyFor(r));
+  }
+  const uint16_t ms = WarmLeafMs(keys[0]);
+  OpStats stats;
+  std::vector<MultiGetResult> res;
+  Status st = Status::Internal("not run");
+  RunBehindFlood(ms, [](TreeClient* c, std::vector<Key> k,
+                        std::vector<MultiGetResult>* out, Status* s,
+                        OpStats* os) -> sim::Task<void> {
+    *s = co_await c->MultiGet(std::move(k), out, os);
+  }(&system_.client(0), keys, &res, &st, &stats));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(res.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); i++) {
+    EXPECT_TRUE(res[i].status.ok()) << res[i].status.ToString();
+    EXPECT_EQ(res[i].value, keys[i] * 31 + 7);
+  }
+  EXPECT_GE(stats.read_retries, 1u);
+}
+
+TEST_F(WrapGuardTest, RangeQueryRereadsASlowLeaf) {
+  const Key from = WorkloadGenerator::LoadedKeyFor(1'000);
+  const uint16_t ms = WarmLeafMs(from);
+  OpStats stats;
+  std::vector<std::pair<Key, uint64_t>> out;
+  Status st = Status::Internal("not run");
+  RunBehindFlood(ms, [](TreeClient* c, Key k,
+                        std::vector<std::pair<Key, uint64_t>>* o, Status* s,
+                        OpStats* os) -> sim::Task<void> {
+    *s = co_await c->RangeQuery(k, 8, o, os);
+  }(&system_.client(0), from, &out, &st, &stats));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(out.size(), 8u);
+  for (uint64_t i = 0; i < out.size(); i++) {
+    const Key k = WorkloadGenerator::LoadedKeyFor(1'000 + i);
+    EXPECT_EQ(out[i].first, k);
+    EXPECT_EQ(out[i].second, k * 31 + 7);
+  }
+  EXPECT_EQ(stats.read_retries, 1u);
+}
+
 // --- variable-length records (slotted leaves + value log) -------------------
 
 TreeOptions VarOptions(uint32_t node_size = 512) {
@@ -732,7 +842,8 @@ TEST(VarTreeTest, UpdatesCrossInlineThresholdBothWays) {
   system.BulkLoad({}, 0.8);
 
   bool done = false;
-  sim::Spawn([](TreeClient* c, bool* flag) -> sim::Task<void> {
+  sim::Spawn([](TreeClient* c, obs::Registry* reg,
+                bool* flag) -> sim::Task<void> {
     const std::string key = VarKey(7);
     uint64_t out_writes = 0;
     for (int round = 0; round < 10; round++) {
@@ -746,13 +857,13 @@ TEST(VarTreeTest, UpdatesCrossInlineThresholdBothWays) {
       EXPECT_TRUE(st.ok()) << st.ToString();
       EXPECT_EQ(got, value) << "round " << round;
     }
-    const vlog::VlogStats& vs = c->vlog().stats();
-    EXPECT_EQ(vs.appends, out_writes);
+    const obs::MetricsSnapshot vs = reg->Snapshot();  // client 0's alone
+    EXPECT_EQ(vs.counter("vlog.appends"), out_writes);
     // The final round wrote inline, so every out-of-line extent ever
     // appended was retired by a later crossing — no extent leaks.
-    EXPECT_EQ(vs.retires, out_writes);
+    EXPECT_EQ(vs.counter("vlog.retires"), out_writes);
     *flag = true;
-  }(&system.client(0), &done));
+  }(&system.client(0), &system.registry(), &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
   system.DebugCheckInvariants();
@@ -976,7 +1087,7 @@ std::vector<OpCost> FixedOpCosts(TreeOptions topt) {
   }(&system.client(0), &log, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(system.client(0).reclaim_stats().leaf_merges, 1u);
+  EXPECT_EQ(system.registry().Snapshot().counter("reclaim.leaf_merges"), 1u);
   EXPECT_EQ(system.DebugCountLeaves(), leaves);  // one split, one merge
   system.DebugCheckInvariants();
   return log.costs;
@@ -1072,7 +1183,7 @@ std::vector<OpCost> VarOpCosts() {
   system.simulator().Run();
   EXPECT_TRUE(done);
   EXPECT_GT(relocated, 0u);
-  EXPECT_EQ(system.client(0).reclaim_stats().leaf_merges, 1u);
+  EXPECT_EQ(system.registry().Snapshot().counter("reclaim.leaf_merges"), 1u);
   EXPECT_EQ(system.DebugCountLeaves(), leaves);  // one split, one merge
   system.DebugCheckInvariants();
   return log.costs;

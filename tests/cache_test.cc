@@ -111,17 +111,19 @@ ParsedInternal MakeNode(uint8_t level, Key lo, Key hi, uint64_t addr_seed) {
 }
 
 TEST(IndexCacheTest, Level1HitAndMiss) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(1, 100, 200, 1));
   EXPECT_NE(cache.LookupLevel1(150), nullptr);
   EXPECT_EQ(cache.LookupLevel1(250), nullptr);
   EXPECT_EQ(cache.LookupLevel1(50), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(reg.Snapshot().counter("cache.l1_hits"), 1u);
+  EXPECT_EQ(reg.Snapshot().counter("cache.l1_misses"), 2u);
 }
 
 TEST(IndexCacheTest, ChildForRoutesWithinCachedNode) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   ParsedInternal n = MakeNode(1, 0, 1000, 2);
   cache.Insert(n);
   const ParsedInternal* hit = cache.LookupLevel1(10);
@@ -131,7 +133,8 @@ TEST(IndexCacheTest, ChildForRoutesWithinCachedNode) {
 }
 
 TEST(IndexCacheTest, UpperCachePrefersDeepestLevel) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(3, 0, kMaxKey, 3));
   cache.Insert(MakeNode(2, 0, 5000, 4));
   const ParsedInternal* got = cache.LookupUpper(100);
@@ -144,13 +147,15 @@ TEST(IndexCacheTest, UpperCachePrefersDeepestLevel) {
 }
 
 TEST(IndexCacheTest, Level1NodesNeverServeUpperLookups) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(1, 0, 1000, 5));
   EXPECT_EQ(cache.LookupUpper(10), nullptr);
 }
 
 TEST(IndexCacheTest, RefreshInPlaceKeepsOneEntry) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(1, 100, 200, 6));
   cache.Insert(MakeNode(1, 100, 180, 6));  // same lo, updated hi
   EXPECT_EQ(cache.level1_nodes(), 1u);
@@ -161,17 +166,19 @@ TEST(IndexCacheTest, RefreshInPlaceKeepsOneEntry) {
 
 TEST(IndexCacheTest, EvictsUnderCapacityPressure) {
   // Capacity for 4 nodes of 1 KB.
-  IndexCache cache(4 * 1024, 1024, 7);
+  obs::Registry reg;
+  IndexCache cache(4 * 1024, 1024, 7, &reg);
   for (uint64_t i = 0; i < 32; i++) {
     cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
   }
   EXPECT_LE(cache.bytes_used(), 4u * 1024);
   EXPECT_LE(cache.level1_nodes(), 4u);
-  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(reg.Snapshot().counter("cache.evictions"), 0u);
 }
 
 TEST(IndexCacheTest, EvictionPrefersLeastRecentlyUsed) {
-  IndexCache cache(8 * 1024, 1024, 7);
+  obs::Registry reg;
+  IndexCache cache(8 * 1024, 1024, 7, &reg);
   for (uint64_t i = 0; i < 8; i++) {
     cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
   }
@@ -185,7 +192,8 @@ TEST(IndexCacheTest, EvictionPrefersLeastRecentlyUsed) {
 }
 
 TEST(IndexCacheTest, InvalidateByKeyAndAddress) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   ParsedInternal n = MakeNode(1, 100, 200, 8);
   cache.Insert(n);
   // Wrong address: no-op.
@@ -197,11 +205,12 @@ TEST(IndexCacheTest, InvalidateByKeyAndAddress) {
 }
 
 TEST(IndexCacheTest, InvalidateLevel1Covering) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(1, 100, 200, 9));
   cache.InvalidateLevel1Covering(150);
   EXPECT_EQ(cache.LookupLevel1(150), nullptr);
-  EXPECT_GE(cache.stats().invalidations, 1u);
+  EXPECT_GE(reg.Snapshot().counter("cache.invalidations"), 1u);
   // Covering nothing: harmless.
   cache.InvalidateLevel1Covering(150);
 }
@@ -210,19 +219,21 @@ TEST(IndexCacheTest, UpperNodesChargedAndBounded) {
   // 64 KB type-① capacity => upper budget max(64K/4, 16*1K) = 16 KB = 16
   // nodes. Insert many distinct level-2 nodes (as stale epochs would) and
   // the budget must hold instead of growing without bound.
-  IndexCache cache(64 << 10, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(64 << 10, 1024, 1, &reg);
   for (uint64_t i = 0; i < 200; i++) {
     cache.Insert(MakeNode(2, i * 100, (i + 1) * 100, i));
   }
   EXPECT_LE(cache.upper_bytes_used(), cache.upper_capacity_bytes());
   EXPECT_LE(cache.upper_nodes(), 16u);
-  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(reg.Snapshot().counter("cache.evictions"), 0u);
   // bytes_used() reports both tiers.
   EXPECT_EQ(cache.bytes_used(), cache.upper_bytes_used());
 }
 
 TEST(IndexCacheTest, UpperRefreshDoesNotDoubleCharge) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(2, 100, 200, 1));
   const uint64_t once = cache.upper_bytes_used();
   cache.Insert(MakeNode(2, 100, 250, 1));  // same level+lo: refresh in place
@@ -236,7 +247,8 @@ TEST(IndexCacheTest, UpperRefreshDoesNotDoubleCharge) {
 TEST(IndexCacheTest, UpperEvictionPrefersLeastRecentlyUsed) {
   // Budget of 16 nodes; fill it, keep node 0 hot, then overflow: the hot
   // node must survive LRU eviction.
-  IndexCache cache(64 << 10, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(64 << 10, 1024, 1, &reg);
   for (uint64_t i = 0; i < 16; i++) {
     cache.Insert(MakeNode(2, i * 100, (i + 1) * 100, i));
   }
@@ -248,7 +260,8 @@ TEST(IndexCacheTest, UpperEvictionPrefersLeastRecentlyUsed) {
 }
 
 TEST(IndexCacheTest, InvalidateUpperReleasesBudget) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   ParsedInternal n = MakeNode(2, 0, 5000, 20);
   cache.Insert(n);
   EXPECT_EQ(cache.upper_nodes(), 1u);
@@ -258,7 +271,8 @@ TEST(IndexCacheTest, InvalidateUpperReleasesBudget) {
 }
 
 TEST(IndexCacheTest, InvalidateUpper) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   ParsedInternal n = MakeNode(2, 0, 5000, 10);
   cache.Insert(n);
   cache.Invalidate(100, n.self);
@@ -266,7 +280,8 @@ TEST(IndexCacheTest, InvalidateUpper) {
 }
 
 TEST(IndexCacheTest, ClearDropsEverything) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(1, 0, 100, 11));
   cache.Insert(MakeNode(2, 0, 10'000, 12));
   cache.Clear();
@@ -276,11 +291,14 @@ TEST(IndexCacheTest, ClearDropsEverything) {
 }
 
 TEST(IndexCacheTest, HitRatioAccounting) {
-  IndexCache cache(1 << 20, 1024, 1);
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
   cache.Insert(MakeNode(1, 0, 100, 13));
   cache.LookupLevel1(50);   // hit
   cache.LookupLevel1(500);  // miss
-  EXPECT_DOUBLE_EQ(cache.stats().HitRatio(), 0.5);
+  const obs::MetricsSnapshot m = reg.Snapshot();
+  const double hits = static_cast<double>(m.counter("cache.l1_hits"));
+  EXPECT_DOUBLE_EQ(hits / (hits + m.counter("cache.l1_misses")), 0.5);
 }
 
 }  // namespace

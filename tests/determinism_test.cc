@@ -11,8 +11,6 @@
 #include <string>
 
 #include "bench/runner.h"
-#include "combine/rdwc.h"
-#include "vlog/vlog.h"
 #include "core/hybrid_system.h"
 #include "core/presets.h"
 #include "migrate/migrator.h"
@@ -49,27 +47,10 @@ std::string Serialize(const bench::RunResult& r) {
      << " rr=" << r.stats.read_retries.ToString()
      << " wb=" << r.stats.write_bytes.ToString()
      << " lock_retries=" << r.stats.lock_retries
-     << " handovers=" << r.handovers
-     << " cas_failures=" << r.lock_cas_failures
-     << " hit_ratio=" << Bits(r.cache_hit_ratio)
-     << " route_os=" << r.route.ops_one_sided
-     << " route_rpc=" << r.route.ops_rpc
-     << " route_fb=" << r.route.rpc_fallbacks
-     << " route_epochs=" << r.route.epochs
-     << " route_flips=" << r.route.shard_flips
-     << " route_lat_os=" << r.route.lat_one_sided_ns
-     << " route_lat_rpc=" << r.route.lat_rpc_ns;
-  return os.str();
-}
-
-std::string Serialize(const MigrationStats& m) {
-  std::ostringstream os;
-  os << "shards=" << m.shards_migrated << " ranges=" << m.ranges_migrated
-     << " leaves=" << m.leaves_moved << " internals=" << m.internals_moved
-     << " passes=" << m.passes << " bytes=" << m.bytes_copied
-     << " chunk_rpcs=" << m.chunk_rpcs << " sib=" << m.sibling_fixes
-     << " residual=" << m.residual_leaves << " flips=" << m.flips
-     << " busy_ns=" << m.busy_ns;
+     << " handovers=" << r.stats.handovers
+     << " cache_hits=" << r.stats.cache_hits
+     << " cache_misses=" << r.stats.cache_misses
+     << " metrics=" << r.metrics.ToJson();
   return os.str();
 }
 
@@ -160,13 +141,8 @@ TEST(DeterminismTest, RdwcDelegationRunsAreByteIdentical) {
       r.workload.hotspot_share = 0.9;
       r.workload.hotspot_keys = 8;
       reports[run] = Serialize(bench::RunWorkload(&system, r));
-      const combine::RdwcStats& st = system.rdwc()->stats();
-      std::ostringstream os;
-      os << st.promotions << ":" << st.demotions << ":" << st.windows_opened
-         << ":" << st.followers_queued << ":" << st.gets_shared << ":"
-         << st.puts_combined << ":" << st.combined_writes << ":"
-         << st.bypass_overflow << ":" << st.windows_abandoned;
-      rdwc[run] = os.str();
+      // Whole-run counts, drain included (the report holds the window's).
+      rdwc[run] = system.sherman().registry().Snapshot().ToJson();
     }
     EXPECT_EQ(reports[0], reports[1]) << "combining=" << combining;
     EXPECT_EQ(rdwc[0], rdwc[1]) << "combining=" << combining;
@@ -242,7 +218,7 @@ TEST(DeterminismTest, ElasticMigrationRunsAreByteIdentical) {
       os << k << "=" << v << ",";
     }
     scans[run] = os.str();
-    migs[run] = Serialize(migrator.stats());
+    migs[run] = system.registry().Snapshot().ToJson();  // migrate.* incl.
   }
   EXPECT_EQ(scans[0], scans[1]);
   EXPECT_EQ(migs[0], migs[1]);
@@ -333,15 +309,10 @@ TEST(DeterminismTest, VarlenRunsAreByteIdentical) {
     system.simulator().Run();
     ASSERT_EQ(live, 0);
 
-    vlog::VlogStats vs;
-    for (int cs = 0; cs < 3; cs++) vs.Merge(system.client(cs).vlog().stats());
     std::ostringstream os;
     os << "ops=" << total_ops << " steps=" << system.simulator().steps()
-       << " now=" << system.simulator().now() << " appends=" << vs.appends
-       << " append_bytes=" << vs.append_bytes << " reads=" << vs.reads
-       << " retires=" << vs.retires << " segs=" << vs.segments_opened
-       << " gc_passes=" << vs.gc_passes << " gc_moved=" << vs.gc_relocated
-       << " gc_stale=" << vs.gc_stale << " scan:";
+       << " now=" << system.simulator().now()
+       << " metrics=" << system.registry().Snapshot().ToJson() << " scan:";
     for (const auto& [k, v] : system.DebugScanLeavesVar()) {
       os << k << "=" << v << ";";
     }

@@ -112,7 +112,6 @@ TEST(FaultTest, StaleCachePointerHealsViaSiblingChase) {
     // Warm the cache for this region.
     Status st = co_await c.Lookup(10'000, &v);
     EXPECT_TRUE(st.ok());
-    const uint64_t inv_before = c.cache().stats().invalidations;
 
     // Behind the client's back, split the leaf holding 10'000 by filling
     // it: insert odd keys until a split happens (height/fences change).
@@ -129,7 +128,6 @@ TEST(FaultTest, StaleCachePointerHealsViaSiblingChase) {
         EXPECT_TRUE(st.ok() || st.IsNotFound());
       }
     }
-    (void)inv_before;
     *flag = true;
   }(&system, &done));
   system.simulator().Run();

@@ -417,7 +417,9 @@ TEST(RdwcFuzzTest, ExtremeSkewWithDelegationAgainstOracle) {
     } else {
       ASSERT_EQ(done, threads) << "seed " << seed;
       // Skew + eager promotion must actually exercise the windows.
-      EXPECT_GT(system.rdwc()->stats().windows_opened, 0u)
+      EXPECT_GT(system.sherman().registry().Snapshot().counter(
+                    "rdwc.windows_opened"),
+                0u)
           << "seed " << seed;
     }
     EXPECT_EQ(system.rdwc()->open_windows(), 0u) << "seed " << seed;

@@ -68,6 +68,15 @@ void RunToDone(ShermanSystem* system, bool* done) {
   ASSERT_TRUE(*done);
 }
 
+// RunToDone, returning the registry's counts over the run. The phases
+// whose hint.* counts the scenarios check run only the victim client, so
+// these are the victim's counts.
+obs::MetricsSnapshot RunPhase(ShermanSystem* system, bool* done) {
+  const obs::MetricsSnapshot before = system->registry().Snapshot();
+  RunToDone(system, done);
+  return system->registry().Snapshot().Since(before);
+}
+
 // --- split ------------------------------------------------------------------
 // The victim's mirror predates a burst of inserts that splits hinted
 // leaves; keys that moved to new right siblings must still be served
@@ -96,13 +105,13 @@ TEST(HintStalenessTest, HintedLeafConcurrentlySplit) {
 
   bool verified = false;
   sim::Spawn(VerifyAll(&system.client(1), n, &verified));
-  RunToDone(&system, &verified);
+  const obs::MetricsSnapshot h = RunPhase(&system, &verified);
 
-  const TreeClient::HintStats& h = system.client(1).hint_stats();
-  EXPECT_GT(h.consults, 0u);
+  EXPECT_GT(h.counter("hint.consults"), 0u);
   // Post-split reads from the stale mirror must have chased or fallen
   // back at least once — if not, the scenario never went stale.
-  EXPECT_GT(h.chases + h.stale, 0u) << "splits never invalidated a hint";
+  EXPECT_GT(h.counter("hint.chases") + h.counter("hint.stale"), 0u)
+      << "splits never invalidated a hint";
   system.DebugCheckInvariants();
 }
 
@@ -146,10 +155,9 @@ TEST(HintStalenessTest, HintedLeafConcurrentlyMerged) {
     }
     *done = true;
   }(&system.client(1), n, &verified));
-  RunToDone(&system, &verified);
+  const obs::MetricsSnapshot h = RunPhase(&system, &verified);
 
-  const TreeClient::HintStats& h = system.client(1).hint_stats();
-  EXPECT_GT(h.stale, 0u) << "merges never invalidated a hint";
+  EXPECT_GT(h.counter("hint.stale"), 0u) << "merges never invalidated a hint";
   system.DebugCheckInvariants();
 }
 
@@ -181,11 +189,11 @@ TEST(HintStalenessTest, HintedLeafConcurrentlyMigrated) {
 
   bool verified = false;
   sim::Spawn(VerifyAll(&system.client(1), n, &verified));
-  RunToDone(&system, &verified);
+  const obs::MetricsSnapshot h = RunPhase(&system, &verified);
 
-  const TreeClient::HintStats& h = system.client(1).hint_stats();
-  EXPECT_GT(h.consults, 0u);
-  EXPECT_GT(h.stale, 0u) << "migration never invalidated a hint";
+  EXPECT_GT(h.counter("hint.consults"), 0u);
+  EXPECT_GT(h.counter("hint.stale"), 0u)
+      << "migration never invalidated a hint";
   system.DebugCheckInvariants();
 }
 
@@ -220,11 +228,8 @@ TEST(HintStalenessTest, HintedLeafAddressRecycled) {
   }(&system.client(0), n, &churned));
   RunToDone(&system, &churned);
 
-  uint64_t recycled = 0;
-  for (int ms = 0; ms < system.num_chunk_managers(); ms++) {
-    recycled += system.chunk_manager(ms).nodes_recycled();
-  }
-  ASSERT_GT(recycled, 0u) << "churn never recycled a freed node";
+  ASSERT_GT(system.registry().Snapshot().counter("alloc.nodes_recycled"), 0u)
+      << "churn never recycled a freed node";
 
   // Surviving + fresh keys all correct through the stale mirror; deleted
   // keys NotFound.
@@ -243,10 +248,10 @@ TEST(HintStalenessTest, HintedLeafAddressRecycled) {
     }
     *done = true;
   }(&system.client(1), n, &verified));
-  RunToDone(&system, &verified);
+  const obs::MetricsSnapshot h = RunPhase(&system, &verified);
 
-  const TreeClient::HintStats& h = system.client(1).hint_stats();
-  EXPECT_GT(h.stale, 0u) << "recycled addresses never tripped validation";
+  EXPECT_GT(h.counter("hint.stale"), 0u)
+      << "recycled addresses never tripped validation";
   system.DebugCheckInvariants();
 }
 
@@ -287,16 +292,20 @@ TEST(HintMirrorTest, ColdStartFetchesTablesOncePerComputeServer) {
     system.simulator().Run();
   };
 
+  // hint.* counts so far (client 0 is the only client running).
+  const auto hint = [&system](const char* name) {
+    return system.registry().Snapshot().counter(std::string("hint.") + name);
+  };
+
   wave(0);
   ASSERT_EQ(rts.size(), static_cast<size_t>(kCoroutines));
-  const TreeClient::HintStats& h = system.client(0).hint_stats();
-  EXPECT_EQ(h.refreshes, 1u) << "every cold coroutine fetched the tables";
-  EXPECT_EQ(h.consults, 1u) << "ops consulted while the first fetch ran";
+  EXPECT_EQ(hint("refreshes"), 1u) << "every cold coroutine fetched the tables";
+  EXPECT_EQ(hint("consults"), 1u) << "ops consulted while the first fetch ran";
 
   // Warm wave: the mirror serves every lookup with one READ, no refetch.
   wave(7);
   ASSERT_EQ(rts.size(), static_cast<size_t>(2 * kCoroutines));
-  EXPECT_EQ(h.refreshes, 1u);
+  EXPECT_EQ(hint("refreshes"), 1u);
 
   uint64_t hinted = 0;
   uint64_t fetched = 0;
@@ -314,10 +323,10 @@ TEST(HintMirrorTest, ColdStartFetchesTablesOncePerComputeServer) {
   }
   EXPECT_EQ(fetched, 1u);
   EXPECT_EQ(hinted, static_cast<uint64_t>(kCoroutines));
-  EXPECT_EQ(h.consults, hinted + fetched);
-  EXPECT_EQ(h.served, h.consults);
-  EXPECT_EQ(h.consults + traversed, rts.size());
-  EXPECT_EQ(h.stale + h.chases, 0u);
+  EXPECT_EQ(hint("consults"), hinted + fetched);
+  EXPECT_EQ(hint("served"), hint("consults"));
+  EXPECT_EQ(hint("consults") + traversed, rts.size());
+  EXPECT_EQ(hint("stale") + hint("chases"), 0u);
 }
 
 // --- refresh in flight ------------------------------------------------------
@@ -335,9 +344,10 @@ TEST(HintMirrorTest, OpsTraverseWhileARefreshIsInFlight) {
   TreeClient& victim = system.client(1);
   const int num_ms = system.fabric().num_memory_servers();
 
+  // The victim's counts: the sum of the phases it runs alone.
   bool warmed = false;
   sim::Spawn(WarmMirror(&victim, &warmed));
-  RunToDone(&system, &warmed);
+  obs::MetricsSnapshot h = RunPhase(&system, &warmed);
   std::vector<uint64_t> warm_gen(num_ms);
   for (int ms = 0; ms < num_ms; ms++) {
     warm_gen[ms] = system.hint_directory(ms)->generation();
@@ -359,8 +369,10 @@ TEST(HintMirrorTest, OpsTraverseWhileARefreshIsInFlight) {
 
   // The victim looks up deleted keys until one hint goes stale.
   bool stale = false;
-  sim::Spawn([](TreeClient* c, bool* done) -> sim::Task<void> {
-    for (uint64_t r = kGoneLo; r < kGoneHi && c->hint_stats().stale == 0;
+  sim::Spawn([](TreeClient* c, const obs::Counter* stale_hints,
+                bool* done) -> sim::Task<void> {
+    const uint64_t stale0 = stale_hints->value();
+    for (uint64_t r = kGoneLo; r < kGoneHi && stale_hints->value() == stale0;
          r++) {
       uint64_t v = 0;
       const Status st =
@@ -368,11 +380,10 @@ TEST(HintMirrorTest, OpsTraverseWhileARefreshIsInFlight) {
       EXPECT_TRUE(st.IsNotFound()) << st.ToString();
     }
     *done = true;
-  }(&victim, &stale));
-  RunToDone(&system, &stale);
-  const TreeClient::HintStats& h = victim.hint_stats();
-  ASSERT_EQ(h.stale, 1u) << "no hinted leaf was merged away";
-  ASSERT_EQ(h.refreshes, 1u);
+  }(&victim, system.registry().GetCounter("hint.stale"), &stale));
+  h.Merge(RunPhase(&system, &stale));
+  ASSERT_EQ(h.counter("hint.stale"), 1u) << "no hinted leaf was merged away";
+  ASSERT_EQ(h.counter("hint.refreshes"), 1u);
 
   // m: an MS whose table moved, so the refresh READs it again.
   int m = -1;
@@ -395,14 +406,17 @@ TEST(HintMirrorTest, OpsTraverseWhileARefreshIsInFlight) {
   ASSERT_NE(k, 0u);
 
   // The next consult runs the refresh. Meanwhile a second op on the same
-  // CS waits for the refresh's table READ to m to be posted (the header
-  // READ before it is 16 bytes) and looks k up while that READ is in
-  // flight.
+  // CS waits for the refresh's table READ to m to be posted and looks k up
+  // while that READ is in flight. The victim runs alone, and before that
+  // READ the refresh READs only the 16-byte headers of MSs 0..m (no table
+  // left of m moved).
   struct Probe {
     bool done = false;
-    TreeClient::HintStats before;
+    obs::MetricsSnapshot before;  // the registry when the probe starts
     OpStats stats;
   } probe;
+  const obs::MetricsSnapshot phase_start = system.registry().Snapshot();
+  const uint64_t headers_bytes = 16 * (static_cast<uint64_t>(m) + 1);
   bool triggered = false;
   sim::Spawn([](TreeClient* c, bool* done) -> sim::Task<void> {
     uint64_t v = 0;
@@ -411,32 +425,38 @@ TEST(HintMirrorTest, OpsTraverseWhileARefreshIsInFlight) {
     EXPECT_EQ(v, key * 31 + 7);
     *done = true;
   }(&victim, &triggered));
-  sim::Spawn([](ShermanSystem* sys, TreeClient* c, int ms, Key key,
-                Probe* p) -> sim::Task<void> {
-    const rdma::Qp& qp = sys->fabric().qp(c->cs_id(), ms);
-    const uint64_t bytes0 = qp.counters().read_bytes;
-    while (qp.counters().read_bytes - bytes0 <= 16) {
+  sim::Spawn([](ShermanSystem* sys, TreeClient* c, uint64_t bytes0,
+                uint64_t headers, Key key, Probe* p) -> sim::Task<void> {
+    const obs::Counter* read_bytes =
+        sys->registry().GetCounter("rdma.read_bytes");
+    while (read_bytes->value() - bytes0 <= headers) {
       co_await sys->simulator().Delay(10);
     }
-    p->before = c->hint_stats();
+    p->before = sys->registry().Snapshot();
     uint64_t v = 0;
     EXPECT_TRUE((co_await c->Lookup(key, &v, &p->stats)).ok());
     EXPECT_EQ(v, key * 31 + 7);
     p->done = true;
-  }(&system, &victim, m, k, &probe));
+  }(&system, &victim, phase_start.counter("rdma.read_bytes"), headers_bytes,
+    k, &probe));
   system.simulator().Run();
   ASSERT_TRUE(triggered);
   ASSERT_TRUE(probe.done);
 
-  EXPECT_EQ(probe.before.refreshes, 1u) << "refresh not in flight";
-  EXPECT_EQ(h.refreshes, 2u);
+  // The victim's counts when the probe started, and after the phase.
+  obs::MetricsSnapshot before = h;
+  before.Merge(probe.before.Since(phase_start));
+  h.Merge(system.registry().Snapshot().Since(phase_start));
+  EXPECT_EQ(before.counter("hint.refreshes"), 1u) << "refresh not in flight";
+  EXPECT_EQ(h.counter("hint.refreshes"), 2u);
   // Traversed: more than the one hinted leaf READ, at most a cold
   // traversal's READs, and no consult, stale entry or chase counted.
   EXPECT_GE(probe.stats.round_trips, 2u);
   EXPECT_LE(probe.stats.round_trips, system.DebugHeight() + 2);
-  EXPECT_EQ(h.consults, probe.before.consults + 1) << "the refresher's only";
-  EXPECT_EQ(h.stale, probe.before.stale);
-  EXPECT_EQ(h.chases, probe.before.chases);
+  EXPECT_EQ(h.counter("hint.consults"), before.counter("hint.consults") + 1)
+      << "the refresher's only";
+  EXPECT_EQ(h.counter("hint.stale"), before.counter("hint.stale"));
+  EXPECT_EQ(h.counter("hint.chases"), before.counter("hint.chases"));
   system.DebugCheckInvariants();
 }
 

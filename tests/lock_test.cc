@@ -20,6 +20,11 @@ rdma::FabricConfig SmallConfig(int ms = 1, int cs = 2) {
   return f;
 }
 
+// A lock.* count summed over every HoclClient on `fabric`.
+uint64_t Count(rdma::Fabric* fabric, const char* name) {
+  return fabric->registry().Snapshot().counter(name);
+}
+
 // --- lock table addressing ---
 
 TEST(LockTableTest, IndexIsDeterministicAndInRange) {
@@ -210,9 +215,10 @@ TEST(HoclTest, HandoverBoundedByMaxDepth) {
   }
   fabric.simulator().Run();
   EXPECT_EQ(completed, 16);
-  EXPECT_GT(hocl.handovers(), 0u);
+  const uint64_t handovers = Count(&fabric, "lock.handovers");
+  EXPECT_GT(handovers, 0u);
   // With MAX_DEPTH=4, at most 4 of every 5 acquisitions can be handovers.
-  EXPECT_LE(hocl.handovers(), 16u * 4 / 5 + 1);
+  EXPECT_LE(handovers, 16u * 4 / 5 + 1);
 }
 
 TEST(HoclTest, HandoverDisabledMeansNoHandovers) {
@@ -228,7 +234,7 @@ TEST(HoclTest, HandoverDisabledMeansNoHandovers) {
     }(&hocl, node));
   }
   fabric.simulator().Run();
-  EXPECT_EQ(hocl.handovers(), 0u);
+  EXPECT_EQ(Count(&fabric, "lock.handovers"), 0u);
 }
 
 TEST(HoclTest, WaitQueueIsFifoWithinCs) {
@@ -270,7 +276,7 @@ TEST(HoclTest, HierarchicalReducesRemoteCasUnderLocalContention) {
       }(&fabric, hocl.get(), node));
     }
     fabric.simulator().Run();
-    return hocl->global_cas_attempts();
+    return Count(&fabric, "lock.cas_attempts");
   };
   HoclOptions flat;
   flat.hierarchical = false;
@@ -385,7 +391,7 @@ TEST(LockLeaseTest, TryLockSurfacesLeaseStealOnDeadHolder) {
   }(&fabric, &h1, &h0, node, &done));
   fabric.simulator().Run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(h0.lease_steals(), 0u);
+  EXPECT_EQ(Count(&fabric, "lock.lease_steals"), 0u);
 }
 
 TEST(LockLeaseTest, LockStealsDeadHoldersLaneViaRecoveryHook) {
@@ -425,7 +431,7 @@ TEST(LockLeaseTest, LockStealsDeadHoldersLaneViaRecoveryHook) {
   fabric.simulator().Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(hook_calls, 1);
-  EXPECT_GE(h0.lease_steals(), 1u);
+  EXPECT_GE(Count(&fabric, "lock.lease_steals"), 1u);  // only h0 waits
 }
 
 TEST(HoclTest, CombinedUnlockOrdersWriteBeforeRelease) {

@@ -28,6 +28,11 @@ rdma::FabricConfig SmallFabric(int ms = 2, int cs = 2) {
   return f;
 }
 
+// A count summed over every component of the deployment.
+uint64_t Count(HybridSystem* system, const char* name) {
+  return system->sherman().registry().Snapshot().counter(name);
+}
+
 // --- TreeClient::MultiGet --------------------------------------------------
 
 TEST(MultiGetTest, MatchesSingletonLookups) {
@@ -355,8 +360,8 @@ TEST(HybridMultiOpTest, BatchStraddlesShardAndPathBoundaries) {
   system.simulator().Run();
   ASSERT_TRUE(done);
   // Both paths actually served traffic.
-  EXPECT_GT(system.tracker().totals().ops_rpc, 0u);
-  EXPECT_GT(system.tracker().totals().ops_one_sided, 0u);
+  EXPECT_GT(Count(&system, "route.ops_rpc"), 0u);
+  EXPECT_GT(Count(&system, "route.ops_one_sided"), 0u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -436,8 +441,8 @@ TEST(HybridMultiOpTest, DuplicateKeysAcrossShardAndPathBoundaries) {
   }(&system, n, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().ops_rpc, 0u);
-  EXPECT_GT(system.tracker().totals().ops_one_sided, 0u);
+  EXPECT_GT(Count(&system, "route.ops_rpc"), 0u);
+  EXPECT_GT(Count(&system, "route.ops_one_sided"), 0u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -473,7 +478,7 @@ TEST(HybridMultiOpTest, DuplicateKeysSurviveDeclineFallbackReorder) {
   }(&system, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().rpc_fallbacks, 0u);
+  EXPECT_GT(Count(&system, "route.rpc_fallbacks"), 0u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -507,7 +512,7 @@ TEST(HybridMultiOpTest, MsDeclinedBatchKeysFallBackOneSided) {
   }(&system, n, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().rpc_fallbacks, 0u);
+  EXPECT_GT(Count(&system, "route.rpc_fallbacks"), 0u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -551,8 +556,8 @@ TEST(HybridMultiOpTest, MultiDeleteStraddlesShardAndPathBoundaries) {
   }(&system, n, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().ops_rpc, 0u);
-  EXPECT_GT(system.tracker().totals().ops_one_sided, 0u);
+  EXPECT_GT(Count(&system, "route.ops_rpc"), 0u);
+  EXPECT_GT(Count(&system, "route.ops_one_sided"), 0u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -676,7 +681,9 @@ TEST(PipelineRunnerTest, HybridSystemTakesDepthToo) {
   ropt.pipeline_depth = 8;
   const bench::RunResult r = bench::RunWorkload(&system, ropt);
   EXPECT_GT(r.stats.ops, 0u);
-  EXPECT_GT(r.route.ops_one_sided + r.route.ops_rpc, 0u);
+  EXPECT_GT(r.metrics.counter("route.ops_one_sided") +
+                r.metrics.counter("route.ops_rpc"),
+            0u);
   system.sherman().DebugCheckInvariants();
 }
 

@@ -4,17 +4,19 @@
 // and SHERMAN_TRACING=OFF builds).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc/layout.h"
 #include "bench/runner.h"
 #include "core/btree.h"
+#include "core/hybrid_system.h"
 #include "core/presets.h"
-#include "obs/bridge.h"
+#include "migrate/migrator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "recover/recoverer.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -318,12 +320,12 @@ TEST(MetricsTest, CollectorsRunAtSnapshotTime) {
   int calls = 0;
   reg.AddCollector([&calls](obs::MetricsSnapshot* s) {
     calls++;
-    s->AddCounter("x.collected", 7);
+    s->SetGauge("x.level", 7);
   });
   EXPECT_EQ(calls, 0);  // registration alone must not invoke it
   const obs::MetricsSnapshot s = reg.Snapshot();
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(s.counter("x.collected"), 7u);
+  EXPECT_EQ(s.gauge("x.level"), 7.0);
 }
 
 TEST(MetricsTest, JsonIsDeterministicAndSorted) {
@@ -337,35 +339,146 @@ TEST(MetricsTest, JsonIsDeterministicAndSorted) {
   EXPECT_LT(j1.find("a.first"), j1.find("z.last"));
 }
 
-// Bridges: every legacy stats struct is readable through a snapshot.
-TEST(MetricsTest, LegacyStatsStructsBridgeIntoSnapshot) {
-  obs::MetricsSnapshot s;
-  OpStats op;
-  op.round_trips = 3;
-  op.cache_hits = 2;
-  obs::AddToSnapshot(&s, op);
-  EXPECT_EQ(s.counter("op.round_trips"), 3u);
-  EXPECT_EQ(s.counter("op.cache_hits"), 2u);
+// --- one representation: every count lives in the registry -------------
 
-  RouteStats route;
-  route.ops_rpc = 5;
-  obs::AddToSnapshot(&s, route);
-  EXPECT_EQ(s.counter("route.ops_rpc"), 5u);
+rdma::FabricConfig TwoByTwo() {
+  rdma::FabricConfig f;
+  f.num_memory_servers = 2;
+  f.num_compute_servers = 2;
+  f.ms_memory_bytes = 32ull << 20;
+  return f;
+}
 
-  MigrationStats mig;
-  mig.leaves_moved = 4;
-  obs::AddToSnapshot(&s, mig);
-  EXPECT_EQ(s.counter("migrate.leaves_moved"), 4u);
+// The metric families ("rdma", "lock", ...) a snapshot names.
+std::set<std::string> Families(const obs::MetricsSnapshot& s) {
+  const auto family = [](const std::string& name) {
+    return name.substr(0, name.find('.'));
+  };
+  std::set<std::string> out;
+  for (const auto& [name, v] : s.counters) out.insert(family(name));
+  for (const auto& [name, v] : s.gauges) out.insert(family(name));
+  return out;
+}
 
-  ReclaimStats rec;
-  rec.nodes_freed = 6;
-  obs::AddToSnapshot(&s, rec);
-  EXPECT_EQ(s.counter("reclaim.nodes_freed"), 6u);
+// Two clients, a memory server added later and a migrator all count into
+// the deployment's one registry, each count under one name: there is no
+// per-instance copy left to sum.
+TEST(MetricsSystemTest, EveryInstanceCountsUnderOneName) {
+  ShermanSystem system(TwoByTwo(), ShermanOptions());
+  const uint64_t n = 4'000;
+  system.BulkLoad(bench::MakeLoadKvs(n), 0.8);
+  obs::Registry& reg = system.registry();
+  const obs::MetricsSnapshot base = reg.Snapshot();
 
-  recover::RecoverStats rs;
-  rs.lanes_swept = 7;
-  obs::AddToSnapshot(&s, rs);
-  EXPECT_EQ(s.counter("recover.lanes_swept"), 7u);
+  // The same updates through each client in turn.
+  obs::MetricsSnapshot by_client[2];
+  for (int cs = 0; cs < 2; cs++) {
+    const obs::MetricsSnapshot before = reg.Snapshot();
+    bool done = false;
+    sim::Spawn([](TreeClient* c, bool* flag) -> sim::Task<void> {
+      for (uint64_t r = 0; r < 100; r++) {
+        const Key k = WorkloadGenerator::LoadedKeyFor(r);
+        EXPECT_TRUE((co_await c->Insert(k, r)).ok());
+      }
+      *flag = true;
+    }(&system.client(cs), &done));
+    system.simulator().Run();
+    ASSERT_TRUE(done);
+    by_client[cs] = reg.Snapshot().Since(before);
+  }
+  for (const char* name : {"rdma.batches", "rdma.writes", "nic.cs.tx_msgs",
+                           "nic.ms.rx_msgs", "lock.cas_attempts",
+                           "cache.l1_hits"}) {
+    EXPECT_GT(by_client[0].counter(name), 0u) << name;
+    EXPECT_GT(by_client[1].counter(name), 0u) << name;
+  }
+  // Counting named nothing new: every name exists from construction.
+  EXPECT_EQ(reg.Snapshot().counters.size(), base.counters.size());
+
+  // A memory server added later: its QPs, NIC and chunk manager count
+  // under the same names.
+  const int ms = system.AddMemoryServer();
+  const obs::MetricsSnapshot before_ms = reg.Snapshot();
+  bool done = false;
+  sim::Spawn([](rdma::Qp* qp, bool* flag) -> sim::Task<void> {
+    const uint64_t chunk = co_await qp->Rpc(kRpcAllocChunk, 0);
+    EXPECT_NE(chunk, 0u);
+    co_await qp->Rpc(kRpcFreeNode, chunk, 1024);
+    *flag = true;
+  }(&system.fabric().qp(1, ms), &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  const obs::MetricsSnapshot added = reg.Snapshot().Since(before_ms);
+  EXPECT_EQ(added.counter("rdma.rpcs"), 2u);
+  EXPECT_EQ(added.counter("nic.ms.rx_msgs"), 2u);
+  EXPECT_EQ(added.counter("alloc.nodes_freed"), 1u);
+  EXPECT_EQ(reg.Snapshot().counters.size(), base.counters.size());
+
+  // A migrator's family appears when it is built, and its moves count
+  // there.
+  EXPECT_EQ(Families(reg.Snapshot()).count("migrate"), 0u);
+  migrate::Migrator mig(&system, {});
+  EXPECT_EQ(reg.Snapshot().counter("migrate.leaves_moved", 99), 0u);
+  Status st;
+  bool migrated = false;
+  sim::Spawn([](migrate::Migrator* m, Key hi, uint16_t target, Status* out,
+                bool* flag) -> sim::Task<void> {
+    *out = co_await m->MigrateRange(1, hi, target);
+    *flag = true;
+  }(&mig, WorkloadGenerator::LoadedKeyFor(n / 4), static_cast<uint16_t>(ms),
+    &st, &migrated));
+  system.simulator().Run();
+  ASSERT_TRUE(migrated);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const obs::MetricsSnapshot end = reg.Snapshot();
+  EXPECT_EQ(end.counter("migrate.ranges_migrated"), 1u);
+  EXPECT_GT(end.counter("migrate.leaves_moved"), 0u);
+  EXPECT_GE(end.counter("migrate.bytes_copied"),
+            end.counter("migrate.leaves_moved") *
+                system.options().shape.node_size);
+  system.DebugCheckInvariants();
+}
+
+// A counter family exists exactly when its component does, so a
+// snapshot, and every BENCH_*.json built from one, names only what the
+// deployment runs.
+TEST(MetricsSystemTest, FamiliesOfAbsentComponentsStayAbsent) {
+  const std::set<std::string> base = {"alloc", "cache",   "lock",   "nic",
+                                      "rdma",  "reclaim", "recover"};
+  const auto with = [&base](std::set<std::string> extra) {
+    extra.insert(base.begin(), base.end());
+    return extra;
+  };
+  {
+    ShermanSystem plain(TwoByTwo(), ShermanOptions());
+    EXPECT_EQ(Families(plain.registry().Snapshot()), base);
+  }
+  {
+    TreeOptions t = ShermanOptions();
+    t.enable_leaf_hints = true;
+    ShermanSystem hints(TwoByTwo(), t);
+    EXPECT_EQ(Families(hints.registry().Snapshot()), with({"hint"}));
+  }
+  {
+    TreeOptions t = ShermanOptions();
+    t.two_level_versions = false;  // varlen requires sorted leaves
+    t.shape.varlen = true;
+    ShermanSystem varlen(TwoByTwo(), t);
+    EXPECT_EQ(Families(varlen.registry().Snapshot()), with({"vlog"}));
+  }
+  HybridOptions h;
+  h.tree = ShermanOptions();
+  {
+    HybridSystem hybrid(TwoByTwo(), h);
+    EXPECT_EQ(Families(hybrid.sherman().registry().Snapshot()),
+              with({"route", "rpc"}));
+  }
+  h.rdwc.enable_delegation = true;
+  {
+    HybridSystem hybrid(TwoByTwo(), h);
+    EXPECT_EQ(Families(hybrid.sherman().registry().Snapshot()),
+              with({"route", "rpc", "rdwc"}));
+  }
 }
 
 // --- whole-system smoke: build-flavor-dependent trace volume -----------

@@ -105,7 +105,8 @@ TEST(MemoryRegionTest, InflightBookkeeping) {
 
 TEST(NicTest, MessageCostKnee) {
   FabricConfig cfg;
-  Nic nic(&cfg);
+  obs::Registry reg;
+  Nic nic(&cfg, &reg, "ms");
   // Small messages: per-message bound; large: bandwidth bound (Figure 3).
   const auto small = nic.MessageCost(16, cfg.nic_rx_ns);
   const auto medium = nic.MessageCost(128, cfg.nic_rx_ns);
@@ -117,7 +118,8 @@ TEST(NicTest, MessageCostKnee) {
 
 TEST(NicTest, EnginesAreFifoServers) {
   FabricConfig cfg;
-  Nic nic(&cfg);
+  obs::Registry reg;
+  Nic nic(&cfg, &reg, "ms");
   const auto t1 = nic.ReserveRx(100, 16);
   const auto t2 = nic.ReserveRx(100, 16);  // queues behind t1
   EXPECT_EQ(t1, 100 + cfg.nic_rx_ns);
@@ -129,17 +131,19 @@ TEST(NicTest, EnginesAreFifoServers) {
 
 TEST(NicTest, AtomicBucketsSerializeSameAddress) {
   FabricConfig cfg;
-  Nic nic(&cfg);
+  obs::Registry reg;
+  Nic nic(&cfg, &reg, "ms");
   const auto s1 = nic.ReserveAtomicBucket(64, 100, 900);
   const auto s2 = nic.ReserveAtomicBucket(64, 100, 900);
   EXPECT_EQ(s1, 100u);
   EXPECT_EQ(s2, 1000u);  // waited for the bucket
-  EXPECT_EQ(nic.counters().atomic_stall_ns, 900u);
+  EXPECT_EQ(reg.Snapshot().counter("nic.ms.atomic_stall_ns"), 900u);
 }
 
 TEST(NicTest, AtomicBucketsIndependentAcrossAddresses) {
   FabricConfig cfg;
-  Nic nic(&cfg);
+  obs::Registry reg;
+  Nic nic(&cfg, &reg, "ms");
   const auto s1 = nic.ReserveAtomicBucket(64, 100, 900);
   const auto s2 = nic.ReserveAtomicBucket(128, 100, 900);  // different bucket
   EXPECT_EQ(s1, 100u);
@@ -148,7 +152,8 @@ TEST(NicTest, AtomicBucketsIndependentAcrossAddresses) {
 
 TEST(NicTest, BucketCollisionAt4KStride) {
   FabricConfig cfg;  // 12 LSBs select the bucket
-  Nic nic(&cfg);
+  obs::Registry reg;
+  Nic nic(&cfg, &reg, "ms");
   const auto s1 = nic.ReserveAtomicBucket(64, 0, 900);
   const auto s2 = nic.ReserveAtomicBucket(64 + 4096, 0, 900);
   EXPECT_EQ(s1, 0u);
@@ -323,9 +328,10 @@ TEST_F(FabricTest, BatchAppliesWritesInOrderWithOneCompletion) {
     std::vector<WorkRequest> batch;
     batch.push_back(WorkRequest::Write(a, &v1, 8));
     batch.push_back(WorkRequest::Write(a, &v2, 8));  // same address: last wins
-    const uint64_t batches_before = qp.counters().batches;
+    const obs::Counter* batches = f->registry().GetCounter("rdma.batches");
+    const uint64_t batches_before = batches->value();
     co_await qp.PostBatch(std::move(batch));
-    EXPECT_EQ(qp.counters().batches, batches_before + 1);
+    EXPECT_EQ(batches->value(), batches_before + 1);
     uint64_t v = 0;
     co_await qp.Post(WorkRequest::Read(a, &v, 8));
     EXPECT_EQ(v, 2u);  // in-order execution: v2 landed last
@@ -428,12 +434,13 @@ TEST_F(FabricTest, CountersTrackTraffic) {
     co_await f->qp(0, 1).Post(
         WorkRequest::Read(GlobalAddress(1, 9 << 20), &r, 8));
   }(&fabric_));
-  const QpCounters& c = fabric_.qp(0, 1).counters();
-  EXPECT_EQ(c.writes, 1u);
-  EXPECT_EQ(c.reads, 1u);
-  EXPECT_EQ(c.write_bytes, 8u);
-  EXPECT_EQ(c.read_bytes, 8u);
-  EXPECT_EQ(c.batches, 2u);
+  // The fabric's only traffic, so the fabric-wide rdma.* sums are qp(0, 1)'s.
+  const obs::MetricsSnapshot c = fabric_.registry().Snapshot();
+  EXPECT_EQ(c.counter("rdma.writes"), 1u);
+  EXPECT_EQ(c.counter("rdma.reads"), 1u);
+  EXPECT_EQ(c.counter("rdma.write_bytes"), 8u);
+  EXPECT_EQ(c.counter("rdma.read_bytes"), 8u);
+  EXPECT_EQ(c.counter("rdma.batches"), 2u);
 }
 
 }  // namespace

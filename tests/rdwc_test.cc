@@ -29,6 +29,12 @@ rdma::FabricConfig SmallFabric(int ms = 2, int cs = 2) {
   return f;
 }
 
+// The deployment's rdwc.<name> count.
+uint64_t Rdwc(HybridSystem* system, const char* name) {
+  return system->sherman().registry().Snapshot().counter(
+      std::string("rdwc.") + name);
+}
+
 HybridOptions RdwcHybrid(bool combining = true) {
   HybridOptions o;
   o.tree = ShermanOptions();
@@ -45,7 +51,7 @@ HybridOptions RdwcHybrid(bool combining = true) {
 
 TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
   rdma::Fabric fabric(SmallFabric());
-  route::HotnessTracker tracker(8);
+  route::HotnessTracker tracker(8, &fabric.registry());
   route::RouterOptions ropt;
   ropt.num_shards = 8;
   ropt.universe_lo = 1;
@@ -59,7 +65,8 @@ TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
   opt.promote_threshold = 4;
   opt.demote_windows = 2;
   opt.hot_window_ns = 1'000;
-  combine::RdwcLayer layer(&fabric.simulator(), &tracker, &router, opt);
+  combine::RdwcLayer layer(&fabric.simulator(), &tracker, &router, opt,
+                          &fabric.registry());
 
   const Key k = 42;
   for (int i = 0; i < 3; i++) {
@@ -67,7 +74,7 @@ TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
   }
   EXPECT_NE(layer.Admit(k), nullptr);  // 4th sampled hit promotes
   EXPECT_TRUE(layer.IsHot(k));
-  EXPECT_EQ(layer.stats().promotions, 1u);
+  EXPECT_EQ(fabric.registry().Snapshot().counter("rdwc.promotions"), 1u);
 
   // Three cold epochs: the first roll still sees the promotion burst, the
   // next two see one sampled hit each (below bar 2) and demote.
@@ -77,12 +84,12 @@ TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
     layer.Admit(k);
   }
   EXPECT_FALSE(layer.IsHot(k));
-  EXPECT_EQ(layer.stats().demotions, 1u);
+  EXPECT_EQ(fabric.registry().Snapshot().counter("rdwc.demotions"), 1u);
 }
 
 TEST(RdwcTableTest, SampledColdPathSkipsTheTable) {
   rdma::Fabric fabric(SmallFabric());
-  route::HotnessTracker tracker(8);
+  route::HotnessTracker tracker(8, &fabric.registry());
   route::RouterOptions ropt;
   ropt.num_shards = 8;
   ropt.universe_lo = 1;
@@ -95,7 +102,8 @@ TEST(RdwcTableTest, SampledColdPathSkipsTheTable) {
   opt.sample_shift = 2;  // 1 in 4 ops counted
   opt.promote_threshold = 2;
   opt.hot_window_ns = 100'000'000;
-  combine::RdwcLayer layer(&fabric.simulator(), &tracker, &router, opt);
+  combine::RdwcLayer layer(&fabric.simulator(), &tracker, &router, opt,
+                          &fabric.registry());
 
   // 7 ops = 1 sampled hit: stays cold; the 8th samples again and promotes.
   const Key k = 7;
@@ -143,12 +151,11 @@ TEST(RdwcWindowTest, ParkedGetsShareAndPutsCombineLastWins) {
   // write, which carries the LAST parked PUT's value.
   EXPECT_EQ(get.v, 300u);
 
-  const combine::RdwcStats& st = system.rdwc()->stats();
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.followers_queued, 3u);
-  EXPECT_EQ(st.puts_combined, 2u);
-  EXPECT_EQ(st.gets_shared, 1u);
-  EXPECT_EQ(st.combined_writes, 1u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 3u);
+  EXPECT_EQ(Rdwc(&system, "puts_combined"), 2u);
+  EXPECT_EQ(Rdwc(&system, "gets_shared"), 1u);
+  EXPECT_EQ(Rdwc(&system, "combined_writes"), 1u);
   EXPECT_EQ(system.rdwc()->open_windows(), 0u);
 
   // The tree holds the combined value.
@@ -184,11 +191,10 @@ TEST(RdwcWindowTest, OverflowBypassesToTheDirectPath) {
 
   ASSERT_EQ(done, 4);
   for (const Status& st : res) EXPECT_TRUE(st.ok()) << st.ToString();
-  const combine::RdwcStats& st = system.rdwc()->stats();
   // One delegate, one parked follower, two overflowed past the full window.
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.followers_queued, 1u);
-  EXPECT_EQ(st.bypass_overflow, 2u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 1u);
+  EXPECT_EQ(Rdwc(&system, "bypass_overflow"), 2u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -219,12 +225,11 @@ TEST(RdwcWindowTest, QueueOnlyModeSerializesWithoutSharing) {
   ASSERT_TRUE(del.done && put.done && get.done);
   EXPECT_TRUE(del.st.ok() && put.st.ok() && get.st.ok());
   // Queue-only: followers re-ran their own remote ops after the delegate.
-  const combine::RdwcStats& st = system.rdwc()->stats();
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.followers_queued, 2u);
-  EXPECT_EQ(st.combined_writes, 0u);
-  EXPECT_EQ(st.puts_combined, 0u);
-  EXPECT_EQ(st.gets_shared, 0u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 2u);
+  EXPECT_EQ(Rdwc(&system, "combined_writes"), 0u);
+  EXPECT_EQ(Rdwc(&system, "puts_combined"), 0u);
+  EXPECT_EQ(Rdwc(&system, "gets_shared"), 0u);
   // The GET ran as a real remote read: it saw 100 or 200 depending on
   // whether it beat the re-run PUT, both legal linearizations.
   EXPECT_TRUE(get.v == 100u || get.v == 200u) << get.v;
@@ -287,13 +292,12 @@ TEST(RdwcVarWindowTest, ParkedVarGetsShareAndPutsCombineLastWins) {
   // The parked GET shares the combined write's value (last parked PUT).
   EXPECT_EQ(get.v, "d300");
 
-  const combine::RdwcStats& st = system.rdwc()->stats();
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.followers_queued, 3u);
-  EXPECT_EQ(st.puts_combined, 2u);
-  EXPECT_EQ(st.gets_shared, 1u);
-  EXPECT_EQ(st.combined_writes, 1u);
-  EXPECT_EQ(st.var_key_mismatch, 0u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 3u);
+  EXPECT_EQ(Rdwc(&system, "puts_combined"), 2u);
+  EXPECT_EQ(Rdwc(&system, "gets_shared"), 1u);
+  EXPECT_EQ(Rdwc(&system, "combined_writes"), 1u);
+  EXPECT_EQ(Rdwc(&system, "var_key_mismatch"), 0u);
   EXPECT_EQ(system.rdwc()->open_windows(), 0u);
 
   bool checked = false;
@@ -333,10 +337,9 @@ TEST(RdwcVarWindowTest, FullKeyMismatchOnHotRoutingKeyBypasses) {
 
   ASSERT_TRUE(a.done && b.done);
   EXPECT_TRUE(a.st.ok() && b.st.ok());
-  const combine::RdwcStats& st = system.rdwc()->stats();
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.var_key_mismatch, 1u);
-  EXPECT_EQ(st.followers_queued, 0u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "var_key_mismatch"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 0u);
 
   bool checked = false;
   sim::Spawn([](HybridSystem* s, bool* flag) -> sim::Task<void> {
@@ -398,11 +401,10 @@ TEST(RdwcVarWindowTest, OverflowBypassesToTheDirectPath) {
     ASSERT_TRUE(o.done);
     EXPECT_TRUE(o.st.ok()) << o.st.ToString();
   }
-  const combine::RdwcStats& st = system.rdwc()->stats();
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.followers_queued, 1u);
-  EXPECT_EQ(st.bypass_overflow, 1u);
-  EXPECT_EQ(st.combined_writes, 1u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 1u);
+  EXPECT_EQ(Rdwc(&system, "bypass_overflow"), 1u);
+  EXPECT_EQ(Rdwc(&system, "combined_writes"), 1u);
   // The combined write (o1) lands after the delegate's own (o0); the
   // overflowed o2 raced both.
   const std::string last = VarReadBack(&system, "hotkey00");
@@ -420,9 +422,10 @@ TEST(RdwcVarWindowTest, OverflowBypassesToTheDirectPath) {
     EXPECT_TRUE(o.st.ok()) << o.st.ToString();
     EXPECT_EQ(o.v, last);
   }
-  EXPECT_EQ(st.windows_opened, 3u);  // + the read-back's and the GETs'
-  EXPECT_EQ(st.bypass_overflow, 2u);
-  EXPECT_EQ(st.gets_shared, 1u);
+  // Plus the read-back's and the GETs' windows.
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 3u);
+  EXPECT_EQ(Rdwc(&system, "bypass_overflow"), 2u);
+  EXPECT_EQ(Rdwc(&system, "gets_shared"), 1u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -438,12 +441,11 @@ TEST(RdwcVarWindowTest, QueueOnlyModeRerunsParkedOpsDirectly) {
 
   ASSERT_TRUE(del.done && put.done && get.done);
   EXPECT_TRUE(del.st.ok() && put.st.ok() && get.st.ok());
-  const combine::RdwcStats& st = system.rdwc()->stats();
-  EXPECT_EQ(st.windows_opened, 1u);
-  EXPECT_EQ(st.followers_queued, 2u);
-  EXPECT_EQ(st.combined_writes, 0u);
-  EXPECT_EQ(st.puts_combined, 0u);
-  EXPECT_EQ(st.gets_shared, 0u);
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 2u);
+  EXPECT_EQ(Rdwc(&system, "combined_writes"), 0u);
+  EXPECT_EQ(Rdwc(&system, "puts_combined"), 0u);
+  EXPECT_EQ(Rdwc(&system, "gets_shared"), 0u);
   // The parked ops re-ran their own remote ops after the delegate's
   // write: the GET saw either PUT, and the re-run PUT landed last.
   EXPECT_TRUE(get.v == "q100" || get.v == "q200") << get.v;

@@ -31,12 +31,9 @@ rdma::FabricConfig SmallFabric(int ms = 2, int cs = 2) {
   return f;
 }
 
-ReclaimStats TotalReclaim(ShermanSystem* system) {
-  ReclaimStats total;
-  for (int cs = 0; cs < system->num_clients(); cs++) {
-    total.Merge(system->client(cs).reclaim_stats());
-  }
-  return total;
+// A count summed over every component of the deployment.
+uint64_t Count(ShermanSystem* system, const char* name) {
+  return system->registry().Snapshot().counter(name);
 }
 
 // --- epoch machinery (unit) -------------------------------------------------
@@ -44,7 +41,9 @@ ReclaimStats TotalReclaim(ShermanSystem* system) {
 TEST(ReclaimEpochTest, BlocksRecycleWhileOlderReaderPinned) {
   rdma::Fabric fabric(SmallFabric(1, 1));
   ReclaimEpoch epoch;
-  ChunkManager mgr(&fabric.ms(0), &epoch);
+  ChunkManager mgr(&fabric.ms(0), &fabric.registry(), &epoch);
+  const obs::Counter* recycled =
+      fabric.registry().GetCounter("alloc.nodes_recycled");
 
   // A reader pins the current epoch, then a node is freed.
   const uint64_t reader = epoch.Enter();
@@ -55,7 +54,7 @@ TEST(ReclaimEpochTest, BlocksRecycleWhileOlderReaderPinned) {
 
   // While the reader is pinned, the node must NOT be recycled.
   EXPECT_EQ(mgr.AllocNode(1024), 0u);
-  EXPECT_EQ(mgr.nodes_recycled(), 0u);
+  EXPECT_EQ(recycled->value(), 0u);
 
   // Another op entering and exiting at the CURRENT epoch does not unblock
   // it either — only the old reader's exit can.
@@ -65,7 +64,7 @@ TEST(ReclaimEpochTest, BlocksRecycleWhileOlderReaderPinned) {
 
   epoch.Exit(reader);
   EXPECT_EQ(mgr.AllocNode(1024), chunk);
-  EXPECT_EQ(mgr.nodes_recycled(), 1u);
+  EXPECT_EQ(recycled->value(), 1u);
   EXPECT_EQ(mgr.grace_pending(), 0u);
 }
 
@@ -84,7 +83,8 @@ TEST(ReclaimEpochTest, EpochAdvancesAsCohortsDrain) {
 
 TEST(ReclaimEpochTest, NoGraceDomainMeansImmediateRecycle) {
   rdma::Fabric fabric(SmallFabric(1, 1));
-  ChunkManager mgr(&fabric.ms(0));  // no domain (unit-test config)
+  // No grace domain (unit-test config).
+  ChunkManager mgr(&fabric.ms(0), &fabric.registry());
   const uint64_t chunk = mgr.AllocChunk();
   mgr.FreeNode(chunk, 512);
   EXPECT_EQ(mgr.AllocNode(512), chunk);
@@ -149,7 +149,7 @@ TEST_P(MergePresetTest, DeleteHeavyOpsMatchStdMap) {
     EXPECT_EQ(scan[i].first, it->first);
     EXPECT_EQ(scan[i].second, it->second);
   }
-  EXPECT_GT(TotalReclaim(&system).leaf_merges, 0u)
+  EXPECT_GT(Count(&system, "reclaim.leaf_merges"), 0u)
       << "delete-heavy churn never merged a leaf";
 }
 
@@ -194,14 +194,10 @@ TEST(LeafMergeTest, MassDeleteShrinksLeafChain) {
   const size_t leaves_after = system.DebugCountLeaves();
   EXPECT_LT(leaves_after, leaves_before / 4)
       << "merges should have collapsed the mostly-empty chain";
-  const ReclaimStats total = TotalReclaim(&system);
-  EXPECT_GT(total.leaf_merges, 0u);
-  EXPECT_EQ(total.leaf_merges, total.nodes_freed);
-  uint64_t ms_freed = 0;
-  for (int ms = 0; ms < system.num_chunk_managers(); ms++) {
-    ms_freed += system.chunk_manager(ms).nodes_freed();
-  }
-  EXPECT_EQ(ms_freed, total.nodes_freed);
+  const obs::MetricsSnapshot m = system.registry().Snapshot();
+  EXPECT_GT(m.counter("reclaim.leaf_merges"), 0u);
+  EXPECT_EQ(m.counter("reclaim.leaf_merges"), m.counter("reclaim.nodes_freed"));
+  EXPECT_EQ(m.counter("alloc.nodes_freed"), m.counter("reclaim.nodes_freed"));
   // Survivors must still be found through the simulated path.
   bool verified = false;
   sim::Spawn([](TreeClient* c, uint64_t keys, bool* flag) -> sim::Task<void> {
@@ -260,7 +256,7 @@ TEST(LeafMergeTest, ReadersSurviveConcurrentMerges) {
   system.simulator().Run();
   ASSERT_EQ(done, 2);
   system.DebugCheckInvariants();
-  EXPECT_GT(TotalReclaim(&system).leaf_merges, 0u);
+  EXPECT_GT(Count(&system, "reclaim.leaf_merges"), 0u);
 }
 
 // Freed leaves must be recycled into later splits: sliding-window churn
@@ -314,13 +310,10 @@ TEST(ReclaimTest, ChurnFootprintPlateaus) {
 
   system.DebugCheckInvariants();
   EXPECT_TRUE(system.DebugScanLeaves().empty());
-  uint64_t recycled = 0, freed = 0;
-  for (int ms = 0; ms < system.num_chunk_managers(); ms++) {
-    recycled += system.chunk_manager(ms).nodes_recycled();
-    freed += system.chunk_manager(ms).nodes_freed();
-  }
-  EXPECT_GT(freed, 0u) << "churn never freed a node";
-  EXPECT_GT(recycled, 0u) << "churn never recycled a freed node";
+  EXPECT_GT(Count(&system, "alloc.nodes_freed"), 0u)
+      << "churn never freed a node";
+  EXPECT_GT(Count(&system, "alloc.nodes_recycled"), 0u)
+      << "churn never recycled a freed node";
   // ~30 generations of 400 live keys each must not take a generation's
   // worth of chunks each: the steady-state footprint is one client chunk
   // plus recycling.
@@ -357,7 +350,7 @@ TEST(ReclaimTest, RpcDeletePathMergesToo) {
 
   system.sherman().DebugCheckInvariants();
   EXPECT_EQ(system.sherman().DebugScanLeaves().size(), (n + 15) / 16);
-  EXPECT_GT(system.rpc_service().leaf_merges(), 0u)
+  EXPECT_GT(Count(&system.sherman(), "rpc.leaf_merges"), 0u)
       << "MS-side executor never merged an underflowed leaf";
 }
 
@@ -406,7 +399,7 @@ TEST(ReclaimTest, RpcDeleteVarPathMergesSlottedLeaves) {
   for (size_t i = 0; i < left.size(); i++) {
     EXPECT_EQ(left[i].first, key(16 * i));
   }
-  EXPECT_GT(system.rpc_service().leaf_merges(), 0u)
+  EXPECT_GT(Count(&system.sherman(), "rpc.leaf_merges"), 0u)
       << "MS-side executor never merged an underflowed slotted leaf";
 }
 
@@ -454,7 +447,7 @@ TEST(ReclaimTest, MergesSurviveConcurrentMigration) {
   ASSERT_TRUE(mig_done);
   EXPECT_TRUE(mig_st.ok()) << mig_st.ToString();
   system.DebugCheckInvariants();
-  EXPECT_GT(migrator.stats().source_nodes_freed, 0u)
+  EXPECT_GT(Count(&system, "migrate.source_nodes_freed"), 0u)
       << "migration stopped retiring tombstoned sources";
 }
 
@@ -516,15 +509,11 @@ TEST(LeaseRaceTest, StolenLockRacingEpochProtectedFree) {
 
   ASSERT_TRUE(done);
   system.DebugCheckInvariants();
-  uint64_t dups = 0, freed = 0;
-  for (int ms = 0; ms < system.num_chunk_managers(); ms++) {
-    dups += system.chunk_manager(ms).duplicate_frees();
-    freed += system.chunk_manager(ms).nodes_freed();
-  }
-  EXPECT_GT(freed, 0u);
+  EXPECT_GT(Count(&system, "alloc.nodes_freed"), 0u);
   // Recovery re-issued the free for the in-doubt leaf; the grace list
   // absorbed the duplicate exactly once.
-  EXPECT_GE(dups, 1u) << "the crash-window double-free was never exercised";
+  EXPECT_GE(Count(&system, "alloc.duplicate_frees"), 1u)
+      << "the crash-window double-free was never exercised";
   // Dead pins released: nothing blocks the epoch from advancing.
   EXPECT_EQ(system.reclaim_epoch().pinned_ops(), 0u);
   fault::Injector().Reset();
@@ -574,8 +563,9 @@ TEST(LeaseRaceTest, RecoveryReplayRacesSurvivorMerges) {
 
   ASSERT_TRUE(done);
   if (fault::Injector().fired()) {
-    EXPECT_GE(system.client(0).recoverer().stats().recoveries +
-                  system.client(0).recoverer().stats().partial_recoveries,
+    // Client 0 is the only survivor, so the only recoverer.
+    EXPECT_GE(Count(&system, "recover.recoveries") +
+                  Count(&system, "recover.partial_recoveries"),
               1u);
   }
   system.DebugCheckInvariants();

@@ -39,6 +39,11 @@ rdma::FabricConfig SmallFabric(int ms = 2, int cs = 2) {
   return f;
 }
 
+// A count summed over every component of the deployment.
+uint64_t Count(HybridSystem* system, const char* name) {
+  return system->sherman().registry().Snapshot().counter(name);
+}
+
 HybridOptions SmallHybrid(int shards = 8,
                           RouterOptions::Policy policy =
                               RouterOptions::Policy::kAdaptive) {
@@ -53,7 +58,7 @@ HybridOptions SmallHybrid(int shards = 8,
 
 TEST(RouterShardTest, RangePartitionCoversUniverse) {
   rdma::Fabric fabric(SmallFabric());
-  HotnessTracker tracker(8);
+  HotnessTracker tracker(8, &fabric.registry());
   RouterOptions opt;
   opt.num_shards = 8;
   opt.universe_lo = 1;
@@ -250,7 +255,8 @@ TEST(RouterPlanTest, ForcedPoliciesIgnoreSignals) {
 // --- hotness tracking & epoch flipping ------------------------------------
 
 TEST(HotnessTrackerTest, RecordsAndResetsWindows) {
-  HotnessTracker tracker(2);
+  obs::Registry reg;
+  HotnessTracker tracker(2, &reg);
   OpStats op;
   op.cache_hits = 1;
   op.lock_retries = 3;
@@ -281,14 +287,15 @@ TEST(HotnessTrackerTest, RecordsAndResetsWindows) {
   w = tracker.TakeWindow();
   EXPECT_EQ(w[0].ops, 0u);
   EXPECT_EQ(w[1].ops, 0u);
-  EXPECT_EQ(tracker.totals().ops_one_sided, 2u);
-  EXPECT_EQ(tracker.totals().ops_rpc, 1u);
-  EXPECT_EQ(tracker.totals().rpc_fallbacks, 1u);
+  const obs::MetricsSnapshot m = reg.Snapshot();
+  EXPECT_EQ(m.counter("route.ops_one_sided"), 2u);
+  EXPECT_EQ(m.counter("route.ops_rpc"), 1u);
+  EXPECT_EQ(m.counter("route.rpc_fallbacks"), 1u);
 }
 
 TEST(RouterEpochTest, FlipsUnderInjectedContention) {
   rdma::Fabric fabric(SmallFabric());
-  HotnessTracker tracker(2);
+  HotnessTracker tracker(2, &fabric.registry());
   RouterOptions opt;
   opt.num_shards = 2;
   opt.epoch_ns = 1'000'000;
@@ -334,8 +341,9 @@ TEST(RouterEpochTest, FlipsUnderInjectedContention) {
   }
   EXPECT_EQ(router.PathOfShard(0), Path::kOneSided);
   EXPECT_EQ(router.PathOfShard(1), Path::kOneSided);
-  EXPECT_GE(router.stats().epochs, 7u);
-  EXPECT_GE(router.stats().shard_flips, 2u);
+  const obs::MetricsSnapshot m = fabric.registry().Snapshot();
+  EXPECT_GE(m.counter("route.epochs"), 7u);
+  EXPECT_GE(m.counter("route.shard_flips"), 2u);
 }
 
 // --- MS-side tree executor -------------------------------------------------
@@ -415,7 +423,7 @@ TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
   }(&client, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
-  EXPECT_GE(system.rpc_service().declined(), 2u);
+  EXPECT_GE(Count(&system, "rpc.declined"), 2u);
 
   // Release the lane; a hybrid client forced onto the RPC path now writes
   // through the MS-side executor directly.
@@ -459,7 +467,7 @@ TEST(TreeRpcTest, FullLeafInsertFallsBackAndSplitsOneSided) {
   }(&system, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().rpc_fallbacks, 0u);
+  EXPECT_GT(Count(&system, "route.rpc_fallbacks"), 0u);
   system.sherman().DebugCheckInvariants();
 }
 
@@ -525,12 +533,12 @@ TEST(HybridTraceTest, InsertSpansReachTheCallersRoot) {
   // RPC path declined (full leaf), served by the one-sided fallback.
   system.router().ForceAssignment(
       std::vector<Path>(system.router().num_shards(), Path::kRpc));
-  const uint64_t fallbacks = system.tracker().totals().rpc_fallbacks;
+  const uint64_t fallbacks = Count(&system, "route.rpc_fallbacks");
   done = false;
   sim::Spawn(TracedInsert(&system, 201, &root, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_EQ(system.tracker().totals().rpc_fallbacks, fallbacks + 1);
+  EXPECT_EQ(Count(&system, "route.rpc_fallbacks"), fallbacks + 1);
   spans = SpansUnder(ring, root);
   EXPECT_TRUE(AnyWithPrefix(spans, "lock."));
   EXPECT_TRUE(AnyWithPrefix(spans, "rdma.read"));
@@ -580,14 +588,14 @@ TEST(HybridTraceTest, BatchSpansReachTheCallersRoot) {
   std::vector<Key> keys;
   for (Key k = 10; k <= 390; k += 20) keys.push_back(k);
 
-  const uint64_t fallbacks = system.tracker().totals().rpc_fallbacks;
+  const uint64_t fallbacks = Count(&system, "route.rpc_fallbacks");
   uint64_t get_root = 0;
   uint64_t put_root = 0;
   bool done = false;
   sim::Spawn(TracedBatches(&system, keys, &get_root, &put_root, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().rpc_fallbacks, fallbacks);
+  EXPECT_GT(Count(&system, "route.rpc_fallbacks"), fallbacks);
 
   const obs::TraceRing* ring =
       system.sherman().tracer().FindRing(obs::RingId::Client(0));
@@ -611,14 +619,14 @@ TEST(HybridTraceTest, DeclinedBatchFallbackSpansReachTheCallersRoot) {
   std::vector<Key> keys;
   for (Key k = 10; k <= 390; k += 20) keys.push_back(k);
 
-  const uint64_t fallbacks = system.tracker().totals().rpc_fallbacks;
+  const uint64_t fallbacks = Count(&system, "route.rpc_fallbacks");
   uint64_t get_root = 0;
   uint64_t put_root = 0;
   bool done = false;
   sim::Spawn(TracedBatches(&system, keys, &get_root, &put_root, &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
-  EXPECT_GT(system.tracker().totals().rpc_fallbacks, fallbacks);
+  EXPECT_GT(Count(&system, "route.rpc_fallbacks"), fallbacks);
 
   const obs::TraceRing* ring =
       system.sherman().tracer().FindRing(obs::RingId::Client(0));
@@ -679,7 +687,7 @@ TEST(HybridIntegrationTest, SkewedWriteIntensive) {
   EXPECT_GT(one_sided, rpc);
   EXPECT_GE(adaptive, 0.985 * std::max(one_sided, rpc));
   EXPECT_GT(adaptive, 2.0 * rpc);
-  EXPECT_GE(adaptive_res.route.epochs, 5u);
+  EXPECT_GE(adaptive_res.metrics.counter("route.epochs"), 5u);
 }
 
 TEST(HybridIntegrationTest, UniformReadColdCache) {
@@ -699,7 +707,7 @@ TEST(HybridIntegrationTest, UniformReadColdCache) {
 
   EXPECT_GE(adaptive, std::max(one_sided, rpc));
   // Cold shards actually offloaded.
-  EXPECT_GT(adaptive_res.route.ops_rpc, 0u);
+  EXPECT_GT(adaptive_res.metrics.counter("route.ops_rpc"), 0u);
 }
 
 }  // namespace

@@ -436,7 +436,9 @@ TEST_F(DmsanTest, NegativeRdwcCombiningChurnIsClean) {
   EXPECT_TRUE(checker->findings().empty());
   EXPECT_GT(checker->checked_wrs(), 1000u);
   // The skew actually drove the combining machinery.
-  EXPECT_GT(system.rdwc()->stats().combined_writes, 0u);
+  EXPECT_GT(system.sherman().registry().Snapshot().counter(
+                "rdwc.combined_writes"),
+            0u);
   EXPECT_EQ(system.rdwc()->open_windows(), 0u);
   system.sherman().DebugCheckInvariants();
 }
