@@ -2,12 +2,11 @@
 //
 // Every binary accepts:
 //   --quick            smaller dataset + shorter windows (CI-friendly)
-//   --keys=N           loaded keys (default 1,000,000; paper: 1 billion)
+//   --keys=N           loaded keys (default 4,000,000; paper: 1 billion)
 //   --threads=N        client threads per CS (default 22; 176 total)
 //   --measure-ms=N     measurement window in simulated ms
 //   --seed=N
-// Benches print the paper's reported values alongside measured ones; see
-// EXPERIMENTS.md for the recorded comparison.
+// Benches print the paper's reported values alongside measured ones.
 #ifndef SHERMAN_BENCH_COMMON_H_
 #define SHERMAN_BENCH_COMMON_H_
 

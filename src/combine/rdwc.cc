@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "fault/crash_point.h"
-#include "route/hotness.h"
 #include "route/hybrid_client.h"
-#include "route/router.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -22,14 +20,19 @@ const int kSiteOpen = fault::RegisterCrashSite("rdwc.open");
 const int kSiteExec = fault::RegisterCrashSite("rdwc.exec");
 const int kSiteCombine = fault::RegisterCrashSite("rdwc.combine");
 
+// Delegation table shards (keys hash onto them), and the candidate entries
+// one shard tracks beyond its hot keys and open windows.
+constexpr size_t kTableShards = 64;
+constexpr size_t kMaxTrackedPerShard = 64;
+// The CS-to-CS delegation hop charged to a follower served by another
+// CS's delegate.
+constexpr sim::SimTime kCrossCsHopNs = 600;
+
 }  // namespace
 
-RdwcLayer::RdwcLayer(sim::Simulator* sim, route::HotnessTracker* tracker,
-                     route::AdaptiveRouter* router, RdwcOptions options,
+RdwcLayer::RdwcLayer(sim::Simulator* sim, RdwcOptions options,
                      obs::Registry* registry)
     : sim_(sim),
-      tracker_(tracker),
-      router_(router),
       options_(options),
       promotions_(registry->GetCounter("rdwc.promotions")),
       demotions_(registry->GetCounter("rdwc.demotions")),
@@ -42,10 +45,9 @@ RdwcLayer::RdwcLayer(sim::Simulator* sim, route::HotnessTracker* tracker,
       reelections_(registry->GetCounter("rdwc.reelections")),
       windows_abandoned_(registry->GetCounter("rdwc.windows_abandoned")),
       var_key_mismatch_(registry->GetCounter("rdwc.var_key_mismatch")) {
-  SHERMAN_CHECK(options_.table_shards > 0);
   SHERMAN_CHECK(options_.window_max_ops > 0);
   SHERMAN_CHECK(options_.follower_timeout_ns > 0);
-  buckets_.resize(options_.table_shards);
+  buckets_.resize(kTableShards);
 }
 
 RdwcLayer::Bucket& RdwcLayer::BucketFor(Key key, uint64_t* bit) {
@@ -85,7 +87,7 @@ void RdwcLayer::RollIfDue(Bucket* b) {
     ++it;
   }
   // Bound the candidate set (hot entries and open windows are exempt).
-  while (b->entries.size() > options_.max_tracked_per_shard) {
+  while (b->entries.size() > kMaxTrackedPerShard) {
     auto victim = b->entries.end();
     for (auto it = b->entries.begin(); it != b->entries.end(); ++it) {
       if (!it->second.hot && it->second.win == nullptr) {
@@ -115,10 +117,6 @@ RdwcEntry* RdwcLayer::Admit(Key key) {
     // only the hash and this bit test.
     if (options_.sample_shift > 0 &&
         (++b.sample_ctr & ((1u << options_.sample_shift) - 1)) != 0) {
-      return nullptr;
-    }
-    if (options_.shard_gate_ops > 0 &&
-        tracker_->WindowOps(router_->ShardFor(key)) < options_.shard_gate_ops) {
       return nullptr;
     }
   }
@@ -229,9 +227,7 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     // Charge the CS-to-CS delegation hop for cross-CS followers, then
     // adopt the shared result. The op still counts toward the shard's
     // hotness window (it was real demand).
-    if (cs != delegate_cs && options_.cross_cs_hop_ns > 0) {
-      co_await sim_->Delay(options_.cross_cs_hop_ns);
-    }
+    if (cs != delegate_cs) co_await sim_->Delay(kCrossCsHopNs);
     client->RecordAbsorbed(rk, is_put, start, stats);
     if (is_put) {
       puts_combined_->Inc();

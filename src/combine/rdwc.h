@@ -10,9 +10,7 @@
 //  - A sharded delegation table tracks per-key traffic with sampled
 //    counters and promotes keys that cross `promote_threshold` hits
 //    within one `hot_window_ns` epoch (demotion after `demote_windows`
-//    cold epochs). Promotion can additionally be gated on the existing
-//    per-shard HotnessTracker signal (`shard_gate_ops`), so only keys in
-//    shards the AdaptiveRouter already sees as busy are candidates.
+//    cold epochs).
 //  - The first op on a promoted key becomes the *delegate* and opens a
 //    bounded combining window. Ops on the same key arriving while the
 //    delegate is in flight QUEUE: they park on the window. When the
@@ -42,7 +40,7 @@
 //
 // The table is compute-side state shared by all HybridClients (the
 // simulation abstracts the CS-to-CS delegation hop; followers served
-// from another CS's delegate are charged `cross_cs_hop_ns`).
+// from another CS's delegate are charged kCrossCsHopNs, rdwc.cc).
 #ifndef SHERMAN_COMBINE_RDWC_H_
 #define SHERMAN_COMBINE_RDWC_H_
 
@@ -61,8 +59,6 @@
 
 namespace sherman::route {
 class HybridClient;
-class HotnessTracker;
-class AdaptiveRouter;
 }  // namespace sherman::route
 
 namespace sherman::combine {
@@ -83,19 +79,10 @@ struct RdwcOptions {
   // Cold-key ops are counted 1 in 2^sample_shift (0 = count every op);
   // the rest pay only the hash + hot-bit test.
   uint32_t sample_shift = 2;
-  // Candidate tracking engages only when the key's shard saw at least
-  // this many ops in the HotnessTracker's current epoch window (0 = no
-  // gate). This reuses the router's existing per-shard hotness signal.
-  uint64_t shard_gate_ops = 0;
 
   // --- combining window ---
   uint32_t window_max_ops = 16;         // parked ops before overflow
   sim::SimTime follower_timeout_ns = 100'000;  // delegate-death probe
-  sim::SimTime cross_cs_hop_ns = 600;   // charged to cross-CS followers
-
-  // --- table sizing ---
-  uint32_t table_shards = 64;
-  uint32_t max_tracked_per_shard = 64;  // candidate entries per shard
 };
 
 struct RdwcEntry;
@@ -151,8 +138,7 @@ struct RdwcEntry {
 class RdwcLayer {
  public:
   // Counts into `registry` as rdwc.*.
-  RdwcLayer(sim::Simulator* sim, route::HotnessTracker* tracker,
-            route::AdaptiveRouter* router, RdwcOptions options,
+  RdwcLayer(sim::Simulator* sim, RdwcOptions options,
             obs::Registry* registry);
 
   RdwcLayer(const RdwcLayer&) = delete;
@@ -221,8 +207,6 @@ class RdwcLayer {
   };
 
   sim::Simulator* sim_;
-  route::HotnessTracker* tracker_;
-  route::AdaptiveRouter* router_;
   RdwcOptions options_;
   std::vector<Bucket> buckets_;
   std::map<uint64_t, RdwcWindow*> live_;  // open windows by generation

@@ -25,6 +25,11 @@ constexpr uint32_t kMaxRestarts = 256;
 constexpr sim::SimTime kVersionWrapRetryNs = 8000;
 // Re-reads one read of a node may spend on the wraparound guard.
 constexpr uint32_t kMaxWrapRetries = 16;
+// Cap on validated re-reads of one node (simulation hygiene; generously
+// above anything the paper's workloads produce).
+constexpr uint32_t kMaxReadRetries = 4096;
+// Global CAS attempts of a bounded (Acquire::kTry) lock acquisition.
+constexpr uint32_t kTryLockAttempts = 16;
 
 // Named crash sites: one per remote-write milestone of every multi-write
 // structural op in this file (tests/recover_test.cc enumerates the full
@@ -182,7 +187,7 @@ sim::Task<Status> TreeClient::ReadNodeChecked(rdma::GlobalAddress addr,
   sim::Simulator& sim = system_->fabric_.simulator();
   const sim::SimTime wrap_guard = WrapGuardNs();
   uint32_t wrap_retries = 0;
-  for (uint32_t i = 0; i < o.max_read_retries; i++) {
+  for (uint32_t i = 0; i < kMaxReadRetries; i++) {
     const sim::SimTime start = sim.now();
     Status st = co_await ReadRaw(addr, buf, node_size(), stats);
     if (!st.ok()) co_return st;
@@ -348,7 +353,7 @@ sim::Task<StatusOr<TreeClient::LeafRef>> TreeClient::FindLeafAddr(
     if (p != nullptr) {
       if (stats != nullptr) stats->cache_hits++;
       SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr, "cache.hit");
-      co_return LeafRef{p->ChildFor(key), true};
+      co_return LeafRef{p->ChildFor(key)};
     }
     if (stats != nullptr) stats->cache_misses++;
     SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr, "cache.miss");
@@ -357,112 +362,77 @@ sim::Task<StatusOr<TreeClient::LeafRef>> TreeClient::FindLeafAddr(
     rdma::GlobalAddress hinted;
     if (co_await HintLeafAddr(key, &hinted, stats)) {
       SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr, "hint.hit");
-      co_return LeafRef{hinted, false, true};
+      co_return LeafRef{hinted, /*via_hint=*/true};
     }
   }
   SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "tree.descend");
   StatusOr<rdma::GlobalAddress> r = co_await FindNodeAddr(key, 0, stats);
   if (!r.ok()) co_return r.status();
-  co_return LeafRef{*r, false};
+  co_return LeafRef{*r};
 }
 
-sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockAndRead(
+sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockChasing(
     rdma::GlobalAddress addr, Key key, uint8_t* buf, OpStats* stats,
-    uint8_t level) {
+    uint8_t level, std::array<rdma::GlobalAddress, 2> held, Acquire how) {
   const TreeOptions& o = opt();
-  SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "tree.lock_read",
-                 level);
+  const bool first = held[0].is_null() && held[1].is_null();
+  SHERMAN_TEVENT(first && stats != nullptr ? stats->trace : nullptr,
+                 "tree.lock_read", level);
   for (int chase = 0; chase < kMaxSiblingChase; chase++) {
-    LockGuard guard = co_await hocl_.Lock(addr, stats);
-    Status st = co_await ReadRaw(addr, buf, node_size(), stats);
-    SHERMAN_CHECK(st.ok());
-    NodeView view(buf, &o.shape);
-    const bool usable = !view.is_free() && view.level() == level;
-    if (usable && view.InFence(key)) {
-      co_return Locked{addr, guard};
+    const GlobalLockRef lane = LockFor(addr, o.lock.onchip);
+    bool owned = true;
+    for (const rdma::GlobalAddress h : held) {
+      if (!h.is_null() && LockFor(h, o.lock.onchip) == lane) owned = false;
     }
-    const rdma::GlobalAddress next = (usable && key >= view.hi_fence())
-                                         ? view.sibling()
-                                         : rdma::kNullAddress;
-    co_await hocl_.Unlock(guard, {}, o.combine_commands, stats);
-    cache_.InvalidateLevel1Covering(key);
-    if (next.is_null()) co_return Status::Retry("locked node unusable");
-    addr = next;
-  }
-  co_return Status::Retry("locked sibling chase bound");
-}
-
-// --- Delete-path leaf merging (space reclamation) ---------------------------
-
-bool TreeClient::SameLockLane(rdma::GlobalAddress a,
-                              rdma::GlobalAddress b) const {
-  if (a.is_null() || b.is_null()) return false;
-  const bool onchip = opt().lock.onchip;
-  const GlobalLockRef ra = LockFor(a, onchip);
-  const GlobalLockRef rb = LockFor(b, onchip);
-  return ra.ms == rb.ms && ra.index == rb.index && ra.space == rb.space;
-}
-
-sim::Task<StatusOr<TreeClient::SecondLocked>> TreeClient::LockSecondChasing(
-    rdma::GlobalAddress addr, Key key, rdma::GlobalAddress held1,
-    rdma::GlobalAddress held2, uint8_t* buf, OpStats* stats, uint8_t level) {
-  const TreeOptions& o = opt();
-  // Secondary locks are acquired with a BOUNDED TryLock, never a waiting
-  // Lock: we already hold the leaf's lane (and possibly the sibling's),
-  // and the finite lock table can hash another in-flight merge's held
-  // lane onto the one we want — an unbounded wait there is a cross-agent
-  // deadlock no local lane-ordering can prevent. Running out of attempts
-  // aborts the (opportunistic) merge instead.
-  constexpr uint32_t kTryLockAttempts = 16;
-  for (int chase = 0; chase < kMaxSiblingChase; chase++) {
-    const bool shared = SameLockLane(addr, held1) || SameLockLane(addr, held2);
     LockGuard guard;
-    if (!shared) {
+    if (owned && how == Acquire::kTry) {
+      // Bounded, never a waiting Lock: the finite lock table can hash
+      // another multi-lock agent's held lane onto the one we want, a
+      // cross-agent deadlock no lane ordering prevents. TryLock does not
+      // recover a dead holder inline (we hold other locks); the next
+      // waiting Lock that lands on the lane does.
       const Status got =
           co_await hocl_.TryLock(addr, kTryLockAttempts, &guard, stats);
       if (got.IsLeaseSteal()) {
-        // The holder is dead (TryLock does not recover inline — we hold
-        // other locks here). Abort the protocol; the dead lane is
-        // recovered by the next unbounded Lock() that lands on it.
-        co_return Status::Retry("secondary lane held by a dead client");
+        co_return Status::Retry("lane held by a dead client");
       }
-      if (!got.ok()) co_return Status::Retry("secondary lock contended");
+      if (!got.ok()) co_return Status::Retry("lane contended");
+    } else if (owned) {
+      guard = co_await hocl_.Lock(addr, stats);
     }
     Status st = co_await ReadRaw(addr, buf, node_size(), stats);
     SHERMAN_CHECK(st.ok());
     NodeView view(buf, &o.shape);
     const bool usable = !view.is_free() && view.level() == level;
-    if (usable && view.InFence(key)) {
-      co_return SecondLocked{addr, guard, !shared};
-    }
+    if (usable && view.InFence(key)) co_return Locked{addr, guard, owned};
     const rdma::GlobalAddress next = (usable && key >= view.hi_fence())
                                          ? view.sibling()
                                          : rdma::kNullAddress;
-    if (!shared) co_await hocl_.Unlock(guard, {}, o.combine_commands, stats);
+    if (owned) co_await hocl_.Unlock(guard, {}, o.combine_commands, stats);
+    if (first) cache_.InvalidateLevel1Covering(key);
     if (next.is_null()) co_return Status::Retry("locked node unusable");
     addr = next;
   }
   co_return Status::Retry("locked sibling chase bound");
 }
 
-sim::Task<void> TreeClient::UnlockSecond(
-    SecondLocked locked, std::vector<rdma::WorkRequest> write_backs,
-    OpStats* stats) {
+sim::Task<void> TreeClient::Release(Locked locked,
+                                    std::vector<rdma::WorkRequest> write_backs,
+                                    OpStats* stats) {
   if (locked.owned) {
     co_await hocl_.Unlock(locked.guard, std::move(write_backs),
                           opt().combine_commands, stats);
     co_return;
   }
-  // Lane shared with a lock we still hold: the node stays protected; just
-  // apply the write-backs.
   if (!write_backs.empty()) {
-    rdma::RdmaResult r = co_await system_->fabric_
-                             .qp(cs_id_, locked.addr.node)
-                             .PostBatch(std::move(write_backs));
+    rdma::RdmaResult r =
+        co_await QpFor(locked.addr).PostBatch(std::move(write_backs));
     if (stats != nullptr) stats->round_trips++;
     SHERMAN_CHECK(r.status.ok());
   }
 }
+
+// --- Delete-path leaf merging (space reclamation) ---------------------------
 
 namespace {
 // Deletes an aborted leaf waits before the next merge attempt, and the
@@ -553,14 +523,14 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
 
   // 2. Lock the left sibling (chasing splits; lane-aware vs L's lock).
   std::vector<uint8_t> sbuf(node_size());
-  StatusOr<SecondLocked> sl = co_await LockSecondChasing(
-      s_hint, lo - 1, locked.addr, rdma::kNullAddress, sbuf.data(), stats,
-      /*level=*/0);
+  StatusOr<Locked> sl = co_await LockChasing(
+      s_hint, lo - 1, sbuf.data(), stats, /*level=*/0, {locked.addr},
+      Acquire::kTry);
   if (!sl.ok()) {
     RecordMergeAbort(locked.addr);
     co_return false;
   }
-  SecondLocked sib = *sl;
+  Locked sib = *sl;
   NodeView sview(sbuf.data(), &o.shape);
 
   // Anti-thrash headroom (LeafMergeFits): drained chains, the reclamation
@@ -570,7 +540,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
                   LeafMergeFits(sview, view, o.two_level_versions,
                                 /*headroom=*/true);
   if (!ok) {
-    co_await UnlockSecond(sib, {}, stats);
+    co_await Release(sib, {}, stats);
     RecordMergeAbort(locked.addr);
     co_return false;
   }
@@ -586,20 +556,20 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   // 4. Lock the parent and re-verify under the lock (it may have split or
   // been rewritten since the lock-free read).
   std::vector<uint8_t> pbuf(node_size());
-  StatusOr<SecondLocked> pl = co_await LockSecondChasing(
-      parent.self, lo, locked.addr, sib.addr, pbuf.data(), stats,
-      /*level=*/1);
+  StatusOr<Locked> pl = co_await LockChasing(
+      parent.self, lo, pbuf.data(), stats, /*level=*/1,
+      {locked.addr, sib.addr}, Acquire::kTry);
   if (!pl.ok()) {
-    co_await UnlockSecond(sib, {}, stats);
+    co_await Release(sib, {}, stats);
     RecordMergeAbort(locked.addr);
     co_return false;
   }
-  SecondLocked par = *pl;
+  Locked par = *pl;
   NodeView pview(pbuf.data(), &o.shape);
   if (pview.is_free() || pview.level() != 1 ||
       !pview.InternalRemove(lo, locked.addr)) {
-    co_await UnlockSecond(par, {}, stats);
-    co_await UnlockSecond(sib, {}, stats);
+    co_await Release(par, {}, stats);
+    co_await Release(sib, {}, stats);
     RecordMergeAbort(locked.addr);
     co_return false;
   }
@@ -653,7 +623,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
     wrs.push_back(
         rdma::WorkRequest::Write(par.addr, pbuf.data(), node_size()));
     wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-    co_await UnlockSecond(par, std::move(wrs), stats);
+    co_await Release(par, std::move(wrs), stats);
   }
   co_await fault::Injector().AtSite(kCrashMergeParent, cs_id_);
   {
@@ -661,7 +631,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
     wrs.push_back(
         rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
     wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-    co_await UnlockSecond(sib, std::move(wrs), stats);
+    co_await Release(sib, std::move(wrs), stats);
   }
   co_await fault::Injector().AtSite(kCrashMergeSibling, cs_id_);
   if (stats != nullptr) stats->bytes_written += 3ull * node_size();
@@ -677,7 +647,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   if (stats != nullptr) stats->round_trips++;
   co_await fault::Injector().AtSite(kCrashMergeFreed, cs_id_);
   intents_.ClearAsync(intent_slot);
-  co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+  co_await Release(locked, {}, stats);
   nodes_freed_->Inc();
   leaf_merges_->Inc();
 
@@ -708,7 +678,7 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockLeaf(Key rk,
         co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
     if (!leaf_r.ok()) co_return leaf_r.status();
     StatusOr<Locked> locked_r =
-        co_await LockAndRead(leaf_r->addr, rk, buf, stats);
+        co_await LockChasing(leaf_r->addr, rk, buf, stats);
     if (locked_r.ok() || !locked_r.status().IsRetry()) co_return locked_r;
     // A hinted address that went dead-end must leave the mirror, or every
     // subsequent restart re-serves it.
@@ -723,13 +693,13 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockLeaf(Key rk,
 }
 
 template <class Fn>
-sim::Task<Status> TreeClient::ReadLeafChasing(Key* rk, uint8_t* buf,
-                                              Fn& visit, OpStats* stats) {
+sim::Task<Status> TreeClient::ReadLeafChasing(Key rk, uint8_t* buf, Fn& visit,
+                                              OpStats* stats) {
   const TreeOptions& o = opt();
   rdma::GlobalAddress probe_addr;  // last tombstone this read bounced off
   for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
     StatusOr<LeafRef> leaf_r =
-        co_await FindLeafAddr(*rk, stats, /*allow_hint=*/attempt == 0);
+        co_await FindLeafAddr(rk, stats, /*allow_hint=*/attempt == 0);
     if (!leaf_r.ok()) co_return leaf_r.status();
     rdma::GlobalAddress addr = leaf_r->addr;
 
@@ -739,41 +709,37 @@ sim::Task<Status> TreeClient::ReadLeafChasing(Key* rk, uint8_t* buf,
       Status st = co_await ReadNodeChecked(addr, buf, stats);
       if (!st.ok()) co_return st;
       NodeView view(buf, &o.shape);
-      if (view.is_free() || !view.is_leaf() || *rk < view.lo_fence()) {
-        cache_.InvalidateLevel1Covering(*rk);
+      if (view.is_free() || !view.is_leaf() || rk < view.lo_fence()) {
+        cache_.InvalidateLevel1Covering(rk);
         // A hinted leaf that was merged, migrated, or recycled into a
         // different role: drop the mirror entry and fall back to a full
         // traversal — the hint is never trusted past validation.
-        if (leaf_r->via_hint && chase == 0) NoteHintStale(*rk);
+        if (leaf_r->via_hint && chase == 0) NoteHintStale(rk);
         if (view.is_free()) probe_addr = addr;
         if (attempt >= 2) root_known_ = false;  // stale root (see LockLeaf)
         restart = true;
         break;
       }
-      Visit next = Visit::kNext;
-      Status done;
-      if (*rk >= view.hi_fence()) {
-        cache_.InvalidateLevel1Covering(*rk);
+      if (rk >= view.hi_fence()) {
+        cache_.InvalidateLevel1Covering(rk);
         // Valid hinted leaf, but the key split off to its right since the
-        // mirror was fetched; the B-link chase below still serves it.
+        // mirror was fetched; the B-link chase still serves it.
         if (leaf_r->via_hint && chase == 0) NoteHintChase();
-      } else {
-        next = co_await visit(view, &done);
-      }
-      if (next == Visit::kDone) co_return done;
-      if (next == Visit::kReread) {
-        if (stats != nullptr) stats->read_retries++;
-        if (++rereads > o.max_read_retries) {
-          co_return Status::TimedOut("leaf re-read retries exhausted");
+        if (view.sibling().is_null()) {
+          restart = true;
+          break;
         }
-        chase--;  // re-read the same leaf
+        addr = view.sibling();
         continue;
       }
-      if (view.sibling().is_null()) {
-        restart = true;
-        break;
+      Status done;
+      if (co_await visit(view, &done)) co_return done;
+      // Torn entry or relocated value: re-read the same leaf.
+      if (stats != nullptr) stats->read_retries++;
+      if (++rereads > kMaxReadRetries) {
+        co_return Status::TimedOut("leaf re-read retries exhausted");
       }
-      addr = view.sibling();
+      chase--;
     }
     // Chase bound exhausted: a stale translation steered us far left of
     // the key (heavy split/merge churn since it was cached). The chase
@@ -783,7 +749,7 @@ sim::Task<Status> TreeClient::ReadLeafChasing(Key* rk, uint8_t* buf,
       // A hinted start that needed > kMaxSiblingChase hops was not the
       // key's leaf at all (mirror predecessor across a hint-table hole):
       // drop the entry so later ops stop re-serving it.
-      if (leaf_r->via_hint) NoteHintStale(*rk);
+      if (leaf_r->via_hint) NoteHintStale(rk);
       if (attempt >= 2) root_known_ = false;
     }
     // Repeated bounces off the same tombstone mean the structural op that
@@ -805,8 +771,7 @@ sim::Task<void> TreeClient::WriteBackAndUnlock(const Locked& locked,
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr.Plus(off), buf + off, len));
   }
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), opt().combine_commands,
-                        stats);
+  co_await Release(locked, std::move(wrs), stats);
 }
 
 sim::Task<void> TreeClient::MergeOrWriteBack(const Locked& locked,
@@ -870,21 +835,20 @@ sim::Task<Status> TreeClient::Get(R rec, OpStats* stats) {
   const std::optional<Status> fast =
       co_await rec.Speculate(*this, buf.data(), stats);
   if (fast.has_value()) co_return *fast;
-  auto visit = [&](NodeView& view, Status* done) -> sim::Task<Visit> {
+  auto visit = [&](NodeView& view, Status* done) -> sim::Task<bool> {
     co_await sim.Delay(rec.SearchNs(f));
     const LeafRead got = rec.Read(view);
-    if (got == LeafRead::kTorn) co_return Visit::kReread;
+    if (got == LeafRead::kTorn) co_return false;
     if (got == LeafRead::kRemote) {
       // Corruption: the extent moved between the leaf read and the value
       // read (an update or GC); the re-read leaf has the fresh pointer.
       *done = co_await rec.Fetch(*this, stats);
-      co_return done->IsCorruption() ? Visit::kReread : Visit::kDone;
+      co_return !done->IsCorruption();
     }
     *done = got == LeafRead::kHit ? Status::OK() : Status::NotFound();
-    co_return Visit::kDone;
+    co_return true;
   };
-  Key rk = rec.route();
-  co_return co_await ReadLeafChasing(&rk, buf.data(), visit, stats);
+  co_return co_await ReadLeafChasing(rec.route(), buf.data(), visit, stats);
 }
 
 template <class R>
@@ -902,7 +866,7 @@ sim::Task<Status> TreeClient::Remove(R rec, OpStats* stats) {
   NodeView view(buf.data(), &opt().shape);
   LeafWrite w;
   if (!rec.Remove(&view, &w)) {
-    co_await hocl_.Unlock(locked_r->guard, {}, opt().combine_commands, stats);
+    co_await Release(*locked_r, {}, stats);
     co_return Status::NotFound();
   }
   if (w.seal) SealNode(view);
@@ -938,13 +902,13 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(R& rec, Locked locked,
 
   StatusOr<Key> cut = rec.Cut(view);
   if (!cut.ok()) {
-    co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+    co_await Release(locked, {}, stats);
     co_return cut.status();
   }
   // Allocate the sibling (may RPC a memory thread; Figure 7, line 20).
   const rdma::GlobalAddress sib_addr = co_await allocator_.Alloc(node_size());
   if (sib_addr.is_null()) {
-    co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+    co_await Release(locked, {}, stats);
     co_return Status::OutOfMemory("disaggregated memory exhausted");
   }
   const Key split_key = *cut;
@@ -1024,8 +988,7 @@ sim::Task<Status> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
   }
   wrs.push_back(rdma::WorkRequest::Write(locked.addr, buf, node_size()));
   wrs.back().intent_slot = static_cast<uint8_t>(intent_slot);
-  co_await hocl_.Unlock(locked.guard, std::move(wrs), o.combine_commands,
-                        stats);
+  co_await Release(locked, std::move(wrs), stats);
   // The commit write has applied (the await covers it): the sibling is now
   // reachable through the B-link chain, so its shadow flips private->live.
   if (dmsan::Active()) {
@@ -1066,7 +1029,7 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
 
     std::vector<uint8_t> buf(node_size());
     StatusOr<Locked> locked_r =
-        co_await LockAndRead(*addr_r, sep, buf.data(), stats, level);
+        co_await LockChasing(*addr_r, sep, buf.data(), stats, level);
     if (!locked_r.ok()) {
       if (locked_r.status().IsRetry()) {
         // The node FindNodeAddr resolved is unusable (tombstoned by a
@@ -1107,7 +1070,7 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     const rdma::GlobalAddress right_addr =
         co_await allocator_.Alloc(node_size());
     if (right_addr.is_null()) {
-      co_await hocl_.Unlock(locked.guard, {}, o.combine_commands, stats);
+      co_await Release(locked, {}, stats);
       co_return Status::OutOfMemory("disaggregated memory exhausted");
     }
 
@@ -1220,7 +1183,7 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
   co_return Status::OK();
 }
 
-// --- Range query -----------------------------------------------------------
+// --- scans -----------------------------------------------------------------
 
 sim::Task<void> TreeClient::ReadInto(rdma::GlobalAddress addr, uint8_t* buf,
                                      uint32_t len, sim::SimTime* duration,
@@ -1241,31 +1204,39 @@ sim::Task<void> TreeClient::ProbeLockForRecovery(rdma::GlobalAddress* addr,
   *addr = rdma::GlobalAddress();
 }
 
-sim::Task<Status> TreeClient::RangeQuery(
-    Key from, uint32_t count, std::vector<std::pair<Key, uint64_t>>* out,
-    OpStats* stats) {
-  SHERMAN_CHECK(from != kNullKey && from != kMaxKey);
+template <class R>
+sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
+                                   std::vector<typename R::ScanEntry>* out,
+                                   OpStats* stats) {
+  // A fixed sentinel start aborts in CheckScan; an empty scan succeeds
+  // whatever its byte start.
+  Status st = rec.CheckScan();
+  out->clear();
+  if (count == 0) co_return Status::OK();
+  if (!st.ok()) co_return st;
   const TreeOptions& o = opt();
   const rdma::FabricConfig& f = system_->fabric_.config();
   sim::Simulator& sim = system_->fabric_.simulator();
-  out->clear();
-  if (count == 0) co_return Status::OK();
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await sim.Delay(f.cpu_op_overhead_ns);
 
-  Key cursor = from;
-  const FixedPolicy leaf_ops(o, from);
+  // The routing cursor: every leaf left of it has been collected.
+  Key cursor = rec.route();
+  if (cursor == kMaxKey) co_return Status::OK();  // nothing sorts >= start
   const uint32_t per_leaf_estimate = std::max(1u, o.shape.leaf_capacity() / 2);
   const sim::SimTime wrap_guard = WrapGuardNs();
   std::vector<std::vector<uint8_t>> bufs;
   std::vector<sim::SimTime> read_ns;  // each leaf buffer's last READ
   rdma::GlobalAddress probe_addr;  // last tombstone this scan bounced off
 
-  for (uint32_t attempt = 0; attempt < kMaxRestarts; attempt++) {
+  // Only restarts count against the bound: a batch whose leaves were all
+  // collected is progress, however many a long scan takes.
+  for (uint32_t attempt = 0; attempt < kMaxRestarts;) {
     // Plan a batch of target leaves from the cached level-1 node, falling
     // back to a single traversal; fetch them with parallel RDMA_READs
     // (§4.4, "Range query").
     std::vector<rdma::GlobalAddress> leaves;
+    bool hinted = false;  // the batch's one leaf came from the hint mirror
     const uint32_t still_needed =
         count - static_cast<uint32_t>(out->size());
     uint32_t want =
@@ -1286,6 +1257,7 @@ sim::Task<Status> TreeClient::RangeQuery(
           co_await FindLeafAddr(cursor, stats, /*allow_hint=*/attempt == 0);
       if (!r.ok()) co_return r.status();
       leaves.push_back(r->addr);
+      hinted = r->via_hint;
     }
 
     bufs.assign(leaves.size(), std::vector<uint8_t>(node_size()));
@@ -1305,14 +1277,13 @@ sim::Task<Status> TreeClient::RangeQuery(
     }
 
     bool restart = false;
-    bool done = false;
-    for (size_t i = 0; i < leaves.size() && !restart && !done; i++) {
+    for (size_t i = 0; i < leaves.size() && !restart; i++) {
       uint32_t rereads = 0;
       uint32_t wrap_retries = 0;
       int chases = 0;
       while (true) {
-        if (rereads > o.max_read_retries) {
-          co_return Status::TimedOut("range leaf retries exhausted");
+        if (rereads > kMaxReadRetries) {
+          co_return Status::TimedOut("scan leaf retries exhausted");
         }
         NodeView view(bufs[i].data(), &o.shape);
         bool reread_needed = !NodeConsistent(bufs[i].data());
@@ -1328,8 +1299,12 @@ sim::Task<Status> TreeClient::RangeQuery(
         if (!reread_needed) {
           const bool usable = !view.is_free() && view.is_leaf() &&
                               cursor >= view.lo_fence();
-          if (usable && cursor >= view.hi_fence() &&
-              !view.sibling().is_null() && chases < kMaxSiblingChase) {
+          const bool right = usable && cursor >= view.hi_fence();
+          // Valid hinted leaf, but the cursor split off to its right since
+          // the mirror was fetched; the chase below still serves it.
+          if (right && hinted && chases == 0) NoteHintChase();
+          if (right && !view.sibling().is_null() &&
+              chases < kMaxSiblingChase) {
             // B-link sibling chase, mirroring Lookup. Restart-and-
             // re-resolve is NOT enough here: a crashed client can leave a
             // committed leaf split whose parent separator is missing until
@@ -1339,44 +1314,54 @@ sim::Task<Status> TreeClient::RangeQuery(
             chases++;
             leaves[i] = view.sibling();
             reread_needed = true;  // fetch the sibling into this buffer
-          } else if (!usable || cursor >= view.hi_fence()) {
+          } else if (!usable || right) {
             cache_.InvalidateLevel1Covering(cursor);
+            // A hinted start that was no live leaf of the cursor's, or that
+            // the chase bound could not carry there, leaves the mirror.
+            const bool misled =
+                usable ? chases == kMaxSiblingChase : chases == 0;
+            if (hinted && misled) NoteHintStale(cursor);
             if (view.is_free()) probe_addr = leaves[i];
-            if (attempt >= 2) root_known_ = false;  // stale root (see Insert)
+            if (attempt >= 2) root_known_ = false;  // stale root (see LockLeaf)
             restart = true;
             break;
           }
         }
         if (!reread_needed) {
-          // Collect entries >= cursor (NOT >= from: a restart can land on
-          // a leaf whose lo fence moved left of the cursor — a merge
-          // widened it over an already-scanned range — and re-collecting
-          // [lo, cursor) would duplicate keys out of order); a torn entry
-          // forces a leaf re-read.
-          co_await system_->fabric_.simulator().Delay(leaf_ops.SearchNs(f));
-          reread_needed = !leaf_ops.Collect(view, cursor, count, out);
-          if (!reread_needed) {
+          // The policy collects the entries at or past the cursor (NOT the
+          // start: a restart can land on a leaf whose lo fence moved left
+          // of the cursor — a merge widened it over an already-scanned
+          // range — and re-collecting that would duplicate keys out of
+          // order). Retry asks for a re-read: a torn entry, or a value
+          // relocated between the leaf READ and its own.
+          co_await sim.Delay(rec.SearchNs(f));
+          st = co_await rec.ScanLeaf(*this, view, cursor, count, out, stats);
+          if (st.ok()) {
             cursor = view.hi_fence();
-            if (out->size() >= count || cursor == kMaxKey) done = true;
+            if (out->size() >= count || cursor == kMaxKey) {
+              co_return Status::OK();
+            }
             break;
           }
+          if (!st.IsRetry()) co_return st;
         }
         // Re-read this leaf.
         if (stats != nullptr) stats->read_retries++;
         rereads++;
         const sim::SimTime start = sim.now();
-        Status st = co_await ReadRaw(leaves[i], bufs[i].data(), node_size(),
-                                     stats);
+        st = co_await ReadRaw(leaves[i], bufs[i].data(), node_size(), stats);
         if (!st.ok()) co_return st;
         read_ns[i] = sim.now() - start;
       }
     }
-    if (done) co_return Status::OK();
-    // Repeated bounces off one tombstone may mean its writer died
-    // mid-structural-op (see ReadLeafChasing).
-    co_await ProbeLockForRecovery(&probe_addr, attempt, stats);
+    if (restart) {
+      // Repeated bounces off one tombstone may mean its writer died
+      // mid-structural-op (see ReadLeafChasing).
+      co_await ProbeLockForRecovery(&probe_addr, attempt, stats);
+      attempt++;
+    }
   }
-  co_return Status::Internal("range restarts exhausted");
+  co_return Status::Internal("scan restarts exhausted");
 }
 
 // --- batched ops ------------------------------------------------------------
@@ -1620,7 +1605,7 @@ sim::Task<void> TreeClient::ApplyPutGroup(
     OpStats* stats, sim::CountdownLatch* latch) {
   const rdma::FabricConfig& f = system_->fabric_.config();
   std::vector<uint8_t> buf(node_size());
-  StatusOr<Locked> locked_r = co_await LockAndRead(
+  StatusOr<Locked> locked_r = co_await LockChasing(
       addr, (*recs)[idxs[0]].route(), buf.data(), stats);
   if (!locked_r.ok()) {
     for (size_t idx : idxs) (*defer)[idx] = 1;
@@ -1709,7 +1694,7 @@ sim::Task<void> TreeClient::ApplyRemoveGroup(
     sim::CountdownLatch* latch) {
   const rdma::FabricConfig& f = system_->fabric_.config();
   std::vector<uint8_t> buf(node_size());
-  StatusOr<Locked> locked_r = co_await LockAndRead(
+  StatusOr<Locked> locked_r = co_await LockChasing(
       addr, (*recs)[idxs[0]].route(), buf.data(), stats);
   if (!locked_r.ok()) {
     for (size_t idx : idxs) (*defer)[idx] = 1;
@@ -1784,62 +1769,6 @@ sim::Task<Status> TreeClient::MultiRemove(std::vector<K> keys,
   co_return overall;
 }
 
-// --- varlen scans ------------------------------------------------------------
-
-sim::Task<Status> TreeClient::ScanVar(
-    const Slice& from, uint32_t count,
-    std::vector<std::pair<std::string, std::string>>* out, OpStats* stats) {
-  const TreeOptions& o = opt();
-  SHERMAN_CHECK_MSG(o.shape.varlen, "var op on a fixed-size tree");
-  const rdma::FabricConfig& f = system_->fabric_.config();
-  sim::Simulator& sim = system_->fabric_.simulator();
-  out->clear();
-  if (count == 0) co_return Status::OK();
-  if (from.size() > o.shape.max_key_len) {
-    co_return Status::InvalidArgument("scan start key too long");
-  }
-  EpochPin pin(&system_->reclaim_, cs_id_);
-  co_await sim.Delay(f.cpu_op_overhead_ns);
-
-  // Byte cursor: the smallest key not yet emitted. Emitted keys never
-  // repeat across re-reads and restarts (strictly-greater filter once
-  // anything was emitted), mirroring RangeQuery's cursor discipline.
-  std::string cursor(from.data(), from.size());
-  bool cursor_inclusive = true;
-  Key rk = RoutingKeyFor(cursor);
-  if (rk == kMaxKey) co_return Status::OK();  // nothing sorts >= cursor
-  std::vector<uint8_t> buf(node_size());
-  auto visit = [&](NodeView& view, Status* done) -> sim::Task<Visit> {
-    co_await sim.Delay(f.cpu_node_search_ns);
-    // Emit this leaf's entries past the cursor, resolving out-of-line
-    // values as we go; a relocated extent re-reads the leaf, and the
-    // advancing cursor skips what was already emitted.
-    for (uint32_t s = 0; s < view.count() && out->size() < count; s++) {
-      std::string k = view.VarFullKey(s);
-      if (cursor_inclusive ? k < cursor : k <= cursor) continue;
-      std::string v;
-      VarPolicy rec(o, k, {}, &v);
-      if (rec.Read(view) == LeafRead::kRemote) {
-        *done = co_await rec.Fetch(*this, stats);
-        if (done->IsCorruption()) co_return Visit::kReread;
-        if (!done->ok()) co_return Visit::kDone;
-      }
-      out->emplace_back(std::move(k), std::move(v));
-      cursor = out->back().first;
-      cursor_inclusive = false;
-    }
-    if (out->size() >= count || view.hi_fence() == kMaxKey) {
-      *done = Status::OK();
-      co_return Visit::kDone;
-    }
-    // Next leaf: keys there are > everything emitted; advance the routing
-    // key to the fence so the chase checks stay coherent.
-    rk = view.hi_fence();
-    co_return Visit::kNext;
-  };
-  co_return co_await ReadLeafChasing(&rk, buf.data(), visit, stats);
-}
-
 // --- the public ops: one-line adapters onto the op core ----------------------
 
 sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats) {
@@ -1853,6 +1782,12 @@ sim::Task<Status> TreeClient::Lookup(Key key, uint64_t* value,
 
 sim::Task<Status> TreeClient::Delete(Key key, OpStats* stats) {
   return Remove(FixedPolicy(opt(), key), stats);
+}
+
+sim::Task<Status> TreeClient::RangeQuery(
+    Key from, uint32_t count, std::vector<std::pair<Key, uint64_t>>* out,
+    OpStats* stats) {
+  return Scan(FixedPolicy(opt(), from), count, out, stats);
 }
 
 sim::Task<Status> TreeClient::MultiGet(std::vector<Key> keys,
@@ -1884,6 +1819,12 @@ sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,
 
 sim::Task<Status> TreeClient::DeleteVar(const Slice& key, OpStats* stats) {
   return Remove(VarPolicy(opt(), key), stats);
+}
+
+sim::Task<Status> TreeClient::ScanVar(
+    const Slice& from, uint32_t count,
+    std::vector<std::pair<std::string, std::string>>* out, OpStats* stats) {
+  return Scan(VarPolicy(opt(), from), count, out, stats);
 }
 
 sim::Task<Status> TreeClient::MultiGetVar(std::vector<std::string> keys,

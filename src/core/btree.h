@@ -25,6 +25,7 @@
 #ifndef SHERMAN_CORE_BTREE_H_
 #define SHERMAN_CORE_BTREE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -105,10 +106,6 @@ struct TreeOptions {
   // segment per size class per client). Must hold at least one extent of
   // the largest class (8 KB) and at most 65535 of the smallest (64 B).
   uint32_t vlog_segment_bytes = 64 << 10;
-
-  // Safety cap on validated re-reads (simulation hygiene; generously above
-  // anything the paper's workloads produce).
-  uint32_t max_read_retries = 4096;
 
   void Validate() const;
 };
@@ -258,29 +255,22 @@ class TreeClient {
 
   struct LeafRef {
     rdma::GlobalAddress addr;
-    bool via_cache = false;
     bool via_hint = false;  // served by the leaf-hint mirror (advisory)
   };
+  // A node locked by LockChasing. HOCL hashes node addresses into a finite
+  // lock table, so a node locked while others are held can collide onto a
+  // lane the caller already owns. It is then already exclusively ours
+  // (owned = false): it is not re-acquired, since waiting on our own lane
+  // would self-deadlock, and Release leaves the lane to its holder.
   struct Locked {
     rdma::GlobalAddress addr;
     LockGuard guard;
+    bool owned = true;
   };
-  // A node locked while other node locks are already held (leaf merging).
-  // HOCL hashes node addresses into a finite lock table, so the second
-  // node can collide onto a lane we already own; in that case it is
-  // already exclusively ours (owned = false) and must not be re-acquired —
-  // waiting on our own lane would self-deadlock.
-  struct SecondLocked {
-    rdma::GlobalAddress addr;
-    LockGuard guard;
-    bool owned = false;
-  };
-  // What a lock-free leaf reader's visit decided about one validated leaf
-  // covering its routing key (ReadLeafChasing).
-  enum class Visit {
-    kDone,    // finished; the op's status is in *done
-    kReread,  // torn entry or relocated value: re-read this leaf
-    kNext,    // consumed this leaf; the visit advanced the key to its hi fence
+  // How LockChasing acquires a lane the caller does not hold yet.
+  enum class Acquire {
+    kWait,  // HoclClient::Lock: waits, recovering an expired holder inline
+    kTry,   // bounded TryLock; contention or a dead holder aborts as Retry
   };
 
   const TreeOptions& opt() const;
@@ -291,7 +281,7 @@ class TreeClient {
   sim::Task<Status> ReadRaw(rdma::GlobalAddress addr, uint8_t* buf,
                             uint32_t len, OpStats* stats);
   // Lock-free node read with consistency validation + wraparound guard;
-  // retries internally (bounded by max_read_retries).
+  // retries internally (bounded by kMaxReadRetries).
   sim::Task<Status> ReadNodeChecked(rdma::GlobalAddress addr, uint8_t* buf,
                                     OpStats* stats);
   // Threshold for the 4-bit version wraparound guard (§4.4): a read
@@ -331,16 +321,30 @@ class TreeClient {
   sim::Task<StatusOr<LeafRef>> FindLeafAddr(Key key, OpStats* stats,
                                             bool allow_hint = true);
 
-  // Locks `addr`, reads it into `buf`, and chases siblings until the node's
-  // fence interval contains `key` AND the node is at the expected `level`
-  // (0 = leaf). Returns Retry if traversal must restart. The level check
-  // is load-bearing under reclamation: a freed node's address can be
-  // recycled into a node of a DIFFERENT role, so a stale cached address
-  // may resolve to an internal node where a leaf once lived (or vice
-  // versa) — fences alone cannot tell them apart.
-  sim::Task<StatusOr<Locked>> LockAndRead(rdma::GlobalAddress addr, Key key,
-                                          uint8_t* buf, OpStats* stats,
-                                          uint8_t level = 0);
+  // The one locked B-link chase (§4.2.1, §4.3): locks `addr`, reads it into
+  // `buf`, and chases siblings until the node's fence interval contains
+  // `key` AND the node is at the expected `level` (0 = leaf). Returns
+  // Retry if traversal must restart. The level check is load-bearing under
+  // reclamation: a freed node's address can be recycled into a node of a
+  // DIFFERENT role, so a stale cached address may resolve to an internal
+  // node where a leaf once lived (or vice versa) — fences alone cannot
+  // tell them apart.
+  //
+  // `held` names the locks the caller already holds (null = none). A
+  // first lock (nothing held) waits, drops the level-1 translation on a
+  // miss and traces tree.lock_read. A lock taken while holding others
+  // checks each hop's lane against `held` (see Locked) and acquires as
+  // `how` says; HOCL's multi-lock rule (lock/hocl.h) asks for kTry.
+  sim::Task<StatusOr<Locked>> LockChasing(
+      rdma::GlobalAddress addr, Key key, uint8_t* buf, OpStats* stats,
+      uint8_t level = 0, std::array<rdma::GlobalAddress, 2> held = {},
+      Acquire how = Acquire::kWait);
+  // Releases a LockChasing lock, its write-backs riding the release
+  // (§4.5). A node on a lane another held lock owns (owned = false) stays
+  // protected by that lock: only the write-backs are posted.
+  sim::Task<void> Release(Locked locked,
+                          std::vector<rdma::WorkRequest> write_backs,
+                          OpStats* stats);
 
   // --- the op core (core/btree.cc) ---
   // Every point and batch op is written once, over a record policy R
@@ -353,13 +357,14 @@ class TreeClient {
   // a fresh resolution on dead ends — dropping a misleading hint, and
   // refreshing the root after repeated dead ends.
   sim::Task<StatusOr<Locked>> LockLeaf(Key rk, uint8_t* buf, OpStats* stats);
-  // The validated-leaf chase loop of every lock-free reader: resolves the
-  // leaf covering *rk, reads it validated into `buf`, chases B-link
+  // The validated-leaf chase loop of the lock-free point read: resolves
+  // the leaf covering `rk`, reads it validated into `buf`, chases B-link
   // siblings, bounces off dead ends (restarting, refreshing a stale root,
-  // probing a repeatedly met tombstone's lock for recovery), and hands
-  // each leaf covering *rk to `visit(view, &done)`.
+  // probing a repeatedly met tombstone's lock for recovery), and hands the
+  // leaf covering `rk` to `visit(view, &done)`, which returns true when
+  // the op finished (its status in *done) and false to re-read the leaf.
   template <class Fn>
-  sim::Task<Status> ReadLeafChasing(Key* rk, uint8_t* buf, Fn& visit,
+  sim::Task<Status> ReadLeafChasing(Key rk, uint8_t* buf, Fn& visit,
                                     OpStats* stats);
   // Writes back a locked leaf's dirtied ranges (LeafWrite) with the lock
   // release in one doorbell batch (§4.5).
@@ -376,6 +381,14 @@ class TreeClient {
   sim::Task<Status> Get(R rec, OpStats* stats);
   template <class R>
   sim::Task<Status> Remove(R rec, OpStats* stats);
+  // Up to `count` entries from `rec`'s key on (§4.4, "Range query"): plans
+  // up to 16 leaves from the cached level-1 node, fetches them with
+  // parallel READs, validates each, chases siblings, and re-reads torn or
+  // slow leaves; the policy collects each leaf (R::ScanLeaf).
+  template <class R>
+  sim::Task<Status> Scan(R rec, uint32_t count,
+                         std::vector<typename R::ScanEntry>* out,
+                         OpStats* stats);
   // The batched ops, over the caller's items (keys or key/value pairs).
   template <class R, class K>
   sim::Task<Status> MultiGetRecords(std::vector<K> keys,
@@ -454,20 +467,6 @@ class TreeClient {
 
   // --- delete-path leaf merging (space reclamation) ---
 
-  // Do `a` and `b` hash onto the same HOCL lock lane?
-  bool SameLockLane(rdma::GlobalAddress a, rdma::GlobalAddress b) const;
-  // LockAndRead with lane-collision handling against up to two locks the
-  // caller already holds (the Migrator's two-lock technique generalized):
-  // a lane shared with `held1`/`held2` is already ours and is not
-  // re-acquired.
-  sim::Task<StatusOr<SecondLocked>> LockSecondChasing(
-      rdma::GlobalAddress addr, Key key, rdma::GlobalAddress held1,
-      rdma::GlobalAddress held2, uint8_t* buf, OpStats* stats,
-      uint8_t level);
-  sim::Task<void> UnlockSecond(SecondLocked locked,
-                               std::vector<rdma::WorkRequest> write_backs,
-                               OpStats* stats);
-
   // Abort throttling: an aborted merge (leftmost child, unfit sibling, a
   // race) would otherwise re-attempt — and re-abort, at several round
   // trips a try — on every subsequent delete of the still-underflowed
@@ -497,8 +496,8 @@ class TreeClient {
   sim::Task<Status> MakeNewRoot(Key sep, rdma::GlobalAddress child,
                                 uint8_t level, OpStats* stats);
 
-  // Parallel leaf fetch used by range queries; `*duration` (if non-null)
-  // receives the READ's latency for the wraparound guard.
+  // Parallel leaf fetch used by scans; `*duration` (if non-null) receives
+  // the READ's latency for the wraparound guard.
   sim::Task<void> ReadInto(rdma::GlobalAddress addr, uint8_t* buf,
                            uint32_t len, sim::SimTime* duration,
                            sim::CountdownLatch* latch);

@@ -19,8 +19,7 @@ HybridSystem::HybridSystem(rdma::FabricConfig fabric_config,
   router_->InstallShardMap(&shard_map_);
   if (options.rdwc.enable_delegation) {
     rdwc_ = std::make_unique<combine::RdwcLayer>(
-        &sherman_.simulator(), &tracker_, router_.get(), options.rdwc,
-        &sherman_.registry());
+        &sherman_.simulator(), options.rdwc, &sherman_.registry());
   }
   for (int cs = 0; cs < sherman_.fabric().num_compute_servers(); cs++) {
     clients_.push_back(std::make_unique<route::HybridClient>(

@@ -305,6 +305,9 @@ uint8_t NodeView::VarFingerprint(const Slice& key) {
 bool NodeView::VarRebuildWithPrefix(uint32_t new_p) {
   SHERMAN_CHECK(new_p <= prefix_len());
   std::vector<VarEntry> entries = ExtractVarEntries(*this);
+  // An empty page has no key to take a prefix from (VarInsert empties one
+  // when it re-inserts a page's only entry).
+  if (entries.empty()) new_p = 0;
   if (VarBytesNeeded(entries, new_p) > shape_->var_usable_bytes()) {
     return false;
   }

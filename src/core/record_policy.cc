@@ -368,22 +368,30 @@ sim::Task<std::optional<Status>> VarPolicy::Speculate(TreeClient& t,
   const uint32_t node_size = o_->shape.node_size;
   std::vector<uint8_t> vbuf(rec_len);
   if (stats != nullptr) stats->cache_hits++;
+  sim::SimTime leaf_ns = 0;  // the leaf READ's latency
   if (vaddr.node == leaf_addr.node) {
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(rdma::WorkRequest::Read(leaf_addr, buf, node_size));
     wrs.push_back(rdma::WorkRequest::Read(vaddr, vbuf.data(), rec_len));
+    const sim::SimTime start = sim.now();
     rdma::RdmaResult r =
         co_await t.QpFor(leaf_addr).PostReadBatch(std::move(wrs));
     SHERMAN_CHECK(r.status.ok());
+    leaf_ns = sim.now() - start;
   } else {
     sim::CountdownLatch latch(2);
-    sim::Spawn(t.ReadInto(leaf_addr, buf, node_size, nullptr, &latch));
+    sim::Spawn(t.ReadInto(leaf_addr, buf, node_size, &leaf_ns, &latch));
     sim::Spawn(t.ReadInto(vaddr, vbuf.data(), rec_len, nullptr, &latch));
     co_await latch.Wait();
   }
   if (stats != nullptr) stats->round_trips++;
+  // 4-bit wraparound guard (§4.4): a leaf READ slower than a full version
+  // cycle proves nothing by matching versions; the validated path
+  // re-reads it.
+  const bool slow = o_->consistency == TreeOptions::Consistency::kVersions &&
+                    leaf_ns > t.WrapGuardNs();
   NodeView view(buf, &o_->shape);
-  if (t.NodeConsistent(buf) && !view.is_free() && view.is_leaf() &&
+  if (!slow && t.NodeConsistent(buf) && !view.is_free() && view.is_leaf() &&
       view.InFence(rk_)) {
     co_await sim.Delay(f.cpu_node_search_ns);
     const LeafRead got = Read(view);
@@ -417,6 +425,33 @@ sim::Task<std::optional<Status>> VarPolicy::Speculate(TreeClient& t,
   }
   if (stats != nullptr) stats->read_retries++;
   co_return std::nullopt;
+}
+
+Status VarPolicy::CheckScan() const {
+  SHERMAN_CHECK_MSG(o_->shape.varlen, "var op on a fixed-size tree");
+  if (key_.size() > o_->shape.max_key_len) {
+    return Status::InvalidArgument("scan start key too long");
+  }
+  return Status::OK();
+}
+
+sim::Task<Status> VarPolicy::ScanLeaf(TreeClient& t, const NodeView& v, Key,
+                                      uint32_t count,
+                                      std::vector<ScanEntry>* out,
+                                      OpStats* stats) const {
+  for (uint32_t s = 0; s < v.count() && out->size() < count; s++) {
+    std::string k = v.VarFullKey(s);
+    if (out->empty() ? k < key_ : k <= out->back().first) continue;
+    std::string value;
+    VarPolicy rec(*o_, k, {}, &value);
+    if (rec.Read(v) == LeafRead::kRemote) {
+      const Status st = co_await rec.Fetch(t, stats);
+      if (st.IsCorruption()) co_return Status::Retry("value relocated");
+      if (!st.ok()) co_return st;
+    }
+    out->emplace_back(std::move(k), std::move(value));
+  }
+  co_return Status::OK();
 }
 
 bool VarPolicy::HostCanReplace(const NodeView& v) const {
@@ -572,7 +607,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
         vlog::VlogPtr::Ms(cur) != ms || vlog::VlogPtr::Off(cur) != off) {
       // The leaf no longer references this extent (deleted, updated, or
       // retired after the bitmap snapshot).
-      co_await hocl_.Unlock(locked_r->guard, {}, o.combine_commands, stats);
+      co_await Release(*locked_r, {}, stats);
       vlog_->CountGcStale();
     } else {
       // Copy: append the fresh record (lands in a new open segment, never
@@ -580,7 +615,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
       StatusOr<uint64_t> fresh = co_await vlog_->Append(
           key, value, NodeView::VarFingerprint(key), stats);
       if (!fresh.ok()) {
-        co_await hocl_.Unlock(locked_r->guard, {}, o.combine_commands, stats);
+        co_await Release(*locked_r, {}, stats);
         co_return fresh.status();
       }
       view.VarSetVlogPtr(at, *fresh);

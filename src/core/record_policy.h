@@ -15,6 +15,7 @@
 //   - the per-key CPU delay;
 //   - value resolution: Fetch, and a speculative read (Speculate);
 //   - the split cut (Cut + Fill);
+//   - the scan's start check and per-leaf collect step (ScanLeaf);
 //   - the value-log hooks: Stage before the lock, Abandon on failure,
 //     Published / Removed / Applied after the leaf write.
 // FixedPolicy serves both fixed layouts (unsorted two-level-version leaves
@@ -94,6 +95,18 @@ class FixedPolicy {
   // and the leaf must be re-read.
   bool Collect(const NodeView& v, Key from, uint32_t count,
                std::vector<ScanEntry>* out) const;
+
+  // --- the client scan (TreeClient::Scan), this record's key its start ---
+  Status CheckScan() const { return Check(); }
+  // Collects the validated leaf from the routing cursor `from` on until
+  // `out` holds `count`: OK when done with the leaf, Retry when it must
+  // be re-read, anything else fails the scan.
+  sim::Task<Status> ScanLeaf(TreeClient&, const NodeView& v, Key from,
+                             uint32_t count, std::vector<ScanEntry>* out,
+                             OpStats*) const {
+    co_return Collect(v, from, count, out) ? Status::OK()
+                                           : Status::Retry("torn leaf entry");
+  }
 
   // --- client hooks: fixed records have no value log ---
   sim::Task<Status> Stage(TreeClient&, OpStats*) { co_return Status::OK(); }
@@ -181,6 +194,17 @@ class VarPolicy {
   // Reads the value Read() found out-of-line. Corruption = the extent was
   // relocated meanwhile; the caller re-reads the leaf.
   sim::Task<Status> Fetch(TreeClient& t, OpStats* stats);
+
+  // Any byte string up to max_key_len starts a scan, the empty one and
+  // one routing onto a fence sentinel included.
+  Status CheckScan() const;
+  // FixedPolicy::ScanLeaf for byte keys, which the cursor tracks itself:
+  // keys from this record's on, or past the last one emitted, so re-reads
+  // and restarts never repeat one (`from` only routes). Resolves values
+  // from the value log as it goes; a relocated one asks for a re-read.
+  sim::Task<Status> ScanLeaf(TreeClient& t, const NodeView& v, Key from,
+                             uint32_t count, std::vector<ScanEntry>* out,
+                             OpStats* stats) const;
 
   // Values above the threshold need the client's value-log appender.
   bool HostCanPut() const { return !outline_; }

@@ -9,6 +9,9 @@
 namespace sherman {
 
 namespace {
+// Local spin interval when hierarchical && !wait_queue.
+constexpr sim::SimTime kLocalSpinNs = 500;
+
 // DMSan feed: the acquire CAS's outcome is unknown at post time, so
 // successful acquisitions are reported explicitly at completion — the
 // shadow-held window is then a strict subset of the actual held window.
@@ -172,7 +175,7 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
       } else {
         // No wait queue: unfair local spinning.
         while (local.held) {
-          co_await fabric_->simulator().Delay(options_.local_spin_ns);
+          co_await fabric_->simulator().Delay(kLocalSpinNs);
         }
         local.held = true;
       }

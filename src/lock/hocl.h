@@ -36,8 +36,6 @@ struct HoclOptions {
   uint32_t max_handover_depth = 4;  // MAX_DEPTH in Figure 6
   // Original FG releases with RDMA_FAA; FG+ and Sherman use RDMA_WRITE.
   bool release_with_faa = false;
-  // Local spin interval when hierarchical && !wait_queue.
-  sim::SimTime local_spin_ns = 500;
 
   // --- lock leases (crash-fault tolerance) ---
   // Holders stamp the current fabric-wide lease id (the clock quantized

@@ -22,6 +22,9 @@ struct GlobalLockRef {
   uint32_t index = 0;        // lock index within the GLT
   rdma::MemorySpace space = rdma::MemorySpace::kDevice;
 
+  // Same lane: two nodes that compare equal share one lock.
+  bool operator==(const GlobalLockRef&) const = default;
+
   // Byte offset of the 16-bit lock within its region.
   uint64_t lane_offset() const {
     const uint64_t base =

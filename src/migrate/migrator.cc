@@ -5,7 +5,6 @@
 
 #include "alloc/layout.h"
 #include "fault/crash_point.h"
-#include "lock/lock_table.h"
 #include "obs/trace.h"
 #include "recover/intent.h"
 #include "sanitizer/dmsan.h"
@@ -14,8 +13,9 @@
 namespace sherman::migrate {
 
 namespace {
-// Sibling chases inside LockSecond (same bound TreeClient uses).
-constexpr int kMaxSiblingChase = 64;
+// Bounded copy passes per range, and protocol retries (races) per node.
+constexpr uint32_t kMaxPasses = 8;
+constexpr uint32_t kMaxRetries = 64;
 // Safety bound on the control-plane residual walk.
 constexpr uint64_t kMaxWalkNodes = 1u << 22;
 
@@ -47,15 +47,7 @@ Migrator::Migrator(ShermanSystem* system, MigratorOptions options,
   busy_ns_ = r.GetCounter("migrate.busy_ns");
   SHERMAN_CHECK(options_.cs_id >= 0 &&
                 options_.cs_id < system_->num_clients());
-  SHERMAN_CHECK(options_.max_passes > 0 && options_.max_retries > 0);
   trace_ = obs::TraceCtx::For(&system_->tracer(), obs::RingId::Migrator());
-}
-
-bool Migrator::SameLane(rdma::GlobalAddress a, rdma::GlobalAddress b) const {
-  const bool onchip = system_->options().lock.onchip;
-  const GlobalLockRef ra = LockFor(a, onchip);
-  const GlobalLockRef rb = LockFor(b, onchip);
-  return ra.ms == rb.ms && ra.index == rb.index && ra.space == rb.space;
 }
 
 sim::Task<rdma::GlobalAddress> Migrator::AllocOnTarget(uint16_t ms,
@@ -84,55 +76,6 @@ sim::Task<rdma::GlobalAddress> Migrator::AllocOnTarget(uint16_t ms,
   co_return addr;
 }
 
-sim::Task<StatusOr<Migrator::LockedNode>> Migrator::LockSecond(
-    rdma::GlobalAddress addr, Key key, rdma::GlobalAddress held, uint8_t* buf,
-    OpStats* stats, uint8_t level) {
-  TreeClient& t = tc();
-  const bool combine = system_->options().combine_commands;
-  for (int chase = 0; chase < kMaxSiblingChase; chase++) {
-    const bool shared = SameLane(addr, held);
-    LockGuard guard;
-    if (!shared) guard = co_await t.hocl_.Lock(addr, stats);
-    Status st = co_await t.ReadRaw(addr, buf, node_size(), stats);
-    SHERMAN_CHECK(st.ok());
-    NodeView view(buf, &system_->options().shape);
-    // The level filter is load-bearing under reclamation: a recycled
-    // address can host a node of a different role than the caller
-    // resolved (see TreeClient::LockAndRead).
-    const bool usable = !view.is_free() && view.level() == level;
-    if (usable && view.InFence(key)) {
-      co_return LockedNode{addr, guard, !shared};
-    }
-    const rdma::GlobalAddress next =
-        (usable && key >= view.hi_fence()) ? view.sibling()
-                                           : rdma::kNullAddress;
-    if (!shared) co_await t.hocl_.Unlock(guard, {}, combine, stats);
-    if (next.is_null()) co_return Status::Retry("locked node unusable");
-    addr = next;
-  }
-  co_return Status::Retry("locked sibling chase bound");
-}
-
-sim::Task<void> Migrator::UnlockSecond(
-    LockedNode locked, std::vector<rdma::WorkRequest> write_backs,
-    OpStats* stats) {
-  if (locked.owned) {
-    co_await tc().hocl_.Unlock(locked.guard, std::move(write_backs),
-                               system_->options().combine_commands, stats);
-    co_return;
-  }
-  // Lane shared with the primary lock we still hold: the node stays
-  // protected; just apply the write-backs.
-  if (!write_backs.empty()) {
-    rdma::RdmaResult r =
-        co_await system_->fabric()
-            .qp(options_.cs_id, locked.addr.node)
-            .PostBatch(std::move(write_backs));
-    if (stats != nullptr) stats->round_trips++;
-    SHERMAN_CHECK(r.status.ok());
-  }
-}
-
 sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
                                          rdma::GlobalAddress old_addr,
                                          rdma::GlobalAddress new_addr,
@@ -140,7 +83,7 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
                                          OpStats* stats) {
   TreeClient& t = tc();
   const TreeShape& shape = system_->options().shape;
-  for (uint32_t attempt = 0; attempt < options_.max_retries; attempt++) {
+  for (uint32_t attempt = 0; attempt < kMaxRetries; attempt++) {
     StatusOr<rdma::GlobalAddress> pr =
         co_await t.FindNodeAddr(key, level, stats);
     if (!pr.ok()) {
@@ -148,8 +91,12 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
       co_return pr.status();
     }
     std::vector<uint8_t> buf(node_size());
-    StatusOr<LockedNode> lr =
-        co_await LockSecond(*pr, key, held, buf.data(), stats, level);
+    // This lock, like the sibling fix's, waits (Acquire::kWait) while
+    // `held` is held, although HOCL's multi-lock rule (lock/hocl.h) asks
+    // for a bounded TryLock: that is a protocol change of its own, since it
+    // changes the migration's timing.
+    StatusOr<TreeClient::Locked> lr =
+        co_await t.LockChasing(*pr, key, buf.data(), stats, level, {held});
     if (!lr.ok()) {
       if (lr.status().IsRetry()) {
         t.cache_.InvalidateUpperCovering(key, *pr);
@@ -157,7 +104,7 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
       }
       co_return lr.status();
     }
-    LockedNode locked = *lr;
+    TreeClient::Locked locked = *lr;
     NodeView view(buf.data(), &shape);
     bool found = false;
     if (view.level() == level) {
@@ -176,14 +123,14 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
       }
     }
     if (!found) {  // structure raced between resolve and lock; re-resolve
-      co_await UnlockSecond(locked, {}, stats);
+      co_await t.Release(locked, {}, stats);
       continue;
     }
     t.SealNode(view);
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-    co_await UnlockSecond(locked, std::move(wrs), stats);
+    co_await t.Release(locked, std::move(wrs), stats);
     // Our own cache may still hold the pre-flip parse of this node.
     t.cache_.Invalidate(key, locked.addr);
     co_return Status::OK();
@@ -200,7 +147,7 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
   SHERMAN_CHECK(lo > 0);
   TreeClient& t = tc();
   const TreeShape& shape = system_->options().shape;
-  for (uint32_t attempt = 0; attempt < options_.max_retries; attempt++) {
+  for (uint32_t attempt = 0; attempt < kMaxRetries; attempt++) {
     rdma::GlobalAddress start = hint;
     hint = rdma::kNullAddress;  // trust the shortcut only once
     if (start.is_null()) {
@@ -223,20 +170,21 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
       }
     }
     std::vector<uint8_t> buf(node_size());
-    StatusOr<LockedNode> lr =
-        co_await LockSecond(start, lo - 1, held, buf.data(), stats, level);
+    StatusOr<TreeClient::Locked> lr =
+        co_await t.LockChasing(start, lo - 1, buf.data(), stats, level,
+                               {held});
     if (!lr.ok()) {
       if (lr.status().IsRetry()) continue;
       co_return lr.status();
     }
-    LockedNode locked = *lr;
+    TreeClient::Locked locked = *lr;
     NodeView view(buf.data(), &shape);
     // The locked node covers lo-1; it is the direct left neighbor exactly
     // when its hi fence is our lo and its sibling is the node being
     // replaced. Anything else is a transient race — re-resolve.
     if (view.level() != level || view.hi_fence() != lo ||
         view.sibling() != old_addr) {
-      co_await UnlockSecond(locked, {}, stats);
+      co_await t.Release(locked, {}, stats);
       continue;
     }
     view.set_sibling(new_addr);
@@ -244,7 +192,7 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-    co_await UnlockSecond(locked, std::move(wrs), stats);
+    co_await t.Release(locked, std::move(wrs), stats);
     sibling_fixes_->Inc();
     co_return Status::OK();
   }
@@ -262,7 +210,6 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
                 level, target);
   TreeClient& t = tc();
   const TreeOptions& o = system_->options();
-  const bool combine = o.combine_commands;
   NodeView view(buf->data(), &o.shape);
   const Key node_lo = view.lo_fence();
   const int cs = options_.cs_id;
@@ -270,7 +217,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   // Copy the frozen node into a shard-private chunk on the target.
   const rdma::GlobalAddress naddr = co_await AllocOnTarget(target, node_size());
   if (naddr.is_null()) {
-    co_await t.hocl_.Unlock(locked.guard, {}, combine, stats);
+    co_await t.Release(locked, {}, stats);
     co_return Status::OutOfMemory("target MS exhausted during migration");
   }
 
@@ -340,9 +287,9 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
       // at the source, so it must stay live or its keys would vanish.
       std::vector<rdma::WorkRequest> undo;
       undo.push_back(tombstone_wr(false));
-      co_await t.hocl_.Unlock(locked.guard, std::move(undo), combine, stats);
+      co_await t.Release(locked, std::move(undo), stats);
     } else {
-      co_await t.hocl_.Unlock(locked.guard, {}, combine, stats);
+      co_await t.Release(locked, {}, stats);
     }
     t.intents_.ClearAsync(intent_slot);
     co_return st;
@@ -369,7 +316,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
     st = co_await FixLeftSibling(node_lo, level, locked.addr, naddr,
                                  sibling_hint, locked.addr, stats);
     if (!st.ok()) {
-      co_await t.hocl_.Unlock(locked.guard, {}, combine, stats);
+      co_await t.Release(locked, {}, stats);
       t.intents_.ClearAsync(intent_slot);
       co_return st;
     }
@@ -396,7 +343,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   if (stats != nullptr) stats->round_trips++;
   co_await fault::Injector().AtSite(kCrashFlipFreed, cs);
   t.intents_.ClearAsync(intent_slot);
-  co_await t.hocl_.Unlock(locked.guard, {}, combine, stats);
+  co_await t.Release(locked, {}, stats);
   source_nodes_freed_->Inc();
   *naddr_out = naddr;
   co_return Status::OK();
@@ -407,14 +354,13 @@ sim::Task<Status> Migrator::LeafPass(Key lo, Key hi, uint16_t target,
   SHERMAN_TSPAN(&trace_, "migrate.leaf_pass", lo, hi);
   TreeClient& t = tc();
   const TreeOptions& o = system_->options();
-  const bool combine = o.combine_commands;
   Key cursor = lo;
   rdma::GlobalAddress prev_new = rdma::kNullAddress;
   Key prev_new_hi = 0;
   uint32_t stuck = 0;
 
   while (cursor < hi) {
-    if (++stuck > options_.max_retries) {
+    if (++stuck > kMaxRetries) {
       co_return Status::TimedOut("leaf pass stuck");
     }
     // Pin the reclamation epoch per iteration: the resolve -> lock -> move
@@ -451,7 +397,7 @@ sim::Task<Status> Migrator::LeafPass(Key lo, Key hi, uint16_t target,
       continue;
     }
     StatusOr<TreeClient::Locked> lr =
-        co_await t.LockAndRead(ref->addr, cursor, buf.data(), &stats);
+        co_await t.LockChasing(ref->addr, cursor, buf.data(), &stats);
     if (!lr.ok()) {
       if (lr.status().IsRetry()) continue;
       co_return lr.status();
@@ -462,7 +408,7 @@ sim::Task<Status> Migrator::LeafPass(Key lo, Key hi, uint16_t target,
     const Key leaf_hi = view.hi_fence();
 
     if (locked.addr.node == target) {  // already home (or migrated earlier)
-      co_await t.hocl_.Unlock(locked.guard, {}, combine, &stats);
+      co_await t.Release(locked, {}, &stats);
       prev_new = locked.addr;
       prev_new_hi = leaf_hi;
       cursor = leaf_hi;
@@ -493,14 +439,13 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
   SHERMAN_TSPAN(&trace_, "migrate.internal_pass", lo, hi);
   TreeClient& t = tc();
   const TreeOptions& o = system_->options();
-  const bool combine = o.combine_commands;
   Key cursor = lo;
   rdma::GlobalAddress prev_new = rdma::kNullAddress;
   Key prev_new_hi = 0;
   uint32_t stuck = 0;
 
   while (cursor < hi) {
-    if (++stuck > options_.max_retries) {
+    if (++stuck > kMaxRetries) {
       co_return Status::TimedOut("internal pass stuck");
     }
     EpochPin pin(&system_->reclaim_epoch(), options_.cs_id);
@@ -513,7 +458,7 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
     }
     std::vector<uint8_t> buf(node_size());
     StatusOr<TreeClient::Locked> lr =
-        co_await t.LockAndRead(*r, cursor, buf.data(), &stats, /*level=*/1);
+        co_await t.LockChasing(*r, cursor, buf.data(), &stats, /*level=*/1);
     if (!lr.ok()) {
       if (lr.status().IsRetry()) {
         t.cache_.InvalidateUpperCovering(cursor, *r);
@@ -526,7 +471,7 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
     const Key node_lo = view.lo_fence();
     const Key node_hi = view.hi_fence();
     if (view.level() != 1) {  // stale steering landed off-level
-      co_await t.hocl_.Unlock(locked.guard, {}, combine, &stats);
+      co_await t.Release(locked, {}, &stats);
       continue;
     }
     // Only nodes fully contained in the range move (boundary nodes are
@@ -535,7 +480,7 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
                          locked.addr.node != target &&
                          locked.addr != system_->DebugRootAddr();
     if (!migrate) {
-      co_await t.hocl_.Unlock(locked.guard, {}, combine, &stats);
+      co_await t.Release(locked, {}, &stats);
       if (locked.addr.node == target) {
         prev_new = locked.addr;
         prev_new_hi = node_hi;
@@ -596,7 +541,7 @@ sim::Task<Status> Migrator::MigrateRange(Key lo, Key hi, uint16_t target_ms) {
   // Bounded copy passes: splits racing ahead of the walk can drop fresh
   // leaves on other servers; re-walk until a pass moves nothing.
   bool clean = false;
-  for (uint32_t pass = 0; pass < options_.max_passes && !clean; pass++) {
+  for (uint32_t pass = 0; pass < kMaxPasses && !clean; pass++) {
     uint64_t moved = 0;
     Status st = co_await LeafPass(lo, hi, target_ms, &moved);
     passes_->Inc();

@@ -61,9 +61,7 @@
 namespace sherman::migrate {
 
 struct MigratorOptions {
-  int cs_id = 0;            // compute server whose QPs/locks drive the copy
-  uint32_t max_passes = 8;  // bounded copy passes per range
-  uint32_t max_retries = 64;  // per-node protocol retries (races)
+  int cs_id = 0;  // compute server whose QPs/locks drive the copy
 };
 
 class Migrator {
@@ -89,17 +87,6 @@ class Migrator {
   sim::Task<Status> MigrateShard(int shard, uint16_t target_ms);
 
  private:
-  // A second node locked while the migrated node's lock is already held.
-  // HOCL hashes node addresses into a finite lock table, so the second
-  // node can collide onto the lane we already own; in that case it is
-  // already exclusively ours (owned = false) and must not be re-acquired —
-  // waiting on our own lane would self-deadlock.
-  struct LockedNode {
-    rdma::GlobalAddress addr;
-    LockGuard guard;
-    bool owned = false;
-  };
-
   // One walk over [lo, hi): moves every off-target leaf; `*moved` counts
   // relocations.
   sim::Task<Status> LeafPass(Key lo, Key hi, uint16_t target, uint64_t* moved);
@@ -134,19 +121,6 @@ class Migrator {
                                    rdma::GlobalAddress new_addr,
                                    rdma::GlobalAddress hint,
                                    rdma::GlobalAddress held, OpStats* stats);
-
-  // TreeClient::LockAndRead with lane-collision handling against `held`:
-  // locks the node at `addr` (chasing siblings to the level-`level` node
-  // covering `key`) unless it shares `held`'s lane, in which case it is
-  // already ours.
-  sim::Task<StatusOr<LockedNode>> LockSecond(rdma::GlobalAddress addr, Key key,
-                                             rdma::GlobalAddress held,
-                                             uint8_t* buf, OpStats* stats,
-                                             uint8_t level);
-  sim::Task<void> UnlockSecond(LockedNode locked,
-                               std::vector<rdma::WorkRequest> write_backs,
-                               OpStats* stats);
-  bool SameLane(rdma::GlobalAddress a, rdma::GlobalAddress b) const;
 
   // Bump allocation in shard-private chunks RPC'd from the target MS.
   sim::Task<rdma::GlobalAddress> AllocOnTarget(uint16_t ms, uint32_t size);

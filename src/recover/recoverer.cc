@@ -380,18 +380,18 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       start = r->addr;
     }
     std::vector<uint8_t> sbuf(node_size());
-    StatusOr<TreeClient::SecondLocked> sl = co_await t_->LockSecondChasing(
-        start, lo - 1, rec.primary, rdma::kNullAddress, sbuf.data(), &stats,
-        /*level=*/0);
+    StatusOr<TreeClient::Locked> sl = co_await t_->LockChasing(
+        start, lo - 1, sbuf.data(), &stats, /*level=*/0, {rec.primary},
+        TreeClient::Acquire::kTry);
     if (!sl.ok()) continue;
-    TreeClient::SecondLocked sib = *sl;
+    TreeClient::Locked sib = *sl;
     NodeView sview(sbuf.data(), &o.shape);
 
     const bool chain_intact =
         sview.hi_fence() == lo && sview.sibling() == rec.primary;
     if (!chain_intact && sview.hi_fence() < hi) {
       // Transient (e.g. the neighbor is mid-restructure); retry.
-      co_await t_->UnlockSecond(sib, {}, &stats);
+      co_await t_->Release(sib, {}, &stats);
       continue;
     }
 
@@ -399,7 +399,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       // A previous (crashed) recoverer already widened the neighbor over
       // [lo, hi). Only the tail work can be missing: the parent entry and
       // the free.
-      co_await t_->UnlockSecond(sib, {}, &stats);
+      co_await t_->Release(sib, {}, &stats);
     } else {
       if (!LeafMergeFits(sview, view, o.two_level_versions,
                          /*headroom=*/false)) {
@@ -410,7 +410,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
         // separator insert fails — the only cause is memory exhaustion —
         // the revived L is still served through the B-link chain, so the
         // intent is resolved either way.)
-        co_await t_->UnlockSecond(sib, {}, &stats);
+        co_await t_->Release(sib, {}, &stats);
         view.set_free(false);
         if (o.consistency == TreeOptions::Consistency::kChecksum) {
           view.UpdateChecksum();
@@ -438,20 +438,21 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
                                                                    &stats);
       if (!pr.ok()) continue;
       std::vector<uint8_t> pbuf(node_size());
-      StatusOr<TreeClient::SecondLocked> pl = co_await t_->LockSecondChasing(
-          *pr, lo, rec.primary, chain_intact ? sib.addr : rdma::kNullAddress,
-          pbuf.data(), &stats, /*level=*/1);
+      StatusOr<TreeClient::Locked> pl = co_await t_->LockChasing(
+          *pr, lo, pbuf.data(), &stats, /*level=*/1,
+          {rec.primary, chain_intact ? sib.addr : rdma::kNullAddress},
+          TreeClient::Acquire::kTry);
       if (!pl.ok()) continue;
-      TreeClient::SecondLocked par = *pl;
+      TreeClient::Locked par = *pl;
       NodeView pview(pbuf.data(), &o.shape);
       if (pview.InternalRemove(lo, rec.primary)) {
         t_->SealNode(pview);
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(
             rdma::WorkRequest::Write(par.addr, pbuf.data(), node_size()));
-        co_await t_->UnlockSecond(par, std::move(wrs), &stats);
+        co_await t_->Release(par, std::move(wrs), &stats);
       } else {
-        co_await t_->UnlockSecond(par, {}, &stats);
+        co_await t_->Release(par, {}, &stats);
       }
       parent_done = true;
     }
@@ -459,7 +460,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       // Could not pin the parent down (live contention — possibly a client
       // parked on this very recovery). Give up; the intent stays and the
       // next trigger retries without the cycle.
-      if (chain_intact) co_await t_->UnlockSecond(sib, {}, &stats);
+      if (chain_intact) co_await t_->Release(sib, {}, &stats);
       co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
       co_return Status::Retry("merge replay: parent contended");
     }
@@ -472,7 +473,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       std::vector<rdma::WorkRequest> wrs;
       wrs.push_back(
           rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
-      co_await t_->UnlockSecond(sib, std::move(wrs), &stats);
+      co_await t_->Release(sib, std::move(wrs), &stats);
     }
 
     co_await FreeNodeRemote(rec.primary);
@@ -568,11 +569,11 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
         start = *r;
       }
       std::vector<uint8_t> sbuf(node_size());
-      StatusOr<TreeClient::SecondLocked> sl = co_await t_->LockSecondChasing(
-          start, lo - 1, rec.primary, rdma::kNullAddress, sbuf.data(), &stats,
-          rec.level);
+      StatusOr<TreeClient::Locked> sl = co_await t_->LockChasing(
+          start, lo - 1, sbuf.data(), &stats, rec.level, {rec.primary},
+          TreeClient::Acquire::kTry);
       if (!sl.ok()) continue;
-      TreeClient::SecondLocked sib = *sl;
+      TreeClient::Locked sib = *sl;
       NodeView sview(sbuf.data(), &o.shape);
       if (sview.hi_fence() == lo && sview.sibling() == rec.primary) {
         sview.set_sibling(rec.second);
@@ -580,9 +581,9 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(
             rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
-        co_await t_->UnlockSecond(sib, std::move(wrs), &stats);
+        co_await t_->Release(sib, std::move(wrs), &stats);
       } else {
-        co_await t_->UnlockSecond(sib, {}, &stats);
+        co_await t_->Release(sib, {}, &stats);
       }
       sib_done = true;
     }

@@ -80,12 +80,6 @@ class HotnessTracker {
     }
   }
 
-  // Ops folded into `shard`'s current (undrained) epoch window. The RDWC
-  // layer reads this as its shard-level hotness gate: per-key candidate
-  // tracking only engages for keys whose shard the router already sees
-  // taking traffic.
-  uint64_t WindowOps(int shard) const { return window_[shard].ops; }
-
   // Returns the current window and resets it (epoch boundary).
   std::vector<ShardWindow> TakeWindow() {
     std::vector<ShardWindow> out(window_.size());

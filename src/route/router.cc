@@ -8,6 +8,19 @@
 
 namespace sherman::route {
 
+namespace {
+// Evict an admitted shard when its os_cost falls below this margin times
+// its rpc_cost at the final planned load.
+constexpr double kPruneMargin = 1.05;
+// An offloaded shard's measured one-sided cost goes stale (it only runs
+// RPC); every kProbeEpochs epochs it runs one epoch one-sided to refresh
+// the signal. Warmup-cold costs otherwise pin shards to RPC after the
+// caches warm.
+constexpr uint64_t kProbeEpochs = 4;
+constexpr double kEwmaAlpha = 0.5;        // window smoothing
+constexpr double kColdMissDefault = 0.7;  // miss ratio with no cache signal
+}  // namespace
+
 RouterModel ModelFromFabric(const rdma::FabricConfig& cfg,
                             bool cache_enabled) {
   RouterModel m;
@@ -144,7 +157,7 @@ std::vector<Path> PlanAssignment(const std::vector<ShardEstimate>& shards,
       // offload bar at its own inclusion point; evict only if the final
       // load erases (nearly) all of the predicted benefit.
       const double threshold =
-          prev[s] == Path::kRpc ? opt.return_margin : opt.prune_margin;
+          prev[s] == Path::kRpc ? opt.return_margin : kPruneMargin;
       const double ratio = os_cost[s] / (threshold * rpc_cost);
       if (ratio < 1.0 && (worst == -1 || ratio < worst_ratio)) {
         worst = s;
@@ -177,7 +190,7 @@ AdaptiveRouter::AdaptiveRouter(RouterOptions options, RouterModel model,
   SHERMAN_CHECK(options_.num_shards > 0);
   SHERMAN_CHECK(tracker_->num_shards() == options_.num_shards);
   for (ShardEstimate& e : smoothed_) {
-    e.miss_ratio = options_.cold_miss_default;
+    e.miss_ratio = kColdMissDefault;
   }
 }
 
@@ -260,7 +273,7 @@ void AdaptiveRouter::Tick(uint64_t gen) {
 
 void AdaptiveRouter::EndEpochNow() {
   const std::vector<ShardWindow> window = tracker_->TakeWindow();
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
   uint64_t window_ops = 0;
   uint64_t window_rpc = 0;
 
@@ -326,8 +339,7 @@ void AdaptiveRouter::EndEpochNow() {
     const ShardWindow& w = window[s];
     if (w.ops > w.ops_rpc) last_os_epoch_[s] = epoch;
     if (options_.policy == RouterOptions::Policy::kAdaptive &&
-        options_.probe_epochs > 0 && next[s] == Path::kRpc &&
-        epoch - last_os_epoch_[s] >= options_.probe_epochs) {
+        next[s] == Path::kRpc && epoch - last_os_epoch_[s] >= kProbeEpochs) {
       next[s] = Path::kOneSided;
     }
   }

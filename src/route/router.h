@@ -48,15 +48,6 @@ struct RouterOptions {
   double rpc_util_cap = 0.60;   // max planned memory-thread utilization
   double offload_margin = 1.25; // offload when os_cost > margin * rpc_cost
   double return_margin = 0.90;  // pull back when os_cost < margin * rpc_cost
-  double prune_margin = 1.05;   // evict an admitted shard when its os_cost
-                                // falls below this at the final planned load
-  // An offloaded shard's measured one-sided cost goes stale (it only runs
-  // RPC); every N epochs it runs one epoch one-sided to refresh the signal
-  // (0 = never probe). Warmup-cold costs otherwise pin shards to RPC after
-  // the caches warm.
-  uint64_t probe_epochs = 4;
-  double ewma_alpha = 0.5;      // window smoothing
-  double cold_miss_default = 0.7;  // assumed miss ratio with no cache signal
 
   // Key universe [lo, hi) covered by the shards when no explicit shard
   // boundaries are installed; hi == 0 means "set at BulkLoad from the

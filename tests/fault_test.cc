@@ -82,9 +82,7 @@ TEST(FaultTest, ChecksumModeDetectsBitrot) {
 }
 
 TEST(FaultTest, PermanentlyTornNodeTimesOutCleanly) {
-  TreeOptions topt = ShermanOptions();
-  topt.max_read_retries = 8;  // keep the test fast
-  ShermanSystem system(SmallFabric(), topt);
+  ShermanSystem system(SmallFabric(), ShermanOptions());
   system.BulkLoad(bench::MakeLoadKvs(1'000), 0.8);
   const rdma::GlobalAddress leaf = FindLeafDirect(&system, 100);
   uint8_t* raw = system.fabric().HostRaw(leaf);

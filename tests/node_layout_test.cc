@@ -501,6 +501,31 @@ TEST(VarLeafTest, EmptyValueSurvivesBuildReprefixAndSplit) {
   EXPECT_EQ(upper.VarInlineValue(upper.VarFind("app/metrics/net")).size(), 0u);
 }
 
+// Growing a page's only entry past the free bytes drops its slot and
+// compacts the then-empty page before re-inserting it: that rebuild has no
+// key to take the page prefix from.
+TEST(VarLeafTest, GrowingTheOnlyEntryRebuildsAnEmptyPage) {
+  const TreeShape s = VarShape();
+  auto buf = Buf(s);
+  NodeView v(buf.data(), &s);
+  v.InitLeaf(0, kMaxKey, rdma::kNullAddress);
+  std::vector<VarEntry> entries(12);
+  for (size_t i = 0; i < entries.size(); i++) {
+    entries[i].key = "shared-prefix/" + std::to_string(10 + i);
+    entries[i].payload.assign(60, static_cast<uint8_t>('a' + i));
+    entries[i].vlen = 60;
+  }
+  ASSERT_TRUE(BuildVarLeaf(&v, entries));
+  ASSERT_GT(v.prefix_len(), 0u);
+  while (v.count() > 1) v.VarRemoveAt(0);
+  const std::string key = v.VarFullKey(0);
+  const std::string grown(v.VarFreeBytes() + 1, 'g');
+  ASSERT_TRUE(VarInsertInline(&v, key, grown));
+  EXPECT_EQ(v.count(), 1u);
+  EXPECT_EQ(v.dead_bytes(), 0u);
+  EXPECT_EQ(v.VarInlineValue(v.VarFind(key)).ToString(), grown);
+}
+
 TEST(VarLeafTest, MaxKeyLengthRoundTrips) {
   const TreeShape s = VarShape();
   auto buf = Buf(s);

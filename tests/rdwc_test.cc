@@ -16,7 +16,6 @@
 #include "combine/rdwc.h"
 #include "core/hybrid_system.h"
 #include "core/presets.h"
-#include "route/router.h"
 
 namespace sherman {
 namespace {
@@ -51,13 +50,6 @@ HybridOptions RdwcHybrid(bool combining = true) {
 
 TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
   rdma::Fabric fabric(SmallFabric());
-  route::HotnessTracker tracker(8, &fabric.registry());
-  route::RouterOptions ropt;
-  ropt.num_shards = 8;
-  ropt.universe_lo = 1;
-  ropt.universe_hi = 1'000;
-  route::AdaptiveRouter router(
-      ropt, route::ModelFromFabric(fabric.config(), true), &tracker, &fabric);
 
   combine::RdwcOptions opt;
   opt.enable_delegation = true;
@@ -65,8 +57,7 @@ TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
   opt.promote_threshold = 4;
   opt.demote_windows = 2;
   opt.hot_window_ns = 1'000;
-  combine::RdwcLayer layer(&fabric.simulator(), &tracker, &router, opt,
-                          &fabric.registry());
+  combine::RdwcLayer layer(&fabric.simulator(), opt, &fabric.registry());
 
   const Key k = 42;
   for (int i = 0; i < 3; i++) {
@@ -89,21 +80,13 @@ TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
 
 TEST(RdwcTableTest, SampledColdPathSkipsTheTable) {
   rdma::Fabric fabric(SmallFabric());
-  route::HotnessTracker tracker(8, &fabric.registry());
-  route::RouterOptions ropt;
-  ropt.num_shards = 8;
-  ropt.universe_lo = 1;
-  ropt.universe_hi = 1'000;
-  route::AdaptiveRouter router(
-      ropt, route::ModelFromFabric(fabric.config(), true), &tracker, &fabric);
 
   combine::RdwcOptions opt;
   opt.enable_delegation = true;
   opt.sample_shift = 2;  // 1 in 4 ops counted
   opt.promote_threshold = 2;
   opt.hot_window_ns = 100'000'000;
-  combine::RdwcLayer layer(&fabric.simulator(), &tracker, &router, opt,
-                          &fabric.registry());
+  combine::RdwcLayer layer(&fabric.simulator(), opt, &fabric.registry());
 
   // 7 ops = 1 sampled hit: stays cold; the 8th samples again and promotes.
   const Key k = 7;
