@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks for the hot in-process paths: node
 // search/scan, entry writes, Zipfian generation, CRC32, histogram inserts,
-// skiplist probes. These are host-CPU costs (not simulated time) and back
-// the cpu_*_ns constants in rdma/config.h.
+// index cache probes. These are host-CPU costs (not simulated time) and
+// back the cpu_*_ns constants in rdma/config.h.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <utility>
 #include <vector>
 
-#include "cache/skiplist.h"
+#include "cache/index_cache.h"
 #include "core/node_layout.h"
 #include "util/crc32.h"
 #include "util/histogram.h"
@@ -115,19 +117,31 @@ void BM_HistogramAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramAdd);
 
-void BM_SkipListLookup(benchmark::State& state) {
-  SkipList<uint64_t> sl;
+// Type-① probes at uniform random keys over `range(0)` disjoint level-1
+// nodes, inserted in random order as misses would fill the cache.
+void BM_IndexCacheLookupLevel1(benchmark::State& state) {
+  const uint64_t nodes = static_cast<uint64_t>(state.range(0));
+  constexpr Key kWidth = 100;
+  obs::Registry registry;
+  IndexCache cache(nodes * 1024, 1024, 5, &registry);
+  std::vector<uint64_t> order(nodes);
+  std::iota(order.begin(), order.end(), 0);
   Random rng(5);
-  for (int i = 0; i < state.range(0); i++) {
-    sl.Insert(rng.Next() % 1'000'000, i);
+  for (uint64_t i = nodes - 1; i > 0; i--) {
+    std::swap(order[i], order[rng.Uniform(i + 1)]);
   }
-  uint64_t found_key;
+  for (uint64_t i : order) {
+    ParsedInternal node;
+    node.level = 1;
+    node.lo = i * kWidth;
+    node.hi = (i + 1) * kWidth;
+    cache.Insert(node);
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sl.FindLessOrEqual(rng.Next() % 1'000'000, &found_key));
+    benchmark::DoNotOptimize(cache.LookupLevel1(rng.Uniform(nodes * kWidth)));
   }
 }
-BENCHMARK(BM_SkipListLookup)->Arg(1000)->Arg(100'000);
+BENCHMARK(BM_IndexCacheLookupLevel1)->Arg(2000)->Arg(100'000);
 
 }  // namespace
 }  // namespace sherman

@@ -108,7 +108,6 @@ void ChunkManager::SweepGraceList() {
     const GraceNode& n = grace_.front();
     if (reclaim_ != nullptr && !reclaim_->SafeToRecycle(n.epoch)) break;
     pool_[n.size].push_back(n.offset);
-    pool_bytes_ += n.size;
     grace_.pop_front();
   }
 }
@@ -119,7 +118,6 @@ uint64_t ChunkManager::AllocNode(uint32_t size) {
   if (it == pool_.end() || it->second.empty()) return 0;
   const uint64_t offset = it->second.back();
   it->second.pop_back();
-  pool_bytes_ -= size;
   nodes_recycled_->Inc();
   parked_.erase(offset);
   return offset;

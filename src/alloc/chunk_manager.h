@@ -82,7 +82,6 @@ class ChunkManager {
 
   // Freed nodes still inside their grace window (not yet poolable).
   uint64_t grace_pending() const { return grace_.size(); }
-  uint64_t recycle_pool_bytes() const { return pool_bytes_; }
 
  private:
   struct GraceNode {
@@ -122,7 +121,6 @@ class ChunkManager {
   std::deque<GraceNode> grace_;
   std::map<uint32_t, std::vector<uint64_t>> pool_;  // size -> offsets
   std::set<uint64_t> parked_;  // offsets in grace_ or pool_ (dup-free guard)
-  uint64_t pool_bytes_ = 0;
   obs::Counter* nodes_freed_;
   obs::Counter* nodes_recycled_;
   obs::Counter* duplicate_frees_;

@@ -54,7 +54,6 @@ sim::Task<rdma::GlobalAddress> CsAllocator::Alloc(uint32_t size) {
     const uint64_t off = co_await fabric_->qp(cs_id_, ms).Rpc(kRpcAllocNode,
                                                               size);
     if (off != 0) {
-      node_recycle_rpcs_++;
       allocs_since_probe_ = kRecycleProbePeriod;  // drain mode
       const rdma::GlobalAddress addr(static_cast<uint16_t>(ms), off);
       DmsanNodeAllocated(fabric_, cs_id_, addr, size);
@@ -81,7 +80,6 @@ sim::Task<rdma::GlobalAddress> CsAllocator::Alloc(uint32_t size) {
     const uint64_t recycled =
         co_await fabric_->qp(cs_id_, ms).Rpc(kRpcAllocNode, size);
     if (recycled != 0) {
-      node_recycle_rpcs_++;
       const rdma::GlobalAddress addr(static_cast<uint16_t>(ms), recycled);
       DmsanNodeAllocated(fabric_, cs_id_, addr, size);
       co_return addr;

@@ -29,7 +29,6 @@ class CsAllocator {
   void Free(rdma::GlobalAddress addr, uint32_t size);
 
   uint64_t chunk_rpcs() const { return chunk_rpcs_; }
-  uint64_t node_recycle_rpcs() const { return node_recycle_rpcs_; }
 
  private:
   struct FreeBin {
@@ -47,7 +46,6 @@ class CsAllocator {
   uint64_t chunk_used_ = 0;
   std::vector<FreeBin> free_bins_;
   uint64_t chunk_rpcs_ = 0;
-  uint64_t node_recycle_rpcs_ = 0;  // allocations served from recycled nodes
 };
 
 }  // namespace sherman

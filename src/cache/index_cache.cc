@@ -26,65 +26,46 @@ IndexCache::IndexCache(uint64_t capacity_bytes, uint32_t node_bytes,
       evictions_(registry->GetCounter("cache.evictions")),
       invalidations_(registry->GetCounter("cache.invalidations")) {}
 
-IndexCache::~IndexCache() = default;
+IndexCache::Entry* IndexCache::Covering(Level& level, Key key) {
+  auto it = level.upper_bound(key);  // first lo > key
+  if (it == level.begin()) return nullptr;
+  --it;
+  return key < it->second.node.hi ? &it->second : nullptr;
+}
 
 const ParsedInternal* IndexCache::LookupLevel1(Key key) {
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(key, &found_lo);
-  if (slot != nullptr) {
-    Entry* e = slot->get();
-    if (key >= e->node.lo && key < e->node.hi) {
-      e->last_used = ++tick_;
-      hits_->Inc();
-      return &e->node;
-    }
+  if (Entry* e = Covering(levels_[1], key)) {
+    e->last_used = ++tick_;
+    hits_->Inc();
+    return &e->node;
   }
   misses_->Inc();
   return nullptr;
 }
 
 void IndexCache::Insert(const ParsedInternal& node) {
-  if (node.level != 1) {
-    std::map<Key, UpperEntry>& nodes = upper_[node.level];
-    auto [it, inserted] = nodes.try_emplace(node.lo);
-    it->second.node = node;
-    it->second.last_used = ++tick_;
-    if (inserted) {
-      upper_count_++;
-      upper_bytes_ += node_bytes_;
-      EvictUpperIfNeeded();
-    }
-    return;
+  auto [it, inserted] = levels_[node.level].try_emplace(node.lo);
+  Entry& e = it->second;
+  e.node = node;
+  e.last_used = ++tick_;
+  if (!inserted) return;  // refreshed in place
+  if (node.level == 1) {
+    e.pool_index = pool_.size();
+    pool_.push_back(&e);
+    EvictIfNeeded();
+  } else {
+    upper_count_++;
+    EvictUpperIfNeeded();
   }
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(node.lo, &found_lo);
-  if (slot != nullptr && found_lo == node.lo) {
-    // Refresh in place.
-    (*slot)->node = node;
-    (*slot)->last_used = ++tick_;
-    return;
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->node = node;
-  entry->last_used = ++tick_;
-  entry->pool_index = pool_.size();
-  pool_.push_back(entry.get());
-  level1_.Insert(node.lo, std::move(entry));
-  bytes_used_ += node_bytes_;
-  EvictIfNeeded();
 }
 
 const ParsedInternal* IndexCache::LookupUpper(Key key) {
   // Deepest (smallest level) upper node covering key.
-  for (auto& [level, nodes] : upper_) {
-    auto it = nodes.upper_bound(key);
-    if (it == nodes.begin()) continue;
-    --it;
-    UpperEntry& e = it->second;
-    if (key >= e.node.lo && key < e.node.hi) {
-      e.last_used = ++tick_;
+  for (auto lv = levels_.upper_bound(1); lv != levels_.end(); ++lv) {
+    if (Entry* e = Covering(lv->second, key)) {
+      e->last_used = ++tick_;
       upper_hits_->Inc();
-      return &e.node;
+      return &e->node;
     }
   }
   upper_misses_->Inc();
@@ -92,120 +73,84 @@ const ParsedInternal* IndexCache::LookupUpper(Key key) {
 }
 
 void IndexCache::Invalidate(Key key, rdma::GlobalAddress addr) {
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(key, &found_lo);
-  if (slot != nullptr) {
-    Entry* e = slot->get();
-    if (e->node.self == addr && key >= e->node.lo && key < e->node.hi) {
+  // Level 1 first, then the upper levels from the deepest.
+  for (auto& [level, nodes] : levels_) {
+    Entry* e = Covering(nodes, key);
+    if (e != nullptr && e->node.self == addr) {
       invalidations_->Inc();
-      RemoveEntry(e);
-      return;
-    }
-  }
-  for (auto& [level, nodes] : upper_) {
-    auto it = nodes.upper_bound(key);
-    if (it == nodes.begin()) continue;
-    --it;
-    const ParsedInternal& node = it->second.node;
-    if (node.self == addr && key >= node.lo && key < node.hi) {
-      invalidations_->Inc();
-      nodes.erase(it);
-      upper_count_--;
-      upper_bytes_ -= node_bytes_;
+      Erase(e);
       return;
     }
   }
 }
 
 void IndexCache::InvalidateLevel1Covering(Key key) {
-  uint64_t found_lo = 0;
-  std::unique_ptr<Entry>* slot = level1_.FindLessOrEqual(key, &found_lo);
-  if (slot != nullptr) {
-    Entry* e = slot->get();
-    if (key >= e->node.lo && key < e->node.hi) {
-      invalidations_->Inc();
-      RemoveEntry(e);
-    }
+  if (Entry* e = Covering(levels_[1], key)) {
+    invalidations_->Inc();
+    Erase(e);
   }
 }
 
 void IndexCache::InvalidateUpperCovering(Key key, rdma::GlobalAddress child) {
-  for (auto& [level, nodes] : upper_) {
-    auto it = nodes.upper_bound(key);
-    if (it == nodes.begin()) continue;
-    --it;
-    const ParsedInternal& node = it->second.node;
-    if (key >= node.lo && key < node.hi && node.ChildFor(key) == child) {
+  for (auto lv = levels_.upper_bound(1); lv != levels_.end(); ++lv) {
+    Entry* e = Covering(lv->second, key);
+    if (e != nullptr && e->node.ChildFor(key) == child) {
       invalidations_->Inc();
-      nodes.erase(it);
-      upper_count_--;
-      upper_bytes_ -= node_bytes_;
+      Erase(e);
     }
   }
 }
 
 void IndexCache::InvalidateKeyRange(Key lo, Key hi) {
-  std::vector<Entry*> victims;
+  std::vector<Entry*> victims;  // in pool order
   for (Entry* e : pool_) {
     if (e->node.lo < hi && e->node.hi > lo) victims.push_back(e);
   }
   for (Entry* e : victims) {
     invalidations_->Inc();
-    RemoveEntry(e);
+    Erase(e);
   }
 }
 
-void IndexCache::Clear() {
-  while (!pool_.empty()) RemoveEntry(pool_.back());
-  upper_.clear();
-  upper_count_ = 0;
-  upper_bytes_ = 0;
-}
-
-void IndexCache::RemoveEntry(Entry* entry) {
-  // Swap-remove from the sampling pool, then drop from the skiplist.
-  const size_t idx = entry->pool_index;
-  SHERMAN_CHECK(idx < pool_.size() && pool_[idx] == entry);
-  pool_[idx] = pool_.back();
-  pool_[idx]->pool_index = idx;
-  pool_.pop_back();
+void IndexCache::Erase(Entry* entry) {
+  const uint8_t level = entry->node.level;
   const Key lo = entry->node.lo;
-  SHERMAN_CHECK(level1_.Erase(lo));
-  bytes_used_ -= node_bytes_;
+  if (level == 1) {
+    // Swap-remove from the sampling pool.
+    const size_t idx = entry->pool_index;
+    SHERMAN_CHECK(idx < pool_.size() && pool_[idx] == entry);
+    pool_[idx] = pool_.back();
+    pool_[idx]->pool_index = idx;
+    pool_.pop_back();
+  } else {
+    upper_count_--;
+  }
+  levels_[level].erase(lo);
 }
 
 void IndexCache::EvictUpperIfNeeded() {
   // The population is small by construction (bounded by the budget), so a
   // full LRU scan per eviction is fine.
-  while (upper_bytes_ > upper_capacity_bytes_ && upper_count_ > 1) {
-    uint8_t victim_level = 0;
-    Key victim_lo = 0;
-    uint64_t oldest = ~0ull;
-    for (const auto& [level, nodes] : upper_) {
-      for (const auto& [lo, e] : nodes) {
-        if (e.last_used < oldest) {
-          oldest = e.last_used;
-          victim_level = level;
-          victim_lo = lo;
-        }
+  while (upper_bytes_used() > upper_capacity_bytes_ && upper_count_ > 1) {
+    Entry* victim = nullptr;
+    for (auto lv = levels_.upper_bound(1); lv != levels_.end(); ++lv) {
+      for (auto& [lo, e] : lv->second) {
+        if (victim == nullptr || e.last_used < victim->last_used) victim = &e;
       }
     }
-    upper_[victim_level].erase(victim_lo);
-    upper_count_--;
-    upper_bytes_ -= node_bytes_;
     evictions_->Inc();
+    Erase(victim);
   }
 }
 
 void IndexCache::EvictIfNeeded() {
   // Power-of-two-choices (§4.2.3): sample two cached nodes, evict the one
   // least recently used.
-  while (bytes_used_ > capacity_bytes_ && pool_.size() > 1) {
+  while (pool_.size() * node_bytes_ > capacity_bytes_ && pool_.size() > 1) {
     Entry* a = pool_[rng_.Uniform(pool_.size())];
     Entry* b = pool_[rng_.Uniform(pool_.size())];
-    Entry* victim = (a->last_used <= b->last_used) ? a : b;
     evictions_->Inc();
-    RemoveEntry(victim);
+    Erase(a->last_used <= b->last_used ? a : b);
   }
 }
 

@@ -1,18 +1,22 @@
 // IndexCache: the compute-server-side cache of internal tree nodes
 // (§4.2.3).
 //
-// Type ① — level-1 nodes (parents of leaves) — are cached in a skiplist
-// keyed by lower fence key, bounded by a byte capacity, and evicted with
-// power-of-two-choices: sample two random cached nodes and drop the least
-// recently used. A hit resolves a key directly to a leaf address (one
-// RDMA_READ per operation in the ideal case).
+// Every cached level is one ordered map keyed by lower fence key, so a
+// lookup is "greatest lo <= key, then check hi" on one level. The paper
+// keeps type ① in a skiplist that a CS's threads probe concurrently; here
+// a CS's threads are coroutines on one host thread and a probe costs the
+// constant cpu_cache_lookup_ns, so the standard map serves.
 //
-// Type ② — the upper levels (level >= 2, including the root) — are cached
-// in per-level ordered maps under a dedicated byte budget (a quarter of the
-// type-① capacity, floored at 16 nodes). A healthy tree has only a handful
-// of such nodes, but stale entries accumulate across splits and root moves,
-// so they are charged and LRU-evicted like any other cached node instead of
-// growing without bound.
+// Type ① — level-1 nodes (parents of leaves) — are bounded by a byte
+// capacity and evicted with power-of-two-choices: sample two random cached
+// nodes and drop the least recently used. A hit resolves a key directly to
+// a leaf address (one RDMA_READ per operation in the ideal case).
+//
+// Type ② — the upper levels (level >= 2, including the root) — live under
+// a dedicated byte budget (a quarter of the type-① capacity, floored at 16
+// nodes). A healthy tree has only a handful of such nodes, but stale
+// entries accumulate across splits and root moves, so they are charged and
+// LRU-evicted like any other cached node instead of growing without bound.
 //
 // The cache never causes consistency issues: fetched nodes carry fence keys
 // and level, which the tree validates; on violation the tree calls
@@ -22,10 +26,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "cache/skiplist.h"
 #include "core/node_layout.h"
 #include "obs/metrics.h"
 #include "rdma/global_address.h"
@@ -38,7 +40,6 @@ class IndexCache {
   // Counts into `registry` as cache.*, shared by every CS's cache.
   IndexCache(uint64_t capacity_bytes, uint32_t node_bytes, uint64_t seed,
              obs::Registry* registry);
-  ~IndexCache();
 
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
@@ -47,8 +48,9 @@ class IndexCache {
   // ChildFor(key) is the target leaf). Counts a hit/miss.
   const ParsedInternal* LookupLevel1(Key key);
 
-  // Caches a node: level-1 nodes go to the bounded type-① structure;
-  // levels >= 2 go to the unbounded type-② top cache.
+  // Caches a node, or refreshes the cached node of the same level and lo:
+  // level-1 nodes under the type-① capacity, levels >= 2 under the type-②
+  // budget.
   void Insert(const ParsedInternal& node);
 
   // Type-② lookup: deepest cached upper-level node covering `key` (never
@@ -76,45 +78,39 @@ class IndexCache {
   // them here saves every client one wasted READ + restart per key.
   void InvalidateKeyRange(Key lo, Key hi);
 
-  // Drops everything (used when the root moves).
-  void Clear();
-
-  uint64_t bytes_used() const { return bytes_used_ + upper_bytes_; }
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
+  uint64_t bytes_used() const {
+    return (pool_.size() + upper_count_) * node_bytes_;
+  }
   size_t level1_nodes() const { return pool_.size(); }
   size_t upper_nodes() const { return upper_count_; }
-  uint64_t upper_bytes_used() const { return upper_bytes_; }
+  uint64_t upper_bytes_used() const { return upper_count_ * node_bytes_; }
   uint64_t upper_capacity_bytes() const { return upper_capacity_bytes_; }
 
  private:
   struct Entry {
     ParsedInternal node;
     uint64_t last_used = 0;
-    size_t pool_index = 0;  // position in pool_ for O(1) random sampling
+    size_t pool_index = 0;  // level 1 only: position in pool_
   };
-  struct UpperEntry {
-    ParsedInternal node;
-    uint64_t last_used = 0;
-  };
+  using Level = std::map<Key, Entry>;  // lo fence -> entry
 
+  // The entry of `level` whose fence interval covers `key`, or nullptr.
+  static Entry* Covering(Level& level, Key key);
+  void Erase(Entry* entry);
   void EvictIfNeeded();
   void EvictUpperIfNeeded();
-  void RemoveEntry(Entry* entry);
 
   uint64_t capacity_bytes_;
   uint64_t upper_capacity_bytes_;
   uint32_t node_bytes_;
   Random rng_;
   uint64_t tick_ = 0;
-  uint64_t bytes_used_ = 0;
-  uint64_t upper_bytes_ = 0;
   size_t upper_count_ = 0;
 
-  SkipList<std::unique_ptr<Entry>> level1_;  // keyed by lo fence
-  std::vector<Entry*> pool_;                 // random-sampling mirror
-
-  // Type-② top cache: level -> (lo fence -> entry).
-  std::map<uint8_t, std::map<Key, UpperEntry>> upper_;
+  std::map<uint8_t, Level> levels_;  // level -> its cached nodes
+  // Level-1 entries in insertion order, swap-removed: eviction samples it
+  // by index, so this order decides which nodes get evicted.
+  std::vector<Entry*> pool_;
 
   obs::Counter* hits_;    // type-① (level-1) lookups
   obs::Counter* misses_;

@@ -623,7 +623,6 @@ class ShermanSystem {
   TreeClient& client(int cs_id) { return *clients_[cs_id]; }
   int num_clients() const { return static_cast<int>(clients_.size()); }
   ChunkManager& chunk_manager(int ms_id) { return *chunks_[ms_id]; }
-  int num_chunk_managers() const { return static_cast<int>(chunks_.size()); }
   // Leaf-hint directory of `ms_id`, or null when enable_leaf_hints is off.
   LeafHintDirectory* hint_directory(int ms_id) {
     return ms_id < static_cast<int>(hints_.size()) ? hints_[ms_id].get()

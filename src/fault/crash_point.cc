@@ -86,7 +86,6 @@ void CrashInjector::Reset() {
   nth_ = 1;
   hits_ = 0;
   victim_cs_ = -1;
-  deaths_ = 0;
   dead_.clear();
 }
 
@@ -102,7 +101,6 @@ void CrashInjector::MarkDead(int cs) {
   if (cs < 0) return;
   if (static_cast<size_t>(cs) >= dead_.size()) dead_.resize(cs + 1, false);
   const bool fresh = !dead_[cs];
-  if (fresh) deaths_++;
   dead_[cs] = true;
   any_dead_ = true;
   if (fresh && death_observer_) death_observer_(cs);

@@ -94,8 +94,6 @@ class CrashInjector {
            cs >= 0 &&
            static_cast<size_t>(cs) < dead_.size() && dead_[cs];
   }
-  // Total clients ever declared dead this arming cycle.
-  int deaths() const { return deaths_; }
 
   // Adds a suspended-forever coroutine handle to the graveyard (kept
   // reachable for the process lifetime; never resumed or destroyed).
@@ -150,7 +148,6 @@ class CrashInjector {
   uint32_t nth_ = 1;
   uint32_t hits_ = 0;
   int victim_cs_ = -1;
-  int deaths_ = 0;
   std::vector<bool> dead_;
   void* observer_owner_ = nullptr;
   std::function<void(int cs)> death_observer_;

@@ -117,7 +117,6 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool e) { enabled_ = e; }
   uint64_t now() const { return static_cast<uint64_t>(sim_->now()); }
   const TraceOptions& options() const { return opts_; }
 

@@ -26,8 +26,6 @@ Qp::Qp(ComputeServer* cs, MemoryServer* ms, sim::Simulator* sim,
       write_bytes_(registry->GetCounter("rdma.write_bytes")),
       rpcs_(registry->GetCounter("rdma.rpcs")) {}
 
-uint16_t Qp::remote_id() const { return ms_->id(); }
-
 uint32_t Qp::RequestPayload(const WorkRequest& wr) {
   switch (wr.verb) {
     case Verb::kWrite:

@@ -40,8 +40,6 @@ class Qp {
   Qp(const Qp&) = delete;
   Qp& operator=(const Qp&) = delete;
 
-  uint16_t remote_id() const;
-
   // Posts a single signaled work request; resumes when its completion entry
   // would be polled from the CQ.
   sim::Task<RdmaResult> Post(WorkRequest wr);

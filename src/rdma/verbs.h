@@ -109,10 +109,6 @@ struct WorkRequest {
     wr.length = 8;
     return wr;
   }
-
-  bool is_atomic() const {
-    return verb == Verb::kCas || verb == Verb::kMaskedCas || verb == Verb::kFaa;
-  }
 };
 
 // Result of an RDMA operation (or a doorbell batch).

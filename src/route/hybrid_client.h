@@ -92,7 +92,6 @@ class HybridClient final {
   const char* name() const { return "hybrid"; }
 
   int cs_id() const { return cs_id_; }
-  TreeClient& tree_client() { return *tree_; }
 
   // RDWC (src/combine/): installed by HybridSystem when delegation is
   // enabled; the table is shared by every client of the deployment.

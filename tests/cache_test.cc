@@ -1,101 +1,14 @@
-// Unit tests for the skiplist and the index cache (§4.2.3).
+// Unit tests for the index cache (§4.2.3).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
 #include "cache/index_cache.h"
-#include "cache/skiplist.h"
 #include "util/random.h"
 
 namespace sherman {
 namespace {
-
-// --- SkipList ---
-
-TEST(SkipListTest, InsertFindErase) {
-  SkipList<int> sl;
-  EXPECT_TRUE(sl.empty());
-  sl.Insert(10, 100);
-  sl.Insert(20, 200);
-  sl.Insert(5, 50);
-  EXPECT_EQ(sl.size(), 3u);
-  ASSERT_NE(sl.Find(10), nullptr);
-  EXPECT_EQ(*sl.Find(10), 100);
-  EXPECT_EQ(sl.Find(11), nullptr);
-  EXPECT_TRUE(sl.Erase(10));
-  EXPECT_FALSE(sl.Erase(10));
-  EXPECT_EQ(sl.size(), 2u);
-}
-
-TEST(SkipListTest, InsertOverwrites) {
-  SkipList<int> sl;
-  sl.Insert(7, 1);
-  sl.Insert(7, 2);
-  EXPECT_EQ(sl.size(), 1u);
-  EXPECT_EQ(*sl.Find(7), 2);
-}
-
-TEST(SkipListTest, FindLessOrEqual) {
-  SkipList<int> sl;
-  sl.Insert(10, 1);
-  sl.Insert(20, 2);
-  sl.Insert(30, 3);
-  uint64_t found = 0;
-  EXPECT_EQ(sl.FindLessOrEqual(5, &found), nullptr);
-  ASSERT_NE(sl.FindLessOrEqual(10, &found), nullptr);
-  EXPECT_EQ(found, 10u);
-  ASSERT_NE(sl.FindLessOrEqual(25, &found), nullptr);
-  EXPECT_EQ(found, 20u);
-  ASSERT_NE(sl.FindLessOrEqual(1000, &found), nullptr);
-  EXPECT_EQ(found, 30u);
-}
-
-TEST(SkipListTest, IterationIsOrdered) {
-  SkipList<int> sl;
-  Random rng(11);
-  std::map<uint64_t, int> reference;
-  for (int i = 0; i < 1000; i++) {
-    const uint64_t k = rng.Uniform(10'000);
-    sl.Insert(k, i);
-    reference[k] = i;
-  }
-  std::vector<uint64_t> keys;
-  sl.ForEach([&](uint64_t k, const int&) { keys.push_back(k); });
-  EXPECT_EQ(keys.size(), reference.size());
-  auto it = reference.begin();
-  for (size_t i = 0; i < keys.size(); i++, ++it) {
-    EXPECT_EQ(keys[i], it->first);
-  }
-}
-
-TEST(SkipListTest, RandomizedAgainstStdMap) {
-  SkipList<int> sl;
-  std::map<uint64_t, int> reference;
-  Random rng(13);
-  for (int i = 0; i < 20'000; i++) {
-    const uint64_t k = rng.Uniform(500);
-    const int action = static_cast<int>(rng.Uniform(3));
-    if (action == 0) {
-      sl.Insert(k, i);
-      reference[k] = i;
-    } else if (action == 1) {
-      EXPECT_EQ(sl.Erase(k), reference.erase(k) > 0);
-    } else {
-      int* v = sl.Find(k);
-      auto it = reference.find(k);
-      if (it == reference.end()) {
-        EXPECT_EQ(v, nullptr);
-      } else {
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(*v, it->second);
-      }
-    }
-  }
-  EXPECT_EQ(sl.size(), reference.size());
-}
-
-// --- IndexCache ---
 
 ParsedInternal MakeNode(uint8_t level, Key lo, Key hi, uint64_t addr_seed) {
   ParsedInternal p;
@@ -191,6 +104,26 @@ TEST(IndexCacheTest, EvictionPrefersLeastRecentlyUsed) {
   EXPECT_NE(cache.LookupLevel1(50), nullptr) << "hot entry was evicted";
 }
 
+// Power-of-two choices draws two pool slots per victim from the cache's
+// seeded RNG, so which nodes survive is a pure function of the seed, the
+// inserts and the lookups between them. The set is pinned: it moves if the
+// pool order (insertion order, swap-remove) or the draws per victim change.
+TEST(IndexCacheTest, EvictionVictimsArePinned) {
+  obs::Registry reg;
+  IndexCache cache(8 * 1024, 1024, 7, &reg);
+  for (uint64_t i = 0; i < 32; i++) {
+    cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
+    cache.LookupLevel1(i / 2 * 100 + 50);  // touch an older node, if cached
+  }
+  std::vector<Key> survivors;
+  for (uint64_t i = 0; i < 32; i++) {
+    if (cache.LookupLevel1(i * 100) != nullptr) survivors.push_back(i * 100);
+  }
+  EXPECT_EQ(survivors, (std::vector<Key>{0, 1600, 2300, 2400, 2600, 2900,
+                                         3000, 3100}));
+  EXPECT_EQ(reg.Snapshot().counter("cache.evictions"), 24u);
+}
+
 TEST(IndexCacheTest, InvalidateByKeyAndAddress) {
   obs::Registry reg;
   IndexCache cache(1 << 20, 1024, 1, &reg);
@@ -213,6 +146,47 @@ TEST(IndexCacheTest, InvalidateLevel1Covering) {
   EXPECT_GE(reg.Snapshot().counter("cache.invalidations"), 1u);
   // Covering nothing: harmless.
   cache.InvalidateLevel1Covering(150);
+}
+
+TEST(IndexCacheTest, InvalidateKeyRange) {
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
+  for (uint64_t i = 0; i < 8; i++) {
+    cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
+  }
+  cache.Insert(MakeNode(2, 0, 10'000, 8));
+  // [150, 450) intersects [100, 200) .. [400, 500) and nothing else; the
+  // level-2 node is not a translation and stays.
+  cache.InvalidateKeyRange(150, 450);
+  EXPECT_EQ(cache.level1_nodes(), 4u);
+  for (uint64_t i = 0; i < 8; i++) {
+    const bool dropped = i >= 1 && i <= 4;
+    EXPECT_EQ(cache.LookupLevel1(i * 100 + 50) == nullptr, dropped) << i;
+  }
+  EXPECT_EQ(cache.upper_nodes(), 1u);
+  EXPECT_NE(cache.LookupUpper(150), nullptr);
+  EXPECT_EQ(reg.Snapshot().counter("cache.invalidations"), 4u);
+}
+
+// InvalidateKeyRange swap-removes its victims in pool order, and later
+// evictions sample that pool, so their victims are pinned like the set in
+// EvictionVictimsArePinned.
+TEST(IndexCacheTest, EvictionAfterKeyRangeDropIsPinned) {
+  obs::Registry reg;
+  IndexCache cache(8 * 1024, 1024, 7, &reg);
+  for (uint64_t i = 0; i < 8; i++) {
+    cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
+  }
+  cache.InvalidateKeyRange(150, 450);  // drops [100, 500)
+  for (uint64_t i = 8; i < 16; i++) {
+    cache.Insert(MakeNode(1, i * 100, (i + 1) * 100, i));
+  }
+  std::vector<Key> survivors;
+  for (uint64_t i = 0; i < 16; i++) {
+    if (cache.LookupLevel1(i * 100) != nullptr) survivors.push_back(i * 100);
+  }
+  EXPECT_EQ(survivors, (std::vector<Key>{0, 500, 800, 900, 1100, 1200,
+                                         1300, 1500}));
 }
 
 TEST(IndexCacheTest, UpperNodesChargedAndBounded) {
@@ -279,15 +253,114 @@ TEST(IndexCacheTest, InvalidateUpper) {
   EXPECT_EQ(cache.LookupUpper(100), nullptr);
 }
 
-TEST(IndexCacheTest, ClearDropsEverything) {
+// Random Insert / LookupLevel1 / invalidation steps over 500 disjoint
+// level-1 intervals and four level-2 nodes, under a 64-node capacity that
+// keeps eviction and the pool's swap-remove busy. `live` holds, per lo, the
+// latest node inserted and not invalidated since. A cached node may be
+// missing (evicted) but never stale: every hit covers its key and is the
+// live node for its lo.
+TEST(IndexCacheTest, RandomizedAgainstReference) {
+  constexpr uint32_t kNodeBytes = 1024;
+  constexpr Key kWidth = 100;
+  constexpr Key kSpan = 500 * kWidth;
+  constexpr Key kUpperWidth = kSpan / 4;
   obs::Registry reg;
-  IndexCache cache(1 << 20, 1024, 1, &reg);
-  cache.Insert(MakeNode(1, 0, 100, 11));
-  cache.Insert(MakeNode(2, 0, 10'000, 12));
-  cache.Clear();
-  EXPECT_EQ(cache.level1_nodes(), 0u);
-  EXPECT_EQ(cache.LookupUpper(5), nullptr);
-  EXPECT_EQ(cache.bytes_used(), 0u);
+  IndexCache cache(64 * kNodeBytes, kNodeBytes, 3, &reg);
+  Random rng(13);
+  std::map<Key, ParsedInternal> live;
+  std::map<Key, ParsedInternal> upper;  // every level-2 node cached
+  auto insert_upper = [&](Key key) {
+    const Key lo = key / kUpperWidth * kUpperWidth;
+    const ParsedInternal n = MakeNode(2, lo, lo + kUpperWidth, 1'000'000 + lo);
+    cache.Insert(n);
+    upper[lo] = n;
+  };
+  for (Key lo = 0; lo < kSpan; lo += kUpperWidth) insert_upper(lo);
+  auto covering = [&](Key key) {
+    auto it = live.find(key / kWidth * kWidth);
+    return it != live.end() && key < it->second.hi ? it : live.end();
+  };
+  uint64_t hits = 0;
+  for (uint64_t step = 0; step < 20'000; step++) {
+    const Key key = rng.Uniform(kSpan);
+    switch (rng.Uniform(5)) {
+      case 0: {  // insert or refresh, with a fresh address and hi
+        if (rng.Uniform(20) == 0) {
+          insert_upper(key);
+          break;
+        }
+        const Key lo = key / kWidth * kWidth;
+        const ParsedInternal n =
+            MakeNode(1, lo, lo + 1 + rng.Uniform(kWidth), step);
+        cache.Insert(n);
+        live[lo] = n;
+        break;
+      }
+      case 1: {
+        const ParsedInternal* hit = cache.LookupLevel1(key);
+        if (hit == nullptr) break;
+        hits++;
+        ASSERT_EQ(hit->level, 1);
+        ASSERT_TRUE(hit->lo <= key && key < hit->hi) << key;
+        auto want = covering(key);
+        ASSERT_NE(want, live.end()) << "hit on invalidated node " << hit->lo;
+        EXPECT_EQ(hit->lo, want->second.lo);
+        EXPECT_EQ(hit->hi, want->second.hi);
+        EXPECT_EQ(hit->self, want->second.self);
+        break;
+      }
+      case 2: {
+        cache.InvalidateLevel1Covering(key);
+        auto it = covering(key);
+        if (it != live.end()) live.erase(it);
+        break;
+      }
+      case 3: {  // by address: the level-1 node's, a level-2 node's, or stale
+        const uint64_t pick = rng.Uniform(3);
+        auto it = covering(key);
+        if (pick == 0 && it != live.end()) {
+          cache.Invalidate(key, it->second.self);
+          live.erase(it);
+        } else if (pick == 1 && !upper.empty() &&
+                   upper.begin()->first <= key) {
+          auto up = std::prev(upper.upper_bound(key));
+          if (key < up->second.hi) {
+            cache.Invalidate(key, up->second.self);
+            upper.erase(up);
+          }
+        } else {
+          const size_t before = cache.level1_nodes();
+          cache.Invalidate(key, rdma::GlobalAddress(7, 64));
+          ASSERT_EQ(cache.level1_nodes(), before);
+        }
+        break;
+      }
+      case 4: {
+        const Key hi = key + 1 + rng.Uniform(5 * kWidth);
+        cache.InvalidateKeyRange(key, hi);
+        for (auto it = live.begin(); it != live.end();) {
+          const bool intersects = it->second.lo < hi && it->second.hi > key;
+          it = intersects ? live.erase(it) : std::next(it);
+        }
+        break;
+      }
+    }
+    ASSERT_LE(cache.level1_nodes(), 64u);
+    ASSERT_LE(cache.level1_nodes(), live.size());
+    ASSERT_EQ(cache.upper_nodes(), upper.size());
+    ASSERT_EQ(cache.bytes_used(),
+              (cache.level1_nodes() + cache.upper_nodes()) * kNodeBytes);
+  }
+  // Sweep: whatever is still cached is live.
+  for (Key lo = 0; lo < kSpan; lo += kWidth) {
+    const ParsedInternal* hit = cache.LookupLevel1(lo);
+    if (hit == nullptr) continue;
+    auto want = covering(lo);
+    ASSERT_NE(want, live.end()) << lo;
+    EXPECT_EQ(hit->self, want->second.self);
+  }
+  EXPECT_GT(hits, 100u);
+  EXPECT_GT(reg.Snapshot().counter("cache.evictions"), 0u);
 }
 
 TEST(IndexCacheTest, HitRatioAccounting) {
