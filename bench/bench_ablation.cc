@@ -1,17 +1,21 @@
-// Ablation benches for the design choices DESIGN.md calls out, beyond the
-// paper's own figures:
+// Ablation benches for design choices beyond the paper's own figures:
 //   (a) HOCL handover depth (the paper fixes MAX_DEPTH = 4 to avoid
 //       starving other CSs — this sweep shows the fairness/throughput
 //       trade-off);
 //   (b) command combination x two-level versions as *independent* toggles
 //       (Figures 10/11 only apply them cumulatively);
 //   (c) the §4.6 generality claim measured: the HOCL hash table with FG-
-//       style locks vs full HOCL under skewed Put traffic.
+//       style locks vs full HOCL under skewed Put traffic;
+//   (d) the §3.1 motivation measured: writes delegated over RPC to the
+//       memory servers' memory threads vs Sherman's one-sided path.
+//       Gates: every RPC-arm op is exactly one RPC, and the RPC arm stays
+//       under the num_ms / rpc_service_ns memory-thread ceiling. Exits 1
+//       when either fails.
 #include <memory>
 
 #include "common.h"
+#include "core/hybrid_system.h"
 #include "ext/hash_table.h"
-#include "ext/rpc_index.h"
 #include "lock_bench.h"
 #include "util/random.h"
 
@@ -170,50 +174,39 @@ int main(int argc, char** argv) {
   // A Cell/FaRM-style write path delegates index ops to the MS memory
   // threads; with 1-2 wimpy cores per MS (3 us per request) it caps at
   // num_ms / 3 us regardless of client count, while Sherman's one-sided
-  // path rides NIC IOPS.
+  // path rides NIC IOPS. The RPC arm pins every shard of a HybridSystem to
+  // TreeRpcService, which runs each put near memory on the same B-link
+  // tree. Its puts all update loaded keys, so no leaf split can decline
+  // one to the one-sided path: every op is exactly one RPC.
+  const rdma::FabricConfig fcfg = env.FabricCfg();
+  const double rpc_ceiling_mops = fcfg.num_memory_servers * 1000.0 /
+                                  static_cast<double>(fcfg.rpc_service_ns);
+  uint64_t rpc_not_one_rpc = 0;  // measured RPC-arm ops not served by one RPC
+  double rpc_mops_max_clients = 0;
   {
     Table table("Ablation (d): RPC-delegated writes vs one-sided Sherman "
                 "(uniform Put/Insert-only)");
     table.SetColumns({"clients", "RPC index Mops", "Sherman Mops"});
     for (int threads_per_cs : {4, 11, 22}) {
+      BenchEnv e2 = env;
+      e2.keys = env.quick ? 100'000 : 500'000;
       double rpc_mops = 0;
       {
-        rdma::FabricConfig fcfg = env.FabricCfg();
-        rdma::Fabric fabric(fcfg);
-        ext::RpcIndex index(&fabric);
-        index.BulkLoad(MakeLoadKvs(env.quick ? 100'000 : 500'000));
-        std::vector<std::unique_ptr<ext::RpcIndexClient>> clients;
-        for (int cs = 0; cs < env.num_cs; cs++) {
-          clients.push_back(std::make_unique<ext::RpcIndexClient>(&index, cs));
-        }
-        struct Ctx {
-          bool stop = false;
-          uint64_t ops = 0;
-        } ctx;
-        for (int cs = 0; cs < env.num_cs; cs++) {
-          for (int t = 0; t < threads_per_cs; t++) {
-            sim::Spawn([](ext::RpcIndexClient* c, Ctx* x,
-                          uint64_t seed) -> sim::Task<void> {
-              Random rng(seed);
-              while (!x->stop) {
-                Status st = co_await c->Put(2 + 2 * rng.Uniform(500'000), 7);
-                SHERMAN_CHECK(st.ok());
-                x->ops++;
-              }
-            }(clients[cs].get(), &ctx,
-              static_cast<uint64_t>(cs) * 100 + t));
-          }
-        }
-        const sim::SimTime window = env.quick ? 3'000'000 : 6'000'000;
-        fabric.simulator().At(window, [&ctx] { ctx.stop = true; });
-        fabric.simulator().Run();
-        rpc_mops = static_cast<double>(ctx.ops) * 1000.0 /
-                   static_cast<double>(window);
+        HybridOptions hopt;
+        hopt.tree = ShermanOptions();
+        hopt.router.policy = route::RouterOptions::Policy::kAllRpc;
+        HybridSystem system(fcfg, hopt);
+        system.BulkLoad(MakeLoadKvs(e2.keys), 0.8);
+        RunnerOptions ropt = e2.Runner(WorkloadMix::WriteOnly(), 0.0);
+        ropt.threads_per_cs = threads_per_cs;
+        ropt.workload.update_fraction = 1.0;
+        const RunResult r = RunWorkload(&system, ropt);
+        rpc_not_one_rpc += r.metrics.counter("route.ops_one_sided") +
+                           r.metrics.counter("route.rpc_fallbacks");
+        rpc_mops = r.mops;
       }
       double sherman_mops = 0;
       {
-        BenchEnv e2 = env;
-        e2.keys = env.quick ? 100'000 : 500'000;
         auto system = e2.MakeSystem(ShermanOptions());
         RunnerOptions ropt = e2.Runner(WorkloadMix::WriteOnly(), 0.0);
         ropt.threads_per_cs = threads_per_cs;
@@ -226,6 +219,7 @@ int main(int argc, char** argv) {
       telemetry.Metric(
           "d.rpc_mops@c" + std::to_string(threads_per_cs * env.num_cs),
           rpc_mops);
+      rpc_mops_max_clients = rpc_mops;
       table.AddRow({std::to_string(threads_per_cs * env.num_cs),
                     Fmt(rpc_mops), Fmt(sherman_mops)});
       std::fprintf(stderr, "[ablation-d] clients=%d done (rpc %.2f vs %.2f)\n",
@@ -233,5 +227,18 @@ int main(int argc, char** argv) {
     }
     table.Print();
   }
-  return 0;
+
+  const bool all_one_rpc = rpc_not_one_rpc == 0;
+  const bool capped = rpc_mops_max_clients <= 1.02 * rpc_ceiling_mops;
+  telemetry.Gate("d.rpc_all_one_rpc", all_one_rpc,
+                 static_cast<double>(rpc_not_one_rpc));
+  telemetry.Gate("d.rpc_capped", capped, rpc_mops_max_clients);
+  std::printf("\n(d) RPC arm: %llu ops not served by exactly one RPC (gate "
+              "0); %.2f Mops at the most clients vs the %.2f Mops "
+              "memory-thread ceiling (gate <= 1.02x)\n",
+              static_cast<unsigned long long>(rpc_not_one_rpc),
+              rpc_mops_max_clients, rpc_ceiling_mops);
+  if (all_one_rpc && capped) return 0;
+  std::printf("FAIL: ablation (d) RPC-arm gate\n");
+  return 1;
 }

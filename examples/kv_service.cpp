@@ -33,7 +33,7 @@ struct Tenant {
   int cs_first, cs_count;  // compute servers running this tenant
   // results
   uint64_t ops = 0;
-  Histogram latency;
+  Histogram latency{};
 };
 
 struct Control {

@@ -11,6 +11,9 @@ namespace sherman::bench {
 
 namespace {
 
+// Points in RunResult::series.
+constexpr int kSeriesPoints = 24;
+
 struct RunContext {
   bool measuring = false;
   bool stop = false;
@@ -215,11 +218,11 @@ RunResult RunWorkloadImpl(ShermanSystem* sherman, GetClient get_client,
   });
   // Intra-window throughput series: cumulative measured ops at evenly
   // spaced sample times.
-  for (int i = 1; i <= options.series_points; i++) {
+  for (int i = 1; i <= kSeriesPoints; i++) {
     const sim::SimTime at =
         t0 + options.warmup_ns +
         options.measure_ns * static_cast<sim::SimTime>(i) /
-            static_cast<sim::SimTime>(options.series_points);
+            static_cast<sim::SimTime>(kSeriesPoints);
     sim.At(at, [c = ctx.get(), &sim] {
       c->series.push_back({sim.now() - c->measure_start, c->stats.ops});
     });

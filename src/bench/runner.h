@@ -32,9 +32,6 @@ struct RunnerOptions {
   // doorbell-pipelined. Per-op latency is recorded as the wave elapsed
   // time — what a caller of the batch API actually observes.
   int pipeline_depth = 1;
-  // Number of equally spaced samples of cumulative measured ops taken
-  // across the measurement window (RunResult::series). 0 disables.
-  int series_points = 24;
 };
 
 // One point of the intra-window throughput time series.
@@ -51,7 +48,7 @@ struct RunResult {
   // (rdma.*, nic.*, lock.*, cache.*, route.* in hybrid runs, ...) scoped
   // to the same window as the throughput.
   obs::MetricsSnapshot metrics;
-  // Intra-window cumulative-ops samples (RunnerOptions::series_points).
+  // Intra-window cumulative-ops samples, 24 evenly spaced.
   std::vector<SeriesPoint> series;
 
   double P50Us() const { return stats.latency_ns.P50() / 1000.0; }

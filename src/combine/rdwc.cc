@@ -27,6 +27,8 @@ constexpr size_t kMaxTrackedPerShard = 64;
 // The CS-to-CS delegation hop charged to a follower served by another
 // CS's delegate.
 constexpr sim::SimTime kCrossCsHopNs = 600;
+// Consecutive cold windows that demote a hot key.
+constexpr uint32_t kDemoteWindows = 2;
 
 }  // namespace
 
@@ -61,7 +63,7 @@ void RdwcLayer::RollIfDue(Bucket* b) {
   if (now - b->window_start < options_.hot_window_ns) return;
   b->window_start = now;
   // Epoch roll: demote hot keys that stayed below half the promotion bar
-  // for demote_windows consecutive windows, drop idle candidates, and
+  // for kDemoteWindows consecutive windows, drop idle candidates, and
   // rebuild the coarse hot filter. Entries with an open window are kept
   // as-is (the window closes into them).
   const uint32_t bar = std::max<uint32_t>(1, options_.promote_threshold / 2);
@@ -70,7 +72,7 @@ void RdwcLayer::RollIfDue(Bucket* b) {
     RdwcEntry& e = it->second;
     if (e.hot) {
       if (e.hits < bar && e.win == nullptr) {
-        if (++e.cold_windows >= options_.demote_windows) {
+        if (++e.cold_windows >= kDemoteWindows) {
           e.hot = false;
           demotions_->Inc();
         }

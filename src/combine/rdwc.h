@@ -9,8 +9,7 @@
 //
 //  - A sharded delegation table tracks per-key traffic with sampled
 //    counters and promotes keys that cross `promote_threshold` hits
-//    within one `hot_window_ns` epoch (demotion after `demote_windows`
-//    cold epochs).
+//    within one `hot_window_ns` epoch (demotion after two cold epochs).
 //  - The first op on a promoted key becomes the *delegate* and opens a
 //    bounded combining window. Ops on the same key arriving while the
 //    delegate is in flight QUEUE: they park on the window. When the
@@ -74,7 +73,6 @@ struct RdwcOptions {
 
   // --- promotion / demotion ---
   uint32_t promote_threshold = 8;   // sampled hits per window to promote
-  uint32_t demote_windows = 2;      // consecutive cold windows to demote
   sim::SimTime hot_window_ns = 200'000;
   // Cold-key ops are counted 1 in 2^sample_shift (0 = count every op);
   // the rest pay only the hash + hot-bit test.

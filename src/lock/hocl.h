@@ -46,9 +46,8 @@ struct HoclOptions {
   // and releases its lanes), and then acquires normally. The period must
   // comfortably exceed the longest lock hold (multi-lock merge / flip
   // protocols hold for tens of microseconds; ordinary ops for a few);
-  // long holders renew via RenewLease. Disabled automatically under
-  // release_with_faa (the arithmetic release cannot carry a stamp).
-  bool leases = true;
+  // long holders renew via RenewLease. Off under release_with_faa (the
+  // arithmetic release cannot carry a stamp).
   sim::SimTime lease_period_ns = 100'000;
   uint32_t lease_expiry_periods = 4;
 };
@@ -148,9 +147,7 @@ class HoclClient {
 
   // The full lane value for a fresh acquisition (owner tag + lease stamp).
   uint16_t AcquireLane() const;
-  bool LeasesActive() const {
-    return options_.leases && !options_.release_with_faa;
-  }
+  bool LeasesActive() const { return !options_.release_with_faa; }
 
   rdma::Fabric* fabric_;
   int cs_id_;

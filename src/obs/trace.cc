@@ -13,6 +13,9 @@ namespace sherman::obs {
 
 namespace {
 
+// Last-N spans per ring in a flight dump.
+constexpr size_t kFlightSpans = 16;
+
 uint32_t RoundUpPow2(uint32_t v) {
   if (v < 2) return 2;
   v--;
@@ -222,9 +225,9 @@ void Tracer::DumpToStderr(const std::string& reason,
                 static_cast<unsigned long long>(now()));
   dump += hdr;
   if (rings.empty()) {
-    dump += FlightDumpAll(opts_.flight_spans);
+    dump += FlightDumpAll(kFlightSpans);
   } else {
-    for (uint32_t id : rings) dump += FlightDump(id, opts_.flight_spans);
+    for (uint32_t id : rings) dump += FlightDump(id, kFlightSpans);
   }
   dump += "=== end flight recorder ===\n";
   last_flight_dump_ = dump;

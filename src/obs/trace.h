@@ -105,7 +105,6 @@ struct RingId {
 struct TraceOptions {
   bool enabled = true;          // runtime master switch (also: SHERMAN_TRACE=0)
   uint32_t ring_entries = 4096; // per ring, rounded up to a power of two
-  uint32_t flight_spans = 16;   // last-N spans per ring in flight dumps
 };
 
 class Tracer {

@@ -74,8 +74,8 @@ class MemoryServer {
   // Installs `fn` as this MS's handler for opcodes in [lo, hi], forwarding
   // any other opcode to the previously installed handler (aborts if a
   // foreign opcode arrives with no previous handler). Lets several RPC
-  // services (chunk manager, RpcIndex, TreeRpcService) share one memory
-  // thread.
+  // services (chunk manager, leaf-hint directory, TreeRpcService) share
+  // one memory thread.
   void ChainRpcHandler(uint64_t lo, uint64_t hi, RpcHandler fn);
 
  private:

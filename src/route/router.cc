@@ -12,6 +12,11 @@ namespace {
 // Evict an admitted shard when its os_cost falls below this margin times
 // its rpc_cost at the final planned load.
 constexpr double kPruneMargin = 1.05;
+// Max planned memory-thread utilization of any MS.
+constexpr double kRpcUtilCap = 0.60;
+// Closed-loop clients arrive in bursts, not as a smooth Poisson stream;
+// scale the util/(1-util) queueing term accordingly.
+constexpr double kQueueBurst = 2.0;
 // An offloaded shard's measured one-sided cost goes stale (it only runs
 // RPC); every kProbeEpochs epochs it runs one epoch one-sided to refresh
 // the signal. Warmup-cold costs otherwise pin shards to RPC after the
@@ -69,7 +74,7 @@ double EstimateRpcNs(double planned_busy_ns, double epoch_ns,
   const double util =
       epoch_ns <= 0 ? 0.0 : std::min(planned_busy_ns / epoch_ns, 0.95);
   const double queue_ns =
-      m.queue_burst * m.rpc_service_ns * util / (1.0 - util);
+      kQueueBurst * m.rpc_service_ns * util / (1.0 - util);
   return m.rpc_wire_ns + m.rpc_service_ns + queue_ns + m.cpu_op_ns;
 }
 
@@ -128,13 +133,13 @@ std::vector<Path> PlanAssignment(const std::vector<ShardEstimate>& shards,
     const int home = home_of(s);
     const double shard_busy_ns = e.ops * model.rpc_service_ns;
     const double util_after = (busy[home] + shard_busy_ns) / epoch_ns;
-    if (util_after > opt.rpc_util_cap) continue;  // stays one-sided
+    if (util_after > kRpcUtilCap) continue;  // stays one-sided
 
     // Price the RPC path at the midpoint of this shard's own load.
     const double rpc_cost =
         EstimateRpcNs(busy[home] + shard_busy_ns / 2.0, epoch_ns, model);
     const double threshold =
-        prev[s] == Path::kRpc ? opt.return_margin : opt.offload_margin;
+        prev[s] == Path::kRpc ? kReturnMargin : kOffloadMargin;
     if (os_cost[s] > threshold * rpc_cost) {
       next[s] = Path::kRpc;
       busy[home] += shard_busy_ns;
@@ -157,7 +162,7 @@ std::vector<Path> PlanAssignment(const std::vector<ShardEstimate>& shards,
       // offload bar at its own inclusion point; evict only if the final
       // load erases (nearly) all of the predicted benefit.
       const double threshold =
-          prev[s] == Path::kRpc ? opt.return_margin : kPruneMargin;
+          prev[s] == Path::kRpc ? kReturnMargin : kPruneMargin;
       const double ratio = os_cost[s] / (threshold * rpc_cost);
       if (ratio < 1.0 && (worst == -1 || ratio < worst_ratio)) {
         worst = s;

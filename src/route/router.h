@@ -44,11 +44,6 @@ struct RouterOptions {
   int num_shards = 64;
   sim::SimTime epoch_ns = 2'000'000;  // re-plan every 2 ms of simulated time
 
-  // Planner knobs.
-  double rpc_util_cap = 0.60;   // max planned memory-thread utilization
-  double offload_margin = 1.25; // offload when os_cost > margin * rpc_cost
-  double return_margin = 0.90;  // pull back when os_cost < margin * rpc_cost
-
   // Key universe [lo, hi) covered by the shards when no explicit shard
   // boundaries are installed; hi == 0 means "set at BulkLoad from the
   // loaded keys". HybridSystem::BulkLoad installs quantile boundaries
@@ -70,9 +65,6 @@ struct RouterModel {
   double cpu_op_ns = 100;
   double cpu_search_ns = 200;
   double cpu_leaf_ns = 300;
-  // Closed-loop clients arrive in bursts, not as a smooth Poisson stream;
-  // scale the util/(1-util) queueing term accordingly.
-  double queue_burst = 2.0;
 };
 RouterModel ModelFromFabric(const rdma::FabricConfig& cfg, bool cache_enabled);
 
@@ -87,6 +79,12 @@ struct ShardEstimate {
                                   // preferred over the model when present)
   bool warm = false;              // has the shard seen traffic yet?
 };
+
+// The planner's hysteresis: a one-sided shard offloads when its cost
+// exceeds kOffloadMargin x its RPC cost, and an offloaded shard returns
+// when its cost falls below kReturnMargin x.
+inline constexpr double kOffloadMargin = 1.25;
+inline constexpr double kReturnMargin = 0.90;
 
 // Cost model (exposed for tests). Estimates are ns/op.
 double EstimateOneSidedNs(const ShardEstimate& e, const RouterModel& m);

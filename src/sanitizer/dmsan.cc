@@ -59,7 +59,7 @@ bool Checker::LaneExpired(uint16_t lane) const {
   // agrees with the protocol about what "expired" means.
   const uint16_t stamp = LockLaneStamp(lane);
   if (LockLaneOwner(lane) == 0 || stamp == 0) return false;
-  if (!cfg_.lock.leases || cfg_.lock.release_with_faa) return false;
+  if (cfg_.lock.release_with_faa) return false;
   const uint64_t period = static_cast<uint64_t>(cfg_.sim->now()) /
                           static_cast<uint64_t>(cfg_.lock.lease_period_ns);
   const uint16_t now = static_cast<uint16_t>(period % 255) + 1;

@@ -101,11 +101,6 @@ uint64_t WorkloadGenerator::NextRank() {
   } else {
     rank = zipf_ != nullptr ? zipf_->Next(rng_) : rng_.Uniform(universe());
   }
-  if (!options_.track_inserts) {
-    // Frozen key space: the drawn rank must stay inside the loaded
-    // prefix (the pre-fix invariant, kept on request).
-    SHERMAN_CHECK(rank < options_.loaded_keys);
-  }
   if (options_.hotspot_drift_ops > 0) {
     if (++ops_since_drift_ >= options_.hotspot_drift_ops) {
       ops_since_drift_ = 0;
@@ -159,18 +154,16 @@ Op WorkloadGenerator::Next() {
     // ~2/3 of inserts update existing keys, the rest insert the adjacent
     // odd key (§5.1.3). A rank drawn from the grown universe folds back
     // into the loaded prefix so the update/fresh parity is independent
-    // of how many fresh keys exist; with track_inserts the fresh odd key
-    // joins the drawable universe, where read-side ops can reach it (and
-    // re-inserting it again adds popularity weight).
+    // of how many fresh keys exist; the fresh odd key joins the drawable
+    // universe, where read-side ops can reach it (and re-inserting it
+    // again adds popularity weight).
     const uint64_t irank = rank % options_.loaded_keys;
     if (rng_.Bernoulli(options_.update_fraction)) {
       op.key = LoadedKeyFor(irank);
     } else {
       op.key = LoadedKeyFor(irank) + 1;
-      if (options_.track_inserts) {
-        fresh_keys_.push_back(op.key);
-        if (zipf_ != nullptr) zipf_->GrowTo(universe());
-      }
+      fresh_keys_.push_back(op.key);
+      if (zipf_ != nullptr) zipf_->GrowTo(universe());
     }
     op.value = ++value_counter_;
   } else if (dice < mix.insert + mix.lookup) {

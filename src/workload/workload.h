@@ -51,17 +51,6 @@ struct WorkloadOptions {
   uint64_t hotspot_drift_ops = 0;
   uint64_t hotspot_drift_step = 0;  // 0 => loaded_keys / 8
 
-  // Live-insert tracking (the frozen-Zipfian-hot-set fix): when true
-  // (default), every fresh insert this generator emits joins its
-  // drawable key space — the popularity universe grows (the Zipfian zeta
-  // sum extends incrementally), so recently inserted keys draw follow-up
-  // updates/lookups/deletes and can become hot. When false the pre-fix
-  // behavior is kept deliberately: the drawn space is frozen over the
-  // loaded prefix (the generator asserts every rank stays inside it) and
-  // post-load inserts never attract traffic — skewed insert-heavy runs
-  // silently degrade toward the loaded keys only.
-  bool track_inserts = true;
-
   // Hotspot popularity (the 99/1 extreme-skew preset bench_rdwc drives):
   // with probability `hotspot_share` an op targets a hot set of
   // `hotspot_keys` loaded keys (0 => 1% of loaded_keys) scattered over
@@ -133,8 +122,11 @@ class WorkloadGenerator {
   // Current rotation of the popularity mapping (see hotspot_drift_ops).
   uint64_t drift_offset() const { return drift_offset_; }
 
-  // The current drawable key-space size: loaded_keys plus (with
-  // track_inserts) the fresh keys this generator has inserted so far.
+  // The current drawable key-space size: loaded_keys plus the fresh keys
+  // this generator has inserted so far. Every fresh insert joins the
+  // drawable key space — the popularity universe grows (the Zipfian zeta
+  // sum extends incrementally), so recently inserted keys draw follow-up
+  // updates/lookups/deletes and can become hot.
   uint64_t universe() const {
     return options_.loaded_keys + fresh_keys_.size();
   }

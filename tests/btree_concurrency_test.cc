@@ -241,7 +241,9 @@ TEST_P(PresetConcurrencyTest, RangeQueriesDuringSplits) {
         EXPECT_TRUE(st.ok()) << st.ToString();
         for (size_t j = 0; j < out.size(); j++) {
           EXPECT_GE(out[j].first, from);
-          if (j > 0) EXPECT_LT(out[j - 1].first, out[j].first);
+          if (j > 0) {
+            EXPECT_LT(out[j - 1].first, out[j].first);
+          }
           // Value is either a bulkloaded (k*31+7) or writer value (k).
           EXPECT_TRUE(out[j].second == out[j].first * 31 + 7 ||
                       out[j].second == out[j].first)

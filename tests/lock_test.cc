@@ -447,15 +447,14 @@ TEST(HoclTest, CombinedUnlockOrdersWriteBeforeRelease) {
   const rdma::GlobalAddress node(0, 8 << 20);
 
   uint64_t observed = 0;
-  sim::Spawn([](rdma::Fabric* f, HoclClient* h,
-                rdma::GlobalAddress addr) -> sim::Task<void> {
+  sim::Spawn([](HoclClient* h, rdma::GlobalAddress addr) -> sim::Task<void> {
     LockGuard g = co_await h->Lock(addr, nullptr);
     static const uint64_t kPayload = 0xfeedface;
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(  // protocol-ok: write-back riding the Unlock under test
         rdma::WorkRequest::Write(addr, &kPayload, 8));
     co_await h->Unlock(g, std::move(wrs), /*combine=*/true, nullptr);
-  }(&fabric, &h0, node));
+  }(&h0, node));
   sim::Spawn([](rdma::Fabric* f, HoclClient* h, rdma::GlobalAddress addr,
                 uint64_t* out) -> sim::Task<void> {
     co_await f->simulator().Delay(100);  // let the other thread win the lock

@@ -1,8 +1,7 @@
 // Tests for the doorbell-batched multi-op path: TreeClient MultiGet /
 // MultiInsert correctness (including under concurrent inserts and splits),
 // HybridClient batches straddling shard and path boundaries with MS-side
-// declines falling back one-sided, the coalesced RpcIndex batch RPCs, and
-// the bench runner's pipeline depth.
+// declines falling back one-sided, and the bench runner's pipeline depth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include "bench/runner.h"
 #include "core/hybrid_system.h"
 #include "core/presets.h"
-#include "ext/rpc_index.h"
 #include "util/random.h"
 
 namespace sherman {
@@ -60,7 +58,9 @@ TEST(MultiGetTest, MatchesSingletonLookups) {
         Status single = co_await c->Lookup(keys[i], &want);
         EXPECT_EQ(got[i].status, single)
             << "key " << keys[i] << ": " << got[i].status.ToString();
-        if (single.ok()) EXPECT_EQ(got[i].value, want) << "key " << keys[i];
+        if (single.ok()) {
+          EXPECT_EQ(got[i].value, want) << "key " << keys[i];
+        }
       }
     }
     *flag = true;
@@ -603,50 +603,6 @@ TEST(HybridMultiOpTest, RangeQueryCrossesShardAndMsBoundaries) {
     *flag = true;
   }(&system, n, &done));
   system.simulator().Run();
-  ASSERT_TRUE(done);
-}
-
-// --- coalesced RpcIndex batches --------------------------------------------
-
-TEST(RpcIndexMultiOpTest, OneRequestPerShard) {
-  rdma::Fabric fabric(SmallFabric(/*ms=*/4));
-  ext::RpcIndex index(&fabric);
-  std::vector<std::pair<uint64_t, uint64_t>> kvs;
-  for (uint64_t k = 1; k <= 500; k++) kvs.emplace_back(k, k * 11);
-  index.BulkLoad(kvs);
-
-  ext::RpcIndexClient client(&index, 0);
-  bool done = false;
-  sim::Spawn([](ext::RpcIndexClient* c, bool* flag) -> sim::Task<void> {
-    // 64 keys over 4 hash shards: one coalesced RPC per shard.
-    std::vector<uint64_t> keys;
-    for (uint64_t k = 1; k <= 64; k++) keys.push_back(k);
-    keys.push_back(9'999);  // absent
-    OpStats stats;
-    std::vector<MultiGetResult> got;
-    Status st = co_await c->MultiGet(keys, &got, &stats);
-    EXPECT_TRUE(st.ok());
-    for (size_t i = 0; i + 1 < keys.size(); i++) {
-      EXPECT_TRUE(got[i].status.ok()) << "key " << keys[i];
-      EXPECT_EQ(got[i].value, keys[i] * 11);
-    }
-    EXPECT_TRUE(got.back().status.IsNotFound());
-    EXPECT_LE(stats.round_trips, 4u);
-
-    // Coalesced writes, visible to subsequent gets.
-    std::vector<std::pair<uint64_t, uint64_t>> batch;
-    for (uint64_t k = 1; k <= 32; k++) batch.emplace_back(k, k * 13);
-    EXPECT_TRUE((co_await c->MultiPut(batch, nullptr)).ok());
-    std::vector<uint64_t> back;
-    for (uint64_t k = 1; k <= 32; k++) back.push_back(k);
-    std::vector<MultiGetResult> after;
-    EXPECT_TRUE((co_await c->MultiGet(back, &after, nullptr)).ok());
-    for (size_t i = 0; i < back.size(); i++) {
-      EXPECT_EQ(after[i].value, back[i] * 13);
-    }
-    *flag = true;
-  }(&client, &done));
-  fabric.simulator().Run();
   ASSERT_TRUE(done);
 }
 

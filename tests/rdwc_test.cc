@@ -55,7 +55,6 @@ TEST(RdwcTableTest, PromotesAtThresholdAndDemotesAfterColdWindows) {
   opt.enable_delegation = true;
   opt.sample_shift = 0;
   opt.promote_threshold = 4;
-  opt.demote_windows = 2;
   opt.hot_window_ns = 1'000;
   combine::RdwcLayer layer(&fabric.simulator(), opt, &fabric.registry());
 

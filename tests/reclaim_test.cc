@@ -241,7 +241,9 @@ TEST(LeafMergeTest, ReadersSurviveConcurrentMerges) {
       uint64_t v = 0;
       Status st = co_await c->Lookup(k, &v);
       EXPECT_TRUE(st.ok()) << "survivor key " << k << ": " << st.ToString();
-      if (st.ok()) EXPECT_EQ(v, k * 31 + 7);
+      if (st.ok()) {
+        EXPECT_EQ(v, k * 31 + 7);
+      }
       if (i % 8 == 0) {
         std::vector<std::pair<Key, uint64_t>> out;
         st = co_await c->RangeQuery(k, 40, &out);

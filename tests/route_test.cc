@@ -1,7 +1,8 @@
 // Tests for the adaptive hybrid offload subsystem (src/route/):
 //  - shard mapping and the planner's cost model / assignment decisions,
 //  - hotness tracking and epoch flipping under injected contention stats,
-//  - the MS-side tree executor (correctness, lock-decline, fallback),
+//  - the MS-side tree executor (correctness, lock-decline, fallback, and
+//    the memory-thread throughput ceiling),
 //  - integration: hybrid throughput >= max(pure one-sided, pure RPC) on a
 //    canned skewed write-intensive mix and a cold-cache uniform read mix.
 #include <gtest/gtest.h>
@@ -121,7 +122,6 @@ RouterModel TestModel() {
   // descent, the regime where MS-side offload has the most to offer.
   m.cache_enabled = false;
   m.num_ms = 2;
-  m.queue_burst = 2.0;
   return m;
 }
 
@@ -189,7 +189,6 @@ TEST(RouterPlanTest, CapacityCapLimitsOffload) {
   RouterOptions opt;
   opt.num_shards = 8;
   opt.epoch_ns = 1'000'000;
-  opt.rpc_util_cap = 0.6;
 
   // Every shard would like to offload, but together they would swamp the
   // two memory threads: 8 shards x 60 ops x 3000 ns = 1.44 ms of service
@@ -222,8 +221,8 @@ TEST(RouterPlanTest, HysteresisKeepsBorderlineShards) {
   ShardEstimate e = ColdReadShard(10);
   const double rpc = route::EstimateRpcNs(10 * 3000.0 / 2, 1e6, m);
   e.os_ns = 1.05 * rpc;
-  ASSERT_GT(e.os_ns, opt.return_margin * rpc);
-  ASSERT_LT(e.os_ns, opt.offload_margin * rpc);
+  ASSERT_GT(e.os_ns, route::kReturnMargin * rpc);
+  ASSERT_LT(e.os_ns, route::kOffloadMargin * rpc);
 
   const std::vector<double> backlog(2, 0.0);
   EXPECT_EQ(route::PlanAssignment({e}, {Path::kOneSided}, backlog, m, opt)[0],
@@ -469,6 +468,35 @@ TEST(TreeRpcTest, FullLeafInsertFallsBackAndSplitsOneSided) {
   EXPECT_TRUE(done);
   EXPECT_GT(Count(&system, "route.rpc_fallbacks"), 0u);
   system.sherman().DebugCheckInvariants();
+}
+
+// The §3.1 motivation in miniature: with every shard on the RPC path, 8x
+// the clients does NOT scale throughput. Each MS's one memory thread
+// serves one request per rpc_service_ns, so 2 MSs cap at 2 / 3 us ~= 0.67
+// Mops however many clients call.
+TEST(TreeRpcTest, ThroughputCappedByMemoryThreads) {
+  const auto run = [](int clients) {
+    HybridSystem system(SmallFabric(),
+                        SmallHybrid(8, RouterOptions::Policy::kAllRpc));
+    system.BulkLoad(bench::MakeLoadKvs(10'000), 0.8);
+    bench::RunnerOptions r;
+    r.threads_per_cs = clients / 2;
+    r.workload.mix = WorkloadMix::WriteOnly();
+    r.workload.loaded_keys = 10'000;
+    // Updates only: no leaf split can decline a put to the one-sided path.
+    r.workload.update_fraction = 1.0;
+    r.warmup_ns = 500'000;
+    r.measure_ns = 3'000'000;
+    const bench::RunResult res = bench::RunWorkload(&system, r);
+    EXPECT_EQ(res.metrics.counter("route.ops_one_sided"), 0u);
+    EXPECT_EQ(res.metrics.counter("route.rpc_fallbacks"), 0u);
+    return res.mops;
+  };
+  const double mops_8 = run(8);
+  const double mops_64 = run(64);
+  EXPECT_LT(mops_64, 0.70);
+  EXPECT_LT(mops_64, mops_8 * 2.0) << "should saturate, not scale";
+  EXPECT_GT(mops_64, mops_8 * 0.8);
 }
 
 #if SHERMAN_TRACE_ENABLED

@@ -100,7 +100,7 @@ TEST_F(DmsanTest, V1_UnlockedWriteToLiveNode) {
 
 TEST_F(DmsanTest, V1_WriteUnderExpiredLease) {
   TreeOptions topt = ShermanOptions();
-  ASSERT_TRUE(topt.lock.leases);
+  ASSERT_FALSE(topt.lock.release_with_faa);
   ShermanSystem system(SmallFabric(), topt);
   system.BulkLoad(SeedKvs(64), 0.8);
   dmsan::Checker* checker = system.dmsan_checker();
