@@ -56,7 +56,7 @@ struct VarCtx {
 // bytes), so each hot key promotes its own delegation entry and windows
 // collect same-full-key followers instead of mismatch-bypassing.
 std::string VarKeyFor(uint64_t rank) {
-  char kb[16];
+  char kb[24];  // room for any 64-bit rank
   std::snprintf(kb, sizeof(kb), "k%07llu",
                 static_cast<unsigned long long>(rank));
   return std::string(kb);

@@ -1578,7 +1578,8 @@ sim::Task<Status> TreeClient::MultiGetRecords(
 template <class Apply>
 sim::Task<void> TreeClient::ApplyGroups(
     const std::vector<rdma::GlobalAddress>& planned,
-    std::vector<uint8_t>* defer, OpStats* stats, Apply apply) {
+    std::vector<uint8_t>* defer, [[maybe_unused]] OpStats* stats,
+    Apply apply) {
   std::map<uint64_t, std::vector<size_t>> groups;  // leaf addr -> items
   for (size_t i = 0; i < planned.size(); i++) {
     if (planned[i].is_null()) {

@@ -155,11 +155,8 @@ void ShermanSystem::BulkLoadVar(
   const bool checksum_mode =
       options_.consistency == TreeOptions::Consistency::kChecksum;
 
-  std::vector<VarEntry> entries;
-  entries.reserve(kvs.size());
   for (size_t i = 0; i < kvs.size(); i++) {
     const std::string& k = kvs[i].first;
-    const std::string& v = kvs[i].second;
     SHERMAN_CHECK_MSG(!k.empty() && k.size() <= shape.max_key_len,
                       "bulk key length out of range");
     const Key rk = RoutingKeyFor(k);
@@ -169,61 +166,74 @@ void ShermanSystem::BulkLoadVar(
                                  "bulk load keys must be sorted and unique");
     // The offline loader has no value-log appender; longer values go
     // through InsertVar on a running client.
-    SHERMAN_CHECK_MSG(v.size() <= kInlineThreshold,
+    SHERMAN_CHECK_MSG(kvs[i].second.size() <= kInlineThreshold,
                       "BulkLoadVar values must be inline-sized");
-    VarEntry e;
-    e.key = k;
-    e.payload.assign(v.begin(), v.end());
-    e.vlen = static_cast<uint16_t>(v.size());
-    e.outline = false;
-    entries.push_back(std::move(e));
   }
 
   // Greedy byte-budget packing: leaves close at ~`fill` of the usable
   // byte budget, and a routing-key group (keys sharing the first 8 bytes)
   // never splits across leaves — splits can only cut at routing
-  // boundaries, so neither can the loader.
+  // boundaries, so neither can the loader. A sorted run's common prefix
+  // p is the LCP of its first and last key, and the run needs p plus its
+  // slot, key and value bytes minus p per entry (VarBytesNeeded), so a
+  // running byte sum prices each group against the open leaf in O(1).
   const uint64_t budget = shape.var_usable_bytes();
   const uint64_t target = std::max<uint64_t>(
       1, static_cast<uint64_t>(static_cast<double>(budget) * fill));
-  std::vector<std::vector<VarEntry>> leaf_groups;
-  std::vector<VarEntry> cur;
+  std::vector<size_t> leaf_start = {0};  // first entry of each leaf
+  uint64_t open_bytes = 0;  // slot, key and value bytes of the open leaf
   size_t i = 0;
-  while (i < entries.size()) {
+  while (i < kvs.size()) {
     size_t j = i;
-    const Key rk = RoutingKeyFor(entries[i].key);
-    while (j < entries.size() && RoutingKeyFor(entries[j].key) == rk) j++;
-    std::vector<VarEntry> cand = cur;
-    cand.insert(cand.end(), entries.begin() + i, entries.begin() + j);
-    const uint64_t need = VarBytesNeeded(cand, VarCommonPrefix(cand));
-    if (!cur.empty() && need > target) {
-      leaf_groups.push_back(std::move(cur));
-      cur.clear();
+    uint64_t group_bytes = 0;
+    const Key rk = RoutingKeyFor(kvs[i].first);
+    for (; j < kvs.size() && RoutingKeyFor(kvs[j].first) == rk; j++) {
+      group_bytes +=
+          kVarSlotSize + kvs[j].first.size() + kvs[j].second.size();
+    }
+    const size_t first = leaf_start.back();
+    const std::string& a = kvs[first].first;
+    const std::string& b = kvs[j - 1].first;
+    const size_t max_p = std::min<size_t>({a.size(), b.size(), 255});
+    size_t p = 0;  // as VarCommonPrefix: the LCP, capped at 255
+    while (p < max_p && a[p] == b[p]) p++;
+    const uint64_t need = p + open_bytes + group_bytes - (j - first) * p;
+    if (first < i && need > target) {
+      leaf_start.push_back(i);
+      open_bytes = 0;
       continue;  // retry this routing group against a fresh leaf
     }
     SHERMAN_CHECK_MSG(need <= budget,
                       "routing-key group exceeds leaf capacity");
-    cur = std::move(cand);
+    open_bytes += group_bytes;
     i = j;
   }
-  if (!cur.empty() || leaf_groups.empty()) leaf_groups.push_back(std::move(cur));
 
-  const size_t num_leaves = leaf_groups.size();
+  const size_t num_leaves = leaf_start.size();
   std::vector<rdma::GlobalAddress> addrs(num_leaves);
   for (size_t l = 0; l < num_leaves; l++) addrs[l] = AllocBulk(shape.node_size);
 
   std::vector<std::pair<rdma::GlobalAddress, Key>> level_nodes;
   level_nodes.reserve(num_leaves);
+  std::vector<VarEntry> entries;
   for (size_t l = 0; l < num_leaves; l++) {
-    const Key lo = (l == 0) ? 0 : RoutingKeyFor(leaf_groups[l].front().key);
-    const Key hi = (l + 1 == num_leaves)
-                       ? kMaxKey
-                       : RoutingKeyFor(leaf_groups[l + 1].front().key);
+    const size_t end = (l + 1 == num_leaves) ? kvs.size() : leaf_start[l + 1];
+    entries.clear();
+    for (size_t e = leaf_start[l]; e < end; e++) {
+      const std::string& v = kvs[e].second;
+      VarEntry& entry = entries.emplace_back();
+      entry.key = kvs[e].first;
+      entry.payload.assign(v.begin(), v.end());
+      entry.vlen = static_cast<uint16_t>(v.size());
+    }
+    const Key lo = (l == 0) ? 0 : RoutingKeyFor(kvs[leaf_start[l]].first);
+    const Key hi =
+        (l + 1 == num_leaves) ? kMaxKey : RoutingKeyFor(kvs[end].first);
     const rdma::GlobalAddress sibling =
         (l + 1 == num_leaves) ? rdma::kNullAddress : addrs[l + 1];
     NodeView view(fabric_.HostRaw(addrs[l]), &shape);
     view.InitLeaf(lo, hi, sibling);
-    SHERMAN_CHECK(BuildVarLeaf(&view, leaf_groups[l]));
+    SHERMAN_CHECK(BuildVarLeaf(&view, entries));
     if (checksum_mode) view.UpdateChecksum();
     if (dmsan_ != nullptr) dmsan_->PublishNode(addrs[l], /*level=*/0);
     if (!hints_.empty()) hints_[addrs[l].node]->SeedDirect(lo, addrs[l]);

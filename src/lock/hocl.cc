@@ -120,17 +120,19 @@ bool HoclClient::AcquireLocal(LocalLockTable::LocalLock& local) {
   return true;  // caller must park (wait queue) or spin
 }
 
-void HoclClient::ReleaseLocal(LocalLockTable::LocalLock& local) {
-  // Same discipline as Unlock's tail: waiters may have queued meanwhile.
+void HoclClient::ReleaseLocal(const GlobalLockRef& ref) {
+  LocalLockTable::LocalLock& local = llt_.Get(ref.ms, ref.index);
   local.handover_depth = 0;
-  local.held = false;
   if (options_.wait_queue && !local.wait_queue.empty()) {
+    // Transfer local ownership FIFO; the successor re-acquires the global
+    // lock itself. Fire resumes it inline, so `local` is not touched after.
     LocalLockTable::Waiter* w = local.wait_queue.front();
     local.wait_queue.pop_front();
-    local.held = true;  // transfer local ownership FIFO
     w->handover = false;
     w->signal.Fire();
+    return;
   }
+  llt_.Drop(ref.ms, ref.index);
 }
 
 sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
@@ -158,11 +160,12 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
   // Hierarchical path: serialize conflicting threads of this CS locally
   // before touching the network (lines 6-16 of Figure 6).
   while (true) {
-    LocalLockTable::LocalLock& local = llt_.Get(guard.ref.ms, guard.ref.index);
-    if (AcquireLocal(local)) {
+    LocalLockTable::LocalLock* local =
+        &llt_.Get(guard.ref.ms, guard.ref.index);
+    if (AcquireLocal(*local)) {
       if (options_.wait_queue) {
         LocalLockTable::Waiter waiter;
-        local.wait_queue.push_back(&waiter);
+        local->wait_queue.push_back(&waiter);
         co_await waiter.signal;  // woken by Unlock, holding the local lock
         if (waiter.handover) {
           guard.via_handover = true;
@@ -173,11 +176,14 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
           co_return guard;  // global lock inherited: no remote access needed
         }
       } else {
-        // No wait queue: unfair local spinning.
-        while (local.held) {
+        // No wait queue: unfair local spinning. A spinner neither holds
+        // nor queues, so the holder's release may drop the entry; fetch
+        // it again after every delay.
+        do {
           co_await fabric_->simulator().Delay(kLocalSpinNs);
-        }
-        local.held = true;
+          local = &llt_.Get(guard.ref.ms, guard.ref.index);
+        } while (local->held);
+        local->held = true;
       }
     }
 
@@ -190,7 +196,7 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
     // local lane while the recoverer needs it would deadlock this CS
     // against itself. After recovery the full local+global acquisition
     // re-runs (another local thread may legitimately have won meanwhile).
-    ReleaseLocal(local);
+    ReleaseLocal(guard.ref);
     lease_steals_->Inc();
     SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
                      "lock.lease_steal", dead_tag);
@@ -251,7 +257,7 @@ sim::Task<Status> HoclClient::TryLock(rdma::GlobalAddress node_addr,
     }
   }
 
-  if (!acquired && local != nullptr) ReleaseLocal(*local);
+  if (!acquired && local != nullptr) ReleaseLocal(g.ref);
   if (acquired) {
     *guard = g;
     co_return Status::OK();
@@ -389,18 +395,7 @@ sim::Task<void> HoclClient::Unlock(LockGuard guard,
   // cannot decode it from the posted WR; clear the shadow explicitly.
   if (options_.release_with_faa) DmsanLockReleased(fabric_, cs_id_, ref);
 
-  if (options_.hierarchical) {
-    local->handover_depth = 0;
-    local->held = false;
-    if (options_.wait_queue && !local->wait_queue.empty()) {
-      // Wake the successor; it re-acquires local + global itself.
-      LocalLockTable::Waiter* w = local->wait_queue.front();
-      local->wait_queue.pop_front();
-      local->held = true;  // transfer local ownership FIFO
-      w->handover = false;
-      w->signal.Fire();
-    }
-  }
+  if (options_.hierarchical) ReleaseLocal(ref);
   co_return;
 }
 

@@ -125,6 +125,9 @@ class HoclClient {
 
   const HoclOptions& options() const { return options_; }
 
+  // CS-local lanes currently held or waited on.
+  size_t live_local_lanes() const { return llt_.touched(); }
+
   // The 16-bit owner tag this CS writes into a lock it owns (low byte of
   // the lane).
   uint16_t OwnerTag() const { return static_cast<uint16_t>(cs_id_) + 1; }
@@ -138,12 +141,12 @@ class HoclClient {
   sim::Task<void> AcquireGlobal(const GlobalLockRef& ref, OpStats* stats,
                                 uint16_t* dead_tag_out = nullptr);
 
-  // Local-lane helpers shared by Lock's acquisition loop and the bounded
-  // TryLock. AcquireLocal returns true when the lane is contended (the
-  // caller parks or spins); ReleaseLocal hands the lane to the next local
-  // waiter FIFO.
+  // Local-lane helpers shared by Lock's acquisition loop, the bounded
+  // TryLock and Unlock. AcquireLocal returns true when the lane is
+  // contended (the caller parks or spins); ReleaseLocal hands the lane to
+  // the next local waiter FIFO, or drops its entry when nobody waits.
   bool AcquireLocal(LocalLockTable::LocalLock& local);
-  void ReleaseLocal(LocalLockTable::LocalLock& local);
+  void ReleaseLocal(const GlobalLockRef& ref);
 
   // The full lane value for a fresh acquisition (owner tag + lease stamp).
   uint16_t AcquireLane() const;

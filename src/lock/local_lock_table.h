@@ -55,13 +55,20 @@ class LocalLockTable {
     std::deque<Waiter*> wait_queue;
   };
 
-  // The local lock for GLT slot `index` on memory server `ms`. Lazily
-  // created: the paper's flat n-MB array is modeled sparsely since only
-  // touched locks matter.
+  // The local lock for GLT slot `index` on memory server `ms`. The paper's
+  // flat n-MB array is modeled sparsely: an entry is created on first use
+  // and dropped once its lane goes idle (not held, nobody queued), so the
+  // table holds only live lanes. A reference from Get stays valid while
+  // the lane is live; a coroutine that waits without holding or queueing
+  // (local spinning) must call Get again after each wait.
   LocalLock& Get(uint16_t ms, uint32_t index) {
     return locks_[Key(ms, index)];
   }
 
+  // Forgets an idle lane's entry.
+  void Drop(uint16_t ms, uint32_t index) { locks_.erase(Key(ms, index)); }
+
+  // Lanes with an entry: the live ones.
   size_t touched() const { return locks_.size(); }
 
  private:

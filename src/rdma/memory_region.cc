@@ -7,25 +7,33 @@
 
 namespace sherman::rdma {
 
-MemoryRegion::MemoryRegion(uint64_t size) : size_(size), data_(size, 0) {}
+// calloc serves a large block from fresh zero pages without writing them
+// (glibc maps any block above its mmap threshold, at most 32 MB), so a
+// page costs host memory only once the run touches it.
+MemoryRegion::MemoryRegion(uint64_t size)
+    : size_(size),
+      data_(static_cast<uint8_t*>(std::calloc(size > 0 ? size : 1, 1))) {
+  SHERMAN_CHECK_MSG(data_ != nullptr, "cannot allocate a %llu-byte region",
+                    static_cast<unsigned long long>(size));
+}
 
 uint8_t* MemoryRegion::raw(uint64_t offset) {
   SHERMAN_CHECK_MSG(offset <= size_, "offset %llu beyond region size %llu",
                     static_cast<unsigned long long>(offset),
                     static_cast<unsigned long long>(size_));
-  return data_.data() + offset;
+  return data_.get() + offset;
 }
 
 const uint8_t* MemoryRegion::raw(uint64_t offset) const {
   SHERMAN_CHECK(offset <= size_);
-  return data_.data() + offset;
+  return data_.get() + offset;
 }
 
 uint64_t MemoryRegion::BeginRead(uint64_t offset, uint32_t len, uint8_t* dst,
                                  sim::SimTime start, sim::SimTime end) {
   SHERMAN_CHECK(offset + len <= size_);
   SHERMAN_CHECK(end >= start);
-  std::memcpy(dst, data_.data() + offset, len);
+  std::memcpy(dst, data_.get() + offset, len);
   const uint64_t handle = next_handle_++;
   inflight_.push_back(InflightRead{handle, offset, len, dst, start, end});
   return handle;
@@ -53,7 +61,7 @@ uint64_t MemoryRegion::Progress(const InflightRead& r, sim::SimTime now) {
 void MemoryRegion::Write(sim::SimTime now, uint64_t offset, const uint8_t* src,
                          uint32_t len) {
   SHERMAN_CHECK(offset + len <= size_);
-  std::memcpy(data_.data() + offset, src, len);
+  std::memcpy(data_.get() + offset, src, len);
   // Patch the not-yet-transferred suffix of overlapping in-flight reads:
   // bytes below the DMA progress point were already transferred and keep
   // their old value in the reader's buffer.
@@ -71,7 +79,7 @@ void MemoryRegion::Write(sim::SimTime now, uint64_t offset, const uint8_t* src,
 uint64_t MemoryRegion::Read64(uint64_t offset) const {
   SHERMAN_CHECK(offset + 8 <= size_);
   uint64_t v;
-  std::memcpy(&v, data_.data() + offset, 8);
+  std::memcpy(&v, data_.get() + offset, 8);
   return v;
 }
 

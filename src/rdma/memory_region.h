@@ -7,12 +7,17 @@
 // window patches only the suffix of the reader's buffer that the DMA has not
 // yet passed. This reproduces torn reads — and their rarity (Figure 14a) —
 // with the exact semantics Sherman's version checks rely on.
+//
+// The bytes are lazily zeroed: a fresh region reads 0 everywhere, but its
+// pages are only backed by host memory once touched, so a deployment's
+// simulated DRAM costs the host only what a run actually uses.
 #ifndef SHERMAN_RDMA_MEMORY_REGION_H_
 #define SHERMAN_RDMA_MEMORY_REGION_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <list>
-#include <vector>
+#include <memory>
 
 #include "sim/event_queue.h"
 
@@ -21,6 +26,9 @@ namespace sherman::rdma {
 class MemoryRegion {
  public:
   explicit MemoryRegion(uint64_t size);
+
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   uint64_t size() const { return size_; }
 
@@ -62,8 +70,12 @@ class MemoryRegion {
   // First byte address the DMA has NOT yet transferred at time `now`.
   static uint64_t Progress(const InflightRead& r, sim::SimTime now);
 
+  struct Free {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   uint64_t size_;
-  std::vector<uint8_t> data_;
+  std::unique_ptr<uint8_t[], Free> data_;
   std::list<InflightRead> inflight_;
   uint64_t next_handle_ = 1;
 };

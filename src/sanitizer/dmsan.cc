@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -305,13 +306,18 @@ void Checker::NoteValidated(const void* buf, uint32_t len) {
 
 // --- taint -----------------------------------------------------------------
 
+std::map<uintptr_t, Checker::Taint>::iterator Checker::TaintsFrom(
+    uintptr_t begin) {
+  // The ranges are disjoint, so of those starting before `begin` only the
+  // last can reach past it.
+  auto it = taints_.lower_bound(begin);
+  if (it != taints_.begin() && std::prev(it)->second.end > begin) --it;
+  return it;
+}
+
 void Checker::DropTaintOverlapping(uintptr_t begin, uintptr_t end) {
-  for (auto it = taints_.begin(); it != taints_.end();) {
-    if (it->begin < end && it->end > begin) {
-      it = taints_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto it = TaintsFrom(begin); it != taints_.end() && it->first < end;) {
+    it = taints_.erase(it);
   }
 }
 
@@ -324,7 +330,7 @@ void Checker::AddTaint(int cs, const rdma::WorkRequest& wr) {
   if (taints_.size() > 1024) {
     const uint64_t now = static_cast<uint64_t>(cfg_.sim->now());
     for (auto it = taints_.begin(); it != taints_.end();) {
-      if (now - it->at > kTaintTtlNs) {
+      if (now - it->second.at > kTaintTtlNs) {
         it = taints_.erase(it);
       } else {
         ++it;
@@ -333,10 +339,9 @@ void Checker::AddTaint(int cs, const rdma::WorkRequest& wr) {
   }
   Taint t;
   t.src = wr.remote;
-  t.begin = begin;
   t.end = end;
   t.at = static_cast<uint64_t>(cfg_.sim->now());
-  taints_.push_back(t);
+  taints_.emplace(begin, t);
 }
 
 // --- checks ----------------------------------------------------------------
@@ -490,8 +495,10 @@ void Checker::CheckWrite(int cs, const rdma::WorkRequest& wr) {
         const uintptr_t sb = reinterpret_cast<uintptr_t>(wr.local_buf);
         const uintptr_t se = sb + wr.length;
         const uint64_t now = static_cast<uint64_t>(cfg_.sim->now());
-        for (const Taint& t : taints_) {
-          if (t.begin < se && t.end > sb && now - t.at <= kTaintTtlNs) {
+        for (auto it = TaintsFrom(sb); it != taints_.end() && it->first < se;
+             ++it) {
+          const Taint& t = it->second;
+          if (now - t.at <= kTaintTtlNs) {
             std::ostringstream os;
             os << "cs " << cs << " writes node " << wr.remote.node << ":"
                << wr.remote.offset

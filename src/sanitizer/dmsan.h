@@ -174,9 +174,8 @@ class Checker {
   struct LaneShadow {
     uint16_t lane = 0;  // 0 = free
   };
-  struct Taint {
+  struct Taint {  // keyed by the buffer's first byte in taints_
     rdma::GlobalAddress src;
-    uintptr_t begin = 0;
     uintptr_t end = 0;
     uint64_t at = 0;  // sim time of the read post
   };
@@ -215,6 +214,8 @@ class Checker {
   void DecodeLaneWrite(int cs, const rdma::WorkRequest& wr);
   void DecodeIntentWrite(const rdma::WorkRequest& wr);
   void AddTaint(int cs, const rdma::WorkRequest& wr);
+  // The first taint that can overlap a range starting at `begin`.
+  std::map<uintptr_t, Taint>::iterator TaintsFrom(uintptr_t begin);
   void DropTaintOverlapping(uintptr_t begin, uintptr_t end);
 
   void Report(int rule, rdma::GlobalAddress addr, int actor, int other,
@@ -231,7 +232,9 @@ class Checker {
   std::map<uint64_t, LaneShadow> lanes_;
   // cs -> bitmap of published intent slots (decoded from slab writes).
   std::map<int, uint32_t> intent_live_;
-  std::vector<Taint> taints_;
+  // Local buffers holding unvalidated lock-free reads, by first byte.
+  // AddTaint drops every overlap first, so the ranges never overlap.
+  std::map<uintptr_t, Taint> taints_;
 
   std::vector<Violation> findings_;
   uint64_t checked_wrs_ = 0;

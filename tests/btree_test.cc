@@ -926,6 +926,124 @@ TEST(VarTreeTest, BulkLoadVarRoundTripsAndScans) {
   }
 }
 
+// The greedy packing rule BulkLoadVar implements, written the direct way
+// as the reference: each routing-key group joins the open leaf unless the
+// leaf plus the group, priced by VarBytesNeeded under their common
+// prefix, would pass the fill target. Returns each leaf's (lo fence,
+// entry count).
+std::vector<std::pair<Key, uint32_t>> GreedyVarLeaves(
+    const std::vector<std::pair<std::string, std::string>>& kvs,
+    const TreeShape& shape, double fill) {
+  const uint64_t target = std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             static_cast<double>(shape.var_usable_bytes()) * fill));
+  std::vector<std::vector<VarEntry>> leaves;
+  std::vector<VarEntry> cur;
+  size_t i = 0;
+  while (i < kvs.size()) {
+    const Key rk = RoutingKeyFor(kvs[i].first);
+    std::vector<VarEntry> cand = cur;
+    size_t j = i;
+    for (; j < kvs.size() && RoutingKeyFor(kvs[j].first) == rk; j++) {
+      VarEntry e;
+      e.key = kvs[j].first;
+      e.payload.assign(kvs[j].second.begin(), kvs[j].second.end());
+      e.vlen = static_cast<uint16_t>(kvs[j].second.size());
+      cand.push_back(std::move(e));
+    }
+    if (!cur.empty() && VarBytesNeeded(cand, VarCommonPrefix(cand)) > target) {
+      leaves.push_back(std::move(cur));
+      cur.clear();
+      continue;
+    }
+    cur = std::move(cand);
+    i = j;
+  }
+  if (!cur.empty() || leaves.empty()) leaves.push_back(std::move(cur));
+  std::vector<std::pair<Key, uint32_t>> out;
+  for (size_t l = 0; l < leaves.size(); l++) {
+    const Key lo = l == 0 ? 0 : RoutingKeyFor(leaves[l].front().key);
+    out.emplace_back(lo, static_cast<uint32_t>(leaves[l].size()));
+  }
+  return out;
+}
+
+// Random sorted string records that stress the packing arithmetic: keys
+// over a 4-letter alphabet (short shared prefixes across groups), groups
+// of up to four keys sharing an 8-byte routing prefix, groups sharing a
+// long (16-50 byte) prefix, and inline values of 0-64 bytes.
+std::vector<std::pair<std::string, std::string>> PackingKvs(uint64_t seed,
+                                                            size_t n) {
+  Random rng(seed);
+  auto letters = [&rng](size_t len) {
+    std::string s(len, 'a');
+    for (char& c : s) c = static_cast<char>('a' + rng.Uniform(4));
+    return s;
+  };
+  std::map<std::string, std::string> kvs;
+  std::map<Key, int> group_size;
+  auto add = [&](const std::string& k) {
+    int& g = group_size[RoutingKeyFor(k)];
+    if (g == 4 || kvs.count(k) != 0) return;
+    g++;
+    const size_t vlen = rng.Uniform(kInlineThreshold + 1);
+    kvs[k] = std::string(vlen, static_cast<char>('A' + rng.Uniform(26)));
+  };
+  while (kvs.size() < n) {
+    switch (rng.Uniform(3)) {
+      case 0:
+        add(letters(1 + rng.Uniform(40)));
+        break;
+      case 1: {
+        const std::string routing = letters(8);
+        for (uint64_t k = 1 + rng.Uniform(4); k > 0; k--) {
+          add(routing + letters(1 + rng.Uniform(20)));
+        }
+        break;
+      }
+      default: {
+        const std::string prefix = letters(16 + rng.Uniform(35));
+        for (uint64_t k = 1 + rng.Uniform(4); k > 0; k--) {
+          add(prefix + letters(1 + rng.Uniform(64 - prefix.size())));
+        }
+      }
+    }
+  }
+  return {kvs.begin(), kvs.end()};
+}
+
+// BulkLoadVar prices leaves from running byte sums; it must cut exactly
+// where the direct greedy rule cuts, at every fill.
+TEST(VarTreeTest, BulkLoadVarMatchesGreedyPacking) {
+  for (const double fill : {0.5, 0.8, 1.0}) {
+    for (uint64_t seed = 1; seed <= 3; seed++) {
+      SCOPED_TRACE(testing::Message() << "fill " << fill << " seed " << seed);
+      ShermanSystem system(SmallFabric(), VarOptions(1024));
+      const auto kvs = PackingKvs(seed, 1'500);
+      system.BulkLoadVar(kvs, fill);
+      system.DebugCheckInvariants();
+      EXPECT_EQ(system.DebugScanLeavesVar(), kvs);
+
+      const TreeShape& shape = system.options().shape;
+      std::vector<std::pair<Key, uint32_t>> loaded;
+      rdma::GlobalAddress addr = system.DebugRootAddr();
+      while (true) {
+        NodeView view(system.fabric().HostRaw(addr), &shape);
+        if (view.is_leaf()) break;
+        addr = view.leftmost_child();
+      }
+      for (; !addr.is_null();) {
+        NodeView view(system.fabric().HostRaw(addr), &shape);
+        loaded.emplace_back(view.lo_fence(), view.count());
+        addr = view.sibling();
+      }
+      const auto expected = GreedyVarLeaves(kvs, shape, fill);
+      EXPECT_GT(expected.size(), 10u);
+      EXPECT_EQ(loaded, expected);
+    }
+  }
+}
+
 // ScanVar's start contract: any byte string up to max_key_len, including
 // the empty one and one routing onto the kMaxKey sentinel (nothing sorts
 // at or after it); a longer start is an InvalidArgument unless the scan is

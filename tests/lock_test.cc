@@ -147,6 +147,64 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, HoclConfigTest,
                          ::testing::ValuesIn(AllLockConfigs()),
                          [](const auto& info) { return info.param.name; });
 
+// The CS-local lock table models the paper's flat per-CS array sparsely:
+// an entry lives only while its lane is held or waited on. Touching many
+// nodes one at a time must not grow it, and after contention it drains.
+TEST(HoclTest, LocalTableHoldsOnlyLiveLanes) {
+  for (const LockConfig& config : AllLockConfigs()) {
+    if (!config.options.hierarchical) continue;
+    SCOPED_TRACE(config.name);
+    rdma::Fabric fabric(SmallConfig(1, 2));
+    HoclClient hocl0(&fabric, 0, config.options);
+    HoclClient hocl1(&fabric, 1, config.options);
+    HoclClient* hocls[2] = {&hocl0, &hocl1};
+
+    // 1,000 distinct nodes, one lock held at a time.
+    bool done = false;
+    sim::Spawn([](HoclClient* h, bool* flag) -> sim::Task<void> {
+      for (uint64_t i = 0; i < 1'000; i++) {
+        const rdma::GlobalAddress node(0, (2 << 20) + i * 1024);
+        LockGuard g = co_await h->Lock(node, nullptr);
+        EXPECT_EQ(h->live_local_lanes(), 1u);
+        co_await h->Unlock(g, {}, true, nullptr);
+        EXPECT_EQ(h->live_local_lanes(), 0u);
+      }
+      *flag = true;
+    }(&hocl0, &done));
+    fabric.simulator().Run();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(hocl0.live_local_lanes(), 0u);
+
+    // 16 contenders on 4 nodes across two CSs. A CS with k acquisitions
+    // in flight (from Lock's call to Unlock's return) has at most k live
+    // lanes.
+    int in_flight[2] = {0, 0};
+    int completed = 0;
+    for (int t = 0; t < 16; t++) {
+      const int cs = t % 2;
+      const rdma::GlobalAddress node(0, (8 << 20) + (t / 2 % 4) * 1024);
+      sim::Spawn([](rdma::Fabric* f, HoclClient* h, rdma::GlobalAddress addr,
+                    int* active, int* finished) -> sim::Task<void> {
+        for (int i = 0; i < 5; i++) {
+          (*active)++;
+          LockGuard g = co_await h->Lock(addr, nullptr);
+          EXPECT_GE(h->live_local_lanes(), 1u);
+          EXPECT_LE(h->live_local_lanes(), static_cast<size_t>(*active));
+          co_await f->simulator().Delay(300);
+          co_await h->Unlock(g, {}, true, nullptr);
+          (*active)--;
+          EXPECT_LE(h->live_local_lanes(), static_cast<size_t>(*active));
+        }
+        (*finished)++;
+      }(&fabric, hocls[cs], node, &in_flight[cs], &completed));
+    }
+    fabric.simulator().Run();
+    EXPECT_EQ(completed, 16);
+    EXPECT_EQ(hocl0.live_local_lanes(), 0u);
+    EXPECT_EQ(hocl1.live_local_lanes(), 0u);
+  }
+}
+
 TEST(HoclTest, ReleaseClearsLaneInDeviceMemory) {
   rdma::Fabric fabric(SmallConfig());
   HoclOptions opt;  // full Sherman config

@@ -526,8 +526,10 @@ TEST(ObsSystemTest, TraceVolumeMatchesBuildFlavor) {
 // Compiled-out macros must not evaluate their arguments.
 TEST(ObsDisabledBuildTest, MacroArgumentsAreNotEvaluated) {
   int evals = 0;
-  auto bump = [&evals]() -> uint64_t { return static_cast<uint64_t>(++evals); };
-  obs::TraceCtx* null_ctx = nullptr;
+  [[maybe_unused]] auto bump = [&evals]() -> uint64_t {
+    return static_cast<uint64_t>(++evals);
+  };
+  [[maybe_unused]] obs::TraceCtx* null_ctx = nullptr;
   SHERMAN_TSPAN(null_ctx, "x", bump());
   SHERMAN_TEVENT(null_ctx, "y", bump());
   SHERMAN_TINSTANT(null_ctx, "z", bump());

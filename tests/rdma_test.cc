@@ -42,6 +42,32 @@ TEST(MemoryRegionTest, PlainReadWrite) {
   EXPECT_EQ(r.Read64(200), 0xdeadbeefull);
 }
 
+// A region is lazily zeroed: pages are backed only once touched, yet
+// every byte of a fresh region reads 0 through every accessor.
+TEST(MemoryRegionTest, FreshRegionReadsZero) {
+  constexpr uint64_t kSize = 256ull << 20;
+  MemoryRegion r(kSize);
+  ASSERT_EQ(r.size(), kSize);
+  for (const uint64_t off : {uint64_t{0}, kSize / 2, kSize - 64}) {
+    SCOPED_TRACE(off);
+    const uint8_t* p = r.raw(off);
+    for (int i = 0; i < 64; i++) EXPECT_EQ(p[i], 0);
+    EXPECT_EQ(r.Read64(off), 0u);
+    EXPECT_EQ(r.Read64(off + 56), 0u);
+    uint8_t dst[64];
+    std::memset(dst, 0xab, sizeof(dst));
+    const uint64_t h = r.BeginRead(off, sizeof(dst), dst, 0, 100);
+    r.EndRead(h);
+    for (uint8_t b : dst) EXPECT_EQ(b, 0);
+
+    const uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    r.Write(0, off + 8, data, sizeof(data));
+    EXPECT_EQ(std::memcmp(r.raw(off + 8), data, sizeof(data)), 0);
+    EXPECT_EQ(r.Read64(off), 0u);  // neighbours stay zero
+    EXPECT_EQ(r.Read64(off + 16), 0u);
+  }
+}
+
 TEST(MemoryRegionTest, WriteAfterDmaPassedKeepsOldData) {
   MemoryRegion r(4096);
   const uint8_t before[8] = {1, 1, 1, 1, 1, 1, 1, 1};
