@@ -5,6 +5,9 @@
 // Paper: (a) FG+ edges Sherman by ~2% at range 100 (unsorted-leaf scan
 // overhead); both converge at range 1000 (bandwidth-bound). (b) Sherman
 // wins by up to 1.82x — its writes free network resources for ranges.
+//
+// Gate (exit 1 on failure, --quick included): Sherman >= FG+ on both
+// range-write cells.
 #include "common.h"
 
 using namespace sherman;
@@ -31,6 +34,7 @@ int main(int argc, char** argv) {
       {"range-write", WorkloadMix::RangeWrite(), 1000, "Sherman ahead"},
   };
 
+  bool range_write_ok = true;
   Table table("Figure 12: range query throughput (Mops)");
   table.SetColumns({"workload", "range size", "FG+", "Sherman",
                     "Sherman/FG+", "paper"});
@@ -50,10 +54,20 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[fig12] %s range=%u %s done (%.3f Mops)\n",
                    c.workload, c.range, i == 1 ? "FG+" : "Sherman", r.mops);
     }
+    const double ratio = mops[1] / std::max(mops[0], 1e-9);
     table.AddRow({c.workload, std::to_string(c.range), Fmt(mops[0], 3),
-                  Fmt(mops[1], 3), Fmt(mops[1] / std::max(mops[0], 1e-9)),
-                  c.paper_note});
+                  Fmt(mops[1], 3), Fmt(ratio), c.paper_note});
+    if (std::string(c.workload) == "range-write") {
+      const bool ok = mops[1] >= mops[0];
+      telemetry.Gate("b.sherman_ge_fgplus@range" + std::to_string(c.range),
+                     ok, ratio);
+      range_write_ok = range_write_ok && ok;
+    }
   }
   table.Print();
-  return 0;
+  std::printf("\n(b) range-write: Sherman >= FG+ at both range sizes "
+              "(gate): %s\n", range_write_ok ? "yes" : "no");
+  if (range_write_ok) return 0;
+  std::printf("FAIL: Fig. 12(b) range-write gate\n");
+  return 1;
 }

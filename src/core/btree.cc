@@ -20,6 +20,10 @@ constexpr int kMaxSiblingChase = 64;
 // Restart cap of every traversal loop (simulation hygiene; generously
 // above anything the paper's workloads produce).
 constexpr uint32_t kMaxRestarts = 256;
+// Leaves one scan READ batch fetches at most.
+constexpr uint32_t kMaxScanBatch = 16;
+// Weight of the newest leaf in TreeClient::scan_fill_'s running mean.
+constexpr double kScanFillWeight = 1.0 / 16;
 // The paper's idle-fabric floor for the 4-bit version wraparound guard
 // (§4.4); WrapGuardNs derives the congestion-aware threshold.
 constexpr sim::SimTime kVersionWrapRetryNs = 8000;
@@ -1223,7 +1227,6 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
   // The routing cursor: every leaf left of it has been collected.
   Key cursor = rec.route();
   if (cursor == kMaxKey) co_return Status::OK();  // nothing sorts >= start
-  const uint32_t per_leaf_estimate = std::max(1u, o.shape.leaf_capacity() / 2);
   const sim::SimTime wrap_guard = WrapGuardNs();
   std::vector<std::vector<uint8_t>> bufs;
   std::vector<sim::SimTime> read_ns;  // each leaf buffer's last READ
@@ -1232,24 +1235,46 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
   // Only restarts count against the bound: a batch whose leaves were all
   // collected is progress, however many a long scan takes.
   for (uint32_t attempt = 0; attempt < kMaxRestarts;) {
-    // Plan a batch of target leaves from the cached level-1 node, falling
+    // Plan a batch of target leaves from the cached level-1 nodes, falling
     // back to a single traversal; fetch them with parallel RDMA_READs
     // (§4.4, "Range query").
     std::vector<rdma::GlobalAddress> leaves;
     bool hinted = false;  // the batch's one leaf came from the hint mirror
-    const uint32_t still_needed =
-        count - static_cast<uint32_t>(out->size());
-    uint32_t want =
-        std::min(16u, (still_needed + per_leaf_estimate - 1) / per_leaf_estimate);
-    if (want == 0) want = 1;
     if (o.enable_cache) {
+      // Just the leaves expected to hold the entries still needed: the
+      // cursor's leaf is expected to hold the fill times its key share
+      // above the cursor, every later leaf the fill. A wrong guess costs a
+      // second batch or a restart below, never an entry.
+      const double need = count - out->size();
+      const double fill =
+          scan_fill_ >= 0 ? scan_fill_ : o.shape.leaf_capacity() / 2;
+      double expected = 0;
       const ParsedInternal* p = cache_.LookupLevel1(cursor);
-      if (p != nullptr) {
-        for (uint32_t j = 0; j < want; j++) {
-          const rdma::GlobalAddress a = p->ChildAfter(cursor, j);
-          if (a.is_null()) break;
-          leaves.push_back(a);
+      // Child i of p, numbered as ParsedInternal::ChildIndex numbers them.
+      size_t i = p != nullptr ? p->ChildIndex(cursor) : 0;
+      while (p != nullptr && leaves.size() < kMaxScanBatch &&
+             expected < need) {
+        if (i > p->entries.size()) {
+          // Past p's last child: go on in its right neighbour, if cached
+          // and adjacent.
+          const ParsedInternal* next =
+              p->hi == kMaxKey ? nullptr : cache_.LookupLevel1(p->hi);
+          p = next != nullptr && next->lo == p->hi ? next : nullptr;
+          i = 0;
+          continue;
         }
+        double share = 1;
+        if (leaves.empty()) {
+          const Key lo = i == 0 ? p->lo : p->entries[i - 1].first;
+          const Key hi = i < p->entries.size() ? p->entries[i].first : p->hi;
+          if (hi != kMaxKey) {
+            share = static_cast<double>(hi - cursor) /
+                    static_cast<double>(hi - lo);
+          }
+        }
+        leaves.push_back(i == 0 ? p->leftmost : p->entries[i - 1].second);
+        expected += share * fill;
+        i++;
       }
     }
     if (leaves.empty()) {
@@ -1335,8 +1360,13 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
           // order). Retry asks for a re-read: a torn entry, or a value
           // relocated between the leaf READ and its own.
           co_await sim.Delay(rec.SearchNs(f));
-          st = co_await rec.ScanLeaf(*this, view, cursor, count, out, stats);
+          uint32_t live = 0;
+          st = co_await rec.ScanLeaf(*this, view, cursor, count, out, &live,
+                                     stats);
           if (st.ok()) {
+            // The first leaf collected sets the mean.
+            const double w = scan_fill_ < 0 ? 1 : kScanFillWeight;
+            scan_fill_ += w * (live - scan_fill_);
             cursor = view.hi_fence();
             if (out->size() >= count || cursor == kMaxKey) {
               co_return Status::OK();

@@ -382,9 +382,12 @@ class TreeClient {
   template <class R>
   sim::Task<Status> Remove(R rec, OpStats* stats);
   // Up to `count` entries from `rec`'s key on (§4.4, "Range query"): plans
-  // up to 16 leaves from the cached level-1 node, fetches them with
-  // parallel READs, validates each, chases siblings, and re-reads torn or
-  // slow leaves; the policy collects each leaf (R::ScanLeaf).
+  // each READ batch from the cached level-1 nodes' child fences and the
+  // observed leaf fill (scan_fill_), just the leaves the rest of the range
+  // needs (up to 16, across adjacent cached level-1 nodes), fetches them
+  // with parallel READs, validates each, chases siblings, and re-reads
+  // torn or slow leaves; the policy collects each leaf (R::ScanLeaf) and
+  // reports its live entries.
   template <class R>
   sim::Task<Status> Scan(R rec, uint32_t count,
                          std::vector<typename R::ScanEntry>* out,
@@ -593,6 +596,9 @@ class TreeClient {
   bool root_known_ = false;
   rdma::GlobalAddress root_addr_;
   uint8_t root_level_ = 0;
+  // Running mean of live entries per leaf over the leaves this CS's scans
+  // collected, which Scan plans its batches by; negative until the first.
+  double scan_fill_ = -1;
 };
 
 // The whole deployment: fabric + per-MS chunk managers + per-CS clients.

@@ -257,7 +257,8 @@ std::vector<std::pair<Key, uint64_t>> ShermanSystem::DebugScanLeaves() const {
     NodeView view(self->fabric_.HostRaw(addr), &shape);
     SHERMAN_CHECK(view.is_leaf());
     // At rest no entry is torn: every entry write lands whole.
-    SHERMAN_CHECK(leaf_ops.Collect(view, kNullKey, UINT32_MAX, &out));
+    SHERMAN_CHECK(
+        leaf_ops.Collect(view, kNullKey, UINT32_MAX, &out).has_value());
     addr = view.sibling();
   }
   return out;

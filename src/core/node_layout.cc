@@ -690,35 +690,23 @@ void MoveLeafEntries(NodeView* dst, const NodeView& src, bool two_level) {
   }
 }
 
-rdma::GlobalAddress ParsedInternal::ChildFor(Key key) const {
-  // Largest entry key <= key, else leftmost.
-  uint32_t lo_i = 0, hi_i = static_cast<uint32_t>(entries.size());
+size_t ParsedInternal::ChildIndex(Key key) const {
+  // Entries whose key is <= key.
+  size_t lo_i = 0, hi_i = entries.size();
   while (lo_i < hi_i) {
-    const uint32_t mid = (lo_i + hi_i) / 2;
+    const size_t mid = (lo_i + hi_i) / 2;
     if (entries[mid].first <= key) {
       lo_i = mid + 1;
     } else {
       hi_i = mid;
     }
   }
-  return lo_i == 0 ? leftmost : entries[lo_i - 1].second;
+  return lo_i;
 }
 
-rdma::GlobalAddress ParsedInternal::ChildAfter(Key key, uint32_t skip) const {
-  // Index of the child covering `key`: 0 = leftmost, i+1 = entries[i].
-  uint32_t lo_i = 0, hi_i = static_cast<uint32_t>(entries.size());
-  while (lo_i < hi_i) {
-    const uint32_t mid = (lo_i + hi_i) / 2;
-    if (entries[mid].first <= key) {
-      lo_i = mid + 1;
-    } else {
-      hi_i = mid;
-    }
-  }
-  const uint64_t idx = lo_i + skip;  // children are [leftmost, entries...]
-  if (idx == 0) return leftmost;
-  if (idx <= entries.size()) return entries[idx - 1].second;
-  return rdma::kNullAddress;
+rdma::GlobalAddress ParsedInternal::ChildFor(Key key) const {
+  const size_t i = ChildIndex(key);
+  return i == 0 ? leftmost : entries[i - 1].second;
 }
 
 Status ParseInternal(const uint8_t* buf, const TreeShape& shape,

@@ -402,10 +402,10 @@ struct ParsedInternal {
   rdma::GlobalAddress leftmost;
   std::vector<std::pair<Key, rdma::GlobalAddress>> entries;  // sorted
 
+  // Index of the child covering `key`: 0 is leftmost, i > 0 is
+  // entries[i - 1].
+  size_t ChildIndex(Key key) const;
   rdma::GlobalAddress ChildFor(Key key) const;
-  // The child after the one covering `key`, for prefetching subsequent
-  // leaves in range queries (null if none).
-  rdma::GlobalAddress ChildAfter(Key key, uint32_t skip) const;
 };
 
 // Parses an internal node buffer. Fails with Status::Retry on version

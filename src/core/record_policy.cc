@@ -129,14 +129,17 @@ void FixedPolicy::Fill(NodeView* lower, NodeView* upper) const {
   }
 }
 
-bool FixedPolicy::Collect(const NodeView& v, Key from, uint32_t count,
-                          std::vector<ScanEntry>* out) const {
+std::optional<uint32_t> FixedPolicy::Collect(
+    const NodeView& v, Key from, uint32_t count,
+    std::vector<ScanEntry>* out) const {
   std::vector<ScanEntry> got;
+  uint32_t live = 0;
   const uint32_t n = two_level() ? o_->shape.leaf_capacity() : v.count();
   for (uint32_t i = 0; i < n; i++) {
     const Key k = v.LeafKey(i);
     if (k == kNullKey) continue;
-    if (two_level() && !v.LeafEntryVersionsMatch(i)) return false;
+    if (two_level() && !v.LeafEntryVersionsMatch(i)) return std::nullopt;
+    live++;
     if (k >= from) got.emplace_back(k, v.LeafValue(i));
   }
   std::sort(got.begin(), got.end());
@@ -144,7 +147,7 @@ bool FixedPolicy::Collect(const NodeView& v, Key from, uint32_t count,
     if (out->size() >= count) break;
     out->push_back(kv);
   }
-  return true;
+  return live;
 }
 
 // --- VarPolicy ---------------------------------------------------------------
@@ -438,7 +441,7 @@ Status VarPolicy::CheckScan() const {
 sim::Task<Status> VarPolicy::ScanLeaf(TreeClient& t, const NodeView& v, Key,
                                       uint32_t count,
                                       std::vector<ScanEntry>* out,
-                                      OpStats* stats) const {
+                                      uint32_t* live, OpStats* stats) const {
   for (uint32_t s = 0; s < v.count() && out->size() < count; s++) {
     std::string k = v.VarFullKey(s);
     if (out->empty() ? k < key_ : k <= out->back().first) continue;
@@ -451,6 +454,7 @@ sim::Task<Status> VarPolicy::ScanLeaf(TreeClient& t, const NodeView& v, Key,
     }
     out->emplace_back(std::move(k), std::move(value));
   }
+  *live = v.count();
   co_return Status::OK();
 }
 

@@ -91,21 +91,25 @@ class FixedPolicy {
   StatusOr<Key> Cut(const NodeView& v);
   void Fill(NodeView* lower, NodeView* upper) const;
   // Appends the leaf's live entries with key >= from, in key order, until
-  // `out` holds `count`; false (nothing appended) when an entry is torn
-  // and the leaf must be re-read.
-  bool Collect(const NodeView& v, Key from, uint32_t count,
-               std::vector<ScanEntry>* out) const;
+  // `out` holds `count`, and returns how many live entries the leaf holds;
+  // nullopt (nothing appended) when an entry is torn and the leaf must be
+  // re-read.
+  std::optional<uint32_t> Collect(const NodeView& v, Key from, uint32_t count,
+                                  std::vector<ScanEntry>* out) const;
 
   // --- the client scan (TreeClient::Scan), this record's key its start ---
   Status CheckScan() const { return Check(); }
   // Collects the validated leaf from the routing cursor `from` on until
-  // `out` holds `count`: OK when done with the leaf, Retry when it must
-  // be re-read, anything else fails the scan.
+  // `out` holds `count`, and sets *live to the leaf's live-entry count:
+  // OK when done with the leaf, Retry when it must be re-read, anything
+  // else fails the scan.
   sim::Task<Status> ScanLeaf(TreeClient&, const NodeView& v, Key from,
                              uint32_t count, std::vector<ScanEntry>* out,
-                             OpStats*) const {
-    co_return Collect(v, from, count, out) ? Status::OK()
-                                           : Status::Retry("torn leaf entry");
+                             uint32_t* live, OpStats*) const {
+    const std::optional<uint32_t> n = Collect(v, from, count, out);
+    if (!n.has_value()) co_return Status::Retry("torn leaf entry");
+    *live = *n;
+    co_return Status::OK();
   }
 
   // --- client hooks: fixed records have no value log ---
@@ -132,7 +136,7 @@ class FixedPolicy {
   // resolve one-sided.
   bool HostCollect(ShermanSystem*, int, const NodeView& v, uint32_t count,
                    std::vector<ScanEntry>* out) const {
-    return Collect(v, key_, count, out);
+    return Collect(v, key_, count, out).has_value();
   }
 
  private:
@@ -204,7 +208,7 @@ class VarPolicy {
   // from the value log as it goes; a relocated one asks for a re-read.
   sim::Task<Status> ScanLeaf(TreeClient& t, const NodeView& v, Key from,
                              uint32_t count, std::vector<ScanEntry>* out,
-                             OpStats* stats) const;
+                             uint32_t* live, OpStats* stats) const;
 
   // Values above the threshold need the client's value-log appender.
   bool HostCanPut() const { return !outline_; }

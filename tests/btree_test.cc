@@ -3,6 +3,7 @@
 // range queries, and key-size sweeps — parameterized over every preset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -12,6 +13,7 @@
 #include "bench/runner.h"
 #include "core/btree.h"
 #include "core/presets.h"
+#include "obs/trace.h"
 #include "util/random.h"
 #include "vlog/vlog.h"
 
@@ -1292,6 +1294,262 @@ TEST(LongScanTest, ScanVarReturnsEveryKey) {
   ASSERT_TRUE(done);
 }
 
+// --- scan batch planning ---------------------------------------------------
+// Scan plans each READ batch from the cached level-1 child fences and the
+// leaf fill its scans observed, across adjacent cached level-1 nodes. A
+// plan gone wrong (leaves fuller or thinner than that fill, a level-1 node
+// split under the cache) costs a second batch or a restart, never an
+// entry: every range is checked against a std::map model.
+
+class ScanPlanTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kKeys = 20'000;
+
+  // What a set of ranges cost: READs, and the leaves their results span.
+  struct Cost {
+    uint64_t reads = 0;
+    uint64_t spanned = 0;
+  };
+
+  ScanPlanTest() : system_(SmallFabric(2, 2), ShermanOptions()) {
+    const std::vector<std::pair<Key, uint64_t>> kvs =
+        bench::MakeLoadKvs(kKeys);
+    system_.BulkLoad(kvs, 0.8);
+    model_.insert(kvs.begin(), kvs.end());
+  }
+
+  // Caches every level-1 node on CS 0: a lookup every 20 keys.
+  void SetUp() override {
+    Run([](TreeClient* c) -> sim::Task<void> {
+      for (uint64_t r = 0; r < kKeys; r += 20) {
+        uint64_t v = 0;
+        const Status st =
+            co_await c->Lookup(WorkloadGenerator::LoadedKeyFor(r), &v);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      }
+    }(&system_.client(0)));
+  }
+
+  void Run(sim::Task<void> task) {
+    bool done = false;
+    sim::Spawn([](sim::Task<void> t, bool* flag) -> sim::Task<void> {
+      co_await std::move(t);
+      *flag = true;
+    }(std::move(task), &done));
+    system_.simulator().Run();
+    ASSERT_TRUE(done);
+  }
+
+  // `n` loaded keys drawn with seed `seed` among ranks [lo, hi).
+  static std::vector<Key> Starts(uint64_t seed, int n, uint64_t lo,
+                                 uint64_t hi) {
+    Random rng(seed);
+    std::vector<Key> froms;
+    for (int i = 0; i < n; i++) {
+      froms.push_back(
+          WorkloadGenerator::LoadedKeyFor(lo + rng.Uniform(hi - lo)));
+    }
+    return froms;
+  }
+
+  // Lo fences of the live leaves in key order, walked in MS memory.
+  std::vector<Key> LeafLos() {
+    const TreeShape& shape = system_.options().shape;
+    rdma::GlobalAddress addr = system_.DebugRootAddr();
+    while (!NodeView(system_.fabric().HostRaw(addr), &shape).is_leaf()) {
+      addr = NodeView(system_.fabric().HostRaw(addr), &shape).leftmost_child();
+    }
+    std::vector<Key> los;
+    while (!addr.is_null()) {
+      NodeView view(system_.fabric().HostRaw(addr), &shape);
+      los.push_back(view.lo_fence());
+      addr = view.sibling();
+    }
+    return los;
+  }
+
+  // RangeQuery(from, count) on CS `cs` from each start, each result equal
+  // to the model's.
+  Cost CheckRanges(int cs, std::vector<Key> froms, uint32_t count) {
+    Cost cost;
+    std::vector<std::pair<Key, Key>> bounds;  // each result's first, last
+    Run([](TreeClient* c, const std::map<Key, uint64_t>* model,
+           std::vector<Key> starts, uint32_t n, uint64_t* reads,
+           std::vector<std::pair<Key, Key>>* spans) -> sim::Task<void> {
+      for (Key from : starts) {
+        OpStats stats;
+        std::vector<std::pair<Key, uint64_t>> out;
+        const Status st = co_await c->RangeQuery(from, n, &out, &stats);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        std::vector<std::pair<Key, uint64_t>> want;
+        for (auto it = model->lower_bound(from);
+             it != model->end() && want.size() < n; ++it) {
+          want.push_back(*it);
+        }
+        EXPECT_EQ(out, want) << "range of " << n << " from " << from;
+        *reads += stats.round_trips;
+        if (!out.empty()) {
+          spans->emplace_back(out.front().first, out.back().first);
+        }
+      }
+    }(&system_.client(cs), &model_, std::move(froms), count, &cost.reads,
+      &bounds));
+    const std::vector<Key> los = LeafLos();
+    auto leaf_of = [&los](Key k) {
+      return std::upper_bound(los.begin(), los.end(), k) - los.begin();
+    };
+    for (const auto& [first, last] : bounds) {
+      cost.spanned += leaf_of(last) - leaf_of(first) + 1;
+    }
+    return cost;
+  }
+
+  // Inserts `keys` (value key + 1) and deletes `dels` through CS `cs`,
+  // mirroring both into the model.
+  void Write(int cs, std::vector<Key> keys, std::vector<Key> dels) {
+    for (Key k : keys) model_[k] = k + 1;
+    for (Key k : dels) model_.erase(k);
+    Run([](TreeClient* c, std::vector<Key> ins,
+           std::vector<Key> rm) -> sim::Task<void> {
+      for (Key k : ins) {
+        const Status st = co_await c->Insert(k, k + 1);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      }
+      for (Key k : rm) {
+        const Status st = co_await c->Delete(k);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      }
+    }(&system_.client(cs), std::move(keys), std::move(dels)));
+  }
+
+  ShermanSystem system_;
+  std::map<Key, uint64_t> model_;
+};
+
+// Planned at a fixed leaf_capacity / 2 entries per leaf, these ranges read
+// ~20% more leaves than their results span; planned from the fences and
+// the observed fill (~43 entries at this bulk fill), within 5%.
+TEST_F(ScanPlanTest, ReadsAboutTheLeavesARangeSpans) {
+  const Cost cost = CheckRanges(0, Starts(11, 200, 0, kKeys - 100), 100);
+  ASSERT_GT(cost.spanned, 0u);
+  EXPECT_GE(cost.reads, cost.spanned);
+  EXPECT_LE(static_cast<double>(cost.reads),
+            1.05 * static_cast<double>(cost.spanned))
+      << cost.reads << " READs for " << cost.spanned << " spanned leaves";
+}
+
+#if SHERMAN_TRACE_ENABLED
+// A range from the start of a cached level-1 node's last leaf runs on into
+// its cached right neighbour: one batch of parallel READs fetches both
+// nodes' leaves.
+TEST_F(ScanPlanTest, OneBatchAcrossTwoCachedLevel1Nodes) {
+  CheckRanges(0, Starts(12, 20, 0, kKeys - 100), 100);  // learn the fill
+  IndexCache& cache = system_.client(0).cache();
+  const ParsedInternal* p =
+      cache.LookupLevel1(WorkloadGenerator::LoadedKeyFor(kKeys / 2));
+  ASSERT_NE(p, nullptr);
+  ASSERT_FALSE(p->entries.empty());
+  const Key from = p->entries.back().first;
+  const Key boundary = p->hi;
+  const ParsedInternal* next = cache.LookupLevel1(boundary);
+  ASSERT_NE(next, nullptr);
+  ASSERT_EQ(next->lo, boundary);
+
+  std::vector<std::pair<Key, uint64_t>> out;
+  Run([](ShermanSystem* s, Key k,
+         std::vector<std::pair<Key, uint64_t>>* o) -> sim::Task<void> {
+    obs::TraceCtx ctx =
+        obs::TraceCtx::For(&s->tracer(), obs::RingId::Client(0));
+    OpStats stats;
+    stats.trace = &ctx;
+    SHERMAN_TSPAN(&ctx, "op.range");
+    const Status st = co_await s->client(0).RangeQuery(k, 100, o, &stats);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }(&system_, from, &out));
+  ASSERT_EQ(out.size(), 100u);
+  ASSERT_GE(out.back().first, boundary) << "the range ends in the first node";
+  EXPECT_EQ(out.front(), (std::pair<Key, uint64_t>(*model_.lower_bound(from))));
+
+  const std::vector<Key> los = LeafLos();
+  const auto first = std::upper_bound(los.begin(), los.end(), from);
+  const auto last = std::upper_bound(los.begin(), los.end(), out.back().first);
+  const obs::TraceRing* ring =
+      system_.tracer().FindRing(obs::RingId::Client(0));
+  ASSERT_NE(ring, nullptr);
+  std::vector<uint64_t> batches;  // leaves per rdma.read_batch
+  ring->ForEach([&](const obs::SpanRecord& r) {
+    if (std::string(r.name) == "rdma.read_batch") batches.push_back(r.a0);
+  });
+  EXPECT_EQ(batches,
+            std::vector<uint64_t>{static_cast<uint64_t>(last - first + 1)});
+}
+#endif  // SHERMAN_TRACE_ENABLED
+
+// Once the fill is learned, leaves fuller and thinner than it, and a
+// neighbour level-1 node that CS 1 split after CS 0 cached it, still give
+// CS 0 the model's ranges.
+TEST_F(ScanPlanTest, StalePlansNeverLoseEntries) {
+  CheckRanges(0, Starts(13, 50, 0, kKeys - 100), 100);  // learn the fill
+  const uint32_t cap = system_.options().shape.leaf_capacity();
+
+  // Ranks [2000, 4000): CS 1 fills each leaf to capacity with the odd key
+  // after each of its first loaded keys.
+  const std::vector<Key> los = LeafLos();
+  std::vector<Key> fill_up;
+  for (size_t i = 0; i + 1 < los.size(); i++) {
+    if (los[i] < WorkloadGenerator::LoadedKeyFor(2'000) ||
+        los[i] >= WorkloadGenerator::LoadedKeyFor(4'000)) {
+      continue;
+    }
+    auto it = model_.lower_bound(los[i]);
+    const auto end = model_.lower_bound(los[i + 1]);
+    const size_t live = std::distance(it, end);
+    for (size_t n = live; n < cap; n++, ++it) fill_up.push_back(it->first + 1);
+  }
+  // Ranks [8000, 10000): CS 1 deletes three loaded keys in four.
+  std::vector<Key> thin;
+  for (uint64_t r = 8'000; r < 10'000; r++) {
+    if (r % 4 != 0) thin.push_back(WorkloadGenerator::LoadedKeyFor(r));
+  }
+  ASSERT_FALSE(fill_up.empty());
+  Write(1, fill_up, thin);
+  CheckRanges(0, Starts(14, 100, 1'900, 4'000), 100);
+  CheckRanges(0, Starts(15, 100, 7'900, 10'000), 100);
+
+  // CS 1 splits the cached right neighbour of the level-1 node covering
+  // rank 14,000: an odd key after every loaded key in it doubles its
+  // leaves.
+  IndexCache& cache = system_.client(0).cache();
+  const ParsedInternal* p =
+      cache.LookupLevel1(WorkloadGenerator::LoadedKeyFor(14'000));
+  ASSERT_NE(p, nullptr);
+  const Key boundary = p->hi;
+  const Key tail = p->entries.empty() ? p->lo : p->entries.back().first;
+  const ParsedInternal* next = cache.LookupLevel1(boundary);
+  ASSERT_NE(next, nullptr);
+  ASSERT_EQ(next->lo, boundary);
+  const rdma::GlobalAddress next_addr = next->self;
+  const Key next_hi = next->hi;
+  std::vector<Key> grow;
+  for (auto it = model_.lower_bound(boundary);
+       it != model_.end() && it->first < next_hi; ++it) {
+    grow.push_back(it->first + 1);
+  }
+  Write(1, grow, {});
+  const NodeView split(system_.fabric().HostRaw(next_addr),
+                       &system_.options().shape);
+  ASSERT_LT(split.hi_fence(), next_hi) << "the neighbour did not split";
+
+  // From the cached node's last leaves into the split neighbour, and from
+  // loaded keys within the neighbour (loaded key 2 * (rank + 1)).
+  std::vector<Key> froms =
+      Starts(16, 50, boundary / 2 - 1, next_hi / 2 - 1);
+  froms.insert(froms.begin(), {tail, tail + 1, boundary - 1});
+  CheckRanges(0, froms, 100);
+  CheckRanges(0, {tail}, 300);
+  system_.DebugCheckInvariants();
+}
+
 // --- per-op cost pins --------------------------------------------------------
 
 // One public op's cost on a quiescent single-client tree: its OpStats and
@@ -1521,7 +1779,7 @@ const std::vector<OpCost> kShermanFixedCosts = {
     {"delete.plain", 4, 0, 0, 18, 0, 1, 7227},
     {"delete.plain", 3, 0, 0, 18, 1, 0, 5394},
     {"delete.merge", 13, 0, 0, 768, 1, 0, 25723},
-    {"range", 6, 0, 0, 0, 0, 1, 9126},
+    {"range", 6, 0, 0, 0, 0, 1, 7315},
     {"multiget", 1, 0, 0, 0, 5, 0, 3649},
     {"multiinsert", 7, 0, 0, 54, 2, 1, 7928},
     {"multidelete", 6, 0, 0, 36, 3, 0, 5716},
@@ -1542,7 +1800,7 @@ const std::vector<OpCost> kFgFixedCosts = {
     {"delete.plain", 6, 0, 0, 138, 0, 1, 11408},
     {"delete.plain", 5, 0, 0, 120, 1, 0, 9574},
     {"delete.merge", 15, 0, 0, 768, 1, 0, 31670},
-    {"range", 6, 0, 0, 0, 0, 1, 8626},
+    {"range", 6, 0, 0, 0, 0, 1, 6815},
     {"multiget", 1, 0, 0, 0, 5, 0, 3149},
     {"multiinsert", 9, 0, 0, 512, 2, 1, 9941},
     {"multidelete", 10, 0, 0, 204, 3, 0, 9793},
@@ -1561,7 +1819,7 @@ const std::vector<OpCost> kVarCosts = {
     {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
     {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
     {"deletevar.merge", 13, 0, 0, 1536, 1, 0, 26012},
-    {"scanvar", 3, 0, 0, 0, 0, 0, 6367},
+    {"scanvar", 3, 0, 0, 0, 0, 0, 4520},
     {"multigetvar", 6, 0, 0, 0, 3, 2, 10935},
     {"multiinsertvar", 4, 0, 0, 624, 3, 0, 7545},
     {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},

@@ -260,19 +260,21 @@ TEST(ParseInternalTest, RoundTrip) {
   EXPECT_EQ(p.ChildFor(600), rdma::GlobalAddress(0, 6000));
 }
 
-TEST(ParseInternalTest, ChildAfterForPrefetch) {
+TEST(ParseInternalTest, ChildIndexCountsEntriesAtOrBelowKey) {
   ParsedInternal p;
   p.lo = 0;
   p.hi = kMaxKey;
   p.leftmost = rdma::GlobalAddress(0, 100);
   p.entries = {{10, rdma::GlobalAddress(0, 200)},
                {20, rdma::GlobalAddress(0, 300)}};
-  EXPECT_EQ(p.ChildAfter(5, 0), rdma::GlobalAddress(0, 100));
-  EXPECT_EQ(p.ChildAfter(5, 1), rdma::GlobalAddress(0, 200));
-  EXPECT_EQ(p.ChildAfter(5, 2), rdma::GlobalAddress(0, 300));
-  EXPECT_EQ(p.ChildAfter(5, 3), rdma::kNullAddress);
-  EXPECT_EQ(p.ChildAfter(15, 0), rdma::GlobalAddress(0, 200));
-  EXPECT_EQ(p.ChildAfter(15, 1), rdma::GlobalAddress(0, 300));
+  EXPECT_EQ(p.ChildIndex(5), 0u);
+  EXPECT_EQ(p.ChildIndex(10), 1u);
+  EXPECT_EQ(p.ChildIndex(15), 1u);
+  EXPECT_EQ(p.ChildIndex(20), 2u);
+  EXPECT_EQ(p.ChildIndex(kMaxKey - 1), 2u);
+  EXPECT_EQ(p.ChildFor(5), rdma::GlobalAddress(0, 100));
+  EXPECT_EQ(p.ChildFor(15), rdma::GlobalAddress(0, 200));
+  EXPECT_EQ(p.ChildFor(25), rdma::GlobalAddress(0, 300));
 }
 
 TEST(ParseInternalTest, RejectsTornNode) {
