@@ -2,15 +2,22 @@
 //
 // The workload is the 99/1 hotspot mix ("hotspot" preset): 99% of ops hit
 // a hot set of --hot-keys loaded keys (default 4 — small and ABSOLUTE on
-// purpose, so many clients collide on each hot key and combining windows
+// purpose, so many clients collide on each hot key and write windows
 // actually collect followers). Three arms run on identical fresh systems:
 //
-//   adaptive      the PR-4 adaptive router alone (rdwc off) — baseline
-//   +delegation   hot keys promoted, concurrent ops QUEUE behind the
-//                 delegate (serialized CS-side, no remote CAS storm), but
+//   adaptive      the adaptive router alone (rdwc off) — baseline
+//   +delegation   hot keys promoted, ops that join a PUT's window QUEUE
+//                 behind it (serialized CS-side, no remote CAS storm), but
 //                 every op still issues its own remote work
-//   +combining    parked GETs share the delegate's result and parked PUTs
-//                 collapse last-writer-wins into ONE combined locked write
+//   +combining    write windows: each window is ONE locked write, and the
+//                 PUTs and GETs that join it before its value is bound
+//                 ride it (last writer wins)
+//
+// Table columns: windows = write windows opened (one per delegate PUT);
+// followers = ops that joined one; gets-shared = GETs served by a write
+// window; puts-combined = PUTs folded into a window's write; combined-wr =
+// writes that folded at least one joined PUT; overflow = ops that found
+// the window full and went direct.
 //
 // The runner CHECK-fails on any non-OK op, so a completing run is itself
 // the zero-failed-ops gate. The combining_speedup gate enforces the

@@ -5,6 +5,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "core/btree.h"
 #include "fault/crash_point.h"
 #include "route/hybrid_client.h"
 #include "util/logging.h"
@@ -14,11 +15,11 @@ namespace sherman::combine {
 
 namespace {
 
-// Crash sites covering every milestone between window-open and
-// combined-write-complete (recover_test sweeps them; see crash_point.h).
+// Crash sites at a window's three milestones: opened, value bound, write
+// done (recover_test sweeps them; see crash_point.h).
 const int kSiteOpen = fault::RegisterCrashSite("rdwc.open");
-const int kSiteExec = fault::RegisterCrashSite("rdwc.exec");
-const int kSiteCombine = fault::RegisterCrashSite("rdwc.combine");
+const int kSiteBound = fault::RegisterCrashSite("rdwc.bound");
+const int kSiteWritten = fault::RegisterCrashSite("rdwc.written");
 
 // Delegation table shards (keys hash onto them), and the candidate entries
 // one shard tracks beyond its hot keys and open windows.
@@ -44,7 +45,6 @@ RdwcLayer::RdwcLayer(sim::Simulator* sim, RdwcOptions options,
       puts_combined_(registry->GetCounter("rdwc.puts_combined")),
       combined_writes_(registry->GetCounter("rdwc.combined_writes")),
       bypass_overflow_(registry->GetCounter("rdwc.bypass_overflow")),
-      reelections_(registry->GetCounter("rdwc.reelections")),
       windows_abandoned_(registry->GetCounter("rdwc.windows_abandoned")),
       var_key_mismatch_(registry->GetCounter("rdwc.var_key_mismatch")) {
   SHERMAN_CHECK(options_.window_max_ops > 0);
@@ -152,79 +152,71 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
                                        OpStats* stats) {
   using Window = RdwcWindowOf<K, V>;
   constexpr bool kVarlen = std::is_same_v<K, std::string>;
-  if (e->win != nullptr) {
-    // The open window serves a different full byte key that happens to
-    // share the hot routing key (or is of the other record kind — a
-    // deployment runs one kind of op): results must not be shared across
-    // distinct keys, so this op goes direct.
-    Window* open =
-        e->win->varlen == kVarlen ? static_cast<Window*>(e->win) : nullptr;
-    if (open == nullptr || open->full_key != key) {
-      if (open != nullptr) var_key_mismatch_->Inc();
-      co_return co_await Direct(client, std::move(key), is_put,
-                                std::move(put_value), get_value, stats);
+  bool direct = false;
+  if constexpr (kVarlen) {
+    // An out-of-line value is appended to the value log before the lock;
+    // a binding under the lock cannot fold it (rdwc.h).
+    direct = is_put && put_value.size() > kInlineThreshold;
+  }
+  Window* w = nullptr;
+  if (!direct && e->win != nullptr) {
+    // The open window may serve a different full byte key that shares the
+    // hot routing key (or be of the other record kind — a deployment runs
+    // one kind of op): results must not be shared across distinct keys.
+    w = e->win->varlen == kVarlen ? static_cast<Window*>(e->win) : nullptr;
+    if (w == nullptr || w->full_key != key) {
+      if (w != nullptr) var_key_mismatch_->Inc();
+      direct = true;
+    } else if (w->parked.size() >= options_.window_max_ops) {
+      bypass_overflow_->Inc();
+      direct = true;
     }
+  } else if (!is_put) {
+    direct = true;  // no write window to ride: read directly
   }
-  if (e->win == nullptr) {
-    // First op on the hot key: become the delegate. The window lives in
-    // this frame — if this client crashes mid-window, the buried frame
-    // keeps it reachable for the re-elected follower (see rdwc.h).
-    Window w;
-    w.key = rk;
-    w.gen = next_gen_++;
-    w.delegate_cs = client->cs_id();
-    w.entry = e;
-    w.varlen = kVarlen;
-    w.full_key = std::move(key);
-    e->win = &w;
-    live_[w.gen] = &w;
-    windows_opened_->Inc();
-    ArmTimer(w.gen);
-    co_return co_await DelegateRun(client, &w, is_put, std::move(put_value),
-                                   get_value, stats);
-  }
-
-  Window* w = static_cast<Window*>(e->win);
-  if (w->parked.size() >= options_.window_max_ops) {
-    bypass_overflow_->Inc();
+  if (direct) {
     co_return co_await Direct(client, std::move(key), is_put,
                               std::move(put_value), get_value, stats);
   }
 
-  // QUEUE: park on the window. `me` lives in this frame; if this CS dies
-  // while parked, the frame is buried and never resumed.
+  if (w == nullptr) {
+    // A PUT with no open window: become the delegate. The window lives in
+    // this frame — if this client crashes mid-window, the buried frame
+    // keeps it reachable until the timer completes it (see rdwc.h).
+    Window own;
+    own.key = rk;
+    own.gen = next_gen_++;
+    own.delegate_cs = client->cs_id();
+    own.entry = e;
+    own.varlen = kVarlen;
+    own.full_key = std::move(key);
+    own.value = put_value;
+    e->win = &own;
+    live_[own.gen] = &own;
+    windows_opened_->Inc();
+    ArmTimer(own.gen);
+    co_return co_await DelegateRun(client, &own, std::move(put_value), stats);
+  }
+
+  // JOIN: park on the open window. `me` lives in this frame; if this CS
+  // dies while parked, the frame is buried and never resumed.
   const sim::SimTime start = sim_->now();
   const int cs = client->cs_id();
   if (is_put && options_.enable_combining) {
-    w->write_pending = true;
-    w->write_value = put_value;  // last arrival wins
+    w->value = put_value;  // last writer wins
+    w->puts_joined++;
   }
   followers_queued_->Inc();
   RdwcWindow::Parked me;
   me.cs = cs;
   co_await ParkAwaiter{w, &me};
 
-  if (me.elected) {
-    // The delegate's CS died mid-window; this follower takes the window
-    // over, re-runs its own op plus the combined write, and serves the
-    // remaining parked followers.
-    reelections_->Inc();
-    w->delegate_cs = cs;
-    ArmTimer(w->gen);
-    co_return co_await DelegateRun(client, w, is_put, std::move(put_value),
-                                   get_value, stats);
-  }
-
-  if (options_.enable_combining && w->done) {
+  if (options_.enable_combining && w->written) {
     // Copy the shared result out of the window BEFORE anything that can
     // suspend: the window lives in the delegate's frame, which dies as
-    // soon as every parked follower has been resumed once — a follower
-    // that suspends (the cross-CS hop) and then touches `w` reads freed
-    // memory.
-    const Status write_result = w->write_result;
-    const Status own_result = w->result;
-    const bool final_valid = w->final_valid;
-    V final_value = w->final_value;
+    // soon as every follower has been resumed once — a follower that
+    // suspends (the cross-CS hop) and then touches `w` reads freed memory.
+    V value = w->value;
     const int delegate_cs = w->delegate_cs;
     // Charge the CS-to-CS delegation hop for cross-CS followers, then
     // adopt the shared result. The op still counts toward the shard's
@@ -233,71 +225,44 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
     client->RecordAbsorbed(rk, is_put, start, stats);
     if (is_put) {
       puts_combined_->Inc();
-      co_return write_result;
+    } else {
+      gets_shared_->Inc();
+      if (get_value != nullptr) *get_value = std::move(value);
     }
-    gets_shared_->Inc();
-    if (final_valid) {
-      if (get_value != nullptr) *get_value = std::move(final_value);
-      co_return Status::OK();
-    }
-    co_return own_result;
+    co_return Status::OK();
   }
 
-  // Delegation-only queueing (or a timed-out, combining-off window): the
-  // parked op re-runs directly, serialized behind the delegate.
+  // Queue-only delegation, a failed write, or a delegate that died before
+  // its write: the op re-runs directly, serialized behind the window.
   co_return co_await Direct(client, std::move(key), is_put,
                             std::move(put_value), get_value, stats);
 }
 
 template <typename K, typename V>
 sim::Task<Status> RdwcLayer::DelegateRun(route::HybridClient* client,
-                                         RdwcWindowOf<K, V>* w, bool is_put,
-                                         V put_value, V* get_value,
+                                         RdwcWindowOf<K, V>* w, V put_value,
                                          OpStats* stats) {
   const int cs = client->cs_id();
   co_await fault::Injector().AtSite(kSiteOpen, cs);
 
-  Status own;
-  if (is_put) {
-    own = co_await client->InsertDirect(w->full_key, put_value, stats);
-  } else {
-    V v{};
-    own = co_await client->LookupDirect(w->full_key, &v, stats);
-    if (own.ok()) {
-      w->read_valid = true;
-      w->read_value = v;
+  // The window's one write: an ordinary locked tree insert, so command
+  // combination (§4.5) rides its write-back onto the release doorbell and
+  // DMSan sees a write it already understands. Binding folds the joined
+  // PUTs in and seals the window; it runs inside the insert, so a crash
+  // there freezes the write at its post (crash_point.h, Reach).
+  const PutBind<V> bind = [this, w]() -> V {
+    if (!w->sealed) {
+      Seal(w);
+      fault::Injector().Reach(kSiteBound, w->delegate_cs);
     }
-    if (get_value != nullptr) *get_value = std::move(v);
-  }
-  w->result = own;
-  co_await fault::Injector().AtSite(kSiteExec, cs);
-
-  if (options_.enable_combining && w->write_pending) {
-    // ONE combined remote write under a single HOCL acquisition carries
-    // the last-writer-wins value of every PUT parked in the window — an
-    // ordinary locked tree insert, so command combination (§4.5) rides
-    // it onto one doorbell and the intent protocol covers a crash.
-    w->write_result =
-        co_await client->InsertDirect(w->full_key, w->write_value, nullptr);
-    combined_writes_->Inc();
-  }
-  co_await fault::Injector().AtSite(kSiteCombine, cs);
-
-  if (options_.enable_combining) {
-    // Resolve the value parked GETs share: the combined write if one
-    // happened (they linearize after it), else the delegate's own
-    // write, else its read.
-    if (w->write_pending && w->write_result.ok()) {
-      w->final_valid = true;
-      w->final_value = w->write_value;
-    } else if (is_put && own.ok()) {
-      w->final_valid = true;
-      w->final_value = put_value;
-    } else if (w->read_valid) {
-      w->final_valid = true;
-      w->final_value = w->read_value;
-    }
-  }
+    return w->value;
+  };
+  const Status own = co_await client->InsertDirect(
+      w->full_key, std::move(put_value), stats,
+      options_.enable_combining ? &bind : nullptr);
+  w->written = own.ok() && w->sealed;
+  if (w->written && w->puts_joined > 0) combined_writes_->Inc();
+  co_await fault::Injector().AtSite(kSiteWritten, cs);
   Complete(w);
   co_return own;
 }
@@ -309,14 +274,18 @@ template sim::Task<Status> RdwcLayer::RunWindow<std::string, std::string>(
     route::HybridClient*, RdwcEntry*, Key, std::string, bool, std::string,
     std::string*, OpStats*);
 
-void RdwcLayer::CloseWindow(RdwcWindow* w) {
-  live_.erase(w->gen);
+void RdwcLayer::Seal(RdwcWindow* w) {
+  // An unsealed window is its entry's `win`, which keeps the entry alive
+  // through epoch rolls; once sealed, the entry may point at a newer
+  // window or be dropped, so it is never touched again.
+  if (w->sealed) return;
+  w->sealed = true;
   if (w->entry->win == w) w->entry->win = nullptr;
 }
 
 void RdwcLayer::Complete(RdwcWindow* w) {
-  w->done = true;
-  CloseWindow(w);
+  Seal(w);
+  live_.erase(w->gen);
   // Wake in FIFO order; followers whose CS died while parked are buried
   // (a dead machine must not act). Each resumed follower copies what it
   // needs from the window before it can suspend again, so the window may
@@ -344,35 +313,10 @@ void RdwcLayer::OnTimeout(uint64_t gen) {
     ArmTimer(gen);  // delegate is just slow; keep probing
     return;
   }
-  // The delegate's CS died mid-window. Drop parked followers that died
-  // with it, then hand the window to the first live one.
-  std::vector<RdwcWindow::Parked*> alive;
-  alive.reserve(w->parked.size());
-  for (RdwcWindow::Parked* p : w->parked) {
-    if (fault::Injector().dead(p->cs)) {
-      fault::Injector().Bury(p->h);
-    } else {
-      alive.push_back(p);
-    }
-  }
-  w->parked = std::move(alive);
-  if (w->parked.empty()) {
-    windows_abandoned_->Inc();
-    CloseWindow(w);
-    return;
-  }
-  if (options_.enable_combining) {
-    RdwcWindow::Parked* next = w->parked.front();
-    w->parked.erase(w->parked.begin());
-    next->elected = true;
-    next->h.resume();  // re-arms the timer and re-runs as delegate
-    return;
-  }
-  // Combining off: nothing to share; wake everyone to retry directly.
+  // The delegate's CS died mid-window: complete the window without it.
+  // Followers are served if the write completed, else they re-run.
   windows_abandoned_->Inc();
-  CloseWindow(w);
-  std::vector<RdwcWindow::Parked*> parked = std::move(w->parked);
-  for (RdwcWindow::Parked* p : parked) p->h.resume();
+  Complete(w);
 }
 
 }  // namespace sherman::combine

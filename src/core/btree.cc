@@ -793,7 +793,8 @@ sim::Task<void> TreeClient::MergeOrWriteBack(const Locked& locked,
 }
 
 template <class R>
-sim::Task<Status> TreeClient::Put(R rec, OpStats* stats) {
+sim::Task<Status> TreeClient::Put(R rec, OpStats* stats,
+                                  const PutBind<typename R::Value>* bind) {
   Status st = rec.CheckPut();
   if (!st.ok()) co_return st;
   const rdma::FabricConfig& f = system_->fabric_.config();
@@ -809,6 +810,7 @@ sim::Task<Status> TreeClient::Put(R rec, OpStats* stats) {
     co_return locked_r.status();
   }
   co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
+  if (bind != nullptr) rec.Bind((*bind)());
   NodeView view(buf.data(), &opt().shape);
   LeafWrite w;
   if (rec.Put(&view, &w)) {
@@ -1802,8 +1804,9 @@ sim::Task<Status> TreeClient::MultiRemove(std::vector<K> keys,
 
 // --- the public ops: one-line adapters onto the op core ----------------------
 
-sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats) {
-  return Put(FixedPolicy(opt(), key, value), stats);
+sim::Task<Status> TreeClient::Insert(Key key, uint64_t value, OpStats* stats,
+                                     const PutBind<uint64_t>* bind) {
+  return Put(FixedPolicy(opt(), key, value), stats, bind);
 }
 
 sim::Task<Status> TreeClient::Lookup(Key key, uint64_t* value,
@@ -1839,8 +1842,9 @@ sim::Task<Status> TreeClient::MultiDelete(std::vector<Key> keys,
 }
 
 sim::Task<Status> TreeClient::InsertVar(const Slice& key, const Slice& value,
-                                        OpStats* stats) {
-  return Put(VarPolicy(opt(), key, value), stats);
+                                        OpStats* stats,
+                                        const PutBind<std::string>* bind) {
+  return Put(VarPolicy(opt(), key, value), stats, bind);
 }
 
 sim::Task<Status> TreeClient::LookupVar(const Slice& key, std::string* value,

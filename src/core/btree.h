@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -119,6 +120,14 @@ namespace vlog {
 class VlogClient;
 }
 
+// Late value binding for one put (RDWC write windows, src/combine/): the
+// put calls the hook once, at the last instant its path allows — on the
+// one-sided path once the leaf is locked and read, on the RPC path as the
+// request is built — and writes the value it returns instead of its own.
+// A null hook writes the put's own value.
+template <typename V>
+using PutBind = std::function<V()>;
+
 // Per-key answer of MultiGetVar.
 struct VarGetResult {
   Status status = Status::NotFound();
@@ -136,8 +145,10 @@ class TreeClient {
   TreeClient(const TreeClient&) = delete;
   TreeClient& operator=(const TreeClient&) = delete;
 
-  // Inserts or updates (the paper folds updates into inserts).
-  sim::Task<Status> Insert(Key key, uint64_t value, OpStats* stats = nullptr);
+  // Inserts or updates (the paper folds updates into inserts). `bind`, if
+  // set, must outlive the returned task.
+  sim::Task<Status> Insert(Key key, uint64_t value, OpStats* stats = nullptr,
+                           const PutBind<uint64_t>* bind = nullptr);
 
   // Point lookup. Returns NotFound if absent.
   sim::Task<Status> Lookup(Key key, uint64_t* value, OpStats* stats = nullptr);
@@ -195,8 +206,10 @@ class TreeClient {
 
   // Inserts or updates `key`. An update that crosses the inline threshold
   // in either direction relocates the value and retires the old extent.
+  // A bound value (`bind`) must be inline, like the put's own.
   sim::Task<Status> InsertVar(const Slice& key, const Slice& value,
-                              OpStats* stats = nullptr);
+                              OpStats* stats = nullptr,
+                              const PutBind<std::string>* bind = nullptr);
   // Point lookup; NotFound if absent. Out-of-line values cost one extra
   // READ, except on the swizzle fast path (cached leaf + cached pointer:
   // the leaf READ and the value READ are issued together and the leaf
@@ -376,7 +389,8 @@ class TreeClient {
                                    const LeafWrite& w, OpStats* stats);
 
   template <class R>
-  sim::Task<Status> Put(R rec, OpStats* stats);
+  sim::Task<Status> Put(R rec, OpStats* stats,
+                        const PutBind<typename R::Value>* bind = nullptr);
   template <class R>
   sim::Task<Status> Get(R rec, OpStats* stats);
   template <class R>

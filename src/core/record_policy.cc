@@ -222,6 +222,11 @@ bool VarPolicy::Put(NodeView* v, LeafWrite* w) {
   return true;
 }
 
+void VarPolicy::Bind(std::string value) {
+  SHERMAN_CHECK(!outline_ && value.size() <= kInlineThreshold);
+  value_ = std::move(value);
+}
+
 bool VarPolicy::Remove(NodeView* v, LeafWrite* w) {
   const uint32_t at = v->VarFind(key_);
   if (at == UINT32_MAX) return false;

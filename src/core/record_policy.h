@@ -62,6 +62,7 @@ enum class LeafRead {
 
 class FixedPolicy {
  public:
+  using Value = uint64_t;
   using Result = MultiGetResult;
   using ScanEntry = std::pair<Key, uint64_t>;
 
@@ -81,6 +82,8 @@ class FixedPolicy {
   LeafRead Read(const NodeView& v) const;
   // Inserts or updates; false when the leaf is full (split needed).
   bool Put(NodeView* v, LeafWrite* w) const;
+  // Replaces the value the put writes (TreeClient::Put's bind hook).
+  void Bind(uint64_t value) { value_ = value; }
   // False when the key is absent. A sorted leaf writes back its header,
   // the shifted suffix and (under versions) the rear version byte;
   // repeated removals under one lock widen that one suffix.
@@ -151,6 +154,7 @@ class FixedPolicy {
 
 class VarPolicy {
  public:
+  using Value = std::string;
   using Result = VarGetResult;
   using ScanEntry = std::pair<std::string, std::string>;
 
@@ -169,6 +173,10 @@ class VarPolicy {
   // Remembers the slot's previous out-of-line extent (retired once the
   // leaf publishes) even when the leaf is full.
   bool Put(NodeView* v, LeafWrite* w);
+  // Replaces the value the put writes. Binding happens under the leaf
+  // lock, after Stage, so both values must be inline: an out-of-line one
+  // would need its value-log append before the lock.
+  void Bind(std::string value);
   bool Remove(NodeView* v, LeafWrite* w);
   // Split cut at the most byte-balanced ROUTING-key boundary (keys sharing
   // a routing key must share a leaf, since fences are u64); fails when no

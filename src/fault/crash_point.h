@@ -120,6 +120,12 @@ class CrashInjector {
   SiteAwaiter AtSite(int site, int cs) {
     return SiteAwaiter{this, armed_ && ShouldFire(site, cs)};
   }
+  // AtSite for code that cannot suspend (a synchronous hook): a match
+  // marks `cs` dead, and the caller's coroutine freezes at its next
+  // rdma::Qp post instead of at the site itself.
+  void Reach(int site, int cs) {
+    if (armed_) ShouldFire(site, cs);
+  }
 
   // Suspends forever when `cs` is dead; otherwise a no-op. Threaded
   // through every rdma::Qp post so a dead machine issues nothing.

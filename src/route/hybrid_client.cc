@@ -162,13 +162,16 @@ void HybridClient::RecordBatch(const std::vector<SlotView>& slots,
 // --- singleton ops -----------------------------------------------------------
 
 sim::Task<Status> HybridClient::InsertDirect(Key key, uint64_t value,
-                                             OpStats* stats) {
+                                             OpStats* stats,
+                                             const PutBind<uint64_t>* bind) {
   return Dispatch(
       key, /*is_write=*/true,
-      [this, key, value](uint16_t ms, OpStats* s) {
-        return rpc_.Insert(ms, key, value, s);
+      [this, key, value, bind](uint16_t ms, OpStats* s) {
+        return rpc_.Insert(ms, key, bind != nullptr ? (*bind)() : value, s);
       },
-      [this, key, value](OpStats* s) { return tree_->Insert(key, value, s); },
+      [this, key, value, bind](OpStats* s) {
+        return tree_->Insert(key, value, s, bind);
+      },
       stats);
 }
 
@@ -185,17 +188,24 @@ sim::Task<Status> HybridClient::LookupDirect(Key key, uint64_t* value,
 
 // The varlen direct ops own their operands in this frame; the Slices the
 // lazily started tree calls hold point into it and outlive every await.
+// The RPC stub copies its operands as it is called, so a bound value
+// need not outlive the call.
 sim::Task<Status> HybridClient::InsertDirect(std::string key,
                                              std::string value,
-                                             OpStats* stats) {
+                                             OpStats* stats,
+                                             const PutBind<std::string>* bind) {
   const Slice k(key);
   const Slice v(value);
   co_return co_await Dispatch(
       RoutingKeyFor(k), /*is_write=*/true,
-      [this, &k, &v](uint16_t ms, OpStats* s) {
-        return rpc_.InsertVar(ms, k, v, s);
+      [this, &k, &v, bind](uint16_t ms, OpStats* s) {
+        if (bind == nullptr) return rpc_.InsertVar(ms, k, v, s);
+        const std::string bound = (*bind)();
+        return rpc_.InsertVar(ms, k, Slice(bound), s);
       },
-      [this, &k, &v](OpStats* s) { return tree_->InsertVar(k, v, s); },
+      [this, &k, &v, bind](OpStats* s) {
+        return tree_->InsertVar(k, v, s, bind);
+      },
       stats);
 }
 

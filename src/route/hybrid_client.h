@@ -34,7 +34,7 @@ class HybridClient final {
         cs_id_(cs_id) {}
 
   // Singleton Insert/Lookup consult the RDWC delegation table when one
-  // is installed (hot keys run through a combining window); cold keys and
+  // is installed (hot keys run through a write window); cold keys and
   // everything else fall through to the direct paths below.
   sim::Task<Status> Insert(Key key, uint64_t value, OpStats* stats = nullptr);
   sim::Task<Status> Lookup(Key key, uint64_t* value, OpStats* stats = nullptr);
@@ -70,7 +70,7 @@ class HybridClient final {
   // shard, with the same decline->one-sided fallback as the fixed ops.
   // InsertVar/LookupVar consult the RDWC table on the routing key exactly
   // like the fixed singletons (hot-key contention is per leaf, and leaves
-  // group by routing key); the combining window additionally pins the
+  // group by routing key); the write window additionally pins the
   // FULL byte key, so results are never shared across distinct keys that
   // collide on one routing key. DeleteVar/ScanVar always bypass.
   sim::Task<Status> InsertVar(const Slice& key, const Slice& value,
@@ -98,15 +98,20 @@ class HybridClient final {
   // Delete/RangeQuery always BYPASS it.
   void SetRdwc(combine::RdwcLayer* rdwc) { rdwc_ = rdwc; }
 
-  // The un-delegated dispatch paths, one overload per record kind. The
-  // RDWC delegate (and its combined write) runs through these; with no
-  // layer installed Insert/Lookup and InsertVar/LookupVar are exactly
-  // these. The operands are owned, so a lazily started call can never
-  // outlive them.
-  sim::Task<Status> InsertDirect(Key key, uint64_t value, OpStats* stats);
+  // The un-delegated dispatch paths, one overload per record kind. An
+  // RDWC window's write runs through these, its value bound late by
+  // `bind` (core/btree.h: on the RPC path as the request is built, on the
+  // one-sided path once the leaf is locked and read; a declined RPC binds
+  // again on the fallback, so the hook must return the same value then).
+  // With no layer installed Insert/Lookup and InsertVar/LookupVar are
+  // exactly these. The operands are owned, so a lazily started call can
+  // never outlive them; `bind` must outlive the returned task.
+  sim::Task<Status> InsertDirect(Key key, uint64_t value, OpStats* stats,
+                                 const PutBind<uint64_t>* bind = nullptr);
   sim::Task<Status> LookupDirect(Key key, uint64_t* value, OpStats* stats);
   sim::Task<Status> InsertDirect(std::string key, std::string value,
-                                 OpStats* stats);
+                                 OpStats* stats,
+                                 const PutBind<std::string>* bind = nullptr);
   sim::Task<Status> LookupDirect(std::string key, std::string* value,
                                  OpStats* stats);
 

@@ -41,18 +41,25 @@ Checker::Checker(Config cfg) : cfg_(cfg) {
 
 uint64_t Checker::tracked_nodes() const {
   uint64_t n = 0;
-  for (const auto& [ms, m] : nodes_) n += m.size();
+  for (const auto& m : nodes_) n += m.size();
   return n;
 }
 
-Checker::NodeShadow* Checker::FindNode(uint16_t ms, uint64_t offset) {
-  auto mit = nodes_.find(ms);
-  if (mit == nodes_.end()) return nullptr;
-  auto it = mit->second.upper_bound(offset);
-  if (it == mit->second.begin()) return nullptr;
+Checker::NodeShadow* Checker::FindNode(uint16_t ms, uint64_t offset,
+                                       uint64_t* base) {
+  if (ms >= nodes_.size()) return nullptr;
+  std::map<uint64_t, NodeShadow>& per_ms = nodes_[ms];
+  auto it = per_ms.upper_bound(offset);
+  if (it == per_ms.begin()) return nullptr;
   --it;
   if (offset >= it->first + it->second.size) return nullptr;
+  if (base != nullptr) *base = it->first;
   return &it->second;
+}
+
+std::map<uint64_t, Checker::NodeShadow>& Checker::NodesOn(uint16_t ms) {
+  if (ms >= nodes_.size()) nodes_.resize(ms + 1);
+  return nodes_[ms];
 }
 
 bool Checker::LaneExpired(uint16_t lane) const {
@@ -98,7 +105,7 @@ bool Checker::OnRootWord(const rdma::WorkRequest& wr) const {
 
 void Checker::OnNodeAllocated(int cs, rdma::GlobalAddress addr,
                               uint32_t size) {
-  auto& per_ms = nodes_[addr.node];
+  auto& per_ms = NodesOn(addr.node);
   // Drop any stale shadow overlapping the range (a recycled node re-enters
   // circulation; allocation geometry keeps live ranges disjoint).
   auto it = per_ms.lower_bound(addr.offset);
@@ -137,7 +144,7 @@ void Checker::PublishNode(rdma::GlobalAddress addr, uint8_t level) {
   if (n == nullptr) {
     NodeShadow s;
     s.size = cfg_.node_size;
-    nodes_[addr.node][addr.offset] = s;
+    NodesOn(addr.node)[addr.offset] = s;
     n = FindNode(addr.node, addr.offset);
   }
   n->state = NodeState::kLive;
@@ -151,7 +158,7 @@ void Checker::OnNodeFreed(int ms, uint64_t offset, uint32_t size,
   if (n == nullptr) {
     NodeShadow s;
     s.size = size;
-    nodes_[static_cast<uint16_t>(ms)][offset] = s;
+    NodesOn(static_cast<uint16_t>(ms))[offset] = s;
     n = FindNode(static_cast<uint16_t>(ms), offset);
   }
   if (n->hinted) {
@@ -176,7 +183,7 @@ void Checker::OnHintPublished(rdma::GlobalAddress addr) {
     NodeShadow s;
     s.state = NodeState::kLive;
     s.size = cfg_.node_size;
-    nodes_[addr.node][addr.offset] = s;
+    NodesOn(addr.node)[addr.offset] = s;
     n = FindNode(addr.node, addr.offset);
   }
   n->hinted = true;
@@ -264,7 +271,7 @@ void Checker::OnLanesSwept(int ms, uint16_t owner_tag) {
 }
 
 void Checker::OnClientDead(int cs) {
-  for (auto& [ms, per_ms] : nodes_) {
+  for (auto& per_ms : nodes_) {
     for (auto& [off, shadow] : per_ms) {
       if (shadow.state == NodeState::kPrivate && shadow.owner_cs == cs) {
         shadow.state = NodeState::kLive;
@@ -431,7 +438,8 @@ void Checker::CheckWrite(int cs, const rdma::WorkRequest& wr) {
     return;
   }
 
-  NodeShadow* n = FindNode(wr.remote.node, wr.remote.offset);
+  uint64_t base_offset = 0;
+  NodeShadow* n = FindNode(wr.remote.node, wr.remote.offset, &base_offset);
   if (n == nullptr) return;  // not a tracked node region
 
   // V3: a structural write claiming intent coverage must have its slot
@@ -466,11 +474,8 @@ void Checker::CheckWrite(int cs, const rdma::WorkRequest& wr) {
       return;
     }
     case NodeState::kLive: {
-      // Find the node's base offset for the lane hash.
-      auto& per_ms = nodes_[wr.remote.node];
-      auto it = per_ms.upper_bound(wr.remote.offset);
-      --it;
-      const rdma::GlobalAddress base(wr.remote.node, it->first);
+      // The node's base address for the lane hash.
+      const rdma::GlobalAddress base(wr.remote.node, base_offset);
       uint16_t lane = 0;
       int owner = -1;
       const bool holds = HoldsLane(cs, base, &lane, &owner);

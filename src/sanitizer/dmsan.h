@@ -193,7 +193,11 @@ class Checker {
   };
 
   // Shadow lookups.
-  NodeShadow* FindNode(uint16_t ms, uint64_t offset);
+  // The shadow of the node covering (ms, offset), or null; *base gets
+  // the node's base offset.
+  NodeShadow* FindNode(uint16_t ms, uint64_t offset, uint64_t* base = nullptr);
+  // `ms`'s node shadows, growing the index on first use.
+  std::map<uint64_t, NodeShadow>& NodesOn(uint16_t ms);
   VExtShadow* FindVExtent(uint16_t ms, uint64_t offset);
   uint64_t NodeBase(uint16_t ms, const NodeShadow* n) const;
   uint64_t LaneKey(const GlobalLockRef& ref) const {
@@ -224,8 +228,9 @@ class Checker {
   Config cfg_;
   bool abort_on_violation_ = true;
 
-  // ms -> (node base offset -> shadow). Ranges never overlap.
-  std::map<uint16_t, std::map<uint64_t, NodeShadow>> nodes_;
+  // Node shadows indexed by MS id: (node base offset -> shadow). Ranges
+  // never overlap. Indexing by id leaves one ordered lookup per WR.
+  std::vector<std::map<uint64_t, NodeShadow>> nodes_;
   // ms -> (segment base -> shadow) and (extent offset -> shadow).
   std::map<uint16_t, std::map<uint64_t, VSegShadow>> vsegs_;
   std::map<uint16_t, std::map<uint64_t, VExtShadow>> vexts_;

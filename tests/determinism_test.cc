@@ -136,7 +136,7 @@ TEST(DeterminismTest, RdwcDelegationRunsAreByteIdentical) {
       opts.rdwc.promote_threshold = 2;
       HybridSystem system(SmallFabric(2, 3), opts);
       system.BulkLoad(bench::MakeLoadKvs(keys), 0.8);
-      // Hotspot skew keeps combining windows constantly open.
+      // Hotspot skew keeps write windows constantly open.
       bench::RunnerOptions r = SmallRun(keys, 11);
       r.workload.hotspot_share = 0.9;
       r.workload.hotspot_keys = 8;

@@ -61,14 +61,25 @@ class FuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 // torn-read check is sound). Works against ShermanSystem (TreeClient) and
 // HybridSystem (HybridClient) alike. `hot_span` > 0 skews the stream:
 // 90% of key draws land in [1, hot_span] — the extreme-skew mix that
-// keeps RDWC combining windows constantly open in the hybrid cases.
+// keeps RDWC write windows constantly open in the hybrid cases. With
+// `hist`, every op on a hot key also goes into the per-key register
+// history (each batch and range counts as one op per key it touched).
 template <typename System>
 sim::Task<void> FuzzWorker(System* sys, int tid, uint64_t seed, int n_ops,
                            uint64_t space, bool delete_heavy, Oracle* orc,
                            std::map<Key, uint64_t>* my_last, int* d,
-                           uint64_t hot_span = 0) {
+                           uint64_t hot_span = 0,
+                           testutil::RegisterHistory* hist = nullptr) {
   auto& client = sys->client(tid % sys->num_clients());
+  sim::Simulator& sim = sys->simulator();
   Random rng(seed);
+  const auto tracked = [hist, hot_span](Key key) {
+    return hist != nullptr && key <= hot_span;
+  };
+  const auto record_get = [&](Key key, sim::SimTime invoke, const Status& st,
+                              uint64_t v) {
+    if (tracked(key) && st.ok()) hist->Read(key, invoke, sim.now(), v);
+  };
   const auto pick_key = [&rng, hot_span, space]() -> Key {
     if (hot_span > 0 && rng.Bernoulli(0.9)) return 1 + rng.Uniform(hot_span);
     return 1 + rng.Uniform(space);
@@ -101,38 +112,55 @@ sim::Task<void> FuzzWorker(System* sys, int tid, uint64_t seed, int n_ops,
   for (int i = 0; i < n_ops; i++) {
     const Key key = pick_key();
     const uint64_t dice = rng.Uniform(12);
+    const sim::SimTime invoke = sim.now();
     if (dice < d_ins) {  // singleton insert
       const uint64_t value = (static_cast<uint64_t>(tid + 1) << 32) | (i + 1);
       record_write(key, value);
+      const size_t op = tracked(key) ? hist->BeginWrite(key, value, invoke) : 0;
       Status st = co_await client.Insert(key, value);
       if (st.IsOutOfMemory()) {
         exempt(key);
+        if (tracked(key)) hist->Exclude(key);
         continue;
       }
       EXPECT_TRUE(st.ok()) << st.ToString();
+      if (tracked(key)) hist->EndWrite(key, op, sim.now());
     } else if (dice < d_mins) {  // batched MultiInsert
       std::vector<std::pair<Key, uint64_t>> kvs;
       const int batch = 2 + static_cast<int>(rng.Uniform(5));
       for (int b = 0; b < batch; b++) {
         const Key k = pick_key();
+        // Bit 31 keeps batch values apart from singleton ones.
         const uint64_t value = (static_cast<uint64_t>(tid + 1) << 32) |
+                               (1ull << 31) |
                                (static_cast<uint64_t>(i + 1) << 8) |
                                static_cast<uint64_t>(b);
         record_write(k, value);
         kvs.emplace_back(k, value);
       }
+      // A batch writes each key's LAST instance (last writer wins).
+      std::map<Key, std::pair<uint64_t, size_t>> writes;
+      for (const auto& [k, v] : kvs) {
+        if (tracked(k)) writes[k] = {v, 0};
+      }
+      for (auto& [k, w] : writes) w.second = hist->BeginWrite(k, w.first, invoke);
       std::vector<std::pair<Key, uint64_t>> issued = kvs;
       Status st = co_await client.MultiInsert(std::move(issued));
       if (st.IsOutOfMemory()) {
         // Partial application possible; exempt every key of the batch.
-        for (const auto& [k, v] : kvs) exempt(k);
+        for (const auto& [k, v] : kvs) {
+          exempt(k);
+          if (tracked(k)) hist->Exclude(k);
+        }
         continue;
       }
       EXPECT_TRUE(st.ok()) << st.ToString();
+      for (const auto& [k, w] : writes) hist->EndWrite(k, w.second, sim.now());
     } else if (dice < d_look) {  // singleton lookup
       uint64_t v = 0;
       Status st = co_await client.Lookup(key, &v);
       check_read(key, st, v);
+      record_get(key, invoke, st, v);
     } else if (dice < d_mget) {  // batched MultiGet
       std::vector<Key> keys;
       const int batch = 2 + static_cast<int>(rng.Uniform(7));
@@ -143,6 +171,7 @@ sim::Task<void> FuzzWorker(System* sys, int tid, uint64_t seed, int n_ops,
       EXPECT_EQ(got.size(), keys.size());
       for (size_t b = 0; b < got.size() && b < keys.size(); b++) {
         check_read(keys[b], got[b].status, got[b].value);
+        record_get(keys[b], invoke, got[b].status, got[b].value);
       }
     } else if (dice < d_del) {  // delete
       // Mark unconditionally — creating the oracle entry if the key does
@@ -151,16 +180,22 @@ sim::Task<void> FuzzWorker(System* sys, int tid, uint64_t seed, int n_ops,
       // it, so no last-value guarantee survives for this key.
       (*orc)[key].deleted = true;
       my_last->erase(key);
+      const size_t op = tracked(key) ? hist->BeginDelete(key, invoke) : 0;
       Status st = co_await client.Delete(key);
       EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+      if (tracked(key)) hist->EndWrite(key, op, sim.now());
     } else if (dice < d_mdel) {  // batched MultiDelete
       std::vector<Key> keys;
       const int batch = 2 + static_cast<int>(rng.Uniform(6));
+      std::map<Key, size_t> deletes;
       for (int b = 0; b < batch; b++) {
         const Key k = pick_key();
         (*orc)[k].deleted = true;  // unconditional: see singleton delete
         my_last->erase(k);
         keys.push_back(k);
+        if (tracked(k) && deletes.count(k) == 0) {
+          deletes[k] = hist->BeginDelete(k, invoke);
+        }
       }
       std::vector<Status> res;
       Status st = co_await client.MultiDelete(keys, &res);
@@ -169,6 +204,7 @@ sim::Task<void> FuzzWorker(System* sys, int tid, uint64_t seed, int n_ops,
       for (const Status& s : res) {
         EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
       }
+      for (const auto& [k, op] : deletes) hist->EndWrite(k, op, sim.now());
     } else {  // range query
       std::vector<std::pair<Key, uint64_t>> out;
       Status st = co_await client.RangeQuery(
@@ -177,7 +213,10 @@ sim::Task<void> FuzzWorker(System* sys, int tid, uint64_t seed, int n_ops,
       for (size_t j = 1; j < out.size(); j++) {
         EXPECT_LT(out[j - 1].first, out[j].first);
       }
-      for (const auto& [k2, v2] : out) check_read(k2, Status::OK(), v2);
+      for (const auto& [k2, v2] : out) {
+        check_read(k2, Status::OK(), v2);
+        record_get(k2, invoke, Status::OK(), v2);
+      }
     }
   }
   (*d)++;
@@ -323,14 +362,15 @@ TEST_P(FuzzTest, ConcurrentMixedOpsAgainstOracle) {
 
 // Extreme-skew fuzz over the hybrid system with RDWC delegation +
 // combining on: 90% of every op stream lands in a tiny hot span, so
-// combining windows are constantly open while deletes, batches, and range
+// write windows are constantly open while deletes, batches, and range
 // queries (which always bypass the table) interleave. The kill seeds arm a
-// random rdwc.* crash site — the delegate dies mid-window, a parked
-// follower is re-elected, and the oracle must still hold at quiescence.
+// random rdwc.* crash site — the delegate dies mid-window, its followers
+// are served or re-run, and the oracle must still hold at quiescence. The
+// hot keys' histories must be linearizable, kills included.
 TEST(RdwcFuzzTest, ExtremeSkewWithDelegationAgainstOracle) {
   const bool long_fuzz = std::getenv("SHERMAN_LONG_FUZZ") != nullptr;
   const uint64_t seeds = long_fuzz ? 12 : 4;
-  const char* rdwc_sites[] = {"rdwc.open", "rdwc.exec", "rdwc.combine"};
+  const char* rdwc_sites[] = {"rdwc.open", "rdwc.bound", "rdwc.written"};
   for (uint64_t seed = 1; seed <= seeds; seed++) {
     Random meta_rng(7000 + seed);
     fault::Injector().Reset();
@@ -370,6 +410,10 @@ TEST(RdwcFuzzTest, ExtremeSkewWithDelegationAgainstOracle) {
     Oracle oracle;
     std::map<Key, uint64_t> last_value_by_thread[16];
     testutil::SeedOracle(&oracle, bench::MakeLoadKvs(loaded));
+    testutil::RegisterHistory hist;
+    for (const auto& [k, v] : bench::MakeLoadKvs(loaded)) {
+      if (k <= hot_span) hist.Initial(k, v);
+    }
 
     int victim_cs = -1;
     if (kill) {
@@ -384,7 +428,8 @@ TEST(RdwcFuzzTest, ExtremeSkewWithDelegationAgainstOracle) {
     for (int t = 0; t < threads; t++) {
       sim::Spawn(FuzzWorker(&system, t, seed * 131 + t, ops_per_thread,
                             key_space, /*delete_heavy=*/false, &oracle,
-                            &last_value_by_thread[t], &done, hot_span));
+                            &last_value_by_thread[t], &done, hot_span,
+                            &hist));
     }
     system.simulator().Run();
 
@@ -423,6 +468,10 @@ TEST(RdwcFuzzTest, ExtremeSkewWithDelegationAgainstOracle) {
           << "seed " << seed;
     }
     EXPECT_EQ(system.rdwc()->open_windows(), 0u) << "seed " << seed;
+    const std::vector<std::string> bad = hist.Check();
+    EXPECT_TRUE(bad.empty()) << "seed " << seed << ": " << bad.size()
+                             << " linearizability violations, first: "
+                             << bad.front();
 
     testutil::CheckOracleAtQuiescence(&system.sherman(), oracle,
                                       last_value_by_thread, threads);

@@ -1,12 +1,14 @@
 // Tests for hot-key delegation + read/write combining (src/combine/):
-// promotion/demotion mechanics of the sampled delegation table, window
-// sharing (parked GETs adopt the window value, parked PUTs collapse into
-// one combined write, last arrival wins), overflow bypass, the
-// queue-only ablation (combining off), and the off switch being a true
-// no-op. Delegate-death re-election is covered by recover_test's crash
+// promotion/demotion mechanics of the sampled delegation table, write
+// windows (joined GETs are served the window's write, joined PUTs fold
+// into it, last arrival wins), sealing once the value is bound, overflow
+// bypass, the queue-only ablation (combining off), the off switch being a
+// true no-op, and a per-key linearizability check over a multi-CS
+// hot-key history. Delegate death is covered by recover_test's crash
 // sweep (rdwc.* sites); extreme-skew fuzzing with kills by fuzz_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -16,6 +18,8 @@
 #include "combine/rdwc.h"
 #include "core/hybrid_system.h"
 #include "core/presets.h"
+#include "test_oracle.h"
+#include "util/random.h"
 
 namespace sherman {
 namespace {
@@ -95,7 +99,7 @@ TEST(RdwcTableTest, SampledColdPathSkipsTheTable) {
   EXPECT_TRUE(layer.IsHot(k));
 }
 
-// --- combining windows -----------------------------------------------------
+// --- write windows ---------------------------------------------------------
 
 TEST(RdwcWindowTest, ParkedGetsShareAndPutsCombineLastWins) {
   HybridSystem system(SmallFabric(), RdwcHybrid());
@@ -107,8 +111,8 @@ TEST(RdwcWindowTest, ParkedGetsShareAndPutsCombineLastWins) {
     bool done = false;
   };
   Out del, put1, put2, get;
-  // Same tick: the first op opens the window as delegate; the two PUTs
-  // and the GET park while it is in flight.
+  // Same tick: the first PUT opens the window as delegate; the two PUTs
+  // and the GET join it before its value is bound (after the lock).
   sim::Spawn([](HybridSystem* s, Out* o) -> sim::Task<void> {
     o->st = co_await s->client(0).Insert(42, 100);
     o->done = true;
@@ -129,8 +133,8 @@ TEST(RdwcWindowTest, ParkedGetsShareAndPutsCombineLastWins) {
 
   ASSERT_TRUE(del.done && put1.done && put2.done && get.done);
   EXPECT_TRUE(del.st.ok() && put1.st.ok() && put2.st.ok() && get.st.ok());
-  // The GET parked in the window shares its final value: the combined
-  // write, which carries the LAST parked PUT's value.
+  // The joined GET is served the window's one write, which carries the
+  // LAST joined PUT's value.
   EXPECT_EQ(get.v, 300u);
 
   EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
@@ -140,7 +144,7 @@ TEST(RdwcWindowTest, ParkedGetsShareAndPutsCombineLastWins) {
   EXPECT_EQ(Rdwc(&system, "combined_writes"), 1u);
   EXPECT_EQ(system.rdwc()->open_windows(), 0u);
 
-  // The tree holds the combined value.
+  // The tree holds the window's value.
   bool checked = false;
   sim::Spawn([](HybridSystem* s, bool* flag) -> sim::Task<void> {
     uint64_t v = 0;
@@ -151,6 +155,56 @@ TEST(RdwcWindowTest, ParkedGetsShareAndPutsCombineLastWins) {
   }(&system, &checked));
   system.simulator().Run();
   ASSERT_TRUE(checked);
+  system.sherman().DebugCheckInvariants();
+}
+
+// The value of `key` in MS memory, read straight from the leaves.
+uint64_t LeafValue(HybridSystem* system, Key key) {
+  for (const auto& [k, v] : system->sherman().DebugScanLeaves()) {
+    if (k == key) return v;
+  }
+  return 0;
+}
+
+// A PUT issued after the window's write has landed must not join that
+// window: its value would be acknowledged but never written. Binding the
+// value seals the window, so the PUT opens the next one.
+TEST(RdwcWindowTest, PutAfterTheWriteLandedOpensTheNextWindow) {
+  HybridSystem system(SmallFabric(), RdwcHybrid());
+  system.BulkLoad(bench::MakeLoadKvs(1'000), 0.8);
+
+  Status del, put1, put2;
+  sim::Spawn([](HybridSystem* s, Status* st) -> sim::Task<void> {
+    *st = co_await s->client(0).Insert(42, 100);
+  }(&system, &del));
+  sim::Spawn([](HybridSystem* s, Status* st) -> sim::Task<void> {
+    *st = co_await s->client(1).Insert(42, 200);  // joins the window
+  }(&system, &put1));
+  bool issued = false;
+  sim::Spawn([](HybridSystem* s, Status* st, bool* flag) -> sim::Task<void> {
+    // Poll the leaf in MS memory until the window's write (200) landed,
+    // then issue the third PUT while the window's ops are still in flight.
+    for (int i = 0; i < 100'000 && LeafValue(s, 42) != 200; i++) {
+      co_await s->simulator().Delay(20);
+    }
+    EXPECT_EQ(LeafValue(s, 42), 200u);
+    EXPECT_EQ(s->rdwc()->open_windows(), 1u) << "the window already closed";
+    *flag = true;
+    *st = co_await s->client(1).Insert(42, 300);
+  }(&system, &put2, &issued));
+  system.simulator().Run();
+
+  ASSERT_TRUE(issued);
+  EXPECT_TRUE(del.ok() && put1.ok() && put2.ok());
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 2u);
+  EXPECT_EQ(Rdwc(&system, "combined_writes"), 1u);
+
+  uint64_t v = 0;
+  sim::Spawn([](HybridSystem* s, uint64_t* out) -> sim::Task<void> {
+    EXPECT_TRUE((co_await s->client(0).Lookup(42, out)).ok());
+  }(&system, &v));
+  system.simulator().Run();
+  EXPECT_EQ(v, 300u) << "an acknowledged PUT was never written";
   system.sherman().DebugCheckInvariants();
 }
 
@@ -218,7 +272,7 @@ TEST(RdwcWindowTest, QueueOnlyModeSerializesWithoutSharing) {
   system.sherman().DebugCheckInvariants();
 }
 
-// --- varlen combining windows ----------------------------------------------
+// --- varlen write windows -------------------------------------------------
 
 HybridOptions RdwcVarHybrid(bool combining = true) {
   HybridOptions o = RdwcHybrid(combining);
@@ -271,7 +325,7 @@ TEST(RdwcVarWindowTest, ParkedVarGetsShareAndPutsCombineLastWins) {
 
   ASSERT_TRUE(del.done && put1.done && put2.done && get.done);
   EXPECT_TRUE(del.st.ok() && put1.st.ok() && put2.st.ok() && get.st.ok());
-  // The parked GET shares the combined write's value (last parked PUT).
+  // The joined GET is served the window's write: the last joined PUT.
   EXPECT_EQ(get.v, "d300");
 
   EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
@@ -387,27 +441,50 @@ TEST(RdwcVarWindowTest, OverflowBypassesToTheDirectPath) {
   EXPECT_EQ(Rdwc(&system, "followers_queued"), 1u);
   EXPECT_EQ(Rdwc(&system, "bypass_overflow"), 1u);
   EXPECT_EQ(Rdwc(&system, "combined_writes"), 1u);
-  // The combined write (o1) lands after the delegate's own (o0); the
-  // overflowed o2 raced both.
+  // The window's one write carries the joined o1; the overflowed o2 raced
+  // it.
   const std::string last = VarReadBack(&system, "hotkey00");
   EXPECT_TRUE(last == "o1" || last == "o2") << last;
+  // GETs with no write window open read directly: no window opened.
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
 
-  // Three GETs the same way: delegate, shared follower, overflow. Every
-  // one reads the value just read back.
-  VarOut get[3];
-  for (int i = 0; i < 3; i++) {
-    sim::Spawn(VarGet(&system, i == 0 ? 0 : 1, "hotkey00", &get[i]));
-  }
+  // A PUT opens the next window; of two GETs behind it, one joins and is
+  // served the window's write, the other overflows and reads directly.
+  VarOut put3, get[2];
+  sim::Spawn(VarPut(&system, 0, "hotkey00", "o3", &put3));
+  for (VarOut& o : get) sim::Spawn(VarGet(&system, 1, "hotkey00", &o));
   system.simulator().Run();
-  for (const VarOut& o : get) {
-    ASSERT_TRUE(o.done);
-    EXPECT_TRUE(o.st.ok()) << o.st.ToString();
-    EXPECT_EQ(o.v, last);
-  }
-  // Plus the read-back's and the GETs' windows.
-  EXPECT_EQ(Rdwc(&system, "windows_opened"), 3u);
+  ASSERT_TRUE(put3.done && get[0].done && get[1].done);
+  EXPECT_TRUE(put3.st.ok() && get[0].st.ok() && get[1].st.ok());
+  EXPECT_EQ(get[0].v, "o3");
+  EXPECT_TRUE(get[1].v == last || get[1].v == "o3") << get[1].v;
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 2u);
   EXPECT_EQ(Rdwc(&system, "bypass_overflow"), 2u);
   EXPECT_EQ(Rdwc(&system, "gets_shared"), 1u);
+  EXPECT_EQ(VarReadBack(&system, "hotkey00"), "o3");
+  system.sherman().DebugCheckInvariants();
+}
+
+// Out-of-line values need their value-log append before the lock, so a
+// window cannot fold them: such PUTs neither open nor join a window.
+TEST(RdwcVarWindowTest, OutOfLinePutsRunDirect) {
+  HybridSystem system(SmallFabric(), RdwcVarHybrid());
+  system.BulkLoadVar(VarLoadKvs(200), 0.8);
+
+  const std::string big(kInlineThreshold + 1, 'x');
+  VarOut del, put_big, get;
+  sim::Spawn(VarPut(&system, 0, "hotkey00", "small", &del));
+  sim::Spawn(VarPut(&system, 1, "hotkey00", big, &put_big));
+  sim::Spawn(VarGet(&system, 1, "hotkey00", &get));
+  system.simulator().Run();
+  ASSERT_TRUE(del.done && put_big.done && get.done);
+  EXPECT_TRUE(del.st.ok() && put_big.st.ok() && get.st.ok());
+  EXPECT_EQ(get.v, "small");  // joined the window the inline PUT opened
+  EXPECT_EQ(Rdwc(&system, "windows_opened"), 1u);
+  EXPECT_EQ(Rdwc(&system, "followers_queued"), 1u);
+  EXPECT_EQ(Rdwc(&system, "puts_combined"), 0u);
+  const std::string last = VarReadBack(&system, "hotkey00");
+  EXPECT_TRUE(last == "small" || last == big) << last.size();
   system.sherman().DebugCheckInvariants();
 }
 
@@ -433,6 +510,106 @@ TEST(RdwcVarWindowTest, QueueOnlyModeRerunsParkedOpsDirectly) {
   EXPECT_TRUE(get.v == "q100" || get.v == "q200") << get.v;
   EXPECT_EQ(VarReadBack(&system, "hotkey00"), "q200");
   system.sherman().DebugCheckInvariants();
+}
+
+// --- linearizability --------------------------------------------------------
+
+// One client's 300 ops on the hot keys, each recorded in `h`: PUTs of
+// unique values and GETs through the windows, MultiInsert / MultiGet
+// beside them.
+sim::Task<void> HotKeyWorker(HybridSystem* s, int cs, uint64_t seed,
+                             const std::vector<Key>* hot,
+                             testutil::RegisterHistory* h, int* n) {
+  route::HybridClient& c = s->client(cs);
+  sim::Simulator& sim = s->simulator();
+  Random rng(seed);
+  for (uint64_t i = 1; i <= 300; i++) {
+    const Key k = (*hot)[rng.Uniform(hot->size())];
+    const uint64_t value = (seed << 32) | i;  // unique
+    const sim::SimTime invoke = sim.now();
+    const uint64_t dice = rng.Uniform(10);
+    if (dice < 4) {
+      const size_t op = h->BeginWrite(k, value, invoke);
+      EXPECT_TRUE((co_await c.Insert(k, value)).ok());
+      h->EndWrite(k, op, sim.now());
+    } else if (dice < 8) {
+      uint64_t v = 0;
+      EXPECT_TRUE((co_await c.Lookup(k, &v)).ok());
+      h->Read(k, invoke, sim.now(), v);
+    } else if (dice < 9) {
+      const size_t op = h->BeginWrite(k, value, invoke);
+      std::vector<std::pair<Key, uint64_t>> kvs;
+      kvs.emplace_back(k, value);
+      const Status st = co_await c.MultiInsert(std::move(kvs));
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      h->EndWrite(k, op, sim.now());
+    } else {
+      std::vector<Key> keys(1, k);
+      std::vector<MultiGetResult> got;
+      const Status st = co_await c.MultiGet(std::move(keys), &got);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(got.size() == 1 && got[0].status.ok());
+      if (got.size() == 1) h->Read(k, invoke, sim.now(), got[0].value);
+    }
+  }
+  (*n)++;
+}
+
+// Reads the hot keys straight from MS memory every 50 ns until all
+// `workers` are done:
+// each poll is an instantaneous read of what has landed. A write lands
+// where it linearizes (a window's ops included), so the polls belong in
+// the history; they catch an acknowledged write that never landed.
+sim::Task<void> MemoryObserver(HybridSystem* s, const std::vector<Key>* hot,
+                               testutil::RegisterHistory* h,
+                               const int* done, int workers) {
+  while (*done < workers) {
+    const sim::SimTime now = s->simulator().now();
+    for (const auto& [k, v] : s->sherman().DebugScanLeaves()) {
+      if (k > hot->back()) break;
+      if (std::find(hot->begin(), hot->end(), k) != hot->end()) {
+        h->Read(k, now, now, v);
+      }
+    }
+    co_await s->simulator().Delay(50);
+  }
+}
+
+// Several compute servers hammer two hot keys with unique-valued PUTs and
+// GETs through the windows, beside MultiInsert / MultiGet, which bypass
+// the table and so race the windows' writes directly, while a memory
+// observer polls the hot keys. Every op on a hot key goes into a per-key
+// register history that must be linearizable.
+TEST(RdwcLinearizabilityTest, MultiCsHotKeyHistoryIsLinearizable) {
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    HybridSystem system(SmallFabric(/*ms=*/2, /*cs=*/4), RdwcHybrid());
+    const auto kvs = bench::MakeLoadKvs(200);
+    system.BulkLoad(kvs, 0.8);
+    const std::vector<Key> hot = {2, 4};
+    testutil::RegisterHistory hist;
+    for (const auto& [k, v] : kvs) {
+      if (k <= hot.back()) hist.Initial(k, v);
+    }
+
+    int done = 0;
+    for (int cs = 0; cs < 4; cs++) {
+      for (int t = 0; t < 4; t++) {
+        sim::Spawn(HotKeyWorker(&system, cs, seed * 100 + cs * 10 + t, &hot,
+                                &hist, &done));
+      }
+    }
+    sim::Spawn(MemoryObserver(&system, &hot, &hist, &done, 16));
+    system.simulator().Run();
+    ASSERT_EQ(done, 16);
+    EXPECT_GT(Rdwc(&system, "combined_writes"), 0u);
+    EXPECT_GT(Rdwc(&system, "gets_shared"), 0u);
+    EXPECT_EQ(hist.keys(), hot.size());
+    const std::vector<std::string> bad = hist.Check();
+    EXPECT_TRUE(bad.empty()) << bad.size() << " violations, first: "
+                             << bad.front();
+    system.sherman().DebugCheckInvariants();
+  }
 }
 
 TEST(RdwcWindowTest, DisabledLayerIsAbsentAndOpsStillWork) {

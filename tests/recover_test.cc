@@ -2,7 +2,7 @@
 //
 // For EVERY named crash site registered by the structural-op code (leaf /
 // internal / root splits in core/btree.cc, leaf merges, migration flips in
-// src/migrate/, hot-key combining windows in src/combine/), a scenario
+// src/migrate/, hot-key write windows in src/combine/), a scenario
 // kills a victim client exactly at that site,
 // lets a survivor recover the dead client (lease steal + intent
 // replay/rollback), and verifies:
@@ -45,9 +45,10 @@ constexpr sim::SimTime kLeasePeriodNs = 20'000;
 constexpr int kVictimCs = 1;
 constexpr uint16_t kVictimTag = kVictimCs + 1;
 
-// rdwc sweep scenario: the hot key and the parked PUT's value (the
-// combined write's last-writer-wins result).
+// rdwc sweep scenario: the hot key, its value before the window, and the
+// joined PUT's value (the window write's last-writer-wins result).
 constexpr Key kHot = 42;
+constexpr uint64_t kHotBefore = 0xAA01;
 constexpr uint64_t kPutVal = 0xF00D;
 
 TreeOptions RecoverOptions(double merge_threshold = 0.4) {
@@ -204,16 +205,19 @@ sim::Task<void> SurvivorRecoverAndVerify(
 // --- the sweep --------------------------------------------------------------
 
 // rdwc.* sites live in the hot-key delegation layer (src/combine/): the
-// victim is a combining-window DELEGATE. The scenario promotes one key,
-// lets a victim-CS op open a window and die exactly at the site, parks
-// survivor followers in the still-open window, and verifies the
-// re-election path end to end: the window's timer detects the dead
-// delegate, hands the window to the first live parked follower, the
-// followers' last-writer-wins combined write lands, parked GETs share
-// it, and the tree ends oracle-identical with every lock lane free.
-// Operator recovery afterwards is an idempotent no-op (the rdwc
-// milestones sit between locked tree writes, so the victim holds no
-// lane at any of them).
+// victim is a write window's DELEGATE. The scenario promotes one key; the
+// victim's PUT opens a window, a survivor PUT and GET join it in the same
+// tick, and the victim dies at the site: window opened (nothing bound, no
+// lock held), value bound (the leaf locked, the write frozen before its
+// post), or write done (the joined PUT's value landed). The window's timer
+// detects the dead delegate and completes the window without it: the
+// followers are served when the write landed and re-run directly
+// otherwise (at `rdwc.bound` the re-run PUT lease-steals the lock the
+// victim died holding). The sweep checks that no follower is stranded,
+// that the GET returns a value the key held, that the acknowledged PUT is
+// visible (nothing overwrites it later), and that the tree ends
+// oracle-identical with every lock lane free. Operator recovery
+// afterwards is an idempotent no-op.
 bool RunRdwcSiteScenario(const std::string& site) {
   fault::CrashInjector& inj = fault::Injector();
   inj.Reset();
@@ -250,13 +254,25 @@ bool RunRdwcSiteScenario(const std::string& site) {
     }
     EXPECT_TRUE(sys->rdwc()->IsHot(kHot));
 
-    // The victim's op opens the next window as delegate and dies at the
-    // armed site, leaving the window open and the timer probing.
+    // The victim's PUT opens the next window as delegate; a survivor PUT
+    // (its value is the window's write) and GET join it before its value
+    // is bound. The victim dies at the armed site.
     fault::Injector().Arm(*s, /*nth=*/1, kVictimCs);
     sim::Spawn([](HybridSystem* h) -> sim::Task<void> {
       co_await h->client(kVictimCs).Insert(kHot, 0xDEADull);
       ADD_FAILURE() << "victim delegate returned from its crash site";
     }(sys));
+    Follower put, get;
+    sim::Spawn([](HybridSystem* h, Follower* out) -> sim::Task<void> {
+      out->st = co_await h->client(0).Insert(kHot, kPutVal);
+      out->done = true;
+    }(sys, &put));
+    sim::Spawn([](HybridSystem* h, Follower* out) -> sim::Task<void> {
+      out->st = co_await h->client(0).Lookup(kHot, &out->v);
+      out->done = true;
+    }(sys, &get));
+    EXPECT_EQ(Count(&sys->sherman(), "rdwc.followers_queued"), 2u);
+
     for (int i = 0; i < 4096 && !fault::Injector().fired(); i++) {
       co_await sim.Delay(500);
     }
@@ -268,18 +284,6 @@ bool RunRdwcSiteScenario(const std::string& site) {
     EXPECT_EQ(sys->rdwc()->open_windows(), 1u)
         << *s << ": the dead delegate's window should still be open";
 
-    // Survivor followers park in the dead delegate's window: one PUT
-    // (folds into the combined write) and one GET (shares its value).
-    Follower put, get;
-    sim::Spawn([](HybridSystem* h, Follower* out) -> sim::Task<void> {
-      out->st = co_await h->client(0).Insert(kHot, kPutVal);
-      out->done = true;
-    }(sys, &put));
-    sim::Spawn([](HybridSystem* h, Follower* out) -> sim::Task<void> {
-      out->st = co_await h->client(0).Lookup(kHot, &out->v);
-      out->done = true;
-    }(sys, &get));
-
     for (int i = 0; i < 4096 && !(put.done && get.done); i++) {
       co_await sim.Delay(5'000);
     }
@@ -287,9 +291,19 @@ bool RunRdwcSiteScenario(const std::string& site) {
         << *s << ": followers stranded by the dead delegate";
     EXPECT_TRUE(put.st.ok()) << put.st.ToString();
     EXPECT_TRUE(get.st.ok()) << get.st.ToString();
-    EXPECT_EQ(get.v, kPutVal) << *s << ": GET did not see the combined write";
-    EXPECT_GE(Count(&sys->sherman(), "rdwc.reelections"), 1u)
-        << *s << ": followers completed without taking over the window";
+    if (*s == "rdwc.written") {
+      // The write landed: the followers were served from the window.
+      EXPECT_EQ(get.v, kPutVal) << *s << ": GET not served the write";
+      EXPECT_EQ(Count(&sys->sherman(), "rdwc.gets_shared"), 1u);
+    } else {
+      // Nothing landed: the followers re-ran directly, the GET before or
+      // after the re-run PUT.
+      EXPECT_TRUE(get.v == kHotBefore || get.v == kPutVal)
+          << *s << ": GET returned " << get.v;
+      EXPECT_EQ(Count(&sys->sherman(), "rdwc.gets_shared"), 0u);
+    }
+    EXPECT_EQ(Count(&sys->sherman(), "rdwc.windows_abandoned"), 1u)
+        << *s << ": the timer never completed the dead delegate's window";
     EXPECT_EQ(sys->rdwc()->open_windows(), 0u);
 
     // Operator-initiated recovery stays idempotent on top of this.
@@ -310,8 +324,8 @@ bool RunRdwcSiteScenario(const std::string& site) {
   EXPECT_FALSE(system.sherman().tracer().last_flight_dump().empty())
       << site << ": no flight dump after crash-point kill";
 
-  // Oracle: the bulkload with the hot key ending at the combined write's
-  // last-writer-wins value, nothing else disturbed.
+  // Oracle: the bulkload with the hot key ending at the acknowledged
+  // PUT's value, nothing else disturbed.
   system.sherman().DebugCheckInvariants();
   const auto scan = system.sherman().DebugScanLeaves();
   std::map<Key, uint64_t> final_map(scan.begin(), scan.end());
@@ -457,7 +471,7 @@ TEST(CrashSweepTest, EveryRegisteredCrashPointRecoversToOracle) {
       "isplit.linked", "merge.intent",  "merge.tombstone", "merge.parent",
       "merge.sibling", "merge.freed",   "flip.intent",   "flip.copy",
       "flip.tombstone", "flip.flipped", "flip.sibfixed", "flip.freed",
-      "rdwc.open",     "rdwc.exec",     "rdwc.combine",
+      "rdwc.open",     "rdwc.bound",    "rdwc.written",
       "hint.publish",  "hint.invalidate",
   };
   EXPECT_EQ(sites.size(), kKnown.size());

@@ -7,13 +7,20 @@
 //  - keys written by exactly one thread and never deleted hold that
 //    thread's last value (no lost updates);
 //  - structural invariants hold (DebugCheckInvariants).
+// The value-set rules cannot see an op served a value out of real-time
+// order; RegisterHistory (below) checks per-key linearizability.
 #ifndef SHERMAN_TESTS_TEST_ORACLE_H_
 #define SHERMAN_TESTS_TEST_ORACLE_H_
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -200,6 +207,157 @@ inline void CheckVarOracleAtQuiescence(
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Per-key register linearizability. Each op on a key is recorded with its
+// invoke and respond sim times, its kind and its value. Written values are
+// unique per key (deletes write fresh tombstones no read can name), so
+// each read names the write it observed and the check is polynomial: the
+// zone test of Gibbons & Korach, "Testing shared memories" (SIAM J.
+// Comput. 1997). A write and the reads of its value form a cluster; its
+// zone runs between the cluster's earliest respond f and latest invoke s.
+// When f < s (a forward zone) the cluster must span [f, s] in any
+// linearization, so no other write fits inside it; otherwise (a backward
+// zone) it can linearize at one point of [s, f]. The history is
+// linearizable iff no read returns before its write is invoked, no two
+// forward zones overlap, and no backward zone lies inside a forward one.
+// Reads that found nothing are not recorded: dropping reads keeps a
+// linearizable history linearizable, so the check stays sound.
+
+struct RegOp {
+  static constexpr int64_t kPending = std::numeric_limits<int64_t>::max();
+  int64_t invoke = 0;
+  int64_t respond = kPending;  // a write whose client died never responds
+  bool write = false;
+  uint64_t value = 0;
+};
+
+class RegisterHistory {
+ public:
+  // The value `key` held before the history (its bulkloaded value).
+  void Initial(Key key, uint64_t value) { initial_[key] = value; }
+  // A write is recorded as it is issued (its client may die before it
+  // returns); EndWrite stamps its response.
+  size_t BeginWrite(Key key, uint64_t value, sim::SimTime now) {
+    std::vector<RegOp>& ops = ops_[key];
+    ops.push_back(RegOp{static_cast<int64_t>(now), RegOp::kPending, true,
+                        value});
+    return ops.size() - 1;
+  }
+  void EndWrite(Key key, size_t op, sim::SimTime now) {
+    ops_[key][op].respond = static_cast<int64_t>(now);
+  }
+  size_t BeginDelete(Key key, sim::SimTime now) {
+    return BeginWrite(key, kTombstone | next_tombstone_++, now);
+  }
+  // An OK read of `value`.
+  void Read(Key key, sim::SimTime invoke, sim::SimTime respond,
+            uint64_t value) {
+    ops_[key].push_back(RegOp{static_cast<int64_t>(invoke),
+                              static_cast<int64_t>(respond), false, value});
+  }
+  // A write of unknown outcome (a failed op) leaves the key unverifiable.
+  void Exclude(Key key) { excluded_.insert(key); }
+
+  size_t keys() const { return ops_.size(); }
+
+  // One line per violation; empty = every key's history is linearizable.
+  std::vector<std::string> Check() const {
+    std::vector<std::string> bad;
+    for (const auto& [key, ops] : ops_) {
+      if (excluded_.count(key) == 0) CheckKey(key, ops, &bad);
+    }
+    return bad;
+  }
+
+ private:
+  static constexpr uint64_t kTombstone = 1ull << 63;
+
+  struct Cluster {
+    bool written = false;
+    int64_t write_invoke = 0;
+    int64_t f = RegOp::kPending;                  // earliest respond
+    int64_t s = std::numeric_limits<int64_t>::min();  // latest invoke
+  };
+
+  void CheckKey(Key key, const std::vector<RegOp>& ops,
+                std::vector<std::string>* bad) const {
+    const auto report = [&](const std::string& what) {
+      std::ostringstream os;
+      os << "key " << key << ": " << what;
+      bad->push_back(os.str());
+    };
+    std::map<uint64_t, Cluster> clusters;
+    const auto init = initial_.find(key);
+    if (init != initial_.end()) {
+      // The initial value: a write that completed before the history.
+      Cluster& c = clusters[init->second];
+      c.written = true;
+      c.write_invoke = c.f = c.s = -1;
+    }
+    for (const RegOp& op : ops) {
+      if (!op.write) continue;
+      Cluster& c = clusters[op.value];
+      if (c.written) {
+        report("value " + std::to_string(op.value) + " written twice");
+        return;
+      }
+      c.written = true;
+      c.write_invoke = op.invoke;
+      c.f = op.respond;
+      c.s = op.invoke;
+    }
+    for (const RegOp& op : ops) {
+      if (op.write) continue;
+      auto it = clusters.find(op.value);
+      if (it == clusters.end()) {
+        report("read of never-written value " + std::to_string(op.value));
+        continue;
+      }
+      Cluster& c = it->second;
+      if (op.respond < c.write_invoke) {
+        report("read of " + std::to_string(op.value) + " at [" +
+               std::to_string(op.invoke) + "," + std::to_string(op.respond) +
+               "] returned before its write was invoked at " +
+               std::to_string(c.write_invoke));
+      }
+      c.f = std::min(c.f, op.respond);
+      c.s = std::max(c.s, op.invoke);
+    }
+    std::vector<std::pair<int64_t, int64_t>> fwd;  // (f, s), f < s
+    std::vector<std::pair<int64_t, int64_t>> bwd;  // (s, f), s <= f
+    std::vector<uint64_t> fwd_value;
+    for (const auto& [value, c] : clusters) {
+      if (c.f < c.s) {
+        fwd.emplace_back(c.f, c.s);
+      } else {
+        bwd.emplace_back(c.s, c.f);
+      }
+    }
+    std::sort(fwd.begin(), fwd.end());
+    int64_t reach = std::numeric_limits<int64_t>::min();
+    for (const auto& [f, s] : fwd) {
+      if (f < reach) {
+        report("two forward zones overlap at " + std::to_string(f));
+      }
+      reach = std::max(reach, s);
+    }
+    for (const auto& [bs, bf] : bwd) {
+      for (const auto& [f, s] : fwd) {
+        if (f < bs && bf < s) {
+          report("a write's backward zone [" + std::to_string(bs) + "," +
+                 std::to_string(bf) + "] lies inside the forward zone [" +
+                 std::to_string(f) + "," + std::to_string(s) + "]");
+        }
+      }
+    }
+  }
+
+  std::map<Key, std::vector<RegOp>> ops_;
+  std::map<Key, uint64_t> initial_;
+  std::set<Key> excluded_;
+  uint64_t next_tombstone_ = 0;
+};
 
 }  // namespace sherman::testutil
 
