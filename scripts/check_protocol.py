@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Protocol-discipline linter for the Sherman tree.
 
-Three rule families, all cheap textual checks that run pre-build in CI:
+Four rule families, all cheap textual checks that run pre-build in CI:
 
 1. raw-verb containment: constructing a mutating rdma::WorkRequest
    (Write / Cas / MaskedCas / Faa) is only legal inside the blessed
@@ -24,6 +24,12 @@ Three rule families, all cheap textual checks that run pre-build in CI:
    snapshot (`AddCounter(`) is legal only in src/obs/ (the registry
    itself) and src/bench/ (the telemetry exporter's op-attributed run.*
    counts).
+
+4. one sealing decision: whether a written node is marked consistent by
+   its node versions or by its checksum is decided once, in NodeView::Seal
+   and NodeView::Reseal (src/core/node_layout.{h,cc}). Calling
+   `UpdateChecksum(` or `BumpNodeVersions(` anywhere else in the program
+   (tests may) re-makes that decision and can seal a node the wrong way.
 
 Exit status 0 = clean, 1 = findings (printed as file:line: message).
 """
@@ -57,6 +63,10 @@ CONSUMED_RE = re.compile(
 # Where a snapshot may be handed a count.
 SNAPSHOT_COUNT_OWNERS = ("src/obs/", "src/bench/")
 ADD_COUNTER_RE = re.compile(r"\bAddCounter\s*\(")
+
+# Where a node may be sealed by hand: the sealing helpers and the tests.
+SEAL_OWNERS = ("src/core/node_layout.h", "src/core/node_layout.cc", "tests/")
+SEAL_RE = re.compile(r"\b(UpdateChecksum|BumpNodeVersions)\s*\(")
 
 SCAN_DIRS = ("src", "tests", "bench", "examples")
 SCAN_EXTS = (".cc", ".h", ".cpp", ".hpp")
@@ -144,6 +154,15 @@ def lint_file(relpath, findings):
                     f"outside src/obs/ and src/bench/ (bump a registry "
                     f"Counter where the work happens; collectors publish "
                     f"gauges only)")
+
+    if not relpath.startswith(SEAL_OWNERS):
+        for ln, line in enumerate(lines, 1):
+            if SEAL_RE.search(line):
+                findings.append(
+                    f"{relpath}:{ln}: node sealed outside NodeView::Seal / "
+                    f"Reseal (core/node_layout.cc): call view.Seal(mode) "
+                    f"after a write, view.Reseal(mode) when the node "
+                    f"versions must stay")
 
     for ln, stmt in iter_statements(lines):
         if not TASK_CALL_RE.search(stmt):

@@ -25,7 +25,7 @@ constexpr uint32_t kMaxScanBatch = 16;
 // Weight of the newest leaf in TreeClient::scan_fill_'s running mean.
 constexpr double kScanFillWeight = 1.0 / 16;
 // The paper's idle-fabric floor for the 4-bit version wraparound guard
-// (§4.4); WrapGuardNs derives the congestion-aware threshold.
+// (§4.4); WrapGuardTrips derives the congestion-aware threshold.
 constexpr sim::SimTime kVersionWrapRetryNs = 8000;
 // Re-reads one read of a node may spend on the wraparound guard.
 constexpr uint32_t kMaxWrapRetries = 16;
@@ -158,15 +158,8 @@ bool TreeClient::NodeConsistent(const uint8_t* buf) const {
   return ok;
 }
 
-void TreeClient::SealNode(NodeView& view) const {
-  if (opt().consistency == TreeOptions::Consistency::kChecksum) {
-    view.UpdateChecksum();
-  } else {
-    view.BumpNodeVersions();
-  }
-}
-
-sim::SimTime TreeClient::WrapGuardNs() const {
+bool TreeClient::WrapGuardTrips(sim::SimTime read_ns) const {
+  if (opt().consistency != TreeOptions::Consistency::kVersions) return false;
   // Wraparound guard threshold: a 4-bit version can only wrap after 16
   // writes, and every write of this node is lock-protected — at minimum a
   // lock CAS round trip plus a full node read before the write-back. A
@@ -181,15 +174,13 @@ sim::SimTime TreeClient::WrapGuardNs() const {
   const sim::SimTime node_wire = static_cast<sim::SimTime>(
       node_size() / fcfg.link_bytes_per_ns);
   const sim::SimTime min_write_cycle = 2 * rtt + 2 * node_wire;
-  return std::max<sim::SimTime>(kVersionWrapRetryNs,
-                                16 * 4 * min_write_cycle);
+  return read_ns > std::max<sim::SimTime>(kVersionWrapRetryNs,
+                                          16 * 4 * min_write_cycle);
 }
 
 sim::Task<Status> TreeClient::ReadNodeChecked(rdma::GlobalAddress addr,
                                               uint8_t* buf, OpStats* stats) {
-  const TreeOptions& o = opt();
   sim::Simulator& sim = system_->fabric_.simulator();
-  const sim::SimTime wrap_guard = WrapGuardNs();
   uint32_t wrap_retries = 0;
   for (uint32_t i = 0; i < kMaxReadRetries; i++) {
     const sim::SimTime start = sim.now();
@@ -208,8 +199,7 @@ sim::Task<Status> TreeClient::ReadNodeChecked(rdma::GlobalAddress addr,
     // wrap anyway — 16 lock-protected writes of one node take far longer
     // than any transient queueing spike — and unbounded retries here would
     // feed a metastable retry storm.
-    if (o.consistency == TreeOptions::Consistency::kVersions &&
-        duration > wrap_guard && wrap_retries < kMaxWrapRetries) {
+    if (WrapGuardTrips(duration) && wrap_retries < kMaxWrapRetries) {
       wrap_retries++;
       if (stats != nullptr) stats->read_retries++;
       continue;
@@ -555,7 +545,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   MoveLeafEntries(&sview, view, o.two_level_versions);
   sview.set_hi_fence(hi);
   sview.set_sibling(view.sibling());
-  SealNode(sview);
+  sview.Seal(o.consistency);
 
   // 4. Lock the parent and re-verify under the lock (it may have split or
   // been rewritten since the lock-free read).
@@ -577,7 +567,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
     RecordMergeAbort(locked.addr);
     co_return false;
   }
-  SealNode(pview);
+  pview.Seal(o.consistency);
 
   // 5. Every verification passed; nothing remote has changed yet, and from
   // here the merge cannot fail. First anchor the op: publish the intent
@@ -610,9 +600,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   co_await fault::Injector().AtSite(kCrashMergeIntent, cs_id_);
 
   view.set_free(true);
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    view.UpdateChecksum();
-  }
+  view.Reseal(o.consistency);
   {
     rdma::WorkRequest tomb =
         rdma::WorkRequest::Write(locked.addr, buf, node_size());
@@ -814,7 +802,7 @@ sim::Task<Status> TreeClient::Put(R rec, OpStats* stats,
   NodeView view(buf.data(), &opt().shape);
   LeafWrite w;
   if (rec.Put(&view, &w)) {
-    if (w.seal) SealNode(view);
+    if (w.seal) view.Seal(opt().consistency);
     co_await WriteBackAndUnlock(*locked_r, buf.data(), w, stats);
     co_await rec.Published(*this, stats);
     co_return Status::OK();
@@ -875,7 +863,7 @@ sim::Task<Status> TreeClient::Remove(R rec, OpStats* stats) {
     co_await Release(*locked_r, {}, stats);
     co_return Status::NotFound();
   }
-  if (w.seal) SealNode(view);
+  if (w.seal) view.Seal(opt().consistency);
   co_await MergeOrWriteBack(*locked_r, buf.data(), w, stats);
   co_await rec.Removed(*this, stats);
   co_return Status::OK();
@@ -968,10 +956,8 @@ sim::Task<Status> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
   // Node-level versions bump across the rewrite.
   buf[kOffFnv] = new_version;
   buf[node_size() - 1] = new_version;
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    NodeView(sib_buf, &o.shape).UpdateChecksum();
-    NodeView(buf, &o.shape).UpdateChecksum();
-  }
+  NodeView(sib_buf, &o.shape).Reseal(o.consistency);
+  NodeView(buf, &o.shape).Reseal(o.consistency);
   if (stats != nullptr) stats->bytes_written += 2ull * node_size();
 
   // Write back. If the sibling landed on the same MS the three commands
@@ -1053,7 +1039,7 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
 
     co_await system_->fabric_.simulator().Delay(f.cpu_node_search_ns);
     if (view.InternalInsert(sep, child)) {
-      SealNode(view);
+      view.Seal(o.consistency);
       LeafWrite w;
       w.WholeNode(node_size());
       co_await WriteBackAndUnlock(locked, buf.data(), w, stats);
@@ -1137,9 +1123,7 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
   view.InitInternal(level, 0, kMaxKey, rdma::kNullAddress,
                     /*leftmost=*/old_root);
   SHERMAN_CHECK(view.InternalInsert(sep, child));
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    view.UpdateChecksum();
-  }
+  view.Reseal(o.consistency);
 
   rdma::WorkRequest stage =
       rdma::WorkRequest::Write(addr, buf.data(), node_size());
@@ -1229,7 +1213,6 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
   // The routing cursor: every leaf left of it has been collected.
   Key cursor = rec.route();
   if (cursor == kMaxKey) co_return Status::OK();  // nothing sorts >= start
-  const sim::SimTime wrap_guard = WrapGuardNs();
   std::vector<std::vector<uint8_t>> bufs;
   std::vector<sim::SimTime> read_ns;  // each leaf buffer's last READ
   rdma::GlobalAddress probe_addr;  // last tombstone this scan bounced off
@@ -1317,9 +1300,8 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
         // 4-bit wraparound guard (§4.4), bounded as in ReadNodeChecked: a
         // READ slower than a full version cycle proves nothing by
         // matching versions.
-        if (!reread_needed &&
-            o.consistency == TreeOptions::Consistency::kVersions &&
-            read_ns[i] > wrap_guard && wrap_retries < kMaxWrapRetries) {
+        if (!reread_needed && WrapGuardTrips(read_ns[i]) &&
+            wrap_retries < kMaxWrapRetries) {
           wrap_retries++;
           reread_needed = true;
         }
@@ -1491,8 +1473,7 @@ sim::Task<bool> TreeClient::FetchLeaves(
   }
   // 4-bit wraparound guard (§4.4), batch edition: a fetch longer than a
   // full version cycle could take proves nothing by matching versions.
-  co_return opt().consistency == TreeOptions::Consistency::kVersions &&
-      sim.now() - fetch_start > WrapGuardNs();
+  co_return WrapGuardTrips(sim.now() - fetch_start);
 }
 
 template <class R>
@@ -1660,7 +1641,7 @@ sim::Task<void> TreeClient::ApplyPutGroup(
     }
     rec.Applied(*this, retired);
   }
-  if (w.seal) SealNode(view);
+  if (w.seal) view.Seal(opt().consistency);
   co_await WriteBackAndUnlock(*locked_r, buf.data(), w, stats);
   latch->Arrive();
 }
@@ -1751,7 +1732,7 @@ sim::Task<void> TreeClient::ApplyRemoveGroup(
       (*out)[idx] = Status::NotFound();
     }
   }
-  if (w.seal) SealNode(view);
+  if (w.seal) view.Seal(opt().consistency);
   co_await MergeOrWriteBack(*locked_r, buf.data(), w, stats);
   for (size_t idx : removed) co_await (*recs)[idx].Removed(*this, stats);
   latch->Arrive();

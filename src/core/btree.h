@@ -70,8 +70,8 @@ struct TreeOptions {
   // false, leaves are sorted and whole nodes are written back (FG).
   bool two_level_versions = true;
 
-  // How lock-free readers validate a fetched node.
-  enum class Consistency { kVersions, kChecksum };
+  // How lock-free readers validate a fetched node (core/node_layout.h).
+  using Consistency = sherman::Consistency;
   Consistency consistency = Consistency::kVersions;
 
   // HOCL configuration (§4.3) — on-chip / hierarchical / wait-queue /
@@ -297,15 +297,13 @@ class TreeClient {
   // retries internally (bounded by kMaxReadRetries).
   sim::Task<Status> ReadNodeChecked(rdma::GlobalAddress addr, uint8_t* buf,
                                     OpStats* stats);
-  // Threshold for the 4-bit version wraparound guard (§4.4): a read
-  // slower than this could span a full version cycle and must re-read
-  // even with matching versions. Shared by the singleton checked read and
-  // the batched leaf fetch; see the derivation at its definition.
-  sim::SimTime WrapGuardNs() const;
+  // The 4-bit version wraparound guard (§4.4): under node versions, a READ
+  // that took `read_ns` may span a full version cycle, so matching
+  // versions prove nothing and the node must be re-read (checksums do not
+  // wrap). Shared by every validated read; see the threshold's derivation
+  // at its definition.
+  bool WrapGuardTrips(sim::SimTime read_ns) const;
   bool NodeConsistent(const uint8_t* buf) const;
-  // Marks a locally staged node consistent for write-back: bumps node
-  // versions (kVersions) or recomputes the checksum (kChecksum).
-  void SealNode(NodeView& view) const;
 
   // Root discovery: reads the root pointer from MS 0's meta region and the
   // root node itself.

@@ -43,8 +43,6 @@ rdma::GlobalAddress ShermanSystem::AllocBulk(uint32_t size) {
 rdma::GlobalAddress ShermanSystem::BuildUpperLevels(
     std::vector<std::pair<rdma::GlobalAddress, Key>> children, double fill) {
   const TreeShape& shape = options_.shape;
-  const bool checksum_mode =
-      options_.consistency == TreeOptions::Consistency::kChecksum;
   const uint32_t per_internal = std::max<uint32_t>(
       2, std::min<uint32_t>(
              shape.internal_capacity(),
@@ -78,7 +76,7 @@ rdma::GlobalAddress ShermanSystem::BuildUpperLevels(
         count++;
       }
       view.set_count(count);
-      if (checksum_mode) view.UpdateChecksum();
+      view.Reseal(options_.consistency);
       if (dmsan_ != nullptr) dmsan_->PublishNode(naddrs[i], level);
       next.emplace_back(naddrs[i], lo);
     }
@@ -93,8 +91,6 @@ void ShermanSystem::BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs,
   SHERMAN_CHECK(fill > 0 && fill <= 1.0);
   const TreeShape& shape = options_.shape;
   const bool sorted_mode = !options_.two_level_versions;
-  const bool checksum_mode =
-      options_.consistency == TreeOptions::Consistency::kChecksum;
   // Varlen leaves are slotted pages; fixed 16-byte records cannot be
   // staged into them. An empty load (the root bootstrap) is fine.
   SHERMAN_CHECK_MSG(!shape.varlen || kvs.empty(),
@@ -133,7 +129,7 @@ void ShermanSystem::BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs,
                            kvs[j].second);
     }
     if (sorted_mode) view.set_count(static_cast<uint16_t>(end - begin));
-    if (checksum_mode) view.UpdateChecksum();
+    view.Reseal(options_.consistency);
     if (dmsan_ != nullptr) dmsan_->PublishNode(addrs[i], /*level=*/0);
     if (!hints_.empty()) hints_[addrs[i].node]->SeedDirect(lo, addrs[i]);
     level_nodes.emplace_back(addrs[i], lo);
@@ -152,8 +148,6 @@ void ShermanSystem::BulkLoadVar(
   SHERMAN_CHECK(fill > 0 && fill <= 1.0);
   const TreeShape& shape = options_.shape;
   SHERMAN_CHECK_MSG(shape.varlen, "BulkLoadVar on a fixed-size tree");
-  const bool checksum_mode =
-      options_.consistency == TreeOptions::Consistency::kChecksum;
 
   for (size_t i = 0; i < kvs.size(); i++) {
     const std::string& k = kvs[i].first;
@@ -234,7 +228,7 @@ void ShermanSystem::BulkLoadVar(
     NodeView view(fabric_.HostRaw(addrs[l]), &shape);
     view.InitLeaf(lo, hi, sibling);
     SHERMAN_CHECK(BuildVarLeaf(&view, entries));
-    if (checksum_mode) view.UpdateChecksum();
+    view.Reseal(options_.consistency);
     if (dmsan_ != nullptr) dmsan_->PublishNode(addrs[l], /*level=*/0);
     if (!hints_.empty()) hints_[addrs[l].node]->SeedDirect(lo, addrs[l]);
     level_nodes.emplace_back(addrs[l], lo);

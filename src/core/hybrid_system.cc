@@ -31,43 +31,29 @@ HybridSystem::HybridSystem(rdma::FabricConfig fabric_config,
 void HybridSystem::BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs,
                             double fill) {
   sherman_.BulkLoad(kvs, fill);
-  const int n = router_->num_shards();
-  if (static_cast<int>(kvs.size()) >= n && !kvs.empty()) {
-    // DEX-style logical partitioning: cut the *loaded* keys into
-    // equal-population shards. Equal-width cuts over the raw universe
-    // degenerate when the loaded keys are sparse in it (e.g. multi-tenant
-    // key bases), collapsing whole tenants into single shards.
-    std::vector<Key> cuts;
-    cuts.reserve(n - 1);
-    for (int s = 1; s < n; s++) {
-      cuts.push_back(kvs[kvs.size() * s / n].first);
-    }
-    router_->SetBoundaries(std::move(cuts));
-  } else if (router_->options().universe_hi == 0 && !kvs.empty()) {
-    // Cover the loaded keys and the odd insert keys between/after them.
-    router_->SetUniverse(std::max<Key>(1, kvs.front().first),
-                         kvs.back().first + 2);
-  }
-  router_->SetTreeHeight(static_cast<double>(sherman_.DebugHeight()));
+  CutShards(kvs.size(), [&kvs](size_t i) { return kvs[i].first; });
 }
 
 void HybridSystem::BulkLoadVar(
     const std::vector<std::pair<std::string, std::string>>& kvs, double fill) {
   sherman_.BulkLoadVar(kvs, fill);
-  const int n = router_->num_shards();
-  if (static_cast<int>(kvs.size()) >= n && !kvs.empty()) {
-    // Shards partition the ROUTING-key space (see BulkLoad): cut the
-    // loaded keys' routing projections into equal-population shards.
+  // Shards partition the ROUTING-key space.
+  CutShards(kvs.size(),
+            [&kvs](size_t i) { return RoutingKeyFor(Slice(kvs[i].first)); });
+}
+
+void HybridSystem::CutShards(size_t count,
+                             const std::function<Key(size_t)>& route_of) {
+  // DEX-style logical partitioning: cut the *loaded* keys into
+  // equal-population shards. Equal-width cuts over the key space
+  // degenerate when the loaded keys are sparse in it (e.g. multi-tenant
+  // key bases), collapsing whole tenants into single shards.
+  if (count > 0) {
+    const int n = router_->num_shards();
     std::vector<Key> cuts;
     cuts.reserve(n - 1);
-    for (int s = 1; s < n; s++) {
-      cuts.push_back(RoutingKeyFor(Slice(kvs[kvs.size() * s / n].first)));
-    }
+    for (int s = 1; s < n; s++) cuts.push_back(route_of(count * s / n));
     router_->SetBoundaries(std::move(cuts));
-  } else if (router_->options().universe_hi == 0 && !kvs.empty()) {
-    router_->SetUniverse(
-        std::max<Key>(1, RoutingKeyFor(Slice(kvs.front().first))),
-        RoutingKeyFor(Slice(kvs.back().first)) + 2);
   }
   router_->SetTreeHeight(static_cast<double>(sherman_.DebugHeight()));
 }

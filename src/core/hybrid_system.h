@@ -7,7 +7,7 @@
 // Usage (see bench/bench_hybrid.cc):
 //   HybridOptions opts;                  // tree + router configuration
 //   HybridSystem system(fabric_cfg, opts);
-//   system.BulkLoad(sorted_kvs, 0.8);    // also sizes the shard universe
+//   system.BulkLoad(sorted_kvs, 0.8);    // also cuts the router's shards
 //   route::HybridClient& c = system.client(0);
 //   sim::Spawn(MyWorkload(&c));          // Insert/Lookup/RangeQuery/Delete
 //   system.router().Start();             // begin epoch re-planning
@@ -16,6 +16,7 @@
 #ifndef SHERMAN_CORE_HYBRID_SYSTEM_H_
 #define SHERMAN_CORE_HYBRID_SYSTEM_H_
 
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -45,8 +46,10 @@ class HybridSystem {
   HybridSystem(const HybridSystem&) = delete;
   HybridSystem& operator=(const HybridSystem&) = delete;
 
-  // Bulkloads the tree and sizes the router's shard universe to cover the
-  // loaded keys (plus the adjacent odd insert keys the workloads target).
+  // Bulkloads the tree and cuts the router's shards at the loaded keys'
+  // quantiles, so every shard holds an equal share of them (a load of
+  // fewer keys than shards leaves some shards empty). Routing needs a
+  // non-empty load, unless there is one shard.
   void BulkLoad(const std::vector<std::pair<Key, uint64_t>>& kvs, double fill);
 
   // Varlen twin: loads string records and cuts shards over the keys'
@@ -74,6 +77,10 @@ class HybridSystem {
   combine::RdwcLayer* rdwc() { return rdwc_.get(); }
 
  private:
+  // The cut both bulk loads share: `count` loaded records whose ascending
+  // routing keys are route_of(i). Also sizes the router's tree height.
+  void CutShards(size_t count, const std::function<Key(size_t)>& route_of);
+
   ShermanSystem sherman_;
   route::HotnessTracker tracker_;
   route::TreeRpcService rpc_service_;

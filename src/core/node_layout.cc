@@ -82,6 +82,18 @@ void NodeView::UpdateChecksum() {
   std::memcpy(data_ + kOffChecksum, &crc, 4);
 }
 
+void NodeView::Seal(Consistency mode) {
+  if (mode == Consistency::kChecksum) {
+    UpdateChecksum();
+  } else {
+    BumpNodeVersions();
+  }
+}
+
+void NodeView::Reseal(Consistency mode) {
+  if (mode == Consistency::kChecksum) UpdateChecksum();
+}
+
 void NodeView::SetLeafEntryRaw(uint32_t i, Key key, uint64_t value) {
   const uint32_t off = LeafEntryOffset(i);
   Store64(off + 1, key);

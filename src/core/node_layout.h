@@ -65,6 +65,10 @@ using Key = uint64_t;
 inline constexpr Key kNullKey = 0;
 inline constexpr Key kMaxKey = ~0ull;
 
+// How lock-free readers validate a fetched node (TreeOptions::consistency):
+// the node-level version pair (§4.4) or a whole-node checksum (FG, §3.1.1).
+enum class Consistency { kVersions, kChecksum };
+
 struct TreeShape {
   uint32_t node_size = 1024;
   uint32_t key_size = 8;    // serialized bytes per key (>= 8)
@@ -162,6 +166,18 @@ class NodeView {
   uint32_t ComputeChecksum() const;  // over the node minus the crc field
   void UpdateChecksum();
   bool VerifyChecksum() const { return stored_checksum() == ComputeChecksum(); }
+
+  // --- sealing: the one place a consistency mode picks its mark ---
+  // Every agent that writes a node (client, MS-side executor, bulk loader,
+  // recoverer, migrator) seals it through these two; a lint rule
+  // (scripts/check_protocol.py) keeps UpdateChecksum and BumpNodeVersions
+  // to this file and the tests.
+  // After a write: bumps the node versions or recomputes the checksum.
+  void Seal(Consistency mode);
+  // After a change that must keep the node versions as they are (a flag
+  // flip, a fresh build, versions the caller set): recomputes the
+  // checksum in kChecksum mode, and does nothing under versions.
+  void Reseal(Consistency mode);
 
   // Does `key` fall within this node's fence interval [lo, hi)?
   bool InFence(Key key) const { return key >= lo_fence() && key < hi_fence(); }

@@ -396,8 +396,7 @@ sim::Task<std::optional<Status>> VarPolicy::Speculate(TreeClient& t,
   // 4-bit wraparound guard (§4.4): a leaf READ slower than a full version
   // cycle proves nothing by matching versions; the validated path
   // re-reads it.
-  const bool slow = o_->consistency == TreeOptions::Consistency::kVersions &&
-                    leaf_ns > t.WrapGuardNs();
+  const bool slow = t.WrapGuardTrips(leaf_ns);
   NodeView view(buf, &o_->shape);
   if (!slow && t.NodeConsistent(buf) && !view.is_free() && view.is_leaf() &&
       view.InFence(rk_)) {
@@ -630,7 +629,7 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
       view.VarSetVlogPtr(at, *fresh);
       LeafWrite w;
       w.WholeNode(node_size());
-      SealNode(view);
+      view.Seal(o.consistency);
       co_await WriteBackAndUnlock(*locked_r, leaf_buf.data(), w, stats);
       RememberVptr(key, *fresh, vlen);
       vlog_->CountGcRelocated();

@@ -37,7 +37,7 @@ namespace sherman {
 
 // The byte ranges a leaf-local op dirtied, in write-back order.
 struct LeafWrite {
-  bool seal = false;  // a node-level field changed: SealNode before writing
+  bool seal = false;  // a node-level field changed: Seal before writing
   std::vector<std::pair<uint32_t, uint32_t>> ranges;  // (offset, length)
 
   void Add(uint32_t off, uint32_t len) { ranges.emplace_back(off, len); }

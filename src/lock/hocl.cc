@@ -30,6 +30,24 @@ void DmsanLockReleased(rdma::Fabric* fabric, int cs_id,
     c->OnLockReleased(cs_id, ref);
   }
 }
+
+// Posts `wrs` in order: one doorbell batch when `combine` (§4.5), else
+// each WR awaited before the next, as FG does.
+sim::Task<void> PostInOrder(rdma::Qp& qp, std::vector<rdma::WorkRequest> wrs,
+                            bool combine, OpStats* stats) {
+  if (wrs.empty()) co_return;
+  if (combine) {
+    rdma::RdmaResult r = co_await qp.PostBatch(std::move(wrs));
+    if (stats != nullptr) stats->round_trips++;
+    SHERMAN_CHECK(r.status.ok());
+    co_return;
+  }
+  for (const rdma::WorkRequest& wr : wrs) {
+    rdma::RdmaResult r = co_await qp.Post(wr);
+    if (stats != nullptr) stats->round_trips++;
+    SHERMAN_CHECK(r.status.ok());
+  }
+}
 }  // namespace
 
 HoclClient::HoclClient(rdma::Fabric* fabric, int cs_id, HoclOptions options)
@@ -69,13 +87,13 @@ uint16_t HoclClient::AcquireLane() const {
   return MakeLockLane(OwnerTag(), LeasesActive() ? LeaseStampNow() : 0);
 }
 
-sim::Task<void> HoclClient::AcquireGlobal(const GlobalLockRef& ref,
-                                          OpStats* stats,
-                                          uint16_t* dead_tag_out) {
+sim::Task<HoclClient::Acquired> HoclClient::AcquireGlobal(
+    const GlobalLockRef& ref, uint32_t max_attempts, bool stop_on_dead,
+    OpStats* stats) {
   rdma::Qp& qp = fabric_->qp(cs_id_, ref.ms);
   const int shift = ref.lane_shift();
-  if (dead_tag_out != nullptr) *dead_tag_out = 0;
-  while (true) {
+  for (uint32_t i = 0; max_attempts == kWaitForever || i < max_attempts;
+       i++) {
     uint64_t fetched = 0;
     cas_attempts_->Inc();
     const uint16_t lane_value = AcquireLane();
@@ -92,24 +110,21 @@ sim::Task<void> HoclClient::AcquireGlobal(const GlobalLockRef& ref,
         llt_.Get(ref.ms, ref.index).lane_stamp = LockLaneStamp(lane_value);
       }
       DmsanLockAcquired(fabric_, cs_id_, ref, lane_value);
-      co_return;
+      co_return Acquired{.ok = true};
     }
     cas_failures_->Inc();
     if (stats != nullptr) stats->lock_retries++;
     // Crash detection: a fetched lane whose lease stamp has expired marks
-    // a dead holder. Report it to the caller instead of recovering inline:
-    // Lock() must drop its CS-local lane first, or recovery — which runs
-    // on this same survivor and locks nodes with the ordinary protocol —
-    // could need exactly the local lane this waiter is parked on.
+    // a dead holder, which no number of further attempts will ever see
+    // release.
     const uint16_t lane =
         static_cast<uint16_t>((fetched & ref.lane_mask()) >> shift);
-    if (dead_tag_out != nullptr && LeasesActive() &&
-        recovery_hook_ != nullptr && LockLaneOwner(lane) != OwnerTag() &&
+    if (stop_on_dead && LeasesActive() && LockLaneOwner(lane) != OwnerTag() &&
         LaneExpired(lane)) {
-      *dead_tag_out = LockLaneOwner(lane);
-      co_return;
+      co_return Acquired{.dead_tag = LockLaneOwner(lane)};
     }
   }
+  co_return Acquired{};
 }
 
 bool HoclClient::AcquireLocal(LocalLockTable::LocalLock& local) {
@@ -141,66 +156,57 @@ sim::Task<LockGuard> HoclClient::Lock(rdma::GlobalAddress node_addr,
                  node_addr.node);
   LockGuard guard;
   guard.ref = LockFor(node_addr, options_.onchip);
+  // A waiter stops on an expired lease only when it can recover the dead
+  // holder; otherwise it waits the lane out.
+  const bool recovers = recovery_hook_ != nullptr;
 
-  if (!options_.hierarchical) {
-    // FG-style: hammer the remote lock directly. A dead holder's expired
-    // lease triggers recovery (nothing local is held here), then the CAS
-    // loop re-enters against the freed lane.
-    while (true) {
-      uint16_t dead_tag = 0;
-      co_await AcquireGlobal(guard.ref, stats, &dead_tag);
-      if (dead_tag == 0) co_return guard;
-      lease_steals_->Inc();
-      SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
-                       "lock.lease_steal", dead_tag);
-      co_await recovery_hook_(dead_tag);
-    }
-  }
-
-  // Hierarchical path: serialize conflicting threads of this CS locally
-  // before touching the network (lines 6-16 of Figure 6).
   while (true) {
-    LocalLockTable::LocalLock* local =
-        &llt_.Get(guard.ref.ms, guard.ref.index);
-    if (AcquireLocal(*local)) {
-      if (options_.wait_queue) {
-        LocalLockTable::Waiter waiter;
-        local->wait_queue.push_back(&waiter);
-        co_await waiter.signal;  // woken by Unlock, holding the local lock
-        if (waiter.handover) {
-          guard.via_handover = true;
-          handovers_->Inc();
-          if (stats != nullptr) stats->used_handover = true;
-          SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
-                           "lock.handover");
-          co_return guard;  // global lock inherited: no remote access needed
+    // Hierarchical: serialize conflicting threads of this CS locally
+    // before touching the network (lines 6-16 of Figure 6). FG-style
+    // clients hammer the remote lock directly.
+    if (options_.hierarchical) {
+      LocalLockTable::LocalLock* local =
+          &llt_.Get(guard.ref.ms, guard.ref.index);
+      if (AcquireLocal(*local)) {
+        if (options_.wait_queue) {
+          LocalLockTable::Waiter waiter;
+          local->wait_queue.push_back(&waiter);
+          co_await waiter.signal;  // woken by Unlock, holding the local lock
+          if (waiter.handover) {
+            guard.via_handover = true;
+            handovers_->Inc();
+            if (stats != nullptr) stats->used_handover = true;
+            SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
+                             "lock.handover");
+            co_return guard;  // global lock inherited: no remote access
+          }
+        } else {
+          // No wait queue: unfair local spinning. A spinner neither holds
+          // nor queues, so the holder's release may drop the entry; fetch
+          // it again after every delay.
+          do {
+            co_await fabric_->simulator().Delay(kLocalSpinNs);
+            local = &llt_.Get(guard.ref.ms, guard.ref.index);
+          } while (local->held);
+          local->held = true;
         }
-      } else {
-        // No wait queue: unfair local spinning. A spinner neither holds
-        // nor queues, so the holder's release may drop the entry; fetch
-        // it again after every delay.
-        do {
-          co_await fabric_->simulator().Delay(kLocalSpinNs);
-          local = &llt_.Get(guard.ref.ms, guard.ref.index);
-        } while (local->held);
-        local->held = true;
       }
     }
 
-    uint16_t dead_tag = 0;
-    co_await AcquireGlobal(guard.ref, stats, &dead_tag);
-    if (dead_tag == 0) co_return guard;
+    const Acquired a =
+        co_await AcquireGlobal(guard.ref, kWaitForever, recovers, stats);
+    if (a.ok) co_return guard;
 
     // The holder is dead. Drop the local lane BEFORE recovering: recovery
     // locks the torn nodes with this very protocol, and parking on a
     // local lane while the recoverer needs it would deadlock this CS
     // against itself. After recovery the full local+global acquisition
     // re-runs (another local thread may legitimately have won meanwhile).
-    ReleaseLocal(guard.ref);
+    if (options_.hierarchical) ReleaseLocal(guard.ref);
     lease_steals_->Inc();
     SHERMAN_TINSTANT(stats != nullptr ? stats->trace : nullptr,
-                     "lock.lease_steal", dead_tag);
-    co_await recovery_hook_(dead_tag);
+                     "lock.lease_steal", a.dead_tag);
+    co_await recovery_hook_(a.dead_tag);
   }
 }
 
@@ -212,57 +218,24 @@ sim::Task<Status> HoclClient::TryLock(rdma::GlobalAddress node_addr,
   LockGuard g;
   g.ref = LockFor(node_addr, options_.onchip);
 
-  LocalLockTable::LocalLock* local = nullptr;
   if (options_.hierarchical) {
-    local = &llt_.Get(g.ref.ms, g.ref.index);
+    LocalLockTable::LocalLock& local = llt_.Get(g.ref.ms, g.ref.index);
     // A local holder/contender means waiting — exactly what a bounded
     // acquire must not do. The caller's protocol is opportunistic.
-    if (local->held) co_return Status::Retry("local lane contended");
-    local->held = true;
+    if (local.held) co_return Status::Retry("local lane contended");
+    local.held = true;
   }
 
-  rdma::Qp& qp = fabric_->qp(cs_id_, g.ref.ms);
-  const int shift = g.ref.lane_shift();
-  bool acquired = false;
-  uint16_t expired_lane = 0;  // last fetched lane with a dead holder
-  for (uint32_t i = 0; i < max_attempts; i++) {
-    uint64_t fetched = 0;
-    cas_attempts_->Inc();
-    const uint16_t lane_value = AcquireLane();
-    auto wr = rdma::WorkRequest::MaskedCas(
-        g.ref.word_address(), 0,
-        static_cast<uint64_t>(lane_value) << shift, g.ref.lane_mask(),
-        &fetched, g.ref.space);
-    wr.origin = rdma::kWrOriginLock;
-    rdma::RdmaResult r = co_await qp.Post(wr);
-    if (stats != nullptr) stats->round_trips++;
-    SHERMAN_CHECK(r.status.ok());
-    if (r.cas_success) {
-      if (local != nullptr) local->lane_stamp = LockLaneStamp(lane_value);
-      DmsanLockAcquired(fabric_, cs_id_, g.ref, lane_value);
-      acquired = true;
-      break;
-    }
-    cas_failures_->Inc();
-    if (stats != nullptr) stats->lock_retries++;
-    const uint16_t lane =
-        static_cast<uint16_t>((fetched & g.ref.lane_mask()) >> shift);
-    if (LeasesActive() && LockLaneOwner(lane) != OwnerTag() &&
-        LaneExpired(lane)) {
-      // The holder is dead: no number of bounded attempts will ever see
-      // this lane released. Stop the retry storm here rather than letting
-      // the caller abort/back-off/re-abort forever.
-      expired_lane = lane;
-      break;
-    }
-  }
-
-  if (!acquired && local != nullptr) ReleaseLocal(g.ref);
-  if (acquired) {
+  // A dead holder always stops the bounded loop: no number of attempts
+  // will ever see its lane released.
+  const Acquired a =
+      co_await AcquireGlobal(g.ref, max_attempts, /*stop_on_dead=*/true, stats);
+  if (a.ok) {
     *guard = g;
     co_return Status::OK();
   }
-  if (expired_lane != 0) {
+  if (options_.hierarchical) ReleaseLocal(g.ref);
+  if (a.dead_tag != 0) {
     // Surface the dead holder WITHOUT recovering inline (and without
     // counting a steal — nothing was stolen): TryLock callers are
     // multi-lock protocols still holding their primary lock, and
@@ -353,19 +326,7 @@ sim::Task<void> HoclClient::Unlock(LockGuard guard,
       restamp.origin = rdma::kWrOriginLock;
       write_backs.push_back(restamp);
     }
-    if (!write_backs.empty()) {
-      if (combine) {
-        rdma::RdmaResult r = co_await qp.PostBatch(std::move(write_backs));
-        if (stats != nullptr) stats->round_trips++;
-        SHERMAN_CHECK(r.status.ok());
-      } else {
-        for (auto& wr : write_backs) {
-          rdma::RdmaResult r = co_await qp.Post(wr);
-          if (stats != nullptr) stats->round_trips++;
-          SHERMAN_CHECK(r.status.ok());
-        }
-      }
-    }
+    co_await PostInOrder(qp, std::move(write_backs), combine, stats);
     LocalLockTable::Waiter* w = local->wait_queue.front();
     local->wait_queue.pop_front();
     w->handover = true;
@@ -375,21 +336,8 @@ sim::Task<void> HoclClient::Unlock(LockGuard guard,
 
   // Full release: write-backs followed by the global release, combined into
   // one doorbell batch when command combination is on (§4.5).
-  if (combine) {
-    write_backs.push_back(release);
-    rdma::RdmaResult r = co_await qp.PostBatch(std::move(write_backs));
-    if (stats != nullptr) stats->round_trips++;
-    SHERMAN_CHECK(r.status.ok());
-  } else {
-    for (auto& wr : write_backs) {
-      rdma::RdmaResult r = co_await qp.Post(wr);
-      if (stats != nullptr) stats->round_trips++;
-      SHERMAN_CHECK(r.status.ok());
-    }
-    rdma::RdmaResult r = co_await qp.Post(release);
-    if (stats != nullptr) stats->round_trips++;
-    SHERMAN_CHECK(r.status.ok());
-  }
+  write_backs.push_back(release);
+  co_await PostInOrder(qp, std::move(write_backs), combine, stats);
 
   // The FAA release is an arithmetic delta, not a lane image, so DMSan
   // cannot decode it from the posted WR; clear the shadow explicitly.

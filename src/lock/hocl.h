@@ -133,13 +133,20 @@ class HoclClient {
   uint16_t OwnerTag() const { return static_cast<uint16_t>(cs_id_) + 1; }
 
  private:
-  // Remote acquisition loop on the GLT (lines 17-19 of Figure 6). With
-  // `dead_tag_out` non-null, an observed expired lease stops the loop and
-  // reports the dead holder instead of acquiring (the caller drops its
-  // local state, drives recovery, and re-enters); with it null the loop
-  // never gives up.
-  sim::Task<void> AcquireGlobal(const GlobalLockRef& ref, OpStats* stats,
-                                uint16_t* dead_tag_out = nullptr);
+  // The remote acquisition loop on the GLT (lines 17-19 of Figure 6),
+  // shared by Lock and TryLock: posts the masked CAS until it succeeds or
+  // `max_attempts` posts failed (kWaitForever: never). With `stop_on_dead`,
+  // a fetched lane whose lease expired stops the loop and reports the
+  // dead holder: Lock drops its local lane and drives recovery, TryLock
+  // surfaces LeaseSteal.
+  struct Acquired {
+    bool ok = false;        // the lane is ours
+    uint16_t dead_tag = 0;  // else the dead holder that stopped the loop
+  };
+  static constexpr uint32_t kWaitForever = UINT32_MAX;
+  sim::Task<Acquired> AcquireGlobal(const GlobalLockRef& ref,
+                                    uint32_t max_attempts, bool stop_on_dead,
+                                    OpStats* stats);
 
   // Local-lane helpers shared by Lock's acquisition loop, the bounded
   // TryLock and Unlock. AcquireLocal returns true when the lane is

@@ -126,7 +126,7 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
       co_await t.Release(locked, {}, stats);
       continue;
     }
-    t.SealNode(view);
+    view.Seal(system_->options().consistency);
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
@@ -188,7 +188,7 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
       continue;
     }
     view.set_sibling(new_addr);
-    t.SealNode(view);
+    view.Seal(system_->options().consistency);
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
@@ -258,9 +258,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   const bool tombstone_first = level == 0;
   const auto tombstone_wr = [&](bool free_flag) {
     view.set_free(free_flag);
-    if (o.consistency == TreeOptions::Consistency::kChecksum) {
-      view.UpdateChecksum();
-    }
+    view.Reseal(o.consistency);
     rdma::WorkRequest wr =
         rdma::WorkRequest::Write(locked.addr, buf->data(), node_size());
     wr.intent_slot = static_cast<uint8_t>(intent_slot);

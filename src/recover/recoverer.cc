@@ -412,9 +412,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
         // intent is resolved either way.)
         co_await t_->Release(sib, {}, &stats);
         view.set_free(false);
-        if (o.consistency == TreeOptions::Consistency::kChecksum) {
-          view.UpdateChecksum();
-        }
+        view.Reseal(o.consistency);
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(rdma::WorkRequest::Write(rec.primary, buf.data(),
                                                node_size()));
@@ -446,7 +444,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       TreeClient::Locked par = *pl;
       NodeView pview(pbuf.data(), &o.shape);
       if (pview.InternalRemove(lo, rec.primary)) {
-        t_->SealNode(pview);
+        pview.Seal(o.consistency);
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(
             rdma::WorkRequest::Write(par.addr, pbuf.data(), node_size()));
@@ -469,7 +467,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       MoveLeafEntries(&sview, view, o.two_level_versions);
       sview.set_hi_fence(hi);
       sview.set_sibling(view.sibling());
-      t_->SealNode(sview);
+      sview.Seal(o.consistency);
       std::vector<rdma::WorkRequest> wrs;
       wrs.push_back(
           rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
@@ -532,9 +530,7 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
     // source (the pre-flip tombstone landed) and retire the copy.
     if (view.is_free()) {
       view.set_free(false);
-      if (o.consistency == TreeOptions::Consistency::kChecksum) {
-        view.UpdateChecksum();
-      }
+      view.Reseal(o.consistency);
       std::vector<rdma::WorkRequest> wrs;
       wrs.push_back(
           rdma::WorkRequest::Write(rec.primary, buf.data(), node_size()));
@@ -577,7 +573,7 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
       NodeView sview(sbuf.data(), &o.shape);
       if (sview.hi_fence() == lo && sview.sibling() == rec.primary) {
         sview.set_sibling(rec.second);
-        t_->SealNode(sview);
+        sview.Seal(o.consistency);
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(
             rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
@@ -597,9 +593,7 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
   // sources already are) and retire it.
   if (!view.is_free()) {
     view.set_free(true);
-    if (o.consistency == TreeOptions::Consistency::kChecksum) {
-      view.UpdateChecksum();
-    }
+    view.Reseal(o.consistency);
     std::vector<rdma::WorkRequest> wrs;
     wrs.push_back(
         rdma::WorkRequest::Write(rec.primary, buf.data(), node_size()));

@@ -1,5 +1,6 @@
 #include "route/hybrid_client.h"
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -12,64 +13,9 @@ namespace sherman::route {
 
 namespace {
 
-// The two record kinds the batch ops are written over: their key/value
-// types, the batch-get result, and each path's batch calls. Every call
-// takes its operand vector by value, so the returned (lazily started)
-// task owns it.
-struct FixedRecord {
-  using K = Key;
-  using V = uint64_t;
-  using GetResult = MultiGetResult;
-
-  static sim::Task<Status> RpcGet(TreeRpcClient* rpc, uint16_t ms,
-                                  std::vector<K> keys,
-                                  std::vector<GetResult>* out, OpStats* s) {
-    return rpc->MultiGet(ms, std::move(keys), out, s);
-  }
-  static sim::Task<Status> TreeGet(TreeClient* tree, std::vector<K> keys,
-                                   std::vector<GetResult>* out, OpStats* s) {
-    return tree->MultiGet(std::move(keys), out, s);
-  }
-  static sim::Task<Status> RpcPut(TreeRpcClient* rpc, uint16_t ms,
-                                  std::vector<std::pair<K, V>> kvs,
-                                  std::vector<Status>* per_key, OpStats* s) {
-    return rpc->MultiInsert(ms, std::move(kvs), per_key, s);
-  }
-  // The one-sided batch reports one status for the whole batch.
-  static sim::Task<Status> TreePut(TreeClient* tree,
-                                   std::vector<std::pair<K, V>> kvs,
-                                   std::vector<Status>* per_key, OpStats* s) {
-    per_key->assign(kvs.size(), Status::OK());
-    return tree->MultiInsert(std::move(kvs), s);
-  }
-};
-
-struct VarRecord {
-  using K = std::string;
-  using V = std::string;
-  using GetResult = VarGetResult;
-
-  static sim::Task<Status> RpcGet(TreeRpcClient* rpc, uint16_t ms,
-                                  std::vector<K> keys,
-                                  std::vector<GetResult>* out, OpStats* s) {
-    return rpc->MultiGetVar(ms, std::move(keys), out, s);
-  }
-  static sim::Task<Status> TreeGet(TreeClient* tree, std::vector<K> keys,
-                                   std::vector<GetResult>* out, OpStats* s) {
-    return tree->MultiGetVar(std::move(keys), out, s);
-  }
-  static sim::Task<Status> RpcPut(TreeRpcClient* rpc, uint16_t ms,
-                                  std::vector<std::pair<K, V>> kvs,
-                                  std::vector<Status>* per_key, OpStats* s) {
-    return rpc->MultiInsertVar(ms, std::move(kvs), per_key, s);
-  }
-  static sim::Task<Status> TreePut(TreeClient* tree,
-                                   std::vector<std::pair<K, V>> kvs,
-                                   std::vector<Status>* per_key, OpStats* s) {
-    per_key->assign(kvs.size(), Status::OK());
-    return tree->MultiInsertVar(std::move(kvs), s);
-  }
-};
+// Scans of this many entries or more decline before their RPC: they would
+// outrun the executor's leaf budget anyway.
+constexpr uint32_t kMaxRpcScan = 1u << 16;
 
 // The u64 key the router shards a batch item on.
 Key RouteOf(Key key) { return key; }
@@ -167,7 +113,9 @@ sim::Task<Status> HybridClient::InsertDirect(Key key, uint64_t value,
   return Dispatch(
       key, /*is_write=*/true,
       [this, key, value, bind](uint16_t ms, OpStats* s) {
-        return rpc_.Insert(ms, key, bind != nullptr ? (*bind)() : value, s);
+        return rpc_.Call(ms, TreeRpcService::kOpPut,
+                         std::pair(key, bind != nullptr ? (*bind)() : value),
+                         s);
       },
       [this, key, value, bind](OpStats* s) {
         return tree_->Insert(key, value, s, bind);
@@ -180,7 +128,7 @@ sim::Task<Status> HybridClient::LookupDirect(Key key, uint64_t* value,
   return Dispatch(
       key, /*is_write=*/false,
       [this, key, value](uint16_t ms, OpStats* s) {
-        return rpc_.Lookup(ms, key, value, s);
+        return rpc_.Call(ms, TreeRpcService::kOpGet, key, s, value);
       },
       [this, key, value](OpStats* s) { return tree_->Lookup(key, value, s); },
       stats);
@@ -188,8 +136,7 @@ sim::Task<Status> HybridClient::LookupDirect(Key key, uint64_t* value,
 
 // The varlen direct ops own their operands in this frame; the Slices the
 // lazily started tree calls hold point into it and outlive every await.
-// The RPC stub copies its operands as it is called, so a bound value
-// need not outlive the call.
+// An RPC call owns copies of its operands, a bound value included.
 sim::Task<Status> HybridClient::InsertDirect(std::string key,
                                              std::string value,
                                              OpStats* stats,
@@ -198,10 +145,10 @@ sim::Task<Status> HybridClient::InsertDirect(std::string key,
   const Slice v(value);
   co_return co_await Dispatch(
       RoutingKeyFor(k), /*is_write=*/true,
-      [this, &k, &v, bind](uint16_t ms, OpStats* s) {
-        if (bind == nullptr) return rpc_.InsertVar(ms, k, v, s);
-        const std::string bound = (*bind)();
-        return rpc_.InsertVar(ms, k, Slice(bound), s);
+      [this, &key, &value, bind](uint16_t ms, OpStats* s) {
+        return rpc_.Call(ms, TreeRpcService::kOpPut,
+                         std::pair(key, bind != nullptr ? (*bind)() : value),
+                         s);
       },
       [this, &k, &v, bind](OpStats* s) {
         return tree_->InsertVar(k, v, s, bind);
@@ -215,8 +162,8 @@ sim::Task<Status> HybridClient::LookupDirect(std::string key,
   const Slice k(key);
   co_return co_await Dispatch(
       RoutingKeyFor(k), /*is_write=*/false,
-      [this, &k, value](uint16_t ms, OpStats* s) {
-        return rpc_.LookupVar(ms, k, value, s);
+      [this, &key, value](uint16_t ms, OpStats* s) {
+        return rpc_.Call(ms, TreeRpcService::kOpGet, key, s, value);
       },
       [this, &k, value](OpStats* s) { return tree_->LookupVar(k, value, s); },
       stats);
@@ -276,7 +223,9 @@ void HybridClient::RecordAbsorbed(Key key, bool is_write, sim::SimTime start,
 sim::Task<Status> HybridClient::Delete(Key key, OpStats* stats) {
   return Dispatch(
       key, /*is_write=*/true,
-      [this, key](uint16_t ms, OpStats* s) { return rpc_.Delete(ms, key, s); },
+      [this, key](uint16_t ms, OpStats* s) {
+        return rpc_.Call(ms, TreeRpcService::kOpRemove, key, s);
+      },
       [this, key](OpStats* s) { return tree_->Delete(key, s); }, stats);
 }
 
@@ -286,7 +235,7 @@ sim::Task<Status> HybridClient::RangeQuery(
   return Dispatch(
       from, /*is_write=*/false,
       [this, from, count, out](uint16_t ms, OpStats* s) {
-        return rpc_.RangeQuery(ms, from, count, out, s);
+        return RpcScan(ms, from, count, out, s);
       },
       [this, from, count, out](OpStats* s) {
         return tree_->RangeQuery(from, count, out, s);
@@ -302,8 +251,8 @@ sim::Task<Status> HybridClient::DeleteVar(const Slice& key, OpStats* stats) {
   const Slice ks(k);
   co_return co_await Dispatch(
       RoutingKeyFor(ks), /*is_write=*/true,
-      [this, &ks](uint16_t ms, OpStats* s) {
-        return rpc_.DeleteVar(ms, ks, s);
+      [this, &k](uint16_t ms, OpStats* s) {
+        return rpc_.Call(ms, TreeRpcService::kOpRemove, k, s);
       },
       [this, &ks](OpStats* s) { return tree_->DeleteVar(ks, s); }, stats);
 }
@@ -315,8 +264,8 @@ sim::Task<Status> HybridClient::ScanVar(
   const Slice fs(f);
   co_return co_await Dispatch(
       RoutingKeyFor(fs), /*is_write=*/false,
-      [this, &fs, count, out](uint16_t ms, OpStats* s) {
-        return rpc_.ScanVar(ms, fs, count, out, s);
+      [this, &f, count, out](uint16_t ms, OpStats* s) {
+        return RpcScan(ms, f, count, out, s);
       },
       [this, &fs, count, out](OpStats* s) {
         return tree_->ScanVar(fs, count, out, s);
@@ -324,12 +273,25 @@ sim::Task<Status> HybridClient::ScanVar(
       stats);
 }
 
+template <typename K, typename Entry>
+sim::Task<Status> HybridClient::RpcScan(uint16_t ms, K from, uint32_t count,
+                                        std::vector<Entry>* out,
+                                        OpStats* stats) {
+  out->clear();
+  if (count == 0) co_return Status::OK();
+  if (count >= kMaxRpcScan) {
+    co_return Status::Retry("scan too large for ms-side execution");
+  }
+  co_return co_await rpc_.Call(ms, TreeRpcService::kOpScan,
+                               std::pair(std::move(from), count), stats, out);
+}
+
 // --- batch ops ---------------------------------------------------------------
 
-template <typename Item, typename Res, typename RpcFn, typename TreeFn>
+template <typename Item, typename Res, typename TreeFn>
 sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
                                          std::vector<Res>* out, bool is_write,
-                                         RpcFn rpc, TreeFn tree,
+                                         uint64_t opcode, TreeFn tree,
                                          OpStats* stats) {
   const size_t n = items.size();
   out->assign(n, Res{});
@@ -368,7 +330,7 @@ sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
   }
 
   // The one-sided sub-batch and the fallback batch trace into the caller's
-  // ctx. The RPC stubs record no client spans, so while the caller waits
+  // ctx. The RPC calls record no client spans, so while the caller waits
   // on the latch the one-sided sub-batch is the ctx's only user.
   obs::TraceCtx* const caller_trace = stats != nullptr ? stats->trace : nullptr;
   std::vector<Res> os_res;
@@ -378,13 +340,14 @@ sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
   {
     sim::CountdownLatch latch(slots.size() + (os_idx.empty() ? 0 : 1));
     for (RpcSlot& slot : slots) {
-      sim::Spawn(Arrive(rpc(&rpc_, router_->HomeMsFor(slot.shard),
-                            gather(slot.idxs), &slot.res, &slot.local),
+      sim::Spawn(Arrive(rpc_.Batch(router_->HomeMsFor(slot.shard), opcode,
+                                   gather(slot.idxs), &slot.res, &slot.local),
                         &slot.st, &latch));
     }
     if (!os_idx.empty()) {
-      sim::Spawn(Arrive(tree(tree_, gather(os_idx), &os_res, &os_local),
-                        &os_st, &latch));
+      sim::Spawn(Arrive(
+          std::invoke(tree, tree_, gather(os_idx), &os_res, &os_local),
+          &os_st, &latch));
     }
     co_await latch.Wait();
   }
@@ -412,7 +375,8 @@ sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
   Status fb_st = Status::OK();
   if (!fb_idx.empty()) {
     std::vector<Res> fb_res;
-    fb_st = co_await tree(tree_, gather(fb_idx), &fb_res, &fb_local);
+    fb_st = co_await std::invoke(tree, tree_, gather(fb_idx), &fb_res,
+                                 &fb_local);
     for (size_t j = 0; j < fb_idx.size(); j++) {
       (*out)[fb_idx[j]] = std::move(fb_res[j]);
     }
@@ -428,33 +392,36 @@ sim::Task<Status> HybridClient::RunBatch(std::vector<Item> items,
   co_return fb_st;
 }
 
-template <typename Rec>
-sim::Task<Status> HybridClient::GetBatch(
-    std::vector<typename Rec::K> keys,
-    std::vector<typename Rec::GetResult>* out, OpStats* stats) {
+template <typename K, typename Res>
+sim::Task<Status> HybridClient::GetBatch(std::vector<K> keys,
+                                         std::vector<Res>* out,
+                                         TreeBatch<K, Res> tree,
+                                         OpStats* stats) {
   // Serve each distinct key once, fan the result to every instance.
-  std::vector<typename Rec::K> uniq;
+  std::vector<K> uniq;
   const std::vector<size_t> slot = Distinct(keys, &uniq);
-  std::vector<typename Rec::GetResult> res;
-  const Status st = co_await RunBatch(std::move(uniq), &res,
-                                      /*is_write=*/false, &Rec::RpcGet,
-                                      &Rec::TreeGet, stats);
-  out->assign(keys.size(), typename Rec::GetResult{});
+  std::vector<Res> res;
+  const Status st =
+      co_await RunBatch(std::move(uniq), &res, /*is_write=*/false,
+                        TreeRpcService::kOpMultiGet, tree, stats);
+  out->assign(keys.size(), Res{});
   for (size_t i = 0; i < keys.size(); i++) (*out)[i] = res[slot[i]];
   co_return st;
 }
 
-template <typename Rec>
+template <typename K, typename V>
 sim::Task<Status> HybridClient::PutBatch(
-    std::vector<std::pair<typename Rec::K, typename Rec::V>> kvs,
+    std::vector<std::pair<K, V>> kvs,
+    sim::Task<Status> (TreeClient::*tree)(std::vector<std::pair<K, V>>,
+                                          OpStats*),
     OpStats* stats) {
   // Last writer wins: keep one instance per key (in first-occurrence
   // position) carrying the LAST instance's value. This pins the duplicate
   // order BEFORE the batch fans out, so a declined earlier instance can
   // never be re-applied by the fallback batch after a later instance
   // already landed at the MS.
-  std::map<typename Rec::K, size_t> slot_of;
-  std::vector<std::pair<typename Rec::K, typename Rec::V>> uniq;
+  std::map<K, size_t> slot_of;
+  std::vector<std::pair<K, V>> uniq;
   uniq.reserve(kvs.size());
   for (auto& kv : kvs) {
     const auto [it, inserted] = slot_of.try_emplace(kv.first, uniq.size());
@@ -464,31 +431,37 @@ sim::Task<Status> HybridClient::PutBatch(
       uniq[it->second].second = std::move(kv.second);
     }
   }
+  // The one-sided batch reports one status for the whole batch.
+  const auto one_sided = [tree](TreeClient* t, std::vector<std::pair<K, V>> b,
+                                std::vector<Status>* per_key, OpStats* s) {
+    per_key->assign(b.size(), Status::OK());
+    return (t->*tree)(std::move(b), s);
+  };
   std::vector<Status> per_key;
   co_return co_await RunBatch(std::move(uniq), &per_key, /*is_write=*/true,
-                              &Rec::RpcPut, &Rec::TreePut, stats);
+                              TreeRpcService::kOpMultiPut, one_sided, stats);
 }
 
 sim::Task<Status> HybridClient::MultiGet(std::vector<Key> keys,
                                          std::vector<MultiGetResult>* out,
                                          OpStats* stats) {
-  return GetBatch<FixedRecord>(std::move(keys), out, stats);
+  return GetBatch(std::move(keys), out, &TreeClient::MultiGet, stats);
 }
 
 sim::Task<Status> HybridClient::MultiGetVar(std::vector<std::string> keys,
                                             std::vector<VarGetResult>* out,
                                             OpStats* stats) {
-  return GetBatch<VarRecord>(std::move(keys), out, stats);
+  return GetBatch(std::move(keys), out, &TreeClient::MultiGetVar, stats);
 }
 
 sim::Task<Status> HybridClient::MultiInsert(
     std::vector<std::pair<Key, uint64_t>> kvs, OpStats* stats) {
-  return PutBatch<FixedRecord>(std::move(kvs), stats);
+  return PutBatch(std::move(kvs), &TreeClient::MultiInsert, stats);
 }
 
 sim::Task<Status> HybridClient::MultiInsertVar(
     std::vector<std::pair<std::string, std::string>> kvs, OpStats* stats) {
-  return PutBatch<VarRecord>(std::move(kvs), stats);
+  return PutBatch(std::move(kvs), &TreeClient::MultiInsertVar, stats);
 }
 
 sim::Task<Status> HybridClient::MultiDelete(std::vector<Key> keys,
@@ -500,15 +473,10 @@ sim::Task<Status> HybridClient::MultiDelete(std::vector<Key> keys,
   std::vector<Key> uniq;
   const std::vector<size_t> slot = Distinct(keys, &uniq);
   std::vector<Status> res;
-  const Status st = co_await RunBatch(
-      std::move(uniq), &res, /*is_write=*/true,
-      [](TreeRpcClient* rpc, uint16_t ms, std::vector<Key> ks,
-         std::vector<Status>* per_key, OpStats* s) {
-        return rpc->MultiDelete(ms, std::move(ks), per_key, s);
-      },
-      [](TreeClient* tree, std::vector<Key> ks, std::vector<Status>* per_key,
-         OpStats* s) { return tree->MultiDelete(std::move(ks), per_key, s); },
-      stats);
+  const Status st =
+      co_await RunBatch(std::move(uniq), &res, /*is_write=*/true,
+                        TreeRpcService::kOpMultiRemove,
+                        &TreeClient::MultiDelete, stats);
   out->assign(keys.size(), Status::NotFound());
   std::vector<uint8_t> claimed(res.size(), 0);
   for (size_t i = 0; i < keys.size(); i++) {

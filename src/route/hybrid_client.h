@@ -136,24 +136,38 @@ class HybridClient final {
   // The batch skeleton all five batch ops share. `Item` is one key's
   // operand (a key or a key/value pair), `Res` its per-key outcome (a get
   // result or a Status). Keys are split by logical shard; each RPC-path
-  // shard gets ONE coalesced request, rpc(&rpc_, home_ms, items, &res,
-  // &stats), the one-sided rest ONE doorbell-batched tree(tree_, items,
-  // &res, &stats), both concurrently; keys the MS declined (Retry) go
-  // through one more one-sided batch; then RecordBatch.
-  template <typename Item, typename Res, typename RpcFn, typename TreeFn>
+  // shard gets ONE coalesced `opcode` request, the one-sided rest ONE
+  // doorbell-batched tree(tree_, items, &res, &stats), both concurrently;
+  // keys the MS declined (Retry) go through one more one-sided batch; then
+  // RecordBatch.
+  template <typename Item, typename Res, typename TreeFn>
   sim::Task<Status> RunBatch(std::vector<Item> items, std::vector<Res>* out,
-                             bool is_write, RpcFn rpc, TreeFn tree,
+                             bool is_write, uint64_t opcode, TreeFn tree,
                              OpStats* stats);
+  // A TreeClient batch call with per-key outcomes (MultiGet, MultiGetVar,
+  // MultiDelete): the one-sided half of a hybrid batch.
+  template <typename Item, typename Res>
+  using TreeBatch = sim::Task<Status> (TreeClient::*)(std::vector<Item>,
+                                                       std::vector<Res>*,
+                                                       OpStats*);
   // MultiGet for either record kind (its dedupe rule: serve each distinct
-  // key once, fan the result out) and MultiInsert (last writer wins).
-  template <typename Rec>
-  sim::Task<Status> GetBatch(std::vector<typename Rec::K> keys,
-                             std::vector<typename Rec::GetResult>* out,
-                             OpStats* stats);
-  template <typename Rec>
+  // key once, fan the result out) and MultiInsert (last writer wins), each
+  // given the record kind's one-sided batch call.
+  template <typename K, typename Res>
+  sim::Task<Status> GetBatch(std::vector<K> keys, std::vector<Res>* out,
+                             TreeBatch<K, Res> tree, OpStats* stats);
+  template <typename K, typename V>
   sim::Task<Status> PutBatch(
-      std::vector<std::pair<typename Rec::K, typename Rec::V>> kvs,
+      std::vector<std::pair<K, V>> kvs,
+      sim::Task<Status> (TreeClient::*tree)(std::vector<std::pair<K, V>>,
+                                            OpStats*),
       OpStats* stats);
+  // The RPC arm of RangeQuery and ScanVar: an empty scan answers without a
+  // round trip, and one of 2^16 entries or more declines at once (it would
+  // outrun the executor's leaf budget).
+  template <typename K, typename Entry>
+  sim::Task<Status> RpcScan(uint16_t ms, K from, uint32_t count,
+                            std::vector<Entry>* out, OpStats* stats);
 
   // One RPC sub-batch's accounting view (its key indices + stats; the
   // per-key shard comes from shard_of).

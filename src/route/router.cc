@@ -200,58 +200,24 @@ AdaptiveRouter::AdaptiveRouter(RouterOptions options, RouterModel model,
 }
 
 int AdaptiveRouter::ShardFor(Key key) const {
-  // With one shard there is nothing to partition (and no quantile cuts to
-  // distinguish from the "no boundaries installed" state).
+  // With one shard there is nothing to partition.
   if (options_.num_shards == 1) return 0;
-  if (!boundaries_.empty()) {
-    return static_cast<int>(
-        std::upper_bound(boundaries_.begin(), boundaries_.end(), key) -
-        boundaries_.begin());
-  }
-  const Key lo = options_.universe_lo;
-  const Key hi = options_.universe_hi;
-  SHERMAN_CHECK_MSG(hi > lo, "router universe not set (call SetUniverse)");
-  if (key < lo) return 0;
-  if (key >= hi) return options_.num_shards - 1;
-  const unsigned __int128 span = hi - lo;
-  const unsigned __int128 idx =
-      (static_cast<unsigned __int128>(key - lo) *
-       static_cast<unsigned __int128>(options_.num_shards)) /
-      span;
-  return static_cast<int>(idx);
+  SHERMAN_CHECK_MSG(!boundaries_.empty(),
+                    "router shards not cut (bulk load first)");
+  return static_cast<int>(
+      std::upper_bound(boundaries_.begin(), boundaries_.end(), key) -
+      boundaries_.begin());
 }
 
 std::pair<Key, Key> AdaptiveRouter::ShardBounds(int shard) const {
   SHERMAN_CHECK(shard >= 0 && shard < options_.num_shards);
   const int n = options_.num_shards;
   if (n == 1) return {1, kMaxKey};
-  if (!boundaries_.empty()) {
-    const Key lo = shard == 0 ? 1 : boundaries_[shard - 1];
-    const Key hi = shard == n - 1 ? kMaxKey : boundaries_[shard];
-    return {lo, hi};
-  }
-  const Key ulo = options_.universe_lo;
-  const Key uhi = options_.universe_hi;
-  SHERMAN_CHECK_MSG(uhi > ulo, "router universe not set (call SetUniverse)");
-  const unsigned __int128 span = uhi - ulo;
-  // Exact inverse of ShardFor's floor((k-lo)*n/span): the smallest key
-  // mapping to shard i is lo + ceil(span*i/n). A floor cut here would
-  // misplace the boundary key whenever span % n != 0, and a migration
-  // driven by these bounds would strand it on the old home.
-  const auto cut = [&](int i) {
-    const unsigned __int128 num = span * static_cast<unsigned __int128>(i) +
-                                  static_cast<unsigned __int128>(n - 1);
-    return static_cast<Key>(ulo + num / static_cast<unsigned __int128>(n));
-  };
-  const Key lo = shard == 0 ? 1 : cut(shard);
-  const Key hi = shard == n - 1 ? kMaxKey : cut(shard + 1);
+  SHERMAN_CHECK_MSG(!boundaries_.empty(),
+                    "router shards not cut (bulk load first)");
+  const Key lo = shard == 0 ? 1 : boundaries_[shard - 1];
+  const Key hi = shard == n - 1 ? kMaxKey : boundaries_[shard];
   return {lo, hi};
-}
-
-void AdaptiveRouter::SetUniverse(Key lo, Key hi) {
-  SHERMAN_CHECK(hi > lo);
-  options_.universe_lo = lo;
-  options_.universe_hi = hi;
 }
 
 void AdaptiveRouter::SetBoundaries(std::vector<Key> cuts) {

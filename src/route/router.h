@@ -1,9 +1,10 @@
 // AdaptiveRouter: epoch-based steering of logical key-range shards between
 // Sherman's one-sided path and MS-side RPC execution.
 //
-// The key universe is range-partitioned into `num_shards` equal logical
-// shards (DEX-style); each shard is pinned to a home MS (shard % num_ms)
-// and carries a path assignment. Every epoch the router drains the
+// The key space is range-partitioned into `num_shards` logical shards of
+// equal population, cut at the loaded keys' quantiles (DEX-style); each
+// shard is pinned to a home MS (shard % num_ms) and carries a path
+// assignment. Every epoch the router drains the
 // HotnessTracker window, smooths it into per-shard estimates, samples each
 // MS's memory-thread FIFO backlog, and re-plans:
 //
@@ -41,16 +42,9 @@ struct RouterOptions {
   enum class Policy { kAdaptive, kAllOneSided, kAllRpc };
   Policy policy = Policy::kAdaptive;
 
+  // Cut by AdaptiveRouter::SetBoundaries (HybridSystem's bulk loads).
   int num_shards = 64;
   sim::SimTime epoch_ns = 2'000'000;  // re-plan every 2 ms of simulated time
-
-  // Key universe [lo, hi) covered by the shards when no explicit shard
-  // boundaries are installed; hi == 0 means "set at BulkLoad from the
-  // loaded keys". HybridSystem::BulkLoad installs quantile boundaries
-  // instead (see AdaptiveRouter::SetBoundaries), which keeps shards
-  // load-balanced even over sparse / multi-tenant key spaces.
-  Key universe_lo = 1;
-  Key universe_hi = 0;
 };
 
 // Fabric-derived constants for the planner's cost model.
@@ -128,7 +122,8 @@ class AdaptiveRouter {
   int num_shards() const { return options_.num_shards; }
   const RouterOptions& options() const { return options_; }
 
-  // Key -> logical shard (range partition), and the shard's home MS. With
+  // Key -> logical shard (range partition; the cuts must be installed
+  // first unless there is one shard), and the shard's home MS. With
   // a shard map installed (elastic clusters), the map is authoritative:
   // migrations re-home shards there and the static founding rule no longer
   // applies — in particular, growing the fabric must NOT remap unmigrated
@@ -140,10 +135,10 @@ class AdaptiveRouter {
   }
   Path PathOfShard(int shard) const { return assignment_[shard]; }
 
-  // The key interval [lo, hi) shard `shard` covers (lo of shard 0 is
-  // clamped to 1, hi of the last shard is kMaxKey — ShardFor maps every
-  // out-of-universe key into those edge shards). This is the unit the
-  // migrator moves.
+  // The key interval [lo, hi) shard `shard` covers (lo of shard 0 is 1,
+  // hi of the last shard is kMaxKey: ShardFor maps every key below the
+  // first cut or past the last into those edge shards). This is the unit
+  // the migrator moves.
   std::pair<Key, Key> ShardBounds(int shard) const;
 
   // Installs the versioned shard map consulted by HomeMsFor. The map must
@@ -151,12 +146,9 @@ class AdaptiveRouter {
   void InstallShardMap(const migrate::ShardMap* map) { shard_map_ = map; }
   const migrate::ShardMap* shard_map() const { return shard_map_; }
 
-  // Universe/height are learned at BulkLoad time.
-  void SetUniverse(Key lo, Key hi);
-  // Installs explicit shard cut points (num_shards - 1 ascending keys;
-  // shard i covers [cuts[i-1], cuts[i])). Takes precedence over the
-  // equal-width universe split — this is what keeps shards balanced when
-  // the loaded keys are a sparse subset of the key universe.
+  // Installs the shard cut points (num_shards - 1 ascending keys; shard i
+  // covers [cuts[i-1], cuts[i])). Cuts and height are learned at bulk
+  // load time.
   void SetBoundaries(std::vector<Key> cuts);
   void SetTreeHeight(double height) { model_.tree_height = height; }
 
@@ -183,7 +175,7 @@ class AdaptiveRouter {
   const migrate::ShardMap* shard_map_ = nullptr;
 
   std::vector<Path> assignment_;
-  std::vector<Key> boundaries_;  // empty => equal-width universe split
+  std::vector<Key> boundaries_;  // the shard cuts; empty until installed
   std::vector<ShardEstimate> smoothed_;
   std::vector<uint64_t> last_os_epoch_;
   std::vector<EpochRecord> epoch_log_;

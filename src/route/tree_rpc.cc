@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 #include <utility>
-#include <variant>
 
 #include "alloc/layout.h"
 #include "core/record_policy.h"
@@ -22,16 +21,6 @@ constexpr int kMaxHops = 64;
 // Leaves an MS-side scan may walk before declining the remainder.
 constexpr uint32_t kMaxScanLeaves = 64;
 
-// Marks a host-side mutated node consistent for lock-free readers — the
-// MS-side executor's counterpart of TreeClient::SealNode.
-void SealHostNode(NodeView* node, const TreeOptions& o) {
-  if (o.consistency == TreeOptions::Consistency::kChecksum) {
-    node->UpdateChecksum();
-  } else {
-    node->BumpNodeVersions();
-  }
-}
-
 // DMSan feed: the MS-side executor is about to mutate `node` through host
 // memory. It only reaches this point after NodeLocked declined held lanes,
 // so a shadow-held lane here is a genuine executor-vs-one-sided race.
@@ -42,11 +31,6 @@ void DmsanRpcMutate(ShermanSystem* system, rdma::GlobalAddress node) {
   }
 }
 
-// `out` for client stubs whose only result is the response word.
-constexpr std::monostate* kNoResult = nullptr;
-
-// An already-finished op, for stubs that answer without a round trip.
-sim::Task<Status> Ready(Status st) { co_return st; }
 }  // namespace
 
 TreeRpcService::TreeRpcService(ShermanSystem* system)
@@ -60,77 +44,59 @@ TreeRpcService::TreeRpcService(ShermanSystem* system)
 
 void TreeRpcService::InstallOn(int ms) {
   system_->fabric().ms(ms).ChainRpcHandler(
-      kOpInsert, kOpMultiVarInsert,
-      [this, ms](uint64_t opcode, uint64_t a, uint64_t b, uint16_t) {
-        return Handle(ms, opcode, a, b);
+      kOpPut, kOpMultiRemove,
+      [this, ms](uint64_t opcode, uint64_t token, uint64_t, uint16_t) {
+        return Handle(ms, opcode, token);
       });
 }
 
-uint64_t TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t a,
-                                uint64_t b) {
+uint64_t TreeRpcService::Handle(int ms, uint64_t opcode, uint64_t token) {
   // The handler runs atomically at one simulated instant, so a frame-local
   // mutating scope on the executor's own ring is interleaving-safe.
   [[maybe_unused]] obs::TraceCtx trace = obs::TraceCtx::For(
       &system_->tracer(), obs::RingId::RpcExecutor(static_cast<uint16_t>(ms)));
-  SHERMAN_TSPAN(&trace, "rpc.execute", opcode, a);
-  using Kv = std::pair<Key, uint64_t>;
-  using VarKv = std::pair<std::string, std::string>;
+  SHERMAN_TSPAN(&trace, "rpc.execute", opcode, token);
+  return system_->options().shape.varlen
+             ? Serve<VarPolicy>(ms, opcode, token)
+             : Serve<FixedPolicy>(ms, opcode, token);
+}
+
+template <class R>
+uint64_t TreeRpcService::Serve(int ms, uint64_t opcode, uint64_t token) {
+  using Kv = typename R::ScanEntry;  // a record: (key, value)
+  using K = typename Kv::first_type;
+  using Result = typename R::Result;
   const TreeOptions& o = system_->options();
   switch (opcode) {
-    case kOpInsert:
-      return Ack(HostPut(FixedPolicy(o, a, b)));
-    case kOpLookup: {
-      uint64_t value = 0;
-      const Status st = HostGet(ms, FixedPolicy(o, a, 0, &value));
-      if (st.ok()) Stage(b, value);
+    case kOpPut: {
+      const Kv kv = Take<Kv>(token);
+      return Ack(HostPut(R(o, kv.first, kv.second)));
+    }
+    case kOpGet: {
+      typename R::Value value{};
+      const Status st = HostGet(ms, R(o, Take<K>(token), {}, &value));
+      if (st.ok()) Stage(token, std::move(value));
       return Ack(st);
     }
-    case kOpDelete:
-      return Ack(HostRemove(ms, FixedPolicy(o, a)));
-    case kOpScan:
-      return ServeScan(ms, FixedPolicy(o, a), static_cast<uint32_t>(b & 0xffff),
-                       b >> 16);
+    case kOpRemove:
+      return Ack(HostRemove(ms, R(o, Take<K>(token))));
+    case kOpScan: {
+      const auto [from, count] = Take<std::pair<K, uint32_t>>(token);
+      return ServeScan(ms, R(o, from), count, token);
+    }
     case kOpMultiGet:
-      return ServeBatch<MultiGetResult, Key>(ms, a, [this, ms, &o](Key key) {
-        MultiGetResult r;
-        r.status = HostGet(ms, FixedPolicy(o, key, 0, &r.value));
+      return ServeBatch<Result, K>(ms, token, [this, ms, &o](const K& key) {
+        Result r;
+        r.status = HostGet(ms, R(o, key, {}, &r.value));
         return r;
       });
-    case kOpMultiInsert:
-      return ServeBatch<Status, Kv>(ms, a, [this, &o](const Kv& kv) {
-        return HostPut(FixedPolicy(o, kv.first, kv.second));
+    case kOpMultiPut:
+      return ServeBatch<Status, Kv>(ms, token, [this, &o](const Kv& kv) {
+        return HostPut(R(o, kv.first, kv.second));
       });
-    case kOpMultiDelete:
-      return ServeBatch<Status, Key>(ms, a, [this, ms, &o](Key key) {
-        return HostRemove(ms, FixedPolicy(o, key));
-      });
-    case kOpVarInsert: {
-      const VarKv kv = Take<VarKv>(a);
-      return Ack(HostPut(VarPolicy(o, kv.first, kv.second)));
-    }
-    case kOpVarLookup: {
-      std::string value;
-      const Status st =
-          HostGet(ms, VarPolicy(o, Take<std::string>(a), {}, &value));
-      if (st.ok()) Stage(a, std::move(value));
-      return Ack(st);
-    }
-    case kOpVarDelete:
-      return Ack(HostRemove(ms, VarPolicy(o, Take<std::string>(a))));
-    case kOpVarScan: {
-      const auto in = Take<std::pair<std::string, uint32_t>>(a);
-      return ServeScan(ms, VarPolicy(o, in.first), in.second, a);
-    }
-    case kOpMultiVarGet:
-      return ServeBatch<VarGetResult, std::string>(
-          ms, a, [this, ms, &o](const std::string& key) {
-            VarGetResult r;
-            r.status = HostGet(ms, VarPolicy(o, key, {}, &r.value));
-            return r;
-          });
-    case kOpMultiVarInsert:
-      return ServeBatch<Status, VarKv>(ms, a, [this, &o](const VarKv& kv) {
-        return HostPut(VarPolicy(o, kv.first, kv.second));
+    case kOpMultiRemove:
+      return ServeBatch<Status, K>(ms, token, [this, ms, &o](const K& key) {
+        return HostRemove(ms, R(o, key));
       });
     default:
       SHERMAN_CHECK(false);
@@ -177,8 +143,9 @@ uint64_t TreeRpcService::ServeBatch(int ms, uint64_t token, Fn one) {
 template <class R>
 uint64_t TreeRpcService::ServeScan(int ms, R from, uint32_t count,
                                    uint64_t token) {
+  if (!from.CheckScan().ok() || count == 0) return Ack(Status::Retry());
   rdma::GlobalAddress addr = FindLeaf(from.route());
-  if (addr.is_null() || count == 0) return Ack(Status::Retry());
+  if (addr.is_null()) return Ack(Status::Retry());
   const TreeShape& shape = system_->options().shape;
   std::vector<typename R::ScanEntry> out;
   uint32_t leaves = 0;
@@ -252,6 +219,9 @@ bool TreeRpcService::NodeLocked(rdma::GlobalAddress addr) const {
 
 template <class R>
 Status TreeRpcService::HostPut(R rec) {
+  // The op core's check first: the one-sided fallback answers a malformed
+  // record with the op core's status.
+  if (!rec.CheckPut().ok()) return Status::Retry("ms-side put: record check");
   if (!rec.HostCanPut()) return Status::Retry("ms-side insert: outline value");
   const rdma::GlobalAddress leaf = FindLeaf(rec.route());
   if (leaf.is_null() || NodeLocked(leaf)) {
@@ -266,12 +236,13 @@ Status TreeRpcService::HostPut(R rec) {
   // A full leaf declines: its split must go one-sided.
   LeafWrite w;
   if (!rec.Put(&view, &w)) return Status::Retry("ms-side insert: leaf full");
-  if (w.seal) SealHostNode(&view, o);
+  if (w.seal) view.Seal(o.consistency);
   return Status::OK();
 }
 
 template <class R>
 Status TreeRpcService::HostGet(int ms, R rec) {
+  if (!rec.Check().ok()) return Status::Retry("ms-side get: record check");
   const rdma::GlobalAddress leaf = FindLeaf(rec.route());
   if (leaf.is_null()) return Status::Retry("ms-side lookup declined");
   NodeView view(system_->fabric().HostRaw(leaf), &system_->options().shape);
@@ -286,6 +257,7 @@ Status TreeRpcService::HostGet(int ms, R rec) {
 
 template <class R>
 Status TreeRpcService::HostRemove(int ms, R rec) {
+  if (!rec.Check().ok()) return Status::Retry("ms-side remove: record check");
   const rdma::GlobalAddress leaf = FindLeaf(rec.route());
   if (leaf.is_null() || NodeLocked(leaf)) {
     return Status::Retry("ms-side delete declined");
@@ -297,7 +269,7 @@ Status TreeRpcService::HostRemove(int ms, R rec) {
   DmsanRpcMutate(system_, leaf);
   LeafWrite w;
   if (!rec.Remove(&view, &w)) return Status::NotFound();
-  if (w.seal) SealHostNode(&view, o);
+  if (w.seal) view.Seal(o.consistency);
   rec.HostRetire(system_, ms);
   TryMergeHost(leaf);
   return Status::OK();
@@ -352,160 +324,14 @@ void TreeRpcService::TryMergeHost(rdma::GlobalAddress leaf) {
   MoveLeafEntries(&sview, view, o.two_level_versions);
   sview.set_hi_fence(hi);
   sview.set_sibling(view.sibling());
-  SealHostNode(&sview, o);
+  sview.Seal(o.consistency);
   SHERMAN_CHECK(pview.InternalRemove(lo, leaf));
-  SealHostNode(&pview, o);
+  pview.Seal(o.consistency);
   view.set_free(true);
-  SealHostNode(&view, o);
+  view.Seal(o.consistency);
   system_->chunk_manager(leaf.node)
       .FreeNode(leaf.offset, o.shape.node_size);
   leaf_merges_->Inc();
-}
-
-// --- client stub -----------------------------------------------------------
-
-template <typename Out>
-sim::Task<Status> TreeRpcClient::Call(uint16_t ms, uint64_t opcode,
-                                      uint64_t a, uint64_t b, uint64_t token,
-                                      Out* out, const char* declined,
-                                      OpStats* stats) {
-  const uint64_t r =
-      co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(opcode, a, b);
-  if (stats != nullptr) stats->round_trips++;
-  if (r == TreeRpcService::kAckDeclined) co_return Status::Retry(declined);
-  if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
-  if (out != nullptr) *out = service_->Take<Out>(token);
-  co_return Status::OK();
-}
-
-template <typename In, typename Out>
-sim::Task<Status> TreeRpcClient::Staged(uint16_t ms, uint64_t opcode, In in,
-                                        Out* out, const char* declined,
-                                        OpStats* stats) {
-  const uint64_t token = service_->NewToken();
-  service_->Stage(token, std::move(in));
-  return Call(ms, opcode, token, 0, token, out, declined, stats);
-}
-
-template <typename Item, typename Res>
-sim::Task<Status> TreeRpcClient::Batch(uint16_t ms, uint64_t opcode,
-                                       std::vector<Item> items,
-                                       std::vector<Res>* out, OpStats* stats) {
-  const size_t n = items.size();
-  out->clear();
-  if (n == 0) co_return Status::OK();
-  const Status st = co_await Staged(ms, opcode, std::move(items), out,
-                                    "ms-side batch declined", stats);
-  // A coalesced batch never declines as a whole; its keys do.
-  SHERMAN_CHECK(st.ok() && out->size() == n);
-  co_return st;
-}
-
-sim::Task<Status> TreeRpcClient::Insert(uint16_t ms, Key key, uint64_t value,
-                                        OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  return Call(ms, TreeRpcService::kOpInsert, key, value, 0, kNoResult,
-              "ms-side insert declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::Lookup(uint16_t ms, Key key, uint64_t* value,
-                                        OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  const uint64_t token = service_->NewToken();
-  return Call(ms, TreeRpcService::kOpLookup, key, token, token, value,
-              "ms-side lookup declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::Delete(uint16_t ms, Key key, OpStats* stats) {
-  SHERMAN_CHECK(key != kNullKey && key != kMaxKey);
-  return Call(ms, TreeRpcService::kOpDelete, key, 0, 0, kNoResult,
-              "ms-side delete declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::RangeQuery(
-    uint16_t ms, Key from, uint32_t count,
-    std::vector<std::pair<Key, uint64_t>>* out, OpStats* stats) {
-  SHERMAN_CHECK(from != kNullKey && from != kMaxKey);
-  out->clear();
-  if (count == 0) return Ready(Status::OK());
-  if (count >= (1u << 16)) {
-    // The scan RPC packs the count into 16 bits; a scan this large would
-    // blow the MS-side leaf budget anyway. Serve it one-sided.
-    return Ready(Status::Retry("scan too large for ms-side execution"));
-  }
-  const uint64_t token = service_->NewToken();
-  return Call(ms, TreeRpcService::kOpScan, from, (token << 16) | count, token,
-              out, "ms-side scan declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::MultiGet(uint16_t ms, std::vector<Key> keys,
-                                          std::vector<MultiGetResult>* out,
-                                          OpStats* stats) {
-  for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  return Batch(ms, TreeRpcService::kOpMultiGet, std::move(keys), out, stats);
-}
-
-sim::Task<Status> TreeRpcClient::MultiInsert(
-    uint16_t ms, std::vector<std::pair<Key, uint64_t>> kvs,
-    std::vector<Status>* per_key, OpStats* stats) {
-  for (const auto& [k, v] : kvs) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  return Batch(ms, TreeRpcService::kOpMultiInsert, std::move(kvs), per_key,
-               stats);
-}
-
-sim::Task<Status> TreeRpcClient::MultiDelete(uint16_t ms,
-                                             std::vector<Key> keys,
-                                             std::vector<Status>* per_key,
-                                             OpStats* stats) {
-  for (Key k : keys) SHERMAN_CHECK(k != kNullKey && k != kMaxKey);
-  return Batch(ms, TreeRpcService::kOpMultiDelete, std::move(keys), per_key,
-               stats);
-}
-
-sim::Task<Status> TreeRpcClient::InsertVar(uint16_t ms, const Slice& key,
-                                           const Slice& value,
-                                           OpStats* stats) {
-  return Staged(ms, TreeRpcService::kOpVarInsert,
-                std::pair(key.ToString(), value.ToString()), kNoResult,
-                "ms-side var insert declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::LookupVar(uint16_t ms, const Slice& key,
-                                           std::string* value,
-                                           OpStats* stats) {
-  return Staged(ms, TreeRpcService::kOpVarLookup, key.ToString(), value,
-                "ms-side var lookup declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::DeleteVar(uint16_t ms, const Slice& key,
-                                           OpStats* stats) {
-  return Staged(ms, TreeRpcService::kOpVarDelete, key.ToString(), kNoResult,
-                "ms-side var delete declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::ScanVar(
-    uint16_t ms, const Slice& from, uint32_t count,
-    std::vector<std::pair<std::string, std::string>>* out, OpStats* stats) {
-  out->clear();
-  if (count == 0) return Ready(Status::OK());
-  return Staged(ms, TreeRpcService::kOpVarScan,
-                std::pair(from.ToString(), count), out,
-                "ms-side var scan declined", stats);
-}
-
-sim::Task<Status> TreeRpcClient::MultiGetVar(uint16_t ms,
-                                             std::vector<std::string> keys,
-                                             std::vector<VarGetResult>* out,
-                                             OpStats* stats) {
-  return Batch(ms, TreeRpcService::kOpMultiVarGet, std::move(keys), out,
-               stats);
-}
-
-sim::Task<Status> TreeRpcClient::MultiInsertVar(
-    uint16_t ms, std::vector<std::pair<std::string, std::string>> kvs,
-    std::vector<Status>* per_key, OpStats* stats) {
-  return Batch(ms, TreeRpcService::kOpMultiVarInsert, std::move(kvs),
-               per_key, stats);
 }
 
 }  // namespace sherman::route

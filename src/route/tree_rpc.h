@@ -19,6 +19,16 @@
 //    one-sided path at the caller.
 //  - Structural changes (leaf splits) are never performed MS-side; a full
 //    leaf also DECLINES to the one-sided path.
+//  - The executor runs the op core's record checks first (the policy's
+//    Check / CheckPut / CheckScan): a malformed record declines, so the
+//    one-sided fallback answers it exactly as a one-sided deployment would.
+//
+// The wire protocol is one opcode per op for both record kinds: the
+// executor serves a fixed tree over FixedPolicy and a varlen tree over
+// VarPolicy (core/record_policy.h). Every operand rides the token mailbox:
+// the client stages it under a fresh token, the token is the request's one
+// word, and the result comes back under the same token (a simulated RPC
+// message is 32 bytes whatever it carries, as in rdma::Qp).
 //
 // Opcode space 200+ chains on top of whatever handler the MS already has
 // (chunk-allocation RPCs), so the service coexists with ShermanSystem.
@@ -28,8 +38,8 @@
 #include <any>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/btree.h"
@@ -42,34 +52,24 @@ namespace sherman::route {
 
 class TreeRpcService {
  public:
-  static constexpr uint64_t kOpInsert = 200;
-  static constexpr uint64_t kOpLookup = 201;
-  static constexpr uint64_t kOpDelete = 202;
-  static constexpr uint64_t kOpScan = 203;
-  // Coalesced batches: one RPC carries a token under which the caller
-  // staged the key/kv list; per-key outcomes are staged back. Each key
-  // beyond the first charges the memory thread half a service slot (a
-  // root-to-leaf walk per key), so batches are cheaper than op-at-a-time
-  // RPCs but still show up in the FIFO backlog the router watches.
-  static constexpr uint64_t kOpMultiGet = 204;
-  static constexpr uint64_t kOpMultiInsert = 205;
-  static constexpr uint64_t kOpMultiDelete = 206;
-  // Varlen (slotted-leaf) ops. Byte keys/values cannot ride the fixed-size
-  // RPC words, so EVERY var op stages its operands under a token like the
-  // coalesced batches. The executor serves inline records only: values
-  // above kInlineThreshold need the client's value-log appender, and
-  // out-of-line values whose extent lives on a FOREIGN MS are not
-  // near-memory — both decline to the one-sided path.
-  static constexpr uint64_t kOpVarInsert = 207;
-  static constexpr uint64_t kOpVarLookup = 208;
-  static constexpr uint64_t kOpVarDelete = 209;
-  static constexpr uint64_t kOpVarScan = 210;
-  static constexpr uint64_t kOpMultiVarGet = 211;
-  static constexpr uint64_t kOpMultiVarInsert = 212;
+  // Operands (staged by the client) -> result (staged back on OK). K and V
+  // are the record kind's key and value: u64s on a fixed tree, byte
+  // strings on a varlen one.
+  static constexpr uint64_t kOpPut = 200;     // (K, V)
+  static constexpr uint64_t kOpGet = 201;     // K -> V
+  static constexpr uint64_t kOpRemove = 202;  // K
+  static constexpr uint64_t kOpScan = 203;    // (K from, u32 count) -> entries
+  // Coalesced batches: one RPC carries a key (or key/value) list, and the
+  // per-key outcomes come back as one list. Each key beyond the first
+  // charges the memory thread half a service slot (a root-to-leaf walk per
+  // key), so batches are cheaper than op-at-a-time RPCs but still show up
+  // in the FIFO backlog the router watches.
+  static constexpr uint64_t kOpMultiGet = 204;     // [K] -> [get result]
+  static constexpr uint64_t kOpMultiPut = 205;     // [(K, V)] -> [Status]
+  static constexpr uint64_t kOpMultiRemove = 206;  // [K] -> [Status]
 
-  // Response words for write ops; lookups/scans return found counts and
-  // stage values out-of-band under a token (the sim's RPC messages are
-  // fixed-size, matching rdma::Qp).
+  // Response words: a singleton op's outcome (a batch always answers
+  // kAckOk; its keys carry their own statuses).
   static constexpr uint64_t kAckNotFound = 0;
   static constexpr uint64_t kAckOk = 1;
   static constexpr uint64_t kAckDeclined = ~0ull;
@@ -90,11 +90,10 @@ class TreeRpcService {
   // foreign opcodes to it).
   void InstallOn(int ms);
 
-  // The token mailbox every out-of-band operand and result rides: the
-  // client stages an op's operands under a fresh token, the executor
-  // takes them and stages its result back under the same token, and the
-  // client takes that. Take() of an absent token or a mistyped payload is
-  // a protocol bug.
+  // The token mailbox every operand and result rides: the client stages an
+  // op's operands under a fresh token, the executor takes them and stages
+  // its result back under the same token, and the client takes that.
+  // Take() of an absent token or a mistyped payload is a protocol bug.
   uint64_t NewToken() { return next_token_++; }
   template <typename T>
   void Stage(uint64_t token, T value) {
@@ -111,9 +110,13 @@ class TreeRpcService {
     return out;
   }
 
-
  private:
-  uint64_t Handle(int ms, uint64_t opcode, uint64_t a, uint64_t b);
+  uint64_t Handle(int ms, uint64_t opcode, uint64_t token);
+  // One case per op, over record policy R (FixedPolicy on a fixed tree,
+  // VarPolicy on a varlen one): takes the operands staged under `token`,
+  // runs the per-key executors below, and stages the result back.
+  template <class R>
+  uint64_t Serve(int ms, uint64_t opcode, uint64_t token);
   // Counts one singleton op as served or declined and maps its outcome
   // (OK / NotFound / Retry = declined) to the response word.
   uint64_t Ack(const Status& st);
@@ -128,10 +131,10 @@ class TreeRpcService {
 
   // Per-key executors shared by the singleton and coalesced ops, each
   // written once over a record policy (core/record_policy.h: the same
-  // leaf-local ops the one-sided path runs). Each returns OK, NotFound, or
-  // Retry naming the decline reason (locked or full leaf, structural
-  // anomaly; for varlen records also an outline value or an extent on a
-  // foreign MS).
+  // record checks and leaf-local ops the one-sided path runs). Each
+  // returns OK, NotFound, or Retry naming the decline reason (a record the
+  // op core rejects, a locked or full leaf, a structural anomaly; for
+  // varlen records also an outline value or an extent on a foreign MS).
   template <class R>
   Status HostPut(R rec);
   template <class R>
@@ -144,11 +147,11 @@ class TreeRpcService {
   // root-to-leaf walks, and stages the per-item results back.
   template <typename Res, typename Item, typename Fn>
   uint64_t ServeBatch(int ms, uint64_t token, Fn one);
-  // The leaf walk both scans share, from the leaf covering `from`'s key:
-  // the policy's HostCollect appends one leaf's entries (false = the rest
-  // must resolve one-sided). A result cut short by anything but the end of
-  // the tree declines, so a query never returns a different set depending
-  // on the router's assignment.
+  // The leaf walk of a scan, from the leaf covering `from`'s key: the
+  // policy's HostCollect appends one leaf's entries (false = the rest must
+  // resolve one-sided). A result cut short by anything but the end of the
+  // tree declines, so a query never returns a different set depending on
+  // the router's assignment.
   template <class R>
   uint64_t ServeScan(int ms, R from, uint32_t count, uint64_t token);
   // Each root-to-leaf walk (or scanned leaf) beyond the first costs the
@@ -182,71 +185,49 @@ const Status& StatusOf(const Result& r) {
   return r.status;
 }
 
-// Per-compute-server client stub for TreeRpcService. The caller names the
-// target MS (the shard's home, per the router's DEX-style pinning); a Retry
-// status means the MS declined and the op must be retried one-sided.
+// Per-compute-server client of TreeRpcService. The caller names the target
+// MS (the shard's home, per the router's DEX-style pinning) and the opcode;
+// a Retry status means the MS declined and the op must run one-sided.
 class TreeRpcClient {
  public:
   TreeRpcClient(TreeRpcService* service, int cs_id)
       : service_(service), cs_id_(cs_id) {}
 
-  sim::Task<Status> Insert(uint16_t ms, Key key, uint64_t value,
-                           OpStats* stats);
-  sim::Task<Status> Lookup(uint16_t ms, Key key, uint64_t* value,
-                           OpStats* stats);
-  sim::Task<Status> Delete(uint16_t ms, Key key, OpStats* stats);
-  sim::Task<Status> RangeQuery(uint16_t ms, Key from, uint32_t count,
-                               std::vector<std::pair<Key, uint64_t>>* out,
-                               OpStats* stats);
+  // One op, one round trip: stages `in` under a fresh token, sends
+  // `opcode` with the token as its word, and maps the response word:
+  // kAckDeclined to Retry, kAckNotFound to NotFound, kAckOk to OK, taking
+  // the result staged back under the token into *out when `out` is
+  // non-null. The task owns `in`, so it never outlives its operands.
+  template <typename In, typename Out = std::monostate>
+  sim::Task<Status> Call(uint16_t ms, uint64_t opcode, In in, OpStats* stats,
+                         Out* out = nullptr) {
+    const uint64_t token = service_->NewToken();
+    service_->Stage(token, std::move(in));
+    const uint64_t r =
+        co_await service_->system()->fabric().qp(cs_id_, ms).Rpc(opcode, token);
+    if (stats != nullptr) stats->round_trips++;
+    if (r == TreeRpcService::kAckDeclined) {
+      co_return Status::Retry("ms-side op declined");
+    }
+    if (r == TreeRpcService::kAckNotFound) co_return Status::NotFound();
+    if (out != nullptr) *out = service_->Take<Out>(token);
+    co_return Status::OK();
+  }
 
-  // Coalesced batches against one MS (the shard's home): ONE RPC carries
-  // the whole sub-batch. Per-key statuses are OK / NotFound / Retry; a
-  // Retry key was declined MS-side and must fall back one-sided.
-  sim::Task<Status> MultiGet(uint16_t ms, std::vector<Key> keys,
-                             std::vector<MultiGetResult>* out, OpStats* stats);
-  sim::Task<Status> MultiInsert(uint16_t ms,
-                                std::vector<std::pair<Key, uint64_t>> kvs,
-                                std::vector<Status>* per_key, OpStats* stats);
-  sim::Task<Status> MultiDelete(uint16_t ms, std::vector<Key> keys,
-                                std::vector<Status>* per_key, OpStats* stats);
-
-  // Varlen ops against one MS; operands stage under a token (the RPC
-  // words carry only the token). Retry = declined, retry one-sided.
-  sim::Task<Status> InsertVar(uint16_t ms, const Slice& key,
-                              const Slice& value, OpStats* stats);
-  sim::Task<Status> LookupVar(uint16_t ms, const Slice& key,
-                              std::string* value, OpStats* stats);
-  sim::Task<Status> DeleteVar(uint16_t ms, const Slice& key, OpStats* stats);
-  sim::Task<Status> ScanVar(
-      uint16_t ms, const Slice& from, uint32_t count,
-      std::vector<std::pair<std::string, std::string>>* out, OpStats* stats);
-  sim::Task<Status> MultiGetVar(uint16_t ms, std::vector<std::string> keys,
-                                std::vector<VarGetResult>* out,
-                                OpStats* stats);
-  sim::Task<Status> MultiInsertVar(
-      uint16_t ms, std::vector<std::pair<std::string, std::string>> kvs,
-      std::vector<Status>* per_key, OpStats* stats);
-
- private:
-  // The round trip every stub shares: sends `opcode` with words (a, b),
-  // counts it, and maps the response — kAckDeclined to Retry(`declined`),
-  // kAckNotFound to NotFound — taking the result staged under `token`
-  // into *out on OK (when `out` is non-null).
-  template <typename Out>
-  sim::Task<Status> Call(uint16_t ms, uint64_t opcode, uint64_t a, uint64_t b,
-                         uint64_t token, Out* out, const char* declined,
-                         OpStats* stats);
-  // Call for ops whose operands ride the mailbox: stages `in` under a
-  // fresh token, which becomes the request's word.
-  template <typename In, typename Out>
-  sim::Task<Status> Staged(uint16_t ms, uint64_t opcode, In in, Out* out,
-                           const char* declined, OpStats* stats);
-  // The coalesced batches: one Staged call per non-empty sub-batch.
+  // A coalesced batch against one MS: ONE Call carries every item, and
+  // *out gets one outcome per item (OK / NotFound / Retry: declined MS-side,
+  // fall back one-sided). A batch never declines as a whole.
   template <typename Item, typename Res>
   sim::Task<Status> Batch(uint16_t ms, uint64_t opcode,
                           std::vector<Item> items, std::vector<Res>* out,
-                          OpStats* stats);
+                          OpStats* stats) {
+    const size_t n = items.size();
+    const Status st = co_await Call(ms, opcode, std::move(items), stats, out);
+    SHERMAN_CHECK(st.ok() && out->size() == n);
+    co_return st;
+  }
 
+ private:
   TreeRpcService* service_;
   int cs_id_;
 };

@@ -521,9 +521,9 @@ TEST(HybridMultiOpTest, MultiDeleteStraddlesShardAndPathBoundaries) {
   const uint64_t n = 8'000;
   system.BulkLoad(bench::MakeLoadKvs(n), 0.8);
 
-  // Alternate paths so every batch splits into per-shard coalesced RPC
-  // requests plus a one-sided doorbell-batched pool (before kOpMultiDelete
-  // the doorbell-batch path silently fell back to op-at-a-time deletes).
+  // Alternate paths so every batch splits into per-shard coalesced
+  // multi-remove RPCs (TreeRpcService::kOpMultiRemove) plus one
+  // doorbell-batched one-sided TreeClient::MultiDelete.
   std::vector<Path> mixed(8);
   for (int s = 0; s < 8; s++) {
     mixed[s] = (s % 2 == 0) ? Path::kRpc : Path::kOneSided;

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench/runner.h"
@@ -62,16 +65,19 @@ TEST(RouterShardTest, RangePartitionCoversUniverse) {
   HotnessTracker tracker(8, &fabric.registry());
   RouterOptions opt;
   opt.num_shards = 8;
-  opt.universe_lo = 1;
-  opt.universe_hi = 801;
   RouterModel model = route::ModelFromFabric(fabric.config(), true);
   AdaptiveRouter router(opt, model, &tracker, &fabric);
+  // Cuts of the keys 1..800 into eight equal shards.
+  router.SetBoundaries({101, 201, 301, 401, 501, 601, 701});
 
   EXPECT_EQ(router.ShardFor(1), 0);
   EXPECT_EQ(router.ShardFor(800), 7);
-  // Out-of-universe keys clamp instead of crashing.
+  // Keys past either end land in the edge shards.
   EXPECT_EQ(router.ShardFor(0), 0);
   EXPECT_EQ(router.ShardFor(100000), 7);
+  EXPECT_EQ(router.ShardBounds(0), std::make_pair(Key{1}, Key{101}));
+  EXPECT_EQ(router.ShardBounds(3), std::make_pair(Key{301}, Key{401}));
+  EXPECT_EQ(router.ShardBounds(7), std::make_pair(Key{701}, kMaxKey));
   // Monotone, and every shard non-empty for a uniform sweep.
   std::vector<int> seen(8, 0);
   int prev = 0;
@@ -298,11 +304,10 @@ TEST(RouterEpochTest, FlipsUnderInjectedContention) {
   RouterOptions opt;
   opt.num_shards = 2;
   opt.epoch_ns = 1'000'000;
-  opt.universe_lo = 1;
-  opt.universe_hi = 1001;
   RouterModel model = route::ModelFromFabric(fabric.config(), true);
   model.tree_height = 4;
   AdaptiveRouter router(opt, model, &tracker, &fabric);
+  router.SetBoundaries({501});
 
   // Shard 0: cache-cold read-mostly traffic, expensive one-sided (7 us
   // measured). Shard 1: a HOT contended write shard — expensive too, but
@@ -347,61 +352,252 @@ TEST(RouterEpochTest, FlipsUnderInjectedContention) {
 
 // --- MS-side tree executor -------------------------------------------------
 
-TEST(TreeRpcTest, ExecutesOpsAgainstSharedTree) {
-  HybridSystem system(SmallFabric(), SmallHybrid());
-  std::vector<std::pair<Key, uint64_t>> kvs;
-  for (Key k = 2; k <= 4000; k += 2) kvs.emplace_back(k, k * 10);
-  system.BulkLoad(kvs, 0.8);
+// The two record kinds the executor serves, each record named by a number
+// n: u64 records on a fixed tree, byte-string records on a varlen one.
+struct FixedRecords {
+  using K = Key;
+  using V = uint64_t;
+  using GetResult = MultiGetResult;
+  static HybridOptions Options() { return SmallHybrid(); }
+  static K KeyOf(uint64_t n) { return n; }
+  static V ValueOf(uint64_t n) { return n * 10; }
+  static void Load(HybridSystem* system, const std::map<K, V>& records,
+                   double fill) {
+    system->BulkLoad({records.begin(), records.end()}, fill);
+  }
+  static std::vector<std::pair<K, V>> Contents(HybridSystem* system) {
+    return system->sherman().DebugScanLeaves();
+  }
+  static sim::Task<Status> Insert(route::HybridClient& c, K k, V v) {
+    return c.Insert(k, v);
+  }
+  static sim::Task<Status> Lookup(route::HybridClient& c, K k, V* v) {
+    return c.Lookup(k, v);
+  }
+};
+
+HybridOptions SmallVarHybrid() {
+  HybridOptions o = SmallHybrid();
+  o.tree.two_level_versions = false;  // varlen requires sorted leaves
+  o.tree.shape.varlen = true;
+  return o;
+}
+
+struct VarRecords {
+  using K = std::string;
+  using V = std::string;
+  using GetResult = VarGetResult;
+  static HybridOptions Options() { return SmallVarHybrid(); }
+  // Fixed-width, so byte order is numeric order.
+  static K KeyOf(uint64_t n) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%07llu",
+                  static_cast<unsigned long long>(n));
+    return buf;
+  }
+  static V ValueOf(uint64_t n) { return "v" + std::to_string(n * 10); }
+  static void Load(HybridSystem* system, const std::map<K, V>& records,
+                   double fill) {
+    system->BulkLoadVar({records.begin(), records.end()}, fill);
+  }
+  static std::vector<std::pair<K, V>> Contents(HybridSystem* system) {
+    return system->sherman().DebugScanLeavesVar();
+  }
+  // HybridClient copies its Slice operands as it is called.
+  static sim::Task<Status> Insert(route::HybridClient& c, K k, V v) {
+    return c.InsertVar(k, v);
+  }
+  static sim::Task<Status> Lookup(route::HybridClient& c, K k, V* v) {
+    return c.LookupVar(k, v);
+  }
+};
+
+// Records 2, 4, ..., 2 * count: odd numbers are absent.
+template <typename R>
+std::map<typename R::K, typename R::V> EvenRecords(uint64_t count) {
+  std::map<typename R::K, typename R::V> m;
+  for (uint64_t n = 2; n <= 2 * count; n += 2) m[R::KeyOf(n)] = R::ValueOf(n);
+  return m;
+}
+
+template <typename R>
+class TreeRpcTest : public ::testing::Test {};
+
+struct RecordKindName {
+  template <typename R>
+  static std::string GetName(int) {
+    return std::is_same_v<R, FixedRecords> ? "Fixed" : "Var";
+  }
+};
+using RecordKinds = ::testing::Types<FixedRecords, VarRecords>;
+TYPED_TEST_SUITE(TreeRpcTest, RecordKinds, RecordKindName);
+
+// Each of the seven opcodes, served on a free leaf of the records
+// EvenRecords<R>(2000) loaded.
+template <typename R>
+sim::Task<void> ServeEachOp(route::TreeRpcClient* c, bool* flag) {
+  using K = typename R::K;
+  using V = typename R::V;
+  using Svc = route::TreeRpcService;
+  Status st;
+  V v{};
+  // Get of a loaded and an absent record.
+  st = co_await c->Call(0, Svc::kOpGet, R::KeyOf(100), nullptr, &v);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(v, R::ValueOf(100));
+  st = co_await c->Call(1, Svc::kOpGet, R::KeyOf(101), nullptr, &v);
+  EXPECT_TRUE(st.IsNotFound());
+  // Put: an update and a fresh insert.
+  st = co_await c->Call(0, Svc::kOpPut,
+                        std::pair(R::KeyOf(100), R::ValueOf(555)), nullptr);
+  EXPECT_TRUE(st.ok());
+  st = co_await c->Call(1, Svc::kOpPut,
+                        std::pair(R::KeyOf(101), R::ValueOf(556)), nullptr);
+  EXPECT_TRUE(st.ok());
+  st = co_await c->Call(0, Svc::kOpGet, R::KeyOf(101), nullptr, &v);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(v, R::ValueOf(556));
+  // Remove, then the record is gone.
+  st = co_await c->Call(0, Svc::kOpRemove, R::KeyOf(100), nullptr);
+  EXPECT_TRUE(st.ok());
+  st = co_await c->Call(1, Svc::kOpRemove, R::KeyOf(100), nullptr);
+  EXPECT_TRUE(st.IsNotFound());
+  // A scan straddling leaves.
+  std::vector<std::pair<K, V>> got;
+  st = co_await c->Call(0, Svc::kOpScan,
+                        std::pair(R::KeyOf(500), uint32_t{40}), nullptr,
+                        &got);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(got.size(), 40u);
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_EQ(got[i], std::pair(R::KeyOf(500 + 2 * i),
+                                R::ValueOf(500 + 2 * i)));
+  }
+  // The coalesced batches, each with a present and an absent record.
+  // (Operand lists are built ahead of the co_await: an initializer list
+  // of strings inside the awaited expression miscompiles in g++ 12.)
+  std::vector<K> keys = {R::KeyOf(200), R::KeyOf(201)};
+  std::vector<typename R::GetResult> gets;
+  st = co_await c->Batch(1, Svc::kOpMultiGet, keys, &gets, nullptr);
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(gets[0].status.ok());
+  EXPECT_EQ(gets[0].value, R::ValueOf(200));
+  EXPECT_TRUE(gets[1].status.IsNotFound());
+  std::vector<std::pair<K, V>> kvs = {{R::KeyOf(200), R::ValueOf(7)},
+                                      {R::KeyOf(203), R::ValueOf(9)}};
+  std::vector<Status> per_key;
+  st = co_await c->Batch(0, Svc::kOpMultiPut, kvs, &per_key, nullptr);
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(per_key[0].ok());
+  EXPECT_TRUE(per_key[1].ok());
+  keys = {R::KeyOf(202), R::KeyOf(205)};
+  st = co_await c->Batch(1, Svc::kOpMultiRemove, keys, &per_key, nullptr);
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(per_key[0].ok());
+  EXPECT_TRUE(per_key[1].IsNotFound());
+  *flag = true;
+}
+
+// Each opcode against the one leaf of EvenRecords<R>(10), its lane held.
+template <typename R>
+sim::Task<void> OpsOnHeldLane(route::TreeRpcClient* c, bool* flag) {
+  using K = typename R::K;
+  using V = typename R::V;
+  using Svc = route::TreeRpcService;
+  Status st;
+  // Writes decline while the lock is held...
+  st = co_await c->Call(0, Svc::kOpPut,
+                        std::pair(R::KeyOf(4), R::ValueOf(99)), nullptr);
+  EXPECT_TRUE(st.IsRetry());
+  st = co_await c->Call(0, Svc::kOpRemove, R::KeyOf(4), nullptr);
+  EXPECT_TRUE(st.IsRetry());
+  // (Operand lists are built ahead of the co_await, as in ServeEachOp.)
+  const std::vector<std::pair<K, V>> kvs = {{R::KeyOf(4), R::ValueOf(1)},
+                                            {R::KeyOf(5), R::ValueOf(1)}};
+  const std::vector<K> keys = {R::KeyOf(6), R::KeyOf(7)};
+  std::vector<Status> per_key;
+  st = co_await c->Batch(0, Svc::kOpMultiPut, kvs, &per_key, nullptr);
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(per_key[0].IsRetry());
+  EXPECT_TRUE(per_key[1].IsRetry());
+  st = co_await c->Batch(0, Svc::kOpMultiRemove, keys, &per_key, nullptr);
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(per_key[0].IsRetry());
+  EXPECT_TRUE(per_key[1].IsRetry());
+  // ...and reads are still served.
+  V v{};
+  st = co_await c->Call(0, Svc::kOpGet, R::KeyOf(4), nullptr, &v);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(v, R::ValueOf(4));
+  std::vector<std::pair<K, V>> got;
+  st = co_await c->Call(0, Svc::kOpScan,
+                        std::pair(R::KeyOf(2), uint32_t{5}), nullptr, &got);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(got.size(), 5u);
+  std::vector<typename R::GetResult> gets;
+  st = co_await c->Batch(0, Svc::kOpMultiGet, keys, &gets, nullptr);
+  EXPECT_TRUE(st.ok());
+  EXPECT_TRUE(gets[0].status.ok());
+  EXPECT_TRUE(gets[1].status.IsNotFound());
+  *flag = true;
+}
+
+// A hybrid put and get of record 4.
+template <typename R>
+sim::Task<void> WriteThroughRpc(HybridSystem* sys, bool* flag) {
+  using V = typename R::V;
+  Status st;
+  st = co_await R::Insert(sys->client(0), R::KeyOf(4), R::ValueOf(99));
+  EXPECT_TRUE(st.ok());
+  V v{};
+  st = co_await R::Lookup(sys->client(1), R::KeyOf(4), &v);
+  EXPECT_TRUE(st.ok());
+  EXPECT_EQ(v, R::ValueOf(99));
+  *flag = true;
+}
+
+// Each of the seven opcodes, served on a free leaf.
+TYPED_TEST(TreeRpcTest, ExecutesOpsAgainstSharedTree) {
+  using R = TypeParam;
+  using K = typename R::K;
+  using V = typename R::V;
+  HybridSystem system(SmallFabric(), R::Options());
+  std::map<K, V> expect = EvenRecords<R>(2000);
+  R::Load(&system, expect, 0.8);
 
   route::TreeRpcClient client(&system.rpc_service(), 0);
   bool done = false;
-  sim::Spawn([](route::TreeRpcClient* c, HybridSystem* sys,
-                bool* flag) -> sim::Task<void> {
-    uint64_t v = 0;
-    // Lookup of loaded / absent keys.
-    EXPECT_TRUE((co_await c->Lookup(0, 100, &v, nullptr)).ok());
-    EXPECT_EQ(v, 1000u);
-    EXPECT_TRUE((co_await c->Lookup(1, 101, &v, nullptr)).IsNotFound());
-    // Update + fresh insert, visible one-sided too.
-    EXPECT_TRUE((co_await c->Insert(0, 100, 555, nullptr)).ok());
-    EXPECT_TRUE((co_await c->Insert(1, 101, 556, nullptr)).ok());
-    EXPECT_TRUE((co_await c->Lookup(0, 100, &v, nullptr)).ok());
-    EXPECT_EQ(v, 555u);
-    TreeClient& os = sys->sherman().client(0);
-    EXPECT_TRUE((co_await os.Lookup(101, &v)).ok());
-    EXPECT_EQ(v, 556u);
-    // Delete via RPC, then the one-sided path agrees it is gone.
-    EXPECT_TRUE((co_await c->Delete(0, 100, nullptr)).ok());
-    EXPECT_TRUE((co_await c->Delete(1, 100, nullptr)).IsNotFound());
-    EXPECT_TRUE((co_await os.Lookup(100, &v)).IsNotFound());
-    // Range scan straddling leaves matches the tree contents.
-    std::vector<std::pair<Key, uint64_t>> got;
-    EXPECT_TRUE((co_await c->RangeQuery(0, 500, 40, &got, nullptr)).ok());
-    EXPECT_EQ(got.size(), 40u);
-    Key expect = 500;
-    for (const auto& [k, val] : got) {
-      EXPECT_EQ(k, expect);
-      EXPECT_EQ(val, k * 10);
-      expect += 2;
-    }
-    *flag = true;
-  }(&client, &system, &done));
+  sim::Spawn(ServeEachOp<R>(&client, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
+  // Eight singletons and six batched records, none declined.
+  EXPECT_EQ(Count(&system, "rpc.served"), 14u);
+  EXPECT_EQ(Count(&system, "rpc.declined"), 0u);
+  // The tree holds exactly what the executor wrote.
+  expect.erase(R::KeyOf(100));
+  expect[R::KeyOf(101)] = R::ValueOf(556);
+  expect[R::KeyOf(200)] = R::ValueOf(7);
+  expect[R::KeyOf(203)] = R::ValueOf(9);
+  expect.erase(R::KeyOf(202));
+  const std::vector<std::pair<K, V>> contents = R::Contents(&system);
+  EXPECT_EQ((std::map<K, V>(contents.begin(), contents.end())), expect);
+  EXPECT_EQ(contents.size(), expect.size());
   system.sherman().DebugCheckInvariants();
 }
 
-TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
-  HybridSystem system(SmallFabric(), SmallHybrid());
-  // A handful of keys => the whole tree is one leaf (the root), so its
+// On a held lane every write declines and every read is still served.
+TYPED_TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
+  using R = TypeParam;
+  HybridSystem system(SmallFabric(), R::Options());
+  // A handful of records => the whole tree is one leaf (the root), so its
   // guarding lock is easy to find.
-  std::vector<std::pair<Key, uint64_t>> kvs;
-  for (Key k = 2; k <= 20; k += 2) kvs.emplace_back(k, k);
-  system.BulkLoad(kvs, 0.5);
+  R::Load(&system, EvenRecords<R>(10), 0.5);
   const rdma::GlobalAddress leaf = system.sherman().DebugRootAddr();
+  ASSERT_EQ(system.sherman().DebugHeight(), 1u);
 
   // Hold the leaf's HOCL lock lane, as a one-sided writer would.
-  const GlobalLockRef ref = LockFor(leaf, system.sherman().options().lock.onchip);
+  const GlobalLockRef ref =
+      LockFor(leaf, system.sherman().options().lock.onchip);
   rdma::MemoryRegion& region =
       ref.space == rdma::MemorySpace::kDevice
           ? system.fabric().ms(ref.ms).device()
@@ -411,18 +607,11 @@ TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
 
   route::TreeRpcClient client(&system.rpc_service(), 0);
   bool done = false;
-  sim::Spawn([](route::TreeRpcClient* c, bool* flag) -> sim::Task<void> {
-    // Writes decline while the lock is held; reads still execute.
-    EXPECT_TRUE((co_await c->Insert(0, 4, 99, nullptr)).IsRetry());
-    EXPECT_TRUE((co_await c->Delete(0, 4, nullptr)).IsRetry());
-    uint64_t v = 0;
-    EXPECT_TRUE((co_await c->Lookup(0, 4, &v, nullptr)).ok());
-    EXPECT_EQ(v, 4u);
-    *flag = true;
-  }(&client, &done));
+  sim::Spawn(OpsOnHeldLane<R>(&client, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
-  EXPECT_GE(Count(&system, "rpc.declined"), 2u);
+  EXPECT_EQ(Count(&system, "rpc.declined"), 6u);
+  EXPECT_EQ(Count(&system, "rpc.served"), 4u);
 
   // Release the lane; a hybrid client forced onto the RPC path now writes
   // through the MS-side executor directly.
@@ -431,15 +620,61 @@ TEST(TreeRpcTest, DeclinesLockedLeafAndHybridFallsBack) {
   system.router().ForceAssignment(
       std::vector<Path>(system.router().num_shards(), Path::kRpc));
   done = false;
-  sim::Spawn([](HybridSystem* sys, bool* flag) -> sim::Task<void> {
-    EXPECT_TRUE((co_await sys->client(0).Insert(4, 99)).ok());
-    uint64_t v = 0;
-    EXPECT_TRUE((co_await sys->client(1).Lookup(4, &v)).ok());
-    EXPECT_EQ(v, 99u);
-    *flag = true;
-  }(&system, &done));
+  sim::Spawn(WriteThroughRpc<R>(&system, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
+  EXPECT_EQ(Count(&system, "rpc.served"), 6u);
+  EXPECT_EQ(Count(&system, "route.rpc_fallbacks"), 0u);
+}
+
+// The executor runs the op core's record checks: a malformed varlen key
+// declines, the one-sided fallback answers it exactly as a one-sided
+// deployment does, and it never lands in a leaf.
+TEST(TreeRpcTest, MalformedVarKeysAnswerAsOneSided) {
+  // Empty, longer than max_key_len (64), and routing onto either fence
+  // sentinel.
+  const std::vector<std::string> keys = {"", std::string(100, 'k'),
+                                         std::string(8, '\0') + "x",
+                                         std::string(9, '\xff')};
+  std::vector<Status> got[2];  // per deployment: [one-sided, RPC]
+  for (const Path path : {Path::kOneSided, Path::kRpc}) {
+    HybridSystem system(SmallFabric(), SmallVarHybrid());
+    VarRecords::Load(&system, EvenRecords<VarRecords>(100), 0.8);
+    system.router().ForceAssignment(
+        std::vector<Path>(system.router().num_shards(), path));
+    bool done = false;
+    sim::Spawn([](route::HybridClient* c, const std::vector<std::string>* ks,
+                  std::vector<Status>* out, bool* flag) -> sim::Task<void> {
+      for (const std::string& k : *ks) {
+        std::string v;
+        std::vector<std::pair<std::string, std::string>> scan;
+        out->push_back(co_await c->InsertVar(k, "value"));
+        out->push_back(co_await c->LookupVar(k, &v));
+        out->push_back(co_await c->DeleteVar(k));
+        out->push_back(co_await c->ScanVar(k, 10, &scan));
+      }
+      *flag = true;
+    }(&system.client(0), &keys, &got[path == Path::kRpc], &done));
+    system.simulator().Run();
+    ASSERT_TRUE(done);
+    for (const auto& [k, v] : system.sherman().DebugScanLeavesVar()) {
+      const Key rk = RoutingKeyFor(k);
+      EXPECT_TRUE(!k.empty() && k.size() <= 64 && rk != kNullKey &&
+                  rk != kMaxKey)
+          << "malformed key in a leaf: " << k;
+    }
+    system.sherman().DebugCheckInvariants();
+  }
+  ASSERT_EQ(got[0].size(), 4 * keys.size());
+  ASSERT_EQ(got[1].size(), got[0].size());
+  for (size_t i = 0; i < got[0].size(); i++) {
+    EXPECT_EQ(got[1][i].ToString(), got[0][i].ToString())
+        << "op " << i % 4 << " on key " << i / 4;
+  }
+  // No such key can be written.
+  for (size_t k = 0; k < keys.size(); k++) {
+    EXPECT_TRUE(got[0][4 * k].IsInvalidArgument()) << "key " << k;
+  }
 }
 
 TEST(TreeRpcTest, FullLeafInsertFallsBackAndSplitsOneSided) {
