@@ -10,10 +10,11 @@
 //   p90 (us)   6.4       6.2         14.3      68.7
 //   p99 (us)   14.9      15.3        19        19890
 //
-// We run the same grid on the simulated fabric (scaled key count; see
-// DESIGN.md) and expect the same shape: high read throughput everywhere,
-// moderate uniform-write throughput, and a collapse (orders of magnitude in
-// both throughput and tail latency) under skewed writes.
+// We run the same grid on the simulated fabric (4M keys at full size
+// against the paper's 1 billion; see bench/common.h) and expect the same
+// shape: high read throughput everywhere, moderate uniform-write
+// throughput, and a collapse (orders of magnitude in both throughput and
+// tail latency) under skewed writes.
 #include <cstdio>
 
 #include "common.h"

@@ -403,7 +403,13 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockChasing(
                                          ? view.sibling()
                                          : rdma::kNullAddress;
     if (owned) co_await hocl_.Unlock(guard, {}, o.combine_commands, stats);
-    if (first) cache_.InvalidateLevel1Covering(key);
+    if (first) {
+      cache_.InvalidateLevel1Covering(key);
+      // A root has no right sibling: a cached root found with one is stale
+      // (the tree grew since this client loaded it), and would start every
+      // later descent from the leftmost leaf.
+      if (addr == root_addr_ && !next.is_null()) root_known_ = false;
+    }
     if (next.is_null()) co_return Status::Retry("locked node unusable");
     addr = next;
   }
@@ -569,8 +575,17 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   }
   pview.Seal(o.consistency);
 
-  // 5. Every verification passed; nothing remote has changed yet, and from
-  // here the merge cannot fail. First anchor the op: publish the intent
+  // 5. Every verification passed and nothing remote has changed yet.
+  // Holding three locks, the merge must not wait for an intent slot
+  // (recover/intent.h): without one it aborts like a failed TryLock.
+  const int intent_slot = intents_.TryClaim(recover::IntentOp::kMerge, 0);
+  if (intent_slot < 0) {
+    co_await Release(par, {}, stats);
+    co_await Release(sib, {}, stats);
+    RecordMergeAbort(locked.addr);
+    co_return false;
+  }
+  // From here the merge cannot fail. First anchor the op: publish the intent
   // record (one awaited WRITE to MS 0) so a crash anywhere in the publish
   // sequence below is recoverable — the tombstone is the commit point a
   // survivor's Recoverer keys its replay/rollback decision on. Then
@@ -596,7 +611,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   rec.primary = locked.addr;
   rec.second = sib.addr;
   rec.parent = par.addr;
-  const int intent_slot = co_await intents_.Publish(rec, stats);
+  co_await intents_.Publish(intent_slot, rec, stats);
   co_await fault::Injector().AtSite(kCrashMergeIntent, cs_id_);
 
   view.set_free(true);
@@ -714,6 +729,7 @@ sim::Task<Status> TreeClient::ReadLeafChasing(Key rk, uint8_t* buf, Fn& visit,
       }
       if (rk >= view.hi_fence()) {
         cache_.InvalidateLevel1Covering(rk);
+        if (addr == root_addr_) root_known_ = false;  // stale (see LockChasing)
         // Valid hinted leaf, but the key split off to its right since the
         // mirror was fetched; the B-link chase still serves it.
         if (leaf_r->via_hint && chase == 0) NoteHintChase();
@@ -804,12 +820,12 @@ sim::Task<Status> TreeClient::Put(R rec, OpStats* stats,
   if (rec.Put(&view, &w)) {
     if (w.seal) view.Seal(opt().consistency);
     co_await WriteBackAndUnlock(*locked_r, buf.data(), w, stats);
-    co_await rec.Published(*this, stats);
+    rec.Published(*this);
     co_return Status::OK();
   }
   st = co_await SplitLeafAndUnlock(rec, *locked_r, std::move(buf), stats);
   if (st.ok()) {
-    co_await rec.Published(*this, stats);
+    rec.Published(*this);
   } else {
     co_await rec.Abandon(*this, stats);  // never referenced
   }
@@ -865,7 +881,7 @@ sim::Task<Status> TreeClient::Remove(R rec, OpStats* stats) {
   }
   if (w.seal) view.Seal(opt().consistency);
   co_await MergeOrWriteBack(*locked_r, buf.data(), w, stats);
-  co_await rec.Removed(*this, stats);
+  rec.Removed(*this);
   co_return Status::OK();
 }
 
@@ -899,9 +915,13 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(R& rec, Locked locked,
     co_await Release(locked, {}, stats);
     co_return cut.status();
   }
+  // Claim the split's intent slot: under this leaf lock alone the claim
+  // may wait (recover/intent.h).
+  const int intent_slot = co_await intents_.Claim();
   // Allocate the sibling (may RPC a memory thread; Figure 7, line 20).
   const rdma::GlobalAddress sib_addr = co_await allocator_.Alloc(node_size());
   if (sib_addr.is_null()) {
+    intents_.ClearAsync(intent_slot);
     co_await Release(locked, {}, stats);
     co_return Status::OutOfMemory("disaggregated memory exhausted");
   }
@@ -919,29 +939,46 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(R& rec, Locked locked,
   view.InitLeaf(old_lo, split_key, sib_addr);
   rec.Fill(&view, &sib);
 
-  Status st = co_await CommitSplit(locked, /*level=*/0, old_lo, old_hi,
-                                   split_key, sib_addr, new_version,
-                                   buf.data(), sib_buf.data(), stats);
+  co_await CommitSplit(locked, /*level=*/0, old_lo, old_hi, split_key,
+                       sib_addr, new_version, buf.data(), sib_buf.data(),
+                       intent_slot, stats);
+  // The put has committed: the sibling is reachable through this leaf's
+  // B-link pointer. The parent link is left to a linker so the put
+  // returns now (a departure from Figure 7, line 39).
+  sim::Spawn(LinkLeafSplit(split_key, sib_addr, intent_slot));
+  co_return Status::OK();
+}
+
+sim::Task<void> TreeClient::LinkLeafSplit(Key sep, rdma::GlobalAddress sib_addr,
+                                          int intent_slot) {
+  EpochPin pin(&system_->reclaim_, cs_id_);
+  const Status st =
+      co_await LinkSplit(/*level=*/0, sep, sib_addr, intent_slot, nullptr);
+  // The put has committed either way, and the B-link chain still reaches
+  // the sibling. Counted where it happens, so the tree.* family exists
+  // only in a deployment that lost a link.
+  if (!st.ok()) system_->registry().GetCounter("tree.link_failures")->Inc();
   // Advertise the new sibling to the hint sidecar. Purely advisory and
   // after the intent clears: a crash mid-publish leaves a fully committed
   // split whose sibling is simply not hinted yet. The left leaf's entry
   // stays valid (same address, same lo fence).
-  co_await HintPublish(sib_addr, split_key, stats);
-  co_return st;
+  co_await HintPublish(sib_addr, sep, nullptr);
 }
 
-sim::Task<Status> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
-                                          Key lo, Key hi, Key sep,
-                                          rdma::GlobalAddress sib_addr,
-                                          uint8_t new_version, uint8_t* buf,
-                                          uint8_t* sib_buf, OpStats* stats) {
+sim::Task<void> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
+                                        Key lo, Key hi, Key sep,
+                                        rdma::GlobalAddress sib_addr,
+                                        uint8_t new_version, uint8_t* buf,
+                                        uint8_t* sib_buf, int intent_slot,
+                                        OpStats* stats) {
   const TreeOptions& o = opt();
   const SplitSites& sites = level == 0 ? kLeafSplitSites : kInternalSplitSites;
   // Anchor the split before its first remote write: a crash between the
-  // writes below is replayed (commit batch landed: finish the ascent) or
-  // rolled back (retire the unpublished sibling) from this record. Leaf
-  // and internal splits share the record shape; the level tells them
-  // apart. RecoverSplit needs only the u64 separator.
+  // writes below, or before LinkSplit lands the separator, is replayed
+  // (commit batch landed: finish the ascent) or rolled back (retire the
+  // unpublished sibling) from this record. Leaf and internal splits share
+  // the record shape; the level tells them apart. RecoverSplit needs only
+  // the u64 separator.
   recover::IntentRecord intent;
   intent.op = recover::IntentOp::kSplit;
   intent.level = level;
@@ -950,7 +987,7 @@ sim::Task<Status> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
   intent.primary = locked.addr;
   intent.second = sib_addr;
   intent.aux = sep;
-  const int intent_slot = co_await intents_.Publish(intent, stats);
+  co_await intents_.Publish(intent_slot, intent, stats);
   co_await fault::Injector().AtSite(sites.intent, cs_id_);
 
   // Node-level versions bump across the rewrite.
@@ -989,10 +1026,15 @@ sim::Task<Status> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
     }
   }
   co_await fault::Injector().AtSite(sites.committed, cs_id_);
+}
 
+sim::Task<Status> TreeClient::LinkSplit(uint8_t level, Key sep,
+                                        rdma::GlobalAddress child,
+                                        int intent_slot, OpStats* stats) {
+  const SplitSites& sites = level == 0 ? kLeafSplitSites : kInternalSplitSites;
   // Ascend: insert the separator into the parent level (Figure 7, line 39).
-  Status st = co_await InsertInternal(sep, sib_addr,
-                                      static_cast<uint8_t>(level + 1), stats);
+  const Status st = co_await InsertInternal(
+      sep, child, static_cast<uint8_t>(level + 1), stats);
   co_await fault::Injector().AtSite(sites.linked, cs_id_);
   intents_.ClearAsync(intent_slot);
   co_return st;
@@ -1011,7 +1053,7 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     }
     if (root_level_ < level) {
       Status st = co_await MakeNewRoot(sep, child, level, stats);
-      if (st.IsRetry()) continue;  // lost the root CAS; root refreshed
+      if (st.IsRetry()) continue;  // lost the root CAS, or no intent slot
       co_return st;
     }
 
@@ -1047,7 +1089,16 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     }
 
     // Internal split: promote the middle separator (it moves up, unlike a
-    // leaf split).
+    // leaf split). Holding this node's lock, it must not wait for an
+    // intent slot (recover/intent.h): without one, let go and retry.
+    const int intent_slot =
+        intents_.TryClaim(recover::IntentOp::kSplit, level);
+    if (intent_slot < 0) {
+      co_await Release(locked, {}, stats);
+      co_await system_->fabric_.simulator().Delay(
+          recover::kIntentSlotBackoffNs);
+      continue;
+    }
     co_await system_->fabric_.simulator().Delay(f.cpu_node_sort_ns);
     std::vector<std::pair<Key, rdma::GlobalAddress>> ents;
     const uint32_t n = view.count();
@@ -1062,6 +1113,7 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     const rdma::GlobalAddress right_addr =
         co_await allocator_.Alloc(node_size());
     if (right_addr.is_null()) {
+      intents_.ClearAsync(intent_slot);
       co_await Release(locked, {}, stats);
       co_return Status::OutOfMemory("disaggregated memory exhausted");
     }
@@ -1090,9 +1142,11 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
     }
     view.set_count(static_cast<uint16_t>(mid));
 
-    co_return co_await CommitSplit(locked, level, old_lo, old_hi, promote,
-                                   right_addr, new_version, buf.data(),
-                                   right_buf.data(), stats);
+    co_await CommitSplit(locked, level, old_lo, old_hi, promote, right_addr,
+                         new_version, buf.data(), right_buf.data(),
+                         intent_slot, stats);
+    co_return co_await LinkSplit(level, promote, right_addr, intent_slot,
+                                 stats);
   }
   co_return Status::Internal("internal insert restarts exhausted");
 }
@@ -1104,8 +1158,18 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
   const TreeOptions& o = opt();
   const rdma::GlobalAddress old_root = root_addr_;
 
+  // A root install waits on no slot either: the reserve's root slot is
+  // busy only while another install of this client is in flight.
+  const int intent_slot = intents_.TryClaim(recover::IntentOp::kRoot, level);
+  if (intent_slot < 0) {
+    co_await system_->fabric_.simulator().Delay(recover::kIntentSlotBackoffNs);
+    co_return Status::Retry("no intent slot");
+  }
   const rdma::GlobalAddress addr = co_await allocator_.Alloc(node_size());
-  if (addr.is_null()) co_return Status::OutOfMemory();
+  if (addr.is_null()) {
+    intents_.ClearAsync(intent_slot);
+    co_return Status::OutOfMemory();
+  }
 
   // The root-pointer CAS is the commit point; the intent only tracks the
   // staged node so a crash before (or a lost race at) the CAS cannot leak
@@ -1116,7 +1180,7 @@ sim::Task<Status> TreeClient::MakeNewRoot(Key sep, rdma::GlobalAddress child,
   intent.level = level;
   intent.hi = kMaxKey;
   intent.primary = addr;
-  const int intent_slot = co_await intents_.Publish(intent, stats);
+  co_await intents_.Publish(intent_slot, intent, stats);
 
   std::vector<uint8_t> buf(node_size());
   NodeView view(buf.data(), &o.shape);
@@ -1615,8 +1679,7 @@ sim::Task<void> TreeClient::ApplyGroups(
 template <class R>
 sim::Task<void> TreeClient::ApplyPutGroup(
     rdma::GlobalAddress addr, std::vector<size_t> idxs, std::vector<R>* recs,
-    std::vector<uint8_t>* defer, std::vector<uint64_t>* retired,
-    OpStats* stats, sim::CountdownLatch* latch) {
+    std::vector<uint8_t>* defer, OpStats* stats, sim::CountdownLatch* latch) {
   const rdma::FabricConfig& f = system_->fabric_.config();
   std::vector<uint8_t> buf(node_size());
   StatusOr<Locked> locked_r = co_await LockChasing(
@@ -1628,6 +1691,7 @@ sim::Task<void> TreeClient::ApplyPutGroup(
   }
   NodeView view(buf.data(), &opt().shape);
   LeafWrite w;
+  std::vector<size_t> applied;
   for (size_t idx : idxs) {
     R& rec = (*recs)[idx];
     if (!view.InFence(rec.route())) {  // sibling chase moved us off this key
@@ -1639,10 +1703,13 @@ sim::Task<void> TreeClient::ApplyPutGroup(
       (*defer)[idx] = 1;
       continue;
     }
-    rec.Applied(*this, retired);
+    applied.push_back(idx);
   }
   if (w.seal) view.Seal(opt().consistency);
   co_await WriteBackAndUnlock(*locked_r, buf.data(), w, stats);
+  // Duplicate keys share this group, so a put superseded within the batch
+  // is retired here too, once the leaf no longer names it.
+  for (size_t idx : applied) (*recs)[idx].Published(*this);
   latch->Arrive();
 }
 
@@ -1679,16 +1746,13 @@ sim::Task<Status> TreeClient::MultiPut(std::vector<std::pair<K, V>> kvs,
   const std::vector<rdma::GlobalAddress> planned =
       co_await PlanLeaves(routes, stats);
   std::vector<uint8_t> defer(n, 0);
-  std::vector<uint64_t> retired;  // value-log extents the groups superseded
   co_await ApplyGroups(
       planned, &defer, stats,
       [&](rdma::GlobalAddress addr, std::vector<size_t> idxs,
           sim::CountdownLatch* latch) {
-        return ApplyPutGroup(addr, std::move(idxs), &recs, &defer, &retired,
-                             stats, latch);
+        return ApplyPutGroup(addr, std::move(idxs), &recs, &defer, stats,
+                             latch);
       });
-  // Retire superseded extents only once every group's write-back landed.
-  for (uint64_t p : retired) co_await vlog_->Retire(p, stats);
 
   // Phase 3 — deferred records (splits, fence moves, plan failures) take
   // the singleton path, which stages its own copy: drop the batch's.
@@ -1734,7 +1798,7 @@ sim::Task<void> TreeClient::ApplyRemoveGroup(
   }
   if (w.seal) view.Seal(opt().consistency);
   co_await MergeOrWriteBack(*locked_r, buf.data(), w, stats);
-  for (size_t idx : removed) co_await (*recs)[idx].Removed(*this, stats);
+  for (size_t idx : removed) (*recs)[idx].Removed(*this);
   latch->Arrive();
 }
 

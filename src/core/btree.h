@@ -417,22 +417,35 @@ class TreeClient {
                                 OpStats* stats);
 
   // Leaf split under lock (Figure 7, lines 18-35): the policy cuts the
-  // live entries plus the pending record into two halves, then the shared
-  // split commit publishes them and ascends.
+  // live entries plus the pending record into two halves, and the shared
+  // split commit publishes them. The put returns at the commit: a linker
+  // (LinkLeafSplit) inserts the separator into the parent after the ack.
   template <class R>
   sim::Task<Status> SplitLeafAndUnlock(R& rec, Locked locked,
                                        std::vector<uint8_t> buf,
                                        OpStats* stats);
-  // The split commit of leaf and internal splits: the caller staged the
-  // lower half in `buf` (sibling pointer -> sib_addr) and the upper half
-  // in `sib_buf`. Publishes the intent, writes both nodes (the sibling
-  // rides the release batch when it shares the MS), and inserts
-  // sep -> sib_addr one level up. Crash sites: split.* at level 0,
-  // isplit.* above.
-  sim::Task<Status> CommitSplit(const Locked& locked, uint8_t level, Key lo,
-                                Key hi, Key sep, rdma::GlobalAddress sib_addr,
-                                uint8_t new_version, uint8_t* buf,
-                                uint8_t* sib_buf, OpStats* stats);
+  // The linker of a committed leaf split, spawned on this client: links
+  // sep -> sib_addr into the parent (LinkSplit, including any internal
+  // split or new root it cascades into), then publishes the sibling's
+  // hint. It holds its own epoch pin, charges no op's OpStats, and counts
+  // a failed link in tree.link_failures.
+  sim::Task<void> LinkLeafSplit(Key sep, rdma::GlobalAddress sib_addr,
+                                int intent_slot);
+  // The split commit of leaf and internal splits: the caller claimed
+  // `intent_slot` and staged the lower half in `buf` (sibling pointer ->
+  // sib_addr) and the upper half in `sib_buf`. Publishes the intent and
+  // writes both nodes (the sibling rides the release batch when it shares
+  // the MS). The intent stays published until LinkSplit. Crash sites:
+  // split.* at level 0, isplit.* above.
+  sim::Task<void> CommitSplit(const Locked& locked, uint8_t level, Key lo,
+                              Key hi, Key sep, rdma::GlobalAddress sib_addr,
+                              uint8_t new_version, uint8_t* buf,
+                              uint8_t* sib_buf, int intent_slot,
+                              OpStats* stats);
+  // Ascent of a committed split at `level`: inserts sep -> child one level
+  // up, then clears the split's intent.
+  sim::Task<Status> LinkSplit(uint8_t level, Key sep, rdma::GlobalAddress child,
+                              int intent_slot, OpStats* stats);
 
   // Batch plumbing. PlanLeaves resolves every distinct routing key to its
   // leaf, the descents running concurrently so their upper-level READs
@@ -465,12 +478,10 @@ class TreeClient {
   // Applies one batch group (the items planned to one leaf) under a single
   // lock, the write-back riding the release; items the leaf cannot serve
   // (fence moved, leaf full) get `defer` set for the singleton fallback.
-  // Puts queue the value-log extents they supersede on `retired`.
   template <class R>
   sim::Task<void> ApplyPutGroup(rdma::GlobalAddress addr,
                                 std::vector<size_t> idxs, std::vector<R>* recs,
-                                std::vector<uint8_t>* defer,
-                                std::vector<uint64_t>* retired, OpStats* stats,
+                                std::vector<uint8_t>* defer, OpStats* stats,
                                 sim::CountdownLatch* latch);
   template <class R>
   sim::Task<void> ApplyRemoveGroup(rdma::GlobalAddress addr,

@@ -47,14 +47,15 @@ void HybridSystem::CutShards(size_t count,
   // DEX-style logical partitioning: cut the *loaded* keys into
   // equal-population shards. Equal-width cuts over the key space
   // degenerate when the loaded keys are sparse in it (e.g. multi-tenant
-  // key bases), collapsing whole tenants into single shards.
-  if (count > 0) {
-    const int n = router_->num_shards();
-    std::vector<Key> cuts;
-    cuts.reserve(n - 1);
-    for (int s = 1; s < n; s++) cuts.push_back(route_of(count * s / n));
-    router_->SetBoundaries(std::move(cuts));
+  // key bases), collapsing whole tenants into single shards. An empty load
+  // cuts every shard but the first at kMaxKey: all keys route to shard 0.
+  const int n = router_->num_shards();
+  std::vector<Key> cuts;
+  cuts.reserve(n - 1);
+  for (int s = 1; s < n; s++) {
+    cuts.push_back(count > 0 ? route_of(count * s / n) : kMaxKey);
   }
+  router_->SetBoundaries(std::move(cuts));
   router_->SetTreeHeight(static_cast<double>(sherman_.DebugHeight()));
 }
 

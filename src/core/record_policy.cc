@@ -314,8 +314,8 @@ sim::Task<void> VarPolicy::Abandon(TreeClient& t, OpStats* stats) {
   if (outline_) co_await t.vlog_->Retire(vptr_, stats);
 }
 
-sim::Task<void> VarPolicy::Published(TreeClient& t, OpStats* stats) {
-  if (old_ptr_ != 0) co_await t.vlog_->Retire(old_ptr_, stats);
+void VarPolicy::Published(TreeClient& t) {
+  if (old_ptr_ != 0) t.vlog_->RetireAsync(old_ptr_);
   if (outline_) {
     t.RememberVptr(key_, vptr_, static_cast<uint16_t>(value_.size()));
   } else {
@@ -323,20 +323,11 @@ sim::Task<void> VarPolicy::Published(TreeClient& t, OpStats* stats) {
   }
 }
 
-sim::Task<void> VarPolicy::Removed(TreeClient& t, OpStats* stats) {
+void VarPolicy::Removed(TreeClient& t) {
   // Retire only after the delete (or merge) published: readers that
   // fetched the old leaf meanwhile finish under their epoch pin.
   t.ForgetVptr(key_);
-  if (old_ptr_ != 0) co_await t.vlog_->Retire(old_ptr_, stats);
-}
-
-void VarPolicy::Applied(TreeClient& t, std::vector<uint64_t>* retired) {
-  if (old_ptr_ != 0) retired->push_back(old_ptr_);
-  if (outline_) {
-    t.RememberVptr(key_, vptr_, static_cast<uint16_t>(value_.size()));
-  } else {
-    t.ForgetVptr(key_);
-  }
+  if (old_ptr_ != 0) t.vlog_->RetireAsync(old_ptr_);
 }
 
 sim::Task<Status> VarPolicy::Fetch(TreeClient& t, OpStats* stats) {

@@ -17,7 +17,7 @@
 //   - the split cut (Cut + Fill);
 //   - the scan's start check and per-leaf collect step (ScanLeaf);
 //   - the value-log hooks: Stage before the lock, Abandon on failure,
-//     Published / Removed / Applied after the leaf write.
+//     Published / Removed after the leaf write.
 // FixedPolicy serves both fixed layouts (unsorted two-level-version leaves
 // and sorted FG leaves, switched on TreeOptions::two_level_versions); its
 // value-log hooks do nothing. VarPolicy serves slotted leaves holding
@@ -118,9 +118,8 @@ class FixedPolicy {
   // --- client hooks: fixed records have no value log ---
   sim::Task<Status> Stage(TreeClient&, OpStats*) { co_return Status::OK(); }
   sim::Task<void> Abandon(TreeClient&, OpStats*) { co_return; }
-  sim::Task<void> Published(TreeClient&, OpStats*) { co_return; }
-  sim::Task<void> Removed(TreeClient&, OpStats*) { co_return; }
-  void Applied(TreeClient&, std::vector<uint64_t>*) {}
+  void Published(TreeClient&) {}
+  void Removed(TreeClient&) {}
   sim::Task<std::optional<Status>> Speculate(TreeClient&, uint8_t*,
                                              OpStats*) {
     co_return std::nullopt;
@@ -189,14 +188,12 @@ class VarPolicy {
   sim::Task<Status> Stage(TreeClient& t, OpStats* stats);
   // The staged extent was never published: retire it.
   sim::Task<void> Abandon(TreeClient& t, OpStats* stats);
-  // After a put's leaf write: retire the superseded extent (readers that
-  // hold it are epoch-pinned), then update the swizzle cache.
-  sim::Task<void> Published(TreeClient& t, OpStats* stats);
-  // After a remove's leaf write: forget the key, retire its extent.
-  sim::Task<void> Removed(TreeClient& t, OpStats* stats);
-  // A batched put landed in the staged leaf: queue the superseded extent
-  // for retirement after the batch publishes; update the swizzle cache.
-  void Applied(TreeClient& t, std::vector<uint64_t>* retired);
+  // After a put's leaf write: post the superseded extent's retire (readers
+  // that hold it are epoch-pinned; the put does not wait for it), then
+  // update the swizzle cache.
+  void Published(TreeClient& t);
+  // After a remove's leaf write: forget the key, post its extent's retire.
+  void Removed(TreeClient& t);
   // The pointer-swizzle fast path: with a cached leaf translation and a
   // cached value pointer, the leaf READ and the value READ go out together
   // and the leaf validates the speculation. Returns the op's result, or

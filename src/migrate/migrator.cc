@@ -174,7 +174,17 @@ sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
         co_await t.LockChasing(start, lo - 1, buf.data(), stats, level,
                                {held});
     if (!lr.ok()) {
-      if (lr.status().IsRetry()) continue;
+      if (lr.status().IsRetry()) {
+        // Holding `held`, LockChasing keeps the translation that steered
+        // it to a dead end; drop it here, as ReplaceChild does, or every
+        // attempt resolves lo - 1 to the same node.
+        if (level == 0) {
+          t.cache_.InvalidateLevel1Covering(lo - 1);
+        } else {
+          t.cache_.InvalidateUpperCovering(lo - 1, start);
+        }
+        continue;
+      }
       co_return lr.status();
     }
     TreeClient::Locked locked = *lr;
@@ -214,9 +224,23 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   const Key node_lo = view.lo_fence();
   const int cs = options_.cs_id;
 
+  // Claim the flip's intent slot. Above the leaf level this holds an
+  // internal lock, so it must not wait for one (recover/intent.h): without
+  // a slot it lets go, and the pass retries.
+  int intent_slot;
+  if (level == 0) {
+    intent_slot = co_await t.intents_.Claim();
+  } else {
+    intent_slot = t.intents_.TryClaim(recover::IntentOp::kFlip, level);
+    if (intent_slot < 0) {
+      co_await t.Release(locked, {}, stats);
+      co_return Status::Retry("no intent slot");
+    }
+  }
   // Copy the frozen node into a shard-private chunk on the target.
   const rdma::GlobalAddress naddr = co_await AllocOnTarget(target, node_size());
   if (naddr.is_null()) {
+    t.intents_.ClearAsync(intent_slot);
     co_await t.Release(locked, {}, stats);
     co_return Status::OutOfMemory("target MS exhausted during migration");
   }
@@ -233,7 +257,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   intent.hi = view.hi_fence();
   intent.primary = locked.addr;
   intent.second = naddr;
-  const int intent_slot = co_await t.intents_.Publish(intent, stats);
+  co_await t.intents_.Publish(intent_slot, intent, stats);
   co_await fault::Injector().AtSite(kCrashFlipIntent, cs);
 
   rdma::WorkRequest copy_wr =
@@ -493,6 +517,10 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
     rdma::GlobalAddress naddr;
     Status st = co_await MoveLockedNode(locked, &buf, /*level=*/1, cursor,
                                         target, hint, &naddr, &stats);
+    if (st.IsRetry()) {  // no intent slot free: back off, then re-resolve
+      co_await system_->simulator().Delay(recover::kIntentSlotBackoffNs);
+      continue;
+    }
     if (!st.ok()) co_return st;
 
     internals_moved_->Inc();

@@ -96,9 +96,10 @@ class Migrator {
   // The shared copy/flip/repair/tombstone core both passes use: moves the
   // LOCKED node whose content is in `*buf` (level `level`, covering
   // `cursor`) to `target`, releases the lock in every outcome, and on
-  // success stores the copy's address in `*naddr_out`. Owns the one
-  // safety-critical ordering difference between the levels (tombstone
-  // before vs after the flip) — see the implementation comment.
+  // success stores the copy's address in `*naddr_out`; Retry means an
+  // internal node found no free intent slot and nothing changed. Owns the
+  // one safety-critical ordering difference between the levels
+  // (tombstone before vs after the flip) — see the implementation comment.
   sim::Task<Status> MoveLockedNode(TreeClient::Locked locked,
                                    std::vector<uint8_t>* buf, uint8_t level,
                                    Key cursor, uint16_t target,

@@ -16,7 +16,8 @@ struct FabricConfig {
   int num_memory_servers = 8;
   int num_compute_servers = 8;
   // Host DRAM per memory server. The paper gives each MS 64 GB; we default
-  // to 64 MB because the scaled dataset (see DESIGN.md) fits comfortably.
+  // to 64 MB because the scaled dataset (4M keys at full size against the
+  // paper's 1 billion; see bench/common.h) fits comfortably.
   uint64_t ms_memory_bytes = 64ull << 20;
   // NIC on-chip device memory per MS (ConnectX-5 exposes 256 KB).
   uint64_t onchip_bytes = 256 << 10;

@@ -18,6 +18,8 @@
 #ifndef SHERMAN_RECOVER_INTENT_H_
 #define SHERMAN_RECOVER_INTENT_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -99,12 +101,28 @@ inline rdma::GlobalAddress RecoveryClaimAddress(int cs) {
   return rdma::GlobalAddress(0, kRecoveryClaimOffset + 8ull * cs);
 }
 
+// Internal levels with a reserved intent slot each (taller levels share
+// the last), and the reserve: those slots plus one for a root install.
+inline constexpr int kReservedIntentLevels = 3;
+inline constexpr uint32_t kReservedIntentSlots = kReservedIntentLevels + 1;
+// How long an op that must not wait for a slot (IntentTable::TryClaim
+// found none) backs off before it retries.
+inline constexpr sim::SimTime kIntentSlotBackoffNs = 2000;
+
 // Client-side intent publisher: owns the local free-slot state of one
 // client's slab and issues the publish/clear WRITEs. Slots are claimed
-// locally (the slab is client-private, so no remote coordination), and a
-// rare burst of more concurrent structural ops than slots waits here until
-// one clears — slot holders always finish without waiting on other slots,
-// so the wait is deadlock-free.
+// locally (the slab is client-private, so no remote coordination).
+//
+// The last kReservedIntentSlots slots are a reserve that leaf-level ops
+// (leaf splits, merges, leaf flips) never take: one for each internal
+// level up to kReservedIntentLevels (taller levels share the last) and
+// one for a root install. Only an op holding at most a leaf lock waits
+// for a slot (Claim). An op holding a lock above the leaf level (an
+// internal split or flip, a merge) claims with TryClaim and backs off or
+// aborts when none is free. A split's ascent only ever needs the next
+// level's slot or the root's, whose holder ascends the same way, so the
+// reserve keeps ascents moving however many leaf splits hold the general
+// slots.
 class IntentTable {
  public:
   IntentTable(rdma::Fabric* fabric, int cs_id)
@@ -126,48 +144,75 @@ class IntentTable {
     }
   }
 
-  // Publishes `rec` into a free slot; the WRITE is awaited so the record
-  // is durable on MS 0 before the caller's first structural write.
-  sim::Task<int> Publish(const IntentRecord& rec, OpStats* stats) {
-    while (free_ == 0) co_await slot_waiters_.Wait();
-    int slot = 0;
-    while ((free_ & (1u << slot)) == 0) slot++;
-    free_ &= ~(1u << slot);
+  // Claims a general slot, waiting while none is free.
+  sim::Task<int> Claim() {
+    while ((free_ & kGeneral) == 0) co_await slot_waiters_.Wait();
+    co_return Take(std::countr_zero(free_ & kGeneral));
+  }
+
+  // Claims without waiting: the reserved slot of an `op` at `level` (none
+  // at the leaf level), else a general slot; -1 when neither is free.
+  int TryClaim(IntentOp op, uint8_t level) {
+    const int reserved = ReservedSlot(op, level);
+    if (reserved >= 0 && (free_ & (1u << reserved)) != 0) {
+      return Take(reserved);
+    }
+    if ((free_ & kGeneral) == 0) return -1;
+    return Take(std::countr_zero(free_ & kGeneral));
+  }
+
+  // Writes `rec` into the claimed `slot`; the WRITE is awaited so the
+  // record is durable on MS 0 before the caller's first structural write.
+  sim::Task<void> Publish(int slot, const IntentRecord& rec, OpStats* stats) {
     rec.Serialize(staged_[slot]);
     rdma::RdmaResult r = co_await fabric_->qp(cs_id_, 0).Post(
         rdma::WorkRequest::Write(IntentSlotAddress(cs_id_, slot),
                                  staged_[slot], kIntentSlotBytes));
     if (stats != nullptr) stats->round_trips++;
     SHERMAN_CHECK(r.status.ok());
-    published_++;
-    co_return slot;
   }
 
-  // Clears the slot after the op's last structural write, WITHOUT
-  // blocking the caller: the zeroing WRITE is posted synchronously here
-  // (posted work completes even if the client's CPU dies right after —
-  // the NIC owns it), so the one-RTT clear leaves the op's critical
-  // path. The slot becomes reusable when the completion lands. A crash
-  // that fires before this call leaves a COMPLETED intent behind, which
-  // recovery resolves as a no-op: every replay is idempotent past its
-  // commit point, and rolled-forward frees are idempotent at the grace
-  // list.
+  // Clears the slot after the op's last structural write (or releases a
+  // claimed slot never published), WITHOUT blocking the caller: the
+  // zeroing WRITE is posted synchronously here (posted work completes
+  // even if the client's CPU dies right after — the NIC owns it), so the
+  // one-RTT clear leaves the op's critical path. The slot becomes
+  // reusable when the completion lands. A crash that fires before this
+  // call leaves a COMPLETED intent behind, which recovery resolves as a
+  // no-op: every replay is idempotent past its commit point, and
+  // rolled-forward frees are idempotent at the grace list.
   void ClearAsync(int slot) {
     SHERMAN_CHECK(slot >= 0 && slot < static_cast<int>(kIntentSlotsPerClient));
     std::memset(staged_[slot], 0, kIntentSlotBytes);
     sim::Spawn(ClearTask(slot));
   }
 
-  uint64_t published() const { return published_; }
-
  private:
+  static constexpr uint32_t kGeneral =
+      (1u << (kIntentSlotsPerClient - kReservedIntentSlots)) - 1;
+
+  // Root installs take the last slot; internal level l the l-th of the
+  // ones before it, counting down.
+  static int ReservedSlot(IntentOp op, uint8_t level) {
+    constexpr int kRoot = kIntentSlotsPerClient - 1;
+    if (op == IntentOp::kRoot) return kRoot;
+    if (level == 0) return -1;
+    return kRoot - std::min<int>(level, kReservedIntentLevels);
+  }
+
+  int Take(int slot) {
+    free_ &= ~(1u << slot);
+    return slot;
+  }
+
   sim::Task<void> ClearTask(int slot) {
     rdma::RdmaResult r = co_await fabric_->qp(cs_id_, 0).Post(
         rdma::WorkRequest::Write(IntentSlotAddress(cs_id_, slot),
                                  staged_[slot], kIntentSlotBytes));
     SHERMAN_CHECK(r.status.ok());
     free_ |= 1u << slot;
-    slot_waiters_.WakeOne();
+    // Only general slots have waiters.
+    if ((kGeneral & (1u << slot)) != 0) slot_waiters_.WakeOne();
   }
 
   rdma::Fabric* fabric_;
@@ -177,7 +222,6 @@ class IntentTable {
   // per-slot buffer keeps Publish re-entrant across slots.
   uint8_t staged_[kIntentSlotsPerClient][kIntentSlotBytes] = {};
   sim::CoroQueue slot_waiters_;
-  uint64_t published_ = 0;
 };
 
 }  // namespace sherman::recover

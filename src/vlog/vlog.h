@@ -32,6 +32,7 @@
 #include "alloc/cs_allocator.h"
 #include "core/stats.h"
 #include "rdma/fabric.h"
+#include "sim/task.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -94,6 +95,9 @@ class VlogClient {
 
   // Marks the extent dead at its owning MS (idempotent).
   sim::Task<void> Retire(uint64_t ptr, OpStats* stats);
+  // Retire, posted without waiting: the caller's op does not pay (or
+  // count) its round trip.
+  void RetireAsync(uint64_t ptr) { sim::Spawn(Retire(ptr, nullptr)); }
 
   // Seals every open segment at its MS so GC victim queries can see it.
   sim::Task<void> SealOpen(OpStats* stats);

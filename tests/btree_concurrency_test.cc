@@ -1,10 +1,12 @@
 // Concurrency property tests: many client coroutines across multiple
 // compute servers hammer the tree; we verify mutual-exclusion effects,
 // lost-update freedom on distinct keys, read coherence (every lookup
-// returns a value some client actually wrote), structural invariants after
-// split storms, and root-growth races — across presets.
+// returns a value some client actually wrote), per-key linearizability
+// across split storms, structural invariants after split storms, and
+// root-growth races — across presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -13,6 +15,8 @@
 #include "bench/runner.h"
 #include "core/btree.h"
 #include "core/presets.h"
+#include "recover/intent.h"
+#include "test_oracle.h"
 #include "util/random.h"
 
 namespace sherman {
@@ -290,6 +294,138 @@ TEST(ConcurrencyStressTest, SkewedMixedWorkloadIntegrity) {
   EXPECT_GT(r.metrics.counter("lock.handovers"), 0u)
       << "skew should trigger HOCL handovers";
   system.DebugCheckInvariants();
+}
+
+// Per-key linearizability across a split storm. Writers on 4 CSs insert
+// unique values into a tree of 512-byte nodes while readers look the same
+// keys up, so lookups race splits whose parent links land after the
+// inserts were acknowledged. Every op goes into a per-key register
+// history. The history drops NotFound reads, so those are checked apart:
+// with no deletes, no lookup invoked after a key's first acknowledged
+// insert may miss it.
+sim::Task<void> SplitStormWriter(ShermanSystem* sys, int cs, uint64_t seed,
+                                 uint64_t keys, testutil::RegisterHistory* h,
+                                 std::map<Key, sim::SimTime>* first_ack,
+                                 int* done) {
+  TreeClient& c = sys->client(cs);
+  sim::Simulator& sim = sys->simulator();
+  Random rng(seed);
+  for (uint64_t i = 1; i <= 250; i++) {
+    const Key k = 1 + rng.Uniform(keys);
+    const uint64_t value = (seed << 32) | i;  // unique
+    const size_t op = h->BeginWrite(k, value, sim.now());
+    const Status st = co_await c.Insert(k, value);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    h->EndWrite(k, op, sim.now());
+    first_ack->try_emplace(k, sim.now());
+  }
+  (*done)++;
+}
+
+sim::Task<void> SplitStormReader(
+    ShermanSystem* sys, int cs, uint64_t seed, uint64_t keys,
+    testutil::RegisterHistory* h,
+    std::vector<std::pair<Key, sim::SimTime>>* misses, int* done) {
+  TreeClient& c = sys->client(cs);
+  sim::Simulator& sim = sys->simulator();
+  Random rng(seed);
+  for (int i = 0; i < 250; i++) {
+    const Key k = 1 + rng.Uniform(keys);
+    const sim::SimTime invoke = sim.now();
+    uint64_t v = 0;
+    const Status st = co_await c.Lookup(k, &v);
+    if (st.ok()) {
+      h->Read(k, invoke, sim.now(), v);
+    } else {
+      EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+      misses->emplace_back(k, invoke);
+    }
+  }
+  (*done)++;
+}
+
+TEST(LinearizabilityTest, SplitStormPointOpsAreLinearizable) {
+  for (uint64_t seed = 1; seed <= 3; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TreeOptions topt = ShermanOptions();
+    topt.shape.node_size = 512;  // ~25 entries a leaf: frequent splits
+    ShermanSystem system(Fabric4x4(), topt);
+    system.BulkLoad({}, 0.8);
+    const size_t leaves_before = system.DebugCountLeaves();
+    constexpr uint64_t kKeys = 1'500;
+    testutil::RegisterHistory hist;
+    std::map<Key, sim::SimTime> first_ack;
+    std::vector<std::pair<Key, sim::SimTime>> misses;
+    int done = 0;
+    for (int cs = 0; cs < 4; cs++) {
+      for (int t = 0; t < 2; t++) {
+        const uint64_t s = seed * 100 + static_cast<uint64_t>(cs * 10 + t);
+        sim::Spawn(SplitStormWriter(&system, cs, s, kKeys, &hist, &first_ack,
+                                    &done));
+        sim::Spawn(SplitStormReader(&system, cs, s + 50, kKeys, &hist,
+                                    &misses, &done));
+      }
+    }
+    system.simulator().Run();
+    ASSERT_EQ(done, 16);
+    EXPECT_GT(system.DebugCountLeaves(), leaves_before + 40)
+        << "the storm should split leaves";
+    for (const std::string& v : hist.Check()) ADD_FAILURE() << v;
+    for (const auto& [k, invoke] : misses) {
+      const auto it = first_ack.find(k);
+      EXPECT_TRUE(it == first_ack.end() || invoke < it->second)
+          << "lookup of key " << k << " invoked at " << invoke
+          << " missed an insert acknowledged at " << it->second;
+    }
+    system.DebugCheckInvariants();
+  }
+}
+
+// 64 coroutines on one CS split leaves under one parent, which splits in
+// turn: linkers hold intent slots until their separators land, and an
+// internal split or root install must never wait for a slot while holding
+// a lock above the leaf level (recover/intent.h). The storm completes,
+// every key survives, and every slot is clear afterwards.
+TEST(ConcurrencyStressTest, SixtyFourCoroutinesSplitUnderOneParent) {
+  rdma::FabricConfig f = Fabric4x4();
+  f.num_compute_servers = 1;
+  TreeOptions topt = ShermanOptions();
+  topt.shape.node_size = 256;  // 11 entries a leaf
+  ShermanSystem system(f, topt);
+  system.BulkLoad(bench::MakeLoadKvs(40), 0.9);  // 4 leaves, one parent
+  ASSERT_EQ(system.DebugHeight(), 2u);
+
+  constexpr int kCoroutines = 64;
+  constexpr int kKeysEach = 24;
+  int done = 0;
+  for (int t = 0; t < kCoroutines; t++) {
+    sim::Spawn([](TreeClient* c, int tid, int* done) -> sim::Task<void> {
+      // Interleaved odd keys: every coroutine inserts into every leaf.
+      for (int i = 0; i < kKeysEach; i++) {
+        const Key k = 1 + 2 * static_cast<Key>(i * kCoroutines + tid);
+        const Status st = co_await c->Insert(k, k + 7);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      }
+      (*done)++;
+    }(&system.client(0), t, &done));
+  }
+  system.simulator().Run();
+  ASSERT_EQ(done, kCoroutines);
+  EXPECT_GE(system.DebugHeight(), 3u) << "the parent should have split";
+  system.DebugCheckInvariants();
+  const auto scan = system.DebugScanLeaves();
+  const std::map<Key, uint64_t> got(scan.begin(), scan.end());
+  for (Key k = 1; k < 2 * kCoroutines * kKeysEach; k += 2) {
+    const auto it = got.find(k);
+    ASSERT_NE(it, got.end()) << "lost key " << k;
+    EXPECT_EQ(it->second, k + 7);
+  }
+  EXPECT_EQ(system.registry().Snapshot().counter("tree.link_failures"), 0u);
+  for (uint32_t slot = 0; slot < kIntentSlotsPerClient; slot++) {
+    EXPECT_EQ(system.fabric().HostRaw(recover::IntentSlotAddress(0, slot))[0],
+              0u)
+        << "live intent in slot " << slot;
+  }
 }
 
 // Determinism: identical seeds must give bit-identical results.

@@ -847,14 +847,14 @@ TEST(VarTreeTest, UpdatesCrossInlineThresholdBothWays) {
   system.BulkLoad({}, 0.8);
 
   bool done = false;
-  sim::Spawn([](TreeClient* c, obs::Registry* reg,
+  uint64_t out_writes = 0;
+  sim::Spawn([](TreeClient* c, uint64_t* out_writes,
                 bool* flag) -> sim::Task<void> {
     const std::string key = VarKey(7);
-    uint64_t out_writes = 0;
     for (int round = 0; round < 10; round++) {
       const bool big = (round % 2 == 0);  // out-of-line on even rounds
       const uint32_t len = big ? 150 + round : 8 + round;
-      if (big) out_writes++;
+      if (big) (*out_writes)++;
       const std::string value(len, static_cast<char>('a' + round));
       EXPECT_TRUE((co_await c->InsertVar(Slice(key), Slice(value))).ok());
       std::string got;
@@ -862,15 +862,17 @@ TEST(VarTreeTest, UpdatesCrossInlineThresholdBothWays) {
       EXPECT_TRUE(st.ok()) << st.ToString();
       EXPECT_EQ(got, value) << "round " << round;
     }
-    const obs::MetricsSnapshot vs = reg->Snapshot();  // client 0's alone
-    EXPECT_EQ(vs.counter("vlog.appends"), out_writes);
-    // The final round wrote inline, so every out-of-line extent ever
-    // appended was retired by a later crossing — no extent leaks.
-    EXPECT_EQ(vs.counter("vlog.retires"), out_writes);
     *flag = true;
-  }(&system.client(0), &system.registry(), &done));
+  }(&system.client(0), &out_writes, &done));
+  // Drained: a put posts its retire without waiting for it, so the last
+  // one lands after the put returned.
   system.simulator().Run();
   ASSERT_TRUE(done);
+  const obs::MetricsSnapshot vs = system.registry().Snapshot();
+  EXPECT_EQ(vs.counter("vlog.appends"), out_writes);
+  // The final round wrote inline, so every out-of-line extent ever
+  // appended was retired by a later crossing — no extent leaks.
+  EXPECT_EQ(vs.counter("vlog.retires"), out_writes);
   system.DebugCheckInvariants();
 }
 
@@ -1764,6 +1766,11 @@ std::vector<OpCost> VarOpCosts() {
 
 // Expected costs, in OpCost field order. Any change to an op's round
 // trips, retries, written bytes or simulated latency shows up here.
+// A split row ends at the split's commit: the parent link runs after the
+// ack (TreeClient::LinkLeafSplit), so the row after it absorbs the
+// linker's traffic. A put or delete that supersedes an out-of-line value
+// posts its retire without waiting; vlog.gc.seal queues behind the last
+// such retire at the memory thread.
 const std::vector<OpCost> kShermanFixedCosts = {
     {"lookup.cold", 5, 0, 0, 0, 0, 1, 9678},
     {"lookup.cached", 1, 0, 0, 0, 1, 0, 2383},
@@ -1774,8 +1781,8 @@ const std::vector<OpCost> kShermanFixedCosts = {
     {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
     {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
     {"insert.new", 3, 0, 0, 18, 1, 0, 5394},
-    {"insert.split", 8, 0, 0, 768, 1, 0, 23535},
-    {"delete.plain", 4, 0, 0, 18, 0, 1, 7381},
+    {"insert.split", 5, 0, 0, 512, 1, 0, 18455},
+    {"delete.plain", 4, 0, 0, 18, 0, 1, 7614},
     {"delete.plain", 4, 0, 0, 18, 0, 1, 7227},
     {"delete.plain", 3, 0, 0, 18, 1, 0, 5394},
     {"delete.merge", 13, 0, 0, 768, 1, 0, 25723},
@@ -1795,8 +1802,8 @@ const std::vector<OpCost> kFgFixedCosts = {
     {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
     {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
     {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
-    {"insert.split", 10, 0, 0, 768, 1, 0, 28591},
-    {"delete.plain", 6, 0, 0, 66, 0, 1, 11558},
+    {"insert.split", 6, 0, 0, 512, 1, 0, 20933},
+    {"delete.plain", 6, 0, 0, 66, 0, 1, 11791},
     {"delete.plain", 6, 0, 0, 138, 0, 1, 11408},
     {"delete.plain", 5, 0, 0, 120, 1, 0, 9574},
     {"delete.merge", 15, 0, 0, 768, 1, 0, 31670},
@@ -1815,8 +1822,8 @@ const std::vector<OpCost> kVarCosts = {
     {"insertvar.new", 3, 0, 0, 512, 1, 0, 5442},
     {"insertvar.new", 3, 0, 0, 512, 1, 0, 5442},
     {"insertvar.new", 3, 0, 0, 512, 1, 0, 5442},
-    {"insertvar.split", 7, 0, 0, 1536, 1, 0, 13766},
-    {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
+    {"insertvar.split", 4, 0, 0, 1024, 1, 0, 8574},
+    {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7774},
     {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
     {"deletevar.merge", 13, 0, 0, 1536, 1, 0, 26012},
     {"scanvar", 3, 0, 0, 0, 0, 0, 4520},
@@ -1826,9 +1833,9 @@ const std::vector<OpCost> kVarCosts = {
     {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
     {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
     {"insertvar.outline", 4, 0, 0, 624, 1, 0, 7145},
-    {"insertvar.inline", 4, 0, 0, 512, 1, 0, 9738},
-    {"deletevar.outline", 4, 0, 0, 512, 1, 0, 9738},
-    {"vlog.gc.seal", 3, 0, 0, 0, 0, 0, 12888},
+    {"insertvar.inline", 3, 0, 0, 512, 1, 0, 5442},
+    {"deletevar.outline", 3, 0, 0, 512, 1, 0, 5442},
+    {"vlog.gc.seal", 3, 0, 0, 0, 0, 0, 15888},
     {"vlog.gc", 28, 0, 0, 2496, 4, 0, 68972},
     {"lookupvar.relocated", 1, 0, 0, 0, 1, 0, 2349},
 };

@@ -230,6 +230,77 @@ TEST(MigrateTest, CacheInvalidationAfterFlip) {
   ASSERT_TRUE(checked);
 }
 
+// The sibling fix must drop a stale translation of its left neighbour.
+// L is the leftmost child of its parent, so its left neighbour S is the
+// last child of the parent before, P0. The migrating CS caches P0, then
+// another CS merges S into its own left neighbour: the frozen cache still
+// resolves L.lo - 1 to S's tombstone. Migrating L then locks that
+// tombstone on every sibling-fix attempt unless the retry invalidates the
+// translation ("TimedOut: sibling-fix retries exhausted").
+TEST(MigrateTest, SiblingFixDropsStaleNeighbourTranslation) {
+  TreeOptions topt = ShermanOptions();
+  topt.shape.node_size = 256;  // 11 entries a leaf
+  topt.merge_threshold = 0.4;
+  ShermanSystem system(SmallFabric(2, 2), topt);
+  system.BulkLoad(bench::MakeLoadKvs(400), 0.4);  // 4 entries a leaf
+  ASSERT_GE(system.DebugHeight(), 3u);
+
+  // Host-side: P0, the first level-1 node; S and S2, its last two
+  // children; L, the leftmost child of P0's right sibling.
+  const TreeShape& shape = system.options().shape;
+  const auto view = [&](rdma::GlobalAddress a) {
+    return NodeView(system.fabric().HostRaw(a), &shape);
+  };
+  rdma::GlobalAddress p0 = system.DebugRootAddr();
+  while (view(p0).level() > 1) p0 = view(p0).leftmost_child();
+  const NodeView pv = view(p0);
+  ASSERT_GE(pv.count(), 2u);
+  const rdma::GlobalAddress s_addr = pv.InternalChild(pv.count() - 1);
+  const rdma::GlobalAddress l_addr = view(s_addr).sibling();
+  const Key s_lo = view(s_addr).lo_fence();
+  const Key l_lo = view(l_addr).lo_fence();
+  const Key l_hi = view(l_addr).hi_fence();
+  ASSERT_EQ(l_lo, pv.hi_fence()) << "L must open the next parent";
+
+  // CS 1 caches P0 by reading a key of S.
+  std::vector<Key> s_keys;
+  for (const auto& [k, v] : system.DebugScanLeaves()) {
+    if (k >= s_lo && k < l_lo) s_keys.push_back(k);
+  }
+  ASSERT_FALSE(s_keys.empty());
+  bool warmed = false;
+  sim::Spawn([](TreeClient* c, Key k, bool* flag) -> sim::Task<void> {
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await c->Lookup(k, &v)).ok());
+    *flag = true;
+  }(&system.client(1), s_keys.front(), &warmed));
+  system.simulator().Run();
+  ASSERT_TRUE(warmed);
+
+  // CS 0 deletes from S: it underflows and merges into its left neighbour.
+  bool drained = false;
+  sim::Spawn([](TreeClient* c, Key k, bool* flag) -> sim::Task<void> {
+    EXPECT_TRUE((co_await c->Delete(k)).ok());
+    *flag = true;
+  }(&system.client(0), s_keys.front(), &drained));
+  system.simulator().Run();
+  ASSERT_TRUE(drained);
+  ASSERT_TRUE(view(s_addr).is_free()) << "S was not merged away";
+
+  // Migrate L from CS 1, whose cache still routes L.lo - 1 to S.
+  const int target = system.AddMemoryServer();
+  migrate::Migrator mig(&system, {.cs_id = 1});
+  Status st;
+  bool done = false;
+  sim::Spawn(MigrateRangeTask(&mig, l_lo, l_hi, static_cast<uint16_t>(target),
+                              &st, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(Count(&system, "migrate.leaves_moved"), 1u);
+  system.DebugCheckInvariants();
+}
+
 // --- migration under concurrent traffic -------------------------------------
 
 class MigrateConcurrencyTest : public ::testing::TestWithParam<const char*> {};

@@ -629,6 +629,100 @@ TEST(CrashRecoveryTest, FailStopKillMidTrafficIsRecoverable) {
   inj.Reset();
 }
 
+// Whether a live internal node at level 1 holds the separator `sep`
+// (host-side walk: root down to level 1, then right along it).
+bool SeparatorLinked(ShermanSystem* system, Key sep) {
+  const TreeShape& shape = system->options().shape;
+  rdma::GlobalAddress addr = system->DebugRootAddr();
+  while (NodeView(system->fabric().HostRaw(addr), &shape).level() > 1) {
+    addr = NodeView(system->fabric().HostRaw(addr), &shape)
+               .InternalChildFor(sep);
+  }
+  for (; !addr.is_null();) {
+    NodeView v(system->fabric().HostRaw(addr), &shape);
+    if (sep < v.hi_fence()) {
+      for (uint32_t i = 0; i < v.count(); i++) {
+        if (v.InternalKey(i) == sep) return true;
+      }
+      return false;
+    }
+    addr = v.sibling();
+  }
+  return false;
+}
+
+// Leaf address -> lo fence, along the leaf chain.
+std::map<uint64_t, Key> LeafLos(ShermanSystem* system) {
+  const TreeShape& shape = system->options().shape;
+  rdma::GlobalAddress addr = system->DebugRootAddr();
+  while (!NodeView(system->fabric().HostRaw(addr), &shape).is_leaf()) {
+    addr = NodeView(system->fabric().HostRaw(addr), &shape).leftmost_child();
+  }
+  std::map<uint64_t, Key> out;
+  for (; !addr.is_null();) {
+    NodeView v(system->fabric().HostRaw(addr), &shape);
+    out[addr.ToU64()] = v.lo_fence();
+    addr = v.sibling();
+  }
+  return out;
+}
+
+// A leaf split's parent link runs after its put was acknowledged. The
+// victim dies the moment a splitting insert returns, its linker between
+// the parent lock and the separator write. The acknowledged key must read
+// back, and recovery replays the split intent: it links the separator and
+// leaves a valid tree, every lane free and the victim's slab clear.
+TEST(CrashRecoveryTest, CrashAfterSplitAckBeforeLinkReplays) {
+  fault::CrashInjector& inj = fault::Injector();
+  inj.Reset();
+  ShermanSystem system(RecoverFabric(), RecoverOptions());
+  system.BulkLoad(bench::MakeLoadKvs(120), 0.9);
+
+  Key acked = 0;  // the splitting insert's key (value 3 * key)
+  Key sep = 0;    // the new leaf's lo fence
+  sim::Spawn([](ShermanSystem* sys, Key* acked, Key* sep) -> sim::Task<void> {
+    TreeClient& c = sys->client(kVictimCs);
+    for (Key k = 101; k < 1'000; k += 2) {
+      const std::map<uint64_t, Key> before = LeafLos(sys);
+      EXPECT_TRUE((co_await c.Insert(k, 3 * k)).ok());
+      const std::map<uint64_t, Key> after = LeafLos(sys);
+      if (after.size() == before.size()) continue;
+      fault::Injector().KillClient(kVictimCs);
+      *acked = k;
+      for (const auto& [addr, lo] : after) {
+        if (before.count(addr) == 0) *sep = lo;
+      }
+      co_return;
+    }
+  }(&system, &acked, &sep));
+  system.simulator().Run();
+  ASSERT_NE(acked, 0u) << "no insert split a leaf";
+  ASSERT_NE(sep, 0u);
+  EXPECT_FALSE(SeparatorLinked(&system, sep))
+      << "the linker landed the separator before the victim died";
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, Key acked, bool* flag) -> sim::Task<void> {
+    co_await sys->simulator().Delay(8 * kLeasePeriodNs);
+    TreeClient& c = sys->client(0);
+    co_await c.recoverer().RecoverDeadOwner(kVictimTag);
+    uint64_t v = 0;
+    const Status st = co_await c.Lookup(acked, &v);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(v, 3 * acked);
+    *flag = true;
+  }(&system, acked, &done));
+  system.simulator().Run();
+
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(SeparatorLinked(&system, sep)) << "recovery did not link it";
+  EXPECT_GE(Count(&system, "recover.intents_replayed"), 1u);
+  system.DebugCheckInvariants();
+  ExpectAllLanesFree(&system, "split-ack");
+  ExpectClientClean(&system, kVictimCs, "split-ack");
+  inj.Reset();
+}
+
 // Orphaned reclamation pins: a dead client's in-flight ops must not freeze
 // node recycling forever — recovery releases them (ReclaimEpoch::MarkDead)
 // and the grace lists drain again.

@@ -58,6 +58,13 @@ HybridOptions SmallHybrid(int shards = 8,
   return o;
 }
 
+HybridOptions SmallVarHybrid() {
+  HybridOptions o = SmallHybrid();
+  o.tree.two_level_versions = false;  // varlen requires sorted leaves
+  o.tree.shape.varlen = true;
+  return o;
+}
+
 // --- shard mapping ---------------------------------------------------------
 
 TEST(RouterShardTest, RangePartitionCoversUniverse) {
@@ -114,6 +121,66 @@ TEST(RouterShardTest, QuantileBoundariesBalanceSparseKeySpaces) {
   std::vector<int> pop(8, 0);
   for (const auto& [k, v] : kvs) pop[system.router().ShardFor(k)]++;
   for (int s = 0; s < 8; s++) EXPECT_EQ(pop[s], 100);
+}
+
+// An empty bulk load has no keys to cut shards at: it cuts them all at
+// kMaxKey, so every key routes to shard 0 and ops run from the first one.
+TEST(RouterShardTest, EmptyBulkLoadRoutesEveryKey) {
+  const auto run = [](HybridSystem* system, bool var) {
+    bool done = false;
+    sim::Spawn([](HybridSystem* sys, bool var, bool* flag) -> sim::Task<void> {
+      route::HybridClient& c = sys->client(1);
+      for (uint64_t n = 1; n <= 40; n++) {
+        Status st;
+        if (var) {
+          const std::string key = "k" + std::to_string(100 + n);
+          const std::string value = "v" + std::to_string(n);
+          st = co_await c.InsertVar(Slice(key), Slice(value));
+        } else {
+          st = co_await c.Insert(n * 1000, n);
+        }
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      }
+      if (var) {
+        std::string v;
+        EXPECT_TRUE((co_await c.LookupVar(Slice("k117"), &v)).ok());
+        EXPECT_EQ(v, "v17");
+        std::vector<std::pair<std::string, std::string>> out;
+        EXPECT_TRUE((co_await c.ScanVar(Slice("k110"), 5, &out)).ok());
+        EXPECT_EQ(out.size(), 5u);
+        EXPECT_TRUE(!out.empty() && out.front().first == "k110");
+      } else {
+        uint64_t v = 0;
+        EXPECT_TRUE((co_await c.Lookup(17'000, &v)).ok());
+        EXPECT_EQ(v, 17u);
+        std::vector<std::pair<Key, uint64_t>> out;
+        EXPECT_TRUE((co_await c.RangeQuery(10'000, 5, &out)).ok());
+        EXPECT_EQ(out.size(), 5u);
+        EXPECT_TRUE(!out.empty() && out.front().first == 10'000u);
+      }
+      *flag = true;
+    }(system, var, &done));
+    system->simulator().Run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(system->router().ShardFor(1), 0);
+    EXPECT_EQ(system->router().ShardFor(kMaxKey - 1), 0);
+    system->sherman().DebugCheckInvariants();
+  };
+  {
+    HybridSystem fixed(SmallFabric(), SmallHybrid());
+    fixed.BulkLoad({}, 0.8);
+    run(&fixed, false);
+  }
+  {
+    HybridSystem var(SmallFabric(), SmallVarHybrid());
+    var.BulkLoad({}, 0.8);
+    run(&var, true);
+  }
+  {
+    HybridSystem var(SmallFabric(), SmallVarHybrid());
+    var.BulkLoadVar({}, 0.8);
+    run(&var, true);
+  }
 }
 
 // --- cost model / planner --------------------------------------------------
@@ -375,13 +442,6 @@ struct FixedRecords {
     return c.Lookup(k, v);
   }
 };
-
-HybridOptions SmallVarHybrid() {
-  HybridOptions o = SmallHybrid();
-  o.tree.two_level_versions = false;  // varlen requires sorted leaves
-  o.tree.shape.varlen = true;
-  return o;
-}
 
 struct VarRecords {
   using K = std::string;
