@@ -34,6 +34,8 @@ constexpr uint32_t kMaxWrapRetries = 16;
 constexpr uint32_t kMaxReadRetries = 4096;
 // Global CAS attempts of a bounded (Acquire::kTry) lock acquisition.
 constexpr uint32_t kTryLockAttempts = 16;
+// Locked resolves a flip's left-neighbour repair may spend.
+constexpr uint32_t kMaxRelinkAttempts = 64;
 
 // Named crash sites: one per remote-write milestone of every multi-write
 // structural op in this file (tests/recover_test.cc enumerates the full
@@ -55,6 +57,10 @@ const int kCrashMergeTombstone = fault::RegisterCrashSite("merge.tombstone");
 const int kCrashMergeParent = fault::RegisterCrashSite("merge.parent");
 const int kCrashMergeSibling = fault::RegisterCrashSite("merge.sibling");
 const int kCrashMergeFreed = fault::RegisterCrashSite("merge.freed");
+// The flip's tail after its commit (FinishFlip); its earlier sites are in
+// src/migrate/migrator.cc.
+const int kCrashFlipSibfixed = fault::RegisterCrashSite("flip.sibfixed");
+const int kCrashFlipFreed = fault::RegisterCrashSite("flip.freed");
 }  // namespace
 
 void TreeOptions::Validate() const {
@@ -416,6 +422,36 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockChasing(
   co_return Status::Retry("locked sibling chase bound");
 }
 
+sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockCovering(
+    Key key, uint8_t level, uint8_t* buf, OpStats* stats,
+    std::array<rdma::GlobalAddress, 2> held, Acquire how,
+    rdma::GlobalAddress hint) {
+  rdma::GlobalAddress start = hint;
+  if (start.is_null() && level == 0) {
+    StatusOr<LeafRef> r =
+        co_await FindLeafAddr(key, stats, /*allow_hint=*/false);
+    if (!r.ok()) co_return r.status();
+    start = r->addr;
+  } else if (start.is_null()) {
+    StatusOr<rdma::GlobalAddress> r = co_await FindNodeAddr(key, level, stats);
+    if (!r.ok()) co_return r.status();
+    start = *r;
+  }
+  StatusOr<Locked> lr =
+      co_await LockChasing(start, key, buf, stats, level, held, how);
+  if (!lr.ok() && lr.status().IsRetry()) {
+    // LockChasing drops at most a first lock's level-1 translation, and
+    // whatever steered this resolve (a cached parent naming a migration
+    // tombstone or a merged-away node) would steer the next one back here.
+    if (level == 0) {
+      cache_.InvalidateLevel1Covering(key);
+    } else {
+      cache_.InvalidateUpperCovering(key, start);
+    }
+  }
+  co_return lr;
+}
+
 sim::Task<void> TreeClient::Release(Locked locked,
                                     std::vector<rdma::WorkRequest> write_backs,
                                     OpStats* stats) {
@@ -667,6 +703,95 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
     }
   }
   co_return true;
+}
+
+// --- Migration flip tails ---------------------------------------------------
+
+sim::Task<Status> TreeClient::FinishFlip(const Locked& src, uint8_t* buf,
+                                         rdma::GlobalAddress copy,
+                                         rdma::GlobalAddress sibling_hint,
+                                         Acquire how, uint8_t intent_tag,
+                                         OpStats* stats, bool* relinked) {
+  const TreeOptions& o = opt();
+  NodeView view(buf, &o.shape);
+  const uint8_t level = view.level();
+  const Key lo = view.lo_fence();
+  // 1. Repair the B-link chain so sibling chases skip the source. The node
+  // covering lo - 1 is the direct left neighbour; it is rewritten only
+  // while it still links the source. Any other state means the chain
+  // already bypasses it: a replay after the dead migrator's own repair, or
+  // a survivor merge since.
+  if (lo != 0) {
+    std::vector<uint8_t> sbuf(node_size());
+    bool repaired = false;
+    for (uint32_t attempt = 0; attempt < kMaxRelinkAttempts && !repaired;
+         attempt++) {
+      // The source's lock is held across this multi-RTT phase: renew its
+      // lease (free unless a lease period passed) so a waiter never takes
+      // this live protocol for a crashed holder.
+      co_await hocl_.RenewLease(src.guard, stats);
+      StatusOr<Locked> lr = co_await LockCovering(
+          lo - 1, level, sbuf.data(), stats, {src.addr}, how,
+          attempt == 0 ? sibling_hint : rdma::kNullAddress);
+      if (!lr.ok()) {
+        if (lr.status().IsRetry()) continue;
+        co_return lr.status();
+      }
+      NodeView sview(sbuf.data(), &o.shape);
+      std::vector<rdma::WorkRequest> wrs;
+      if (sview.hi_fence() == lo && sview.sibling() == src.addr) {
+        sview.set_sibling(copy);
+        sview.Seal(o.consistency);
+        wrs.push_back(
+            rdma::WorkRequest::Write(lr->addr, sbuf.data(), node_size()));
+        if (relinked != nullptr) *relinked = true;
+      }
+      co_await Release(*lr, std::move(wrs), stats);
+      repaired = true;
+    }
+    if (!repaired) co_return Status::TimedOut("sibling-fix retries exhausted");
+  }
+  co_await fault::Injector().AtSite(kCrashFlipSibfixed, cs_id_);
+  // 2. Internal sources tombstone after the flip (leaves before it; see
+  // Migrator::MoveLockedNode). The write is posted on its own, not folded
+  // into the unlock batch, so the free below — and the crash window
+  // between them — always sees a tombstoned source.
+  if (!view.is_free()) {
+    view.set_free(true);
+    view.Reseal(o.consistency);
+    rdma::WorkRequest tw = rdma::WorkRequest::Write(src.addr, buf, node_size());
+    tw.intent_slot = intent_tag;
+    rdma::RdmaResult r = co_await QpFor(src.addr).Post(tw);
+    SHERMAN_CHECK(r.status.ok());
+  }
+  // 3. Retire the tombstoned source through its MS's epoch-keyed grace
+  // list: the bytes stay a stable tombstone until every operation pinned
+  // at or before this instant has retired. A leaf's hints go first (DMSan
+  // rule V6). The source stays locked until the caller has cleared the
+  // intent, so every crash window leaves a held lane or an intent (or
+  // both) for a survivor to find.
+  if (level == 0) co_await HintInvalidate(src.addr, stats);
+  co_await QpFor(src.addr).Rpc(kRpcFreeNode, src.addr.offset, node_size());
+  if (stats != nullptr) stats->round_trips++;
+  co_await fault::Injector().AtSite(kCrashFlipFreed, cs_id_);
+  co_return Status::OK();
+}
+
+sim::Task<void> TreeClient::RollBackFlip(Locked src, uint8_t* buf,
+                                         rdma::GlobalAddress copy,
+                                         uint8_t intent_tag, OpStats* stats) {
+  NodeView view(buf, &opt().shape);
+  std::vector<rdma::WorkRequest> wrs;
+  if (view.is_free()) {
+    view.set_free(false);
+    view.Reseal(opt().consistency);
+    wrs.push_back(rdma::WorkRequest::Write(src.addr, buf, node_size()));
+    wrs.back().intent_slot = intent_tag;
+  }
+  co_await Release(src, std::move(wrs), stats);
+  // The copy was never published, so no hint names it.
+  co_await QpFor(copy).Rpc(kRpcFreeNode, copy.offset, node_size());
+  if (stats != nullptr) stats->round_trips++;
 }
 
 // ---------------------------------------------------------------------------
@@ -1057,21 +1182,11 @@ sim::Task<Status> TreeClient::InsertInternal(Key sep,
       co_return st;
     }
 
-    StatusOr<rdma::GlobalAddress> addr_r =
-        co_await FindNodeAddr(sep, level, stats);
-    if (!addr_r.ok()) co_return addr_r.status();
-
     std::vector<uint8_t> buf(node_size());
     StatusOr<Locked> locked_r =
-        co_await LockChasing(*addr_r, sep, buf.data(), stats, level);
+        co_await LockCovering(sep, level, buf.data(), stats);
     if (!locked_r.ok()) {
-      if (locked_r.status().IsRetry()) {
-        // The node FindNodeAddr resolved is unusable (tombstoned by a
-        // migration, or a dead-end chase). If a cached upper node supplied
-        // that stale pointer, it must go, or every restart loops back here.
-        cache_.InvalidateUpperCovering(sep, *addr_r);
-        continue;
-      }
+      if (locked_r.status().IsRetry()) continue;
       co_return locked_r.status();
     }
     Locked locked = *locked_r;

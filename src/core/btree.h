@@ -350,6 +350,19 @@ class TreeClient {
       rdma::GlobalAddress addr, Key key, uint8_t* buf, OpStats* stats,
       uint8_t level = 0, std::array<rdma::GlobalAddress, 2> held = {},
       Acquire how = Acquire::kWait);
+  // One attempt of a locked resolve (the repair lock step of the internal
+  // ascent, the migrator and the recoverer): resolves the level-`level`
+  // node covering `key` — `hint` when one is given, else FindLeafAddr
+  // without the hint mirror at level 0 and FindNodeAddr above — and locks
+  // it through LockChasing. A failed lock drops the translation that
+  // steered it (InvalidateLevel1Covering at level 0, InvalidateUpperCovering
+  // above), or every retry would resolve to the same dead end. The caller
+  // owns the attempt bound, backoff and lease renewal.
+  sim::Task<StatusOr<Locked>> LockCovering(
+      Key key, uint8_t level, uint8_t* buf, OpStats* stats,
+      std::array<rdma::GlobalAddress, 2> held = {},
+      Acquire how = Acquire::kWait,
+      rdma::GlobalAddress hint = rdma::kNullAddress);
   // Releases a LockChasing lock, its write-backs riding the release
   // (§4.5). A node on a lane another held lock owns (owned = false) stays
   // protected by that lock: only the write-backs are posted.
@@ -511,6 +524,31 @@ class TreeClient {
   // write-back + unlock.
   sim::Task<bool> TryMergeLeafLocked(const Locked& locked, uint8_t* buf,
                                      OpStats* stats);
+
+  // --- the two tails of a migration flip ---
+  // A flip (migrate::Migrator) commits when the parent's child pointer
+  // swaps from the locked source `src` (content in `buf`) to its `copy`.
+  // Each side of that point has one tail, run by the migrator and by a
+  // survivor replaying a dead migrator's intent alike, as InsertInternal
+  // serves both a split's linker and its replay. `intent_tag` tags the
+  // source writes for DMSan (rdma::kWrNoIntent in a replay).
+
+  // After the commit: points the left neighbour at the copy while it
+  // still links the source (`sibling_hint`, if set, names it for the
+  // first attempt; *relinked, if non-null, says it was rewritten),
+  // tombstones an internal source (a leaf source already is), drops a
+  // leaf source's hints and frees it; `src` stays locked. On an error
+  // (TimedOut when the neighbour stays out of reach) the source is unfreed.
+  sim::Task<Status> FinishFlip(const Locked& src, uint8_t* buf,
+                               rdma::GlobalAddress copy,
+                               rdma::GlobalAddress sibling_hint, Acquire how,
+                               uint8_t intent_tag, OpStats* stats,
+                               bool* relinked);
+  // Before the commit: revives a tombstoned source (the parent still names
+  // it), the write riding the release of `src`, then frees the copy.
+  sim::Task<void> RollBackFlip(Locked src, uint8_t* buf,
+                               rdma::GlobalAddress copy, uint8_t intent_tag,
+                               OpStats* stats);
 
   // Inserts (sep -> child) into the internal level `level`, splitting and
   // recursing upward as needed.

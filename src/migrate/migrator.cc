@@ -19,14 +19,13 @@ constexpr uint32_t kMaxRetries = 64;
 // Safety bound on the control-plane residual walk.
 constexpr uint64_t kMaxWalkNodes = 1u << 22;
 
-// Crash sites of the copy-then-flip protocol (see btree.cc for the site
-// discipline; tests/recover_test.cc sweeps these).
+// Crash sites of the copy-then-flip protocol up to its commit (see
+// btree.cc for the site discipline and the tail's flip.sibfixed and
+// flip.freed; tests/recover_test.cc sweeps these).
 const int kCrashFlipIntent = fault::RegisterCrashSite("flip.intent");
 const int kCrashFlipCopy = fault::RegisterCrashSite("flip.copy");
 const int kCrashFlipTombstone = fault::RegisterCrashSite("flip.tombstone");
 const int kCrashFlipFlipped = fault::RegisterCrashSite("flip.flipped");
-const int kCrashFlipSibfixed = fault::RegisterCrashSite("flip.sibfixed");
-const int kCrashFlipFreed = fault::RegisterCrashSite("flip.freed");
 }  // namespace
 
 Migrator::Migrator(ShermanSystem* system, MigratorOptions options,
@@ -83,42 +82,31 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
                                          OpStats* stats) {
   TreeClient& t = tc();
   const TreeShape& shape = system_->options().shape;
+  std::vector<uint8_t> buf(node_size());
   for (uint32_t attempt = 0; attempt < kMaxRetries; attempt++) {
-    StatusOr<rdma::GlobalAddress> pr =
-        co_await t.FindNodeAddr(key, level, stats);
-    if (!pr.ok()) {
-      if (pr.status().IsRetry()) continue;
-      co_return pr.status();
-    }
-    std::vector<uint8_t> buf(node_size());
     // This lock, like the sibling fix's, waits (Acquire::kWait) while
     // `held` is held, although HOCL's multi-lock rule (lock/hocl.h) asks
     // for a bounded TryLock: that is a protocol change of its own, since it
     // changes the migration's timing.
     StatusOr<TreeClient::Locked> lr =
-        co_await t.LockChasing(*pr, key, buf.data(), stats, level, {held});
+        co_await t.LockCovering(key, level, buf.data(), stats, {held});
     if (!lr.ok()) {
-      if (lr.status().IsRetry()) {
-        t.cache_.InvalidateUpperCovering(key, *pr);
-        continue;
-      }
+      if (lr.status().IsRetry()) continue;
       co_return lr.status();
     }
     TreeClient::Locked locked = *lr;
     NodeView view(buf.data(), &shape);
     bool found = false;
-    if (view.level() == level) {
-      if (view.leftmost_child() == old_addr) {
-        view.set_leftmost_child(new_addr);
-        found = true;
-      } else {
-        const uint32_t n = view.count();
-        for (uint32_t i = 0; i < n; i++) {
-          if (view.InternalChild(i) == old_addr) {
-            view.SetInternalEntry(i, view.InternalKey(i), new_addr);
-            found = true;
-            break;
-          }
+    if (view.leftmost_child() == old_addr) {
+      view.set_leftmost_child(new_addr);
+      found = true;
+    } else {
+      const uint32_t n = view.count();
+      for (uint32_t i = 0; i < n; i++) {
+        if (view.InternalChild(i) == old_addr) {
+          view.SetInternalEntry(i, view.InternalKey(i), new_addr);
+          found = true;
+          break;
         }
       }
     }
@@ -136,77 +124,6 @@ sim::Task<Status> Migrator::ReplaceChild(Key key, uint8_t level,
     co_return Status::OK();
   }
   co_return Status::TimedOut("replace-child retries exhausted");
-}
-
-sim::Task<Status> Migrator::FixLeftSibling(Key lo, uint8_t level,
-                                           rdma::GlobalAddress old_addr,
-                                           rdma::GlobalAddress new_addr,
-                                           rdma::GlobalAddress hint,
-                                           rdma::GlobalAddress held,
-                                           OpStats* stats) {
-  SHERMAN_CHECK(lo > 0);
-  TreeClient& t = tc();
-  const TreeShape& shape = system_->options().shape;
-  for (uint32_t attempt = 0; attempt < kMaxRetries; attempt++) {
-    rdma::GlobalAddress start = hint;
-    hint = rdma::kNullAddress;  // trust the shortcut only once
-    if (start.is_null()) {
-      if (level == 0) {
-        StatusOr<TreeClient::LeafRef> r =
-            co_await t.FindLeafAddr(lo - 1, stats, /*allow_hint=*/false);
-        if (!r.ok()) {
-          if (r.status().IsRetry()) continue;
-          co_return r.status();
-        }
-        start = r->addr;
-      } else {
-        StatusOr<rdma::GlobalAddress> r =
-            co_await t.FindNodeAddr(lo - 1, level, stats);
-        if (!r.ok()) {
-          if (r.status().IsRetry()) continue;
-          co_return r.status();
-        }
-        start = *r;
-      }
-    }
-    std::vector<uint8_t> buf(node_size());
-    StatusOr<TreeClient::Locked> lr =
-        co_await t.LockChasing(start, lo - 1, buf.data(), stats, level,
-                               {held});
-    if (!lr.ok()) {
-      if (lr.status().IsRetry()) {
-        // Holding `held`, LockChasing keeps the translation that steered
-        // it to a dead end; drop it here, as ReplaceChild does, or every
-        // attempt resolves lo - 1 to the same node.
-        if (level == 0) {
-          t.cache_.InvalidateLevel1Covering(lo - 1);
-        } else {
-          t.cache_.InvalidateUpperCovering(lo - 1, start);
-        }
-        continue;
-      }
-      co_return lr.status();
-    }
-    TreeClient::Locked locked = *lr;
-    NodeView view(buf.data(), &shape);
-    // The locked node covers lo-1; it is the direct left neighbor exactly
-    // when its hi fence is our lo and its sibling is the node being
-    // replaced. Anything else is a transient race — re-resolve.
-    if (view.level() != level || view.hi_fence() != lo ||
-        view.sibling() != old_addr) {
-      co_await t.Release(locked, {}, stats);
-      continue;
-    }
-    view.set_sibling(new_addr);
-    view.Seal(system_->options().consistency);
-    std::vector<rdma::WorkRequest> wrs;
-    wrs.push_back(
-        rdma::WorkRequest::Write(locked.addr, buf.data(), node_size()));
-    co_await t.Release(locked, std::move(wrs), stats);
-    sibling_fixes_->Inc();
-    co_return Status::OK();
-  }
-  co_return Status::TimedOut("sibling-fix retries exhausted");
 }
 
 sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
@@ -259,10 +176,11 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   intent.second = naddr;
   co_await t.intents_.Publish(intent_slot, intent, stats);
   co_await fault::Injector().AtSite(kCrashFlipIntent, cs);
+  const auto tag = static_cast<uint8_t>(intent_slot);  // DMSan provenance
 
   rdma::WorkRequest copy_wr =
       rdma::WorkRequest::Write(naddr, buf->data(), node_size());
-  copy_wr.intent_slot = static_cast<uint8_t>(intent_slot);
+  copy_wr.intent_slot = tag;
   rdma::RdmaResult w =
       co_await system_->fabric().qp(cs, target).Post(copy_wr);
   SHERMAN_CHECK(w.status.ok());
@@ -275,28 +193,23 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   //    so nobody can serve the frozen content after a later write lands on
   //    the live copy (readers spin on restart for the couple of round
   //    trips until the flip publishes N; writers just block on the lock).
-  //  - INTERNALS tombstone AFTER the flip + sibling repair. Their content
-  //    is routing info only — stale routing is healed by fence checks and
-  //    sibling chases — so there is no stale-read window to close and no
-  //    reason to make readers spin.
-  const bool tombstone_first = level == 0;
-  const auto tombstone_wr = [&](bool free_flag) {
-    view.set_free(free_flag);
+  //  - INTERNALS tombstone AFTER the flip + sibling repair (FinishFlip).
+  //    Their content is routing info only — stale routing is healed by
+  //    fence checks and sibling chases — so there is no stale-read window
+  //    to close and no reason to make readers spin.
+  if (level == 0) {
+    view.set_free(true);
     view.Reseal(o.consistency);
-    rdma::WorkRequest wr =
+    rdma::WorkRequest tw =
         rdma::WorkRequest::Write(locked.addr, buf->data(), node_size());
-    wr.intent_slot = static_cast<uint8_t>(intent_slot);
-    return wr;
-  };
-  if (tombstone_first) {
-    rdma::RdmaResult tw =
-        co_await t.QpFor(locked.addr).Post(tombstone_wr(true));
-    SHERMAN_CHECK(tw.status.ok());
+    tw.intent_slot = tag;
+    rdma::RdmaResult r = co_await t.QpFor(locked.addr).Post(tw);
+    SHERMAN_CHECK(r.status.ok());
     co_await fault::Injector().AtSite(kCrashFlipTombstone, cs);
   }
 
   // FLIP: fresh descents now resolve to the copy. The source's lock is
-  // held across this multi-RTT phase (and the sibling repair below);
+  // held across this multi-RTT phase (and the sibling repair after it);
   // renew its lease at each phase boundary — free unless a lease period
   // passed — so a waiter can never mistake this live protocol for a
   // crashed holder.
@@ -304,15 +217,7 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   Status st = co_await ReplaceChild(cursor, static_cast<uint8_t>(level + 1),
                                     locked.addr, naddr, locked.addr, stats);
   if (!st.ok()) {
-    if (tombstone_first) {
-      // Roll the tombstone back before abandoning: the parent still points
-      // at the source, so it must stay live or its keys would vanish.
-      std::vector<rdma::WorkRequest> undo;
-      undo.push_back(tombstone_wr(false));
-      co_await t.Release(locked, std::move(undo), stats);
-    } else {
-      co_await t.Release(locked, {}, stats);
-    }
+    co_await t.RollBackFlip(locked, buf->data(), naddr, tag, stats);
     t.intents_.ClearAsync(intent_slot);
     co_return st;
   }
@@ -324,48 +229,21 @@ sim::Task<Status> Migrator::MoveLockedNode(TreeClient::Locked locked,
   }
   // Re-home the leaf hint: same lo fence, new address. The publish lands
   // on the copy's MS; the overwrite path in the source MS's directory (if
-  // source and target share an MS) or the invalidate below (if not)
+  // source and target share an MS) or FinishFlip's invalidate (if not)
   // drops the old mapping before the source is freed.
   if (level == 0) co_await t.HintPublish(naddr, node_lo, stats);
   co_await fault::Injector().AtSite(kCrashFlipFlipped, cs);
-  // Repair the B-link chain so sibling chases skip the tombstone. (On a
-  // sibling-fix failure the flipped parent is authoritative and chain
-  // restarts heal through it, so the node stays in whatever tombstone
-  // state it already reached — the cleared intent preserves exactly the
-  // pre-crash-tolerance semantics of that abort.)
-  if (node_lo != 0) {
-    co_await t.hocl_.RenewLease(locked.guard, stats);
-    st = co_await FixLeftSibling(node_lo, level, locked.addr, naddr,
-                                 sibling_hint, locked.addr, stats);
-    if (!st.ok()) {
-      co_await t.Release(locked, {}, stats);
-      t.intents_.ClearAsync(intent_slot);
-      co_return st;
-    }
-  }
-  co_await fault::Injector().AtSite(kCrashFlipSibfixed, cs);
-  if (!tombstone_first) {
-    // Internal sources tombstone after the flip. The write is posted on
-    // its own (not folded into the unlock batch) so the free below — and
-    // the crash window between them — always sees a tombstoned source.
-    rdma::RdmaResult tw =
-        co_await t.QpFor(locked.addr).Post(tombstone_wr(true));
-    SHERMAN_CHECK(tw.status.ok());
-  }
-  // Retire the tombstoned source through the MS's epoch-keyed grace list
-  // instead of leaking it: the bytes stay a stable tombstone until every
-  // operation pinned at or before this instant has retired, then the node
-  // is recycled into fresh allocations. Free and intent-clear precede the
-  // unlock so every crash window leaves a held lane or an intent (or
-  // both) for a survivor to find.
-  if (level == 0) co_await t.HintInvalidate(locked.addr, stats);
-  co_await system_->fabric()
-      .qp(cs, locked.addr.node)
-      .Rpc(kRpcFreeNode, locked.addr.offset, node_size());
-  if (stats != nullptr) stats->round_trips++;
-  co_await fault::Injector().AtSite(kCrashFlipFreed, cs);
+  bool relinked = false;
+  st = co_await t.FinishFlip(locked, buf->data(), naddr, sibling_hint,
+                             TreeClient::Acquire::kWait, tag, stats,
+                             &relinked);
+  if (relinked) sibling_fixes_->Inc();
   t.intents_.ClearAsync(intent_slot);
   co_await t.Release(locked, {}, stats);
+  // A sibling fix that gave up leaves the source unfreed, tombstoned (a
+  // leaf) or live (an internal node): the flipped parent is authoritative
+  // and chain restarts heal through it.
+  if (!st.ok()) co_return st;
   source_nodes_freed_->Inc();
   *naddr_out = naddr;
   co_return Status::OK();
@@ -473,29 +351,17 @@ sim::Task<Status> Migrator::InternalPass(Key lo, Key hi, uint16_t target) {
     EpochPin pin(&system_->reclaim_epoch(), options_.cs_id);
     OpStats stats;
     stats.trace = &trace_;
-    StatusOr<rdma::GlobalAddress> r = co_await t.FindNodeAddr(cursor, 1, &stats);
-    if (!r.ok()) {
-      if (r.status().IsRetry()) continue;
-      co_return r.status();
-    }
     std::vector<uint8_t> buf(node_size());
     StatusOr<TreeClient::Locked> lr =
-        co_await t.LockChasing(*r, cursor, buf.data(), &stats, /*level=*/1);
+        co_await t.LockCovering(cursor, /*level=*/1, buf.data(), &stats);
     if (!lr.ok()) {
-      if (lr.status().IsRetry()) {
-        t.cache_.InvalidateUpperCovering(cursor, *r);
-        continue;
-      }
+      if (lr.status().IsRetry()) continue;
       co_return lr.status();
     }
     TreeClient::Locked locked = *lr;
     NodeView view(buf.data(), &o.shape);
     const Key node_lo = view.lo_fence();
     const Key node_hi = view.hi_fence();
-    if (view.level() != 1) {  // stale steering landed off-level
-      co_await t.Release(locked, {}, &stats);
-      continue;
-    }
     // Only nodes fully contained in the range move (boundary nodes are
     // shared with neighboring shards); the root never moves.
     const bool migrate = node_lo >= lo && node_hi <= hi &&

@@ -20,7 +20,12 @@
 //        restart for the couple of round trips between 3 and 4);
 //     5. repair the B-link chain: lock the left neighbor (the previously
 //        migrated leaf, or the leaf covering la-1) and point its sibling
-//        at N; then release A's lock.
+//        at N; retire A; then release A's lock.
+//
+//   Step 4 is the commit. What follows it (TreeClient::FinishFlip) and
+//   what undoes steps 2-3 when it fails (TreeClient::RollBackFlip: revive
+//   A, retire N) are the tails a survivor replays after a crash, so each
+//   exists once.
 //
 //   Level-1 internal nodes rebuilt in the second phase flip BEFORE they
 //   tombstone: internal content is routing info only, stale routing is
@@ -93,13 +98,17 @@ class Migrator {
   // Moves level-1 internal nodes contained in [lo, hi) onto the target.
   sim::Task<Status> InternalPass(Key lo, Key hi, uint16_t target);
 
-  // The shared copy/flip/repair/tombstone core both passes use: moves the
-  // LOCKED node whose content is in `*buf` (level `level`, covering
-  // `cursor`) to `target`, releases the lock in every outcome, and on
-  // success stores the copy's address in `*naddr_out`; Retry means an
-  // internal node found no free intent slot and nothing changed. Owns the
-  // one safety-critical ordering difference between the levels
-  // (tombstone before vs after the flip) — see the implementation comment.
+  // The shared copy/flip core both passes use: moves the LOCKED node whose
+  // content is in `*buf` (level `level`, covering `cursor`) to `target`,
+  // releases the lock in every outcome, and on success stores the copy's
+  // address in `*naddr_out`; Retry means an internal node found no free
+  // intent slot and nothing changed. Up to the commit (ReplaceChild) it
+  // owns the one safety-critical ordering difference between the levels
+  // (a leaf tombstones before the flip); the tails are the flip replay's
+  // own: TreeClient::RollBackFlip when the flip fails (the copy retired),
+  // TreeClient::FinishFlip after it, waiting (Acquire::kWait) for the
+  // left neighbour and starting from `sibling_hint`, the node moved just
+  // before when it is the neighbour.
   sim::Task<Status> MoveLockedNode(TreeClient::Locked locked,
                                    std::vector<uint8_t>* buf, uint8_t level,
                                    Key cursor, uint16_t target,
@@ -108,20 +117,15 @@ class Migrator {
                                    OpStats* stats);
 
   // Swaps the child pointer `old_addr` -> `new_addr` in the level-`level`
-  // node covering `key`, under its HOCL lock (`held` = the node lock the
-  // caller already owns, for lane-collision detection).
+  // node covering `key`, locked through TreeClient::LockCovering (`held` =
+  // the node lock the caller already owns, for lane-collision detection),
+  // re-resolving when the pointer is not there. Returns TimedOut after
+  // kMaxRetries attempts, e.g. when a split's pending link leaves the
+  // child reachable only through its left sibling.
   sim::Task<Status> ReplaceChild(Key key, uint8_t level,
                                  rdma::GlobalAddress old_addr,
                                  rdma::GlobalAddress new_addr,
                                  rdma::GlobalAddress held, OpStats* stats);
-  // Points the sibling pointer of the level-`level` left neighbor of the
-  // node [lo, ...) (currently `old_addr`) at `new_addr`, under the
-  // neighbor's lock. `hint` short-cuts to the previously migrated node.
-  sim::Task<Status> FixLeftSibling(Key lo, uint8_t level,
-                                   rdma::GlobalAddress old_addr,
-                                   rdma::GlobalAddress new_addr,
-                                   rdma::GlobalAddress hint,
-                                   rdma::GlobalAddress held, OpStats* stats);
 
   // Bump allocation in shard-private chunks RPC'd from the target MS.
   sim::Task<rdma::GlobalAddress> AllocOnTarget(uint16_t ms, uint32_t size);

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "fault/crash_point.h"
 #include "lock/lock_table.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -29,6 +30,17 @@ Recoverer::Recoverer(ShermanSystem* system, TreeClient* client)
   orphans_freed_ = r.GetCounter("recover.orphans_freed");
   trace_ = obs::TraceCtx::For(&system_->tracer(),
                               obs::RingId::Recoverer(t_->cs_id()));
+}
+
+Recoverer::~Recoverer() {
+  // A survivor torn down mid-recovery (a crash test ending while it is
+  // frozen) leaves its parked waiters behind; hand them to the fault
+  // graveyard like every other dead wait queue.
+  for (auto& [tag, parked] : in_progress_) {
+    for (std::coroutine_handle<> h : parked.DetachAll()) {
+      fault::Injector().Bury(h);
+    }
+  }
 }
 
 uint32_t Recoverer::node_size() const {
@@ -106,9 +118,10 @@ sim::Task<void> Recoverer::ClearRemoteSlot(int dead_cs, int slot) {
 }
 
 sim::Task<void> Recoverer::FreeNodeRemote(rdma::GlobalAddress addr) {
-  // Replayed/rolled-back structural ops may retire a leaf the hint
-  // sidecar still maps; drop the mapping before the free (DMSan V6).
-  // Single chokepoint: every recovery free funnels through here.
+  // Replayed/rolled-back splits, roots and merges may retire a leaf the
+  // hint sidecar still maps; drop the mapping before the free (DMSan V6).
+  // A flip's frees are its own tails' (TreeClient::FinishFlip and
+  // RollBackFlip).
   co_await t_->HintInvalidate(addr, nullptr);
   co_await system_->fabric()
       .qp(t_->cs_id(), addr.node)
@@ -121,12 +134,14 @@ sim::Task<void> Recoverer::RecoverDeadOwner(uint16_t dead_tag) {
   const int dead_cs = static_cast<int>(dead_tag) - 1;
   SHERMAN_CHECK_MSG(dead_cs != t_->cs_id(),
                     "a client cannot recover itself");
-  if (in_progress_.count(dead_tag) != 0) {
-    // Another coroutine of this survivor is already on it; the caller's
-    // CAS loop keeps polling until the lane frees.
+  if (auto it = in_progress_.find(dead_tag); it != in_progress_.end()) {
+    // Another coroutine of this survivor is already on it. Park until it
+    // has swept the dead client's lanes (or ended): a lock waiter that
+    // re-contended sooner would only fetch the dead lane again.
+    co_await it->second.Wait();
     co_return;
   }
-  in_progress_.insert(dead_tag);
+  sim::CoroQueue& parked = in_progress_[dead_tag];
   const sim::SimTime t0 = system_->simulator().now();
 
   // Flight-record the moment of activation: the dead client's last spans
@@ -156,6 +171,7 @@ sim::Task<void> Recoverer::RecoverDeadOwner(uint16_t dead_tag) {
     // immediately. Torn states stay invisible meanwhile (fence / free-flag
     // validation bounces readers; writers re-verify under their locks).
     co_await SweepLocks(dead_tag);
+    parked.WakeAll();
 
     bool all_resolved = true;
     bool usurped = false;
@@ -200,10 +216,17 @@ sim::Task<void> Recoverer::RecoverDeadOwner(uint16_t dead_tag) {
   }
 
   last_duration_ns_ = system_->simulator().now() - t0;
-  in_progress_.erase(dead_tag);
+  // Out of the map first: a woken waiter that meets the tag again starts
+  // a fresh recovery rather than parking on a queue nobody wakes.
+  in_progress_.extract(dead_tag).mapped().WakeAll();
 }
 
 sim::Task<Status> Recoverer::RecoverIntent(const IntentRecord& rec) {
+  // A resolution reads through this survivor's cache like any index
+  // operation, so it pins the reclamation epoch like one: a stale
+  // translation may name a node freed long ago (an explicit operator call
+  // holds no op's pin).
+  EpochPin pin(&system_->reclaim_epoch(), t_->cs_id());
   switch (rec.op) {
     case IntentOp::kRoot:
       co_return co_await RecoverRoot(rec);
@@ -339,7 +362,6 @@ sim::Task<bool> Recoverer::SeparatorPresent(Key sep, uint8_t level) {
 // is live again.
 sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
   const TreeOptions& o = system_->options();
-  const bool combine = o.combine_commands;
   const Key lo = rec.lo;
   const Key hi = rec.hi;
   OpStats stats;
@@ -347,7 +369,8 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
 
   // Hold L's lane for the whole resolution (post-sweep it is free; other
   // survivors bounce off the tombstone rather than contend).
-  LockGuard lg = co_await t_->hocl_.Lock(rec.primary, &stats);
+  const TreeClient::Locked leaf{rec.primary,
+                                co_await t_->hocl_.Lock(rec.primary, &stats)};
   std::vector<uint8_t> buf(node_size());
   Status st = co_await t_->ReadRaw(rec.primary, buf.data(), node_size(),
                                    &stats);
@@ -356,7 +379,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
 
   if (!view.is_free()) {
     // Tombstone never landed: the merge published nothing. Drop it.
-    co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
+    co_await t_->Release(leaf, {}, &stats);
     intents_rolled_back_->Inc();
     co_return Status::OK();
   }
@@ -368,21 +391,15 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
     // This loop can outlast a lease period while L's lane stays ours;
     // keep the lease fresh (no-op unless a period boundary passed) or a
     // waiter would declare US dead and sweep the lane mid-repair.
-    co_await t_->hocl_.RenewLease(lg, &stats);
+    co_await t_->hocl_.RenewLease(leaf.guard, &stats);
     // Current left neighbor: the node covering lo-1 at leaf level. The
     // intent's hint is tried first; survivor splits/merges since the
     // crash are chased like any other fence move.
-    rdma::GlobalAddress start = rec.second;
-    if (attempt > 0 || start.is_null()) {
-      StatusOr<TreeClient::LeafRef> r =
-          co_await t_->FindLeafAddr(lo - 1, &stats, /*allow_hint=*/false);
-      if (!r.ok()) continue;
-      start = r->addr;
-    }
     std::vector<uint8_t> sbuf(node_size());
-    StatusOr<TreeClient::Locked> sl = co_await t_->LockChasing(
-        start, lo - 1, sbuf.data(), &stats, /*level=*/0, {rec.primary},
-        TreeClient::Acquire::kTry);
+    StatusOr<TreeClient::Locked> sl = co_await t_->LockCovering(
+        lo - 1, /*level=*/0, sbuf.data(), &stats, {rec.primary},
+        TreeClient::Acquire::kTry,
+        attempt == 0 ? rec.second : rdma::kNullAddress);
     if (!sl.ok()) continue;
     TreeClient::Locked sib = *sl;
     NodeView sview(sbuf.data(), &o.shape);
@@ -416,7 +433,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
         std::vector<rdma::WorkRequest> wrs;
         wrs.push_back(rdma::WorkRequest::Write(rec.primary, buf.data(),
                                                node_size()));
-        co_await t_->hocl_.Unlock(lg, std::move(wrs), combine, &stats);
+        co_await t_->Release(leaf, std::move(wrs), &stats);
         if (!co_await SeparatorPresent(lo, 1)) {
           Status ist = co_await t_->InsertInternal(lo, rec.primary, 1, &stats);
           (void)ist;
@@ -431,13 +448,10 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
     // the neighbor, retire L.
     bool parent_done = false;
     for (uint32_t pa = 0; pa < kResolveAttempts && !parent_done; pa++) {
-      co_await t_->hocl_.RenewLease(lg, &stats);
-      StatusOr<rdma::GlobalAddress> pr = co_await t_->FindNodeAddr(lo, 1,
-                                                                   &stats);
-      if (!pr.ok()) continue;
+      co_await t_->hocl_.RenewLease(leaf.guard, &stats);
       std::vector<uint8_t> pbuf(node_size());
-      StatusOr<TreeClient::Locked> pl = co_await t_->LockChasing(
-          *pr, lo, pbuf.data(), &stats, /*level=*/1,
+      StatusOr<TreeClient::Locked> pl = co_await t_->LockCovering(
+          lo, /*level=*/1, pbuf.data(), &stats,
           {rec.primary, chain_intact ? sib.addr : rdma::kNullAddress},
           TreeClient::Acquire::kTry);
       if (!pl.ok()) continue;
@@ -459,7 +473,7 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
       // parked on this very recovery). Give up; the intent stays and the
       // next trigger retries without the cycle.
       if (chain_intact) co_await t_->Release(sib, {}, &stats);
-      co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
+      co_await t_->Release(leaf, {}, &stats);
       co_return Status::Retry("merge replay: parent contended");
     }
 
@@ -475,12 +489,12 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
     }
 
     co_await FreeNodeRemote(rec.primary);
-    co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
+    co_await t_->Release(leaf, {}, &stats);
     t_->cache_.InvalidateLevel1Covering(lo);
     intents_replayed_->Inc();
     co_return Status::OK();
   }
-  co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
+  co_await t_->Release(leaf, {}, &stats);
   co_return Status::Retry("merge recovery: neighborhood contended");
 }
 
@@ -490,27 +504,27 @@ sim::Task<Status> Recoverer::RecoverMerge(const IntentRecord& rec) {
 // resolves the LIVE parent for the node's lo key: while uncommitted the
 // child is the source (a tombstoned leaf source freezes its whole range,
 // and a live internal source keeps its fences through survivor edits), so
-// anything else means the swap landed. Replay completes the B-link repair
-// and retires the source; rollback revives a tombstoned leaf source and
-// retires the orphan copy.
+// anything else means the swap landed. Either way the migrator's own tail
+// runs, on the source locked here: TreeClient::FinishFlip completes the
+// B-link repair and retires the source, TreeClient::RollBackFlip revives
+// a tombstoned leaf source and retires the orphan copy. Holding the
+// source, the replay's neighbour locks are bounded (Acquire::kTry).
 sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
-  const TreeOptions& o = system_->options();
-  const bool combine = o.combine_commands;
   const Key lo = rec.lo;
   OpStats stats;
   stats.trace = &trace_;
 
-  LockGuard lg = co_await t_->hocl_.Lock(rec.primary, &stats);
+  const TreeClient::Locked src{rec.primary,
+                               co_await t_->hocl_.Lock(rec.primary, &stats)};
   std::vector<uint8_t> buf(node_size());
   Status st = co_await t_->ReadRaw(rec.primary, buf.data(), node_size(),
                                    &stats);
   SHERMAN_CHECK(st.ok());
-  NodeView view(buf.data(), &o.shape);
 
   rdma::GlobalAddress child;
   for (uint32_t attempt = 0; attempt < kResolveAttempts; attempt++) {
     // See RecoverMerge: the source's lane is held across this loop.
-    co_await t_->hocl_.RenewLease(lg, &stats);
+    co_await t_->hocl_.RenewLease(src.guard, &stats);
     StatusOr<rdma::GlobalAddress> pr = co_await t_->FindNodeAddr(
         lo, static_cast<uint8_t>(rec.level + 1), &stats);
     if (!pr.ok()) continue;
@@ -521,89 +535,25 @@ sim::Task<Status> Recoverer::RecoverFlip(const IntentRecord& rec) {
     break;
   }
   if (child.is_null()) {
-    co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
+    co_await t_->Release(src, {}, &stats);
     co_return Status::Retry("flip recovery: parent unresolvable");
   }
 
   if (child == rec.primary) {
-    // Uncommitted: the copy was never published. Revive a tombstoned leaf
-    // source (the pre-flip tombstone landed) and retire the copy.
-    if (view.is_free()) {
-      view.set_free(false);
-      view.Reseal(o.consistency);
-      std::vector<rdma::WorkRequest> wrs;
-      wrs.push_back(
-          rdma::WorkRequest::Write(rec.primary, buf.data(), node_size()));
-      co_await t_->hocl_.Unlock(lg, std::move(wrs), combine, &stats);
-    } else {
-      co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
-    }
-    co_await FreeNodeRemote(rec.second);
-    t_->cache_.InvalidateKeyRange(rec.lo, rec.hi);
+    co_await t_->RollBackFlip(src, buf.data(), rec.second, rdma::kWrNoIntent,
+                              &stats);
     intents_rolled_back_->Inc();
-    co_return Status::OK();
-  }
-
-  // Committed: complete the repair. 1) Left-neighbor sibling pointer (the
-  // chain may already be repaired, or re-routed by later survivor
-  // structural ops — only an exact match is rewritten).
-  if (lo != 0) {
-    bool sib_done = false;
-    for (uint32_t attempt = 0; attempt < kResolveAttempts && !sib_done;
-         attempt++) {
-      co_await t_->hocl_.RenewLease(lg, &stats);
-      rdma::GlobalAddress start;
-      if (rec.level == 0) {
-        StatusOr<TreeClient::LeafRef> r =
-            co_await t_->FindLeafAddr(lo - 1, &stats, /*allow_hint=*/false);
-        if (!r.ok()) continue;
-        start = r->addr;
-      } else {
-        StatusOr<rdma::GlobalAddress> r =
-            co_await t_->FindNodeAddr(lo - 1, rec.level, &stats);
-        if (!r.ok()) continue;
-        start = *r;
-      }
-      std::vector<uint8_t> sbuf(node_size());
-      StatusOr<TreeClient::Locked> sl = co_await t_->LockChasing(
-          start, lo - 1, sbuf.data(), &stats, rec.level, {rec.primary},
-          TreeClient::Acquire::kTry);
-      if (!sl.ok()) continue;
-      TreeClient::Locked sib = *sl;
-      NodeView sview(sbuf.data(), &o.shape);
-      if (sview.hi_fence() == lo && sview.sibling() == rec.primary) {
-        sview.set_sibling(rec.second);
-        sview.Seal(o.consistency);
-        std::vector<rdma::WorkRequest> wrs;
-        wrs.push_back(
-            rdma::WorkRequest::Write(sib.addr, sbuf.data(), node_size()));
-        co_await t_->Release(sib, std::move(wrs), &stats);
-      } else {
-        co_await t_->Release(sib, {}, &stats);
-      }
-      sib_done = true;
-    }
-    if (!sib_done) {
-      co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
-      co_return Status::Retry("flip recovery: left neighbor contended");
-    }
-  }
-
-  // 2) Tombstone the source (internal sources tombstone post-flip; leaf
-  // sources already are) and retire it.
-  if (!view.is_free()) {
-    view.set_free(true);
-    view.Reseal(o.consistency);
-    std::vector<rdma::WorkRequest> wrs;
-    wrs.push_back(
-        rdma::WorkRequest::Write(rec.primary, buf.data(), node_size()));
-    co_await t_->hocl_.Unlock(lg, std::move(wrs), combine, &stats);
   } else {
-    co_await t_->hocl_.Unlock(lg, {}, combine, &stats);
+    st = co_await t_->FinishFlip(src, buf.data(), rec.second,
+                                 rdma::kNullAddress, TreeClient::Acquire::kTry,
+                                 rdma::kWrNoIntent, &stats,
+                                 /*relinked=*/nullptr);
+    co_await t_->Release(src, {}, &stats);
+    if (!st.ok()) co_return Status::Retry("flip recovery: neighbor contended");
+    intents_replayed_->Inc();
   }
-  co_await FreeNodeRemote(rec.primary);
+  orphans_freed_->Inc();
   t_->cache_.InvalidateKeyRange(rec.lo, rec.hi);
-  intents_replayed_->Inc();
   co_return Status::OK();
 }
 

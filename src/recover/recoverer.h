@@ -18,9 +18,14 @@
 //     resolved because every torn state is either invisible behind
 //     fence/free-flag validation (readers bounce, writers re-verify under
 //     their locks) or B-link-legal (a half-split is served through
-//     sibling chases).
+//     sibling chases). Coroutines of this survivor parked on the
+//     recovery (RecoverDeadOwner) re-contend from here.
 //  4. RESOLVE each intent: replay it forward if its commit point landed,
-//     roll it back if not (per-op decision rules in recoverer.cc). The
+//     roll it back if not (per-op decision rules in recoverer.cc). Where
+//     it can, a resolution is the op's own code: a split's ascent is
+//     TreeClient::InsertInternal, a flip's tails are TreeClient::FinishFlip
+//     and RollBackFlip, and every repair lock is a TreeClient::LockCovering
+//     attempt, which drops the translation that steered a failed lock. The
 //     dead client's reclamation-epoch pins are still held here, so no
 //     tombstoned node the resolution reads can be recycled under it.
 //     Orphaned allocations (unpublished split siblings, unflipped
@@ -33,11 +38,12 @@
 #define SHERMAN_RECOVER_RECOVERER_H_
 
 #include <cstdint>
-#include <set>
+#include <map>
 #include <vector>
 
 #include "core/btree.h"
 #include "recover/intent.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace sherman::recover {
@@ -48,6 +54,8 @@ class Recoverer {
   // survivor's recoverer.
   Recoverer(ShermanSystem* system, TreeClient* client);
 
+  ~Recoverer();
+
   Recoverer(const Recoverer&) = delete;
   Recoverer& operator=(const Recoverer&) = delete;
 
@@ -56,10 +64,11 @@ class Recoverer {
   // expired-lease detection establishes this on the organic path, and an
   // explicit caller (failure detector, test) must know it independently.
   // Recovering a live client would sweep locks it still holds.
-  // Re-entrant: if this survivor is already recovering that tag, returns
-  // immediately (the caller's CAS loop keeps spinning until the active
-  // recovery frees the lane). If another survivor holds the claim, waits
-  // for it to finish instead of duplicating the work.
+  // Re-entrant: if this survivor is already recovering that tag, parks
+  // until that recovery has swept the dead client's lanes (or ended), so
+  // the calling lock waiter re-contends once, against a released lane. If
+  // another survivor holds the claim, waits for it to finish instead of
+  // duplicating the work.
   sim::Task<void> RecoverDeadOwner(uint16_t dead_tag);
 
   // Simulated duration of this survivor's last recovery (0 if none).
@@ -103,7 +112,9 @@ class Recoverer {
 
   ShermanSystem* system_;
   TreeClient* t_;
-  std::set<uint16_t> in_progress_;
+  // Dead tags this survivor is recovering, each with the coroutines
+  // parked on that recovery (see RecoverDeadOwner).
+  std::map<uint16_t, sim::CoroQueue> in_progress_;
   obs::Counter* recoveries_;          // completed claim->release cycles
   obs::Counter* partial_recoveries_;  // gave up on a contended intent;
                                       // retried on the next trigger

@@ -3,7 +3,8 @@
 // shadow-map oracle, flip-time linearizability (no lost updates, monotonic
 // reads across the flip), index-cache invalidation after the flip, a
 // migration racing leaf splits, RPC re-routing through the versioned shard
-// map, and the shallow-tree guard.
+// map, the shallow-tree guard, and a flip that cannot commit rolling back
+// whole.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,10 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "alloc/layout.h"
 #include "bench/runner.h"
 #include "core/hybrid_system.h"
 #include "core/presets.h"
 #include "migrate/migrator.h"
+#include "recover/intent.h"
 #include "test_oracle.h"
 #include "util/random.h"
 
@@ -299,6 +302,65 @@ TEST(MigrateTest, SiblingFixDropsStaleNeighbourTranslation) {
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(Count(&system, "migrate.leaves_moved"), 1u);
   system.DebugCheckInvariants();
+}
+
+// A flip that cannot commit rolls back whole: the source revived and its
+// copy retired. L loses its separator in the first level-1 node, the state
+// a leaf split leaves while its parent link is pending: L is reachable
+// only through its left sibling, so ReplaceChild never finds the child
+// pointer it swaps and times out.
+TEST(MigrateTest, FlipAbortRetiresTheCopy) {
+  TreeOptions topt = ShermanOptions();
+  topt.shape.node_size = 256;  // 11 entries a leaf
+  ShermanSystem system(SmallFabric(2, 2), topt);
+  system.BulkLoad(bench::MakeLoadKvs(400), 0.4);  // 4 entries a leaf
+  ASSERT_GE(system.DebugHeight(), 3u);
+  const auto before = system.DebugScanLeaves();
+
+  const TreeShape& shape = system.options().shape;
+  const auto view = [&](rdma::GlobalAddress a) {
+    return NodeView(system.fabric().HostRaw(a), &shape);
+  };
+  rdma::GlobalAddress p0 = system.DebugRootAddr();
+  while (view(p0).level() > 1) p0 = view(p0).leftmost_child();
+  NodeView pv = view(p0);
+  ASSERT_GE(pv.count(), 1u);
+  const rdma::GlobalAddress l_addr = pv.InternalChild(0);
+  const Key l_lo = pv.InternalKey(0);
+  const Key l_hi = view(l_addr).hi_fence();
+  ASSERT_TRUE(pv.InternalRemove(l_lo, l_addr));
+  pv.Seal(system.options().consistency);
+
+  const int target = system.AddMemoryServer();
+  const uint64_t freed = Count(&system, "alloc.nodes_freed");
+  migrate::Migrator mig(&system, {});
+  Status st;
+  bool done = false;
+  sim::Spawn(MigrateRangeTask(&mig, l_lo, l_hi, static_cast<uint16_t>(target),
+                              &st, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
+  EXPECT_FALSE(view(l_addr).is_free()) << "the source stayed tombstoned";
+  EXPECT_EQ(Count(&system, "alloc.nodes_freed"), freed + 1)
+      << "the copy was not retired";
+  EXPECT_EQ(Count(&system, "migrate.leaves_moved"), 0u);
+  EXPECT_EQ(system.DebugScanLeaves(), before);
+
+  // The migrator's intent slots and every lock lane are clear.
+  for (uint32_t slot = 0; slot < kIntentSlotsPerClient; slot++) {
+    EXPECT_EQ(system.fabric().HostRaw(
+                  recover::IntentSlotAddress(0, static_cast<int>(slot)))[0],
+              0u)
+        << "live intent in slot " << slot;
+  }
+  for (int ms = 0; ms < system.fabric().num_memory_servers(); ms++) {
+    const uint8_t* dev = system.fabric().ms(ms).device().raw(0);
+    const uint8_t* host = system.fabric().ms(ms).host().raw(kHostGltOffset);
+    for (uint64_t i = 0; i < kLocksPerMs * kLockBytes; i++) {
+      ASSERT_EQ(dev[i] | host[i], 0) << "held lane on MS " << ms;
+    }
+  }
 }
 
 // --- migration under concurrent traffic -------------------------------------

@@ -19,8 +19,9 @@
 //
 // Separate tests exercise the ORGANIC detection paths (no explicit
 // recovery call): a survivor writer blocks on the dead holder's lane until
-// the lease expires and steals it; a survivor reader escapes its tombstone
-// bounce loop through the lock probe.
+// the lease expires and steals it (several writers of one survivor steal
+// once each); a survivor reader escapes its tombstone bounce loop through
+// the lock probe.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -761,6 +762,147 @@ TEST(CrashRecoveryTest, RecoveryReleasesDeadClientsEpochPins) {
   // nothing older than the current epoch is pinned anymore.
   EXPECT_EQ(system.reclaim_epoch().pinned_ops(), 0u);
   EXPECT_GT(Count(&system, "alloc.nodes_freed"), 0u);
+  inj.Reset();
+}
+
+// A flip replay must drop a stale translation of the source's left
+// neighbour, as the migrator's own repair does. S is the last child of the
+// first level-1 node P0, and L, its right neighbour, opens the next one.
+// CS 2 caches P0, CS 0 merges S away, and the victim dies at flip.flipped
+// while migrating L: the flip committed, but the neighbour still links L.
+// CS 2's cache resolves L.lo - 1 to S's tombstone, so a replay that kept
+// that translation would lock the tombstone on every attempt and give up,
+// leaving L tombstoned, linked and its intent live.
+TEST(CrashRecoveryTest, FlipReplayDropsStaleNeighbourTranslation) {
+  fault::CrashInjector& inj = fault::Injector();
+  inj.Reset();
+  ShermanSystem system(RecoverFabric(2, 3), RecoverOptions());
+  system.BulkLoad(bench::MakeLoadKvs(400), 0.4);  // 4 entries a leaf
+  ASSERT_GE(system.DebugHeight(), 3u);
+
+  const TreeShape& shape = system.options().shape;
+  const auto view = [&](rdma::GlobalAddress a) {
+    return NodeView(system.fabric().HostRaw(a), &shape);
+  };
+  rdma::GlobalAddress p0 = system.DebugRootAddr();
+  while (view(p0).level() > 1) p0 = view(p0).leftmost_child();
+  const NodeView pv = view(p0);
+  ASSERT_GE(pv.count(), 2u);
+  const rdma::GlobalAddress s_addr = pv.InternalChild(pv.count() - 1);
+  const rdma::GlobalAddress l_addr = view(s_addr).sibling();
+  const Key s_lo = view(s_addr).lo_fence();
+  const Key l_lo = view(l_addr).lo_fence();
+  const Key l_hi = view(l_addr).hi_fence();
+  ASSERT_EQ(l_lo, pv.hi_fence()) << "L must open the next parent";
+  Key s_key = 0;
+  for (const auto& [k, v] : system.DebugScanLeaves()) {
+    if (k >= s_lo && k < l_lo) s_key = k;
+  }
+  ASSERT_NE(s_key, 0u);
+
+  // CS 2 caches P0; CS 0's delete underflows S into its left neighbour.
+  bool merged = false;
+  sim::Spawn([](ShermanSystem* sys, Key k, bool* flag) -> sim::Task<void> {
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await sys->client(2).Lookup(k, &v)).ok());
+    EXPECT_TRUE((co_await sys->client(0).Delete(k)).ok());
+    *flag = true;
+  }(&system, s_key, &merged));
+  system.simulator().Run();
+  ASSERT_TRUE(merged);
+  ASSERT_TRUE(view(s_addr).is_free()) << "S was not merged away";
+
+  // The victim migrates L and dies once the parent names the copy.
+  inj.Arm("flip.flipped", /*nth=*/1, kVictimCs);
+  const int target = system.AddMemoryServer();
+  migrate::Migrator mig(&system, {.cs_id = kVictimCs});
+  VictimLog log;
+  sim::Spawn(MigrateVictim(&mig, l_lo, l_hi, static_cast<uint16_t>(target),
+                           &log));
+  system.simulator().Run();
+  ASSERT_TRUE(inj.fired());
+  ASSERT_TRUE(view(l_addr).is_free());
+  const uint64_t freed = Count(&system, "alloc.nodes_freed");
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, bool* flag) -> sim::Task<void> {
+    co_await sys->simulator().Delay(8 * kLeasePeriodNs);
+    co_await sys->client(2).recoverer().RecoverDeadOwner(kVictimTag);
+    *flag = true;
+  }(&system, &done));
+  system.simulator().Run();
+
+  ASSERT_TRUE(done);
+  EXPECT_EQ(Count(&system, "recover.intents_replayed"), 1u);
+  EXPECT_EQ(Count(&system, "recover.partial_recoveries"), 0u);
+  ExpectClientClean(&system, kVictimCs, "flip-replay");
+  // L retired: out of the leaf chain and freed.
+  EXPECT_EQ(LeafLos(&system).count(l_addr.ToU64()), 0u);
+  EXPECT_EQ(Count(&system, "alloc.nodes_freed"), freed + 1);
+  system.DebugCheckInvariants();
+  ExpectAllLanesFree(&system, "flip-replay");
+  inj.Reset();
+}
+
+// Several coroutines of one survivor blocked on a lane the victim died
+// holding each steal it once: while the first one's recovery runs, the
+// others park on it until the dead client's lanes are swept, instead of
+// re-CASing the dead lane (and counting a steal) every round trip.
+TEST(CrashRecoveryTest, WaitersOfOneRecoveryStealOnce) {
+  fault::CrashInjector& inj = fault::Injector();
+  inj.Reset();
+  ShermanSystem system(RecoverFabric(), RecoverOptions());
+  const uint64_t loaded = 120;
+  system.BulkLoad(bench::MakeLoadKvs(loaded), 0.9);
+
+  inj.Arm("merge.tombstone", 1, kVictimCs);
+  static std::vector<Key> doomed;
+  doomed.clear();
+  for (uint64_t i = 0; i < loaded; i++) doomed.push_back(2 * (i + 1));
+  VictimLog log;
+  sim::Spawn(DeleteVictim(&system.client(kVictimCs), &doomed, &log));
+  system.simulator().Run();
+  ASSERT_TRUE(inj.fired());
+
+  // The torn leaf (tombstoned, still linked) and one key of its range per
+  // waiter.
+  constexpr int kWaiters = 3;
+  const TreeShape& shape = system.options().shape;
+  std::vector<Key> keys;
+  for (const auto& [addr, lo] : LeafLos(&system)) {
+    NodeView v(system.fabric().HostRaw(rdma::GlobalAddress::FromU64(addr)),
+               &shape);
+    if (!v.is_free()) continue;
+    for (Key k = v.lo_fence(); k < v.hi_fence() && keys.size() < kWaiters;
+         k++) {
+      keys.push_back(k);
+    }
+  }
+  ASSERT_EQ(keys.size(), static_cast<size_t>(kWaiters));
+
+  int done = 0;
+  for (int i = 0; i < kWaiters; i++) {
+    sim::Spawn([](ShermanSystem* sys, Key k, int* count) -> sim::Task<void> {
+      co_await sys->simulator().Delay(2 * kLeasePeriodNs);  // lease young
+      Status st = co_await sys->client(0).Insert(k, 4242);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      uint64_t v = 0;
+      st = co_await sys->client(0).Lookup(k, &v);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(v, 4242u);
+      ++*count;
+    }(&system, keys[i], &done));
+  }
+  system.simulator().Run();
+
+  ASSERT_EQ(done, kWaiters);
+  // Client 0 is the only survivor: the registry's counts are its own.
+  EXPECT_EQ(Count(&system, "lock.lease_steals"),
+            static_cast<uint64_t>(kWaiters));
+  EXPECT_EQ(Count(&system, "recover.recoveries"), 1u);
+  system.DebugCheckInvariants();
+  ExpectAllLanesFree(&system, "waiters-steal-once");
+  ExpectClientClean(&system, kVictimCs, "waiters-steal-once");
   inj.Reset();
 }
 
