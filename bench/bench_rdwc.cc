@@ -81,7 +81,8 @@ sim::Task<void> VarHotLoop(route::HybridClient* c, uint64_t seed,
     const std::string key = VarKeyFor(rank);
     Status st;
     if (rng.Uniform(2) == 0) {
-      const std::string v = "w" + std::to_string(i++);
+      std::string v = "w";
+      v += std::to_string(i++);
       st = co_await c->InsertVar(Slice(key), Slice(v));
     } else {
       std::string v;

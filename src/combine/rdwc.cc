@@ -154,8 +154,8 @@ sim::Task<Status> RdwcLayer::RunWindow(route::HybridClient* client,
   constexpr bool kVarlen = std::is_same_v<K, std::string>;
   bool direct = false;
   if constexpr (kVarlen) {
-    // An out-of-line value is appended to the value log before the lock;
-    // a binding under the lock cannot fold it (rdwc.h).
+    // An out-of-line value's extent is reserved before the lock; a binding
+    // under the lock cannot fold it (rdwc.h).
     direct = is_put && put_value.size() > kInlineThreshold;
   }
   Window* w = nullptr;

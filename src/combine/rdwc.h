@@ -40,8 +40,10 @@
 // so a hot GET rides an open write window or reads directly.
 //
 // Varlen values the leaf cannot hold inline (> kInlineThreshold) need a
-// value-log append before the lock, which a binding under the lock cannot
-// fold; such PUTs neither open nor join a window, they run direct.
+// value-log extent reserved before the lock (a reservation may rotate a
+// segment through memory-thread RPCs) and written before the leaf names
+// it, which a binding under the lock cannot fold; such PUTs neither open
+// nor join a window, they run direct.
 //
 // Crash semantics: a dying delegate must not strand its followers.
 // Every window arms a timer; when it fires and the delegate's compute

@@ -927,13 +927,23 @@ sim::Task<Status> TreeClient::Put(R rec, OpStats* stats,
   Status st = rec.CheckPut();
   if (!st.ok()) co_return st;
   const rdma::FabricConfig& f = system_->fabric_.config();
+  // Pinned before the reservation: value-log GC counts an unreferenced
+  // extent as orphaned only once every op pinned at or before its
+  // segment's seal has drained.
   EpochPin pin(&system_->reclaim_, cs_id_);
   co_await system_->fabric_.simulator().Delay(f.cpu_op_overhead_ns);
-  st = co_await rec.Stage(*this, stats);
+  // The extent is reserved before the lock, so no lock is held across a
+  // segment rotation's RPCs; its WRITE rides beside the lock CAS and leaf
+  // READ. The WRITE counts `written` down in this frame, and it is awaited
+  // on every path before the pointer can reach a leaf.
+  st = co_await rec.Reserve(*this, stats);
   if (!st.ok()) co_return st;
+  sim::CountdownLatch written(0);
+  rec.PostWrite(*this, &written, stats);
 
   std::vector<uint8_t> buf(node_size());
   StatusOr<Locked> locked_r = co_await LockLeaf(rec.route(), buf.data(), stats);
+  co_await written.Wait();
   if (!locked_r.ok()) {
     co_await rec.Abandon(*this, stats);
     co_return locked_r.status();
@@ -1794,7 +1804,8 @@ sim::Task<void> TreeClient::ApplyGroups(
 template <class R>
 sim::Task<void> TreeClient::ApplyPutGroup(
     rdma::GlobalAddress addr, std::vector<size_t> idxs, std::vector<R>* recs,
-    std::vector<uint8_t>* defer, OpStats* stats, sim::CountdownLatch* latch) {
+    sim::CountdownLatch* written, std::vector<uint8_t>* defer, OpStats* stats,
+    sim::CountdownLatch* latch) {
   const rdma::FabricConfig& f = system_->fabric_.config();
   std::vector<uint8_t> buf(node_size());
   StatusOr<Locked> locked_r = co_await LockChasing(
@@ -1804,6 +1815,7 @@ sim::Task<void> TreeClient::ApplyPutGroup(
     latch->Arrive();
     co_return;
   }
+  co_await written->Wait();
   NodeView view(buf.data(), &opt().shape);
   LeafWrite w;
   std::vector<size_t> applied;
@@ -1842,17 +1854,24 @@ sim::Task<Status> TreeClient::MultiPut(std::vector<std::pair<K, V>> kvs,
     if (!st.ok()) co_return st;
     routes[i] = recs[i].route();
   }
-  EpochPin pin(&system_->reclaim_, cs_id_);
+  EpochPin pin(&system_->reclaim_, cs_id_);  // before any reservation (Put)
   co_await system_->fabric_.simulator().Delay(
       system_->fabric_.config().cpu_op_overhead_ns);
 
-  // Phase 0 — stage every record before any lock. SEQUENTIAL on purpose:
-  // a value-log Append mutates the per-class open segment between awaits,
-  // and two concurrent rotations of one class would leak a segment.
-  for (R& rec : recs) {
-    const Status st = co_await rec.Stage(*this, stats);
-    if (!st.ok()) co_return st;
+  // Phase 0 — reserve every record's value-log extent before any lock, in
+  // batch order. A failed reservation retires the extents reserved before
+  // it: no leaf names them, and none of their WRITEs was posted.
+  for (size_t i = 0; i < n; i++) {
+    const Status st = co_await recs[i].Reserve(*this, stats);
+    if (st.ok()) continue;
+    for (size_t j = 0; j < i; j++) co_await recs[j].Abandon(*this, stats);
+    co_return st;
   }
+  // Then post all their WRITEs at once, beside the plan and the group
+  // locks. Each WRITE counts `written` down in this frame: every group
+  // awaits it before it applies, and so does the batch before it returns.
+  sim::CountdownLatch written(0);
+  for (R& rec : recs) rec.PostWrite(*this, &written, stats);
 
   // Phase 1 — plan; phase 2 — group by target leaf and apply each group
   // under one lock, groups in parallel, each group's write-back riding its
@@ -1865,12 +1884,13 @@ sim::Task<Status> TreeClient::MultiPut(std::vector<std::pair<K, V>> kvs,
       planned, &defer, stats,
       [&](rdma::GlobalAddress addr, std::vector<size_t> idxs,
           sim::CountdownLatch* latch) {
-        return ApplyPutGroup(addr, std::move(idxs), &recs, &defer, stats,
-                             latch);
+        return ApplyPutGroup(addr, std::move(idxs), &recs, &written, &defer,
+                             stats, latch);
       });
+  co_await written.Wait();  // before any abandon below, and before returning
 
   // Phase 3 — deferred records (splits, fence moves, plan failures) take
-  // the singleton path, which stages its own copy: drop the batch's.
+  // the singleton path, which reserves its own copy: drop the batch's.
   for (size_t i = 0; i < n; i++) {
     if (!defer[i]) continue;
     co_await recs[i].Abandon(*this, stats);

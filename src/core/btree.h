@@ -229,16 +229,20 @@ class TreeClient {
   sim::Task<Status> MultiGetVar(std::vector<std::string> keys,
                                 std::vector<VarGetResult>* out,
                                 OpStats* stats = nullptr);
-  // Batched variable-length inserts: appends out-of-line values up front,
-  // then groups keys by target leaf and applies each group under one lock
-  // (like MultiInsert). Unservable keys fall back to InsertVar.
+  // Batched variable-length inserts: reserves every out-of-line value's
+  // extent up front and posts all their WRITEs at once, then groups keys
+  // by target leaf and applies each group under one lock (like
+  // MultiInsert) once the WRITEs have landed. Unservable keys fall back to
+  // InsertVar. A failed reservation retires the batch's extents and
+  // writes no leaf.
   sim::Task<Status> MultiInsertVar(
       std::vector<std::pair<std::string, std::string>> kvs,
       OpStats* stats = nullptr);
   // One segment-GC pass: seals this client's open segments, claims at most
   // one victim per MS above vlog::kGcDeadPermille, and relocates each live
-  // record copy-then-flip (append fresh -> repoint the leaf under its lock
-  // -> retire the old extent). `relocated` (optional) counts moved records.
+  // record copy-then-flip (reserve fresh -> write it and repoint the leaf
+  // under its lock -> retire the old extent). `relocated` (optional)
+  // counts moved records.
   sim::Task<Status> VlogGcOnce(uint64_t* relocated = nullptr,
                                OpStats* stats = nullptr);
   // This client's value-log handle (valid only in varlen mode).
@@ -491,9 +495,12 @@ class TreeClient {
   // Applies one batch group (the items planned to one leaf) under a single
   // lock, the write-back riding the release; items the leaf cannot serve
   // (fence moved, leaf full) get `defer` set for the singleton fallback.
+  // The group applies only once the batch's value WRITEs have landed
+  // (`written`).
   template <class R>
   sim::Task<void> ApplyPutGroup(rdma::GlobalAddress addr,
                                 std::vector<size_t> idxs, std::vector<R>* recs,
+                                sim::CountdownLatch* written,
                                 std::vector<uint8_t>* defer, OpStats* stats,
                                 sim::CountdownLatch* latch);
   template <class R>

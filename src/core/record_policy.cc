@@ -301,13 +301,20 @@ void VarPolicy::Fill(NodeView* lower, NodeView* upper) {
   SHERMAN_CHECK(BuildVarLeaf(lower, staged_));
 }
 
-sim::Task<Status> VarPolicy::Stage(TreeClient& t, OpStats* stats) {
+sim::Task<Status> VarPolicy::Reserve(TreeClient& t, OpStats* stats) {
   if (!outline_) co_return Status::OK();
-  StatusOr<uint64_t> p = co_await t.vlog_->Append(
+  StatusOr<uint64_t> p = co_await t.vlog_->Reserve(
       key_, value_, NodeView::VarFingerprint(key_), stats);
   if (!p.ok()) co_return p.status();
   vptr_ = *p;
   co_return Status::OK();
+}
+
+void VarPolicy::PostWrite(TreeClient& t, sim::CountdownLatch* written,
+                          OpStats* stats) {
+  if (!outline_) return;
+  written->Add();
+  sim::Spawn(t.vlog_->Write(vptr_, key_, value_, stats, written));
 }
 
 sim::Task<void> VarPolicy::Abandon(TreeClient& t, OpStats* stats) {
@@ -594,10 +601,20 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
             klen,
         vlen);
 
-    // Tree-guided relocation, copy-then-flip under the leaf lock.
+    // Tree-guided relocation, copy-then-flip under the leaf lock. The
+    // fresh extent (in a new open segment, never this sealed victim) is
+    // reserved before the lock, as a put's is: a reservation may wait on
+    // memory-thread RPCs, and a leaf lock held past its lease reads as a
+    // crash to the next waiter.
+    StatusOr<uint64_t> fresh = co_await vlog_->Reserve(
+        key, value, NodeView::VarFingerprint(key), stats);
+    if (!fresh.ok()) co_return fresh.status();
     StatusOr<Locked> locked_r =
         co_await LockLeaf(RoutingKeyFor(key), leaf_buf.data(), stats);
-    if (!locked_r.ok()) co_return locked_r.status();
+    if (!locked_r.ok()) {
+      vlog_->RetireAsync(*fresh);
+      co_return locked_r.status();
+    }
     NodeView view(leaf_buf.data(), &o.shape);
     const uint32_t at = view.VarFind(key);
     const uint64_t cur =
@@ -605,18 +622,14 @@ sim::Task<Status> TreeClient::GcVictimSegment(uint16_t ms, uint64_t base,
     if (cur == 0 || vlog::VlogPtr::Cls(cur) != cls ||
         vlog::VlogPtr::Ms(cur) != ms || vlog::VlogPtr::Off(cur) != off) {
       // The leaf no longer references this extent (deleted, updated, or
-      // retired after the bitmap snapshot).
+      // retired after the bitmap snapshot): the fresh one goes unwritten.
       co_await Release(*locked_r, {}, stats);
+      vlog_->RetireAsync(*fresh);
       vlog_->CountGcStale();
     } else {
-      // Copy: append the fresh record (lands in a new open segment, never
-      // this sealed victim). Flip: repoint the slot and publish the node.
-      StatusOr<uint64_t> fresh = co_await vlog_->Append(
-          key, value, NodeView::VarFingerprint(key), stats);
-      if (!fresh.ok()) {
-        co_await Release(*locked_r, {}, stats);
-        co_return fresh.status();
-      }
+      // Copy: write the fresh record. Flip: repoint the slot and publish
+      // the node.
+      co_await vlog_->Write(*fresh, key, value, stats);
       view.VarSetVlogPtr(at, *fresh);
       LeafWrite w;
       w.WholeNode(node_size());

@@ -16,8 +16,9 @@
 //   - value resolution: Fetch, and a speculative read (Speculate);
 //   - the split cut (Cut + Fill);
 //   - the scan's start check and per-leaf collect step (ScanLeaf);
-//   - the value-log hooks: Stage before the lock, Abandon on failure,
-//     Published / Removed after the leaf write.
+//   - the value-log hooks: Reserve before the lock, PostWrite beside it
+//     (awaited before the leaf write), Abandon on failure, Published /
+//     Removed after the leaf write.
 // FixedPolicy serves both fixed layouts (unsorted two-level-version leaves
 // and sorted FG leaves, switched on TreeOptions::two_level_versions); its
 // value-log hooks do nothing. VarPolicy serves slotted leaves holding
@@ -116,7 +117,8 @@ class FixedPolicy {
   }
 
   // --- client hooks: fixed records have no value log ---
-  sim::Task<Status> Stage(TreeClient&, OpStats*) { co_return Status::OK(); }
+  sim::Task<Status> Reserve(TreeClient&, OpStats*) { co_return Status::OK(); }
+  void PostWrite(TreeClient&, sim::CountdownLatch*, OpStats*) {}
   sim::Task<void> Abandon(TreeClient&, OpStats*) { co_return; }
   void Published(TreeClient&) {}
   void Removed(TreeClient&) {}
@@ -173,8 +175,8 @@ class VarPolicy {
   // leaf publishes) even when the leaf is full.
   bool Put(NodeView* v, LeafWrite* w);
   // Replaces the value the put writes. Binding happens under the leaf
-  // lock, after Stage, so both values must be inline: an out-of-line one
-  // would need its value-log append before the lock.
+  // lock, after Reserve, so both values must be inline: an out-of-line one
+  // would need its value-log extent reserved before the lock.
   void Bind(std::string value);
   bool Remove(NodeView* v, LeafWrite* w);
   // Split cut at the most byte-balanced ROUTING-key boundary (keys sharing
@@ -183,10 +185,16 @@ class VarPolicy {
   StatusOr<Key> Cut(const NodeView& v);
   void Fill(NodeView* lower, NodeView* upper);
 
-  // Appends an out-of-line value to the value log before the lock: the
-  // extent stays private until a leaf slot points at it.
-  sim::Task<Status> Stage(TreeClient& t, OpStats* stats);
-  // The staged extent was never published: retire it.
+  // Reserves an out-of-line value's value-log extent, before the lock: a
+  // reservation may call memory threads, and it is the only value-log
+  // step that can fail.
+  sim::Task<Status> Reserve(TreeClient& t, OpStats* stats);
+  // Posts the reserved extent's WRITE, which counts `written` down once it
+  // has landed. The skeleton posts it beside its lock and awaits `written`
+  // before the pointer reaches a leaf (Put, Cut/Fill) and before it
+  // returns: the WRITE's coroutine points into the skeleton's frame.
+  void PostWrite(TreeClient& t, sim::CountdownLatch* written, OpStats* stats);
+  // The reserved extent was never published: retire it.
   sim::Task<void> Abandon(TreeClient& t, OpStats* stats);
   // After a put's leaf write: post the superseded extent's retire (readers
   // that hold it are epoch-pinned; the put does not wait for it), then
@@ -233,7 +241,7 @@ class VarPolicy {
 
  private:
   // The slot's heap payload: the inline value bytes, or the 8-byte packed
-  // pointer to the staged extent.
+  // pointer to the reserved extent.
   Slice payload() const;
 
   const TreeOptions* o_;
@@ -242,7 +250,7 @@ class VarPolicy {
   std::string* out_;
   Key rk_;
   bool outline_;
-  uint64_t vptr_ = 0;     // staged out-of-line extent
+  uint64_t vptr_ = 0;     // reserved out-of-line extent
   uint64_t old_ptr_ = 0;  // extent the last Put/Remove superseded
   uint64_t read_ptr_ = 0;  // out-of-line extent Read() found
   uint16_t read_vlen_ = 0;

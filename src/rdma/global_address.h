@@ -32,7 +32,12 @@ struct GlobalAddress {
   }
 
   std::string ToString() const {
-    return "[" + std::to_string(node) + ":" + std::to_string(offset) + "]";
+    std::string s = "[";
+    s += std::to_string(node);
+    s += ':';
+    s += std::to_string(offset);
+    s += ']';
+    return s;
   }
 
   friend bool operator==(const GlobalAddress& a, const GlobalAddress& b) {

@@ -45,8 +45,9 @@ class CoroQueue {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-// A counting latch: coroutines Arrive(), one waiter is released when the
-// count reaches zero. Used by the bench runner to join client coroutines.
+// A counting latch: coroutines Arrive(), and every waiter is released when
+// the count reaches zero. Joins spawned coroutines (client threads, batch
+// groups, posted WRITEs).
 class CountdownLatch {
  public:
   explicit CountdownLatch(uint64_t count) : remaining_(count) {}
@@ -54,6 +55,8 @@ class CountdownLatch {
   void Arrive() {
     if (remaining_ > 0 && --remaining_ == 0) done_.WakeAll();
   }
+  // One more arrival to wait for (a latch counting work as it is posted).
+  void Add() { remaining_++; }
 
   bool done() const { return remaining_ == 0; }
 

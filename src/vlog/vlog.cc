@@ -36,7 +36,7 @@ VlogClient::VlogClient(rdma::Fabric* fabric, CsAllocator* allocator, int cs_id,
 }
 
 sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
-  // Caller (Append) set `rotating` before the first await, so no other
+  // Caller (Reserve) set `rotating` before the first await, so no other
   // coroutine can hand out slots or start a second rotation of this class
   // while the seal below is in flight — `used` is final when it's read.
   OpenSegment& seg = open_[cls];
@@ -68,9 +68,9 @@ sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
   co_return Status::OK();
 }
 
-sim::Task<StatusOr<uint64_t>> VlogClient::Append(const Slice& key,
-                                                 const Slice& value,
-                                                 uint8_t fp, OpStats* stats) {
+sim::Task<StatusOr<uint64_t>> VlogClient::Reserve(const Slice& key,
+                                                  const Slice& value,
+                                                  uint8_t fp, OpStats* stats) {
   const uint32_t rec = RecordBytes(key, value);
   const uint32_t cls = SizeClassFor(rec);
   if (cls >= kNumClasses) {
@@ -91,11 +91,19 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Append(const Slice& key,
     seg.rotating = false;
     if (!st.ok()) co_return st;
   }
-  const uint32_t extent = kMinExtentBytes << cls;
   const rdma::GlobalAddress addr =
-      open_[cls].base.Plus(static_cast<uint64_t>(open_[cls].used) * extent);
-  open_[cls].used++;
+      seg.base.Plus(static_cast<uint64_t>(seg.used) * (kMinExtentBytes << cls));
+  seg.used++;
+  appends_->Inc();
+  append_bytes_->Inc(rec);
+  co_return VlogPtr::Pack(fp, static_cast<uint8_t>(cls), addr.node,
+                          addr.offset);
+}
 
+sim::Task<void> VlogClient::Write(uint64_t ptr, Slice key, Slice value,
+                                  OpStats* stats,
+                                  sim::CountdownLatch* landed) {
+  const uint32_t rec = RecordBytes(key, value);
   std::vector<uint8_t> buf(rec);
   const uint16_t klen = static_cast<uint16_t>(key.size());
   const uint16_t vlen = static_cast<uint16_t>(value.size());
@@ -105,9 +113,12 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Append(const Slice& key,
   std::memcpy(buf.data() + kRecordHeader + key.size(), value.data(),
               value.size());
 
+  const rdma::GlobalAddress addr = VlogPtr::Addr(ptr);
   dmsan::Checker* checker =
       dmsan::Active() ? dmsan::Find(&fabric_->simulator()) : nullptr;
-  if (checker != nullptr) checker->OnVlogAppend(cs_id_, addr, extent);
+  if (checker != nullptr) {
+    checker->OnVlogAppend(cs_id_, addr, VlogPtr::ExtentBytes(ptr));
+  }
   // protocol-ok: append into this client's private vlog extent
   const rdma::WorkRequest wr = rdma::WorkRequest::Write(addr, buf.data(), rec);
   rdma::RdmaResult w = co_await fabric_->qp(cs_id_, addr.node).Post(wr);
@@ -117,10 +128,7 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Append(const Slice& key,
     stats->bytes_written += rec;
   }
   if (checker != nullptr) checker->OnVlogPublish(addr);
-  appends_->Inc();
-  append_bytes_->Inc(rec);
-  co_return VlogPtr::Pack(fp, static_cast<uint8_t>(cls),
-                          addr.node, addr.offset);
+  if (landed != nullptr) landed->Arrive();
 }
 
 sim::Task<Status> VlogClient::Read(uint64_t ptr, const Slice& expect_key,
@@ -165,7 +173,7 @@ sim::Task<void> VlogClient::Retire(uint64_t ptr, OpStats* stats) {
 sim::Task<void> VlogClient::SealOpen(OpStats* stats) {
   for (uint32_t cls = 0; cls < kNumClasses; cls++) {
     OpenSegment& seg = open_[cls];
-    // Serialize against Append: a slot handed out while the seal RPC is
+    // Serialize against Reserve: a slot handed out while the seal RPC is
     // in flight would land beyond the sealed `used` — an invisible live
     // extent the MS would count as drained.
     while (seg.rotating) co_await fabric_->simulator().Delay(200);

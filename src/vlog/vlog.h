@@ -14,11 +14,16 @@
 // is an RPC to the owner MS, which tracks a per-segment dead bitmap and
 // frees a sealed, fully-dead segment onto the PR-4 epoch-protected grace
 // list itself — so owner frees and foreign retires cannot race, and
-// readers pinned before a retire finish safely. Segment-level GC
+// readers pinned before a retire finish safely. An append is two steps: a
+// put Reserves its extent before it takes the leaf lock (a reservation is
+// the only step that can fail, and the only one that may call a memory
+// thread), then Writes the record beside the lock and awaits the WRITE
+// before the leaf names the extent. Segment-level GC
 // (TreeClient::VlogGcOnce) claims a sealed victim above a dead-fraction
 // threshold, re-reads each live record, and relocates it tree-guided
-// under the leaf lock (copy-then-flip, the migration ordering): append
-// fresh extent -> repoint the leaf slot -> retire the old extent.
+// under the leaf lock (copy-then-flip, the migration ordering): reserve a
+// fresh extent before the lock -> write it -> repoint the leaf slot ->
+// retire the old extent.
 //
 // Extent record: [klen u16][vlen u16][key bytes][value bytes], within a
 // 64<<class byte extent (classes 0..7: 64 B .. 8 KB). The key rides along
@@ -32,6 +37,7 @@
 #include "alloc/cs_allocator.h"
 #include "core/stats.h"
 #include "rdma/fabric.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -80,11 +86,16 @@ class VlogClient {
   VlogClient(rdma::Fabric* fabric, CsAllocator* allocator, int cs_id,
              uint32_t segment_bytes);
 
-  // Appends [key|value] as one record and returns the packed pointer
-  // (fingerprint = fp). May cost a segment allocation + register RPC on
-  // rotation; the append itself is one WRITE.
-  sim::Task<StatusOr<uint64_t>> Append(const Slice& key, const Slice& value,
-                                       uint8_t fp, OpStats* stats);
+  // Hands out the extent for the record [key|value], rotating a full or
+  // missing segment first (seal, chunk and register RPCs), and returns its
+  // packed pointer (fingerprint = fp). Counts an append. An extent never
+  // written is simply retired.
+  sim::Task<StatusOr<uint64_t>> Reserve(const Slice& key, const Slice& value,
+                                        uint8_t fp, OpStats* stats);
+  // Writes the record into a reserved extent with one RDMA WRITE, then
+  // counts `landed` down when one is given.
+  sim::Task<void> Write(uint64_t ptr, Slice key, Slice value, OpStats* stats,
+                        sim::CountdownLatch* landed = nullptr);
 
   // Reads the record behind `ptr` (klen/vlen known from the leaf slot:
   // the read covers exactly the record) and returns the value bytes.
@@ -121,10 +132,11 @@ class VlogClient {
     uint32_t used = 0;      // extents handed out
     uint32_t capacity = 0;  // extents per segment for this class
     // Rotation-in-flight flag. Coroutines sharing one client (worker
-    // threads of a CS) may Append the same class concurrently; two
+    // threads of a CS) may Reserve in the same class concurrently; two
     // overlapping rotations would double-seal with a stale `used` (the MS
-    // then frees a segment that still has an append landing) and leak one
-    // of the two fresh segments. Appends wait this flag out and re-check.
+    // then frees a segment that still has a reserved extent) and leak one
+    // of the two fresh segments. Reservations wait this flag out and
+    // re-check.
     bool rotating = false;
   };
 

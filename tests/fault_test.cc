@@ -2,7 +2,9 @@
 // caches, exhausted memory, extreme keys, and degenerate range queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/runner.h"
@@ -162,6 +164,68 @@ TEST(FaultTest, OutOfMemorySurfacesFromSplit) {
   }(sys, &done));
   system.simulator().Run();
   EXPECT_TRUE(done);
+}
+
+// 24-byte keys: "kkk...k<n>".
+std::string LongKey(int n) {
+  return std::string(23, 'k') + static_cast<char>('0' + n);
+}
+
+TEST(FaultTest, FailedVarBatchRetiresItsReservedExtents) {
+  // One MS whose chunk area leaves the client a single 8 MB chunk: four
+  // 2 MB value-log segments.
+  TreeOptions topt = ShermanOptions();
+  topt.two_level_versions = false;  // varlen requires sorted leaves
+  topt.shape.varlen = true;
+  topt.vlog_segment_bytes = 2 << 20;
+  ShermanSystem system(
+      SmallFabric(1, 1, kChunkAreaOffset + 2 * kChunkSize + kChunkSize / 2),
+      topt);
+  system.BulkLoadVar({}, 0.8);
+  const uint32_t node_size = topt.shape.node_size;
+  std::vector<uint8_t> leaf;
+  obs::MetricsSnapshot before;
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* s, uint32_t node_size,
+                std::vector<uint8_t>* leaf, obs::MetricsSnapshot* before,
+                bool* flag) -> sim::Task<void> {
+    TreeClient& c = s->client(0);
+    // With 24-byte keys, 100, 200, 400 and 800 B values take size classes
+    // 1 to 4: one segment each, and the chunk is full.
+    const uint32_t sizes[] = {100, 200, 400, 800};
+    for (int n = 0; n < 4; n++) {
+      const std::string k = LongKey(n);
+      const std::string v(sizes[n], 'v');
+      const Status st = co_await c.InsertVar(Slice(k), Slice(v));
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    const uint8_t* raw = s->fabric().HostRaw(s->DebugRootAddr());
+    leaf->assign(raw, raw + node_size);
+    *before = s->registry().Snapshot();
+    // The 100 B value reserves an extent in its open segment; the 1000 B
+    // one needs a fifth segment, which no chunk can hold.
+    std::vector<std::pair<std::string, std::string>> kvs = {
+        {LongKey(4), std::string(100, 'a')},
+        {LongKey(5), std::string(1000, 'b')}};
+    const Status st = co_await c.MultiInsertVar(std::move(kvs));
+    EXPECT_TRUE(st.IsOutOfMemory()) << st.ToString();
+    *flag = true;
+  }(&system, node_size, &leaf, &before, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  const obs::MetricsSnapshot after = system.registry().Snapshot();
+  const uint64_t reserved =
+      after.counter("vlog.appends") - before.counter("vlog.appends");
+  EXPECT_EQ(reserved, 1u);
+  EXPECT_EQ(after.counter("vlog.retires") - before.counter("vlog.retires"),
+            reserved)
+      << "the failed batch leaked an extent it had reserved";
+  ASSERT_EQ(system.DebugCountLeaves(), 1u);
+  const uint8_t* raw = system.fabric().HostRaw(system.DebugRootAddr());
+  EXPECT_TRUE(std::equal(leaf.begin(), leaf.end(), raw))
+      << "the failed batch wrote its leaf";
 }
 
 TEST(EdgeCaseTest, MinimalAndHugeKeys) {

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -486,27 +487,70 @@ TEST(RdwcFuzzTest, ExtremeSkewWithDelegationAgainstOracle) {
 // the inline threshold in both directions constantly. Tiny vlog segments
 // keep sealing + GC running mid-mix, and a dice slot calls VlogGcOnce
 // concurrently with the op streams, so copy-then-flip relocation races
-// every reader and writer. Checked against the string-key oracle.
+// every reader and writer. Checked against the string-key oracle, and
+// the hot keys' histories for per-key linearizability.
 
 // A unique, deterministic value of exactly `len` bytes (len 0 = empty).
 std::string VarFuzzValue(int tid, int i, int b, uint32_t len) {
   if (len == 0) return std::string();
-  std::string v = "t" + std::to_string(tid) + "." + std::to_string(i) + "." +
-                  std::to_string(b) + ":";
+  std::string v = "t";
+  v += std::to_string(tid);
+  v += '.';
+  v += std::to_string(i);
+  v += '.';
+  v += std::to_string(b);
+  v += ':';
   v.resize(len, 'a' + static_cast<char>((tid + i + b) % 23));
   return v;
 }
 
+// The bulk-loaded value of `key`.
+std::string VarLoadValue(const std::string& key) { return "load:" + key; }
+
+// A hot key's value as a register-history value: (tid + 1) << 32 | i << 8
+// | b, decoded from the "t<tid>.<i>.<b>:" tag (at most 9 bytes, so every
+// hot value is at least 16 B); 0 for the key's bulk-loaded value. A value
+// that is neither (a torn one) maps to a value no write has.
+constexpr uint64_t kLoadValueId = 0;
+constexpr uint64_t kTornValueId = ~0ull;
+uint64_t VarValueId(const std::string& key, const std::string& v) {
+  if (v == VarLoadValue(key)) return kLoadValueId;
+  int tid = 0;
+  int i = 0;
+  int b = 0;
+  int tag = 0;
+  if (std::sscanf(v.c_str(), "t%d.%d.%d:%n", &tid, &i, &b, &tag) != 3 ||
+      tag == 0 ||
+      v != VarFuzzValue(tid, i, b, static_cast<uint32_t>(v.size()))) {
+    return kTornValueId;
+  }
+  return (static_cast<uint64_t>(tid + 1) << 32) |
+         (static_cast<uint64_t>(i) << 8) | static_cast<uint64_t>(b);
+}
+
+// FuzzWorker's string-key twin. `hot_span` > 0 lands 90% of key draws on
+// ranks [1, hot_span]; with `hist`, every put, delete, lookup and
+// multi-get of a hot key goes into its register history (keyed by rank).
 sim::Task<void> VarFuzzWorker(ShermanSystem* sys, int tid, uint64_t seed,
                               int n_ops, uint64_t space, bool delete_heavy,
                               testutil::VarOracle* orc,
                               std::map<std::string, std::string>* my_last,
-                              int* d) {
+                              int* d, uint64_t hot_span = 0,
+                              testutil::RegisterHistory* hist = nullptr) {
   auto& client = sys->client(tid % sys->num_clients());
+  sim::Simulator& sim = sys->simulator();
   Random rng(seed);
-  const auto pick_key = [&rng, space]() -> std::string {
-    return WorkloadGenerator::StringKeyFor(1 + rng.Uniform(space), 16, 40);
+  const auto tracked = [hist, hot_span](uint64_t rank) {
+    return hist != nullptr && rank <= hot_span;
   };
+  const auto key_of = [](uint64_t rank) {
+    return WorkloadGenerator::StringKeyFor(rank, 16, 40);
+  };
+  const auto pick_rank = [&rng, hot_span, space]() -> uint64_t {
+    if (hot_span > 0 && rng.Bernoulli(0.9)) return 1 + rng.Uniform(hot_span);
+    return 1 + rng.Uniform(space);
+  };
+  const auto pick_key = [&]() { return key_of(pick_rank()); };
   // Redraw a length on every write: empty, inline, the exact threshold
   // boundary, or out-of-line — successive updates to one key cross the
   // inline threshold both ways.
@@ -516,6 +560,17 @@ sim::Task<void> VarFuzzWorker(ShermanSystem* sys, int tid, uint64_t seed,
     if (d2 < 4) return 8 + static_cast<uint32_t>(rng.Uniform(56));   // inline
     if (d2 == 4) return 64;                        // exactly at the threshold
     return 65 + static_cast<uint32_t>(rng.Uniform(160));       // out-of-line
+  };
+  // A tracked key's value keeps its whole tag.
+  const auto value_len = [&](uint64_t rank) {
+    const uint32_t len = draw_len();
+    return tracked(rank) ? std::max<uint32_t>(len, 16) : len;
+  };
+  const auto record_get = [&](uint64_t rank, sim::SimTime invoke,
+                              const Status& st, const std::string& v) {
+    if (tracked(rank) && st.ok()) {
+      hist->Read(rank, invoke, sim.now(), VarValueId(key_of(rank), v));
+    }
   };
   const auto record_write = [&](const std::string& key,
                                 const std::string& value) {
@@ -535,54 +590,84 @@ sim::Task<void> VarFuzzWorker(ShermanSystem* sys, int tid, uint64_t seed,
   const uint64_t d_del = 10;  // churn mix gets 5 delete slots, plain gets 1
   for (int i = 0; i < n_ops; i++) {
     const uint64_t dice = rng.Uniform(13);
+    const sim::SimTime invoke = sim.now();
     if (dice < d_ins) {  // singleton insert/update
-      const std::string key = pick_key();
-      const std::string value = VarFuzzValue(tid, i, 0, draw_len());
+      const uint64_t rank = pick_rank();
+      const std::string key = key_of(rank);
+      const std::string value = VarFuzzValue(tid, i, 0, value_len(rank));
       record_write(key, value);
+      const size_t op =
+          tracked(rank)
+              ? hist->BeginWrite(rank, VarValueId(key, value), invoke)
+              : 0;
       Status st = co_await client.InsertVar(Slice(key), Slice(value));
       if (st.IsOutOfMemory()) {
         exempt(key);
+        if (tracked(rank)) hist->Exclude(rank);
         continue;
       }
       EXPECT_TRUE(st.ok()) << st.ToString();
+      if (tracked(rank)) hist->EndWrite(rank, op, sim.now());
     } else if (dice < d_mins) {  // batched MultiInsertVar
       std::vector<std::pair<std::string, std::string>> kvs;
+      // Every instance of a hot key is a write: a batch applies one key's
+      // instances in order, and an instance that falls back to the
+      // singleton path is visible until the next one lands.
+      std::vector<std::pair<uint64_t, size_t>> writes;  // (rank, op)
       const int batch = 2 + static_cast<int>(rng.Uniform(4));
       for (int b = 0; b < batch; b++) {
-        const std::string k = pick_key();
-        const std::string value = VarFuzzValue(tid, i, 1 + b, draw_len());
+        const uint64_t rank = pick_rank();
+        const std::string k = key_of(rank);
+        const std::string value =
+            VarFuzzValue(tid, i, 1 + b, value_len(rank));
         record_write(k, value);
         kvs.emplace_back(k, value);
+        if (tracked(rank)) {
+          writes.emplace_back(
+              rank, hist->BeginWrite(rank, VarValueId(k, value), invoke));
+        }
       }
       std::vector<std::pair<std::string, std::string>> issued = kvs;
       Status st = co_await client.MultiInsertVar(std::move(issued));
       if (st.IsOutOfMemory()) {
         for (const auto& [k, v] : kvs) exempt(k);
+        for (const auto& [rank, op] : writes) hist->Exclude(rank);
         continue;
       }
       EXPECT_TRUE(st.ok()) << st.ToString();
+      for (const auto& [rank, op] : writes) hist->EndWrite(rank, op, sim.now());
     } else if (dice < d_look) {  // singleton lookup
-      const std::string key = pick_key();
+      const uint64_t rank = pick_rank();
+      const std::string key = key_of(rank);
       std::string v;
       Status st = co_await client.LookupVar(Slice(key), &v);
       testutil::CheckVarRead(*orc, key, st, v);
+      record_get(rank, invoke, st, v);
     } else if (dice < d_mget) {  // batched MultiGetVar
+      std::vector<uint64_t> ranks;
       std::vector<std::string> keys;
       const int batch = 2 + static_cast<int>(rng.Uniform(6));
-      for (int b = 0; b < batch; b++) keys.push_back(pick_key());
+      for (int b = 0; b < batch; b++) {
+        ranks.push_back(pick_rank());
+        keys.push_back(key_of(ranks.back()));
+      }
       std::vector<VarGetResult> got;
       Status st = co_await client.MultiGetVar(keys, &got);
       EXPECT_TRUE(st.ok()) << st.ToString();
       EXPECT_EQ(got.size(), keys.size());
       for (size_t b = 0; b < got.size() && b < keys.size(); b++) {
         testutil::CheckVarRead(*orc, keys[b], got[b].status, got[b].value);
+        record_get(ranks[b], invoke, got[b].status, got[b].value);
       }
     } else if (dice < d_del) {  // delete (unconditional mark: see FuzzWorker)
-      const std::string key = pick_key();
+      const uint64_t rank = pick_rank();
+      const std::string key = key_of(rank);
       (*orc)[key].deleted = true;
       my_last->erase(key);
+      const size_t op = tracked(rank) ? hist->BeginDelete(rank, invoke) : 0;
       Status st = co_await client.DeleteVar(Slice(key));
       EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+      if (tracked(rank)) hist->EndWrite(rank, op, sim.now());
     } else if (dice < 12) {  // ordered scan
       const std::string from = pick_key();
       std::vector<std::pair<std::string, std::string>> out;
@@ -633,7 +718,7 @@ TEST(VarFuzzTest, StringKeysVariableValuesAgainstOracle) {
     std::vector<std::pair<std::string, std::string>> load;
     for (uint64_t r = 1; r <= loaded; r++) {
       const std::string k = WorkloadGenerator::StringKeyFor(r, 16, 40);
-      load.emplace_back(k, "load:" + k);  // inline-sized, unique per key
+      load.emplace_back(k, VarLoadValue(k));  // inline-sized, unique per key
     }
     std::sort(load.begin(), load.end());
     load.erase(std::unique(load.begin(), load.end(),
@@ -651,15 +736,23 @@ TEST(VarFuzzTest, StringKeysVariableValuesAgainstOracle) {
     const int ops_per_thread =
         (80 + static_cast<int>(meta_rng.Uniform(140))) * (long_fuzz ? 4 : 1);
     const uint64_t key_space = 2 * loaded + 100;
+    const uint64_t hot_span = 1 + meta_rng.Uniform(12);  // the hot ranks
+    testutil::RegisterHistory hist;
+    for (uint64_t r = 1; r <= hot_span; r++) hist.Initial(r, kLoadValueId);
 
     int done = 0;
     for (int t = 0; t < threads; t++) {
       sim::Spawn(VarFuzzWorker(&system, t, seed * 211 + t, ops_per_thread,
                                key_space, delete_heavy, &oracle,
-                               &last_value_by_thread[t], &done));
+                               &last_value_by_thread[t], &done, hot_span,
+                               &hist));
     }
     system.simulator().Run();
     ASSERT_EQ(done, threads) << "seed " << seed;
+    const std::vector<std::string> bad = hist.Check();
+    EXPECT_TRUE(bad.empty()) << "seed " << seed << ": " << bad.size()
+                             << " linearizability violations, first: "
+                             << bad.front();
 
     testutil::CheckVarOracleAtQuiescence(&system, oracle,
                                          last_value_by_thread, threads);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bench/runner.h"
@@ -211,6 +212,56 @@ TEST(MultiInsertTest, DuplicateKeysInOneBatchLastWins) {
   }(&system.client(0), &done));
   system.simulator().Run();
   ASSERT_TRUE(done);
+}
+
+// An out-of-line batch reserves its extents up front and posts all their
+// WRITEs at once, beside its plan and lock: it costs about what the same
+// batch costs inline, not one value-log round trip per record on top.
+TEST(MultiInsertTest, OutOfLineValueWritesOverlap) {
+  TreeOptions topt = ShermanOptions();
+  topt.two_level_versions = false;  // varlen requires sorted leaves
+  topt.shape.varlen = true;
+  topt.shape.node_size = 1024;
+  ShermanSystem system(SmallFabric(), topt);
+  system.BulkLoadVar({}, 0.8);  // one leaf takes every key below
+
+  sim::SimTime inline_ns = 0;
+  sim::SimTime outline_ns = 0;
+  bool done = false;
+  sim::Spawn([](ShermanSystem* s, sim::SimTime* inline_ns,
+                sim::SimTime* outline_ns, bool* flag) -> sim::Task<void> {
+    TreeClient& c = s->client(0);
+    sim::Simulator& sim = s->simulator();
+    // The warm-up put opens the value-log segment the batch appends to.
+    const std::string warm_key = "warm-up";
+    const std::string warm_value(100, 'w');
+    EXPECT_TRUE(
+        (co_await c.InsertVar(Slice(warm_key), Slice(warm_value))).ok());
+    const auto batch = [](uint32_t vlen) {
+      std::vector<std::pair<std::string, std::string>> kvs;
+      for (char k = 'a'; k < 'a' + 8; k++) {
+        kvs.emplace_back(std::string("key-") + k, std::string(vlen, k));
+      }
+      return kvs;
+    };
+    sim::SimTime start = sim.now();
+    EXPECT_TRUE((co_await c.MultiInsertVar(batch(40))).ok());
+    *inline_ns = sim.now() - start;
+    start = sim.now();
+    EXPECT_TRUE((co_await c.MultiInsertVar(batch(100))).ok());
+    *outline_ns = sim.now() - start;
+    std::string got;
+    EXPECT_TRUE((co_await c.LookupVar(Slice("key-h"), &got)).ok());
+    EXPECT_EQ(got, std::string(100, 'h'));
+    *flag = true;
+  }(&system, &inline_ns, &outline_ns, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(system.DebugCountLeaves(), 1u);
+  EXPECT_EQ(system.registry().Snapshot().counter("vlog.appends"), 9u);
+  EXPECT_LE(outline_ns * 10, inline_ns * 11)
+      << "out-of-line batch " << outline_ns << " ns, inline " << inline_ns
+      << " ns";
 }
 
 // --- TreeClient::MultiDelete -----------------------------------------------

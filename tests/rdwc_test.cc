@@ -429,8 +429,9 @@ TEST(RdwcVarWindowTest, OverflowBypassesToTheDirectPath) {
   // parked follower, and one overflow that runs the direct path.
   VarOut put[3];
   for (int i = 0; i < 3; i++) {
-    sim::Spawn(VarPut(&system, i == 0 ? 0 : 1, "hotkey00",
-                      "o" + std::to_string(i), &put[i]));
+    std::string value = "o";
+    value += std::to_string(i);
+    sim::Spawn(VarPut(&system, i == 0 ? 0 : 1, "hotkey00", value, &put[i]));
   }
   system.simulator().Run();
   for (const VarOut& o : put) {

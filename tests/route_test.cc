@@ -133,8 +133,10 @@ TEST(RouterShardTest, EmptyBulkLoadRoutesEveryKey) {
       for (uint64_t n = 1; n <= 40; n++) {
         Status st;
         if (var) {
-          const std::string key = "k" + std::to_string(100 + n);
-          const std::string value = "v" + std::to_string(n);
+          std::string key = "k";
+          key += std::to_string(100 + n);
+          std::string value = "v";
+          value += std::to_string(n);
           st = co_await c.InsertVar(Slice(key), Slice(value));
         } else {
           st = co_await c.Insert(n * 1000, n);
@@ -455,7 +457,11 @@ struct VarRecords {
                   static_cast<unsigned long long>(n));
     return buf;
   }
-  static V ValueOf(uint64_t n) { return "v" + std::to_string(n * 10); }
+  static V ValueOf(uint64_t n) {
+    V v = "v";
+    v += std::to_string(n * 10);
+    return v;
+  }
   static void Load(HybridSystem* system, const std::map<K, V>& records,
                    double fill) {
     system->BulkLoadVar({records.begin(), records.end()}, fill);
