@@ -12,6 +12,7 @@
 #ifndef SHERMAN_ALLOC_CHUNK_MANAGER_H_
 #define SHERMAN_ALLOC_CHUNK_MANAGER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -75,6 +76,12 @@ class ChunkManager {
   uint64_t VlogMaskWord(uint64_t base, uint32_t word) const;
 
   uint64_t vlog_live_segments() const { return vlog_.size(); }
+  // Registered segments not sealed yet (their owner may still append).
+  uint64_t vlog_unsealed_segments() const {
+    return static_cast<uint64_t>(std::count_if(
+        vlog_.begin(), vlog_.end(),
+        [](const auto& seg) { return !seg.second.sealed; }));
+  }
 
   uint64_t total_chunks() const { return total_chunks_; }
   uint64_t allocated_chunks() const { return allocated_; }

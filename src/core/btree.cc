@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "core/record_policy.h"
@@ -408,7 +409,12 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockChasing(
     const rdma::GlobalAddress next = (usable && key >= view.hi_fence())
                                          ? view.sibling()
                                          : rdma::kNullAddress;
-    if (owned) co_await hocl_.Unlock(guard, {}, o.combine_commands, stats);
+    // Nothing was written under this lock, so its release is posted, not
+    // awaited: the chase goes on at once. A next lock on the same lane
+    // queues behind the release locally (or, without a local table, at the
+    // MS, where its CAS cannot pass the release posted before it), and a
+    // posted release lands even if this client dies next.
+    if (owned) sim::Spawn(hocl_.Unlock(guard, {}, o.combine_commands, nullptr));
     if (first) {
       cache_.InvalidateLevel1Covering(key);
       // A root has no right sibling: a cached root found with one is stale
@@ -512,8 +518,10 @@ void TreeClient::RecordMergeAbort(rdma::GlobalAddress addr) {
 //      the parent (fresh descents resolve [L.lo, L.hi) to S's entry),
 //      then S' (the B-link chain absorbs the range) — see the step-5
 //      comment in the body for why this exact order is load-bearing;
-//   6. park L on its MS's epoch-keyed grace list: the bytes stay a stable
-//      tombstone until every op pinned at or before the free retires.
+//   6. post the hint invalidate and the free that parks L on its MS's
+//      epoch-keyed grace list (the bytes stay a stable tombstone until
+//      every op pinned at or before the free retires), clear the intent
+//      and release L, awaiting neither RPC.
 // Any verification failure releases the secondary locks and reports
 // false with no remote state changed; the caller falls back to the plain
 // entry write-back (the delete itself has already been staged locally).
@@ -636,7 +644,7 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   // write under a still-held lane even when the finite lock table aliases
   // two of the three locks onto one lane. Sequential awaits give the
   // cross-MS ordering; the parent and sibling writes ride their lock
-  // releases. The free and the intent clear happen BEFORE L's lane is
+  // releases. The free and the intent clear are posted BEFORE L's lane is
   // released, so every crash window leaves either the intent or a held
   // lane (usually both) for a survivor to find.
   recover::IntentRecord rec;
@@ -679,15 +687,18 @@ sim::Task<bool> TreeClient::TryMergeLeafLocked(const Locked& locked,
   co_await fault::Injector().AtSite(kCrashMergeSibling, cs_id_);
   if (stats != nullptr) stats->bytes_written += 3ull * node_size();
 
-  // 6. Drop any hint entry pointing at the doomed leaf BEFORE the free
-  // (same RPC lane, so the MS orders them; DMSan rule V6 enforces it),
-  // then park the leaf on its MS's grace list (recycled only after every
-  // op pinned at or before this free has retired), clear the intent, and
-  // only then release L's lane.
-  co_await HintInvalidate(locked.addr, stats);
-  co_await system_->fabric_.qp(cs_id_, locked.addr.node)
-      .Rpc(kRpcFreeNode, locked.addr.offset, node_size());
-  if (stats != nullptr) stats->round_trips++;
+  // 6. Post the invalidate of any hint entry pointing at the doomed leaf,
+  // then the free that parks the leaf on its MS's grace list (recycled
+  // only after every op pinned at or before this free has retired). One
+  // FIFO memory thread serves both in post order, so the invalidate lands
+  // first (DMSan rule V6). Neither is awaited: a memory thread backed up
+  // past the lease would otherwise hold L's lane into a false recovery.
+  // Posted RPCs are served even if this client dies next, so every crash
+  // state keeps the intent and the held lane a survivor needs, and a
+  // replayed free is idempotent at the grace list. Then clear the intent,
+  // and only then release L's lane.
+  sim::Spawn(HintInvalidate(locked.addr, nullptr));
+  QpFor(locked.addr).PostRpc(kRpcFreeNode, locked.addr.offset, node_size());
   co_await fault::Injector().AtSite(kCrashMergeFreed, cs_id_);
   intents_.ClearAsync(intent_slot);
   co_await Release(locked, {}, stats);
@@ -1024,7 +1035,7 @@ sim::Task<Status> TreeClient::Remove(R rec, OpStats* stats) {
 
 namespace {
 struct SplitSites {
-  int intent;     // intent published, nothing else written
+  int intent;     // intent published, and a cross-MS sibling beside it
   int sibling;    // cross-MS sibling written ahead of the commit batch
   int committed;  // both nodes written, lock released
   int linked;     // separator inserted one level up
@@ -1122,8 +1133,6 @@ sim::Task<void> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
   intent.primary = locked.addr;
   intent.second = sib_addr;
   intent.aux = sep;
-  co_await intents_.Publish(intent_slot, intent, stats);
-  co_await fault::Injector().AtSite(sites.intent, cs_id_);
 
   // Node-level versions bump across the rewrite.
   buf[kOffFnv] = new_version;
@@ -1134,20 +1143,28 @@ sim::Task<void> TreeClient::CommitSplit(const Locked& locked, uint8_t level,
 
   // Write back. If the sibling landed on the same MS the three commands
   // (sibling, node, lock release) combine into one doorbell batch (§4.5)
-  // — crash-safe under fail-stop, because a POSTED batch completes at the
-  // NIC whether or not the client survives it, so the remote states are
-  // exactly {nothing, committed}. A cross-MS sibling needs its own
-  // awaited WRITE, adding the sibling-only crash state.
+  // behind the awaited intent — crash-safe under fail-stop, because a
+  // POSTED batch completes at the NIC whether or not the client survives
+  // it, so the remote states are exactly {nothing, intent, committed}. A
+  // cross-MS sibling needs its own WRITE. It is posted in the same instant
+  // as the intent, right behind it, and the split awaits both: the
+  // sibling is private until the commit batch links it, so a crash leaves
+  // nothing, the intent alone, the intent and the sibling, or the commit.
   std::vector<rdma::WorkRequest> wrs;
   rdma::WorkRequest sw =
       rdma::WorkRequest::Write(sib_addr, sib_buf, node_size());
   sw.intent_slot = static_cast<uint8_t>(intent_slot);
   if (sib_addr.node == locked.addr.node) {
+    co_await intents_.Publish(intent_slot, intent, stats);
+    co_await fault::Injector().AtSite(sites.intent, cs_id_);
     wrs.push_back(sw);
   } else {
+    sim::CountdownLatch landed(1);
+    sim::Spawn(intents_.Publish(intent_slot, intent, stats, &landed));
     rdma::RdmaResult r = co_await QpFor(sib_addr).Post(sw);
-    if (stats != nullptr) stats->round_trips++;
     SHERMAN_CHECK(r.status.ok());
+    co_await landed.Wait();
+    co_await fault::Injector().AtSite(sites.intent, cs_id_);
     co_await fault::Injector().AtSite(sites.sibling, cs_id_);
   }
   wrs.push_back(rdma::WorkRequest::Write(locked.addr, buf, node_size()));
@@ -1819,15 +1836,23 @@ sim::Task<void> TreeClient::ApplyPutGroup(
   NodeView view(buf.data(), &opt().shape);
   LeafWrite w;
   std::vector<size_t> applied;
+  // Routing keys with a deferred instance. Every later instance is
+  // deferred too: the singleton fallback runs in batch order, so an
+  // instance applied here would be overwritten by an earlier, deferred
+  // one (a varlen leaf may refuse a large value yet take a smaller one).
+  std::set<Key> deferred;
   for (size_t idx : idxs) {
     R& rec = (*recs)[idx];
-    if (!view.InFence(rec.route())) {  // sibling chase moved us off this key
-      (*defer)[idx] = 1;
-      continue;
+    // Off this leaf after a sibling chase, or full: the split goes
+    // through Put().
+    bool fits = deferred.count(rec.route()) == 0 && view.InFence(rec.route());
+    if (fits) {
+      co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
+      fits = rec.Put(&view, &w);
     }
-    co_await system_->fabric_.simulator().Delay(rec.SearchNs(f));
-    if (!rec.Put(&view, &w)) {  // full: the split goes through Put()
+    if (!fits) {
       (*defer)[idx] = 1;
+      deferred.insert(rec.route());
       continue;
     }
     applied.push_back(idx);

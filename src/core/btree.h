@@ -104,7 +104,7 @@ struct TreeOptions {
   // --- variable-length records (shape.varlen mode) ---
   // Values above kInlineThreshold (core/node_layout.h) go to the value log.
   // Segment size the value log carves from the chunk allocator (one open
-  // segment per size class per client). Must hold at least one extent of
+  // segment and at most one spare per size class per client). Must hold at least one extent of
   // the largest class (8 KB) and at most 65535 of the smallest (64 B).
   uint32_t vlog_segment_bytes = 64 << 10;
 
@@ -343,7 +343,8 @@ class TreeClient {
   // reclamation: a freed node's address can be recycled into a node of a
   // DIFFERENT role, so a stale cached address may resolve to an internal
   // node where a leaf once lived (or vice versa) — fences alone cannot
-  // tell them apart.
+  // tell them apart. A hop that does not cover the key wrote nothing, so
+  // its release is posted and the chase goes on without awaiting it.
   //
   // `held` names the locks the caller already holds (null = none). A
   // first lock (nothing held) waits, drops the level-1 translation on a
@@ -452,7 +453,8 @@ class TreeClient {
   // `intent_slot` and staged the lower half in `buf` (sibling pointer ->
   // sib_addr) and the upper half in `sib_buf`. Publishes the intent and
   // writes both nodes (the sibling rides the release batch when it shares
-  // the MS). The intent stays published until LinkSplit. Crash sites:
+  // the MS, and its WRITE is posted beside the intent's when it does
+  // not). The intent stays published until LinkSplit. Crash sites:
   // split.* at level 0, isplit.* above.
   sim::Task<void> CommitSplit(const Locked& locked, uint8_t level, Key lo,
                               Key hi, Key sep, rdma::GlobalAddress sib_addr,
@@ -524,8 +526,8 @@ class TreeClient {
   // `buf`, deletions already applied locally) into its left sibling:
   // locks sibling + parent (lane-collision aware), moves survivors, writes
   // the widened sibling, removes the parent entry, tombstones the leaf,
-  // releases everything, and parks the leaf on the owning MS's grace
-  // list. Returns true on success (the leaf lock is released); on any
+  // posts the free that parks it on the owning MS's grace list, and
+  // releases everything. Returns true on success (the leaf lock is released); on any
   // race the secondary locks are released, nothing remote has changed,
   // the leaf stays locked, and the caller falls back to the plain
   // write-back + unlock.

@@ -365,4 +365,10 @@ sim::Task<uint64_t> Qp::Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2) {
   co_return response;
 }
 
+void Qp::PostRpc(uint64_t opcode, uint64_t arg, uint64_t arg2) {
+  sim::Spawn([](Qp* qp, uint64_t op, uint64_t a, uint64_t b)
+                 -> sim::Task<void> { co_await qp->Rpc(op, a, b); }(
+      this, opcode, arg, arg2));
+}
+
 }  // namespace sherman::rdma

@@ -62,6 +62,11 @@ class Qp {
   // Two-sided RPC to the memory server's memory thread (§4.2.4). Returns the
   // handler's response word.
   sim::Task<uint64_t> Rpc(uint64_t opcode, uint64_t arg, uint64_t arg2 = 0);
+  // Rpc, posted without waiting for its response: the request is on the
+  // wire when this returns, and the memory thread serves it even if the
+  // client dies next, as a posted WRITE lands. RPCs to one MS are served
+  // FIFO, in post order.
+  void PostRpc(uint64_t opcode, uint64_t arg, uint64_t arg2 = 0);
 
  private:
   // Payload bytes carried by the request / response message of a WR.

@@ -161,15 +161,20 @@ class IntentTable {
     return Take(std::countr_zero(free_ & kGeneral));
   }
 
-  // Writes `rec` into the claimed `slot`; the WRITE is awaited so the
-  // record is durable on MS 0 before the caller's first structural write.
-  sim::Task<void> Publish(int slot, const IntentRecord& rec, OpStats* stats) {
+  // Writes `rec` into the claimed `slot`, then counts `landed` down when
+  // one is given. Awaited, the record is durable on MS 0 before the
+  // caller's first structural write. Spawned, the WRITE is posted before
+  // Spawn returns, so a structural write the caller posts next follows it
+  // in post order (DMSan rule V3) and lands beside it.
+  sim::Task<void> Publish(int slot, const IntentRecord& rec, OpStats* stats,
+                          sim::CountdownLatch* landed = nullptr) {
     rec.Serialize(staged_[slot]);
     rdma::RdmaResult r = co_await fabric_->qp(cs_id_, 0).Post(
         rdma::WorkRequest::Write(IntentSlotAddress(cs_id_, slot),
                                  staged_[slot], kIntentSlotBytes));
     if (stats != nullptr) stats->round_trips++;
     SHERMAN_CHECK(r.status.ok());
+    if (landed != nullptr) landed->Arrive();
   }
 
   // Clears the slot after the op's last structural write (or releases a

@@ -1,6 +1,7 @@
 #include "vlog/vlog.h"
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "alloc/layout.h"
@@ -35,6 +36,23 @@ VlogClient::VlogClient(rdma::Fabric* fabric, CsAllocator* allocator, int cs_id,
   SHERMAN_CHECK(segment_bytes_ >= (kMinExtentBytes << (kNumClasses - 1)));
 }
 
+sim::Task<rdma::GlobalAddress> VlogClient::Open(uint32_t cls,
+                                                OpStats* stats) {
+  const rdma::GlobalAddress base = co_await allocator_->Alloc(segment_bytes_);
+  if (base == rdma::kNullAddress) co_return base;
+  co_await fabric_->qp(cs_id_, base.node)
+      .Rpc(kRpcVlogRegister, base.offset,
+           cls | (static_cast<uint64_t>(segment_bytes_) << 8));
+  if (stats != nullptr) stats->round_trips++;
+  segments_opened_->Inc();
+  if (dmsan::Active()) {
+    if (dmsan::Checker* c = dmsan::Find(&fabric_->simulator())) {
+      c->OnVlogSegment(cs_id_, base, segment_bytes_, cls);
+    }
+  }
+  co_return base;
+}
+
 sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
   // Caller (Reserve) set `rotating` before the first await, so no other
   // coroutine can hand out slots or start a second rotation of this class
@@ -47,25 +65,18 @@ sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
         .Rpc(kRpcVlogSeal, seg.base.offset, seg.used);
     if (stats != nullptr) stats->round_trips++;
   }
-  rdma::GlobalAddress base = co_await allocator_->Alloc(segment_bytes_);
-  if (base == rdma::kNullAddress) {
-    seg.base = rdma::kNullAddress;  // the old segment is sealed either way
+  seg.base = co_await Open(cls, stats);  // the old one is sealed either way
+  seg.used = 0;
+  if (seg.base == rdma::kNullAddress) {
     co_return Status::OutOfMemory("vlog: no memory for a fresh segment");
   }
-  co_await fabric_->qp(cs_id_, base.node)
-      .Rpc(kRpcVlogRegister, base.offset,
-           cls | (static_cast<uint64_t>(segment_bytes_) << 8));
-  if (stats != nullptr) stats->round_trips++;
-  seg.base = base;
-  seg.used = 0;
-  seg.capacity = segment_bytes_ / (kMinExtentBytes << cls);
-  segments_opened_->Inc();
-  if (dmsan::Active()) {
-    if (dmsan::Checker* c = dmsan::Find(&fabric_->simulator())) {
-      c->OnVlogSegment(cs_id_, base, segment_bytes_, cls);
-    }
-  }
   co_return Status::OK();
+}
+
+sim::Task<void> VlogClient::OpenAhead(uint32_t cls) {
+  OpenSegment& seg = open_[cls];
+  seg.spare = co_await Open(cls, nullptr);
+  seg.opening_spare = false;
 }
 
 sim::Task<StatusOr<uint64_t>> VlogClient::Reserve(const Slice& key,
@@ -77,14 +88,29 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Reserve(const Slice& key,
     co_return Status::InvalidArgument("vlog: record exceeds largest class");
   }
   OpenSegment& seg = open_[cls];
+  const uint32_t capacity = segment_bytes_ / (kMinExtentBytes << cls);
   for (;;) {
-    if (seg.rotating) {
-      // Another coroutine of this client is mid-rotation: wait it out,
-      // then re-check — the fresh segment usually has room.
+    const bool full = seg.base == rdma::kNullAddress || seg.used == capacity;
+    if (seg.rotating || (full && seg.opening_spare)) {
+      // Another coroutine of this client is mid-rotation, or the spare
+      // that replaces a full segment is on its way: wait it out, then
+      // re-check.
       co_await fabric_->simulator().Delay(200);
       continue;
     }
-    if (seg.base != rdma::kNullAddress && seg.used < seg.capacity) break;
+    if (!full) break;
+    if (seg.spare != rdma::kNullAddress) {
+      // Switch to the spare without waiting. The full segment's `used` is
+      // final (nothing hands out its extents again), so its seal is
+      // posted, not awaited.
+      if (seg.base != rdma::kNullAddress) {
+        fabric_->qp(cs_id_, seg.base.node)
+            .PostRpc(kRpcVlogSeal, seg.base.offset, seg.used);
+      }
+      seg.base = std::exchange(seg.spare, rdma::kNullAddress);
+      seg.used = 0;
+      break;
+    }
     seg.rotating = true;  // set BEFORE the first await: serializes slot
                           // hand-out and rotation per class
     Status st = co_await Rotate(cls, stats);
@@ -94,6 +120,11 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Reserve(const Slice& key,
   const rdma::GlobalAddress addr =
       seg.base.Plus(static_cast<uint64_t>(seg.used) * (kMinExtentBytes << cls));
   seg.used++;
+  if (seg.spare == rdma::kNullAddress && !seg.opening_spare &&
+      seg.used * 8 >= capacity * kOpenAheadEighths) {
+    seg.opening_spare = true;
+    sim::Spawn(OpenAhead(cls));
+  }
   appends_->Inc();
   append_bytes_->Inc(rec);
   co_return VlogPtr::Pack(fp, static_cast<uint8_t>(cls), addr.node,
@@ -184,7 +215,6 @@ sim::Task<void> VlogClient::SealOpen(OpStats* stats) {
     if (stats != nullptr) stats->round_trips++;
     seg.base = rdma::kNullAddress;
     seg.used = 0;
-    seg.capacity = 0;
     seg.rotating = false;
   }
 }

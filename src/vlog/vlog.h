@@ -9,7 +9,14 @@
 // (vlog_segment_bytes, one open segment per size class) out of the
 // ordinary chunk allocator, registers each with its owning MS, and bump-
 // allocates fixed-size extents inside them — appends cost zero extra
-// round trips beyond the value WRITE itself. The MS is the single
+// round trips beyond the value WRITE itself. Each class opens its next
+// segment ahead: once the open one has handed out kOpenAheadEighths/8 of
+// its extents, a background coroutine allocates and registers a spare,
+// so a full segment switches to it without waiting and only posts its
+// seal. A reservation that finds the spare still on its way waits for it;
+// with no spare coming, it rotates in the foreground (seal, chunk and
+// register RPCs), which is why a reservation is the one step of a put
+// that can fail. The MS is the single
 // liveness authority: every extent retire (delete, update, GC relocation)
 // is an RPC to the owner MS, which tracks a per-segment dead bitmap and
 // frees a sealed, fully-dead segment onto the PR-4 epoch-protected grace
@@ -51,6 +58,10 @@ inline constexpr uint32_t kRecordHeader = 4;   // [klen u16][vlen u16]
 // GC victim threshold: a sealed segment with at least this many dead
 // extents per thousand written is eligible for TreeClient::VlogGcOnce.
 inline constexpr uint32_t kGcDeadPermille = 250;
+// A class opens its next segment ahead once its open segment has handed
+// out this many eighths of its extents: late enough that a spare rarely
+// idles, early enough that its register RPC lands before the switch.
+inline constexpr uint32_t kOpenAheadEighths = 7;
 
 // Packed value-log pointer, as stored in a leaf slot:
 //   [63:56] key fingerprint   [55:48] size class
@@ -79,17 +90,18 @@ struct VlogPtr {
 uint32_t SizeClassFor(uint32_t record_bytes);
 
 // The compute-server side of the value log. One instance per TreeClient;
-// owns an open segment per size class.
+// owns an open segment and at most one spare per size class.
 class VlogClient {
  public:
   // Counts into the fabric's registry as vlog.*, shared by every CS.
   VlogClient(rdma::Fabric* fabric, CsAllocator* allocator, int cs_id,
              uint32_t segment_bytes);
 
-  // Hands out the extent for the record [key|value], rotating a full or
-  // missing segment first (seal, chunk and register RPCs), and returns its
-  // packed pointer (fingerprint = fp). Counts an append. An extent never
-  // written is simply retired.
+  // Hands out the extent for the record [key|value] and returns its
+  // packed pointer (fingerprint = fp). A full segment switches to its
+  // class's spare, posting its seal; a full or missing one without a
+  // ready spare rotates first (seal, chunk and register RPCs). Counts an
+  // append. An extent never written is simply retired.
   sim::Task<StatusOr<uint64_t>> Reserve(const Slice& key, const Slice& value,
                                         uint8_t fp, OpStats* stats);
   // Writes the record into a reserved extent with one RDMA WRITE, then
@@ -111,6 +123,9 @@ class VlogClient {
   void RetireAsync(uint64_t ptr) { sim::Spawn(Retire(ptr, nullptr)); }
 
   // Seals every open segment at its MS so GC victim queries can see it.
+  // A spare holds no extent, so it is kept: the class's next reservation
+  // opens it. Every registered segment is thus sealed or still this
+  // client's to fill.
   sim::Task<void> SealOpen(OpStats* stats);
 
   // Builds the on-extent record for (key, value). Exposed for GC, which
@@ -129,8 +144,7 @@ class VlogClient {
  private:
   struct OpenSegment {
     rdma::GlobalAddress base = rdma::kNullAddress;
-    uint32_t used = 0;      // extents handed out
-    uint32_t capacity = 0;  // extents per segment for this class
+    uint32_t used = 0;  // extents handed out
     // Rotation-in-flight flag. Coroutines sharing one client (worker
     // threads of a CS) may Reserve in the same class concurrently; two
     // overlapping rotations would double-seal with a stale `used` (the MS
@@ -138,9 +152,19 @@ class VlogClient {
     // of the two fresh segments. Reservations wait this flag out and
     // re-check.
     bool rotating = false;
+    // The next segment, registered ahead (null until OpenAhead lands),
+    // and whether OpenAhead is in flight.
+    rdma::GlobalAddress spare = rdma::kNullAddress;
+    bool opening_spare = false;
   };
 
+  // Allocates and registers a fresh segment of class `cls`; null when
+  // memory is exhausted.
+  sim::Task<rdma::GlobalAddress> Open(uint32_t cls, OpStats* stats);
+  // Seals the open segment (awaited) and opens its successor.
   sim::Task<Status> Rotate(uint32_t cls, OpStats* stats);
+  // Opens the class's spare in the background.
+  sim::Task<void> OpenAhead(uint32_t cls);
 
   rdma::Fabric* fabric_;
   CsAllocator* allocator_;

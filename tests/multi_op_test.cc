@@ -11,6 +11,7 @@
 
 #include "bench/runner.h"
 #include "core/hybrid_system.h"
+#include "core/node_layout.h"
 #include "core/presets.h"
 #include "util/random.h"
 
@@ -262,6 +263,47 @@ TEST(MultiInsertTest, OutOfLineValueWritesOverlap) {
   EXPECT_LE(outline_ns * 10, inline_ns * 11)
       << "out-of-line batch " << outline_ns << " ns, inline " << inline_ns
       << " ns";
+}
+
+// A varlen batch keeps "the later write wins" when its leaf refuses an
+// earlier instance of a key but could take a later, smaller one: a 60-byte
+// inline value needs 60 leaf bytes, a 100-byte out-of-line one only its
+// 8-byte pointer. Every later instance of a deferred key is deferred too,
+// so the singleton fallback applies them in batch order.
+TEST(MultiInsertTest, VarDuplicateKeyAfterADeferredInstanceStaysLast) {
+  TreeOptions topt = ShermanOptions();
+  topt.two_level_versions = false;  // varlen requires sorted leaves
+  topt.shape.varlen = true;
+  topt.shape.node_size = 512;
+  ShermanSystem system(SmallFabric(), topt);
+  // One root leaf filled to 67 free bytes: 7 entries of 8-byte keys with
+  // distinct first bytes (no shared prefix) and 40- or 44-byte values,
+  // each with its 8-byte slot.
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (char c = 'a'; c < 'a' + 7; c++) {
+    kvs.emplace_back(std::string(1, c) + "-filler",
+                     std::string(c == 'a' ? 44 : 40, c));
+  }
+  system.BulkLoadVar(kvs, 1.0);
+  ASSERT_EQ(system.DebugCountLeaves(), 1u);
+  const NodeView root(system.fabric().HostRaw(system.DebugRootAddr()),
+                      &system.options().shape);
+  ASSERT_EQ(root.VarFreeBytes(), 67u);
+
+  bool done = false;
+  sim::Spawn([](TreeClient* c, bool* flag) -> sim::Task<void> {
+    const std::string key = "z-dupkey";
+    std::vector<std::pair<std::string, std::string>> batch = {
+        {key, std::string(60, 'A')}, {key, std::string(100, 'B')}};
+    EXPECT_TRUE((co_await c->MultiInsertVar(batch)).ok());
+    std::string got;
+    EXPECT_TRUE((co_await c->LookupVar(Slice(key), &got)).ok());
+    EXPECT_EQ(got, std::string(100, 'B'));
+    *flag = true;
+  }(&system.client(0), &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+  system.DebugCheckInvariants();
 }
 
 // --- TreeClient::MultiDelete -----------------------------------------------

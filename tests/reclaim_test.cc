@@ -578,5 +578,66 @@ TEST(LeaseRaceTest, RecoveryReplayRacesSurvivorMerges) {
   fault::Injector().Reset();
 }
 
+// A merge posts its last two RPCs (the hint invalidate and the free) and
+// releases its leaf without waiting for them. A third CS backs up the
+// leaf's MS memory thread with 200 RPCs (600 us of service, past the
+// 80 us lease) just before the merge, and a second CS waits on the leaf's
+// lock meanwhile. The waiter gets the lock when the merge lets it go: no
+// lease steal, no recovery. The free still parks the leaf once the memory
+// thread reaches it.
+TEST(LeaseRaceTest, MergeReleasesItsLeafAheadOfABackedUpMemoryThread) {
+  fault::Injector().Reset();
+  TreeOptions topt = ShermanOptions();
+  topt.shape.node_size = 256;
+  topt.lock.lease_period_ns = 20'000;
+  topt.lock.lease_expiry_periods = 4;
+  ShermanSystem system(SmallFabric(2, 3), topt);
+  std::vector<std::pair<Key, uint64_t>> kvs;
+  for (Key k = 10; k <= 2000; k += 10) kvs.emplace_back(k, k + 1);
+  system.BulkLoad(kvs, 0.5);
+  // Leaf L = [1510, 1560) holds five keys; its third delete merges it.
+  const TreeShape& shape = system.options().shape;
+  rdma::GlobalAddress leaf = system.DebugRootAddr();
+  while (!NodeView(system.fabric().HostRaw(leaf), &shape).is_leaf()) {
+    leaf = NodeView(system.fabric().HostRaw(leaf), &shape).leftmost_child();
+  }
+  while (NodeView(system.fabric().HostRaw(leaf), &shape).lo_fence() != 1510) {
+    leaf = NodeView(system.fabric().HostRaw(leaf), &shape).sibling();
+    ASSERT_FALSE(leaf.is_null());
+  }
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, rdma::GlobalAddress leaf,
+                bool* flag) -> sim::Task<void> {
+    TreeClient& merger = sys->client(0);
+    EXPECT_TRUE((co_await merger.Delete(1510)).ok());
+    EXPECT_TRUE((co_await merger.Delete(1520)).ok());
+    // 200 RPCs that change nothing (no 7-byte node is ever pooled).
+    rdma::Qp& flood = sys->fabric().qp(2, leaf.node);
+    for (int i = 0; i < 200; i++) flood.PostRpc(kRpcAllocNode, 7);
+    // The waiter's lock CAS lands while the merger holds L.
+    sim::Spawn([](ShermanSystem* sys) -> sim::Task<void> {
+      co_await sys->simulator().Delay(3'000);
+      EXPECT_TRUE((co_await sys->client(1).Insert(1535, 7)).ok());
+    }(sys));
+    EXPECT_TRUE((co_await merger.Delete(1530)).ok());
+    *flag = true;
+  }(&system, leaf, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  EXPECT_EQ(Count(&system, "reclaim.leaf_merges"), 1u);
+  EXPECT_EQ(Count(&system, "lock.lease_steals"), 0u);
+  EXPECT_EQ(Count(&system, "recover.recoveries"), 0u);
+  EXPECT_EQ(Count(&system, "alloc.nodes_freed"), 1u);
+  EXPECT_TRUE(NodeView(system.fabric().HostRaw(leaf), &shape).is_free());
+  system.DebugCheckInvariants();
+  const auto scan = system.DebugScanLeaves();
+  const std::map<Key, uint64_t> final_map(scan.begin(), scan.end());
+  EXPECT_EQ(final_map.count(1530), 0u);
+  ASSERT_EQ(final_map.count(1535), 1u);
+  EXPECT_EQ(final_map.at(1535), 7u);
+}
+
 }  // namespace
 }  // namespace sherman

@@ -724,6 +724,72 @@ TEST(CrashRecoveryTest, CrashAfterSplitAckBeforeLinkReplays) {
   inj.Reset();
 }
 
+// A cross-MS split posts its sibling WRITE beside its intent WRITE. The
+// victim splits a full leaf on MS 0 into a sibling on MS 1 (its allocator
+// starts there) and dies at split.intent: both WRITEs have landed, the
+// commit batch has not. Recovery rolls the split back and retires the
+// written but unlinked sibling; the tree is the bulk load, untouched.
+TEST(CrashRecoveryTest, CrossMsSplitDiesWithItsSiblingWritten) {
+  fault::CrashInjector& inj = fault::Injector();
+  inj.Reset();
+  ShermanSystem system(RecoverFabric(), RecoverOptions());
+  const auto kvs = bench::MakeLoadKvs(120);
+  system.BulkLoad(kvs, 1.0);  // every leaf full: any new key splits
+  Key key = 0;
+  for (const auto& [addr, lo] : LeafLos(&system)) {
+    if (rdma::GlobalAddress::FromU64(addr).node == 0 && lo != 0) {
+      key = lo + 1;  // loaded keys are even
+      break;
+    }
+  }
+  ASSERT_NE(key, 0u);
+  inj.Arm("split.intent", /*nth=*/1, kVictimCs);
+  sim::Spawn([](TreeClient* c, Key k) -> sim::Task<void> {
+    co_await c->Insert(k, 1);
+    ADD_FAILURE() << "the splitting insert returned";
+  }(&system.client(kVictimCs), key));
+  system.simulator().Run();
+  ASSERT_TRUE(inj.fired());
+
+  // The intent names a sibling on the other MS whose bytes have landed.
+  recover::IntentRecord rec;
+  for (uint32_t slot = 0; slot < kIntentSlotsPerClient; slot++) {
+    const recover::IntentRecord r = recover::IntentRecord::Deserialize(
+        system.fabric().HostRaw(
+            recover::IntentSlotAddress(kVictimCs, static_cast<int>(slot))));
+    if (r.op == recover::IntentOp::kSplit) rec = r;
+  }
+  ASSERT_EQ(rec.op, recover::IntentOp::kSplit);
+  ASSERT_EQ(rec.primary.node, 0);
+  ASSERT_EQ(rec.second.node, 1);
+  const NodeView sib(system.fabric().HostRaw(rec.second),
+                     &system.options().shape);
+  EXPECT_TRUE(sib.is_leaf());
+  EXPECT_EQ(sib.lo_fence(), rec.aux) << "the sibling WRITE never landed";
+  EXPECT_EQ(sib.hi_fence(), rec.hi);
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, bool* flag) -> sim::Task<void> {
+    co_await sys->simulator().Delay(8 * kLeasePeriodNs);
+    co_await sys->client(0).recoverer().RecoverDeadOwner(kVictimTag);
+    *flag = true;
+  }(&system, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  EXPECT_EQ(Count(&system, "recover.intents_rolled_back"), 1u);
+  EXPECT_EQ(Count(&system, "recover.orphans_freed"), 1u);
+  EXPECT_EQ(Count(&system, "alloc.nodes_freed"), 1u);
+  system.DebugCheckInvariants();
+  const auto scan = system.DebugScanLeaves();
+  const std::map<Key, uint64_t> got(scan.begin(), scan.end());
+  const std::map<Key, uint64_t> loaded(kvs.begin(), kvs.end());
+  EXPECT_EQ(got, loaded);
+  ExpectAllLanesFree(&system, "cross-ms split");
+  ExpectClientClean(&system, kVictimCs, "cross-ms split");
+  inj.Reset();
+}
+
 // Orphaned reclamation pins: a dead client's in-flight ops must not freeze
 // node recycling forever — recovery releases them (ReclaimEpoch::MarkDead)
 // and the grace lists drain again.
