@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/record_policy.h"
 #include "fault/crash_point.h"
@@ -914,6 +915,17 @@ sim::Task<void> TreeClient::WriteBackAndUnlock(const Locked& locked,
   for (const auto& [off, len] : w.ranges) {
     wrs.push_back(
         rdma::WorkRequest::Write(locked.addr.Plus(off), buf + off, len));
+  }
+  if (!opt().combine_commands && wrs.size() > 1) {
+    // Without command combination the release waits for the write-back,
+    // but the leaf's ranges (a sorted leaf's delete writes its header and
+    // its shifted suffix) still share one doorbell batch. A posted batch
+    // lands whole even if the client dies next; awaited one by one, a
+    // crash between them would leave a leaf that never validates again.
+    rdma::RdmaResult r =
+        co_await QpFor(locked.addr).PostBatch(std::exchange(wrs, {}));
+    if (stats != nullptr) stats->round_trips++;
+    SHERMAN_CHECK(r.status.ok());
   }
   co_await Release(locked, std::move(wrs), stats);
 }

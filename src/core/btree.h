@@ -396,7 +396,8 @@ class TreeClient {
   sim::Task<Status> ReadLeafChasing(Key rk, uint8_t* buf, Fn& visit,
                                     OpStats* stats);
   // Writes back a locked leaf's dirtied ranges (LeafWrite) with the lock
-  // release in one doorbell batch (§4.5).
+  // release in one doorbell batch (§4.5). Without command combination the
+  // ranges still share one batch, and the release follows it.
   sim::Task<void> WriteBackAndUnlock(const Locked& locked, uint8_t* buf,
                                      const LeafWrite& w, OpStats* stats);
   // Ends a locked leaf's removals: merges the leaf into its left sibling

@@ -53,30 +53,10 @@ sim::Task<rdma::GlobalAddress> VlogClient::Open(uint32_t cls,
   co_return base;
 }
 
-sim::Task<Status> VlogClient::Rotate(uint32_t cls, OpStats* stats) {
-  // Caller (Reserve) set `rotating` before the first await, so no other
-  // coroutine can hand out slots or start a second rotation of this class
-  // while the seal below is in flight — `used` is final when it's read.
-  OpenSegment& seg = open_[cls];
-  if (seg.base != rdma::kNullAddress) {
-    // Seal the exhausted segment so the MS knows its final extent count
-    // (GC victim selection only considers sealed segments).
-    co_await fabric_->qp(cs_id_, seg.base.node)
-        .Rpc(kRpcVlogSeal, seg.base.offset, seg.used);
-    if (stats != nullptr) stats->round_trips++;
-  }
-  seg.base = co_await Open(cls, stats);  // the old one is sealed either way
-  seg.used = 0;
-  if (seg.base == rdma::kNullAddress) {
-    co_return Status::OutOfMemory("vlog: no memory for a fresh segment");
-  }
-  co_return Status::OK();
-}
-
 sim::Task<void> VlogClient::OpenAhead(uint32_t cls) {
   OpenSegment& seg = open_[cls];
-  seg.spare = co_await Open(cls, nullptr);
-  seg.opening_spare = false;
+  seg.spare = co_await Open(cls, nullptr);  // null when memory ran out
+  seg.opening = false;
 }
 
 sim::Task<StatusOr<uint64_t>> VlogClient::Reserve(const Slice& key,
@@ -89,40 +69,41 @@ sim::Task<StatusOr<uint64_t>> VlogClient::Reserve(const Slice& key,
   }
   OpenSegment& seg = open_[cls];
   const uint32_t capacity = segment_bytes_ / (kMinExtentBytes << cls);
-  for (;;) {
-    const bool full = seg.base == rdma::kNullAddress || seg.used == capacity;
-    if (seg.rotating || (full && seg.opening_spare)) {
-      // Another coroutine of this client is mid-rotation, or the spare
-      // that replaces a full segment is on its way: wait it out, then
-      // re-check.
-      co_await fabric_->simulator().Delay(200);
-      continue;
+  while (seg.base == rdma::kNullAddress || seg.used == capacity) {
+    if (seg.base != rdma::kNullAddress) {
+      // Retire the full segment. Nothing hands out its extents again, so
+      // its `used` is final and its seal is posted, not awaited.
+      fabric_->qp(cs_id_, seg.base.node)
+          .PostRpc(kRpcVlogSeal, seg.base.offset, seg.used);
+      seg.base = rdma::kNullAddress;
     }
-    if (!full) break;
     if (seg.spare != rdma::kNullAddress) {
-      // Switch to the spare without waiting. The full segment's `used` is
-      // final (nothing hands out its extents again), so its seal is
-      // posted, not awaited.
-      if (seg.base != rdma::kNullAddress) {
-        fabric_->qp(cs_id_, seg.base.node)
-            .PostRpc(kRpcVlogSeal, seg.base.offset, seg.used);
-      }
       seg.base = std::exchange(seg.spare, rdma::kNullAddress);
       seg.used = 0;
       break;
     }
-    seg.rotating = true;  // set BEFORE the first await: serializes slot
-                          // hand-out and rotation per class
-    Status st = co_await Rotate(cls, stats);
-    seg.rotating = false;
-    if (!st.ok()) co_return st;
+    if (seg.opening) {
+      // The next segment is on its way: wait for it, then re-check.
+      co_await fabric_->simulator().Delay(200);
+      continue;
+    }
+    // No spare coming: open the next segment in the foreground.
+    seg.opening = true;
+    const rdma::GlobalAddress fresh = co_await Open(cls, stats);
+    seg.opening = false;
+    if (fresh == rdma::kNullAddress) {
+      co_return Status::OutOfMemory("vlog: no memory for a fresh segment");
+    }
+    seg.base = fresh;
+    seg.used = 0;
   }
   const rdma::GlobalAddress addr =
       seg.base.Plus(static_cast<uint64_t>(seg.used) * (kMinExtentBytes << cls));
   seg.used++;
-  if (seg.spare == rdma::kNullAddress && !seg.opening_spare &&
-      seg.used * 8 >= capacity * kOpenAheadEighths) {
-    seg.opening_spare = true;
+  // Once per segment, so a spare that found no memory is not retried
+  // before the class's next segment.
+  if (seg.used == (capacity * kOpenAheadEighths + 7) / 8) {
+    seg.opening = true;
     sim::Spawn(OpenAhead(cls));
   }
   appends_->Inc();
@@ -204,18 +185,15 @@ sim::Task<void> VlogClient::Retire(uint64_t ptr, OpStats* stats) {
 sim::Task<void> VlogClient::SealOpen(OpStats* stats) {
   for (uint32_t cls = 0; cls < kNumClasses; cls++) {
     OpenSegment& seg = open_[cls];
-    // Serialize against Reserve: a slot handed out while the seal RPC is
-    // in flight would land beyond the sealed `used` — an invisible live
-    // extent the MS would count as drained.
-    while (seg.rotating) co_await fabric_->simulator().Delay(200);
     if (seg.base == rdma::kNullAddress) continue;
-    seg.rotating = true;
-    co_await fabric_->qp(cs_id_, seg.base.node)
-        .Rpc(kRpcVlogSeal, seg.base.offset, seg.used);
+    // Detached before the seal is sent: a reservation meanwhile takes the
+    // spare or opens a segment, so `used` is final.
+    const rdma::GlobalAddress base = std::exchange(seg.base,
+                                                   rdma::kNullAddress);
+    const uint32_t used = seg.used;
+    co_await fabric_->qp(cs_id_, base.node).Rpc(kRpcVlogSeal, base.offset,
+                                                 used);
     if (stats != nullptr) stats->round_trips++;
-    seg.base = rdma::kNullAddress;
-    seg.used = 0;
-    seg.rotating = false;
   }
 }
 

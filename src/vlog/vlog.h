@@ -11,12 +11,13 @@
 // allocates fixed-size extents inside them — appends cost zero extra
 // round trips beyond the value WRITE itself. Each class opens its next
 // segment ahead: once the open one has handed out kOpenAheadEighths/8 of
-// its extents, a background coroutine allocates and registers a spare,
-// so a full segment switches to it without waiting and only posts its
-// seal. A reservation that finds the spare still on its way waits for it;
-// with no spare coming, it rotates in the foreground (seal, chunk and
-// register RPCs), which is why a reservation is the one step of a put
-// that can fail. The MS is the single
+// its extents, a background coroutine allocates and registers a spare.
+// A full segment only posts its seal, and the class goes on in the spare.
+// A reservation that finds the spare still on its way waits for it; with
+// no spare coming (the open-ahead found no memory, and is not retried
+// before the class's next segment), it opens the next segment itself
+// (chunk and register RPCs), which is why a reservation is the one step
+// of a put that can fail. The MS is the single
 // liveness authority: every extent retire (delete, update, GC relocation)
 // is an RPC to the owner MS, which tracks a per-segment dead bitmap and
 // frees a sealed, fully-dead segment onto the PR-4 epoch-protected grace
@@ -59,8 +60,13 @@ inline constexpr uint32_t kRecordHeader = 4;   // [klen u16][vlen u16]
 // extents per thousand written is eligible for TreeClient::VlogGcOnce.
 inline constexpr uint32_t kGcDeadPermille = 250;
 // A class opens its next segment ahead once its open segment has handed
-// out this many eighths of its extents: late enough that a spare rarely
-// idles, early enough that its register RPC lands before the switch.
+// out this many eighths of its extents. In bench_e2e's ycsb-string
+// (seeds 1 and 2), opening at the last extent (8/8) left 3,463-4,325
+// reservations waiting for their spare and raised insert p99 by 1-3%; 7/8
+// left 367-544 waiting, with about 1.5 spares idle in the deployment on
+// average. Opening at install matched 7/8's p99 but kept 13 spares idle
+// (space_amp +0.5%), and a spare taken before its class needs it can
+// deny another class its first segment when memory runs short.
 inline constexpr uint32_t kOpenAheadEighths = 7;
 
 // Packed value-log pointer, as stored in a leaf slot:
@@ -98,9 +104,9 @@ class VlogClient {
              uint32_t segment_bytes);
 
   // Hands out the extent for the record [key|value] and returns its
-  // packed pointer (fingerprint = fp). A full segment switches to its
-  // class's spare, posting its seal; a full or missing one without a
-  // ready spare rotates first (seal, chunk and register RPCs). Counts an
+  // packed pointer (fingerprint = fp). A full segment posts its seal and
+  // the class goes on in its spare; with no spare coming, the reservation
+  // opens the next segment itself (chunk and register RPCs). Counts an
   // append. An extent never written is simply retired.
   sim::Task<StatusOr<uint64_t>> Reserve(const Slice& key, const Slice& value,
                                         uint8_t fp, OpStats* stats);
@@ -124,7 +130,7 @@ class VlogClient {
 
   // Seals every open segment at its MS so GC victim queries can see it.
   // A spare holds no extent, so it is kept: the class's next reservation
-  // opens it. Every registered segment is thus sealed or still this
+  // goes on in it. Every registered segment is thus sealed or still this
   // client's to fill.
   sim::Task<void> SealOpen(OpStats* stats);
 
@@ -143,26 +149,21 @@ class VlogClient {
 
  private:
   struct OpenSegment {
-    rdma::GlobalAddress base = rdma::kNullAddress;
+    rdma::GlobalAddress base = rdma::kNullAddress;  // null while none is open
     uint32_t used = 0;  // extents handed out
-    // Rotation-in-flight flag. Coroutines sharing one client (worker
-    // threads of a CS) may Reserve in the same class concurrently; two
-    // overlapping rotations would double-seal with a stale `used` (the MS
-    // then frees a segment that still has a reserved extent) and leak one
-    // of the two fresh segments. Reservations wait this flag out and
-    // re-check.
-    bool rotating = false;
-    // The next segment, registered ahead (null until OpenAhead lands),
-    // and whether OpenAhead is in flight.
+    // The next segment, registered ahead (null until OpenAhead lands).
     rdma::GlobalAddress spare = rdma::kNullAddress;
-    bool opening_spare = false;
+    // An Open of this class is in flight, the spare's or a foreground
+    // one. Coroutines sharing one client (worker threads of a CS) may
+    // Reserve in the same class concurrently; a reservation that finds
+    // no room waits this flag out and re-checks, so a class never opens
+    // two segments at once.
+    bool opening = false;
   };
 
   // Allocates and registers a fresh segment of class `cls`; null when
   // memory is exhausted.
   sim::Task<rdma::GlobalAddress> Open(uint32_t cls, OpStats* stats);
-  // Seals the open segment (awaited) and opens its successor.
-  sim::Task<Status> Rotate(uint32_t cls, OpStats* stats);
   // Opens the class's spare in the background.
   sim::Task<void> OpenAhead(uint32_t cls);
 

@@ -1774,13 +1774,16 @@ std::vector<OpCost> VarOpCosts() {
 // ack (TreeClient::LinkLeafSplit), so the row after it absorbs the
 // linker's traffic. A cross-MS split's sibling WRITE rides beside its
 // intent WRITE and counts no round trip of its own. A merge posts its
-// leaf's free and does not wait for it. A put or delete that supersedes an out-of-line value
-// posts its retire without waiting; vlog.gc.seal queues behind the last
-// such retire at the memory thread. An out-of-line put's value WRITE
-// rides beside its lock CAS and leaf READ and still counts a round trip.
-// It costs 258 ns over an inline put: the CAS response queues behind the
-// WRITE's ack on the MS's TX engine. The first one also pays its
-// segment's register RPC before the lock.
+// leaf's free and does not wait for it. Without command combination a
+// delete's two write-back ranges (header, shifted suffix) share one
+// doorbell batch, and the release follows. A put or delete that
+// supersedes an out-of-line value posts its retire without waiting;
+// vlog.gc.seal queues behind the last such retire at the memory thread.
+// An out-of-line put's value WRITE rides beside its lock CAS and leaf
+// READ and still counts a round trip. It costs 258 ns over an inline
+// put: the CAS response queues behind the WRITE's ack on the MS's TX
+// engine. The first one also pays its segment's register RPC before the
+// lock.
 const std::vector<OpCost> kShermanFixedCosts = {
     {"lookup.cold", 5, 0, 0, 0, 0, 1, 9678},
     {"lookup.cached", 1, 0, 0, 0, 1, 0, 2383},
@@ -1813,14 +1816,14 @@ const std::vector<OpCost> kFgFixedCosts = {
     {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
     {"insert.new", 4, 0, 0, 256, 1, 0, 7908},
     {"insert.split", 5, 0, 0, 512, 1, 0, 19246},
-    {"delete.plain", 6, 0, 0, 66, 0, 1, 11791},
-    {"delete.plain", 6, 0, 0, 138, 0, 1, 11408},
-    {"delete.plain", 5, 0, 0, 120, 1, 0, 9574},
+    {"delete.plain", 5, 0, 0, 66, 0, 1, 10495},
+    {"delete.plain", 5, 0, 0, 138, 0, 1, 10112},
+    {"delete.plain", 4, 0, 0, 120, 1, 0, 8278},
     {"delete.merge", 14, 0, 0, 768, 1, 0, 27387},
     {"range", 6, 0, 0, 0, 0, 1, 6815},
     {"multiget", 1, 0, 0, 0, 5, 0, 3149},
     {"multiinsert", 9, 0, 0, 512, 2, 1, 9941},
-    {"multidelete", 10, 0, 0, 204, 3, 0, 9793},
+    {"multidelete", 8, 0, 0, 204, 3, 0, 8497},
 };
 
 const std::vector<OpCost> kVarCosts = {

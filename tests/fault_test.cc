@@ -228,6 +228,70 @@ TEST(FaultTest, FailedVarBatchRetiresItsReservedExtents) {
       << "the failed batch wrote its leaf";
 }
 
+// A spare segment that found no memory is not asked for again before its
+// class's next segment. One MS leaves the client a single 8 MB chunk:
+// four 2 MB segments, three of them taken by classes 1 to 3. 8,000 B
+// values take 8 KB extents (class 7, 256 to a segment), and the class-7
+// segment opens its spare at its 224th extent, which finds no memory.
+// The segment's last extents then cost no alloc RPC, and the put after
+// the last one fails in its reservation.
+TEST(FaultTest, FailedOpenAheadIsNotRetriedWithinItsSegment) {
+  TreeOptions topt = ShermanOptions();
+  topt.two_level_versions = false;  // varlen requires sorted leaves
+  topt.shape.varlen = true;
+  topt.vlog_segment_bytes = 2 << 20;
+  ShermanSystem system(
+      SmallFabric(1, 1, kChunkAreaOffset + 2 * kChunkSize + kChunkSize / 2),
+      topt);
+  system.BulkLoadVar({}, 0.8);
+  obs::MetricsSnapshot before, after;
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* s, obs::MetricsSnapshot* before,
+                obs::MetricsSnapshot* after, bool* flag) -> sim::Task<void> {
+    TreeClient& c = s->client(0);
+    const uint32_t sizes[] = {100, 200, 400};
+    for (int n = 0; n < 3; n++) {
+      const std::string k = LongKey(n);
+      const std::string v(sizes[n], 'v');
+      const Status st = co_await c.InsertVar(Slice(k), Slice(v));
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    // Updates of one key: each reserves an extent and retires the last.
+    const std::string k = LongKey(3);
+    const auto put = [&c, &k](int i) -> sim::Task<Status> {
+      const std::string v(8000, static_cast<char>('a' + i % 26));
+      co_return co_await c.InsertVar(Slice(k), Slice(v));
+    };
+    int i = 0;
+    for (; i < 230; i++) {
+      const Status st = co_await put(i);
+      EXPECT_TRUE(st.ok()) << i << ": " << st.ToString();
+    }
+    co_await s->simulator().Delay(100'000);  // the spare failed by now
+    *before = s->registry().Snapshot();
+    for (; i < 256; i++) {
+      const Status st = co_await put(i);
+      EXPECT_TRUE(st.ok()) << i << ": " << st.ToString();
+    }
+    co_await s->simulator().Delay(100'000);
+    *after = s->registry().Snapshot();
+    const Status st = co_await put(i);
+    EXPECT_TRUE(st.IsOutOfMemory()) << st.ToString();
+    *flag = true;
+  }(&system, &before, &after, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  EXPECT_EQ(after.counter("vlog.segments_opened"), 4u);
+  const uint64_t rpcs =
+      after.counter("rdma.rpcs") - before.counter("rdma.rpcs");
+  const uint64_t retires =
+      after.counter("vlog.retires") - before.counter("vlog.retires");
+  EXPECT_EQ(retires, 26u);
+  EXPECT_EQ(rpcs, retires) << "a full class asked for its spare again";
+}
+
 TEST(EdgeCaseTest, MinimalAndHugeKeys) {
   ShermanSystem system(SmallFabric(), ShermanOptions());
   system.BulkLoad({}, 0.8);

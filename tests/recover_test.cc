@@ -790,6 +790,82 @@ TEST(CrashRecoveryTest, CrossMsSplitDiesWithItsSiblingWritten) {
   inj.Reset();
 }
 
+// FG+ (sorted leaves, checksums, no command combination) writes a delete
+// back as two ranges, the header and the shifted suffix, posted as one
+// doorbell batch. The victim dies the instant the header lands, before
+// its release: the suffix must land too, so once recovery sweeps the lane
+// every other key reads back and the deleted one is gone. Awaited one
+// WRITE at a time, the suffix never went out, and no reader validated the
+// leaf again.
+TEST(CrashRecoveryTest, SortedLeafDeleteLandsWhole) {
+  fault::CrashInjector& inj = fault::Injector();
+  inj.Reset();
+  TreeOptions topt = FgPlusOptions();
+  topt.shape.node_size = 256;
+  topt.lock.lease_period_ns = kLeasePeriodNs;
+  topt.lock.lease_expiry_periods = 4;
+  ShermanSystem system(RecoverFabric(), topt);
+  const auto kvs = bench::MakeLoadKvs(120);
+  system.BulkLoad(kvs, 0.9);
+  rdma::GlobalAddress leaf = rdma::kNullAddress;
+  Key key = 0;
+  for (const auto& [addr, lo] : LeafLos(&system)) {
+    if (lo != 0) {
+      leaf = rdma::GlobalAddress::FromU64(addr);
+      key = lo + 8;  // the fifth of nine entries; loaded keys are even
+      break;
+    }
+  }
+  ASSERT_NE(key, 0u);
+  uint8_t* host = system.fabric().HostRaw(leaf);
+  const uint32_t count = NodeView(host, &topt.shape).count();
+
+  sim::Spawn([](TreeClient* c, Key k) -> sim::Task<void> {
+    co_await c->Delete(k);
+    ADD_FAILURE() << "the delete returned";
+  }(&system.client(kVictimCs), key));
+  bool killed = false;
+  sim::Spawn([](ShermanSystem* sys, uint8_t* h, const TreeShape* shape,
+                uint32_t n, bool* flag) -> sim::Task<void> {
+    for (int i = 0; i < 100'000 && NodeView(h, shape).count() == n; i++) {
+      co_await sys->simulator().Delay(10);
+    }
+    fault::Injector().KillClient(kVictimCs);
+    *flag = NodeView(h, shape).count() == n - 1;
+  }(&system, host, &system.options().shape, count, &killed));
+  system.simulator().Run();
+  ASSERT_TRUE(killed) << "the delete's write-back never landed";
+
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, bool* flag) -> sim::Task<void> {
+    co_await sys->simulator().Delay(8 * kLeasePeriodNs);
+    co_await sys->client(0).recoverer().RecoverDeadOwner(kVictimTag);
+    *flag = true;
+  }(&system, &done));
+  system.simulator().Run();
+  ASSERT_TRUE(done);
+
+  int bad = 0;
+  sim::Spawn([](TreeClient* c, const std::vector<std::pair<Key, uint64_t>>* kv,
+                Key gone, int* bad_out) -> sim::Task<void> {
+    for (const auto& [k, v] : *kv) {
+      uint64_t got = 0;
+      const Status st = co_await c->Lookup(k, &got);
+      const bool ok = k == gone ? st.IsNotFound() : st.ok() && got == v;
+      if (!ok) {
+        ADD_FAILURE() << "key " << k << ": " << st.ToString();
+        ++*bad_out;
+      }
+    }
+  }(&system.client(0), &kvs, key, &bad));
+  system.simulator().Run();
+  EXPECT_EQ(bad, 0);
+  system.DebugCheckInvariants();
+  ExpectAllLanesFree(&system, "sorted-leaf delete");
+  ExpectClientClean(&system, kVictimCs, "sorted-leaf delete");
+  inj.Reset();
+}
+
 // Orphaned reclamation pins: a dead client's in-flight ops must not freeze
 // node recycling forever — recovery releases them (ReclaimEpoch::MarkDead)
 // and the grace lists drain again.
