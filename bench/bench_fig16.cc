@@ -7,6 +7,10 @@
 // 2.89x; the hierarchical structure 3.85x; wait queues cut p99 414 -> 372
 // us; handover adds another 2.34x with 3.19x lower p99 (final p50 3.6 us,
 // p99 117 us).
+//
+// Gate (exit 1 on failure, --quick included): each stage's claim as an
+// ordering. On-Chip and then Hierarchical raise Mops, Wait Queue lowers
+// p99 below Hierarchical's, and Handover beats Wait Queue on both.
 #include "common.h"
 #include "lock_bench.h"
 
@@ -54,7 +58,10 @@ int main(int argc, char** argv) {
   Table table("Figure 16: HOCL ablation (skew 0.99, 176 threads, 10240 locks)");
   table.SetColumns({"stage", "Mops", "p50(us)", "p99(us)", "handovers",
                     "cas failures", "paper"});
-  for (const Stage& s : stages) {
+  double mops[5];
+  double p99_us[5];
+  for (int i = 0; i < 5; i++) {
+    const Stage& s = stages[i];
     LockBenchOptions opt;
     opt.num_cs = 8;
     opt.threads_per_cs = 22;
@@ -63,9 +70,10 @@ int main(int argc, char** argv) {
     opt.measure_ns = quick ? 4'000'000 : 10'000'000;
     opt.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
     const LockBenchResult r = RunLockBench(opt);
-    telemetry.Metric(std::string("fig16.mops/") + s.name, r.mops);
-    telemetry.Metric(std::string("fig16.p99_us/") + s.name,
-                     static_cast<double>(r.latency_ns.P99()) / 1000.0);
+    mops[i] = r.mops;
+    p99_us[i] = static_cast<double>(r.latency_ns.P99()) / 1000.0;
+    telemetry.Metric(std::string("fig16.mops/") + s.name, mops[i]);
+    telemetry.Metric(std::string("fig16.p99_us/") + s.name, p99_us[i]);
     telemetry.CounterMetric(std::string("fig16.handovers/") + s.name,
                             r.handovers);
     table.AddRow({s.name, Fmt(r.mops), FmtUs(r.latency_ns.P50()),
@@ -74,5 +82,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[fig16] %s done (%.2f Mops)\n", s.name, r.mops);
   }
   table.Print();
-  return 0;
+
+  // Stages: 0 Baseline, 1 On-Chip, 2 Hierarchical, 3 Wait Queue, 4 Handover.
+  const bool onchip_ok = mops[1] > mops[0];
+  const bool hier_ok = mops[2] > mops[1];
+  const bool wq_ok = p99_us[3] < p99_us[2];
+  const bool handover_ok = mops[4] > mops[3] && p99_us[4] < p99_us[3];
+  telemetry.Gate("onchip_mops_gt_baseline", onchip_ok, mops[1] / mops[0]);
+  telemetry.Gate("hierarchical_mops_gt_onchip", hier_ok, mops[2] / mops[1]);
+  telemetry.Gate("waitqueue_p99_lt_hierarchical", wq_ok,
+                 p99_us[3] / p99_us[2]);
+  telemetry.Gate("handover_beats_waitqueue", handover_ok,
+                 mops[4] / mops[3]);
+  std::printf("\nOn-Chip > Baseline Mops (gate): %.2fx %s\n"
+              "Hierarchical > On-Chip Mops (gate): %.2fx %s\n"
+              "Wait Queue < Hierarchical p99 (gate): %.1f < %.1f us %s\n"
+              "Handover > Wait Queue Mops, < its p99 (gate): %.2fx, "
+              "%.1f < %.1f us %s\n",
+              mops[1] / mops[0], onchip_ok ? "yes" : "no", mops[2] / mops[1],
+              hier_ok ? "yes" : "no", p99_us[3], p99_us[2],
+              wq_ok ? "yes" : "no", mops[4] / mops[3], p99_us[4], p99_us[3],
+              handover_ok ? "yes" : "no");
+  if (onchip_ok && hier_ok && wq_ok && handover_ok) return 0;
+  std::printf("FAIL: Fig. 16 HOCL ablation gate\n");
+  return 1;
 }

@@ -33,7 +33,8 @@ RUN_FIELDS = ("mops", "ops", "measured_ns", "p50_us", "p90_us", "p99_us")
 
 # The CI reference set: every smoke-run bench must leave its artifact.
 FULL_SET = ("ablation", "churn", "elastic", "fig12", "fig14", "fig15",
-            "hybrid", "lookup1rtt", "pipeline", "rdwc", "recover", "varlen")
+            "fig16", "hybrid", "lookup1rtt", "pipeline", "rdwc", "recover",
+            "varlen")
 
 
 def check(path):

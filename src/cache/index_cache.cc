@@ -24,7 +24,8 @@ IndexCache::IndexCache(uint64_t capacity_bytes, uint32_t node_bytes,
       upper_hits_(registry->GetCounter("cache.upper_hits")),
       upper_misses_(registry->GetCounter("cache.upper_misses")),
       evictions_(registry->GetCounter("cache.evictions")),
-      invalidations_(registry->GetCounter("cache.invalidations")) {}
+      invalidations_(registry->GetCounter("cache.invalidations")),
+      registry_(registry) {}
 
 IndexCache::Entry* IndexCache::Covering(Level& level, Key key) {
   auto it = level.upper_bound(key);  // first lo > key
@@ -89,6 +90,26 @@ void IndexCache::InvalidateLevel1Covering(Key key) {
     invalidations_->Inc();
     Erase(e);
   }
+}
+
+bool IndexCache::LearnSplit(Key key, rdma::GlobalAddress leaf, Key leaf_hi,
+                            rdma::GlobalAddress sibling) {
+  Entry* e = Covering(levels_[1], key);
+  if (e == nullptr || sibling.is_null()) return false;
+  ParsedInternal& n = e->node;
+  if (leaf_hi <= n.lo || leaf_hi >= n.hi || n.ChildFor(leaf_hi) != leaf) {
+    return false;
+  }
+  // A child of `leaf` that already starts at leaf_hi is no split but a
+  // recycled address: the node is stale in a way no split explains.
+  const size_t i = n.ChildIndex(leaf_hi);
+  if (i > 0 && n.entries[i - 1].first == leaf_hi) return false;
+  n.entries.insert(n.entries.begin() + i, {leaf_hi, sibling});
+  if (splits_learned_ == nullptr) {
+    splits_learned_ = registry_->GetCounter("cache.splits_learned");
+  }
+  splits_learned_->Inc();
+  return true;
 }
 
 void IndexCache::InvalidateUpperCovering(Key key, rdma::GlobalAddress child) {

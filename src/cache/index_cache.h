@@ -19,8 +19,10 @@
 // LRU-evicted like any other cached node instead of growing without bound.
 //
 // The cache never causes consistency issues: fetched nodes carry fence keys
-// and level, which the tree validates; on violation the tree calls
-// Invalidate() and retries (the paper's lazy invalidation).
+// and level, which the tree validates. A leaf that validates teaches the
+// cached level-1 node its split (LearnSplit), so a chase the split explains
+// keeps the node. Only a dead end no split explains makes the tree call
+// Invalidate() and retry (the paper's lazy invalidation).
 #ifndef SHERMAN_CACHE_INDEX_CACHE_H_
 #define SHERMAN_CACHE_INDEX_CACHE_H_
 
@@ -65,6 +67,15 @@ class IndexCache {
   // when the leaf it steered to failed its fence check (lazy invalidation,
   // §4.2.3).
   void InvalidateLevel1Covering(Key key);
+
+  // Teaches the type-① entry covering `key` that `leaf` split at `leaf_hi`
+  // into `sibling`: adds the child (leaf_hi -> sibling). Only when that
+  // entry still routes leaf_hi to leaf and leaf_hi lies strictly inside its
+  // fences; otherwise changes nothing and returns false. The entry may then
+  // hold more children than a real node, and stays as advisory as any
+  // cached one: a wrong child costs a chase or a restart.
+  bool LearnSplit(Key key, rdma::GlobalAddress leaf, Key leaf_hi,
+                  rdma::GlobalAddress sibling);
 
   // Drops type-② entries covering `key` whose child pointer for `key` is
   // `child` — called when a descent through `child` found a tombstoned
@@ -119,6 +130,10 @@ class IndexCache {
                                 // rather than replace it
   obs::Counter* evictions_;
   obs::Counter* invalidations_;
+  // cache.splits_learned, registered on the first learned split so a
+  // deployment that never learns one has no such key.
+  obs::Registry* registry_;
+  obs::Counter* splits_learned_ = nullptr;
 };
 
 }  // namespace sherman

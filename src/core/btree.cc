@@ -406,6 +406,11 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockChasing(
     SHERMAN_CHECK(st.ok());
     NodeView view(buf, &o.shape);
     const bool usable = !view.is_free() && view.level() == level;
+    // A leaf that validates teaches the cached parent its split, if the
+    // parent has not seen it (as in ReadLeafChasing).
+    const bool learned =
+        usable && level == 0 && key >= view.lo_fence() &&
+        cache_.LearnSplit(key, addr, view.hi_fence(), view.sibling());
     if (usable && view.InFence(key)) co_return Locked{addr, guard, owned};
     const rdma::GlobalAddress next = (usable && key >= view.hi_fence())
                                          ? view.sibling()
@@ -417,7 +422,10 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockChasing(
     // posted release lands even if this client dies next.
     if (owned) sim::Spawn(hocl_.Unlock(guard, {}, o.combine_commands, nullptr));
     if (first) {
-      cache_.InvalidateLevel1Covering(key);
+      // Only a leaf was reached through a level-1 translation: a hop above
+      // (the linker's ascent, a repair lock) leaves the cached level-1
+      // nodes alone, and a chase the split explains keeps its parent.
+      if (level == 0 && !learned) cache_.InvalidateLevel1Covering(key);
       // A root has no right sibling: a cached root found with one is stale
       // (the tree grew since this client loaded it), and would start every
       // later descent from the leftmost leaf.
@@ -447,7 +455,7 @@ sim::Task<StatusOr<TreeClient::Locked>> TreeClient::LockCovering(
   StatusOr<Locked> lr =
       co_await LockChasing(start, key, buf, stats, level, held, how);
   if (!lr.ok() && lr.status().IsRetry()) {
-    // LockChasing drops at most a first lock's level-1 translation, and
+    // LockChasing drops at most a first leaf lock's level-1 translation, and
     // whatever steered this resolve (a cached parent naming a migration
     // tombstone or a merged-away node) would steer the next one back here.
     if (level == 0) {
@@ -864,8 +872,12 @@ sim::Task<Status> TreeClient::ReadLeafChasing(Key rk, uint8_t* buf, Fn& visit,
         restart = true;
         break;
       }
+      // A valid leaf teaches the cached parent its split if the parent
+      // has not seen it: the key's own leaf as well as one chased past.
+      const bool learned =
+          cache_.LearnSplit(rk, addr, view.hi_fence(), view.sibling());
       if (rk >= view.hi_fence()) {
-        cache_.InvalidateLevel1Covering(rk);
+        if (!learned) cache_.InvalidateLevel1Covering(rk);
         if (addr == root_addr_) root_known_ = false;  // stale (see LockChasing)
         // Valid hinted leaf, but the key split off to its right since the
         // mirror was fetched; the B-link chase still serves it.
@@ -1101,8 +1113,10 @@ sim::Task<Status> TreeClient::SplitLeafAndUnlock(R& rec, Locked locked,
                        sib_addr, new_version, buf.data(), sib_buf.data(),
                        intent_slot, stats);
   // The put has committed: the sibling is reachable through this leaf's
-  // B-link pointer. The parent link is left to a linker so the put
-  // returns now (a departure from Figure 7, line 39).
+  // B-link pointer. This client's cached parent learns the split now; the
+  // parent link is left to a linker so the put returns now (a departure
+  // from Figure 7, line 39).
+  cache_.LearnSplit(split_key, locked.addr, split_key, sib_addr);
   sim::Spawn(LinkLeafSplit(split_key, sib_addr, intent_slot));
   co_return Status::OK();
 }
@@ -1488,30 +1502,41 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
       hinted = r->via_hint;
     }
 
+    // Each leaf is collected once its own READ lands: under load the
+    // batch's responses land spread out, and the leaves before the last
+    // one need not wait for it.
     bufs.assign(leaves.size(), std::vector<uint8_t>(node_size()));
     read_ns.assign(leaves.size(), 0);
+    std::vector<sim::CountdownLatch> landed(leaves.size(),
+                                            sim::CountdownLatch(1));
     {
       SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr,
                      "rdma.read_batch", leaves.size());
-      sim::CountdownLatch latch(leaves.size());
       for (size_t i = 0; i < leaves.size(); i++) {
         sim::Spawn(ReadInto(leaves[i], bufs[i].data(), node_size(),
-                            &read_ns[i], &latch));
+                            &read_ns[i], &landed[i]));
       }
-      co_await latch.Wait();
+      co_await landed[0].Wait();
     }
     if (stats != nullptr) {
       stats->round_trips += static_cast<uint32_t>(leaves.size());
     }
 
+    std::optional<Status> result;  // how the scan ends, once it does
     bool restart = false;
-    for (size_t i = 0; i < leaves.size() && !restart; i++) {
+    for (size_t i = 0; i < leaves.size() && !restart && !result; i++) {
+      if (!landed[i].done()) {
+        SHERMAN_TEVENT(stats != nullptr ? stats->trace : nullptr, "rdma.read",
+                       node_size(), leaves[i].node);
+        co_await landed[i].Wait();
+      }
       uint32_t rereads = 0;
       uint32_t wrap_retries = 0;
       int chases = 0;
       while (true) {
         if (rereads > kMaxReadRetries) {
-          co_return Status::TimedOut("scan leaf retries exhausted");
+          result = Status::TimedOut("scan leaf retries exhausted");
+          break;
         }
         NodeView view(bufs[i].data(), &o.shape);
         bool reread_needed = !NodeConsistent(bufs[i].data());
@@ -1571,21 +1596,31 @@ sim::Task<Status> TreeClient::Scan(R rec, uint32_t count,
             scan_fill_ += w * (live - scan_fill_);
             cursor = view.hi_fence();
             if (out->size() >= count || cursor == kMaxKey) {
-              co_return Status::OK();
+              result = Status::OK();
             }
             break;
           }
-          if (!st.IsRetry()) co_return st;
+          if (!st.IsRetry()) {
+            result = st;
+            break;
+          }
         }
         // Re-read this leaf.
         if (stats != nullptr) stats->read_retries++;
         rereads++;
         const sim::SimTime start = sim.now();
         st = co_await ReadRaw(leaves[i], bufs[i].data(), node_size(), stats);
-        if (!st.ok()) co_return st;
+        if (!st.ok()) {
+          result = st;
+          break;
+        }
         read_ns[i] = sim.now() - start;
       }
     }
+    // A restart reuses the buffers, and a return frees them and the
+    // latches: the batch's READs still in flight land first.
+    for (sim::CountdownLatch& l : landed) co_await l.Wait();
+    if (result.has_value()) co_return *result;
     if (restart) {
       // Repeated bounces off one tombstone may mean its writer died
       // mid-structural-op (see ReadLeafChasing).

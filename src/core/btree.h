@@ -347,8 +347,10 @@ class TreeClient {
   // its release is posted and the chase goes on without awaiting it.
   //
   // `held` names the locks the caller already holds (null = none). A
-  // first lock (nothing held) waits, drops the level-1 translation on a
-  // miss and traces tree.lock_read. A lock taken while holding others
+  // first lock (nothing held) waits and traces tree.lock_read, and a leaf
+  // hop of it drops the level-1 translation unless a learned split
+  // explains the hop (IndexCache::LearnSplit, which every validated leaf
+  // calls). A lock taken while holding others
   // checks each hop's lane against `held` (see Locked) and acquires as
   // `how` says; HOCL's multi-lock rule (lock/hocl.h) asks for kTry.
   sim::Task<StatusOr<Locked>> LockChasing(
@@ -388,10 +390,12 @@ class TreeClient {
   sim::Task<StatusOr<Locked>> LockLeaf(Key rk, uint8_t* buf, OpStats* stats);
   // The validated-leaf chase loop of the lock-free point read: resolves
   // the leaf covering `rk`, reads it validated into `buf`, chases B-link
-  // siblings, bounces off dead ends (restarting, refreshing a stale root,
-  // probing a repeatedly met tombstone's lock for recovery), and hands the
-  // leaf covering `rk` to `visit(view, &done)`, which returns true when
-  // the op finished (its status in *done) and false to re-read the leaf.
+  // siblings (each validated leaf teaches the cached parent its split, as
+  // in LockChasing), bounces off dead ends (restarting, refreshing a stale
+  // root, probing a repeatedly met tombstone's lock for recovery), and
+  // hands the leaf covering `rk` to `visit(view, &done)`, which returns
+  // true when the op finished (its status in *done) and false to re-read
+  // the leaf.
   template <class Fn>
   sim::Task<Status> ReadLeafChasing(Key rk, uint8_t* buf, Fn& visit,
                                     OpStats* stats);
@@ -416,9 +420,10 @@ class TreeClient {
   // each READ batch from the cached level-1 nodes' child fences and the
   // observed leaf fill (scan_fill_), just the leaves the rest of the range
   // needs (up to 16, across adjacent cached level-1 nodes), fetches them
-  // with parallel READs, validates each, chases siblings, and re-reads
-  // torn or slow leaves; the policy collects each leaf (R::ScanLeaf) and
-  // reports its live entries.
+  // with parallel READs, validates each as its own READ lands, chases
+  // siblings, and re-reads torn or slow leaves; the policy collects each
+  // leaf (R::ScanLeaf) and reports its live entries. A restart or return
+  // first waits for the batch's READs still in flight.
   template <class R>
   sim::Task<Status> Scan(R rec, uint32_t count,
                          std::vector<typename R::ScanEntry>* out,

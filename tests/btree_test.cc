@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -1783,7 +1784,9 @@ std::vector<OpCost> VarOpCosts() {
 // READ and still counts a round trip. It costs 258 ns over an inline
 // put: the CAS response queues behind the WRITE's ack on the MS's TX
 // engine. The first one also pays its segment's register RPC before the
-// lock.
+// lock. The splitting put's cached parent learns the split at its commit,
+// so multigetvar reads 505 from the split's sibling without a chase, and a
+// range collects each leaf as its own READ lands.
 const std::vector<OpCost> kShermanFixedCosts = {
     {"lookup.cold", 5, 0, 0, 0, 0, 1, 9678},
     {"lookup.cached", 1, 0, 0, 0, 1, 0, 2383},
@@ -1799,7 +1802,7 @@ const std::vector<OpCost> kShermanFixedCosts = {
     {"delete.plain", 4, 0, 0, 18, 0, 1, 7227},
     {"delete.plain", 3, 0, 0, 18, 1, 0, 5394},
     {"delete.merge", 12, 0, 0, 768, 1, 0, 21440},
-    {"range", 6, 0, 0, 0, 0, 1, 7315},
+    {"range", 6, 0, 0, 0, 0, 1, 7249},
     {"multiget", 1, 0, 0, 0, 5, 0, 3649},
     {"multiinsert", 7, 0, 0, 54, 2, 1, 7928},
     {"multidelete", 6, 0, 0, 36, 3, 0, 5716},
@@ -1820,7 +1823,7 @@ const std::vector<OpCost> kFgFixedCosts = {
     {"delete.plain", 5, 0, 0, 138, 0, 1, 10112},
     {"delete.plain", 4, 0, 0, 120, 1, 0, 8278},
     {"delete.merge", 14, 0, 0, 768, 1, 0, 27387},
-    {"range", 6, 0, 0, 0, 0, 1, 6815},
+    {"range", 6, 0, 0, 0, 0, 1, 6749},
     {"multiget", 1, 0, 0, 0, 5, 0, 3149},
     {"multiinsert", 9, 0, 0, 512, 2, 1, 9941},
     {"multidelete", 8, 0, 0, 204, 3, 0, 8497},
@@ -1839,8 +1842,8 @@ const std::vector<OpCost> kVarCosts = {
     {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7774},
     {"deletevar.plain", 4, 0, 0, 512, 0, 1, 7331},
     {"deletevar.merge", 12, 0, 0, 1536, 1, 0, 21729},
-    {"scanvar", 3, 0, 0, 0, 0, 0, 4520},
-    {"multigetvar", 6, 0, 0, 0, 3, 2, 10935},
+    {"scanvar", 3, 0, 0, 0, 0, 0, 4478},
+    {"multigetvar", 4, 0, 0, 0, 3, 1, 6757},
     {"multiinsertvar", 4, 0, 0, 624, 3, 0, 6103},
     {"insertvar.outline", 4, 0, 0, 624, 1, 0, 5700},
     {"insertvar.outline", 4, 0, 0, 624, 1, 0, 5700},
@@ -1990,6 +1993,192 @@ TEST(LockChaseTest, ChasedLeafReleaseIsPosted) {
     EXPECT_EQ(LaneOf(&system, addr), 0u) << addr.ToString();
   }
   system.DebugCheckInvariants();
+}
+
+// --- learned splits ----------------------------------------------------------
+// A leaf that validates teaches the cached level-1 node its split, and a
+// splitter teaches its own, so an op the split would have sent on a chase
+// goes straight to the sibling, and the node stays cached.
+
+// The LockChaseTest tree: 256-byte nodes, keys 10, 20, ..., 2000 loaded
+// five to a leaf, on two CSs.
+std::unique_ptr<ShermanSystem> ChaseTree() {
+  TreeOptions topt = ShermanOptions();
+  topt.shape.node_size = 256;
+  auto system = std::make_unique<ShermanSystem>(SmallFabric(2, 2), topt);
+  std::vector<std::pair<Key, uint64_t>> kvs;
+  for (Key k = 10; k <= 2000; k += 10) kvs.emplace_back(k, k + 1);
+  system->BulkLoad(kvs, 0.5);
+  return system;
+}
+
+// CS 0 caches leaf L's parent; CS 1 splits L = [460, 510) at 502 and the
+// link lands. CS 0's lookup of 470, left of the separator, reads L and
+// learns its new hi fence and sibling. Its lookup of 505 then goes straight
+// to the sibling, and a later lookup under the parent still hits. Dropping
+// the parent instead cost 505 a chase and 480 a miss.
+TEST(LearnSplitTest, LeafReadTeachesTheCachedParent) {
+  std::unique_ptr<ShermanSystem> system = ChaseTree();
+  std::vector<OpStats> stats(3);
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, std::vector<OpStats>* stats,
+                bool* flag) -> sim::Task<void> {
+    TreeClient& c0 = sys->client(0);
+    TreeClient& c1 = sys->client(1);
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await c0.Lookup(500, &v)).ok());  // caches L's parent
+    for (Key k = 501; k <= 507; k++) {
+      EXPECT_TRUE((co_await c1.Insert(k, k)).ok());
+    }
+    co_await sys->simulator().Delay(100'000);  // the link lands
+    EXPECT_TRUE((co_await c0.Lookup(470, &v, &(*stats)[0])).ok());
+    EXPECT_TRUE((co_await c0.Lookup(505, &v, &(*stats)[1])).ok());
+    EXPECT_EQ(v, 505u);
+    EXPECT_TRUE((co_await c0.Lookup(480, &v, &(*stats)[2])).ok());
+    EXPECT_EQ(v, 481u);
+    *flag = true;
+  }(system.get(), &stats, &done));
+  system->simulator().Run();
+  ASSERT_TRUE(done);
+  for (size_t i = 0; i < stats.size(); i++) {
+    EXPECT_EQ(stats[i].round_trips, 1u) << "lookup " << i;
+    EXPECT_EQ(stats[i].cache_hits, 1u) << "lookup " << i;
+    EXPECT_EQ(stats[i].cache_misses, 0u) << "lookup " << i;
+  }
+  const obs::MetricsSnapshot snap = system->registry().Snapshot();
+  EXPECT_GE(snap.counter("cache.splits_learned"), 1u);
+  EXPECT_EQ(snap.counter("cache.invalidations"), 0u);
+  system->DebugCheckInvariants();
+}
+
+// Right after its splitting insert returns, before the link lands, CS 1
+// looks up a key of the new sibling: its cached parent learned the split
+// at the commit, so the READ goes straight to the sibling.
+TEST(LearnSplitTest, SplitterTeachesItsOwnCachedParent) {
+  std::unique_ptr<ShermanSystem> system = ChaseTree();
+  OpStats stats;
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, OpStats* stats,
+                bool* flag) -> sim::Task<void> {
+    TreeClient& c1 = sys->client(1);
+    const size_t leaves = sys->DebugCountLeaves();
+    for (Key k = 501; k <= 507; k++) {
+      EXPECT_TRUE((co_await c1.Insert(k, k)).ok());
+    }
+    EXPECT_EQ(sys->DebugCountLeaves(), leaves + 1);
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await c1.Lookup(505, &v, stats)).ok());
+    EXPECT_EQ(v, 505u);
+    *flag = true;
+  }(system.get(), &stats, &done));
+  system->simulator().Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(stats.round_trips, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  system->DebugCheckInvariants();
+}
+
+// The hi fence of node `addr`, read in MS memory.
+Key HiFence(ShermanSystem* sys, rdma::GlobalAddress addr) {
+  return NodeView(sys->fabric().HostRaw(addr), &sys->options().shape)
+      .hi_fence();
+}
+
+// A linker's lock above the leaf level drops no cached level-1 node. CS 0
+// caches the root and level-1 node P; CS 1 then splits P. CS 0 splits P's
+// last leaf, and its linker, steered by the stale root to P, chases to P's
+// new sibling to insert the separator. CS 0's image of P, which still
+// routes every key it covers correctly, stays cached.
+TEST(LearnSplitTest, LinkerChaseAboveTheLeavesDropsNoLevel1Node) {
+  std::unique_ptr<ShermanSystem> system = ChaseTree();
+  const TreeShape& shape = system->options().shape;
+  const NodeView root(system->fabric().HostRaw(system->DebugRootAddr()),
+                      &shape);
+  ASSERT_EQ(root.level(), 2);
+  const rdma::GlobalAddress p_addr = root.InternalChildFor(1000);
+  const NodeView p(system->fabric().HostRaw(p_addr), &shape);
+  const Key p_lo = p.lo_fence();
+  const Key p_hi = p.hi_fence();
+  const rdma::GlobalAddress last = p.InternalChild(p.count() - 1);
+  const Key last_lo = NodeView(system->fabric().HostRaw(last), &shape)
+                          .lo_fence();
+
+  uint64_t invalidations_before = 0;
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, Key p_lo, Key p_hi, Key last_lo,
+                rdma::GlobalAddress p_addr, rdma::GlobalAddress last,
+                uint64_t* before, bool* flag) -> sim::Task<void> {
+    TreeClient& c0 = sys->client(0);
+    TreeClient& c1 = sys->client(1);
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await c0.Lookup(last_lo, &v)).ok());  // root and P
+    // CS 1 fills P's first leaves until P splits.
+    for (Key k = p_lo + 1; HiFence(sys, p_addr) == p_hi && k < p_lo + 2000;
+         k++) {
+      if (k % 10 != 0) {
+        EXPECT_TRUE((co_await c1.Insert(k, k)).ok());
+      }
+    }
+    EXPECT_LT(HiFence(sys, p_addr), last_lo) << "P split past its last leaf";
+    co_await sys->simulator().Delay(100'000);  // P's link lands
+    *before = sys->registry().Snapshot().counter("cache.invalidations");
+    // CS 0 splits P's last leaf, then its linker runs.
+    for (Key k = last_lo + 1; HiFence(sys, last) == p_hi && k < p_hi; k++) {
+      if (k % 10 != 0) {
+        EXPECT_TRUE((co_await c0.Insert(k, k)).ok());
+      }
+    }
+    EXPECT_LT(HiFence(sys, last), p_hi) << "the last leaf did not split";
+    co_await sys->simulator().Delay(100'000);  // the link lands
+    const ParsedInternal* cached = c0.cache().LookupLevel1(last_lo);
+    EXPECT_NE(cached, nullptr);
+    if (cached != nullptr) {
+      EXPECT_EQ(cached->self, p_addr);
+      EXPECT_EQ(cached->hi, p_hi);
+    }
+    *flag = true;
+  }(system.get(), p_lo, p_hi, last_lo, p_addr, last, &invalidations_before,
+    &done));
+  system->simulator().Run();
+  ASSERT_TRUE(done);
+  const obs::MetricsSnapshot snap = system->registry().Snapshot();
+  EXPECT_EQ(snap.counter("cache.invalidations"), invalidations_before);
+  EXPECT_EQ(snap.counter("tree.link_failures"), 0u);
+  system->DebugCheckInvariants();
+}
+
+// A scan collects each leaf of a READ batch as its own READ lands. CS 0
+// caches the parent of leaf [1510, 1560); CS 1's deletes then merge that
+// leaf into its left neighbour. CS 0's range from 1540 plans a batch
+// starting at the tombstone: the scan restarts on the first READ to land,
+// with the batch's later READs still in flight, and must let them land
+// before it reuses or frees their buffers (the sanitizer build checks it).
+TEST(ScanRestartTest, RestartWaitsForTheBatchInFlight) {
+  std::unique_ptr<ShermanSystem> system = ChaseTree();
+  std::vector<std::pair<Key, uint64_t>> out;
+  OpStats stats;
+  bool done = false;
+  sim::Spawn([](ShermanSystem* sys, std::vector<std::pair<Key, uint64_t>>* o,
+                OpStats* stats, bool* flag) -> sim::Task<void> {
+    TreeClient& c0 = sys->client(0);
+    TreeClient& c1 = sys->client(1);
+    uint64_t v = 0;
+    EXPECT_TRUE((co_await c0.Lookup(1540, &v)).ok());  // caches the parent
+    for (Key k : {1510, 1520, 1530}) {
+      EXPECT_TRUE((co_await c1.Delete(k)).ok());
+    }
+    EXPECT_EQ(sys->registry().Snapshot().counter("reclaim.leaf_merges"), 1u);
+    EXPECT_TRUE((co_await c0.RangeQuery(1540, 20, o, stats)).ok());
+    *flag = true;
+  }(system.get(), &out, &stats, &done));
+  system->simulator().Run();
+  ASSERT_TRUE(done);
+  std::vector<std::pair<Key, uint64_t>> want;
+  for (Key k = 1540; want.size() < 20; k += 10) want.emplace_back(k, k + 1);
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(stats.cache_misses, 1u) << "the restart's resolve";
+  EXPECT_GT(stats.round_trips, 6u) << "a multi-leaf batch, then a restart";
+  system->DebugCheckInvariants();
 }
 
 }  // namespace

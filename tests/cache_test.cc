@@ -148,6 +148,50 @@ TEST(IndexCacheTest, InvalidateLevel1Covering) {
   cache.InvalidateLevel1Covering(150);
 }
 
+// MakeNode(1, 100, 200, .) routes [100, 150) to its leftmost child and
+// [150, 200) to its one entry. A split of the leftmost child at 120 is news
+// to it: learned, both halves route to their own leaf, and the learn is
+// counted. Anything else changes nothing.
+TEST(IndexCacheTest, LearnSplitAddsTheSplitOnlyWhenItIsNews) {
+  obs::Registry reg;
+  IndexCache cache(1 << 20, 1024, 1, &reg);
+  const ParsedInternal n = MakeNode(1, 100, 200, 10);
+  cache.Insert(n);
+  const rdma::GlobalAddress left = n.leftmost;
+  const rdma::GlobalAddress right = n.entries[0].second;
+  const rdma::GlobalAddress sib(1, 1 << 20);
+  const auto entries = [&cache] { return cache.LookupLevel1(110)->entries; };
+
+  EXPECT_FALSE(cache.LearnSplit(110, left, 160, sib));   // routed to right
+  EXPECT_FALSE(cache.LearnSplit(110, right, 120, sib));  // routed to left
+  EXPECT_FALSE(cache.LearnSplit(110, left, 100, sib));   // at the lo fence
+  EXPECT_FALSE(cache.LearnSplit(110, left, 90, sib));    // below it
+  EXPECT_FALSE(cache.LearnSplit(160, right, 200, sib));  // at the hi fence
+  EXPECT_FALSE(cache.LearnSplit(160, right, 250, sib));  // above it
+  EXPECT_FALSE(cache.LearnSplit(110, left, 120, rdma::kNullAddress));
+  EXPECT_FALSE(cache.LearnSplit(250, left, 260, sib));   // nothing covers
+  // `right` starts at 150 in the node, so it cannot end there.
+  EXPECT_FALSE(cache.LearnSplit(160, right, 150, sib));
+  EXPECT_EQ(entries(), n.entries);
+  EXPECT_EQ(reg.Snapshot().counters.count("cache.splits_learned"), 0u);
+
+  EXPECT_TRUE(cache.LearnSplit(110, left, 120, sib));
+  const ParsedInternal* p = cache.LookupLevel1(110);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->ChildFor(100), left);
+  EXPECT_EQ(p->ChildFor(119), left);
+  EXPECT_EQ(p->ChildFor(120), sib);
+  EXPECT_EQ(p->ChildFor(149), sib);
+  EXPECT_EQ(p->ChildFor(150), right);
+  EXPECT_EQ(p->lo, 100u);
+  EXPECT_EQ(p->hi, 200u);
+  // The same split again is no news.
+  EXPECT_FALSE(cache.LearnSplit(130, left, 120, sib));
+  EXPECT_EQ(reg.Snapshot().counter("cache.splits_learned"), 1u);
+  EXPECT_EQ(cache.level1_nodes(), 1u);
+  EXPECT_EQ(reg.Snapshot().counter("cache.invalidations"), 0u);
+}
+
 TEST(IndexCacheTest, InvalidateKeyRange) {
   obs::Registry reg;
   IndexCache cache(1 << 20, 1024, 1, &reg);
